@@ -24,8 +24,6 @@ from .analysis import (
 from .dynamics import (
     ArrivalProcess,
     Trajectory,
-    collision_step,
-    lindblad_evolve,
     propagate_state,
     run_collision_ensemble,
     run_collision_model,
@@ -46,10 +44,7 @@ from .hilbert import (
     atom_transition_op,
     basis_state,
     expectation,
-    identity,
-    matrix_exponential,
     number_op,
-    partial_trace,
 )
 from .model import (
     DerivedParams,
@@ -66,7 +61,6 @@ from .protocol import (
     ProtocolSpec,
     ProtocolStep,
     RegimeReport,
-    SwapRule,
     build_two_step_protocol,
     run_protocol,
     validate_regime,
@@ -86,7 +80,6 @@ __all__ = [
     "RegimeReport",
     "SpaceDescriptor",
     "SqueezingReport",
-    "SwapRule",
     "Trajectory",
     "annihilation_op",
     "atom_transition_op",
@@ -96,7 +89,6 @@ __all__ = [
     "build_full_hamiltonian",
     "build_squeeze_operator",
     "build_two_step_protocol",
-    "collision_step",
     "derive_rates",
     "epr_variances_fock",
     "expectation",
@@ -105,12 +97,8 @@ __all__ = [
     "gaussian_lindblad_evolve",
     "gaussian_tmsv",
     "gaussian_vacuum",
-    "identity",
-    "lindblad_evolve",
-    "matrix_exponential",
     "mean_photon",
     "number_op",
-    "partial_trace",
     "preparation_time",
     "propagate_state",
     "run_collision_ensemble",

@@ -38,6 +38,7 @@ from .protocol import (
     ProtocolSpec,
     ProtocolStep,
     build_two_step_protocol,
+    mirror_to_b1,
     run_protocol,
     validate_regime,
 )
@@ -139,6 +140,19 @@ def _params_from(data: dict, key: str) -> PhysicalParams:
         raise ConfigError(str(exc))
 
 
+def _number(key: str, value, kind=float):
+    try:
+        return kind(value)
+    except (TypeError, ValueError):
+        raise ConfigError(f"{key} must be a number, got {value!r}")
+
+
+def _numbers(key: str, value) -> tuple:
+    if not isinstance(value, (list, tuple)):
+        raise ConfigError(f"{key} must be a list of numbers, got {value!r}")
+    return tuple(_number(key, x) for x in value)
+
+
 def load_run_config(path: Optional[str], args=None) -> RunConfig:
     """Parse a config file (bundled set when path is None) and fold in any
     overriding command-line flags."""
@@ -186,21 +200,22 @@ def load_run_config(path: Optional[str], args=None) -> RunConfig:
         raise ConfigError(f"truncation must be two positive integers, got {truncation!r}")
     if len(truncation) != 2 or min(truncation) < 1:
         raise ConfigError(f"truncation must be two positive integers, got {truncation!r}")
-    n_target = float(n_target)
+    seed = _number("seed", seed, int)
+    n_target = _number("n_target", n_target)
     if not n_target > 0.0:
         raise ConfigError(f"n_target must be positive, got {n_target!r}")
-    sample_count = int(data.get("sample_count", 51))
+    sample_count = _number("sample_count", data.get("sample_count", 51), int)
     if sample_count < 1:
         raise ConfigError(f"sample_count must be at least 1, got {sample_count}")
 
     durations = data.get("durations")
     if durations is not None:
-        durations = tuple(float(x) for x in durations)
+        durations = _numbers("durations", durations)
         if len(durations) != 2 or min(durations) < 0.0:
             raise ConfigError("durations must give two nonnegative times")
 
     if r_grid is not None:
-        r_grid = tuple(float(x) for x in r_grid)
+        r_grid = _numbers("r_grid", r_grid)
         if not r_grid:
             raise ConfigError("r_grid must not be empty")
         for r in r_grid:
@@ -210,7 +225,7 @@ def load_run_config(path: Optional[str], args=None) -> RunConfig:
     extras = {}
     for key in ("r_a_per_s", "tau_s", "theta1_hz"):
         if key in data:
-            value = float(data[key])
+            value = _number(key, data[key])
             if not value > 0.0:
                 raise ConfigError(f"{key} must be positive, got {value!r}")
             extras[key] = value
@@ -219,7 +234,7 @@ def load_run_config(path: Optional[str], args=None) -> RunConfig:
         params=params,
         steps=steps,
         engine=engine,
-        seed=int(seed),
+        seed=seed,
         truncation=truncation,
         n_target=n_target,
         sample_count=sample_count,
@@ -229,26 +244,6 @@ def load_run_config(path: Optional[str], args=None) -> RunConfig:
         r_a_per_s=extras.get("r_a_per_s"),
         tau_s=extras.get("tau_s"),
         theta1_hz=extras.get("theta1_hz"),
-    )
-
-
-def mirror_to_b1(p: PhysicalParams) -> PhysicalParams:
-    """Exchange the drive pairs so the strong channel sits in slot 1.
-
-    The exchanged set derives the same epsilon and gamma; running it as
-    step 1 of the built protocol reproduces the given parameters verbatim
-    as step 2 (for the canonical detuning signs delta1 < 0 < delta2).
-    """
-    return PhysicalParams(
-        omega1=p.omega2,
-        omega2=p.omega1,
-        g1=p.g2,
-        g2=p.g1,
-        delta1=-abs(p.delta2),
-        delta2=abs(p.delta1),
-        gamma_e=p.gamma_e,
-        r_a=p.r_a,
-        tau=p.tau,
     )
 
 
@@ -344,12 +339,17 @@ def cmd_derive(cfg: RunConfig) -> int:
     return EXIT_OK
 
 
-def cmd_simulate(cfg: RunConfig) -> int:
-    spec = build_spec(cfg)
-    traj, report = run_protocol(spec, samples_per_step=cfg.sample_count)
+def cmd_simulate(cfg: RunConfig, config_path: Optional[str]) -> int:
     prefix = cfg.output_path if cfg.output_path is not None else "run"
     csv_path = prefix + ".csv"
     json_path = prefix + ".json"
+    if config_path is not None:
+        config_real = os.path.realpath(config_path)
+        for path in (csv_path, json_path):
+            if os.path.realpath(path) == config_real:
+                raise ConfigError(f"output {path} would overwrite the config {config_path}")
+    spec = build_spec(cfg)
+    traj, report = run_protocol(spec, samples_per_step=cfg.sample_count)
     traj.to_csv(csv_path)
     _write_json(
         json_path,
@@ -408,17 +408,15 @@ def cmd_sweep(cfg: RunConfig) -> int:
 
     def one(r: float):
         scaled = replace(p, omega2=p.omega2 * (r * d0.theta1 / d0.theta2))
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            spec = build_two_step_protocol(
-                scaled,
-                durations=cfg.durations,
-                engine=cfg.engine,
-                seed=cfg.seed,
-                truncation=cfg.truncation,
-                n_target=cfg.n_target,
-            )
-            _, report = run_protocol(spec, samples_per_step=cfg.sample_count)
+        spec = build_two_step_protocol(
+            scaled,
+            durations=cfg.durations,
+            engine=cfg.engine,
+            seed=cfg.seed,
+            truncation=cfg.truncation,
+            n_target=cfg.n_target,
+        )
+        _, report = run_protocol(spec, samples_per_step=cfg.sample_count)
         d = derive_rates(scaled)
         t_total = sum(s.duration for s in spec.steps)
         return (
@@ -433,11 +431,15 @@ def cmd_sweep(cfg: RunConfig) -> int:
         )
 
     workers = _worker_count(None)
-    if workers == 1:
-        rows = [one(r) for r in grid]
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            rows = list(pool.map(one, grid))
+    # the warning filters are process-wide, so they are changed once, here in
+    # the calling thread, and the pool threads run under that one change
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        if workers == 1:
+            rows = [one(r) for r in grid]
+        else:
+            with ThreadPoolExecutor(max_workers=workers) as pool:
+                rows = list(pool.map(one, grid))
 
     out = cfg.output_path if cfg.output_path is not None else "sweep.csv"
     _write_csv(
@@ -672,7 +674,7 @@ def main(argv=None) -> int:
         if args.command == "derive":
             return cmd_derive(cfg)
         if args.command == "simulate":
-            return cmd_simulate(cfg)
+            return cmd_simulate(cfg, args.config)
         if args.command == "fig2":
             return cmd_fig2(cfg, args.svg)
         if args.command == "validate":

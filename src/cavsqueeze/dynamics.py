@@ -1,8 +1,8 @@
 """Time evolution engines.
 
-Unitary propagation (time-independent and fourth-order time-dependent),
-fixed-step Lindblad integration, and the stochastic collision model in which
-a Poisson stream of two-level atoms pumps the transformed cavity mode.
+Fourth-order Runge-Kutta propagation of state vectors under a
+time-dependent Hamiltonian, and the stochastic collision model in which a
+Poisson stream of two-level atoms pumps the transformed cavity mode.
 """
 
 from __future__ import annotations
@@ -19,22 +19,13 @@ import scipy.linalg
 
 from .analysis import make_observable_recorder, truncation_leak
 from .hilbert import DensityMatrix, Operator, SpaceDescriptor
-from .model import PhysicalParams, b_mode_annihilation, build_selective_hamiltonian, derive_rates, stark_shifts
+from .model import PhysicalParams, build_selective_hamiltonian, derive_rates, stark_shifts
 
-HERMITICITY_TOL = 1e-8
-STEP_BOUND = 0.05
 COUPLING_ERROR_LIMIT = 0.5
 COUPLING_WARN_LIMIT = 0.2
 ARRIVAL_RATE_LIMIT = 0.2
 BOUNDARY_ERROR_LIMIT = 1e-3
 MAX_STEPS = 10_000_000
-
-# fourth-order commutator-free two-exponential scheme: Gauss-Legendre nodes
-# and the corresponding exponent weights
-_CF4_C1 = 0.5 - math.sqrt(3.0) / 6.0
-_CF4_C2 = 0.5 + math.sqrt(3.0) / 6.0
-_CF4_A1 = (3.0 - 2.0 * math.sqrt(3.0)) / 12.0
-_CF4_A2 = (3.0 + 2.0 * math.sqrt(3.0)) / 12.0
 
 
 @dataclass(frozen=True)
@@ -113,76 +104,6 @@ class ArrivalProcess:
                 times.append(t)
 
 
-def _require_hermitian(h: Operator) -> np.ndarray:
-    defect = np.max(np.abs(h.matrix - h.matrix.conj().T))
-    if defect > HERMITICITY_TOL:
-        raise ValueError(f"Hamiltonian is not Hermitian (defect {defect:.3e})")
-    return h.matrix
-
-
-def evolve_time_independent(h: Operator, rho0: DensityMatrix, t: float) -> DensityMatrix:
-    """Unitary evolution rho -> U rho U+ with U = exp(-i H t)."""
-    if h.space != rho0.space:
-        raise ValueError("Hamiltonian and state live on different spaces")
-    hm = _require_hermitian(h)
-    if t == 0.0:
-        return rho0
-    u = scipy.linalg.expm(-1j * t * hm)
-    out = u @ rho0.matrix @ u.conj().T
-    return DensityMatrix(rho0.space, 0.5 * (out + out.conj().T))
-
-
-def _cf4_step(h_of_t, t: float, dt: float) -> np.ndarray:
-    h1 = h_of_t(t + _CF4_C1 * dt)
-    h2 = h_of_t(t + _CF4_C2 * dt)
-    m1 = h1.matrix if isinstance(h1, Operator) else h1
-    m2 = h2.matrix if isinstance(h2, Operator) else h2
-    first = scipy.linalg.expm(-1j * dt * (_CF4_A2 * m1 + _CF4_A1 * m2))
-    second = scipy.linalg.expm(-1j * dt * (_CF4_A1 * m1 + _CF4_A2 * m2))
-    return second @ first
-
-
-def evolve_time_dependent(
-    h_of_t: Callable[[float], Operator],
-    rho0: DensityMatrix,
-    t_span: tuple,
-    dt: float,
-    max_frequency: Optional[float] = None,
-) -> DensityMatrix:
-    """Fourth-order propagation under a time-dependent Hamiltonian.
-
-    Uses a commutator-free two-exponential scheme per step.  When the
-    caller states the fastest phase in the problem via max_frequency, the
-    step is validated against it.
-    """
-    t0, t1 = float(t_span[0]), float(t_span[1])
-    if t1 < t0:
-        raise ValueError("t_span must be ordered")
-    if dt <= 0:
-        raise ValueError("dt must be positive")
-    if max_frequency is not None and max_frequency > 0:
-        required = STEP_BOUND / max_frequency
-        if dt > required:
-            raise ValueError(
-                f"dt={dt:g} too coarse for the fastest phase {max_frequency:g}; "
-                f"need dt <= {required:g}"
-            )
-    span = t1 - t0
-    if span == 0.0:
-        return rho0
-    n_steps = max(1, math.ceil(span / dt))
-    if n_steps > MAX_STEPS:
-        raise ValueError(f"span {span:g} at dt {dt:g} needs {n_steps} steps; refusing")
-    h = span / n_steps
-    u_total = np.eye(rho0.space.dim, dtype=complex)
-    t = t0
-    for _ in range(n_steps):
-        u_total = _cf4_step(h_of_t, t, h) @ u_total
-        t += h
-    out = u_total @ rho0.matrix @ u_total.conj().T
-    return DensityMatrix(rho0.space, 0.5 * (out + out.conj().T))
-
-
 def propagate_state(
     h_of_t: Union[Operator, Callable[[float], Union[Operator, np.ndarray]]],
     psi0: np.ndarray,
@@ -190,8 +111,8 @@ def propagate_state(
     dt: float,
 ) -> np.ndarray:
     """Classical fourth-order Runge-Kutta on a state vector, renormalized
-    each step.  Cheap path for pure-state runs on large spaces where the
-    density-matrix propagators are too expensive."""
+    each step.  Cheap path for pure-state runs on large spaces, where a
+    dense propagator or density matrix is too expensive."""
     t0, t1 = float(t_span[0]), float(t_span[1])
     if t1 < t0:
         raise ValueError("t_span must be ordered")
@@ -222,65 +143,6 @@ def propagate_state(
         psi /= np.linalg.norm(psi)
         t += h
     return psi
-
-
-def b_mode_jump_operator(s: SpaceDescriptor, epsilon: float, which: int) -> Operator:
-    """Transformed-mode annihilation operator used as the pumping jump."""
-    if s.atom_levels != 1:
-        raise ValueError("jump operators act on the field-only space")
-    return b_mode_annihilation(s, epsilon, which)
-
-
-def _kraus_blocks(u: np.ndarray, atom_levels: int, field_dim: int, atom_in: int):
-    col = slice(atom_in * field_dim, (atom_in + 1) * field_dim)
-    return [
-        np.ascontiguousarray(u[a * field_dim : (a + 1) * field_dim, col])
-        for a in range(atom_levels)
-    ]
-
-
-def collision_step(
-    rho_c: DensityMatrix,
-    atom_init: Union[int, str],
-    h_int: Operator,
-    tau: float,
-    propagator: Optional[np.ndarray] = None,
-    coupling_rate: Optional[float] = None,
-) -> DensityMatrix:
-    """One atom transit: inject the atom, evolve for tau, trace the atom out.
-
-    coupling_rate, when given, is checked against the perturbative regime
-    (coupling_rate*tau < 0.5 hard, warn above 0.2).  propagator allows reuse
-    of a precomputed exp(-i*h_int*tau).
-    """
-    if rho_c.space.atom_levels != 1:
-        raise ValueError("collision_step expects a field-only cavity state")
-    cs = h_int.space
-    if (cs.n1_trunc, cs.n2_trunc) != (rho_c.space.n1_trunc, rho_c.space.n2_trunc):
-        raise ValueError("field truncations of state and interaction differ")
-    if tau < 0:
-        raise ValueError("tau must be nonnegative")
-    atom_idx = cs.atom_index(atom_init)
-    if coupling_rate is not None:
-        x = abs(coupling_rate) * tau
-        if x >= COUPLING_ERROR_LIMIT:
-            raise ValueError(
-                f"coupling_rate*tau = {x:.3g} is outside the perturbative regime (< 0.5)"
-            )
-        if x > COUPLING_WARN_LIMIT:
-            warnings.warn(
-                f"coupling_rate*tau = {x:.3g} above 0.2; single-collision kicks are large",
-                stacklevel=2,
-            )
-    field_dim = rho_c.space.dim
-    if propagator is None:
-        propagator = scipy.linalg.expm(-1j * tau * _require_hermitian(h_int))
-    elif propagator.shape != (cs.dim, cs.dim):
-        raise ValueError("propagator shape does not match the composite space")
-    out = np.zeros((field_dim, field_dim), dtype=complex)
-    for k in _kraus_blocks(propagator, cs.atom_levels, field_dim, atom_idx):
-        out += k @ rho_c.matrix @ k.conj().T
-    return DensityMatrix(rho_c.space, 0.5 * (out + out.conj().T))
 
 
 def _thin_arrivals(times: np.ndarray, tau: float):
@@ -340,7 +202,16 @@ def run_collision_model(
     atom_init = "g" if d.channel == "b1" else "h"
     atom_idx = composite.atom_index(atom_init)
     propagator = scipy.linalg.expm(-1j * params.tau * h_int.matrix)
-    kraus = _kraus_blocks(propagator, 2, field_space.dim, atom_idx)
+    # one transit maps rho to sum_a K_a rho K_a+ with K_a = <a|U|atom_init>
+    dim = field_space.dim
+    cols = slice(atom_idx * dim, (atom_idx + 1) * dim)
+    kraus = [np.ascontiguousarray(propagator[a * dim : (a + 1) * dim, cols]) for a in range(2)]
+
+    def collide(rho):
+        new = np.zeros_like(rho)
+        for k in kraus:
+            new += k @ rho @ k.conj().T
+        return new
 
     if sample_times is None:
         sample_times = np.linspace(0.0, duration, 101)
@@ -356,24 +227,18 @@ def run_collision_model(
     arrival_ptr = 0
     for t_s in sample_times:
         while arrival_ptr < accepted.size and accepted[arrival_ptr] <= t_s:
-            new = np.zeros_like(rho)
-            for k in kraus:
-                new += k @ rho @ k.conj().T
-            rho = new
+            rho = collide(rho)
             arrival_ptr += 1
         leak = truncation_leak(rho, field_space)
         max_leak = max(max_leak, leak)
         if leak > BOUNDARY_ERROR_LIMIT:
-            raise RuntimeError(
+            raise ValueError(
                 f"truncation overflow at t={t_s:g}: boundary population {leak:.2e} > "
                 f"{BOUNDARY_ERROR_LIMIT:g}; increase the Fock truncation"
             )
         rows.append(recorder(rho))
     while arrival_ptr < accepted.size:
-        new = np.zeros_like(rho)
-        for k in kraus:
-            new += k @ rho @ k.conj().T
-        rho = new
+        rho = collide(rho)
         arrival_ptr += 1
 
     records = {key: np.array([row[key] for row in rows]) for key in rows[0]} if rows else {}
@@ -459,140 +324,4 @@ def run_collision_ensemble(
         records=records,
         final_state=DensityMatrix(rho0.space, mean_final),
         diagnostics=diagnostics,
-    )
-
-
-def lindblad_evolve(
-    rho0: DensityMatrix,
-    jumps: Sequence[tuple],
-    t_span: tuple,
-    dt: Optional[float] = None,
-    hamiltonian: Optional[Operator] = None,
-    record: Optional[Callable] = None,
-    sample_times: Optional[Sequence[float]] = None,
-) -> Trajectory:
-    """Fixed-step fourth-order integration of the master equation
-    drho/dt = -i[H, rho] + sum_k gamma_k (L rho L+ - {L+L, rho}/2).
-
-    jumps is a list of (Operator, rate) pairs.  When dt is omitted a stable
-    step is chosen from the spectral scale of the generator; an explicit dt
-    is validated against the fastest rate in the problem.  Trace drift
-    beyond 1e-8 is renormalized and counted in diagnostics; populations are
-    monitored for negativity.
-    """
-    t0, t1 = float(t_span[0]), float(t_span[1])
-    if t1 < t0:
-        raise ValueError("t_span must be ordered")
-    space = rho0.space
-    ops = []
-    for op, rate in jumps:
-        if rate < 0:
-            raise ValueError("jump rates must be nonnegative")
-        if op.space != space:
-            raise ValueError("jump operator space does not match the state")
-        ops.append((op.matrix, float(rate)))
-    hm = None
-    h_norm = 0.0
-    if hamiltonian is not None:
-        if hamiltonian.space != space:
-            raise ValueError("Hamiltonian space does not match the state")
-        hm = _require_hermitian(hamiltonian)
-        h_norm = float(np.max(np.abs(np.linalg.eigvalsh(hm)))) if hm.size else 0.0
-
-    # stiffness estimate: Hamiltonian spectral radius plus summed damping scales
-    damping = 0.0
-    for lm, rate in ops:
-        if rate > 0.0:
-            gram = lm.conj().T @ lm
-            damping += rate * float(np.max(np.linalg.eigvalsh(0.5 * (gram + gram.conj().T))))
-    stiffness = 2.0 * h_norm + damping
-
-    span = t1 - t0
-    if dt is None:
-        dt = span if stiffness == 0.0 else min(span if span > 0 else 1.0, 0.2 / stiffness)
-    else:
-        fastest = max([rate for _, rate in ops] + [h_norm] + [0.0])
-        if fastest > 0 and dt * fastest > STEP_BOUND:
-            raise ValueError(
-                f"step-size violation: dt*max(rate, |H|) = {dt * fastest:.3g} > {STEP_BOUND}"
-            )
-        if stiffness > 0 and dt > 1.0 / stiffness:
-            warnings.warn(
-                f"dt={dt:g} is close to the stability limit 2.8/{stiffness:.3g}",
-                stacklevel=2,
-            )
-    if sample_times is None:
-        sample_times = np.linspace(t0, t1, 101) if span > 0 else np.array([t0])
-    else:
-        sample_times = np.asarray(sample_times, dtype=float)
-    if sample_times.size and (sample_times[0] < t0 - 1e-12 or sample_times[-1] > t1 + 1e-12):
-        raise ValueError("sample_times must lie within t_span")
-
-    # effective non-Hermitian drift G = -iH - sum gamma/2 L+L
-    g_drift = np.zeros((space.dim, space.dim), dtype=complex)
-    if hm is not None:
-        g_drift += -1j * hm
-    jump_ops = []
-    for lm, rate in ops:
-        if rate == 0.0:
-            continue
-        g_drift -= 0.5 * rate * (lm.conj().T @ lm)
-        jump_ops.append(math.sqrt(rate) * lm)
-
-    def rhs(rho):
-        out = g_drift @ rho
-        out = out + out.conj().T
-        for lm in jump_ops:
-            out += (lm @ rho) @ lm.conj().T
-        return out
-
-    renormalizations = 0
-    total_steps = 0
-
-    def advance(rho, span_seg):
-        nonlocal renormalizations, total_steps
-        if span_seg <= 0:
-            return rho
-        n_seg = max(1, math.ceil(span_seg / dt))
-        total_steps += n_seg
-        if total_steps > MAX_STEPS:
-            raise ValueError(f"integration needs more than {MAX_STEPS} steps; refusing")
-        h = span_seg / n_seg
-        for _ in range(n_seg):
-            k1 = rhs(rho)
-            k2 = rhs(rho + 0.5 * h * k1)
-            k3 = rhs(rho + 0.5 * h * k2)
-            k4 = rhs(rho + h * k3)
-            rho = rho + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-            tr = float(np.trace(rho).real)
-            if abs(tr - 1.0) > 1e-8:
-                rho /= tr
-                renormalizations += 1
-        return rho
-
-    rho = rho0.matrix.copy()
-    rows = []
-    min_population = math.inf
-    t_cur = t0
-    for t_target in sample_times:
-        rho = advance(rho, float(t_target) - t_cur)
-        t_cur = float(t_target)
-        min_population = min(min_population, float(np.diag(rho).real.min()))
-        rows.append(record(rho) if record is not None else {})
-    rho = advance(rho, t1 - t_cur)
-
-    records = {key: np.array([row[key] for row in rows]) for key in rows[0]} if rows and rows[0] else {}
-    rho = 0.5 * (rho + rho.conj().T)
-    rho /= np.trace(rho).real
-    final = DensityMatrix(space, rho)
-    return Trajectory(
-        times=sample_times,
-        records=records,
-        final_state=final,
-        diagnostics={
-            "dt": float(dt),
-            "steps": int(total_steps),
-            "trace_renormalizations": int(renormalizations),
-            "min_population": float(min_population),
-        },
     )

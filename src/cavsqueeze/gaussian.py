@@ -66,13 +66,6 @@ class GaussianState:
             + self.mean[i] ** 2 + self.mean[i + 1] ** 2 - 0.5
         )
 
-    def to_json(self) -> dict:
-        return {"mean": self.mean.tolist(), "cov": self.cov.tolist()}
-
-    @classmethod
-    def from_json(cls, data: dict) -> "GaussianState":
-        return cls(mean=np.array(data["mean"], dtype=float), cov=np.array(data["cov"], dtype=float))
-
 
 def gaussian_vacuum() -> GaussianState:
     return GaussianState(mean=np.zeros(4), cov=0.25 * np.eye(4))
@@ -199,10 +192,12 @@ def gaussian_epr_variances(s: GaussianState) -> EPRVariances:
 
 
 def _record_observables(s: GaussianState, epsilon: float) -> dict:
+    # same key order as analysis.observable_matrices, so every engine writes
+    # one CSV column order
     out = {
         "n_a1": s.mode_photon(1),
-        "n_a2": s.mode_photon(2),
         "n_b1": transformed_occupation(s, epsilon, 1),
+        "n_a2": s.mode_photon(2),
         "n_b2": transformed_occupation(s, epsilon, 2),
     }
     epr = gaussian_epr_variances(s)
@@ -217,7 +212,7 @@ def _record_observables(s: GaussianState, epsilon: float) -> dict:
 
 
 def run_protocol_gaussian(
-    p, protocol, samples_per_step: int = 51, initial: GaussianState = None
+    protocol, samples_per_step: int = 51, initial: GaussianState = None
 ) -> Trajectory:
     """Covariance-level run of a multi-step pumping protocol.
 
@@ -225,7 +220,6 @@ def run_protocol_gaussian(
     channel for its duration.  Records occupations and joint variances on a
     per-step time grid; the final GaussianState rides on the trajectory.
     """
-    derive_rates(p)  # surfaces the degenerate-channel error early
     state = gaussian_vacuum() if initial is None else initial
     times = [0.0]
     rows = [None]

@@ -2,20 +2,17 @@
 
 Basis ordering is row-major over (atom, mode 1, mode 2): the flat index of
 |a, n1, n2> is (a * n1_trunc + n1) * n2_trunc + n2.  A factor of size 1 is
-trivial, so atom_levels=1 describes a field-only space and a traced-out
-field mode collapses to size 1 rather than disappearing.
+trivial, so atom_levels=1 describes a field-only space.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence, Union
+from typing import Union
 
 import numpy as np
-import scipy.linalg
 
 ATOM_LABELS = ("g", "h", "e")
-FACTOR_NAMES = ("atom", "field1", "field2")
 
 HERMITICITY_TOL = 1e-10
 TRACE_TOL = 1e-8
@@ -84,22 +81,6 @@ def _frozen_matrix(matrix, dim: int) -> np.ndarray:
     return m
 
 
-def _space_payload(space: SpaceDescriptor, matrix: np.ndarray) -> dict:
-    return {
-        "space": [space.atom_levels, space.n1_trunc, space.n2_trunc],
-        "re": np.real(matrix).ravel().tolist(),
-        "im": np.imag(matrix).ravel().tolist(),
-    }
-
-
-def _matrix_from_payload(data: dict) -> tuple:
-    space = SpaceDescriptor(*(int(v) for v in data["space"]))
-    dim = space.dim
-    re = np.asarray(data["re"], dtype=float).reshape(dim, dim)
-    im = np.asarray(data["im"], dtype=float).reshape(dim, dim)
-    return space, re + 1j * im
-
-
 @dataclass(frozen=True)
 class Operator:
     """A linear operator on a composite space.  The matrix is read-only."""
@@ -137,14 +118,6 @@ class Operator:
         self._check_space(other)
         return Operator(self.space, self.matrix @ other.matrix)
 
-    def to_json(self) -> dict:
-        return _space_payload(self.space, self.matrix)
-
-    @classmethod
-    def from_json(cls, data: dict) -> "Operator":
-        space, matrix = _matrix_from_payload(data)
-        return cls(space, matrix)
-
 
 @dataclass(frozen=True)
 class DensityMatrix:
@@ -172,14 +145,6 @@ class DensityMatrix:
         if v.size != space.dim:
             raise ValueError(f"state vector length {v.size} does not match dimension {space.dim}")
         return cls(space, np.outer(v, v.conj()))
-
-    def to_json(self) -> dict:
-        return _space_payload(self.space, self.matrix)
-
-    @classmethod
-    def from_json(cls, data: dict) -> "DensityMatrix":
-        space, matrix = _matrix_from_payload(data)
-        return cls(space, matrix)
 
 
 def _single_mode_lowering(n_trunc: int) -> np.ndarray:
@@ -237,10 +202,6 @@ def basis_state(space: SpaceDescriptor, atom: Union[int, str], n1: int, n2: int)
     return psi
 
 
-def identity(space: SpaceDescriptor) -> Operator:
-    return Operator(space, np.eye(space.dim, dtype=complex))
-
-
 def expectation(op, state) -> complex:
     """<op> in the given state.
 
@@ -256,37 +217,3 @@ def expectation(op, state) -> complex:
     if s.ndim == 2 and s.shape[0] == s.shape[1]:
         return complex(np.einsum("ij,ji->", m, s))
     raise ValueError(f"state has unsupported shape {s.shape}")
-
-
-def partial_trace(state: DensityMatrix, keep: Sequence[str]) -> DensityMatrix:
-    """Trace out the factors not named in keep.
-
-    keep lists factor names from ('atom', 'field1', 'field2').  Traced-out
-    factors collapse to size 1 in the resulting space descriptor, so basis
-    ordering of the kept factors is preserved.
-    """
-    keep = tuple(keep)
-    unknown = set(keep) - set(FACTOR_NAMES)
-    if unknown:
-        raise ValueError(f"unknown factors {sorted(unknown)}, expected names from {FACTOR_NAMES}")
-    if not keep:
-        raise ValueError("keep must name at least one factor")
-
-    space = state.space
-    sizes = space.shape
-    rho = state.matrix.reshape(sizes + sizes)
-    # Trace axes in reverse so earlier axis numbers stay valid.
-    for pos in (2, 1, 0):
-        if FACTOR_NAMES[pos] not in keep:
-            rho = np.trace(rho, axis1=pos, axis2=pos + rho.ndim // 2)
-            rho = np.expand_dims(np.expand_dims(rho, pos), pos + rho.ndim // 2 + 1)
-    new_sizes = tuple(s if name in keep else 1 for s, name in zip(sizes, FACTOR_NAMES))
-    new_space = SpaceDescriptor(*new_sizes)
-    return DensityMatrix(new_space, rho.reshape(new_space.dim, new_space.dim))
-
-
-def matrix_exponential(op):
-    """exp(M) of an Operator (returning an Operator) or a raw matrix."""
-    if isinstance(op, Operator):
-        return Operator(op.space, scipy.linalg.expm(op.matrix))
-    return scipy.linalg.expm(np.asarray(op, dtype=complex))

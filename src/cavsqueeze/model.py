@@ -2,27 +2,20 @@
 
 Builds the driven three-level Hamiltonian, its dispersive (adiabatically
 eliminated) two-level form, the single-channel form in the Bogoliubov mode
-basis, the squeeze and displacement unitaries, and the derived coupling and
-dissipation rates.
+basis, the squeeze unitary, and the derived coupling and dissipation rates.
 """
 
 from __future__ import annotations
 
+import functools
 import math
-import warnings
 from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
+import scipy.linalg
 
-from .hilbert import (
-    Operator,
-    SpaceDescriptor,
-    annihilation_op,
-    atom_transition_op,
-    matrix_exponential,
-    number_op,
-)
+from .hilbert import Operator, SpaceDescriptor, annihilation_op, atom_transition_op, number_op
 
 TWO_PI = 2.0 * math.pi
 
@@ -84,10 +77,6 @@ class PhysicalParams:
         num = max(abs(self.omega1), abs(self.omega2), abs(self.g1), abs(self.g2))
         den = min(abs(self.delta1), abs(self.delta2), abs(self.delta1 - self.delta2))
         return num / den
-
-    @property
-    def is_dispersive(self) -> bool:
-        return self.dispersive_ratio <= DISPERSIVE_LIMIT
 
     @classmethod
     def from_hz_dict(cls, data: dict) -> "PhysicalParams":
@@ -181,6 +170,20 @@ def stark_shifts(p: PhysicalParams) -> StarkShifts:
     )
 
 
+@functools.lru_cache(maxsize=4)
+def _full_couplings(s: SpaceDescriptor) -> tuple:
+    """The read-only operators s_eh, s_eg, a1 s_eg and a2 s_eh, built once per space."""
+    a1 = annihilation_op(s, 1).matrix
+    a2 = annihilation_op(s, 2).matrix
+    s_eh = atom_transition_op(s, "e", "h").matrix
+    s_eg = atom_transition_op(s, "e", "g").matrix
+    a1_s_eg = a1 @ s_eg
+    a2_s_eh = a2 @ s_eh
+    a1_s_eg.setflags(write=False)
+    a2_s_eh.setflags(write=False)
+    return s_eh, s_eg, a1_s_eg, a2_s_eh
+
+
 def build_full_hamiltonian(p: PhysicalParams, s: SpaceDescriptor, t: float) -> Operator:
     """Interaction-picture Hamiltonian of the driven three-level atom at time t.
 
@@ -189,21 +192,20 @@ def build_full_hamiltonian(p: PhysicalParams, s: SpaceDescriptor, t: float) -> O
     (h <-> e) at detuning delta2.  Raising terms carry e^{-i delta t}; this
     sign pairs with the +omega^2/delta shift convention of
     build_effective_hamiltonian, so the second-order reduction of this
-    Hamiltonian is that one (checked dynamically in the tests).
+    Hamiltonian is that one (checked dynamically in the tests).  Only the
+    phases change with t, so the operators they multiply are built once per
+    space and reused: a propagator calls this four times per step.
     """
     if s.atom_levels != 3:
         raise ValueError(f"full model needs 3 atom levels, space has {s.atom_levels}")
-    a1 = annihilation_op(s, 1).matrix
-    a2 = annihilation_op(s, 2).matrix
-    s_eh = atom_transition_op(s, "e", "h").matrix
-    s_eg = atom_transition_op(s, "e", "g").matrix
+    s_eh, s_eg, a1_s_eg, a2_s_eh = _full_couplings(s)
     phase1 = np.exp(-1j * p.delta1 * t)
     phase2 = np.exp(-1j * p.delta2 * t)
     half = (
         p.omega1 * phase1 * s_eh
         + p.omega2 * phase2 * s_eg
-        + p.g1 * phase1 * (a1 @ s_eg)
-        + p.g2 * phase2 * (a2 @ s_eh)
+        + p.g1 * phase1 * a1_s_eg
+        + p.g2 * phase2 * a2_s_eh
     )
     return Operator(s, half + half.conj().T)
 
@@ -242,22 +244,6 @@ def _stark_diagonal(stark: StarkShifts, n1_like: np.ndarray, n2_like: np.ndarray
     return diag_h @ p_hh + diag_g @ p_gg
 
 
-def effective_hamiltonian_rate_form(d: DerivedParams, stark: StarkShifts, s: SpaceDescriptor) -> Operator:
-    """The dispersive Hamiltonian regrouped as light shifts plus a two-mode flip term.
-
-    Equals build_effective_hamiltonian exactly for real nonnegative couplings
-    with delta1 < 0 < delta2.
-    """
-    a1 = annihilation_op(s, 1).matrix
-    a2 = annihilation_op(s, 2).matrix
-    n1 = number_op(s, 1).matrix
-    n2 = number_op(s, 2).matrix
-    s_hg = atom_transition_op(s, "h", "g").matrix
-    flip = (d.theta2 * a2.conj().T - d.theta1 * a1) @ s_hg
-    m = _stark_diagonal(stark, n1, n2, s) + flip + flip.conj().T
-    return Operator(s, m)
-
-
 def build_squeeze_operator(s: SpaceDescriptor, epsilon: float) -> Operator:
     """Two-mode squeeze unitary exp(epsilon*(a1 a2 - a1+ a2+)) on the truncated space.
 
@@ -286,7 +272,7 @@ def build_squeeze_operator(s: SpaceDescriptor, epsilon: float) -> Operator:
     a1 = annihilation_op(s, 1)
     a2 = annihilation_op(s, 2)
     gen = a1 @ a2 - a1.dagger() @ a2.dagger()
-    return matrix_exponential(epsilon * gen)
+    return Operator(s, scipy.linalg.expm((epsilon * gen).matrix))
 
 
 def b_mode_annihilation(s: SpaceDescriptor, epsilon: float, mode: int) -> Operator:
@@ -342,27 +328,6 @@ def build_selective_hamiltonian(
     dark_energy = stark.shift_g if d.channel == "b1" else -stark.shift_h
     h0 = h0 - dark_energy * np.eye(s.dim)
     return Operator(s, h0 + h1.matrix)
-
-
-def build_displacement_operator(s: SpaceDescriptor, alpha1: complex, alpha2: complex) -> Operator:
-    """Product of coherent displacements exp(alpha_j a_j+ - alpha_j* a_j) on both modes."""
-    alpha1 = complex(alpha1)
-    alpha2 = complex(alpha2)
-    if not all(math.isfinite(v) for v in (alpha1.real, alpha1.imag, alpha2.real, alpha2.imag)):
-        raise ValueError("displacement amplitudes must be finite")
-    if abs(alpha1) ** 2 > s.n1_trunc / 4 or abs(alpha2) ** 2 > s.n2_trunc / 4:
-        warnings.warn(
-            "displacement amplitude large for the truncation (|alpha|^2 > N/4); "
-            "distribution tails will be clipped",
-            stacklevel=2,
-        )
-    a1 = annihilation_op(s, 1)
-    a2 = annihilation_op(s, 2)
-    gen = (
-        alpha1 * a1.dagger() - np.conj(alpha1) * a1
-        + alpha2 * a2.dagger() - np.conj(alpha2) * a2
-    )
-    return matrix_exponential(gen)
 
 
 @dataclass(frozen=True)

@@ -49,20 +49,6 @@ DECAY_BUDGET = 0.1
 
 
 @dataclass(frozen=True)
-class SwapRule:
-    """Step-2 drive amplitudes.  The default is the symmetric exchange."""
-
-    omega1: float
-    g1: float
-    omega2: float
-    g2: float
-
-    @classmethod
-    def symmetric(cls, p: PhysicalParams) -> "SwapRule":
-        return cls(omega1=p.omega2, g1=p.g2, omega2=p.omega1, g2=p.g1)
-
-
-@dataclass(frozen=True)
 class ProtocolStep:
     """One pumping interval: parameters, injected atom level, duration."""
 
@@ -146,28 +132,31 @@ class ProtocolSpec:
             "truncation": list(self.truncation),
         }
 
-    @classmethod
-    def from_json(cls, data: dict) -> "ProtocolSpec":
-        steps = [
-            ProtocolStep(
-                params=PhysicalParams.from_hz_dict(item["params"]),
-                atom_state=item["atom_state"],
-                duration=float(item["duration"]),
-                channel=item["channel"],
-            )
-            for item in data["steps"]
-        ]
-        return cls(
-            steps=steps,
-            engine=data.get("engine", "fock"),
-            seed=int(data.get("seed", 0)),
-            truncation=tuple(data.get("truncation", (15, 15))),
-        )
+
+def mirror_to_b1(p: PhysicalParams) -> PhysicalParams:
+    """Exchange the drive pairs and the detuning magnitudes.
+
+    The mirrored set derives the same epsilon and gamma on the other
+    channel, conserves the detuning sum, and has the canonical signs
+    delta1 < 0 < delta2.  It turns a channel-b2 set into a step-1 set and
+    a step-1 set into its step 2; mirroring twice returns a canonically
+    signed set verbatim.
+    """
+    return PhysicalParams(
+        omega1=p.omega2,
+        omega2=p.omega1,
+        g1=p.g2,
+        g2=p.g1,
+        delta1=-abs(p.delta2),
+        delta2=abs(p.delta1),
+        gamma_e=p.gamma_e,
+        r_a=p.r_a,
+        tau=p.tau,
+    )
 
 
 def build_two_step_protocol(
     step1: PhysicalParams,
-    swap_rule: Optional[SwapRule] = None,
     durations: Optional[Sequence[float]] = None,
     engine: str = "fock",
     seed: int = 0,
@@ -176,45 +165,15 @@ def build_two_step_protocol(
 ) -> ProtocolSpec:
     """Construct the two-step schedule from the step-1 parameter set.
 
-    Step-2 detunings follow from the swapped drive strengths:
-    |delta1'| = (P1'/P2) |delta2| and |delta2'| = (P2'/P1) |delta1| with
-    P the drive-coupling products, which makes the step-2 rate ordering the
-    exact reciprocal of step 1 (same r, same epsilon).  The default swap
-    exchanges the two drive pairs, conserving the detuning sum exactly.
-    Durations default to the pump-down time to n_target per step.
+    Step 2 is mirror_to_b1(step1): the two drive pairs and the detuning
+    magnitudes are exchanged, which makes the step-2 rate ordering the exact
+    reciprocal of step 1 (same r, same epsilon) and conserves the detuning
+    sum.  Durations default to the pump-down time to n_target per step.
     """
     d1 = derive_rates(step1)
     if d1.channel != "b1":
         raise ValueError("step 1 must have theta1 > theta2 (channel b1)")
-    rule = SwapRule.symmetric(step1) if swap_rule is None else swap_rule
-
-    p1 = abs(step1.omega1 * step1.g1)
-    p2 = abs(step1.omega2 * step1.g2)
-    p1_new = abs(rule.omega1 * rule.g1)
-    p2_new = abs(rule.omega2 * rule.g2)
-    # drive ordering that keeps step 2 on the reciprocal side; the symmetric
-    # exchange sits exactly on the boundary
-    if p1 - p2_new < p1_new - p2 - 1e-12 * max(p1, p2, 1.0):
-        raise ValueError(
-            "swap rule violates the drive ordering: "
-            f"{p1:g} - {p2_new:g} < {p1_new:g} - {p2:g}"
-        )
-    delta1_new = -(p1_new / p2) * abs(step1.delta2)
-    delta2_new = (p2_new / p1) * abs(step1.delta1)
-    step2 = PhysicalParams(
-        omega1=rule.omega1,
-        omega2=rule.omega2,
-        g1=rule.g1,
-        g2=rule.g2,
-        delta1=delta1_new,
-        delta2=delta2_new,
-        gamma_e=step1.gamma_e,
-        r_a=step1.r_a,
-        tau=step1.tau,
-    )
-    d2 = derive_rates(step2)
-    if d2.channel != "b2":
-        raise ValueError("swap rule failed to flip the channel ordering")
+    step2 = mirror_to_b1(step1)
 
     if durations is None:
         if d1.gamma > 0:
@@ -423,9 +382,7 @@ def run_protocol(
     if spec.engine == "gaussian":
         if initial is not None and not isinstance(initial, GaussianState):
             raise ValueError("gaussian engine takes a GaussianState initial state")
-        traj = run_protocol_gaussian(
-            spec.steps[0].params, spec, samples_per_step=samples_per_step, initial=initial
-        )
+        traj = run_protocol_gaussian(spec, samples_per_step=samples_per_step, initial=initial)
         diagnostics = dict(traj.diagnostics)
         diagnostics["regime_failures"] = failures
         traj = Trajectory(

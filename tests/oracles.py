@@ -1,0 +1,209 @@
+"""Independent reference computations for the tests.
+
+None of these is on a path the package runs: the fock engine solves the
+pumping in closed form, the dispersive Hamiltonian is built one way in the
+package, and coherent states only serve as test inputs.  Each oracle here
+computes the same physics another way, so a test can compare the two.
+"""
+
+import math
+import warnings
+from typing import Callable, Optional, Sequence
+
+import numpy as np
+import scipy.linalg
+
+from cavsqueeze.dynamics import Trajectory
+from cavsqueeze.hilbert import (
+    DensityMatrix,
+    Operator,
+    SpaceDescriptor,
+    annihilation_op,
+    atom_transition_op,
+    number_op,
+)
+from cavsqueeze.model import DerivedParams, StarkShifts
+
+HERMITICITY_TOL = 1e-8
+STEP_BOUND = 0.05
+MAX_STEPS = 10_000_000
+
+
+def lindblad_evolve(
+    rho0: DensityMatrix,
+    jumps: Sequence[tuple],
+    t_span: tuple,
+    dt: Optional[float] = None,
+    hamiltonian: Optional[Operator] = None,
+    record: Optional[Callable] = None,
+    sample_times: Optional[Sequence[float]] = None,
+) -> Trajectory:
+    """Fixed-step fourth-order integration of the master equation
+    drho/dt = -i[H, rho] + sum_k gamma_k (L rho L+ - {L+L, rho}/2).
+
+    jumps is a list of (Operator, rate) pairs.  When dt is omitted a stable
+    step is chosen from the spectral scale of the generator; an explicit dt
+    is validated against the fastest rate in the problem.  Trace drift
+    beyond 1e-8 is renormalized and counted in diagnostics; populations are
+    monitored for negativity.
+    """
+    t0, t1 = float(t_span[0]), float(t_span[1])
+    if t1 < t0:
+        raise ValueError("t_span must be ordered")
+    space = rho0.space
+    ops = []
+    for op, rate in jumps:
+        if rate < 0:
+            raise ValueError("jump rates must be nonnegative")
+        if op.space != space:
+            raise ValueError("jump operator space does not match the state")
+        ops.append((op.matrix, float(rate)))
+    hm = None
+    h_norm = 0.0
+    if hamiltonian is not None:
+        if hamiltonian.space != space:
+            raise ValueError("Hamiltonian space does not match the state")
+        hm = hamiltonian.matrix
+        defect = np.max(np.abs(hm - hm.conj().T))
+        if defect > HERMITICITY_TOL:
+            raise ValueError(f"Hamiltonian is not Hermitian (defect {defect:.3e})")
+        h_norm = float(np.max(np.abs(np.linalg.eigvalsh(hm)))) if hm.size else 0.0
+
+    # stiffness estimate: Hamiltonian spectral radius plus summed damping scales
+    damping = 0.0
+    for lm, rate in ops:
+        if rate > 0.0:
+            gram = lm.conj().T @ lm
+            damping += rate * float(np.max(np.linalg.eigvalsh(0.5 * (gram + gram.conj().T))))
+    stiffness = 2.0 * h_norm + damping
+
+    span = t1 - t0
+    if dt is None:
+        dt = span if stiffness == 0.0 else min(span if span > 0 else 1.0, 0.2 / stiffness)
+    else:
+        fastest = max([rate for _, rate in ops] + [h_norm] + [0.0])
+        if fastest > 0 and dt * fastest > STEP_BOUND:
+            raise ValueError(
+                f"step-size violation: dt*max(rate, |H|) = {dt * fastest:.3g} > {STEP_BOUND}"
+            )
+        if stiffness > 0 and dt > 1.0 / stiffness:
+            warnings.warn(
+                f"dt={dt:g} is close to the stability limit 2.8/{stiffness:.3g}",
+                stacklevel=2,
+            )
+    if sample_times is None:
+        sample_times = np.linspace(t0, t1, 101) if span > 0 else np.array([t0])
+    else:
+        sample_times = np.asarray(sample_times, dtype=float)
+    if sample_times.size and (sample_times[0] < t0 - 1e-12 or sample_times[-1] > t1 + 1e-12):
+        raise ValueError("sample_times must lie within t_span")
+
+    # effective non-Hermitian drift G = -iH - sum gamma/2 L+L
+    g_drift = np.zeros((space.dim, space.dim), dtype=complex)
+    if hm is not None:
+        g_drift += -1j * hm
+    jump_ops = []
+    for lm, rate in ops:
+        if rate == 0.0:
+            continue
+        g_drift -= 0.5 * rate * (lm.conj().T @ lm)
+        jump_ops.append(math.sqrt(rate) * lm)
+
+    def rhs(rho):
+        out = g_drift @ rho
+        out = out + out.conj().T
+        for lm in jump_ops:
+            out += (lm @ rho) @ lm.conj().T
+        return out
+
+    renormalizations = 0
+    total_steps = 0
+
+    def advance(rho, span_seg):
+        nonlocal renormalizations, total_steps
+        if span_seg <= 0:
+            return rho
+        n_seg = max(1, math.ceil(span_seg / dt))
+        total_steps += n_seg
+        if total_steps > MAX_STEPS:
+            raise ValueError(f"integration needs more than {MAX_STEPS} steps; refusing")
+        h = span_seg / n_seg
+        for _ in range(n_seg):
+            k1 = rhs(rho)
+            k2 = rhs(rho + 0.5 * h * k1)
+            k3 = rhs(rho + 0.5 * h * k2)
+            k4 = rhs(rho + h * k3)
+            rho = rho + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+            tr = float(np.trace(rho).real)
+            if abs(tr - 1.0) > 1e-8:
+                rho /= tr
+                renormalizations += 1
+        return rho
+
+    rho = rho0.matrix.copy()
+    rows = []
+    min_population = math.inf
+    t_cur = t0
+    for t_target in sample_times:
+        rho = advance(rho, float(t_target) - t_cur)
+        t_cur = float(t_target)
+        min_population = min(min_population, float(np.diag(rho).real.min()))
+        rows.append(record(rho) if record is not None else {})
+    rho = advance(rho, t1 - t_cur)
+
+    records = {key: np.array([row[key] for row in rows]) for key in rows[0]} if rows and rows[0] else {}
+    rho = 0.5 * (rho + rho.conj().T)
+    rho /= np.trace(rho).real
+    final = DensityMatrix(space, rho)
+    return Trajectory(
+        times=sample_times,
+        records=records,
+        final_state=final,
+        diagnostics={
+            "dt": float(dt),
+            "steps": int(total_steps),
+            "trace_renormalizations": int(renormalizations),
+            "min_population": float(min_population),
+        },
+    )
+
+
+def effective_hamiltonian_rate_form(d: DerivedParams, stark: StarkShifts, s: SpaceDescriptor) -> Operator:
+    """The dispersive Hamiltonian regrouped as light shifts plus a two-mode flip term.
+
+    Equals model.build_effective_hamiltonian exactly for real nonnegative
+    couplings with delta1 < 0 < delta2.
+    """
+    a1 = annihilation_op(s, 1).matrix
+    a2 = annihilation_op(s, 2).matrix
+    n1 = number_op(s, 1).matrix
+    n2 = number_op(s, 2).matrix
+    p_gg = atom_transition_op(s, "g", "g").matrix
+    p_hh = atom_transition_op(s, "h", "h").matrix
+    s_hg = atom_transition_op(s, "h", "g").matrix
+    eye = np.eye(s.dim)
+    diag_h = stark.per_photon_2 * n2 - stark.shift_h * eye
+    diag_g = stark.shift_g * eye - stark.per_photon_1 * n1
+    flip = (d.theta2 * a2.conj().T - d.theta1 * a1) @ s_hg
+    return Operator(s, diag_h @ p_hh + diag_g @ p_gg + flip + flip.conj().T)
+
+
+def build_displacement_operator(s: SpaceDescriptor, alpha1: complex, alpha2: complex) -> Operator:
+    """Product of coherent displacements exp(alpha_j a_j+ - alpha_j* a_j) on both modes."""
+    alpha1 = complex(alpha1)
+    alpha2 = complex(alpha2)
+    if not all(math.isfinite(v) for v in (alpha1.real, alpha1.imag, alpha2.real, alpha2.imag)):
+        raise ValueError("displacement amplitudes must be finite")
+    if abs(alpha1) ** 2 > s.n1_trunc / 4 or abs(alpha2) ** 2 > s.n2_trunc / 4:
+        warnings.warn(
+            "displacement amplitude large for the truncation (|alpha|^2 > N/4); "
+            "distribution tails will be clipped",
+            stacklevel=2,
+        )
+    a1 = annihilation_op(s, 1)
+    a2 = annihilation_op(s, 2)
+    gen = (
+        alpha1 * a1.dagger() - np.conj(alpha1) * a1
+        + alpha2 * a2.dagger() - np.conj(alpha2) * a2
+    )
+    return Operator(s, scipy.linalg.expm(gen.matrix))

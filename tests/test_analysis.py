@@ -19,7 +19,8 @@ from cavsqueeze.hilbert import (
     SpaceDescriptor,
     basis_state,
 )
-from cavsqueeze.model import build_displacement_operator, build_squeeze_operator
+from cavsqueeze.model import build_squeeze_operator
+from oracles import build_displacement_operator
 
 
 FIELDS20 = SpaceDescriptor(1, 20, 20)

@@ -1,5 +1,6 @@
 import json
 import math
+import warnings
 from importlib import resources
 
 import numpy as np
@@ -11,9 +12,9 @@ from cavsqueeze.cli import (
     build_spec,
     load_run_config,
     main,
-    mirror_to_b1,
 )
 from cavsqueeze.model import TWO_PI, PhysicalParams, derive_rates
+from cavsqueeze.protocol import mirror_to_b1
 
 
 def config_dict(**overrides):
@@ -32,6 +33,14 @@ def config_dict(**overrides):
             "tau_s": 0.02,
         },
     }
+    data.update(overrides)
+    return data
+
+
+def collision_config(**overrides):
+    # r = 0.36 keeps epsilon small enough for six Fock levels
+    data = config_dict(engine="collision", truncation=[6, 6], durations=[80.0, 80.0], sample_count=7)
+    data["params"].update(omega2_hz=math.sqrt(18.0), g2_hz=math.sqrt(18.0), tau_s=0.05, r_a_hz=1.0)
     data.update(overrides)
     return data
 
@@ -103,6 +112,30 @@ class TestConfigLoading:
         path = write_config(tmp_path, config_dict(r_grid=[0.5, 1.5]))
         with pytest.raises(ConfigError, match="between 0 and 1"):
             load_run_config(path)
+
+    @pytest.mark.parametrize(
+        "key, value",
+        [
+            ("sample_count", "x"),
+            ("seed", "s"),
+            ("seed", None),
+            ("durations", ["a", 1.0]),
+            ("durations", 5.0),
+            ("n_target", "x"),
+            ("r_grid", [0.5, "x"]),
+            ("r_a_per_s", "x"),
+            ("tau_s", [1.0]),
+            ("theta1_hz", "x"),
+        ],
+    )
+    def test_type_errors_are_config_errors(self, tmp_path, capsys, key, value):
+        path = write_config(tmp_path, config_dict(**{key: value}))
+        with pytest.raises(ConfigError, match=key):
+            load_run_config(path)
+        assert main(["derive", "--config", path]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {key} must be")
+        assert err.count("\n") == 1
 
     def test_flag_overrides(self):
         args = build_parser().parse_args(
@@ -209,14 +242,7 @@ class TestSimulate:
         assert payload["diagnostics"]["engine"] == "gaussian"
 
     def test_seed_determinism_collision(self, tmp_path):
-        data = config_dict(
-            engine="collision", truncation=[6, 6], durations=[80.0, 80.0], sample_count=7
-        )
-        # r = 0.36 keeps epsilon small enough for six Fock levels
-        data["params"].update(omega2_hz=math.sqrt(18.0), g2_hz=math.sqrt(18.0))
-        data["params"]["tau_s"] = 0.05
-        data["params"]["r_a_hz"] = 1.0
-        path = write_config(tmp_path, data)
+        path = write_config(tmp_path, collision_config())
         for tag in ("a", "b"):
             assert main(["simulate", "--config", path, "--seed", "7",
                          "--out", str(tmp_path / tag)]) == 0
@@ -232,6 +258,51 @@ class TestSimulate:
                    "--out", str(tmp_path / "x")])
         assert rc == 2
         assert "too small" in capsys.readouterr().err
+
+    def test_collision_overflow_exits_two(self, tmp_path, capsys):
+        # four levels hold the squeeze unitary but not the pumped state
+        rc = main(["simulate", "--config", write_config(tmp_path, collision_config()),
+                   "--seed", "7", "--truncation", "4,4", "--out", str(tmp_path / "x")])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: truncation overflow")
+        assert err.count("\n") == 1
+
+    def test_zero_weak_drive_exits_two(self, tmp_path, capsys):
+        data = config_dict(engine="gaussian")
+        data["params"]["omega2_hz"] = 0.0
+        rc = main(["simulate", "--config", write_config(tmp_path, data),
+                   "--out", str(tmp_path / "z")])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ")
+        assert err.count("\n") == 1
+        assert not (tmp_path / "z.csv").exists()
+
+    @pytest.mark.parametrize("suffix", [".json", ".csv"])
+    def test_refuses_to_overwrite_config(self, tmp_path, capsys, suffix):
+        path = write_config(tmp_path, config_dict(engine="gaussian"), name="run" + suffix)
+        before = (tmp_path / ("run" + suffix)).read_bytes()
+        # a different spelling of the same prefix must be caught too
+        prefix = str(tmp_path / "sub" / ".." / "run")
+        (tmp_path / "sub").mkdir()
+        rc = main(["simulate", "--config", path, "--out", prefix])
+        assert rc == 1
+        assert "overwrite" in capsys.readouterr().err
+        assert (tmp_path / ("run" + suffix)).read_bytes() == before
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["run" + suffix, "sub"]
+
+    def test_same_columns_on_every_engine(self, tmp_path):
+        data = config_dict(durations=[10.0, 10.0], sample_count=3, truncation=[8, 8])
+        path = write_config(tmp_path, data)
+        headers = []
+        for engine in ("fock", "gaussian", "collision"):
+            assert main(["simulate", "--config", path, "--engine", engine,
+                         "--out", str(tmp_path / engine)]) == 0
+            headers.append((tmp_path / f"{engine}.csv").read_text().splitlines()[0])
+        assert headers == [
+            "t,n_a1,n_b1,n_a2,n_b2,v_x_minus,v_x_plus,v_p_minus,v_p_plus,duan_sum"
+        ] * 3
 
     def test_regime_warning_does_not_abort(self, tmp_path):
         data = config_dict(engine="gaussian", durations=[0.0, 0.0])
@@ -307,6 +378,12 @@ class TestSweep:
         assert np.all(np.diff(data["n1_mean"]) > 0.0)
         assert np.all(np.diff(data["duan_sum"]) < 0.0)
         assert np.all(data["fidelity"] > 0.8)
+
+    def test_warning_filters_unchanged(self, tmp_path, monkeypatch):
+        monkeypatch.setenv("CAVSQUEEZE_WORKERS", "2")
+        before = list(warnings.filters)
+        assert main(["sweep", "--out", str(tmp_path / "s.csv"), "--r-grid", "0.4,0.7,0.95"]) == 0
+        assert warnings.filters == before
 
     def test_worker_count_does_not_change_output(self, tmp_path, monkeypatch):
         blobs = []

