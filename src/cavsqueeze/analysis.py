@@ -16,8 +16,7 @@ from typing import Callable, Optional, Union
 
 import numpy as np
 
-from .hilbert import DensityMatrix, Operator, SpaceDescriptor, annihilation_op, expectation
-from .model import b_mode_annihilation
+from .hilbert import DensityMatrix, SpaceDescriptor, annihilation_op, expectation, number_op
 
 TMSV_TAIL_LIMIT = 1e-6
 FIDELITY_TAIL_LIMIT = 1e-3
@@ -237,22 +236,23 @@ def squeezing_report(
     )
 
 
-def observable_matrices(space: SpaceDescriptor, epsilon: float) -> tuple:
-    """Precomputed matrices behind the standard recorder.
+def observable_matrices(space: SpaceDescriptor, squeeze: np.ndarray) -> tuple:
+    """Matrices behind the standard recorder, in the squeezed frame rho_b = S rho S+.
 
-    Returns (number_ops, combos, combo_squares): bare and transformed
-    occupation-number matrices keyed n_a1..n_b2, the four joint quadrature
-    combinations, and their squares.  Callers that evolve in a rotated basis
-    can conjugate these once instead of rotating the state every sample.
+    Returns (number_ops, combos, combo_squares) with tr(O rho) = tr(O_b rho_b):
+    bare occupations n_a1, n_a2 and the four joint quadrature combinations
+    conjugated once with the squeeze unitary S, and the combinations'
+    squares.  The transformed occupations n_b1, n_b2 are the bare number
+    operators, exactly, because b+b = S+ a+a S on the truncated space.
     """
+    s_dag = squeeze.conj().T
+    conj = lambda m: squeeze @ m @ s_dag
     number_ops = {}
     for mode in (1, 2):
-        a = annihilation_op(space, mode)
-        number_ops[f"n_a{mode}"] = (a.dagger() @ a).matrix
-        b = b_mode_annihilation(space, epsilon, mode)
-        number_ops[f"n_b{mode}"] = (b.dagger() @ b).matrix
+        n = number_op(space, mode).matrix
+        number_ops.update({f"n_a{mode}": conj(n), f"n_b{mode}": n})
 
-    x1, p1, x2, p2 = (op.matrix for op in quadrature_ops(space))
+    x1, p1, x2, p2 = (conj(op.matrix) for op in quadrature_ops(space))
     combos = {
         "v_x_minus": x1 - x2,
         "v_x_plus": x1 + x2,
@@ -264,6 +264,9 @@ def observable_matrices(space: SpaceDescriptor, epsilon: float) -> tuple:
 
 
 def recorder_from_matrices(number_ops: dict, combos: dict, combo_squares: dict) -> Callable[[StateLike], dict]:
+    """Per-sample recorder: maps a state to the occupations n_a1, n_b1, n_a2,
+    n_b2, the four joint-quadrature variances and the witness duan_sum,
+    from the matrices observable_matrices returns."""
     def record(state: StateLike) -> dict:
         out = {}
         for key, op in number_ops.items():
@@ -275,16 +278,3 @@ def recorder_from_matrices(number_ops: dict, combos: dict, combo_squares: dict) 
         return out
 
     return record
-
-
-def make_observable_recorder(
-    space: SpaceDescriptor, epsilon: float
-) -> Callable[[StateLike], dict]:
-    """Build a per-step recorder for time evolution.
-
-    The returned callable maps a state to a dict with bare-mode occupations
-    (n_a1, n_a2), transformed-mode occupations (n_b1, n_b2), the four joint
-    quadrature variances, and the witness duan_sum.  Operators are
-    precomputed once, so the callable is cheap enough to run every step.
-    """
-    return recorder_from_matrices(*observable_matrices(space, epsilon))

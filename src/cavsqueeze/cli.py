@@ -140,11 +140,20 @@ def _params_from(data: dict, key: str) -> PhysicalParams:
         raise ConfigError(str(exc))
 
 
-def _number(key: str, value, kind=float):
+def _number(key: str, value):
     try:
-        return kind(value)
+        return float(value)
     except (TypeError, ValueError):
         raise ConfigError(f"{key} must be a number, got {value!r}")
+
+
+def _integer(key: str, value) -> int:
+    # whole floats such as 7.0 pass; 2.7, strings, bools and None do not
+    if isinstance(value, float) and value.is_integer():
+        return int(value)
+    if isinstance(value, int) and not isinstance(value, bool):
+        return value
+    raise ConfigError(f"{key} must be an integer, got {value!r}")
 
 
 def _numbers(key: str, value) -> tuple:
@@ -194,17 +203,16 @@ def load_run_config(path: Optional[str], args=None) -> RunConfig:
 
     if engine not in ENGINES:
         raise ConfigError(f"engine must be one of {ENGINES}, got {engine!r}")
-    try:
-        truncation = tuple(int(n) for n in truncation)
-    except (TypeError, ValueError):
+    if not isinstance(truncation, (list, tuple)):
         raise ConfigError(f"truncation must be two positive integers, got {truncation!r}")
+    truncation = tuple(_integer("truncation", n) for n in truncation)
     if len(truncation) != 2 or min(truncation) < 1:
         raise ConfigError(f"truncation must be two positive integers, got {truncation!r}")
-    seed = _number("seed", seed, int)
+    seed = _integer("seed", seed)
     n_target = _number("n_target", n_target)
     if not n_target > 0.0:
         raise ConfigError(f"n_target must be positive, got {n_target!r}")
-    sample_count = _number("sample_count", data.get("sample_count", 51), int)
+    sample_count = _integer("sample_count", data.get("sample_count", 51))
     if sample_count < 1:
         raise ConfigError(f"sample_count must be at least 1, got {sample_count}")
 

@@ -1,8 +1,10 @@
 """Time evolution engines.
 
 Fourth-order Runge-Kutta propagation of state vectors under a
-time-dependent Hamiltonian, and the stochastic collision model in which a
-Poisson stream of two-level atoms pumps the transformed cavity mode.
+time-dependent Hamiltonian; the squeezed frame that the fock and collision
+engines share; and the stochastic collision model, in which a Poisson
+stream of two-level atoms pumps the transformed cavity mode with one
+closed-form Kraus pair per atom.
 """
 
 from __future__ import annotations
@@ -11,15 +13,21 @@ import math
 import os
 import warnings
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable, Optional, Sequence, Union
 
 import numpy as np
-import scipy.linalg
 
-from .analysis import make_observable_recorder, truncation_leak
-from .hilbert import DensityMatrix, Operator, SpaceDescriptor
-from .model import PhysicalParams, build_selective_hamiltonian, derive_rates, stark_shifts
+from .analysis import observable_matrices, recorder_from_matrices
+from .hilbert import DensityMatrix, Operator
+from .model import (
+    DerivedParams,
+    PhysicalParams,
+    StarkShifts,
+    build_squeeze_operator,
+    derive_rates,
+    stark_shifts,
+)
 
 COUPLING_ERROR_LIMIT = 0.5
 COUPLING_WARN_LIMIT = 0.2
@@ -136,8 +144,9 @@ def propagate_state(
     t = t0
     for _ in range(n_steps):
         k1 = -1j * (h_fn(t) @ psi)
-        k2 = -1j * (h_fn(t + 0.5 * h) @ (psi + 0.5 * h * k1))
-        k3 = -1j * (h_fn(t + 0.5 * h) @ (psi + 0.5 * h * k2))
+        h_mid = h_fn(t + 0.5 * h)
+        k2 = -1j * (h_mid @ (psi + 0.5 * h * k1))
+        k3 = -1j * (h_mid @ (psi + 0.5 * h * k2))
         k4 = -1j * (h_fn(t + h) @ (psi + h * k3))
         psi = psi + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
         psi /= np.linalg.norm(psi)
@@ -158,6 +167,143 @@ def _thin_arrivals(times: np.ndarray, tau: float):
     return np.array(accepted), dropped
 
 
+def run_in_squeezed_frame(rho0: DensityMatrix, epsilon: float, steps: Sequence) -> Trajectory:
+    """Run pumping steps back to back in the squeezed frame rho_b = S rho S+.
+
+    b_j = S+ a_j S exactly on the truncated space, so there the transformed
+    modes are bare and every pumping map acts on rho_b reshaped
+    (N1, N2, N1, N2) without S.  steps holds (times, advance) pairs: times
+    from 0, and advance(rho4, i) carries rho_b to sample i, or past the last
+    sample for i = len(times).  A later step's first sample repeats the
+    previous step's last and is not recorded again.  S is built and the
+    observables are conjugated once.  The a-frame boundary population
+    truncation_leak(S+ rho_b S) is measured at every sample (its maximum goes
+    to the diagnostics) and must not exceed BOUNDARY_ERROR_LIMIT on the
+    returned state.
+    """
+    space = rho0.space
+    squeeze = build_squeeze_operator(space, epsilon).matrix
+    recorder = recorder_from_matrices(*observable_matrices(space, squeeze))
+    # tr(S P S+ rho_b) = vdot(S P S+, rho_b) for the projector P on the boundary layers
+    edge = np.ones(space.shape[1:], dtype=bool)
+    edge[: space.n1_trunc - 1, : space.n2_trunc - 1] = False
+    edge_cols = squeeze[:, edge.ravel()]
+    boundary = edge_cols @ edge_cols.conj().T
+
+    dim = space.dim
+    rho4 = (squeeze @ rho0.matrix @ squeeze.conj().T).reshape(space.shape[1:] * 2)
+    leak = lambda rho: float(np.vdot(boundary, rho).real)
+    clock, rows, max_leak, offset = [], [], 0.0, 0.0
+    for times, advance in steps:
+        for i, t in enumerate(times):
+            rho4 = advance(rho4, i)
+            if clock and i == 0:
+                continue
+            rho = rho4.reshape(dim, dim)
+            max_leak = max(max_leak, leak(rho))
+            clock.append(t + offset)
+            rows.append(recorder(rho))
+        rho4 = advance(rho4, len(times))
+        if len(times):
+            offset = float(times[-1] + offset)
+    rho = rho4.reshape(dim, dim)
+    final_leak = leak(rho)
+    if final_leak > BOUNDARY_ERROR_LIMIT:
+        raise ValueError(
+            f"truncation overflow at t={offset:g}: boundary population {final_leak:.2e} > "
+            f"{BOUNDARY_ERROR_LIMIT:g}; increase the Fock truncation"
+        )
+    out = squeeze.conj().T @ rho @ squeeze
+    records = {key: np.array([row[key] for row in rows]) for key in rows[0]} if rows else {}
+    return Trajectory(
+        times=np.array(clock),
+        records=records,
+        final_state=DensityMatrix(space, 0.5 * (out + out.conj().T)),
+        diagnostics={"max_truncation_leak": max(max_leak, final_leak)},
+    )
+
+
+def transit_kraus_pair(d: DerivedParams, stark: Optional[StarkShifts], tau: float, shape: tuple):
+    """Closed-form Kraus pair of one atom transit, in the squeezed frame.
+
+    There the pumped mode j is bare, so the transit couples only |i, n>
+    (i = g on channel b1, h on b2) with |o, n - e_j> (o the other level),
+    under [[E_i, c], [c, E_o]] with c = -theta_b sqrt(n1) on b1 and
+    +theta_b sqrt(n2) on b2 and E the light shifts of
+    build_selective_hamiltonian (zero without stark).  Returns (stay, jump)
+    on the Fock grid (N1, N2): <i|U|i> is diagonal with entries stay[n];
+    <o|U|i> takes |n> to |n - e_j> with amplitude jump[n].
+    """
+    n1, n2 = np.indices(shape, dtype=float)
+    e_g = e_h = dark = 0.0
+    if stark is not None:
+        e_g = stark.shift_g - stark.per_photon_1 * n1
+        e_h = stark.per_photon_2 * n2 - stark.shift_h
+        dark = stark.shift_g if d.channel == "b1" else -stark.shift_h
+    if d.channel == "b1":
+        c, e_in, e_out = -d.theta_b * np.sqrt(n1), e_g, e_h
+    else:
+        c, e_in, e_out = d.theta_b * np.sqrt(n2), e_h, e_g
+    half = 0.5 * (e_in - e_out)
+    omega = np.sqrt(half**2 + c**2)
+    phase = np.exp(-1j * tau * (0.5 * (e_in + e_out) - dark))
+    sin_over = tau * np.sinc(omega * tau / math.pi)  # sin(omega tau) / omega
+    stay = phase * (np.cos(omega * tau) - 1j * half * sin_over)
+    jump = -1j * phase * c * sin_over
+    return stay, jump
+
+
+def _collision_step(shape, params, duration, arrivals, include_stark, sample_times):
+    """(advance, arrival diagnostics) of one collision step for run_in_squeezed_frame."""
+    if duration < 0:
+        raise ValueError("duration must be nonnegative")
+    d = derive_rates(params)
+    x = d.theta_b * params.tau
+    if x >= COUPLING_ERROR_LIMIT:
+        raise ValueError(f"theta_b*tau = {x:.3g} is outside the perturbative regime (< 0.5)")
+    if x > COUPLING_WARN_LIMIT:
+        warnings.warn(f"theta_b*tau = {x:.3g} above 0.2; collision kicks are large", stacklevel=3)
+    occupancy = arrivals.rate * params.tau
+    if occupancy > ARRIVAL_RATE_LIMIT:
+        raise ValueError(
+            f"arrival rate violates the one-atom regime: r_a*tau = {occupancy:.3g} > "
+            f"{ARRIVAL_RATE_LIMIT}"
+        )
+
+    stark = stark_shifts(params) if include_stark else None
+    stay, jump = transit_kraus_pair(d, stark, params.tau, shape)
+    stay_pair = stay[:, :, None, None] * stay.conj()
+    # the jump lowers the pumped mode: entries with n_j >= 1 move to n_j - 1
+    if d.channel == "b1":
+        src, dst = np.s_[1:, :, 1:, :], np.s_[:-1, :, :-1, :]
+        jump = jump[1:, :]
+    else:
+        src, dst = np.s_[:, 1:, :, 1:], np.s_[:, :-1, :, :-1]
+        jump = jump[:, 1:]
+    jump_pair = jump[:, :, None, None] * jump.conj()
+
+    accepted, dropped = _thin_arrivals(arrivals.sample(duration), params.tau)
+    # accepted atoms up to each sample, and those after the last one
+    counts = np.diff(np.searchsorted(accepted, sample_times, side="right"),
+                     prepend=0, append=accepted.size)
+
+    def advance(rho4, i):
+        for _ in range(counts[i]):
+            new = stay_pair * rho4
+            new[dst] += jump_pair * rho4[src]
+            rho4 = new
+        return rho4
+
+    diagnostics = {
+        "accepted_arrivals": int(accepted.size),
+        "dropped_arrivals": int(dropped),
+        "channel": d.channel,
+        "atom_state": "g" if d.channel == "b1" else "h",
+        "seed": arrivals.seed,
+    }
+    return advance, diagnostics
+
+
 def run_collision_model(
     rho0: DensityMatrix,
     params: PhysicalParams,
@@ -174,88 +320,20 @@ def run_collision_model(
     Arrivals while an atom is still inside are dropped and counted.  By
     default the light-shift part of the Hamiltonian is absorbed into the
     frame (include_stark=False); setting it true keeps the shifts explicit.
+    Each accepted atom applies the closed-form Kraus pair of
+    transit_kraus_pair in the squeezed frame.
 
     Records bare and transformed occupations plus joint-quadrature variances
     at sample_times (default: 101 evenly spaced points).
     """
     if rho0.space.atom_levels != 1:
         raise ValueError("collision model expects a field-only initial state")
-    if duration < 0:
-        raise ValueError("duration must be nonnegative")
-    d = derive_rates(params)
-    x = d.theta_b * params.tau
-    if x >= COUPLING_ERROR_LIMIT:
-        raise ValueError(f"theta_b*tau = {x:.3g} is outside the perturbative regime (< 0.5)")
-    if x > COUPLING_WARN_LIMIT:
-        warnings.warn(f"theta_b*tau = {x:.3g} above 0.2; collision kicks are large", stacklevel=2)
-    occupancy = arrivals.rate * params.tau
-    if occupancy > ARRIVAL_RATE_LIMIT:
-        raise ValueError(
-            f"arrival rate violates the one-atom regime: r_a*tau = {occupancy:.3g} > "
-            f"{ARRIVAL_RATE_LIMIT}"
-        )
-
-    field_space = rho0.space
-    composite = SpaceDescriptor(2, field_space.n1_trunc, field_space.n2_trunc)
-    stark = stark_shifts(params) if include_stark else None
-    h_int = build_selective_hamiltonian(d, stark, composite)
-    atom_init = "g" if d.channel == "b1" else "h"
-    atom_idx = composite.atom_index(atom_init)
-    propagator = scipy.linalg.expm(-1j * params.tau * h_int.matrix)
-    # one transit maps rho to sum_a K_a rho K_a+ with K_a = <a|U|atom_init>
-    dim = field_space.dim
-    cols = slice(atom_idx * dim, (atom_idx + 1) * dim)
-    kraus = [np.ascontiguousarray(propagator[a * dim : (a + 1) * dim, cols]) for a in range(2)]
-
-    def collide(rho):
-        new = np.zeros_like(rho)
-        for k in kraus:
-            new += k @ rho @ k.conj().T
-        return new
-
-    if sample_times is None:
-        sample_times = np.linspace(0.0, duration, 101)
-    else:
-        sample_times = np.asarray(sample_times, dtype=float)
-
-    accepted, dropped = _thin_arrivals(arrivals.sample(duration), params.tau)
-    recorder = make_observable_recorder(field_space, d.epsilon)
-
-    rho = rho0.matrix.copy()
-    rows = []
-    max_leak = 0.0
-    arrival_ptr = 0
-    for t_s in sample_times:
-        while arrival_ptr < accepted.size and accepted[arrival_ptr] <= t_s:
-            rho = collide(rho)
-            arrival_ptr += 1
-        leak = truncation_leak(rho, field_space)
-        max_leak = max(max_leak, leak)
-        if leak > BOUNDARY_ERROR_LIMIT:
-            raise ValueError(
-                f"truncation overflow at t={t_s:g}: boundary population {leak:.2e} > "
-                f"{BOUNDARY_ERROR_LIMIT:g}; increase the Fock truncation"
-            )
-        rows.append(recorder(rho))
-    while arrival_ptr < accepted.size:
-        rho = collide(rho)
-        arrival_ptr += 1
-
-    records = {key: np.array([row[key] for row in rows]) for key in rows[0]} if rows else {}
-    final = DensityMatrix(field_space, 0.5 * (rho + rho.conj().T))
-    return Trajectory(
-        times=np.asarray(sample_times, dtype=float),
-        records=records,
-        final_state=final,
-        diagnostics={
-            "accepted_arrivals": int(accepted.size),
-            "dropped_arrivals": int(dropped),
-            "max_truncation_leak": float(max_leak),
-            "channel": d.channel,
-            "atom_state": atom_init,
-            "seed": arrivals.seed,
-        },
+    sample_times = np.linspace(0.0, duration, 101) if sample_times is None else np.asarray(sample_times, float)
+    advance, diagnostics = _collision_step(
+        rho0.space.shape[1:], params, duration, arrivals, include_stark, sample_times
     )
+    traj = run_in_squeezed_frame(rho0, derive_rates(params).epsilon, [(sample_times, advance)])
+    return replace(traj, diagnostics={**diagnostics, **traj.diagnostics})
 
 
 def _worker_count(requested: Optional[int]) -> int:
@@ -273,7 +351,6 @@ def run_collision_ensemble(
     duration: float,
     n_trajectories: int,
     master_seed: int,
-    include_stark: bool = False,
     sample_times: Optional[Sequence[float]] = None,
     workers: Optional[int] = None,
 ) -> Trajectory:
@@ -290,26 +367,16 @@ def run_collision_ensemble(
 
     def one(i: int) -> Trajectory:
         proc = ArrivalProcess(rate=params.r_a, seed=master_seed ^ i, policy="drop")
-        return run_collision_model(
-            rho0, params, duration, proc,
-            include_stark=include_stark, sample_times=sample_times,
-        )
+        return run_collision_model(rho0, params, duration, proc, sample_times=sample_times)
 
     n_workers = _worker_count(workers)
-    results = [None] * n_trajectories
     if n_workers == 1:
-        for i in range(n_trajectories):
-            results[i] = one(i)
+        results = [one(i) for i in range(n_trajectories)]
     else:
         with ThreadPoolExecutor(max_workers=n_workers) as pool:
-            for i, traj in enumerate(pool.map(one, range(n_trajectories))):
-                results[i] = traj
+            results = list(pool.map(one, range(n_trajectories)))
 
-    keys = list(results[0].records)
-    records = {
-        key: np.mean([results[i].records[key] for i in range(n_trajectories)], axis=0)
-        for key in keys
-    }
+    records = {key: np.mean([r.records[key] for r in results], axis=0) for key in results[0].records}
     mean_final = np.mean([r.final_state.matrix for r in results], axis=0)
     diagnostics = {
         "n_trajectories": n_trajectories,

@@ -10,20 +10,14 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional, Sequence
 
 import numpy as np
 from scipy.special import comb
 
-from .analysis import (
-    SqueezingReport,
-    observable_matrices,
-    preparation_time,
-    recorder_from_matrices,
-    squeezing_report,
-)
-from .dynamics import ArrivalProcess, Trajectory, run_collision_model
+from .analysis import SqueezingReport, preparation_time, squeezing_report
+from .dynamics import ArrivalProcess, _collision_step, run_in_squeezed_frame
 from .gaussian import (
     GaussianState,
     gaussian_epr_variances,
@@ -34,7 +28,6 @@ from .hilbert import DensityMatrix, SpaceDescriptor, basis_state
 from .model import (
     DISPERSIVE_LIMIT,
     PhysicalParams,
-    build_squeeze_operator,
     derive_rates,
     spontaneous_decay_estimate,
 )
@@ -71,10 +64,6 @@ class ProtocolStep:
                 f"channel {self.channel} pumps with atoms in {expected_atom!r}, "
                 f"got {self.atom_state!r}"
             )
-
-    @property
-    def derived(self):
-        return derive_rates(self.params)
 
 
 @dataclass(frozen=True)
@@ -176,6 +165,9 @@ def build_two_step_protocol(
     step2 = mirror_to_b1(step1)
 
     if durations is None:
+        if d1.r == 0.0:
+            raise ValueError("zero weak-channel rate (theta2 = 0) sets no pump-down time; "
+                             "give explicit durations")
         if d1.gamma > 0:
             t_step = preparation_time(d1.r, d1.gamma, n_target).t_step
         else:
@@ -286,42 +278,21 @@ def _damping_pass(rho4: np.ndarray, eta: float, mode: int) -> np.ndarray:
     return out
 
 
-def _run_fock_step(rho: DensityMatrix, step: ProtocolStep, samples: int):
-    """Pump-down of one transformed mode, solved exactly.
+def _fock_step(step: ProtocolStep, times: np.ndarray):
+    """Advance map of one pump-down step for run_in_squeezed_frame.
 
-    The squeeze conjugation turns the transformed-mode jump into bare
-    amplitude damping, whose Fock-basis kernel is closed form; observables
-    are conjugated instead of the state, so sampling is cheap.
+    In the squeezed frame the transformed-mode jump is bare amplitude
+    damping, whose Fock-basis kernel is closed form, so the step is exact.
     """
-    space = rho.space
     d = derive_rates(step.params)
-    squeeze = build_squeeze_operator(space, d.epsilon).matrix
     mode = 1 if step.channel == "b1" else 2
-    number_ops, combos, combo_squares = observable_matrices(space, d.epsilon)
-    conj = lambda m: squeeze @ m @ squeeze.conj().T
-    recorder = recorder_from_matrices(
-        {k: conj(m) for k, m in number_ops.items()},
-        {k: conj(m) for k, m in combos.items()},
-        {k: conj(m) for k, m in combo_squares.items()},
-    )
-    if step.duration == 0.0:
-        times = np.array([0.0])
-    else:
-        times = np.linspace(0.0, step.duration, samples)
-    shape4 = (space.n1_trunc, space.n2_trunc, space.n1_trunc, space.n2_trunc)
-    rho_b = (squeeze @ rho.matrix @ squeeze.conj().T).reshape(shape4)
-    rows = [recorder(rho_b.reshape(space.dim, space.dim))]
-    for dt in np.diff(times):
-        rho_b = _damping_pass(rho_b, math.exp(-d.gamma * float(dt)), mode)
-        rows.append(recorder(rho_b.reshape(space.dim, space.dim)))
-    rho_b = rho_b.reshape(space.dim, space.dim)
-    out = squeeze.conj().T @ rho_b @ squeeze
-    return times, rows, DensityMatrix(space, 0.5 * (out + out.conj().T))
 
+    def advance(rho4, i):
+        if 0 < i < times.size:
+            rho4 = _damping_pass(rho4, math.exp(-d.gamma * float(times[i] - times[i - 1])), mode)
+        return rho4
 
-def _vacuum_state(truncation: tuple) -> DensityMatrix:
-    space = SpaceDescriptor(1, truncation[0], truncation[1])
-    return DensityMatrix.from_state_vector(space, basis_state(space, 0, 0, 0))
+    return advance
 
 
 def _report_from_gaussian(state: GaussianState, epsilon: float) -> SqueezingReport:
@@ -343,26 +314,10 @@ def _report_from_gaussian(state: GaussianState, epsilon: float) -> SqueezingRepo
     )
 
 
-def _concatenate(segments: list) -> Trajectory:
-    all_times: list = []
-    rows: list = []
-    offset = 0.0
-    for seg_times, seg_rows in segments:
-        shifted = np.asarray(seg_times, dtype=float) + offset
-        start = 1 if all_times and shifted.size and shifted[0] <= all_times[-1] else 0
-        all_times.extend(float(t) for t in shifted[start:])
-        rows.extend(seg_rows[start:])
-        if shifted.size:
-            offset = float(shifted[-1])
-    records = {key: np.array([row[key] for row in rows]) for key in rows[0]}
-    return Trajectory(times=np.asarray(all_times), records=records)
-
-
 def run_protocol(
     spec: ProtocolSpec,
     initial=None,
     samples_per_step: int = 51,
-    include_stark: bool = False,
 ):
     """Execute the schedule on the chosen engine.
 
@@ -383,61 +338,37 @@ def run_protocol(
         if initial is not None and not isinstance(initial, GaussianState):
             raise ValueError("gaussian engine takes a GaussianState initial state")
         traj = run_protocol_gaussian(spec, samples_per_step=samples_per_step, initial=initial)
-        diagnostics = dict(traj.diagnostics)
-        diagnostics["regime_failures"] = failures
-        traj = Trajectory(
-            times=traj.times,
-            records=traj.records,
-            final_state=traj.final_state,
-            diagnostics=diagnostics,
-        )
+        traj = replace(traj, diagnostics={**traj.diagnostics, "regime_failures": failures})
         return traj, _report_from_gaussian(traj.final_state, epsilon)
 
-    state = _vacuum_state(spec.truncation) if initial is None else initial
+    space = SpaceDescriptor(1, *spec.truncation)
+    state = DensityMatrix.from_state_vector(space, basis_state(space, 0, 0, 0)) if initial is None else initial
     if not isinstance(state, DensityMatrix):
         raise ValueError(f"{spec.engine} engine takes a DensityMatrix initial state")
-    expected_space = SpaceDescriptor(1, spec.truncation[0], spec.truncation[1])
-    if state.space != expected_space:
+    if state.space != space:
         raise ValueError(
             f"initial state space {state.space} does not match truncation {spec.truncation}"
         )
 
-    segments = []
-    diagnostics = {"engine": spec.engine, "regime_failures": failures}
-    if spec.engine == "fock":
-        for step in spec.steps:
-            times, rows, state = _run_fock_step(state, step, samples_per_step)
-            segments.append((times, rows))
-    else:
-        dropped = 0
-        for i, step in enumerate(spec.steps):
+    # the steps share epsilon, so both Fock-space engines run the whole
+    # schedule in one squeezed frame
+    steps, dropped = [], 0
+    for i, step in enumerate(spec.steps):
+        # a step of zero duration has its one sample at 0
+        times = np.linspace(0.0, step.duration, samples_per_step if step.duration else 1)
+        if spec.engine == "fock":
+            advance = _fock_step(step, times)
+        else:
             arrivals = ArrivalProcess(rate=step.params.r_a, seed=spec.seed + i)
-            if step.duration == 0.0:
-                sample_times = np.array([0.0])
-            else:
-                sample_times = np.linspace(0.0, step.duration, samples_per_step)
-            traj = run_collision_model(
-                state,
-                step.params,
-                step.duration,
-                arrivals,
-                include_stark=include_stark,
-                sample_times=sample_times,
+            advance, step_diagnostics = _collision_step(
+                spec.truncation, step.params, step.duration, arrivals, False, times
             )
-            rows = [
-                {key: traj.records[key][j] for key in traj.records}
-                for j in range(traj.times.size)
-            ]
-            segments.append((traj.times, rows))
-            state = traj.final_state
-            dropped += traj.diagnostics["dropped_arrivals"]
-        diagnostics["dropped_arrivals"] = dropped
+            dropped += step_diagnostics["dropped_arrivals"]
+        steps.append((times, advance))
+    traj = run_in_squeezed_frame(state, epsilon, steps)
 
-    traj = _concatenate(segments)
-    traj = Trajectory(
-        times=traj.times,
-        records=traj.records,
-        final_state=state,
-        diagnostics=diagnostics,
-    )
-    return traj, squeezing_report(state, epsilon)
+    diagnostics = {"engine": spec.engine, "regime_failures": failures}
+    if spec.engine == "collision":
+        diagnostics["dropped_arrivals"] = dropped
+    traj = replace(traj, diagnostics={**diagnostics, **traj.diagnostics})
+    return traj, squeezing_report(traj.final_state, epsilon)

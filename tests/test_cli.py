@@ -126,6 +126,9 @@ class TestConfigLoading:
             ("r_a_per_s", "x"),
             ("tau_s", [1.0]),
             ("theta1_hz", "x"),
+            ("sample_count", 2.7),
+            ("seed", 1.9),
+            ("truncation", [7.5, 7]),
         ],
     )
     def test_type_errors_are_config_errors(self, tmp_path, capsys, key, value):
@@ -275,9 +278,23 @@ class TestSimulate:
                    "--out", str(tmp_path / "z")])
         assert rc == 2
         err = capsys.readouterr().err
-        assert err.startswith("error: ")
+        assert err.startswith("error: zero weak-channel rate")
+        assert "give explicit durations" in err
         assert err.count("\n") == 1
         assert not (tmp_path / "z.csv").exists()
+
+    def test_overflow_exits_two_on_fock_and_collision(self, tmp_path, capsys):
+        # r = 0.6 at seven levels: both Fock-space engines stop at the same bound
+        path = write_config(tmp_path, config_dict(truncation=[7, 7], durations=[2000.0, 2000.0]))
+        for engine in ("fock", "collision"):
+            rc = main(["simulate", "--config", path, "--engine", engine,
+                       "--out", str(tmp_path / engine)])
+            assert rc == 2
+            err = capsys.readouterr().err
+            assert err.startswith("error: truncation overflow at t=")
+            assert err.endswith("> 0.001; increase the Fock truncation\n")
+            assert err.count("\n") == 1
+            assert not (tmp_path / f"{engine}.csv").exists()
 
     @pytest.mark.parametrize("suffix", [".json", ".csv"])
     def test_refuses_to_overwrite_config(self, tmp_path, capsys, suffix):

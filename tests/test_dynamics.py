@@ -13,6 +13,7 @@ from cavsqueeze.dynamics import (
     propagate_state,
     run_collision_ensemble,
     run_collision_model,
+    transit_kraus_pair,
 )
 from cavsqueeze.hilbert import (
     DensityMatrix,
@@ -32,6 +33,7 @@ from cavsqueeze.model import (
     build_selective_hamiltonian,
     build_squeeze_operator,
     derive_rates,
+    stark_shifts,
 )
 from oracles import lindblad_evolve
 
@@ -258,6 +260,41 @@ class TestCollisionStep:
         traj = self.run(rho, p, 60.0 * p.tau, seed=5, include_stark=True)
         assert traj.diagnostics["accepted_arrivals"] > 0
         assert np.max(np.abs(traj.final_state.matrix - rho.matrix)) < 1e-10
+
+
+class TestTransitKrausPair:
+    """The closed-form pair against <a|expm(-i tau H)|init> of the dense
+    single-channel Hamiltonian, rotated into the squeezed frame."""
+
+    @pytest.mark.parametrize("channel", ["b1", "b2"])
+    @pytest.mark.parametrize("with_stark", [False, True])
+    def test_matches_dense_propagator(self, channel, with_stark):
+        thetas = (1.0, 0.3) if channel == "b1" else (0.3, 1.0)
+        p = collision_params(*thetas, tau=0.3)
+        d = derive_rates(p)
+        assert d.channel == channel
+        stark = stark_shifts(p) if with_stark else None
+        n1, n2 = 6, 5
+        field = SpaceDescriptor(1, n1, n2)
+        composite = SpaceDescriptor(2, n1, n2)
+        u = scipy.linalg.expm(-1j * p.tau * build_selective_hamiltonian(d, stark, composite).matrix)
+        dim = field.dim
+        blocks = {a: slice(composite.atom_index(a) * dim, (composite.atom_index(a) + 1) * dim)
+                  for a in ("g", "h")}
+        init, other = ("g", "h") if channel == "b1" else ("h", "g")
+        sq = build_squeeze_operator(field, d.epsilon).matrix
+        frame = lambda k: sq @ k @ sq.conj().T
+
+        stay, jump = transit_kraus_pair(d, stark, p.tau, (n1, n2))
+        k_jump = np.zeros((dim, dim), dtype=complex)
+        for m1 in range(n1):
+            for m2 in range(n2):
+                lower = (m1 - 1, m2) if channel == "b1" else (m1, m2 - 1)
+                if min(lower) >= 0:
+                    k_jump[field.index(0, *lower), field.index(0, m1, m2)] = jump[m1, m2]
+        k_stay = frame(u[blocks[init], blocks[init]])
+        np.testing.assert_allclose(np.diag(stay.ravel()), k_stay, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(k_jump, frame(u[blocks[other], blocks[init]]), rtol=0, atol=1e-12)
 
 
 class TestRunCollisionModel:

@@ -57,10 +57,6 @@ class TestProtocolStep:
         with pytest.raises(ValueError, match="atoms in 'g'"):
             ProtocolStep(params=clean_params(), atom_state="h", duration=1.0, channel="b1")
 
-    def test_derived_rates_accessible(self):
-        step = ProtocolStep(params=clean_params(), atom_state="g", duration=1.0, channel="b1")
-        assert step.derived.channel == "b1"
-
 
 class TestProtocolSpec:
     def make_spec(self, **overrides):
@@ -248,6 +244,8 @@ class TestRunProtocolFock:
         assert report.n1_mean == pytest.approx(0.5625, abs=5e-4)
         assert report.n2_mean == pytest.approx(0.5625, abs=5e-4)
         assert report.truncation_leak < 1e-5
+        # the boundary population peaks mid-run; only the end state is bound
+        assert report.truncation_leak < traj.diagnostics["max_truncation_leak"] < 1e-3
         assert np.all(np.diff(traj.times) > 0)
         assert traj.diagnostics["engine"] == "fock"
         assert traj.diagnostics["regime_failures"] == []
