@@ -15,7 +15,6 @@ from .analysis import (
     SqueezingReport,
     epr_variances_fock,
     fidelity_to_tmsv,
-    mean_photon,
     preparation_time,
     squeezing_report,
     tmsv_state_vector,
@@ -97,7 +96,6 @@ __all__ = [
     "gaussian_lindblad_evolve",
     "gaussian_tmsv",
     "gaussian_vacuum",
-    "mean_photon",
     "number_op",
     "preparation_time",
     "propagate_state",

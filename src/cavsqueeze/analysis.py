@@ -1,4 +1,4 @@
-"""Observables and figures of merit for Fock-engine states.
+"""Quadrature moments, the records and reports read from them, and figures of merit.
 
 Quadratures use the convention X = (a + a+)/2, P = (a - a+)/(2i), so the
 vacuum variance is 1/4.  The squeezed joint quadratures of the target state
@@ -89,48 +89,113 @@ class EPRVariances:
     duan_sum: float
     entangled: bool
 
+    @classmethod
+    def from_covariance(cls, v: np.ndarray) -> "EPRVariances":
+        """The joint variances of the 4x4 covariance of (X1, P1, X2, P2)."""
+        joint = _joint_variances(v)
+        return cls(**joint, entangled=bool(joint["duan_sum"] < 1.0))
 
-def _variance(op_matrix: np.ndarray, state) -> float:
-    mean = expectation(op_matrix, state).real
-    second = expectation(op_matrix @ op_matrix, state).real
-    return second - mean**2
+
+def _joint_variances(v: np.ndarray) -> dict:
+    x, p = v[0, 0] + v[2, 2], v[1, 1] + v[3, 3]
+    out = {
+        "v_x_minus": float(x - 2.0 * v[0, 2]),
+        "v_x_plus": float(x + 2.0 * v[0, 2]),
+        "v_p_minus": float(p - 2.0 * v[1, 3]),
+        "v_p_plus": float(p + 2.0 * v[1, 3]),
+    }
+    out["duan_sum"] = out["v_x_minus"] + out["v_p_plus"]
+    return out
 
 
-def epr_variances_fock(state: StateLike, space: Optional[SpaceDescriptor] = None) -> EPRVariances:
-    """Joint-quadrature variances of a Fock-basis state.
+def moments(rho4: np.ndarray) -> tuple:
+    """Mean and covariance of (X1, P1, X2, P2) in a two-mode state.
 
-    Warns when the population of the boundary Fock layers exceeds 1e-3,
-    since variances of a clipped state are unreliable.
+    rho4 is the density matrix reshaped (N1, N2, N1, N2).  <a_j>, <a_j+ a_k>
+    and <a_j a_k> are read off the few bands of rho4 they touch, with the
+    matrix elements of the untruncated ladder operators, and symmetric order
+    is restored with [a, a+] = 1.  The result is the exact moments of the
+    physical quadratures in the state held; no N^2 x N^2 operator is built.
+    Covariance convention: V_ij = <{dR_i, dR_j}>/2, vacuum I/4.
     """
+    n1, n2 = np.indices(rho4.shape[:2], dtype=float)
+
+    def band(d1, d2, weight):
+        # tr(O rho) for O|m> = weight[m] |m - d>: the sum of
+        # weight[m] <m|rho|m - d> over m with m and m - d on the grid
+        m = tuple(slice(max(d, 0), n + min(d, 0)) for d, n in zip((d1, d2), n1.shape))
+        m_d = tuple(slice(max(-d, 0), n - max(d, 0)) for d, n in zip((d1, d2), n1.shape))
+        return np.einsum("ijij,ij->", rho4[m + m_d], weight[m])
+
+    a = np.array([band(1, 0, np.sqrt(n1)), band(0, 1, np.sqrt(n2))])
+    # centred <a_j a_k> and <a_j+ a_k>
+    a1a2 = band(1, 1, np.sqrt(n1 * n2))
+    aa = np.array([[band(2, 0, np.sqrt(n1 * (n1 - 1.0))), a1a2],
+                   [a1a2, band(0, 2, np.sqrt(n2 * (n2 - 1.0)))]]) - np.outer(a, a)
+    a1d_a2 = band(-1, 1, np.sqrt((n1 + 1.0) * n2))
+    ada = np.array([[band(0, 0, n1), a1d_a2],
+                    [np.conj(a1d_a2), band(0, 0, n2)]]) - np.outer(a.conj(), a)
+    # X = (a + a+)/2, P = (a - a+)/2i and a a+ = a+ a + 1
+    cov = np.empty((4, 4))
+    cov[0::2, 0::2] = 0.5 * (aa + ada).real + 0.25 * np.eye(2)
+    cov[1::2, 1::2] = 0.5 * (ada - aa).real + 0.25 * np.eye(2)
+    cov[0::2, 1::2] = 0.5 * (aa + ada).imag
+    cov[1::2, 0::2] = cov[0::2, 1::2].T
+    return np.column_stack([a.real, a.imag]).ravel(), cov
+
+
+def _fock_moments(state: StateLike, space: Optional[SpaceDescriptor]) -> tuple:
+    """(mean, cov, truncation_leak) of a field-only Fock-basis state; warns
+    when the boundary Fock layers hold more than 1e-3, where the state has
+    likely been clipped."""
     space, st = _resolve_state(state, space)
+    if space.atom_levels != 1:
+        raise ValueError("quadrature moments are taken of a field-only state")
     leak = truncation_leak(st, space)
     if leak > BOUNDARY_WARN_LIMIT:
         warnings.warn(
             f"boundary Fock population {leak:.2e} exceeds {BOUNDARY_WARN_LIMIT:g}; "
             "variances may be distorted by truncation",
-            stacklevel=2,
+            stacklevel=3,
         )
-    x1, p1, x2, p2 = (op.matrix for op in quadrature_ops(space))
-    v_x_minus = _variance(x1 - x2, st)
-    v_x_plus = _variance(x1 + x2, st)
-    v_p_minus = _variance(p1 - p2, st)
-    v_p_plus = _variance(p1 + p2, st)
-    duan = v_x_minus + v_p_plus
-    return EPRVariances(
-        v_x_minus=v_x_minus,
-        v_x_plus=v_x_plus,
-        v_p_minus=v_p_minus,
-        v_p_plus=v_p_plus,
-        duan_sum=duan,
-        entangled=bool(duan < 1.0),
-    )
+    rho = st.matrix if isinstance(st, DensityMatrix) else st
+    if rho.ndim == 1:
+        rho = np.outer(rho, rho.conj())
+    return (*moments(rho.reshape(space.shape[1:] * 2)), leak)
 
 
-def mean_photon(state: StateLike, mode: int, space: Optional[SpaceDescriptor] = None) -> float:
-    space, st = _resolve_state(state, space)
-    a = annihilation_op(space, mode)
-    value = expectation((a.dagger() @ a).matrix, st)
-    return float(value.real)
+def epr_variances_fock(state: StateLike, space: Optional[SpaceDescriptor] = None) -> EPRVariances:
+    """Joint-quadrature variances of a Fock-basis state, from its moments;
+    warns when the boundary Fock layers hold more than 1e-3."""
+    return EPRVariances.from_covariance(_fock_moments(state, space)[1])
+
+
+def _photon_numbers(mean: np.ndarray, cov: np.ndarray) -> tuple:
+    """<a1+ a1> and <a2+ a2> from the quadrature moments."""
+    return tuple(float(cov[i, i] + cov[i + 1, i + 1] + mean[i] ** 2 + mean[i + 1] ** 2 - 0.5)
+                 for i in (0, 2))
+
+
+def symplectic_squeeze(epsilon: float) -> np.ndarray:
+    """Quadrature action of the two-mode squeeze: X1 -> cosh X1 + sinh X2 etc.
+
+    Satisfies S Omega S^T = Omega and maps the vacuum covariance to the
+    gaussian_tmsv(epsilon) covariance.  The moments of rho are this matrix
+    applied to those of the squeezed-frame state S rho S+.
+    """
+    c, s = math.cosh(epsilon), math.sinh(epsilon)
+    return np.array([[c, 0.0, s, 0.0], [0.0, c, 0.0, -s], [s, 0.0, c, 0.0], [0.0, -s, 0.0, c]])
+
+
+def moment_records(mean: np.ndarray, cov: np.ndarray, epsilon: float) -> dict:
+    """Per-sample records of every engine, in the CSV column order: the
+    occupations n_a1, n_b1, n_a2, n_b2 (n_bj is the bare occupation of the
+    moments mapped back by symplectic_squeeze(-epsilon)), the four
+    joint-quadrature variances and the witness duan_sum."""
+    back = symplectic_squeeze(-epsilon)
+    n_a1, n_a2 = _photon_numbers(mean, cov)
+    n_b1, n_b2 = _photon_numbers(back @ mean, back @ cov @ back.T)
+    return {"n_a1": n_a1, "n_b1": n_b1, "n_a2": n_a2, "n_b2": n_b2, **_joint_variances(cov)}
 
 
 def truncation_leak(state: StateLike, space: Optional[SpaceDescriptor] = None) -> float:
@@ -219,25 +284,35 @@ class SqueezingReport:
         return asdict(self)
 
 
-def squeezing_report(
-    state: StateLike, epsilon_target: float, space: Optional[SpaceDescriptor] = None
+def report_from_moments(
+    mean: np.ndarray, cov: np.ndarray, epsilon_target: float, fidelity: float, leak: float
 ) -> SqueezingReport:
-    space, st = _resolve_state(state, space)
-    epr = epr_variances_fock(st, space)
+    """SqueezingReport of a state from its quadrature moments, its fidelity
+    to the target and its boundary population."""
+    rec = moment_records(mean, cov, epsilon_target)
     return SqueezingReport(
         epsilon_target=float(epsilon_target),
-        v_squeezed=0.5 * (epr.v_x_minus + epr.v_p_plus),
-        v_antisqueezed=0.5 * (epr.v_x_plus + epr.v_p_minus),
-        duan_sum=epr.duan_sum,
-        n1_mean=mean_photon(st, 1, space),
-        n2_mean=mean_photon(st, 2, space),
-        fidelity=fidelity_to_tmsv(st, epsilon_target, space),
-        truncation_leak=truncation_leak(st, space),
+        v_squeezed=0.5 * (rec["v_x_minus"] + rec["v_p_plus"]),
+        v_antisqueezed=0.5 * (rec["v_x_plus"] + rec["v_p_minus"]),
+        duan_sum=rec["duan_sum"],
+        n1_mean=rec["n_a1"],
+        n2_mean=rec["n_a2"],
+        fidelity=fidelity,
+        truncation_leak=leak,
     )
 
 
+def squeezing_report(
+    state: StateLike, epsilon_target: float, space: Optional[SpaceDescriptor] = None
+) -> SqueezingReport:
+    """SqueezingReport of a Fock-basis state, from its moments."""
+    mean, cov, leak = _fock_moments(state, space)
+    fidelity = fidelity_to_tmsv(state, epsilon_target, space)
+    return report_from_moments(mean, cov, epsilon_target, fidelity, leak)
+
+
 def observable_matrices(space: SpaceDescriptor, squeeze: np.ndarray) -> tuple:
-    """Matrices behind the standard recorder, in the squeezed frame rho_b = S rho S+.
+    """Dense reference for the frame records, in the squeezed frame rho_b = S rho S+.
 
     Returns (number_ops, combos, combo_squares) with tr(O rho) = tr(O_b rho_b):
     bare occupations n_a1, n_a2 and the four joint quadrature combinations
@@ -264,9 +339,9 @@ def observable_matrices(space: SpaceDescriptor, squeeze: np.ndarray) -> tuple:
 
 
 def recorder_from_matrices(number_ops: dict, combos: dict, combo_squares: dict) -> Callable[[StateLike], dict]:
-    """Per-sample recorder: maps a state to the occupations n_a1, n_b1, n_a2,
-    n_b2, the four joint-quadrature variances and the witness duan_sum,
-    from the matrices observable_matrices returns."""
+    """Dense reference recorder: maps a state to the moment_records keys by
+    traces against the N^2 x N^2 truncated-space matrices that
+    observable_matrices returns."""
     def record(state: StateLike) -> dict:
         out = {}
         for key, op in number_ops.items():

@@ -382,15 +382,13 @@ def cmd_fig2(cfg: RunConfig, svg_path: Optional[str]) -> int:
     grid = cfg.r_grid if cfg.r_grid is not None else _DEFAULT_R_GRID
 
     rows = []
-    for r in grid:
-        n_bar = r * r / (1.0 - r * r)
-        # theta_b**2 = theta1**2 (1 - r**2) at fixed strong-channel rate
-        gamma = r_a * theta1**2 * (1.0 - r * r) * tau**2
-        if n_bar > cfg.n_target:
-            total = (2.0 / gamma) * math.log(n_bar / cfg.n_target)
-        else:
-            total = 0.0
-        rows.append((r, n_bar, total))
+    with warnings.catch_warnings():
+        # rows at or below the target have nothing to pump and read 2T = 0
+        warnings.simplefilter("ignore")
+        for r in grid:
+            # theta_b**2 = theta1**2 (1 - r**2) at fixed strong-channel rate
+            prep = preparation_time(r, r_a * theta1**2 * (1.0 - r * r) * tau**2, cfg.n_target)
+            rows.append((r, prep.n_bar_initial, prep.t_total))
 
     out = cfg.output_path if cfg.output_path is not None else "fig2.csv"
     _write_csv(out, "r,n_bar,total_time_2T", rows)

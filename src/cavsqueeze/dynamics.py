@@ -18,7 +18,7 @@ from typing import Callable, Optional, Sequence, Union
 
 import numpy as np
 
-from .analysis import observable_matrices, recorder_from_matrices
+from .analysis import moment_records, moments, symplectic_squeeze
 from .hilbert import DensityMatrix, Operator
 from .model import (
     DerivedParams,
@@ -167,59 +167,86 @@ def _thin_arrivals(times: np.ndarray, tau: float):
     return np.array(accepted), dropped
 
 
+def run_schedule(state, steps: Sequence, record: Callable) -> Trajectory:
+    """Run pumping steps back to back and record the state at every sample.
+
+    steps holds (times, advance) pairs: times from 0, and advance(state, i)
+    carries the state to sample i, or past the last sample for
+    i = len(times).  A later step's first sample repeats the previous
+    step's last and is not recorded again.  Returns the Trajectory of the
+    dicts record(state) returns, with the final state.
+    """
+    clock, rows, offset = [], [], 0.0
+    for times, advance in steps:
+        for i, t in enumerate(times):
+            state = advance(state, i)
+            if clock and i == 0:
+                continue
+            clock.append(t + offset)
+            rows.append(record(state))
+        state = advance(state, len(times))
+        if len(times):
+            offset = float(times[-1] + offset)
+    records = {key: np.array([row[key] for row in rows]) for key in rows[0]} if rows else {}
+    return Trajectory(times=np.array(clock), records=records, final_state=state)
+
+
+def interval_advance(times: np.ndarray, duration: float, evolve: Callable) -> Callable:
+    """advance for run_schedule that applies evolve(state, dt) over each
+    interval between consecutive samples, and past the last sample up to
+    duration (the whole step when it has only the sample at 0)."""
+    def advance(state, i):
+        if 0 < i < len(times):
+            state = evolve(state, float(times[i] - times[i - 1]))
+        elif i == len(times) and duration > times[-1]:
+            state = evolve(state, float(duration - times[-1]))
+        return state
+
+    return advance
+
+
 def run_in_squeezed_frame(rho0: DensityMatrix, epsilon: float, steps: Sequence) -> Trajectory:
     """Run pumping steps back to back in the squeezed frame rho_b = S rho S+.
 
     b_j = S+ a_j S exactly on the truncated space, so there the transformed
     modes are bare and every pumping map acts on rho_b reshaped
-    (N1, N2, N1, N2) without S.  steps holds (times, advance) pairs: times
-    from 0, and advance(rho4, i) carries rho_b to sample i, or past the last
-    sample for i = len(times).  A later step's first sample repeats the
-    previous step's last and is not recorded again.  S is built and the
-    observables are conjugated once.  The a-frame boundary population
-    truncation_leak(S+ rho_b S) is measured at every sample (its maximum goes
-    to the diagnostics) and must not exceed BOUNDARY_ERROR_LIMIT on the
-    returned state.
+    (N1, N2, N1, N2) without S; steps are run_schedule's (times, advance)
+    pairs on rho_b.  S is built once.  Each sample is recorded from the
+    moments of rho_b, taken to the bare modes by symplectic_squeeze(epsilon).
+    The a-frame boundary population truncation_leak(S+ rho_b S) is measured
+    at every sample (its maximum goes to the diagnostics) and must not
+    exceed BOUNDARY_ERROR_LIMIT on the returned state.
     """
     space = rho0.space
     squeeze = build_squeeze_operator(space, epsilon).matrix
-    recorder = recorder_from_matrices(*observable_matrices(space, squeeze))
+    to_bare = symplectic_squeeze(epsilon)
     # tr(S P S+ rho_b) = vdot(S P S+, rho_b) for the projector P on the boundary layers
     edge = np.ones(space.shape[1:], dtype=bool)
     edge[: space.n1_trunc - 1, : space.n2_trunc - 1] = False
     edge_cols = squeeze[:, edge.ravel()]
     boundary = edge_cols @ edge_cols.conj().T
+    leak = lambda rho4: float(np.vdot(boundary, rho4).real)
+    leaks = [0.0]
 
-    dim = space.dim
+    def record(rho4):
+        leaks.append(leak(rho4))
+        mean, cov = moments(rho4)
+        return moment_records(to_bare @ mean, to_bare @ cov @ to_bare.T, epsilon)
+
     rho4 = (squeeze @ rho0.matrix @ squeeze.conj().T).reshape(space.shape[1:] * 2)
-    leak = lambda rho: float(np.vdot(boundary, rho).real)
-    clock, rows, max_leak, offset = [], [], 0.0, 0.0
-    for times, advance in steps:
-        for i, t in enumerate(times):
-            rho4 = advance(rho4, i)
-            if clock and i == 0:
-                continue
-            rho = rho4.reshape(dim, dim)
-            max_leak = max(max_leak, leak(rho))
-            clock.append(t + offset)
-            rows.append(recorder(rho))
-        rho4 = advance(rho4, len(times))
-        if len(times):
-            offset = float(times[-1] + offset)
-    rho = rho4.reshape(dim, dim)
-    final_leak = leak(rho)
+    traj = run_schedule(rho4, steps, record)
+    final_leak = leak(traj.final_state)
     if final_leak > BOUNDARY_ERROR_LIMIT:
         raise ValueError(
-            f"truncation overflow at t={offset:g}: boundary population {final_leak:.2e} > "
-            f"{BOUNDARY_ERROR_LIMIT:g}; increase the Fock truncation"
+            f"truncation overflow at t={traj.times[-1] if traj.times.size else 0.0:g}: boundary "
+            f"population {final_leak:.2e} > {BOUNDARY_ERROR_LIMIT:g}; increase the Fock truncation"
         )
+    rho = traj.final_state.reshape(space.dim, space.dim)
     out = squeeze.conj().T @ rho @ squeeze
-    records = {key: np.array([row[key] for row in rows]) for key in rows[0]} if rows else {}
-    return Trajectory(
-        times=np.array(clock),
-        records=records,
+    return replace(
+        traj,
         final_state=DensityMatrix(space, 0.5 * (out + out.conj().T)),
-        diagnostics={"max_truncation_leak": max(max_leak, final_leak)},
+        diagnostics={"max_truncation_leak": max(max(leaks), final_leak)},
     )
 
 

@@ -10,13 +10,13 @@ P = -i(a - a+)/2, vacuum covariance I/4.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 import scipy.linalg
 
-from .analysis import EPRVariances
-from .dynamics import Trajectory
+from .analysis import EPRVariances, moment_records, symplectic_squeeze
+from .dynamics import Trajectory, interval_advance, run_schedule
 from .model import derive_rates
 
 SYMMETRY_TOL = 1e-12
@@ -56,16 +56,6 @@ class GaussianState:
         object.__setattr__(self, "mean", mean)
         object.__setattr__(self, "cov", cov)
 
-    def mode_photon(self, mode: int) -> float:
-        """<a+a> for mode 1 or 2 from the moments."""
-        if mode not in (1, 2):
-            raise ValueError(f"mode must be 1 or 2, got {mode!r}")
-        i = 2 * (mode - 1)
-        return float(
-            self.cov[i, i] + self.cov[i + 1, i + 1]
-            + self.mean[i] ** 2 + self.mean[i + 1] ** 2 - 0.5
-        )
-
 
 def gaussian_vacuum() -> GaussianState:
     return GaussianState(mean=np.zeros(4), cov=0.25 * np.eye(4))
@@ -79,35 +69,8 @@ def gaussian_tmsv(epsilon: float) -> GaussianState:
     """
     if epsilon < 0:
         raise ValueError("epsilon must be nonnegative")
-    c2 = 0.25 * math.cosh(2.0 * epsilon)
-    s2 = 0.25 * math.sinh(2.0 * epsilon)
-    cov = np.array(
-        [
-            [c2, 0.0, s2, 0.0],
-            [0.0, c2, 0.0, -s2],
-            [s2, 0.0, c2, 0.0],
-            [0.0, -s2, 0.0, c2],
-        ]
-    )
-    return GaussianState(mean=np.zeros(4), cov=cov)
-
-
-def symplectic_squeeze(epsilon: float) -> np.ndarray:
-    """Quadrature action of the two-mode squeeze: X1 -> cosh X1 + sinh X2 etc.
-
-    Satisfies S Omega S^T = Omega and maps the vacuum covariance to the
-    gaussian_tmsv(epsilon) covariance.
-    """
-    c = math.cosh(epsilon)
-    s = math.sinh(epsilon)
-    return np.array(
-        [
-            [c, 0.0, s, 0.0],
-            [0.0, c, 0.0, -s],
-            [s, 0.0, c, 0.0],
-            [0.0, -s, 0.0, c],
-        ]
-    )
+    # the squeezed vacuum covariance S(eps) (I/4) S(eps)^T, with S(eps) S(eps)^T = S(2 eps)
+    return GaussianState(mean=np.zeros(4), cov=0.25 * symplectic_squeeze(2.0 * epsilon))
 
 
 def _jump_vector(epsilon: float, which: int) -> np.ndarray:
@@ -120,14 +83,6 @@ def _jump_vector(epsilon: float, which: int) -> np.ndarray:
     if which == 2:
         return np.array([-sh, 1j * sh, ch, 1j * ch])
     raise ValueError(f"which must be 1 or 2, got {which!r}")
-
-
-def transformed_occupation(s: GaussianState, epsilon: float, which: int) -> float:
-    """<b+b> of the transformed mode, computed from the moments."""
-    c = _jump_vector(epsilon, which)
-    sigma = s.cov + 0.25j * OMEGA
-    value = np.real(c.conj() @ sigma @ c) + abs(np.dot(c, s.mean)) ** 2
-    return float(value)
 
 
 def _drift_diffusion(epsilon: float, gamma: float, which: int):
@@ -175,40 +130,25 @@ def gaussian_lindblad_evolve(
 
 def gaussian_epr_variances(s: GaussianState) -> EPRVariances:
     """Joint quadrature variances from the covariance matrix."""
-    v = s.cov
-    v_x_minus = float(v[0, 0] + v[2, 2] - 2.0 * v[0, 2])
-    v_x_plus = float(v[0, 0] + v[2, 2] + 2.0 * v[0, 2])
-    v_p_minus = float(v[1, 1] + v[3, 3] - 2.0 * v[1, 3])
-    v_p_plus = float(v[1, 1] + v[3, 3] + 2.0 * v[1, 3])
-    duan = v_x_minus + v_p_plus
-    return EPRVariances(
-        v_x_minus=v_x_minus,
-        v_x_plus=v_x_plus,
-        v_p_minus=v_p_minus,
-        v_p_plus=v_p_plus,
-        duan_sum=duan,
-        entangled=duan < 1.0,
-    )
+    return EPRVariances.from_covariance(s.cov)
 
 
-def _record_observables(s: GaussianState, epsilon: float) -> dict:
-    # same key order as analysis.observable_matrices, so every engine writes
-    # one CSV column order
-    out = {
-        "n_a1": s.mode_photon(1),
-        "n_b1": transformed_occupation(s, epsilon, 1),
-        "n_a2": s.mode_photon(2),
-        "n_b2": transformed_occupation(s, epsilon, 2),
-    }
-    epr = gaussian_epr_variances(s)
-    out.update(
-        v_x_minus=epr.v_x_minus,
-        v_x_plus=epr.v_x_plus,
-        v_p_minus=epr.v_p_minus,
-        v_p_plus=epr.v_p_plus,
-        duan_sum=epr.duan_sum,
+def gaussian_fidelity_to_tmsv(s: GaussianState, epsilon: float) -> float:
+    """Fidelity of s to the pure target gaussian_tmsv(epsilon), closed form."""
+    target = gaussian_tmsv(epsilon)
+    m = s.cov + target.cov
+    delta = s.mean - target.mean
+    fidelity = math.exp(-0.5 * float(delta @ np.linalg.solve(m, delta)))
+    return fidelity / (4.0 * math.sqrt(float(np.linalg.det(m))))
+
+
+def _pump_step(step, times: np.ndarray):
+    """advance of one pumping step for run_schedule."""
+    d = derive_rates(step.params)
+    which = 1 if d.channel == "b1" else 2
+    return interval_advance(
+        times, step.duration, lambda s, dt: gaussian_lindblad_evolve(s, d.epsilon, d.gamma, which, dt)
     )
-    return out
 
 
 def run_protocol_gaussian(
@@ -217,35 +157,18 @@ def run_protocol_gaussian(
     """Covariance-level run of a multi-step pumping protocol.
 
     Each step pumps the transformed mode selected by its own derived
-    channel for its duration.  Records occupations and joint variances on a
-    per-step time grid; the final GaussianState rides on the trajectory.
+    channel for its duration; gaussian_lindblad_evolve carries the state
+    from sample to sample on a per-step time grid, and every sample is
+    recorded from its moments with the first step's epsilon (the steps of
+    a ProtocolSpec share it).  The final GaussianState rides on the
+    trajectory.
     """
-    state = gaussian_vacuum() if initial is None else initial
-    times = [0.0]
-    rows = [None]
-    t_offset = 0.0
-    last_epsilon = 0.0
+    steps = []
     for step in protocol.steps:
-        d = derive_rates(step.params)
-        which = 1 if d.channel == "b1" else 2
-        last_epsilon = d.epsilon
-        if rows[0] is None:
-            rows[0] = _record_observables(state, d.epsilon)
-        if step.duration == 0.0:
-            continue
-        local = np.linspace(0.0, step.duration, samples_per_step)[1:]
-        for dt_local in local:
-            evolved = gaussian_lindblad_evolve(state, d.epsilon, d.gamma, which, float(dt_local))
-            times.append(t_offset + float(dt_local))
-            rows.append(_record_observables(evolved, d.epsilon))
-        state = gaussian_lindblad_evolve(state, d.epsilon, d.gamma, which, float(step.duration))
-        t_offset += float(step.duration)
-    if rows[0] is None:
-        rows[0] = _record_observables(state, last_epsilon)
-    records = {key: np.array([row[key] for row in rows]) for key in rows[0]}
-    return Trajectory(
-        times=np.array(times),
-        records=records,
-        final_state=state,
-        diagnostics={"engine": "gaussian", "steps": len(list(protocol.steps))},
-    )
+        # a step of zero duration has its one sample at 0
+        times = np.linspace(0.0, step.duration, samples_per_step if step.duration else 1)
+        steps.append((times, _pump_step(step, times)))
+    epsilon = derive_rates(protocol.steps[0].params).epsilon
+    record = lambda s: moment_records(s.mean, s.cov, epsilon)
+    traj = run_schedule(gaussian_vacuum() if initial is None else initial, steps, record)
+    return replace(traj, diagnostics={"engine": "gaussian", "steps": len(steps)})

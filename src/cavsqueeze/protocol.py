@@ -16,14 +16,9 @@ from typing import Optional, Sequence
 import numpy as np
 from scipy.special import comb
 
-from .analysis import SqueezingReport, preparation_time, squeezing_report
-from .dynamics import ArrivalProcess, _collision_step, run_in_squeezed_frame
-from .gaussian import (
-    GaussianState,
-    gaussian_epr_variances,
-    gaussian_tmsv,
-    run_protocol_gaussian,
-)
+from .analysis import preparation_time, report_from_moments, squeezing_report
+from .dynamics import ArrivalProcess, _collision_step, interval_advance, run_in_squeezed_frame
+from .gaussian import GaussianState, gaussian_fidelity_to_tmsv, run_protocol_gaussian
 from .hilbert import DensityMatrix, SpaceDescriptor, basis_state
 from .model import (
     DISPERSIVE_LIMIT,
@@ -81,9 +76,12 @@ class ProtocolSpec:
         steps = tuple(self.steps)
         if not steps:
             raise ValueError("protocol needs at least one step")
-        trunc = tuple(int(n) for n in self.truncation)
-        if len(trunc) != 2 or min(trunc) < 1:
+        trunc = tuple(self.truncation)
+        # no floats (8.0 neither) and no bools; the CLI config reader turns whole floats into ints
+        whole = all(isinstance(n, (int, np.integer)) and not isinstance(n, bool) for n in trunc)
+        if len(trunc) != 2 or not whole or min(trunc) < 1:
             raise ValueError(f"truncation must be two positive integers, got {self.truncation!r}")
+        trunc = tuple(int(n) for n in trunc)
         rates = [derive_rates(s.params) for s in steps]
         eps0 = rates[0].epsilon
         for d in rates[1:]:
@@ -286,31 +284,8 @@ def _fock_step(step: ProtocolStep, times: np.ndarray):
     """
     d = derive_rates(step.params)
     mode = 1 if step.channel == "b1" else 2
-
-    def advance(rho4, i):
-        if 0 < i < times.size:
-            rho4 = _damping_pass(rho4, math.exp(-d.gamma * float(times[i] - times[i - 1])), mode)
-        return rho4
-
-    return advance
-
-
-def _report_from_gaussian(state: GaussianState, epsilon: float) -> SqueezingReport:
-    epr = gaussian_epr_variances(state)
-    target = gaussian_tmsv(epsilon)
-    m = state.cov + target.cov
-    delta = state.mean - target.mean
-    fidelity = math.exp(-0.5 * float(delta @ np.linalg.solve(m, delta)))
-    fidelity /= 4.0 * math.sqrt(float(np.linalg.det(m)))
-    return SqueezingReport(
-        epsilon_target=epsilon,
-        v_squeezed=0.5 * (epr.v_x_minus + epr.v_p_plus),
-        v_antisqueezed=0.5 * (epr.v_x_plus + epr.v_p_minus),
-        duan_sum=epr.duan_sum,
-        n1_mean=state.mode_photon(1),
-        n2_mean=state.mode_photon(2),
-        fidelity=fidelity,
-        truncation_leak=0.0,
+    return interval_advance(
+        times, step.duration, lambda rho4, dt: _damping_pass(rho4, math.exp(-d.gamma * dt), mode)
     )
 
 
@@ -339,7 +314,9 @@ def run_protocol(
             raise ValueError("gaussian engine takes a GaussianState initial state")
         traj = run_protocol_gaussian(spec, samples_per_step=samples_per_step, initial=initial)
         traj = replace(traj, diagnostics={**traj.diagnostics, "regime_failures": failures})
-        return traj, _report_from_gaussian(traj.final_state, epsilon)
+        final = traj.final_state
+        fidelity = gaussian_fidelity_to_tmsv(final, epsilon)
+        return traj, report_from_moments(final.mean, final.cov, epsilon, fidelity, 0.0)
 
     space = SpaceDescriptor(1, *spec.truncation)
     state = DensityMatrix.from_state_vector(space, basis_state(space, 0, 0, 0)) if initial is None else initial

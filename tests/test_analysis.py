@@ -6,7 +6,8 @@ import pytest
 from cavsqueeze.analysis import (
     epr_variances_fock,
     fidelity_to_tmsv,
-    mean_photon,
+    moment_records,
+    moments,
     observable_matrices,
     preparation_time,
     quadrature_ops,
@@ -15,6 +16,8 @@ from cavsqueeze.analysis import (
     tmsv_state_vector,
     truncation_leak,
 )
+from cavsqueeze.dynamics import run_in_squeezed_frame
+from cavsqueeze.gaussian import gaussian_tmsv
 from cavsqueeze.hilbert import (
     DensityMatrix,
     SpaceDescriptor,
@@ -25,6 +28,23 @@ from oracles import build_displacement_operator
 
 
 FIELDS20 = SpaceDescriptor(1, 20, 20)
+
+
+def mean_photons(psi, s):
+    """(<a1+ a1>, <a2+ a2>) of a pure state, from its moments."""
+    rho4 = np.outer(psi, psi.conj()).reshape(s.shape[1:] * 2)
+    out = moment_records(*moments(rho4), 0.0)
+    return out["n_a1"], out["n_a2"]
+
+
+def random_low_fock_state(s, levels, rank, seed):
+    """Random mixed state supported on n1, n2 < levels, as a full matrix."""
+    rng = np.random.default_rng(seed)
+    low = [s.index(0, n1, n2) for n1 in range(levels) for n2 in range(levels)]
+    g = np.zeros((s.dim, rank), dtype=complex)
+    g[low] = rng.normal(size=(len(low), rank)) + 1j * rng.normal(size=(len(low), rank))
+    rho = g @ g.conj().T
+    return rho / np.trace(rho).real
 
 
 class TestTmsvStateVector:
@@ -96,6 +116,39 @@ class TestQuadratures:
             np.testing.assert_allclose(q.matrix, q.matrix.conj().T, atol=1e-15)
 
 
+class TestMoments:
+    def test_matches_dense_operators_on_embedded_state(self):
+        # a state populating the boundary layer of its own 6-level grid,
+        # embedded in 12 levels with the outer layers empty: there the dense
+        # truncated quadratures act as the untruncated ones, and the moments
+        # of the 6-level array must equal theirs
+        n, big = 6, SpaceDescriptor(1, 12, 12)
+        rho = random_low_fock_state(big, n, 3, seed=4).reshape(big.shape[1:] * 2)
+        held = rho[:n, :n, :n, :n]
+        assert truncation_leak(held.reshape(n * n, n * n), SpaceDescriptor(1, n, n)) > 0.1
+        mean, cov = moments(held)
+        dense = rho.reshape(big.dim, big.dim)
+        quads = [op.matrix for op in quadrature_ops(big)]
+        want_mean = np.array([np.trace(q @ dense).real for q in quads])
+        want_cov = np.array([
+            [0.5 * np.trace((qi @ qj + qj @ qi) @ dense).real - mi * mj
+             for qj, mj in zip(quads, want_mean)]
+            for qi, mi in zip(quads, want_mean)
+        ])
+        np.testing.assert_allclose(mean, want_mean, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(cov, want_cov, rtol=0, atol=1e-12)
+
+    def test_coherent_and_squeezed_closed_forms(self):
+        s = SpaceDescriptor(1, 25, 4)
+        psi = build_displacement_operator(s, 0.8, 0.0).matrix @ basis_state(s, 0, 0, 0)
+        mean, cov = moments(np.outer(psi, psi.conj()).reshape(s.shape[1:] * 2))
+        np.testing.assert_allclose(mean, [0.8, 0.0, 0.0, 0.0], atol=1e-8)
+        np.testing.assert_allclose(cov, 0.25 * np.eye(4), atol=1e-8)
+        psi = tmsv_state_vector(FIELDS20, 0.5)
+        _, cov = moments(np.outer(psi, psi.conj()).reshape(20, 20, 20, 20))
+        np.testing.assert_allclose(cov, gaussian_tmsv(0.5).cov, atol=1e-6)
+
+
 class TestEPRVariances:
     def test_vacuum(self):
         epr = epr_variances_fock(basis_state(FIELDS20, 0, 0, 0), FIELDS20)
@@ -131,6 +184,11 @@ class TestEPRVariances:
         with pytest.warns(UserWarning, match="boundary"):
             epr_variances_fock(edge, s)
 
+    def test_requires_field_only_state(self):
+        s = SpaceDescriptor(2, 4, 4)
+        with pytest.raises(ValueError, match="field-only"):
+            epr_variances_fock(basis_state(s, 0, 0, 0), s)
+
     def test_uncertainty_products(self):
         for eps in (0.1, 0.3, 0.5, math.atanh(0.7)):
             psi = tmsv_state_vector(SpaceDescriptor(1, 30, 30), eps)
@@ -141,16 +199,13 @@ class TestEPRVariances:
 
 class TestMeanPhotonAndLeak:
     def test_vacuum_and_fock(self):
-        assert mean_photon(basis_state(FIELDS20, 0, 0, 0), 1, FIELDS20) == pytest.approx(0.0)
-        psi = basis_state(FIELDS20, 0, 2, 0)
-        assert mean_photon(psi, 1, FIELDS20) == pytest.approx(2.0)
-        assert mean_photon(psi, 2, FIELDS20) == pytest.approx(0.0)
+        assert mean_photons(basis_state(FIELDS20, 0, 0, 0), FIELDS20) == pytest.approx((0.0, 0.0))
+        assert mean_photons(basis_state(FIELDS20, 0, 2, 0), FIELDS20) == pytest.approx((2.0, 0.0))
 
     def test_tmsv_occupation(self):
         psi = tmsv_state_vector(FIELDS20, 0.5)
         expected = 0.2715403174076219  # sinh^2(0.5)
-        assert mean_photon(psi, 1, FIELDS20) == pytest.approx(expected, abs=1e-4)
-        assert mean_photon(psi, 2, FIELDS20) == pytest.approx(expected, abs=1e-4)
+        assert mean_photons(psi, FIELDS20) == pytest.approx((expected, expected), abs=1e-4)
 
     def test_truncation_leak(self):
         s = SpaceDescriptor(1, 5, 5)
@@ -286,3 +341,23 @@ class TestRecorder:
         assert out["n_b2"] == pytest.approx(0.0, abs=1e-10)
         assert out["n_a1"] == pytest.approx(math.sinh(eps) ** 2, abs=1e-6)
         assert out["duan_sum"] == pytest.approx(math.exp(-2 * eps), abs=1e-5)
+
+    @pytest.mark.parametrize("eps", [0.4, -0.3])
+    def test_frame_records_match_dense_reference(self, eps):
+        # the squeezed-frame core records from the moments of rho_b through
+        # symplectic_squeeze; on states whose squeezed image stays inside
+        # the truncation that must equal the dense conjugated observables
+        s = SpaceDescriptor(1, 24, 24)
+        squeeze = build_squeeze_operator(s, eps).matrix
+        dense = recorder_from_matrices(*observable_matrices(s, squeeze))
+        for seed in range(3):
+            rho_b = random_low_fock_state(s, 3, 2, seed)
+            rho = squeeze.conj().T @ rho_b @ squeeze
+            assert truncation_leak(DensityMatrix(s, rho)) <= 1e-12
+            traj = run_in_squeezed_frame(
+                DensityMatrix(s, rho), eps, [(np.array([0.0]), lambda r, i: r)]
+            )
+            want = dense(rho_b)
+            assert list(traj.records) == list(want)
+            for key, value in want.items():
+                assert traj.records[key][0] == pytest.approx(value, abs=1e-9), key

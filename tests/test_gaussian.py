@@ -4,7 +4,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from cavsqueeze.analysis import quadrature_ops, tmsv_state_vector
+from cavsqueeze.analysis import moment_records, quadrature_ops, symplectic_squeeze, tmsv_state_vector
 from cavsqueeze.gaussian import (
     OMEGA,
     GaussianState,
@@ -13,8 +13,6 @@ from cavsqueeze.gaussian import (
     gaussian_tmsv,
     gaussian_vacuum,
     run_protocol_gaussian,
-    symplectic_squeeze,
-    transformed_occupation,
 )
 from cavsqueeze.hilbert import DensityMatrix, SpaceDescriptor, expectation
 from cavsqueeze.model import PhysicalParams, b_mode_annihilation, build_squeeze_operator, derive_rates
@@ -30,6 +28,11 @@ def fock_covariance(space, psi):
             sym = 0.5 * (quads[i] @ quads[j] + quads[j] @ quads[i])
             cov[i, j] = expectation(sym, psi).real - means[i] * means[j]
     return cov
+
+
+def occupation(s, key, epsilon=0.0):
+    """n_a1, n_a2 (bare) or n_b1, n_b2 (transformed at epsilon) of a GaussianState."""
+    return moment_records(s.mean, s.cov, epsilon)[key]
 
 
 def pump_params(theta1, theta2):
@@ -59,16 +62,16 @@ class TestGaussianState:
             GaussianState(mean=np.zeros(4), cov=0.125 * np.eye(4))
 
     def test_mode_photon(self):
-        assert gaussian_vacuum().mode_photon(1) == 0.0
+        assert occupation(gaussian_vacuum(), "n_a1") == 0.0
         eps = math.atanh(0.95)
         expected = 0.95**2 / (1.0 - 0.95**2)
-        for mode in (1, 2):
-            assert abs(gaussian_tmsv(eps).mode_photon(mode) - expected) < 1e-9
+        for key in ("n_a1", "n_a2"):
+            assert abs(occupation(gaussian_tmsv(eps), key) - expected) < 1e-9
 
     def test_displaced_photon_number(self):
         s = GaussianState(mean=np.array([0.6, 0.8, 0.0, 0.0]), cov=0.25 * np.eye(4))
-        assert abs(s.mode_photon(1) - 1.0) < 1e-12
-        assert abs(s.mode_photon(2)) < 1e-12
+        assert abs(occupation(s, "n_a1") - 1.0) < 1e-12
+        assert abs(occupation(s, "n_a2")) < 1e-12
 
 
 class TestGaussianVacuum:
@@ -186,10 +189,10 @@ class TestGaussianLindbladEvolve:
         gamma = 0.8
         s0 = GaussianState(mean=np.array([0.7, -0.2, 0.4, 0.1]),
                            cov=gaussian_tmsv(0.3).cov)
-        n0 = transformed_occupation(s0, eps, 1)
+        n0 = occupation(s0, "n_b1", eps)
         for t in (0.3, 1.1, 2.4):
             st = gaussian_lindblad_evolve(s0, eps, gamma, 1, t)
-            n_t = transformed_occupation(st, eps, 1)
+            n_t = occupation(st, "n_b1", eps)
             assert abs(n_t - n0 * math.exp(-gamma * t)) < 1e-8
 
     def test_spectator_mode_is_conserved(self):
@@ -197,9 +200,9 @@ class TestGaussianLindbladEvolve:
         # other's occupation untouched
         eps = 0.5
         s0 = GaussianState(mean=np.zeros(4), cov=0.75 * np.eye(4))
-        n2_before = transformed_occupation(s0, eps, 2)
+        n2_before = occupation(s0, "n_b2", eps)
         st = gaussian_lindblad_evolve(s0, eps, 1.0, 1, 2.0)
-        assert abs(transformed_occupation(st, eps, 2) - n2_before) < 1e-10
+        assert abs(occupation(st, "n_b2", eps) - n2_before) < 1e-10
 
     def test_long_time_limit_from_vacuum(self):
         eps = 0.8
@@ -257,8 +260,8 @@ class TestRunProtocolGaussian:
         final = gaussian_epr_variances(traj.final_state)
         assert abs(final.duan_sum - ideal.duan_sum) / ideal.duan_sum < 0.03
         target_n = 0.95**2 / (1.0 - 0.95**2)
-        for mode in (1, 2):
-            assert abs(traj.final_state.mode_photon(mode) - target_n) / target_n < 0.02
+        for key in ("n_a1", "n_a2"):
+            assert abs(occupation(traj.final_state, key) - target_n) / target_n < 0.02
 
     def test_monotone_transformed_decay_per_step(self):
         proto = self.protocol(0.6, 4.0)

@@ -78,6 +78,16 @@ class TestProtocolSpec:
         with pytest.raises(ValueError, match="truncation"):
             self.make_spec(truncation=(10,))
 
+    @pytest.mark.parametrize("truncation", [(7.5, 7), ("9", True), (True, 8), (8.0, 8)])
+    def test_rejects_non_integer_truncation(self, truncation):
+        with pytest.raises(ValueError, match="truncation must be two positive integers"):
+            self.make_spec(truncation=truncation)
+
+    def test_numpy_integer_truncation(self):
+        spec = self.make_spec(truncation=(np.int64(9), 8))
+        assert spec.truncation == (9, 8)
+        assert type(spec.truncation[0]) is int
+
     def test_rejects_mismatched_squeezing_across_steps(self):
         # r = 0.6 in step one, r = 0.5 in step two
         step1 = ProtocolStep(params=clean_params(1.0, 0.6), atom_state="g",
@@ -417,3 +427,38 @@ class TestCrossEngine:
                 traj_f.records[key], traj_g.records[key], rtol=0, atol=1e-3,
                 err_msg=key,
             )
+
+    def test_fock_pair_start_tracks_exact_moments(self):
+        # |1,1> has mean 0 and cov 3/4 I; the pumping generator is
+        # quadratic, so the first and second moments of any state evolve as
+        # the gaussian engine's do, and the records read only them: the
+        # gaussian run from those moments is the exact record trajectory.
+        # At 15 levels the step-boundary sample has 2.3e-2 on the boundary
+        p = clean_params()
+        T = 9.0 / derive_rates(p).gamma
+        kwargs = dict(truncation=(15, 15), durations=(T, T))
+        space = SpaceDescriptor(1, 15, 15)
+        pair = DensityMatrix.from_state_vector(space, basis_state(space, 0, 1, 1))
+        traj_f, _ = run_protocol(build_two_step_protocol(p, engine="fock", **kwargs), initial=pair)
+        traj_g, _ = run_protocol(
+            build_two_step_protocol(p, engine="gaussian", **kwargs),
+            initial=GaussianState(mean=np.zeros(4), cov=0.75 * np.eye(4)),
+        )
+        assert traj_f.diagnostics["max_truncation_leak"] > 1e-2
+        np.testing.assert_array_equal(traj_f.times, traj_g.times)
+        for key in traj_f.records:
+            np.testing.assert_allclose(
+                traj_f.records[key], traj_g.records[key], rtol=0, atol=1e-2, err_msg=key
+            )
+
+    @pytest.mark.parametrize("engine", ["fock", "gaussian"])
+    def test_one_sample_per_step_pumps_the_whole_step(self, engine):
+        # with one sample per step the state is still carried over each
+        # step's full duration, so the final report is the 51-sample one
+        spec = build_two_step_protocol(clean_params(), engine=engine, truncation=(12, 12))
+        traj_1, rep_1 = run_protocol(spec, samples_per_step=1)
+        _, rep_51 = run_protocol(spec, samples_per_step=51)
+        assert traj_1.times.size == 1
+        assert rep_1.duan_sum < 0.5
+        for key, value in rep_51.to_json().items():
+            assert rep_1.to_json()[key] == pytest.approx(value, rel=1e-9, abs=1e-12), key
