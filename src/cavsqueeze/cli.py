@@ -422,7 +422,8 @@ def cmd_sweep(cfg: RunConfig) -> int:
             truncation=cfg.truncation,
             n_target=cfg.n_target,
         )
-        _, report = run_protocol(spec, samples_per_step=cfg.sample_count)
+        # a row is the final report, which one sample per step gives exactly
+        _, report = run_protocol(spec, samples_per_step=1)
         d = derive_rates(scaled)
         t_total = sum(s.duration for s in spec.steps)
         return (

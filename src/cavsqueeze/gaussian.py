@@ -3,8 +3,9 @@
 Squeezing, displacement, and the transformed-mode pumping are all Gaussian,
 so states are fully described by a quadrature mean vector and a 4x4
 covariance matrix.  This scales to squeezing levels where Fock truncation
-is impractical.  Conventions: R = (X1, P1, X2, P2) with X = (a + a+)/2,
-P = -i(a - a+)/2, vacuum covariance I/4.
+is impractical.  Pumping is the closed-form attenuator of the pumped mode
+in the squeezed frame all engines share.  Conventions: R = (X1, P1, X2, P2)
+with X = (a + a+)/2, P = -i(a - a+)/2, vacuum covariance I/4.
 """
 
 from __future__ import annotations
@@ -13,7 +14,6 @@ import math
 from dataclasses import dataclass, replace
 
 import numpy as np
-import scipy.linalg
 
 from .analysis import EPRVariances, moment_records, symplectic_squeeze
 from .dynamics import Trajectory, interval_advance, run_schedule
@@ -73,59 +73,35 @@ def gaussian_tmsv(epsilon: float) -> GaussianState:
     return GaussianState(mean=np.zeros(4), cov=0.25 * symplectic_squeeze(2.0 * epsilon))
 
 
-def _jump_vector(epsilon: float, which: int) -> np.ndarray:
-    """Coefficients c with b = c . R for the transformed lowering operator."""
-    ch = math.cosh(epsilon)
-    sh = math.sinh(epsilon)
-    if which == 1:
-        # cosh a1 - sinh a2+
-        return np.array([ch, 1j * ch, -sh, 1j * sh])
-    if which == 2:
-        return np.array([-sh, 1j * sh, ch, 1j * ch])
-    raise ValueError(f"which must be 1 or 2, got {which!r}")
-
-
-def _drift_diffusion(epsilon: float, gamma: float, which: int):
-    c = _jump_vector(epsilon, which)
-    outer = np.outer(c, c.conj())
-    drift = -(gamma / 2.0) * (OMEGA @ outer.imag)
-    diffusion = (gamma / 4.0) * (OMEGA @ outer.real @ OMEGA.T)
-    return drift, diffusion
-
-
 def gaussian_lindblad_evolve(
     s0: GaussianState, epsilon: float, gamma: float, which: int, t: float
 ) -> GaussianState:
     """Exact moment evolution under pumping of transformed mode 1 or 2.
 
-    The mean obeys dm/dt = A m and the covariance dV/dt = A V + V A^T + D;
-    both are integrated in closed form through a block matrix exponential,
-    so there is no step-size error.
+    In the squeezed frame the transformed mode b_j is the bare mode j, so
+    pumping it for t is the attenuator R -> sqrt(eta) R + sqrt(1 - eta) R_env
+    on that mode, eta = exp(-gamma t), with the vacuum environment; the
+    frame moments go in and out with symplectic_squeeze(-+epsilon).  Closed
+    form, so there is no step-size error.
     """
     if gamma < 0:
         raise ValueError("gamma must be nonnegative")
     if t < 0:
         raise ValueError("t must be nonnegative")
+    if which not in (1, 2):
+        raise ValueError(f"which must be 1 or 2, got {which!r}")
     if t == 0.0 or gamma == 0.0:
         return s0
-    drift, diffusion = _drift_diffusion(epsilon, gamma, which)
-    # the auxiliary block carries e^{+gamma t/2} growth, so long horizons
-    # are split into well-conditioned chunks and composed exactly
-    n_chunks = max(1, math.ceil(gamma * t / 4.0))
-    tc = t / n_chunks
-    block = np.zeros((8, 8))
-    block[:4, :4] = drift
-    block[:4, 4:] = diffusion
-    block[4:, 4:] = -drift.T
-    prop = scipy.linalg.expm(block * tc)
-    f = prop[:4, :4]
-    q = prop[:4, 4:] @ f.T
-    mean = np.asarray(s0.mean, dtype=float)
-    cov = np.asarray(s0.cov, dtype=float)
-    for _ in range(n_chunks):
-        mean = f @ mean
-        cov = f @ cov @ f.T + q
-    return GaussianState(mean=mean, cov=0.5 * (cov + cov.T))
+    eta = math.exp(-gamma * t)
+    pumped = slice(2 * which - 2, 2 * which)
+    keep = np.ones(4)
+    keep[pumped] = math.sqrt(eta)
+    noise = np.zeros(4)
+    noise[pumped] = 0.25 * (1.0 - eta)
+    to_bare = symplectic_squeeze(epsilon)
+    f = (to_bare * keep) @ symplectic_squeeze(-epsilon)
+    cov = f @ s0.cov @ f.T + (to_bare * noise) @ to_bare.T
+    return GaussianState(mean=f @ s0.mean, cov=0.5 * (cov + cov.T))
 
 
 def gaussian_epr_variances(s: GaussianState) -> EPRVariances:
@@ -157,11 +133,11 @@ def run_protocol_gaussian(
     """Covariance-level run of a multi-step pumping protocol.
 
     Each step pumps the transformed mode selected by its own derived
-    channel for its duration; gaussian_lindblad_evolve carries the state
-    from sample to sample on a per-step time grid, and every sample is
-    recorded from its moments with the first step's epsilon (the steps of
-    a ProtocolSpec share it).  The final GaussianState rides on the
-    trajectory.
+    channel for its whole duration; the squeezed-frame attenuator
+    gaussian_lindblad_evolve carries the state between the samples of a
+    per-step time grid, and every sample is recorded from its moments with
+    the first step's epsilon (the steps of a ProtocolSpec share it).  The
+    final GaussianState rides on the trajectory.
     """
     steps = []
     for step in protocol.steps:

@@ -329,7 +329,7 @@ def run_protocol(
 
     # the steps share epsilon, so both Fock-space engines run the whole
     # schedule in one squeezed frame
-    steps, dropped = [], 0
+    steps, accepted, dropped = [], 0, 0
     for i, step in enumerate(spec.steps):
         # a step of zero duration has its one sample at 0
         times = np.linspace(0.0, step.duration, samples_per_step if step.duration else 1)
@@ -340,12 +340,13 @@ def run_protocol(
             advance, step_diagnostics = _collision_step(
                 spec.truncation, step.params, step.duration, arrivals, False, times
             )
+            accepted += step_diagnostics["accepted_arrivals"]
             dropped += step_diagnostics["dropped_arrivals"]
         steps.append((times, advance))
     traj = run_in_squeezed_frame(state, epsilon, steps)
 
     diagnostics = {"engine": spec.engine, "regime_failures": failures}
     if spec.engine == "collision":
-        diagnostics["dropped_arrivals"] = dropped
+        diagnostics.update(accepted_arrivals=accepted, dropped_arrivals=dropped)
     traj = replace(traj, diagnostics={**diagnostics, **traj.diagnostics})
     return traj, squeezing_report(traj.final_state, epsilon)

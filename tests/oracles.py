@@ -1,9 +1,10 @@
 """Independent reference computations for the tests.
 
-None of these is on a path the package runs: the fock engine solves the
-pumping in closed form, the dispersive Hamiltonian is built one way in the
-package, and coherent states only serve as test inputs.  Each oracle here
-computes the same physics another way, so a test can compare the two.
+None of these is on a path the package runs: the fock and gaussian engines
+solve the pumping in closed form, the dispersive Hamiltonian is built one
+way in the package, and coherent states only serve as test inputs.  Each
+oracle here computes the same physics another way, so a test can compare
+the two.
 """
 
 import math
@@ -14,6 +15,7 @@ import numpy as np
 import scipy.linalg
 
 from cavsqueeze.dynamics import Trajectory
+from cavsqueeze.gaussian import OMEGA
 from cavsqueeze.hilbert import (
     DensityMatrix,
     Operator,
@@ -207,3 +209,37 @@ def build_displacement_operator(s: SpaceDescriptor, alpha1: complex, alpha2: com
         + alpha2 * a2.dagger() - np.conj(alpha2) * a2
     )
     return Operator(s, scipy.linalg.expm(gen.matrix))
+
+
+def gaussian_block_evolve(mean, cov, epsilon: float, gamma: float, which: int, t: float):
+    """Moments (mean, cov) after pumping transformed mode 1 or 2 for t,
+    from the Lindblad drift and diffusion of b_j in the bare quadratures.
+
+    The mean obeys dm/dt = A m and the covariance dV/dt = A V + V A^T + D;
+    both are integrated through a block matrix exponential.
+    """
+    ch, sh = math.cosh(epsilon), math.sinh(epsilon)
+    # c with b_j = c . R: b1 = cosh a1 - sinh a2+, b2 = cosh a2 - sinh a1+
+    if which == 1:
+        c = np.array([ch, 1j * ch, -sh, 1j * sh])
+    else:
+        c = np.array([-sh, 1j * sh, ch, 1j * ch])
+    outer = np.outer(c, c.conj())
+    drift = -(gamma / 2.0) * (OMEGA @ outer.imag)
+    diffusion = (gamma / 4.0) * (OMEGA @ outer.real @ OMEGA.T)
+    # the auxiliary block carries e^{+gamma t/2} growth, so long horizons
+    # are split into well-conditioned chunks and composed exactly
+    n_chunks = max(1, math.ceil(gamma * t / 4.0))
+    block = np.zeros((8, 8))
+    block[:4, :4] = drift
+    block[:4, 4:] = diffusion
+    block[4:, 4:] = -drift.T
+    prop = scipy.linalg.expm(block * (t / n_chunks))
+    f = prop[:4, :4]
+    q = prop[:4, 4:] @ f.T
+    mean = np.asarray(mean, dtype=float)
+    cov = np.asarray(cov, dtype=float)
+    for _ in range(n_chunks):
+        mean = f @ mean
+        cov = f @ cov @ f.T + q
+    return mean, 0.5 * (cov + cov.T)

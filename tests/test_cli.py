@@ -5,6 +5,7 @@ from importlib import resources
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from cavsqueeze.cli import (
     ConfigError,
@@ -13,6 +14,7 @@ from cavsqueeze.cli import (
     load_run_config,
     main,
 )
+from cavsqueeze.gaussian import run_protocol_gaussian
 from cavsqueeze.model import TWO_PI, PhysicalParams, derive_rates
 from cavsqueeze.protocol import mirror_to_b1
 
@@ -395,6 +397,37 @@ class TestSweep:
         assert np.all(np.diff(data["n1_mean"]) > 0.0)
         assert np.all(np.diff(data["duan_sum"]) < 0.0)
         assert np.all(data["fidelity"] > 0.8)
+
+    @pytest.mark.parametrize("engine", ["gaussian", "fock"])
+    def test_rows_match_simulate_reports(self, tmp_path, engine):
+        # rows come from one sample per step, simulate's report from its full
+        # sample grid; both end on the same state
+        data = config_dict(engine=engine)
+        d0 = derive_rates(PhysicalParams.from_hz_dict(data["params"]))
+        grid = (0.3, 0.6)
+        out = tmp_path / "sweep.csv"
+        assert main(["sweep", "--config", write_config(tmp_path, data), "--out", str(out),
+                     "--r-grid", ",".join(map(str, grid))]) == 0
+        rows = read_csv(out)
+        for i, r in enumerate(grid):
+            point = config_dict(engine=engine)
+            point["params"]["omega2_hz"] *= r * d0.theta1 / d0.theta2
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore")
+                assert main(["simulate", "--config", write_config(tmp_path, point, f"p{i}.json"),
+                             "--out", str(tmp_path / f"sim{i}")]) == 0
+            report = json.loads((tmp_path / f"sim{i}.json").read_text())["report"]
+            for key in ("duan_sum", "n1_mean", "n2_mean", "fidelity"):
+                assert rows[key][i] == pytest.approx(report[key], rel=1e-9)
+
+    def test_gaussian_engine_never_calls_expm(self, tmp_path, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("gaussian engine called expm")
+
+        monkeypatch.setattr(scipy.linalg, "expm", refuse)
+        spec = build_spec(load_run_config(None))
+        assert run_protocol_gaussian(spec).times.size > 1
+        assert main(["sweep", "--out", str(tmp_path / "s.csv"), "--r-grid", "0.5,0.9"]) == 0
 
     def test_warning_filters_unchanged(self, tmp_path, monkeypatch):
         monkeypatch.setenv("CAVSQUEEZE_WORKERS", "2")

@@ -16,7 +16,7 @@ from cavsqueeze.gaussian import (
 )
 from cavsqueeze.hilbert import DensityMatrix, SpaceDescriptor, expectation
 from cavsqueeze.model import PhysicalParams, b_mode_annihilation, build_squeeze_operator, derive_rates
-from oracles import lindblad_evolve
+from oracles import gaussian_block_evolve, lindblad_evolve
 
 
 def fock_covariance(space, psi):
@@ -160,6 +160,8 @@ class TestGaussianLindbladEvolve:
             gaussian_lindblad_evolve(s, 0.3, 1.0, 1, -1.0)
         with pytest.raises(ValueError, match="which"):
             gaussian_lindblad_evolve(s, 0.3, 1.0, 3, 1.0)
+        with pytest.raises(ValueError, match="which"):
+            gaussian_lindblad_evolve(s, 0.3, 1.0, 3, 0.0)
 
     def test_zero_time_or_rate_is_identity(self):
         s = gaussian_tmsv(0.4)
@@ -210,6 +212,34 @@ class TestGaussianLindbladEvolve:
         st = gaussian_lindblad_evolve(st, eps, 1.0, 1, 40.0)
         st = gaussian_lindblad_evolve(st, eps, 1.0, 2, 40.0)
         np.testing.assert_allclose(st.cov, gaussian_tmsv(eps).cov, atol=1e-8)
+
+    def test_matches_block_expm_oracle(self):
+        # displaced squeezed-thermal states: thermal occupations, local
+        # squeezing and a two-mode squeeze, then a random displacement
+        rng = np.random.default_rng(2017)
+        worst = 0.0
+        for _ in range(200):
+            thermal = 0.25 * (2.0 * rng.uniform(0.0, 2.0, 2) + 1.0)
+            r1, r2 = rng.uniform(-1.0, 1.0, 2)
+            local = np.diag([
+                thermal[0] * math.exp(2 * r1), thermal[0] * math.exp(-2 * r1),
+                thermal[1] * math.exp(2 * r2), thermal[1] * math.exp(-2 * r2),
+            ])
+            two_mode = symplectic_squeeze(rng.uniform(-1.5, 1.5))
+            cov = two_mode @ local @ two_mode.T
+            s0 = GaussianState(mean=rng.normal(0.0, 2.0, 4), cov=cov)
+            eps = rng.uniform(0.0, 2.5)
+            gamma = rng.uniform(0.1, 5.0)
+            t = rng.uniform(0.0, 50.0) / gamma
+            which = int(rng.integers(1, 3))
+            out = gaussian_lindblad_evolve(s0, eps, gamma, which, t)
+            mean, cov = gaussian_block_evolve(s0.mean, s0.cov, eps, gamma, which, t)
+            worst = max(
+                worst,
+                np.max(np.abs(out.mean - mean)) / max(1.0, np.max(np.abs(mean))),
+                np.max(np.abs(out.cov - cov)) / np.max(np.abs(cov)),
+            )
+        assert worst < 1e-9
 
     def test_uncertainty_holds_along_evolution(self):
         eps = 0.7

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from cavsqueeze.analysis import preparation_time, tmsv_state_vector
+from cavsqueeze.dynamics import ArrivalProcess
 from cavsqueeze.gaussian import GaussianState, gaussian_vacuum
 from cavsqueeze.hilbert import DensityMatrix, SpaceDescriptor, basis_state
 from cavsqueeze.model import PhysicalParams, b_mode_annihilation, derive_rates
@@ -376,15 +377,17 @@ class TestRunProtocolCollision:
         # theta_b*tau = 0.134, r_a*tau = 0.18, gamma = 0.0215
         return pump_params(1.0, 0.45, delta_mag=1.0, r_a=1.2, tau=0.15)
 
-    def run(self, seed=5, samples=11):
+    def spec(self, seed):
         p = self.params()
         d = derive_rates(p)
         T = 2.0 / d.gamma
-        spec = build_two_step_protocol(p, engine="collision", seed=seed,
+        return build_two_step_protocol(p, engine="collision", seed=seed,
                                        truncation=(8, 8), durations=(T, T))
+
+    def run(self, seed=5, samples=11):
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
-            return run_protocol(spec, samples_per_step=samples)
+            return run_protocol(self.spec(seed), samples_per_step=samples)
 
     def test_pumps_both_transformed_modes(self):
         traj, report = self.run()
@@ -396,6 +399,18 @@ class TestRunProtocolCollision:
         assert n_b2[-1] < 0.4 * n_b2[0]
         assert traj.diagnostics["engine"] == "collision"
         assert traj.diagnostics["dropped_arrivals"] >= 0
+
+    def test_arrival_counts_cover_every_draw(self):
+        # step i draws from ArrivalProcess(rate, seed + i); each draw is
+        # either accepted or dropped
+        spec = self.spec(seed=5)
+        draws = sum(
+            ArrivalProcess(rate=step.params.r_a, seed=spec.seed + i).sample(step.duration).size
+            for i, step in enumerate(spec.steps)
+        )
+        traj, _ = self.run(seed=5)
+        assert draws > 0
+        assert traj.diagnostics["accepted_arrivals"] + traj.diagnostics["dropped_arrivals"] == draws
 
     def test_deterministic_per_seed(self):
         _, rep_a = self.run(seed=5)
