@@ -16,7 +16,15 @@ from typing import Callable, Optional, Union
 
 import numpy as np
 
-from .hilbert import DensityMatrix, SpaceDescriptor, annihilation_op, expectation, number_op
+from .hilbert import (
+    ChargeBlocks,
+    DensityMatrix,
+    SpaceDescriptor,
+    annihilation_op,
+    expectation,
+    number_op,
+    split_charges,
+)
 
 TMSV_TAIL_LIMIT = 1e-6
 FIDELITY_TAIL_LIMIT = 1e-3
@@ -108,24 +116,24 @@ def _joint_variances(v: np.ndarray) -> dict:
     return out
 
 
-def moments(rho4: np.ndarray) -> tuple:
+def moments(rho: ChargeBlocks) -> tuple:
     """Mean and covariance of (X1, P1, X2, P2) in a two-mode state.
 
-    rho4 is the density matrix reshaped (N1, N2, N1, N2).  <a_j>, <a_j+ a_k>
-    and <a_j a_k> are read off the few bands of rho4 they touch, with the
-    matrix elements of the untruncated ladder operators, and symmetric order
-    is restored with [a, a+] = 1.  The result is the exact moments of the
-    physical quadratures in the state held; no N^2 x N^2 operator is built.
+    <a_j>, <a_j+ a_k> and <a_j a_k> are read off the few bands of rho they
+    touch, which lie in its blocks of charge 0 (<a_j+ a_j> and <a1 a2>),
+    +-1 (<a_j>) and +-2 (<a_j^2> and <a1+ a2>), with the matrix elements of
+    the untruncated ladder operators, and symmetric order is restored with
+    [a, a+] = 1.  The result is the exact moments of the physical
+    quadratures in the state held; no N^2 x N^2 operator is built.
     Covariance convention: V_ij = <{dR_i, dR_j}>/2, vacuum I/4.
     """
-    n1, n2 = np.indices(rho4.shape[:2], dtype=float)
+    n1, n2 = np.indices(rho.blocks.shape[2:], dtype=float)
 
     def band(d1, d2, weight):
         # tr(O rho) for O|m> = weight[m] |m - d>: the sum of
         # weight[m] <m|rho|m - d> over m with m and m - d on the grid
         m = tuple(slice(max(d, 0), n + min(d, 0)) for d, n in zip((d1, d2), n1.shape))
-        m_d = tuple(slice(max(-d, 0), n - max(d, 0)) for d, n in zip((d1, d2), n1.shape))
-        return np.einsum("ijij,ij->", rho4[m + m_d], weight[m])
+        return np.einsum("ij,ij->", rho.diagonal(d1, d2)[m], weight[m])
 
     a = np.array([band(1, 0, np.sqrt(n1)), band(0, 1, np.sqrt(n2))])
     # centred <a_j a_k> and <a_j+ a_k>
@@ -161,7 +169,8 @@ def _fock_moments(state: StateLike, space: Optional[SpaceDescriptor]) -> tuple:
     rho = st.matrix if isinstance(st, DensityMatrix) else st
     if rho.ndim == 1:
         rho = np.outer(rho, rho.conj())
-    return (*moments(rho.reshape(space.shape[1:] * 2)), leak)
+    # moments reads the blocks of charge -2 .. 2 only
+    return (*moments(split_charges(rho.reshape(space.shape[1:] * 2), range(-2, 3))), leak)
 
 
 def epr_variances_fock(state: StateLike, space: Optional[SpaceDescriptor] = None) -> EPRVariances:

@@ -19,7 +19,7 @@ from typing import Callable, Optional, Sequence, Union
 import numpy as np
 
 from .analysis import moment_records, moments, symplectic_squeeze
-from .hilbert import DensityMatrix, Operator
+from .hilbert import DensityMatrix, Operator, split_charges
 from .model import (
     DerivedParams,
     PhysicalParams,
@@ -209,39 +209,42 @@ def run_in_squeezed_frame(rho0: DensityMatrix, epsilon: float, steps: Sequence) 
     """Run pumping steps back to back in the squeezed frame rho_b = S rho S+.
 
     b_j = S+ a_j S exactly on the truncated space, so there the transformed
-    modes are bare and every pumping map acts on rho_b reshaped
-    (N1, N2, N1, N2) without S; steps are run_schedule's (times, advance)
-    pairs on rho_b.  S is built once.  Each sample is recorded from the
-    moments of rho_b, taken to the bare modes by symplectic_squeeze(epsilon).
-    The a-frame boundary population truncation_leak(S+ rho_b S) is measured
-    at every sample (its maximum goes to the diagnostics) and must not
-    exceed BOUNDARY_ERROR_LIMIT on the returned state.
+    modes are bare and every pumping map acts on rho_b without S.  Those
+    maps keep the charge of every entry, so rho_b is carried as the
+    ChargeBlocks of the charges it occupies after the entry rotation; steps
+    are run_schedule's (times, advance) pairs on them.  S is built once.
+    Each sample is recorded from the moments of rho_b, taken to the bare
+    modes by symplectic_squeeze(epsilon).  The a-frame boundary population
+    truncation_leak(S+ rho_b S) is measured at every sample (its maximum
+    goes to the diagnostics) and must not exceed BOUNDARY_ERROR_LIMIT on
+    the returned state, which is assembled and rotated back once.
     """
     space = rho0.space
     squeeze = build_squeeze_operator(space, epsilon).matrix
     to_bare = symplectic_squeeze(epsilon)
-    # tr(S P S+ rho_b) = vdot(S P S+, rho_b) for the projector P on the boundary layers
+    # tr(S P S+ rho_b) = vdot(S P S+, rho_b) for the projector P on the
+    # boundary layers; S keeps n1 - n2, so S P S+ has charge 0 only
     edge = np.ones(space.shape[1:], dtype=bool)
     edge[: space.n1_trunc - 1, : space.n2_trunc - 1] = False
     edge_cols = squeeze[:, edge.ravel()]
-    boundary = edge_cols @ edge_cols.conj().T
-    leak = lambda rho4: float(np.vdot(boundary, rho4).real)
+    boundary = split_charges((edge_cols @ edge_cols.conj().T).reshape(space.shape[1:] * 2), [0]).block(0)
+    leak = lambda rho: float(np.vdot(boundary, rho.block(0)).real)
     leaks = [0.0]
 
-    def record(rho4):
-        leaks.append(leak(rho4))
-        mean, cov = moments(rho4)
+    def record(rho):
+        leaks.append(leak(rho))
+        mean, cov = moments(rho)
         return moment_records(to_bare @ mean, to_bare @ cov @ to_bare.T, epsilon)
 
-    rho4 = (squeeze @ rho0.matrix @ squeeze.conj().T).reshape(space.shape[1:] * 2)
-    traj = run_schedule(rho4, steps, record)
+    rho_b = split_charges((squeeze @ rho0.matrix @ squeeze.conj().T).reshape(space.shape[1:] * 2))
+    traj = run_schedule(rho_b, steps, record)
     final_leak = leak(traj.final_state)
     if final_leak > BOUNDARY_ERROR_LIMIT:
         raise ValueError(
             f"truncation overflow at t={traj.times[-1] if traj.times.size else 0.0:g}: boundary "
             f"population {final_leak:.2e} > {BOUNDARY_ERROR_LIMIT:g}; increase the Fock truncation"
         )
-    rho = traj.final_state.reshape(space.dim, space.dim)
+    rho = traj.final_state.dense().reshape(space.dim, space.dim)
     out = squeeze.conj().T @ rho @ squeeze
     return replace(
         traj,
@@ -299,27 +302,36 @@ def _collision_step(shape, params, duration, arrivals, include_stark, sample_tim
 
     stark = stark_shifts(params) if include_stark else None
     stay, jump = transit_kraus_pair(d, stark, params.tau, shape)
-    stay_pair = stay[:, :, None, None] * stay.conj()
-    # the jump lowers the pumped mode: entries with n_j >= 1 move to n_j - 1
-    if d.channel == "b1":
-        src, dst = np.s_[1:, :, 1:, :], np.s_[:-1, :, :-1, :]
-        jump = jump[1:, :]
-    else:
-        src, dst = np.s_[:, 1:, :, 1:], np.s_[:, :-1, :, :-1]
-        jump = jump[:, 1:]
-    jump_pair = jump[:, :, None, None] * jump.conj()
+    # the jump lowers n_j and m_j of the pumped mode together, which keeps
+    # each block entry's charge and d: entries with n_j >= 1 move one down
+    # the n_j axis of the blocks
+    axis = 2 if d.channel == "b1" else 3
+    src = (slice(None),) * axis + (slice(1, None),)
+    dst = (slice(None),) * axis + (slice(None, -1),)
+    gathered = {}
+
+    def pairs(rho):
+        # the charges are conserved, so a run gathers the pair into block shape once per step
+        key = rho.charges.tobytes()
+        if key not in gathered:
+            gathered[key] = rho.outer(stay, stay), rho.outer(jump, jump)[src]
+        return gathered[key]
 
     accepted, dropped = _thin_arrivals(arrivals.sample(duration), params.tau)
     # accepted atoms up to each sample, and those after the last one
     counts = np.diff(np.searchsorted(accepted, sample_times, side="right"),
                      prepend=0, append=accepted.size)
 
-    def advance(rho4, i):
+    def advance(rho, i):
+        if not counts[i]:
+            return rho
+        stay_pair, jump_pair = pairs(rho)
+        blocks = rho.blocks
         for _ in range(counts[i]):
-            new = stay_pair * rho4
-            new[dst] += jump_pair * rho4[src]
-            rho4 = new
-        return rho4
+            new = stay_pair * blocks
+            new[dst] += jump_pair * blocks[src]
+            blocks = new
+        return replace(rho, blocks=blocks)
 
     diagnostics = {
         "accepted_arrivals": int(accepted.size),

@@ -8,7 +8,7 @@ trivial, so atom_levels=1 describes a field-only space.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Union
+from typing import Optional, Sequence, Union
 
 import numpy as np
 
@@ -145,6 +145,85 @@ class DensityMatrix:
         if v.size != space.dim:
             raise ValueError(f"state vector length {v.size} does not match dimension {space.dim}")
         return cls(space, np.outer(v, v.conj()))
+
+
+@dataclass(frozen=True)
+class ChargeBlocks:
+    """A two-mode density matrix rho[n1, n2, m1, m2] split by the charge
+    q = (n1 - n2) - (m1 - m2) of its entries.
+
+    The squeeze, amplitude damping of either mode and the collision Kraus
+    pair all keep n1 - n2 on both sides, so they keep each entry's charge
+    and act on every q-block alone; only the charges a state occupies are
+    held.  With d = m2 - n2, blocks[i, N2 - 1 + d, n1, n2] is
+    rho[n1, n2, n1 + d - q, n2 + d] for q = charges[i], and zero where that
+    column (m1, m2) is off the grid.
+    """
+
+    charges: np.ndarray
+    blocks: np.ndarray
+
+    def shifts(self) -> tuple:
+        """(m1 - n1, m2 - n2) of the entries of each block row blocks[i, j],
+        shaped (Q, D) and (1, D)."""
+        return _charge_shifts(self.charges, self.blocks.shape[3])
+
+    def block(self, q: int) -> np.ndarray:
+        """The block of charge q, zero when the state holds none."""
+        hit = np.flatnonzero(self.charges == q)
+        return self.blocks[hit[0]] if hit.size else np.zeros(self.blocks.shape[1:], complex)
+
+    def diagonal(self, d1: int, d2: int) -> np.ndarray:
+        """rho[n1, n2, n1 - d1, n2 - d2] on the (N1, N2) grid, zero where
+        that column is off the grid; it lies in the block of charge d1 - d2."""
+        n2_trunc = self.blocks.shape[3]
+        if abs(d2) >= n2_trunc:
+            return np.zeros(self.blocks.shape[2:], complex)
+        return self.block(d1 - d2)[n2_trunc - 1 - d2]
+
+    def outer(self, left: np.ndarray, right: np.ndarray) -> np.ndarray:
+        """left[n1, n2] * conj(right[m1, m2]) in the shape of blocks."""
+        n1_trunc, n2_trunc = left.shape
+        m1, m2, on_grid = _charge_columns(self.charges, n1_trunc, n2_trunc)
+        far = right.conj()[np.clip(m1, 0, n1_trunc - 1), np.clip(m2, 0, n2_trunc - 1)]
+        return np.where(on_grid, left * far, 0j)
+
+    def dense(self) -> np.ndarray:
+        """The density matrix reshaped (N1, N2, N1, N2)."""
+        n1_trunc, n2_trunc = self.blocks.shape[2:]
+        m1, m2, on_grid = _charge_columns(self.charges, n1_trunc, n2_trunc)
+        n1, n2 = np.indices((n1_trunc, n2_trunc), sparse=True)
+        index = tuple(np.broadcast_to(i, self.blocks.shape)[on_grid] for i in (n1, n2, m1, m2))
+        rho4 = np.zeros((n1_trunc, n2_trunc) * 2, dtype=complex)
+        rho4[index] = self.blocks[on_grid]
+        return rho4
+
+
+def _charge_shifts(charges: np.ndarray, n2_trunc: int) -> tuple:
+    d = np.arange(1 - n2_trunc, n2_trunc)
+    return d - charges[:, None], d[None, :]
+
+
+def _charge_columns(charges: np.ndarray, n1_trunc: int, n2_trunc: int) -> tuple:
+    """(m1, m2, on_grid) of every block entry, broadcastable to the blocks' shape."""
+    shift1, shift2 = _charge_shifts(charges, n2_trunc)
+    m1 = np.arange(n1_trunc)[:, None] + shift1[:, :, None, None]
+    m2 = np.arange(n2_trunc) + shift2[:, :, None, None]
+    return m1, m2, (m1 >= 0) & (m1 < n1_trunc) & (m2 >= 0) & (m2 < n2_trunc)
+
+
+def split_charges(rho4: np.ndarray, charges: Optional[Sequence[int]] = None) -> ChargeBlocks:
+    """The ChargeBlocks of rho4, shaped (N1, N2, N1, N2), holding the given
+    charges, or by default every charge that has a nonzero entry."""
+    n1_trunc, n2_trunc = rho4.shape[:2]
+    if charges is None:
+        n1, n2, m1, m2 = np.indices(rho4.shape, sparse=True)
+        charges = np.unique(np.broadcast_to((n1 - n2) - (m1 - m2), rho4.shape)[rho4 != 0])
+    charges = np.asarray(charges)
+    c1, c2, on_grid = _charge_columns(charges, n1_trunc, n2_trunc)
+    rows = np.indices((n1_trunc, n2_trunc), sparse=True)
+    taken = rho4[(*rows, np.clip(c1, 0, n1_trunc - 1), np.clip(c2, 0, n2_trunc - 1))]
+    return ChargeBlocks(charges, np.where(on_grid, taken, 0j))
 
 
 def _single_mode_lowering(n_trunc: int) -> np.ndarray:

@@ -256,6 +256,10 @@ def build_squeeze_operator(s: SpaceDescriptor, epsilon: float) -> Operator:
     largest leak of S|n1,n2> over n1, n2 <= 8 is already 3.6e-2.  The leak
     of the transformed vacuum past an N-photon cutoff is
     tanh(epsilon)**(2N), and construction is refused when that exceeds 1e-3.
+
+    The generator keeps n1 - n2, so S is built sector by sector: on the
+    sector n1 - n2 = k it is the exponential of a real tridiagonal block,
+    and every entry between two sectors is exactly zero.
     """
     if not math.isfinite(epsilon):
         raise ValueError("epsilon must be finite")
@@ -269,10 +273,15 @@ def build_squeeze_operator(s: SpaceDescriptor, epsilon: float) -> Operator:
             f"vacuum leak {leak:.2e} exceeds {SQUEEZE_LEAK_LIMIT:g}; "
             f"use at least {suggested} Fock states per mode"
         )
-    a1 = annihilation_op(s, 1)
-    a2 = annihilation_op(s, 2)
-    gen = a1 @ a2 - a1.dagger() @ a2.dagger()
-    return Operator(s, scipy.linalg.expm((epsilon * gen).matrix))
+    fields = np.zeros((s.n1_trunc * s.n2_trunc,) * 2)
+    for k in range(1 - s.n2_trunc, s.n1_trunc):
+        n2 = np.arange(max(0, -k), min(s.n2_trunc, s.n1_trunc - k))
+        n1 = n2 + k
+        # <n1 - 1, n2 - 1| a1 a2 |n1, n2> = sqrt(n1 n2), and a1+ a2+ is its transpose
+        lowering = np.diag(np.sqrt(n1[1:] * n2[1:]), 1)
+        sector = n1 * s.n2_trunc + n2
+        fields[np.ix_(sector, sector)] = scipy.linalg.expm(epsilon * (lowering - lowering.T))
+    return Operator(s, np.kron(np.eye(s.atom_levels), fields))
 
 
 def b_mode_annihilation(s: SpaceDescriptor, epsilon: float, mode: int) -> Operator:

@@ -19,7 +19,7 @@ from scipy.special import comb
 from .analysis import preparation_time, report_from_moments, squeezing_report
 from .dynamics import ArrivalProcess, _collision_step, interval_advance, run_in_squeezed_frame
 from .gaussian import GaussianState, gaussian_fidelity_to_tmsv, run_protocol_gaussian
-from .hilbert import DensityMatrix, SpaceDescriptor, basis_state
+from .hilbert import ChargeBlocks, DensityMatrix, SpaceDescriptor, basis_state
 from .model import (
     DISPERSIVE_LIMIT,
     PhysicalParams,
@@ -253,27 +253,28 @@ def validate_regime(p: PhysicalParams, d) -> RegimeReport:
     return RegimeReport(checks=tuple(checks))
 
 
-def _damping_pass(rho4: np.ndarray, eta: float, mode: int) -> np.ndarray:
-    """Exact amplitude-damping map on one factor of rho reshaped (N1,N2,N1,N2).
+def _damping_pass(rho: ChargeBlocks, eta: float, mode: int) -> ChargeBlocks:
+    """Exact amplitude-damping map on one mode of rho_b, block by block.
 
     Population flows only downward, so the truncated space is invariant and
-    the infinite-space kernel is exact here.
+    the infinite-space kernel is exact here.  The k-th Kraus operator
+    lowers n_j and m_j of the mode by k together, which keeps each block
+    entry's charge and d.  Along the n_j axis of a block row whose entries
+    have m_j - n_j = e, the map is therefore the matrix
+    kernel[n, n + k] = w[k, n] w[k, n + e].
     """
-    n = rho4.shape[0] if mode == 1 else rho4.shape[1]
-    out = np.zeros_like(rho4)
-    levels = np.arange(n)
-    for k in range(n):
-        m = levels[: n - k]
-        w = np.sqrt(comb(m + k, k) * eta**m * (1.0 - eta) ** k)
-        if mode == 1:
-            out[: n - k, :, : n - k, :] += (
-                w[:, None, None, None] * w[None, None, :, None] * rho4[k:, :, k:, :]
-            )
-        else:
-            out[:, : n - k, :, : n - k] += (
-                w[None, :, None, None] * w[None, None, None, :] * rho4[:, k:, :, k:]
-            )
-    return out
+    n = rho.blocks.shape[1 + mode]
+    k, m = np.indices((n, n))
+    # w[k, m] = <m| K_k |m + k>, zero where m + k is off the grid
+    w = np.sqrt(comb(m + k, k) * eta**m * (1.0 - eta) ** k) * (m + k < n)
+    row, col = np.indices((n, n))
+    k = np.maximum(col - row, 0)
+    far = row + rho.shifts()[mode - 1][..., None, None]
+    inside = (col >= row) & (far >= 0) & (far < n)
+    kernel = np.where(inside, w[k, row] * w[k, np.clip(far, 0, n - 1)], 0.0)
+    if mode == 1:
+        return replace(rho, blocks=kernel @ rho.blocks)
+    return replace(rho, blocks=rho.blocks @ kernel.swapaxes(2, 3))
 
 
 def _fock_step(step: ProtocolStep, times: np.ndarray):
@@ -285,7 +286,7 @@ def _fock_step(step: ProtocolStep, times: np.ndarray):
     d = derive_rates(step.params)
     mode = 1 if step.channel == "b1" else 2
     return interval_advance(
-        times, step.duration, lambda rho4, dt: _damping_pass(rho4, math.exp(-d.gamma * dt), mode)
+        times, step.duration, lambda rho, dt: _damping_pass(rho, math.exp(-d.gamma * dt), mode)
     )
 
 
@@ -301,6 +302,9 @@ def run_protocol(
     collision engines, or a GaussianState for the gaussian engine.  Regime
     violations are warnings, recorded in the trajectory diagnostics.
     """
+    whole = isinstance(samples_per_step, (int, np.integer)) and not isinstance(samples_per_step, bool)
+    if not whole or samples_per_step < 1:
+        raise ValueError(f"samples_per_step must be an integer >= 1, got {samples_per_step!r}")
     failures = []
     for step in spec.steps:
         report = validate_regime(step.params, derive_rates(step.params))

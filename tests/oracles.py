@@ -1,8 +1,10 @@
 """Independent reference computations for the tests.
 
 None of these is on a path the package runs: the fock and gaussian engines
-solve the pumping in closed form, the dispersive Hamiltonian is built one
-way in the package, and coherent states only serve as test inputs.  Each
+solve the pumping in closed form, the Fock engines act on the charge blocks
+of the state and build the squeeze unitary sector by sector, the
+dispersive Hamiltonian is built one way in the package, and coherent and
+random states only serve as test inputs.  Each
 oracle here computes the same physics another way, so a test can compare
 the two.
 """
@@ -13,6 +15,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 import scipy.linalg
+from scipy.special import comb
 
 from cavsqueeze.dynamics import Trajectory
 from cavsqueeze.gaussian import OMEGA
@@ -243,3 +246,54 @@ def gaussian_block_evolve(mean, cov, epsilon: float, gamma: float, which: int, t
         mean = f @ mean
         cov = f @ cov @ f.T + q
     return mean, 0.5 * (cov + cov.T)
+
+
+def random_low_fock_state(s: SpaceDescriptor, levels: int, rank: int, seed: int) -> np.ndarray:
+    """Random mixed state supported on n1, n2 < levels, as a full matrix."""
+    rng = np.random.default_rng(seed)
+    low = [s.index(0, n1, n2) for n1 in range(levels) for n2 in range(levels)]
+    g = np.zeros((s.dim, rank), dtype=complex)
+    g[low] = rng.normal(size=(len(low), rank)) + 1j * rng.normal(size=(len(low), rank))
+    rho = g @ g.conj().T
+    return rho / np.trace(rho).real
+
+
+def dense_squeeze_operator(s: SpaceDescriptor, epsilon: float) -> np.ndarray:
+    """exp(epsilon*(a1 a2 - a1+ a2+)) by one dense expm on the whole space."""
+    a1 = annihilation_op(s, 1)
+    a2 = annihilation_op(s, 2)
+    gen = a1 @ a2 - a1.dagger() @ a2.dagger()
+    return scipy.linalg.expm((epsilon * gen).matrix)
+
+
+def dense_damping_pass(rho4: np.ndarray, eta: float, mode: int) -> np.ndarray:
+    """Amplitude-damping map on one factor of rho reshaped (N1, N2, N1, N2),
+    one Kraus operator at a time on the whole array."""
+    n = rho4.shape[0] if mode == 1 else rho4.shape[1]
+    out = np.zeros_like(rho4)
+    levels = np.arange(n)
+    for k in range(n):
+        m = levels[: n - k]
+        w = np.sqrt(comb(m + k, k) * eta**m * (1.0 - eta) ** k)
+        if mode == 1:
+            out[: n - k, :, : n - k, :] += (
+                w[:, None, None, None] * w[None, None, :, None] * rho4[k:, :, k:, :]
+            )
+        else:
+            out[:, : n - k, :, : n - k] += (
+                w[None, :, None, None] * w[None, None, None, :] * rho4[:, k:, :, k:]
+            )
+    return out
+
+
+def dense_kraus_pass(rho4: np.ndarray, stay: np.ndarray, jump: np.ndarray, channel: str) -> np.ndarray:
+    """One atom transit on rho reshaped (N1, N2, N1, N2): the pair of
+    transit_kraus_pair applied to the whole array."""
+    new = stay[:, :, None, None] * stay.conj() * rho4
+    if channel == "b1":
+        jump = jump[1:, :]
+        new[:-1, :, :-1, :] += jump[:, :, None, None] * jump.conj() * rho4[1:, :, 1:, :]
+    else:
+        jump = jump[:, 1:]
+        new[:, :-1, :, :-1] += jump[:, :, None, None] * jump.conj() * rho4[:, 1:, :, 1:]
+    return new

@@ -22,9 +22,10 @@ from cavsqueeze.hilbert import (
     DensityMatrix,
     SpaceDescriptor,
     basis_state,
+    split_charges,
 )
 from cavsqueeze.model import build_squeeze_operator
-from oracles import build_displacement_operator
+from oracles import build_displacement_operator, random_low_fock_state
 
 
 FIELDS20 = SpaceDescriptor(1, 20, 20)
@@ -33,18 +34,8 @@ FIELDS20 = SpaceDescriptor(1, 20, 20)
 def mean_photons(psi, s):
     """(<a1+ a1>, <a2+ a2>) of a pure state, from its moments."""
     rho4 = np.outer(psi, psi.conj()).reshape(s.shape[1:] * 2)
-    out = moment_records(*moments(rho4), 0.0)
+    out = moment_records(*moments(split_charges(rho4)), 0.0)
     return out["n_a1"], out["n_a2"]
-
-
-def random_low_fock_state(s, levels, rank, seed):
-    """Random mixed state supported on n1, n2 < levels, as a full matrix."""
-    rng = np.random.default_rng(seed)
-    low = [s.index(0, n1, n2) for n1 in range(levels) for n2 in range(levels)]
-    g = np.zeros((s.dim, rank), dtype=complex)
-    g[low] = rng.normal(size=(len(low), rank)) + 1j * rng.normal(size=(len(low), rank))
-    rho = g @ g.conj().T
-    return rho / np.trace(rho).real
 
 
 class TestTmsvStateVector:
@@ -126,7 +117,7 @@ class TestMoments:
         rho = random_low_fock_state(big, n, 3, seed=4).reshape(big.shape[1:] * 2)
         held = rho[:n, :n, :n, :n]
         assert truncation_leak(held.reshape(n * n, n * n), SpaceDescriptor(1, n, n)) > 0.1
-        mean, cov = moments(held)
+        mean, cov = moments(split_charges(held))
         dense = rho.reshape(big.dim, big.dim)
         quads = [op.matrix for op in quadrature_ops(big)]
         want_mean = np.array([np.trace(q @ dense).real for q in quads])
@@ -141,11 +132,11 @@ class TestMoments:
     def test_coherent_and_squeezed_closed_forms(self):
         s = SpaceDescriptor(1, 25, 4)
         psi = build_displacement_operator(s, 0.8, 0.0).matrix @ basis_state(s, 0, 0, 0)
-        mean, cov = moments(np.outer(psi, psi.conj()).reshape(s.shape[1:] * 2))
+        mean, cov = moments(split_charges(np.outer(psi, psi.conj()).reshape(s.shape[1:] * 2)))
         np.testing.assert_allclose(mean, [0.8, 0.0, 0.0, 0.0], atol=1e-8)
         np.testing.assert_allclose(cov, 0.25 * np.eye(4), atol=1e-8)
         psi = tmsv_state_vector(FIELDS20, 0.5)
-        _, cov = moments(np.outer(psi, psi.conj()).reshape(20, 20, 20, 20))
+        _, cov = moments(split_charges(np.outer(psi, psi.conj()).reshape(20, 20, 20, 20)))
         np.testing.assert_allclose(cov, gaussian_tmsv(0.5).cov, atol=1e-6)
 
 

@@ -10,6 +10,7 @@ from cavsqueeze.analysis import tmsv_state_vector
 from cavsqueeze.dynamics import (
     ArrivalProcess,
     Trajectory,
+    _collision_step,
     propagate_state,
     run_collision_ensemble,
     run_collision_model,
@@ -23,6 +24,7 @@ from cavsqueeze.hilbert import (
     basis_state,
     expectation,
     number_op,
+    split_charges,
 )
 from cavsqueeze.model import (
     DerivedParams,
@@ -35,7 +37,12 @@ from cavsqueeze.model import (
     derive_rates,
     stark_shifts,
 )
-from oracles import lindblad_evolve
+from oracles import (
+    build_displacement_operator,
+    dense_kraus_pass,
+    lindblad_evolve,
+    random_low_fock_state,
+)
 
 
 def channel_b1_rates(theta1=0.5, theta2=0.3, gamma=0.0):
@@ -295,6 +302,35 @@ class TestTransitKrausPair:
         k_stay = frame(u[blocks[init], blocks[init]])
         np.testing.assert_allclose(np.diag(stay.ravel()), k_stay, rtol=0, atol=1e-12)
         np.testing.assert_allclose(k_jump, frame(u[blocks[other], blocks[init]]), rtol=0, atol=1e-12)
+
+
+class TestCollisionBlocks:
+    """The step's Kraus pair on the charge blocks against the same pair on
+    the dense state, on states that occupy every charge."""
+
+    @pytest.mark.parametrize("shape", [(12, 12), (9, 13)])
+    @pytest.mark.parametrize("channel", ["b1", "b2"])
+    @pytest.mark.parametrize("with_stark", [False, True])
+    def test_blocks_match_dense_pair(self, shape, channel, with_stark):
+        thetas = (1.0, 0.3) if channel == "b1" else (0.3, 1.0)
+        p = collision_params(*thetas, r_a=1.0, tau=0.15)
+        d = derive_rates(p)
+        stay, jump = transit_kraus_pair(d, stark_shifts(p) if with_stark else None, p.tau, shape)
+        times = np.array([0.0, 4.0])
+        s = SpaceDescriptor(1, *shape)
+        psi = build_displacement_operator(s, 0.7 - 0.4j, 0.5).matrix @ basis_state(s, 0, 0, 0)
+        for rho4 in (np.outer(psi, psi.conj()).reshape(shape * 2),
+                     random_low_fock_state(s, min(shape), 3, seed=2).reshape(shape * 2)):
+            advance, diag = _collision_step(shape, p, 10.0, ArrivalProcess(rate=p.r_a, seed=4),
+                                            with_stark, times)
+            assert diag["accepted_arrivals"] > 2
+            rho = split_charges(rho4)
+            for i in range(times.size + 1):
+                rho = advance(rho, i)
+            want = rho4
+            for _ in range(diag["accepted_arrivals"]):
+                want = dense_kraus_pass(want, stay, jump, channel)
+            assert np.max(np.abs(rho.dense() - want)) <= 1e-12
 
 
 class TestRunCollisionModel:

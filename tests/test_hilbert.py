@@ -10,6 +10,7 @@ from cavsqueeze.hilbert import (
     basis_state,
     expectation,
     number_op,
+    split_charges,
 )
 
 
@@ -137,3 +138,40 @@ def test_operator_algebra_space_mismatch():
         _ = a + b
     with pytest.raises(ValueError):
         _ = a @ b
+
+
+@pytest.mark.parametrize("shape", [(4, 4), (3, 5), (5, 3), (1, 3)])
+def test_charge_blocks_round_trip(shape):
+    rng = np.random.default_rng(2)
+    g = rng.normal(size=(shape[0] * shape[1],) * 2) + 1j * rng.normal(size=(shape[0] * shape[1],) * 2)
+    rho4 = (g @ g.conj().T).reshape(shape * 2)
+    rho = split_charges(rho4)
+    # every charge (n1 - n2) - (m1 - m2) occurs in a full-rank state
+    span = shape[0] + shape[1] - 2
+    assert rho.charges.tolist() == list(range(-span, span + 1))
+    assert np.array_equal(rho.dense(), rho4)
+    n1, n2 = shape
+    for q in (0, 1, -2):
+        for d in range(1 - n2, n2):
+            for a in range(n1):
+                for b in range(n2):
+                    c1, c2 = a + d - q, b + d
+                    on_grid = 0 <= c1 < n1 and 0 <= c2 < n2
+                    assert rho.block(q)[n2 - 1 + d, a, b] == (rho4[a, b, c1, c2] if on_grid else 0.0)
+
+
+def test_charge_blocks_hold_only_occupied_charges():
+    s = SpaceDescriptor(1, 5, 5)
+    pair = np.zeros(s.dim, dtype=complex)
+    pair[s.index(0, 0, 0)] = pair[s.index(0, 2, 2)] = 1.0 / np.sqrt(2.0)
+    rho = split_charges(np.outer(pair, pair.conj()).reshape(5, 5, 5, 5))
+    assert rho.charges.tolist() == [0]
+    assert rho.blocks.shape == (1, 9, 5, 5)
+    assert not np.any(rho.block(1))
+    asked = split_charges(np.outer(pair, pair.conj()).reshape(5, 5, 5, 5), range(-1, 2))
+    assert asked.charges.tolist() == [-1, 0, 1]
+    np.testing.assert_array_equal(asked.dense(), rho.dense())
+    left = np.arange(25.0).reshape(5, 5) + 1j
+    np.testing.assert_array_equal(
+        rho.outer(left, left), split_charges(np.einsum("ij,kl->ijkl", left, left.conj())).block(0)[None]
+    )

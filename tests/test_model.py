@@ -22,7 +22,7 @@ from cavsqueeze.model import (
     spontaneous_decay_estimate,
     stark_shifts,
 )
-from oracles import build_displacement_operator, effective_hamiltonian_rate_form
+from oracles import build_displacement_operator, dense_squeeze_operator, effective_hamiltonian_rate_form
 
 TWO_PI = 2.0 * math.pi
 
@@ -290,6 +290,17 @@ class TestSqueezeOperator:
             build_squeeze_operator(s, math.atanh(0.95))
         # ceil(ln 1e-3 / (2 ln 0.95)) Fock states needed
         assert "68" in str(exc.value)
+
+    @pytest.mark.parametrize("shape", [(15, 15), (25, 25), (9, 13)])
+    @pytest.mark.parametrize("eps", [0.5, -0.3, math.atanh(0.6)])
+    def test_sectors_match_dense_expm(self, shape, eps):
+        s = SpaceDescriptor(1, *shape)
+        sq = build_squeeze_operator(s, eps).matrix
+        np.testing.assert_allclose(sq, dense_squeeze_operator(s, eps), rtol=0, atol=1e-12)
+        n1, n2 = np.indices(shape)
+        sector = (n1 - n2).ravel()
+        assert np.all(sq[sector[:, None] != sector[None, :]] == 0.0)
+        assert np.max(np.abs(sq.conj().T @ sq - np.eye(s.dim))) <= 1e-12
 
     def test_atom_factor_embedding(self):
         eps = 0.3

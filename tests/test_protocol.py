@@ -3,20 +3,27 @@ import warnings
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from cavsqueeze.analysis import preparation_time, tmsv_state_vector
 from cavsqueeze.dynamics import ArrivalProcess
 from cavsqueeze.gaussian import GaussianState, gaussian_vacuum
-from cavsqueeze.hilbert import DensityMatrix, SpaceDescriptor, basis_state
+from cavsqueeze.hilbert import DensityMatrix, SpaceDescriptor, basis_state, split_charges
 from cavsqueeze.model import PhysicalParams, b_mode_annihilation, derive_rates
 from cavsqueeze.protocol import (
     ProtocolSpec,
     ProtocolStep,
     build_two_step_protocol,
+    _damping_pass,
     run_protocol,
     validate_regime,
 )
-from oracles import lindblad_evolve
+from oracles import (
+    build_displacement_operator,
+    dense_damping_pass,
+    lindblad_evolve,
+    random_low_fock_state,
+)
 
 
 def pump_params(theta1, theta2, delta_mag=1.0, r_a=1.0, tau=1.0, gamma_e=0.0):
@@ -477,3 +484,54 @@ class TestCrossEngine:
         assert rep_1.duan_sum < 0.5
         for key, value in rep_51.to_json().items():
             assert rep_1.to_json()[key] == pytest.approx(value, rel=1e-9, abs=1e-12), key
+
+
+class TestRunProtocolInputs:
+    @pytest.mark.parametrize("engine", ["fock", "gaussian", "collision"])
+    @pytest.mark.parametrize("samples", [0, -1])
+    def test_rejects_samples_per_step_below_one(self, engine, samples):
+        spec = build_two_step_protocol(clean_params(), engine=engine, truncation=(10, 10))
+        with pytest.raises(ValueError, match="samples_per_step"):
+            run_protocol(spec, samples_per_step=samples)
+
+    @pytest.mark.parametrize("engine", ["fock", "collision"])
+    def test_no_dense_expm_on_the_engine_path(self, engine, monkeypatch):
+        # the squeeze unitary is built sector by sector: no expm is larger
+        # than one n1 - n2 sector, at most max(N1, N2) square
+        dims = []
+        expm = scipy.linalg.expm
+
+        def recording(a, *args, **kwargs):
+            dims.append(np.shape(a))
+            return expm(a, *args, **kwargs)
+
+        monkeypatch.setattr(scipy.linalg, "expm", recording)
+        T = 1.0 / derive_rates(clean_params()).gamma
+        spec = build_two_step_protocol(clean_params(), engine=engine, truncation=(12, 12),
+                                       durations=(T, T))
+        run_protocol(spec, samples_per_step=3)
+        assert dims
+        assert all(len(d) == 2 and d[0] == d[1] <= 12 for d in dims), dims
+
+
+def many_charge_states(shape):
+    # a displaced vacuum and a random mixed state on n1, n2 < min(shape):
+    # both occupy every charge (n1 - n2) - (m1 - m2) of that square
+    s = SpaceDescriptor(1, *shape)
+    psi = build_displacement_operator(s, 0.8 + 0.3j, -0.5j).matrix @ basis_state(s, 0, 0, 0)
+    yield np.outer(psi, psi.conj()).reshape(shape * 2)
+    yield random_low_fock_state(s, min(shape), 3, seed=1).reshape(shape * 2)
+
+
+class TestDampingPass:
+    @pytest.mark.parametrize("shape", [(12, 12), (9, 13)])
+    @pytest.mark.parametrize("mode", [1, 2])
+    def test_blocks_match_dense_map(self, shape, mode):
+        for rho4 in many_charge_states(shape):
+            rho = split_charges(rho4)
+            assert rho.charges.size >= 4 * min(shape) - 3
+            for eta in (0.97, 0.4):
+                out = _damping_pass(rho, eta, mode)
+                assert np.array_equal(out.charges, rho.charges)
+                diff = np.max(np.abs(out.dense() - dense_damping_pass(rho4, eta, mode)))
+                assert diff <= 1e-12, (eta, diff)
