@@ -142,12 +142,15 @@ def propagate_state(
         raise ValueError(f"span {span:g} at dt {dt:g} needs {n_steps} steps; refusing")
     h = span / n_steps
     t = t0
+    # H(t + h) of one step is H(t) of the next: t += h gives the same t
+    h_start = h_fn(t)
     for _ in range(n_steps):
-        k1 = -1j * (h_fn(t) @ psi)
+        k1 = -1j * (h_start @ psi)
         h_mid = h_fn(t + 0.5 * h)
         k2 = -1j * (h_mid @ (psi + 0.5 * h * k1))
         k3 = -1j * (h_mid @ (psi + 0.5 * h * k2))
-        k4 = -1j * (h_fn(t + h) @ (psi + h * k3))
+        h_start = h_fn(t + h)
+        k4 = -1j * (h_start @ (psi + h * k3))
         psi = psi + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
         psi /= np.linalg.norm(psi)
         t += h
@@ -380,7 +383,10 @@ def _worker_count(requested: Optional[int]) -> int:
         return max(1, int(requested))
     env = os.environ.get("CAVSQUEEZE_WORKERS", "").strip()
     if env:
-        return max(1, int(env))
+        try:
+            return max(1, int(env))
+        except ValueError:
+            raise ValueError(f"CAVSQUEEZE_WORKERS must be an integer, got {env!r}") from None
     return min(4, os.cpu_count() or 1)
 
 

@@ -13,7 +13,6 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-import scipy.linalg
 
 from .hilbert import Operator, SpaceDescriptor, annihilation_op, atom_transition_op, number_op
 
@@ -258,8 +257,10 @@ def build_squeeze_operator(s: SpaceDescriptor, epsilon: float) -> Operator:
     tanh(epsilon)**(2N), and construction is refused when that exceeds 1e-3.
 
     The generator keeps n1 - n2, so S is built sector by sector: on the
-    sector n1 - n2 = k it is the exponential of a real tridiagonal block,
-    and every entry between two sectors is exactly zero.
+    sector n1 - n2 = k it is the exponential of a real tridiagonal block
+    G = L - L^T, and every entry between two sectors is exactly zero.  With
+    D = diag(i^j), D G D^-1 = -i T for the real symmetric T = L + L^T, so
+    exp(G) = D^-1 Q exp(-i Lambda) Q^T D from one eigendecomposition of T.
     """
     if not math.isfinite(epsilon):
         raise ValueError("epsilon must be finite")
@@ -278,9 +279,12 @@ def build_squeeze_operator(s: SpaceDescriptor, epsilon: float) -> Operator:
         n2 = np.arange(max(0, -k), min(s.n2_trunc, s.n1_trunc - k))
         n1 = n2 + k
         # <n1 - 1, n2 - 1| a1 a2 |n1, n2> = sqrt(n1 n2), and a1+ a2+ is its transpose
-        lowering = np.diag(np.sqrt(n1[1:] * n2[1:]), 1)
+        coupling = epsilon * np.sqrt(n1[1:] * n2[1:])
+        lam, q = np.linalg.eigh(np.diag(coupling, 1) + np.diag(coupling, -1))
+        phase = np.array([1, 1j, -1, -1j])[np.arange(n1.size) % 4]
+        block = phase.conj()[:, None] * ((q * np.exp(-1j * lam)) @ q.T) * phase
         sector = n1 * s.n2_trunc + n2
-        fields[np.ix_(sector, sector)] = scipy.linalg.expm(epsilon * (lowering - lowering.T))
+        fields[np.ix_(sector, sector)] = block.real
     return Operator(s, np.kron(np.eye(s.atom_levels), fields))
 
 

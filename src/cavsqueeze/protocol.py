@@ -8,13 +8,13 @@ level.  Both steps then share the squeezed vacuum as their dark state.
 
 from __future__ import annotations
 
+import functools
 import math
 import warnings
 from dataclasses import dataclass, replace
 from typing import Optional, Sequence
 
 import numpy as np
-from scipy.special import comb
 
 from .analysis import preparation_time, report_from_moments, squeezing_report
 from .dynamics import ArrivalProcess, _collision_step, interval_advance, run_in_squeezed_frame
@@ -253,6 +253,14 @@ def validate_regime(p: PhysicalParams, d) -> RegimeReport:
     return RegimeReport(checks=tuple(checks))
 
 
+@functools.lru_cache(maxsize=8)
+def _binomials(n: int) -> np.ndarray:
+    """Read-only table of the exact binomials comb(m + k, k), indexed [k, m]."""
+    table = np.array([[math.comb(m + k, k) for m in range(n)] for k in range(n)], dtype=float)
+    table.flags.writeable = False
+    return table
+
+
 def _damping_pass(rho: ChargeBlocks, eta: float, mode: int) -> ChargeBlocks:
     """Exact amplitude-damping map on one mode of rho_b, block by block.
 
@@ -266,7 +274,7 @@ def _damping_pass(rho: ChargeBlocks, eta: float, mode: int) -> ChargeBlocks:
     n = rho.blocks.shape[1 + mode]
     k, m = np.indices((n, n))
     # w[k, m] = <m| K_k |m + k>, zero where m + k is off the grid
-    w = np.sqrt(comb(m + k, k) * eta**m * (1.0 - eta) ** k) * (m + k < n)
+    w = np.sqrt(_binomials(n) * eta**m * (1.0 - eta) ** k) * (m + k < n)
     row, col = np.indices((n, n))
     k = np.maximum(col - row, 0)
     far = row + rho.shifts()[mode - 1][..., None, None]

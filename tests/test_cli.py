@@ -435,6 +435,12 @@ class TestSweep:
         assert main(["sweep", "--out", str(tmp_path / "s.csv"), "--r-grid", "0.4,0.7,0.95"]) == 0
         assert warnings.filters == before
 
+    def test_bad_worker_count_names_the_setting(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setenv("CAVSQUEEZE_WORKERS", "abc")
+        assert main(["sweep", "--out", str(tmp_path / "s.csv"), "--r-grid", "0.4,0.7"]) == 2
+        err = capsys.readouterr().err.strip()
+        assert err == "error: CAVSQUEEZE_WORKERS must be an integer, got 'abc'"
+
     def test_worker_count_does_not_change_output(self, tmp_path, monkeypatch):
         blobs = []
         for workers in ("1", "3"):

@@ -302,6 +302,23 @@ class TestSqueezeOperator:
         assert np.all(sq[sector[:, None] != sector[None, :]] == 0.0)
         assert np.max(np.abs(sq.conj().T @ sq - np.eye(s.dim))) <= 1e-12
 
+    def test_high_squeezing_sectors_match_expm(self):
+        # tanh(eps) = 0.8 at N = 40: the largest sector generator has norm
+        # near 2 eps N = 88, so each block is checked against expm of its
+        # own sector, not through a 1600-dim dense expm
+        eps, n = math.atanh(0.8), 40
+        s = SpaceDescriptor(1, n, n)
+        sq = build_squeeze_operator(s, eps).matrix
+        for k in range(1 - n, n):
+            n2 = np.arange(max(0, -k), min(n, n - k))
+            n1 = n2 + k
+            lowering = np.diag(np.sqrt(n1[1:] * n2[1:]), 1)
+            sector = n1 * n + n2
+            np.testing.assert_allclose(sq[np.ix_(sector, sector)],
+                                       scipy.linalg.expm(eps * (lowering - lowering.T)),
+                                       rtol=0, atol=1e-12)
+        assert np.max(np.abs(sq.conj().T @ sq - np.eye(s.dim))) <= 1e-12
+
     def test_atom_factor_embedding(self):
         eps = 0.3
         full = SpaceDescriptor(2, 6, 6)

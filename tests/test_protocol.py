@@ -1,10 +1,15 @@
 import math
+import os
+import subprocess
+import sys
+import textwrap
 import warnings
 
 import numpy as np
 import pytest
 import scipy.linalg
 
+import cavsqueeze
 from cavsqueeze.analysis import preparation_time, tmsv_state_vector
 from cavsqueeze.dynamics import ArrivalProcess
 from cavsqueeze.gaussian import GaussianState, gaussian_vacuum
@@ -496,8 +501,8 @@ class TestRunProtocolInputs:
 
     @pytest.mark.parametrize("engine", ["fock", "collision"])
     def test_no_dense_expm_on_the_engine_path(self, engine, monkeypatch):
-        # the squeeze unitary is built sector by sector: no expm is larger
-        # than one n1 - n2 sector, at most max(N1, N2) square
+        # every n1 - n2 sector of the squeeze unitary comes from one eigh of
+        # a tridiagonal matrix, so no engine path calls expm at all
         dims = []
         expm = scipy.linalg.expm
 
@@ -510,8 +515,33 @@ class TestRunProtocolInputs:
         spec = build_two_step_protocol(clean_params(), engine=engine, truncation=(12, 12),
                                        durations=(T, T))
         run_protocol(spec, samples_per_step=3)
-        assert dims
-        assert all(len(d) == 2 and d[0] == d[1] <= 12 for d in dims), dims
+        assert dims == []
+
+
+def test_package_runs_without_importing_scipy():
+    # scipy is a test oracle only: the package, its CLI and a short run on
+    # every engine must leave it unimported, in a fresh interpreter
+    code = textwrap.dedent(
+        f"""
+        import sys
+        import cavsqueeze, cavsqueeze.cli
+        from cavsqueeze.model import PhysicalParams
+        from cavsqueeze.protocol import build_two_step_protocol, run_protocol
+
+        for engine in ("fock", "gaussian", "collision"):
+            spec = build_two_step_protocol({clean_params()!r}, engine=engine,
+                                           truncation=(8, 8), durations=(10.0, 10.0))
+            run_protocol(spec, samples_per_step=3)
+        print(sorted(m for m in sys.modules if m.partition(".")[0] == "scipy"))
+        """
+    )
+    src = os.path.dirname(os.path.dirname(cavsqueeze.__file__))
+    path = [src, os.environ.get("PYTHONPATH", "")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "[]"
 
 
 def many_charge_states(shape):
