@@ -209,6 +209,8 @@ def load_run_config(path: Optional[str], args=None) -> RunConfig:
     if len(truncation) != 2 or min(truncation) < 1:
         raise ConfigError(f"truncation must be two positive integers, got {truncation!r}")
     seed = _integer("seed", seed)
+    if seed < 0:
+        raise ConfigError(f"seed must be nonnegative, got {seed}")
     n_target = _number("n_target", n_target)
     if not n_target > 0.0:
         raise ConfigError(f"n_target must be positive, got {n_target!r}")

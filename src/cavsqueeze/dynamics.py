@@ -12,7 +12,6 @@ from __future__ import annotations
 import math
 import os
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 from typing import Callable, Optional, Sequence, Union
 
@@ -77,20 +76,19 @@ class Trajectory:
 class ArrivalProcess:
     """Poisson atom arrivals at the given rate, reproducible from the seed.
 
-    policy names the overlap rule applied by the collision runner; the only
-    supported value is 'drop' (arrivals during an ongoing interaction are
-    discarded and counted).  A zero rate means no atoms ever arrive.
+    The collision runner drops an arrival while an earlier atom is still
+    inside the cavity and counts it; the cavity takes the next arrival after
+    that atom has left.  A zero rate means no atoms ever arrive.
     """
 
     rate: float
     seed: int
-    policy: str = "drop"
 
     def __post_init__(self):
         if not math.isfinite(self.rate) or self.rate < 0.0:
             raise ValueError(f"rate must be finite and nonnegative, got {self.rate!r}")
-        if self.policy != "drop":
-            raise ValueError(f"unsupported overlap policy {self.policy!r}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be nonnegative, got {self.seed!r}")
 
     def sample(self, duration: float) -> np.ndarray:
         """Arrival times in [0, duration), strictly increasing."""
@@ -157,19 +155,6 @@ def propagate_state(
     return psi
 
 
-def _thin_arrivals(times: np.ndarray, tau: float):
-    accepted = []
-    dropped = 0
-    busy_until = -math.inf
-    for t in times:
-        if t >= busy_until:
-            accepted.append(t)
-            busy_until = t + tau
-        else:
-            dropped += 1
-    return np.array(accepted), dropped
-
-
 def run_schedule(state, steps: Sequence, record: Callable) -> Trajectory:
     """Run pumping steps back to back and record the state at every sample.
 
@@ -208,6 +193,36 @@ def interval_advance(times: np.ndarray, duration: float, evolve: Callable) -> Ca
     return advance
 
 
+def _squeezed_frame(rho0: DensityMatrix, epsilon: float):
+    """(S, rho_b, leak, record) of run_in_squeezed_frame: record(rho_b)
+    holds leak(rho_b) under "leak", next to the moment records."""
+    space = rho0.space
+    if space.atom_levels != 1:
+        raise ValueError("the squeezed frame expects a field-only initial state")
+    squeeze = build_squeeze_operator(space, epsilon).matrix
+    to_bare = symplectic_squeeze(epsilon)
+    # tr(S P S+ rho_b) = vdot(S P S+, rho_b) for the projector P on the
+    # boundary layers; S keeps n1 - n2, so S P S+ has charge 0 only
+    edge = np.ones(space.shape[1:], dtype=bool)
+    edge[: space.n1_trunc - 1, : space.n2_trunc - 1] = False
+    edge_cols = squeeze[:, edge.ravel()]
+    boundary = split_charges((edge_cols @ edge_cols.conj().T).reshape(space.shape[1:] * 2), [0]).block(0)
+    leak = lambda rho: float(np.vdot(boundary, rho.block(0)).real)
+
+    def record(rho):
+        mean, cov = moments(rho)
+        return {"leak": leak(rho), **moment_records(to_bare @ mean, to_bare @ cov @ to_bare.T, epsilon)}
+
+    rho_b = split_charges((squeeze @ rho0.matrix @ squeeze.conj().T).reshape(space.shape[1:] * 2))
+    return squeeze, rho_b, leak, record
+
+
+def _refuse_overflow(leak: float, t: float) -> None:
+    if leak > BOUNDARY_ERROR_LIMIT:
+        raise ValueError(f"truncation overflow at t={t:g}: boundary population {leak:.2e} > "
+                         f"{BOUNDARY_ERROR_LIMIT:g}; increase the Fock truncation")
+
+
 def run_in_squeezed_frame(rho0: DensityMatrix, epsilon: float, steps: Sequence) -> Trajectory:
     """Run pumping steps back to back in the squeezed frame rho_b = S rho S+.
 
@@ -222,38 +237,16 @@ def run_in_squeezed_frame(rho0: DensityMatrix, epsilon: float, steps: Sequence) 
     goes to the diagnostics) and must not exceed BOUNDARY_ERROR_LIMIT on
     the returned state, which is assembled and rotated back once.
     """
-    space = rho0.space
-    squeeze = build_squeeze_operator(space, epsilon).matrix
-    to_bare = symplectic_squeeze(epsilon)
-    # tr(S P S+ rho_b) = vdot(S P S+, rho_b) for the projector P on the
-    # boundary layers; S keeps n1 - n2, so S P S+ has charge 0 only
-    edge = np.ones(space.shape[1:], dtype=bool)
-    edge[: space.n1_trunc - 1, : space.n2_trunc - 1] = False
-    edge_cols = squeeze[:, edge.ravel()]
-    boundary = split_charges((edge_cols @ edge_cols.conj().T).reshape(space.shape[1:] * 2), [0]).block(0)
-    leak = lambda rho: float(np.vdot(boundary, rho.block(0)).real)
-    leaks = [0.0]
-
-    def record(rho):
-        leaks.append(leak(rho))
-        mean, cov = moments(rho)
-        return moment_records(to_bare @ mean, to_bare @ cov @ to_bare.T, epsilon)
-
-    rho_b = split_charges((squeeze @ rho0.matrix @ squeeze.conj().T).reshape(space.shape[1:] * 2))
+    squeeze, rho_b, leak, record = _squeezed_frame(rho0, epsilon)
     traj = run_schedule(rho_b, steps, record)
+    records = dict(traj.records)
+    leaks = records.pop("leak", [])
     final_leak = leak(traj.final_state)
-    if final_leak > BOUNDARY_ERROR_LIMIT:
-        raise ValueError(
-            f"truncation overflow at t={traj.times[-1] if traj.times.size else 0.0:g}: boundary "
-            f"population {final_leak:.2e} > {BOUNDARY_ERROR_LIMIT:g}; increase the Fock truncation"
-        )
-    rho = traj.final_state.dense().reshape(space.dim, space.dim)
+    _refuse_overflow(final_leak, traj.times[-1] if traj.times.size else 0.0)
+    rho = traj.final_state.dense().reshape(rho0.space.dim, rho0.space.dim)
     out = squeeze.conj().T @ rho @ squeeze
-    return replace(
-        traj,
-        final_state=DensityMatrix(space, 0.5 * (out + out.conj().T)),
-        diagnostics={"max_truncation_leak": max(max(leaks), final_leak)},
-    )
+    return replace(traj, records=records, final_state=DensityMatrix(rho0.space, 0.5 * (out + out.conj().T)),
+                   diagnostics={"max_truncation_leak": float(max(0.0, *leaks, final_leak))})
 
 
 def transit_kraus_pair(d: DerivedParams, stark: Optional[StarkShifts], tau: float, shape: tuple):
@@ -286,22 +279,36 @@ def transit_kraus_pair(d: DerivedParams, stark: Optional[StarkShifts], tau: floa
     return stay, jump
 
 
-def _collision_step(shape, params, duration, arrivals, include_stark, sample_times):
-    """(advance, arrival diagnostics) of one collision step for run_in_squeezed_frame."""
-    if duration < 0:
-        raise ValueError("duration must be nonnegative")
-    d = derive_rates(params)
-    x = d.theta_b * params.tau
-    if x >= COUPLING_ERROR_LIMIT:
-        raise ValueError(f"theta_b*tau = {x:.3g} is outside the perturbative regime (< 0.5)")
-    if x > COUPLING_WARN_LIMIT:
-        warnings.warn(f"theta_b*tau = {x:.3g} above 0.2; collision kicks are large", stacklevel=3)
+def _accepted_counts(params: PhysicalParams, duration: float, arrivals: ArrivalProcess, sample_times):
+    """(counts, dropped) of one drawn arrival stream under the drop rule:
+    counts[i] atoms are accepted up to sample i, counts[-1] in the whole
+    duration."""
     occupancy = arrivals.rate * params.tau
     if occupancy > ARRIVAL_RATE_LIMIT:
         raise ValueError(
             f"arrival rate violates the one-atom regime: r_a*tau = {occupancy:.3g} > "
             f"{ARRIVAL_RATE_LIMIT}"
         )
+    accepted, dropped, busy_until = [], 0, -math.inf
+    for t in arrivals.sample(duration):
+        if t >= busy_until:
+            accepted.append(t)
+            busy_until = t + params.tau
+        else:
+            dropped += 1
+    return np.append(np.searchsorted(accepted, sample_times, side="right"), len(accepted)), dropped
+
+
+def _kraus_advance(shape, params: PhysicalParams, include_stark: bool, counts) -> Callable:
+    """advance for run_schedule that applies one atom transit's Kraus pair
+    until counts[i] atoms in all have passed: at sample i, and at the end of
+    the step for i = len(counts) - 1 (the sample count)."""
+    d = derive_rates(params)
+    x = d.theta_b * params.tau
+    if x >= COUPLING_ERROR_LIMIT:
+        raise ValueError(f"theta_b*tau = {x:.3g} is outside the perturbative regime (< 0.5)")
+    if x > COUPLING_WARN_LIMIT:
+        warnings.warn(f"theta_b*tau = {x:.3g} above 0.2; collision kicks are large", stacklevel=3)
 
     stark = stark_shifts(params) if include_stark else None
     stay, jump = transit_kraus_pair(d, stark, params.tau, shape)
@@ -320,30 +327,20 @@ def _collision_step(shape, params, duration, arrivals, include_stark, sample_tim
             gathered[key] = rho.outer(stay, stay), rho.outer(jump, jump)[src]
         return gathered[key]
 
-    accepted, dropped = _thin_arrivals(arrivals.sample(duration), params.tau)
-    # accepted atoms up to each sample, and those after the last one
-    counts = np.diff(np.searchsorted(accepted, sample_times, side="right"),
-                     prepend=0, append=accepted.size)
+    steps = np.diff(counts, prepend=0)
 
     def advance(rho, i):
-        if not counts[i]:
+        if not steps[i]:
             return rho
         stay_pair, jump_pair = pairs(rho)
         blocks = rho.blocks
-        for _ in range(counts[i]):
+        for _ in range(steps[i]):
             new = stay_pair * blocks
             new[dst] += jump_pair * blocks[src]
             blocks = new
         return replace(rho, blocks=blocks)
 
-    diagnostics = {
-        "accepted_arrivals": int(accepted.size),
-        "dropped_arrivals": int(dropped),
-        "channel": d.channel,
-        "atom_state": "g" if d.channel == "b1" else "h",
-        "seed": arrivals.seed,
-    }
-    return advance, diagnostics
+    return advance
 
 
 def run_collision_model(
@@ -368,13 +365,13 @@ def run_collision_model(
     Records bare and transformed occupations plus joint-quadrature variances
     at sample_times (default: 101 evenly spaced points).
     """
-    if rho0.space.atom_levels != 1:
-        raise ValueError("collision model expects a field-only initial state")
     sample_times = np.linspace(0.0, duration, 101) if sample_times is None else np.asarray(sample_times, float)
-    advance, diagnostics = _collision_step(
-        rho0.space.shape[1:], params, duration, arrivals, include_stark, sample_times
-    )
-    traj = run_in_squeezed_frame(rho0, derive_rates(params).epsilon, [(sample_times, advance)])
+    counts, dropped = _accepted_counts(params, duration, arrivals, sample_times)
+    advance = _kraus_advance(rho0.space.shape[1:], params, include_stark, counts)
+    d = derive_rates(params)
+    traj = run_in_squeezed_frame(rho0, d.epsilon, [(sample_times, advance)])
+    diagnostics = {"accepted_arrivals": int(counts[-1]), "dropped_arrivals": int(dropped), "channel": d.channel,
+                   "atom_state": "g" if d.channel == "b1" else "h", "seed": arrivals.seed}
     return replace(traj, diagnostics={**diagnostics, **traj.diagnostics})
 
 
@@ -397,43 +394,42 @@ def run_collision_ensemble(
     n_trajectories: int,
     master_seed: int,
     sample_times: Optional[Sequence[float]] = None,
-    workers: Optional[int] = None,
 ) -> Trajectory:
-    """Average of independent collision runs.
+    """Mean records of independent collision runs, read off one orbit.
 
-    Trajectory i uses seed master_seed XOR i, so the ensemble is
-    reproducible and independent of the worker count.  Records are the
-    ensemble means; the final state is the averaged density matrix.
+    Trajectory i is run_collision_model's with ArrivalProcess(params.r_a,
+    master_seed ^ i).  In the squeezed frame every accepted atom applies the
+    same Kraus map Phi, so at a sample where trajectory i has accepted k
+    atoms its state is Phi^k(rho_b).  The orbit is run once, over the
+    distinct counts of all trajectories, and each trajectory's records and
+    boundary leaks are read off it at its counts.  Records are the ensemble
+    means; final_state is None.  A trajectory that ends above
+    BOUNDARY_ERROR_LIMIT raises, as in run_collision_model.
     """
     if n_trajectories < 1:
         raise ValueError("n_trajectories must be at least 1")
-    if sample_times is None:
-        sample_times = np.linspace(0.0, duration, 101)
-
-    def one(i: int) -> Trajectory:
-        proc = ArrivalProcess(rate=params.r_a, seed=master_seed ^ i, policy="drop")
-        return run_collision_model(rho0, params, duration, proc, sample_times=sample_times)
-
-    n_workers = _worker_count(workers)
-    if n_workers == 1:
-        results = [one(i) for i in range(n_trajectories)]
-    else:
-        with ThreadPoolExecutor(max_workers=n_workers) as pool:
-            results = list(pool.map(one, range(n_trajectories)))
-
-    records = {key: np.mean([r.records[key] for r in results], axis=0) for key in results[0].records}
-    mean_final = np.mean([r.final_state.matrix for r in results], axis=0)
+    if master_seed < 0:
+        raise ValueError(f"master_seed must be nonnegative, got {master_seed!r}")
+    sample_times = np.linspace(0.0, duration, 101) if sample_times is None else np.asarray(sample_times, float)
+    drawn = [_accepted_counts(params, duration, ArrivalProcess(params.r_a, master_seed ^ i), sample_times)
+             for i in range(n_trajectories)]
+    counts = np.array([c for c, _ in drawn])
+    levels, at = np.unique(counts, return_inverse=True)
+    at = at.reshape(counts.shape)
+    d = derive_rates(params)
+    advance = _kraus_advance(rho0.space.shape[1:], params, False, np.append(levels, levels[-1]))
+    _, rho_b, _, record = _squeezed_frame(rho0, d.epsilon)
+    orbit = run_schedule(rho_b, [(levels, advance)], record).records
+    leaks = orbit.pop("leak")[at]
+    for leak in leaks[:, -1]:
+        _refuse_overflow(leak, sample_times[-1] if sample_times.size else 0.0)
+    records = {key: np.mean(series[at[:, :-1]], axis=0) for key, series in orbit.items()}
     diagnostics = {
         "n_trajectories": n_trajectories,
-        "accepted_arrivals": sum(r.diagnostics["accepted_arrivals"] for r in results),
-        "dropped_arrivals": sum(r.diagnostics["dropped_arrivals"] for r in results),
-        "max_truncation_leak": max(r.diagnostics["max_truncation_leak"] for r in results),
-        "channel": results[0].diagnostics["channel"],
+        "accepted_arrivals": int(counts[:, -1].sum()),
+        "dropped_arrivals": sum(int(dropped) for _, dropped in drawn),
+        "max_truncation_leak": float(max(0.0, leaks.max())),
+        "channel": d.channel,
         "master_seed": master_seed,
     }
-    return Trajectory(
-        times=np.asarray(sample_times, dtype=float),
-        records=records,
-        final_state=DensityMatrix(rho0.space, mean_final),
-        diagnostics=diagnostics,
-    )
+    return Trajectory(times=sample_times, records=records, diagnostics=diagnostics)

@@ -17,7 +17,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .analysis import preparation_time, report_from_moments, squeezing_report
-from .dynamics import ArrivalProcess, _collision_step, interval_advance, run_in_squeezed_frame
+from .dynamics import ArrivalProcess, _accepted_counts, _kraus_advance, interval_advance, run_in_squeezed_frame
 from .gaussian import GaussianState, gaussian_fidelity_to_tmsv, run_protocol_gaussian
 from .hilbert import ChargeBlocks, DensityMatrix, SpaceDescriptor, basis_state
 from .model import (
@@ -349,11 +349,10 @@ def run_protocol(
             advance = _fock_step(step, times)
         else:
             arrivals = ArrivalProcess(rate=step.params.r_a, seed=spec.seed + i)
-            advance, step_diagnostics = _collision_step(
-                spec.truncation, step.params, step.duration, arrivals, False, times
-            )
-            accepted += step_diagnostics["accepted_arrivals"]
-            dropped += step_diagnostics["dropped_arrivals"]
+            counts, step_dropped = _accepted_counts(step.params, step.duration, arrivals, times)
+            advance = _kraus_advance(spec.truncation, step.params, False, counts)
+            accepted += int(counts[-1])
+            dropped += step_dropped
         steps.append((times, advance))
     traj = run_in_squeezed_frame(state, epsilon, steps)
 

@@ -4,8 +4,8 @@ perfbench/tracing.py wraps the callables it lists in FUNCTIONS and VALIDATED,
 and the recorder factory, at every module binding; worker.py and
 workloads.py call package functions as module attributes.  A deleted or
 renamed name would otherwise surface only inside a benchmark run, so each
-one is resolved here, and each keyword those calls pass must name a
-parameter of the callee.
+one is resolved here, and the positional and keyword arguments of each call
+must bind to the callee's signature.
 """
 
 import ast
@@ -30,11 +30,12 @@ def load_tracing():
 
 
 def package_references(path):
-    """(dotted name, keywords) for every package attribute the script reads.
+    """{dotted name: calls} for every package attribute the script reads.
 
     Names come from ``from cavsqueeze import m`` bindings (``m.f.g``) and from
-    the tracer's ``mod["m"].f`` lookups; keywords are those of a call whose
-    callee is such a name.
+    the tracer's ``mod["m"].f`` lookups; calls holds (positional count,
+    keywords) of each call whose callee is such a name and which unpacks no
+    ``*args`` or ``**kwargs``.
     """
     tree = ast.parse(path.read_text())
     aliases = {}
@@ -57,10 +58,12 @@ def package_references(path):
     refs = {}
     for node in ast.walk(tree):
         if isinstance(node, ast.Attribute) and dotted(node) is not None:
-            refs.setdefault(dotted(node), set())
+            refs.setdefault(dotted(node), [])
     for node in ast.walk(tree):
         if isinstance(node, ast.Call) and dotted(node.func) is not None:
-            refs[dotted(node.func)].update(kw.arg for kw in node.keywords if kw.arg)
+            unpacked = any(isinstance(arg, ast.Starred) for arg in node.args)
+            if not unpacked and all(kw.arg for kw in node.keywords):
+                refs[dotted(node.func)].append((len(node.args), [kw.arg for kw in node.keywords]))
     return refs
 
 
@@ -72,15 +75,38 @@ def resolve(name):
     return obj
 
 
+def unbound_calls(script):
+    """The package calls in script whose arguments do not bind to the callee."""
+    failures = []
+    for name, calls in sorted(package_references(PERFBENCH / script).items()):
+        obj = resolve(name)
+        for positional, keywords in calls:
+            try:
+                inspect.signature(obj).bind(*[None] * positional, **dict.fromkeys(keywords))
+            except TypeError as exc:
+                failures.append(f"{script}: {name} with {positional} positional and {keywords}: {exc}")
+    return failures
+
+
 @pytest.mark.parametrize("script", SCRIPTS)
 def test_script_references_resolve(script):
-    refs = package_references(PERFBENCH / script)
-    assert refs, f"no package references found in {script}"
-    for name, keywords in sorted(refs.items()):
-        obj = resolve(name)
-        if keywords:
-            params = inspect.signature(obj).parameters
-            assert keywords <= set(params), f"{script}: {name} lacks {keywords - set(params)}"
+    assert package_references(PERFBENCH / script), f"no package references found in {script}"
+    assert unbound_calls(script) == []
+
+
+def test_arity_check_catches_changed_signatures(monkeypatch):
+    from cavsqueeze import dynamics
+
+    # worker.py passes _worker_count one positional argument
+    monkeypatch.setattr(dynamics, "_worker_count", lambda: 1)
+    assert any("_worker_count" in f for f in unbound_calls("worker.py"))
+
+    # workloads.py passes five positionals and sample_times by keyword
+    def reordered(rho0, params, duration, sample_times, n_trajectories, master_seed):
+        pass
+
+    monkeypatch.setattr(dynamics, "run_collision_ensemble", reordered)
+    assert any("run_collision_ensemble" in f for f in unbound_calls("workloads.py"))
 
 
 def test_traced_layers_resolve():

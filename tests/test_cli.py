@@ -142,6 +142,16 @@ class TestConfigLoading:
         assert err.startswith(f"error: {key} must be")
         assert err.count("\n") == 1
 
+    @pytest.mark.parametrize("engine", ["fock", "gaussian", "collision"])
+    def test_negative_seed_is_a_config_error(self, tmp_path, capsys, engine):
+        path = write_config(tmp_path, collision_config(seed=-2))
+        with pytest.raises(ConfigError, match="seed must be nonnegative, got -2"):
+            load_run_config(path)
+        rc = main(["simulate", "--engine", engine, "--seed", "-1", "--out", str(tmp_path / "x")])
+        assert rc == 1
+        assert capsys.readouterr().err == "error: seed must be nonnegative, got -1\n"
+        assert not (tmp_path / "x.csv").exists()
+
     def test_flag_overrides(self):
         args = build_parser().parse_args(
             ["simulate", "--engine", "fock", "--seed", "3", "--truncation", "8,9",

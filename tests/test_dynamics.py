@@ -10,7 +10,8 @@ from cavsqueeze.analysis import tmsv_state_vector
 from cavsqueeze.dynamics import (
     ArrivalProcess,
     Trajectory,
-    _collision_step,
+    _accepted_counts,
+    _kraus_advance,
     propagate_state,
     run_collision_ensemble,
     run_collision_model,
@@ -117,9 +118,9 @@ class TestArrivalProcess:
         with pytest.raises(ValueError, match="nonnegative"):
             ArrivalProcess(rate=-1.0, seed=0)
 
-    def test_rejects_unknown_policy(self):
-        with pytest.raises(ValueError, match="policy"):
-            ArrivalProcess(rate=1.0, seed=0, policy="queue")
+    def test_rejects_negative_seed(self):
+        with pytest.raises(ValueError, match="seed must be nonnegative, got -1"):
+            ArrivalProcess(rate=1.0, seed=-1)
 
     def test_zero_rate_no_arrivals(self):
         assert ArrivalProcess(rate=0.0, seed=3).sample(10.0).size == 0
@@ -321,14 +322,14 @@ class TestCollisionBlocks:
         psi = build_displacement_operator(s, 0.7 - 0.4j, 0.5).matrix @ basis_state(s, 0, 0, 0)
         for rho4 in (np.outer(psi, psi.conj()).reshape(shape * 2),
                      random_low_fock_state(s, min(shape), 3, seed=2).reshape(shape * 2)):
-            advance, diag = _collision_step(shape, p, 10.0, ArrivalProcess(rate=p.r_a, seed=4),
-                                            with_stark, times)
-            assert diag["accepted_arrivals"] > 2
+            counts, _ = _accepted_counts(p, 10.0, ArrivalProcess(rate=p.r_a, seed=4), times)
+            advance = _kraus_advance(shape, p, with_stark, counts)
+            assert counts[-1] > 2
             rho = split_charges(rho4)
             for i in range(times.size + 1):
                 rho = advance(rho, i)
             want = rho4
-            for _ in range(diag["accepted_arrivals"]):
+            for _ in range(counts[-1]):
                 want = dense_kraus_pass(want, stay, jump, channel)
             assert np.max(np.abs(rho.dense() - want)) <= 1e-12
 
@@ -452,29 +453,55 @@ class TestRunCollisionEnsemble:
         eps = derive_rates(self.p).epsilon
         self.rho = DensityMatrix.from_state_vector(self.sf, transformed_fock1(self.sf, eps, 1))
         self.duration = 0.4 / derive_rates(self.p).gamma
-        self.samples = np.linspace(0.0, self.duration, 9)
 
-    def test_matches_manual_average(self):
-        ens = run_collision_ensemble(self.rho, self.p, self.duration, 2, 100,
-                                     sample_times=self.samples, workers=1)
-        singles = [
-            run_collision_model(self.rho, self.p, self.duration,
-                                ArrivalProcess(rate=self.p.r_a, seed=100 ^ i),
-                                sample_times=self.samples)
-            for i in range(2)
-        ]
-        for key in ens.records:
+    @pytest.mark.parametrize(
+        "n_trajectories, master, grid",
+        [(2, 100, (0.0, 1.0, 9)), (2, 100, (0.3, 0.7, 5)), (5, 7, (0.0, 1.0, 9))],
+        ids=["two-full-grid", "two-inner-grid", "five-full-grid"],
+    )
+    def test_matches_manual_average(self, n_trajectories, master, grid):
+        first, last, n = grid
+        samples = np.linspace(first * self.duration, last * self.duration, n)
+        ens = run_collision_ensemble(self.rho, self.p, self.duration, n_trajectories, master,
+                                     sample_times=samples)
+        arrivals = [ArrivalProcess(rate=self.p.r_a, seed=master ^ i) for i in range(n_trajectories)]
+        singles = [run_collision_model(self.rho, self.p, self.duration, a, sample_times=samples)
+                   for a in arrivals]
+        if first > 0.0:
+            # the corners of the orbit: atoms before the first sample and after the last
+            counts = np.array([_accepted_counts(self.p, self.duration, a, samples)[0] for a in arrivals])
+            assert counts[:, 0].max() > 0
+            assert np.any(counts[:, -1] > counts[:, -2])
+        for key in singles[0].records:
             manual = np.mean([s.records[key] for s in singles], axis=0)
             np.testing.assert_array_equal(ens.records[key], manual)
+        assert set(ens.records) == set(singles[0].records)
+        assert ens.diagnostics["max_truncation_leak"] == max(
+            s.diagnostics["max_truncation_leak"] for s in singles
+        )
+        for key in ("accepted_arrivals", "dropped_arrivals"):
+            assert ens.diagnostics[key] == sum(s.diagnostics[key] for s in singles)
+        assert ens.final_state is None
 
-    def test_worker_count_independence(self):
-        a = run_collision_ensemble(self.rho, self.p, self.duration, 4, 7,
-                                   sample_times=self.samples, workers=1)
-        b = run_collision_ensemble(self.rho, self.p, self.duration, 4, 7,
-                                   sample_times=self.samples, workers=3)
-        for key in a.records:
-            np.testing.assert_array_equal(a.records[key], b.records[key])
-        np.testing.assert_array_equal(a.final_state.matrix, b.final_state.matrix)
+    def test_boundary_start_overflows_like_one_run(self):
+        # |5,5> at six levels sits on the boundary layer, and a few atom
+        # transits cannot pump it off: the ensemble refuses it with the
+        # message of the first trajectory's single run
+        space = SpaceDescriptor(1, 6, 6)
+        rho = DensityMatrix.from_state_vector(space, basis_state(space, 0, 5, 5))
+        duration = 5.0 * self.p.tau
+        samples = np.linspace(0.0, 0.8 * duration, 3)
+        with pytest.raises(ValueError, match="truncation overflow") as single:
+            run_collision_model(rho, self.p, duration, ArrivalProcess(rate=self.p.r_a, seed=3),
+                                sample_times=samples)
+        with pytest.raises(ValueError, match="truncation overflow") as ens:
+            run_collision_ensemble(rho, self.p, duration, 3, 3, sample_times=samples)
+        assert str(ens.value) == str(single.value)
+        assert str(ens.value).startswith(f"truncation overflow at t={samples[-1]:g}: ")
+
+    def test_rejects_negative_master_seed(self):
+        with pytest.raises(ValueError, match="master_seed must be nonnegative, got -1"):
+            run_collision_ensemble(self.rho, self.p, self.duration, 2, -1)
 
     def test_rejects_empty_ensemble(self):
         with pytest.raises(ValueError, match="at least 1"):

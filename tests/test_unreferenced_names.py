@@ -24,6 +24,8 @@ ALLOWED = {
         "RK4 propagator of the three-level acceptance check and benchmark workload",
     "run_collision_ensemble":
         "ensemble average of the collision acceptance check and benchmark workload",
+    "run_collision_model":
+        "single collision run the ensemble orbit is tested against; perfbench's tracer hooks it",
     "observable_matrices":
         "dense truncated-space reference the moment records are tested against",
     "recorder_from_matrices":
