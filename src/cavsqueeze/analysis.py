@@ -229,11 +229,10 @@ def fidelity_to_tmsv(state: StateLike, epsilon: float, space: Optional[SpaceDesc
     """
     space, st = _resolve_state(state, space)
     target = tmsv_state_vector(space, epsilon, tail_limit=FIDELITY_TAIL_LIMIT)
-    if isinstance(st, DensityMatrix):
-        value = float(np.real(np.vdot(target, st.matrix @ target)))
-    else:
-        value = float(abs(np.vdot(target, st)) ** 2)
-    return value
+    rho = st.matrix if isinstance(st, DensityMatrix) else st
+    if rho.ndim == 2:
+        return float(np.real(np.vdot(target, rho @ target)))
+    return float(abs(np.vdot(target, rho)) ** 2)
 
 
 @dataclass(frozen=True)

@@ -17,7 +17,7 @@ from typing import Callable, Optional, Sequence, Union
 
 import numpy as np
 
-from .analysis import moment_records, moments, symplectic_squeeze
+from .analysis import moment_records, moments, report_from_moments, symplectic_squeeze
 from .hilbert import DensityMatrix, Operator, split_charges
 from .model import (
     DerivedParams,
@@ -40,8 +40,8 @@ class Trajectory:
     """Sampled time evolution: times, named observable series, optional final state.
 
     final_state holds whatever state representation the producing engine
-    uses (DensityMatrix for Fock engines, GaussianState for the covariance
-    engine)."""
+    uses (the squeezed-frame ChargeBlocks rho_b for the Fock engines,
+    GaussianState for the covariance engine)."""
 
     times: np.ndarray
     records: dict
@@ -97,17 +97,14 @@ class ArrivalProcess:
         if self.rate == 0.0 or duration == 0.0:
             return np.empty(0)
         rng = np.random.default_rng(self.seed)
-        # draw in blocks until past the horizon
-        times = []
-        t = 0.0
-        mean = 1.0 / self.rate
-        while True:
-            block = rng.exponential(mean, size=256)
-            for dt in block:
-                t += dt
-                if t >= duration:
-                    return np.array(times)
-                times.append(t)
+        # draw in blocks until past the horizon; add.accumulate adds each
+        # block's gaps to the last time one by one, as a running total does
+        blocks = [np.zeros(1)]
+        while blocks[-1][-1] < duration:
+            gaps = rng.exponential(1.0 / self.rate, size=256)
+            blocks.append(np.add.accumulate(np.append(blocks[-1][-1], gaps))[1:])
+        times = np.concatenate(blocks[1:])
+        return times[: np.searchsorted(times, duration)]
 
 
 def propagate_state(
@@ -194,8 +191,8 @@ def interval_advance(times: np.ndarray, duration: float, evolve: Callable) -> Ca
 
 
 def _squeezed_frame(rho0: DensityMatrix, epsilon: float):
-    """(S, rho_b, leak, record) of run_in_squeezed_frame: record(rho_b)
-    holds leak(rho_b) under "leak", next to the moment records."""
+    """(rho_b, record, report) of run_in_squeezed_frame: record(rho_b)
+    holds the boundary leak under "leak", next to the moment records."""
     space = rho0.space
     if space.atom_levels != 1:
         raise ValueError("the squeezed frame expects a field-only initial state")
@@ -207,14 +204,16 @@ def _squeezed_frame(rho0: DensityMatrix, epsilon: float):
     edge[: space.n1_trunc - 1, : space.n2_trunc - 1] = False
     edge_cols = squeeze[:, edge.ravel()]
     boundary = split_charges((edge_cols @ edge_cols.conj().T).reshape(space.shape[1:] * 2), [0]).block(0)
-    leak = lambda rho: float(np.vdot(boundary, rho.block(0)).real)
-
-    def record(rho):
-        mean, cov = moments(rho)
-        return {"leak": leak(rho), **moment_records(to_bare @ mean, to_bare @ cov @ to_bare.T, epsilon)}
+    # rounding can take the trace of an empty boundary a little below 0
+    leak = lambda rho: max(0.0, float(np.vdot(boundary, rho.block(0)).real))
+    bare = lambda mean, cov: (to_bare @ mean, to_bare @ cov @ to_bare.T)
+    record = lambda rho: {"leak": leak(rho), **moment_records(*bare(*moments(rho)), epsilon)}
+    # the squeezed vacuum S+|0,0> has fidelity <0,0|rho_b|0,0>
+    fidelity = lambda rho: float(rho.diagonal(0, 0)[0, 0].real)
+    report = lambda rho: report_from_moments(*bare(*moments(rho)), epsilon, fidelity(rho), leak(rho))
 
     rho_b = split_charges((squeeze @ rho0.matrix @ squeeze.conj().T).reshape(space.shape[1:] * 2))
-    return squeeze, rho_b, leak, record
+    return rho_b, record, report
 
 
 def _refuse_overflow(leak: float, t: float) -> None:
@@ -223,30 +222,30 @@ def _refuse_overflow(leak: float, t: float) -> None:
                          f"{BOUNDARY_ERROR_LIMIT:g}; increase the Fock truncation")
 
 
-def run_in_squeezed_frame(rho0: DensityMatrix, epsilon: float, steps: Sequence) -> Trajectory:
+def run_in_squeezed_frame(rho0: DensityMatrix, epsilon: float, steps: Sequence) -> tuple:
     """Run pumping steps back to back in the squeezed frame rho_b = S rho S+.
 
     b_j = S+ a_j S exactly on the truncated space, so there the transformed
     modes are bare and every pumping map acts on rho_b without S.  Those
     maps keep the charge of every entry, so rho_b is carried as the
     ChargeBlocks of the charges it occupies after the entry rotation; steps
-    are run_schedule's (times, advance) pairs on them.  S is built once.
-    Each sample is recorded from the moments of rho_b, taken to the bare
+    are run_schedule's (times, advance) pairs on them.  S is built once and
+    the run never leaves the frame: every sample and the SqueezingReport of
+    the final rho_b are read from the moments of rho_b, taken to the bare
     modes by symplectic_squeeze(epsilon).  The a-frame boundary population
     truncation_leak(S+ rho_b S) is measured at every sample (its maximum
     goes to the diagnostics) and must not exceed BOUNDARY_ERROR_LIMIT on
-    the returned state, which is assembled and rotated back once.
+    the final state.  Returns (Trajectory, SqueezingReport); final_state
+    is rho_b.
     """
-    squeeze, rho_b, leak, record = _squeezed_frame(rho0, epsilon)
+    rho_b, record, report = _squeezed_frame(rho0, epsilon)
     traj = run_schedule(rho_b, steps, record)
     records = dict(traj.records)
     leaks = records.pop("leak", [])
-    final_leak = leak(traj.final_state)
-    _refuse_overflow(final_leak, traj.times[-1] if traj.times.size else 0.0)
-    rho = traj.final_state.dense().reshape(rho0.space.dim, rho0.space.dim)
-    out = squeeze.conj().T @ rho @ squeeze
-    return replace(traj, records=records, final_state=DensityMatrix(rho0.space, 0.5 * (out + out.conj().T)),
-                   diagnostics={"max_truncation_leak": float(max(0.0, *leaks, final_leak))})
+    final = report(traj.final_state)
+    _refuse_overflow(final.truncation_leak, traj.times[-1] if traj.times.size else 0.0)
+    diagnostics = {"max_truncation_leak": float(max(final.truncation_leak, *leaks))}
+    return replace(traj, records=records, diagnostics=diagnostics), final
 
 
 def transit_kraus_pair(d: DerivedParams, stark: Optional[StarkShifts], tau: float, shape: tuple):
@@ -369,7 +368,7 @@ def run_collision_model(
     counts, dropped = _accepted_counts(params, duration, arrivals, sample_times)
     advance = _kraus_advance(rho0.space.shape[1:], params, include_stark, counts)
     d = derive_rates(params)
-    traj = run_in_squeezed_frame(rho0, d.epsilon, [(sample_times, advance)])
+    traj, _ = run_in_squeezed_frame(rho0, d.epsilon, [(sample_times, advance)])
     diagnostics = {"accepted_arrivals": int(counts[-1]), "dropped_arrivals": int(dropped), "channel": d.channel,
                    "atom_state": "g" if d.channel == "b1" else "h", "seed": arrivals.seed}
     return replace(traj, diagnostics={**diagnostics, **traj.diagnostics})
@@ -418,7 +417,7 @@ def run_collision_ensemble(
     at = at.reshape(counts.shape)
     d = derive_rates(params)
     advance = _kraus_advance(rho0.space.shape[1:], params, False, np.append(levels, levels[-1]))
-    _, rho_b, _, record = _squeezed_frame(rho0, d.epsilon)
+    rho_b, record, _ = _squeezed_frame(rho0, d.epsilon)
     orbit = run_schedule(rho_b, [(levels, advance)], record).records
     leaks = orbit.pop("leak")[at]
     for leak in leaks[:, -1]:
@@ -428,7 +427,7 @@ def run_collision_ensemble(
         "n_trajectories": n_trajectories,
         "accepted_arrivals": int(counts[:, -1].sum()),
         "dropped_arrivals": sum(int(dropped) for _, dropped in drawn),
-        "max_truncation_leak": float(max(0.0, leaks.max())),
+        "max_truncation_leak": float(leaks.max()),
         "channel": d.channel,
         "master_seed": master_seed,
     }

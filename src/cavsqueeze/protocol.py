@@ -16,7 +16,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .analysis import preparation_time, report_from_moments, squeezing_report
+from .analysis import preparation_time, report_from_moments
 from .dynamics import ArrivalProcess, _accepted_counts, _kraus_advance, interval_advance, run_in_squeezed_frame
 from .gaussian import GaussianState, gaussian_fidelity_to_tmsv, run_protocol_gaussian
 from .hilbert import ChargeBlocks, DensityMatrix, SpaceDescriptor, basis_state
@@ -307,8 +307,9 @@ def run_protocol(
 
     Returns (Trajectory, SqueezingReport).  initial defaults to vacuum; it
     must be a DensityMatrix on the spec truncation for the fock and
-    collision engines, or a GaussianState for the gaussian engine.  Regime
-    violations are warnings, recorded in the trajectory diagnostics.
+    collision engines, or a GaussianState for the gaussian engine; the
+    final state is rho_b = S rho S+ (ChargeBlocks) or a GaussianState.
+    Regime violations are warnings, recorded in the trajectory diagnostics.
     """
     whole = isinstance(samples_per_step, (int, np.integer)) and not isinstance(samples_per_step, bool)
     if not whole or samples_per_step < 1:
@@ -354,10 +355,10 @@ def run_protocol(
             accepted += int(counts[-1])
             dropped += step_dropped
         steps.append((times, advance))
-    traj = run_in_squeezed_frame(state, epsilon, steps)
+    traj, report = run_in_squeezed_frame(state, epsilon, steps)
 
     diagnostics = {"engine": spec.engine, "regime_failures": failures}
     if spec.engine == "collision":
         diagnostics.update(accepted_arrivals=accepted, dropped_arrivals=dropped)
     traj = replace(traj, diagnostics={**diagnostics, **traj.diagnostics})
-    return traj, squeezing_report(traj.final_state, epsilon)
+    return traj, report

@@ -6,7 +6,8 @@ of the state and build the squeeze unitary sector by sector, the
 dispersive Hamiltonian is built one way in the package, and coherent and
 random states only serve as test inputs.  Each
 oracle here computes the same physics another way, so a test can compare
-the two.
+the two.  The Fock engines also never rotate their state back to the bare
+modes; bare_state does that for a test that compares bare density matrices.
 """
 
 import math
@@ -20,6 +21,7 @@ from scipy.special import comb
 from cavsqueeze.dynamics import Trajectory
 from cavsqueeze.gaussian import OMEGA
 from cavsqueeze.hilbert import (
+    ChargeBlocks,
     DensityMatrix,
     Operator,
     SpaceDescriptor,
@@ -27,7 +29,7 @@ from cavsqueeze.hilbert import (
     atom_transition_op,
     number_op,
 )
-from cavsqueeze.model import DerivedParams, StarkShifts
+from cavsqueeze.model import DerivedParams, StarkShifts, build_squeeze_operator
 
 HERMITICITY_TOL = 1e-8
 STEP_BOUND = 0.05
@@ -297,3 +299,26 @@ def dense_kraus_pass(rho4: np.ndarray, stay: np.ndarray, jump: np.ndarray, chann
         jump = jump[:, 1:]
         new[:, :-1, :, :-1] += jump[:, :, None, None] * jump.conj() * rho4[:, 1:, :, 1:]
     return new
+
+
+def bare_state(rho_b: ChargeBlocks, epsilon: float) -> np.ndarray:
+    """S+ rho_b S: the bare-mode density matrix of a squeezed-frame state,
+    as a full matrix."""
+    space = SpaceDescriptor(1, *rho_b.blocks.shape[2:])
+    squeeze = build_squeeze_operator(space, epsilon).matrix
+    return squeeze.conj().T @ rho_b.dense().reshape(space.dim, space.dim) @ squeeze
+
+
+def loop_arrival_times(rate: float, seed: int, duration: float) -> np.ndarray:
+    """Poisson arrival times in [0, duration) as ArrivalProcess draws them,
+    the exponential gaps added to a running total one at a time."""
+    if rate == 0.0 or duration == 0.0:
+        return np.empty(0)
+    rng = np.random.default_rng(seed)
+    times, t = [], 0.0
+    while True:
+        for gap in rng.exponential(1.0 / rate, size=256):
+            t += gap
+            if t >= duration:
+                return np.array(times)
+            times.append(t)

@@ -217,6 +217,8 @@ class TestFidelity:
         assert fidelity_to_tmsv(psi, 0.5, FIELDS20) == pytest.approx(1.0, abs=1e-10)
         rho = DensityMatrix.from_state_vector(FIELDS20, psi)
         assert fidelity_to_tmsv(rho, 0.5) == pytest.approx(1.0, abs=1e-10)
+        # a raw density matrix is read as one, not as a state vector
+        assert fidelity_to_tmsv(rho.matrix, 0.5, FIELDS20) == pytest.approx(1.0, abs=1e-10)
 
     def test_vacuum_overlap(self):
         vac = basis_state(FIELDS20, 0, 0, 0)
@@ -345,7 +347,7 @@ class TestRecorder:
             rho_b = random_low_fock_state(s, 3, 2, seed)
             rho = squeeze.conj().T @ rho_b @ squeeze
             assert truncation_leak(DensityMatrix(s, rho)) <= 1e-12
-            traj = run_in_squeezed_frame(
+            traj, _ = run_in_squeezed_frame(
                 DensityMatrix(s, rho), eps, [(np.array([0.0]), lambda r, i: r)]
             )
             want = dense(rho_b)

@@ -328,7 +328,13 @@ class TestSimulate:
         for engine in ("fock", "gaussian", "collision"):
             assert main(["simulate", "--config", path, "--engine", engine,
                          "--out", str(tmp_path / engine)]) == 0
-            headers.append((tmp_path / f"{engine}.csv").read_text().splitlines()[0])
+            lines = (tmp_path / f"{engine}.csv").read_text().splitlines()
+            headers.append(lines[0])
+            # the report is read off the same moments as the last record row
+            last = dict(zip(lines[0].split(","), map(float, lines[-1].split(","))))
+            report = json.loads((tmp_path / f"{engine}.json").read_text())["report"]
+            assert (report["duan_sum"], report["n1_mean"], report["n2_mean"]) == (
+                last["duan_sum"], last["n_a1"], last["n_a2"]), engine
         assert headers == [
             "t,n_a1,n_b1,n_a2,n_b2,v_x_minus,v_x_plus,v_p_minus,v_p_plus,duan_sum"
         ] * 3

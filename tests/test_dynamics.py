@@ -39,9 +39,11 @@ from cavsqueeze.model import (
     stark_shifts,
 )
 from oracles import (
+    bare_state,
     build_displacement_operator,
     dense_kraus_pass,
     lindblad_evolve,
+    loop_arrival_times,
     random_low_fock_state,
 )
 
@@ -137,6 +139,18 @@ class TestArrivalProcess:
         c = ArrivalProcess(rate=2.0, seed=43).sample(50.0)
         np.testing.assert_array_equal(a, b)
         assert a.size != c.size or not np.array_equal(a, c)
+
+    @pytest.mark.parametrize("rate, seed, duration", [
+        (3.0, 7, 1_000.0), (0.7, 0, 3.0), (5.0, 11, 20.0), (1e-3, 2, 1.0), (2.0, 42, 256.0),
+    ])
+    def test_matches_per_gap_running_sum(self, rate, seed, duration):
+        # the block accumulate adds the gaps in the order of a running total,
+        # so every arrival time is bitwise that of the per-gap loop; the
+        # first case spans a dozen 256-draw blocks, the fourth has no arrival
+        times = ArrivalProcess(rate=rate, seed=seed).sample(duration)
+        want = loop_arrival_times(rate, seed, duration)
+        assert times.dtype == want.dtype and times.shape == want.shape
+        np.testing.assert_array_equal(times, want)
 
     def test_interarrivals_are_exponential(self):
         # Kolmogorov-Smirnov on ~1e4 gaps at the 1% level
@@ -242,7 +256,7 @@ class TestCollisionStep:
         rho = DensityMatrix.from_state_vector(self.sf, transformed_fock1(self.sf, self.base.epsilon, 1))
         traj = self.run(rho, p, 5.0, seed=1)
         assert traj.diagnostics["accepted_arrivals"] > 0
-        assert np.max(np.abs(traj.final_state.matrix - rho.matrix)) < 1e-12
+        assert np.max(np.abs(bare_state(traj.final_state, derive_rates(p).epsilon) - rho.matrix)) < 1e-12
 
     def test_single_collision_extraction(self):
         # one transformed quantum plus a ground atom is an exact two-level
@@ -260,14 +274,14 @@ class TestCollisionStep:
         rho = DensityMatrix.from_state_vector(self.sf, transformed_vacuum(self.sf, self.base.epsilon))
         traj = self.run(rho, p, 60.0 * p.tau, seed=5)
         assert traj.diagnostics["accepted_arrivals"] > 0
-        assert np.max(np.abs(traj.final_state.matrix - rho.matrix)) < 1e-10
+        assert np.max(np.abs(bare_state(traj.final_state, derive_rates(p).epsilon) - rho.matrix)) < 1e-10
 
     def test_dark_state_with_light_shifts(self):
         p = self.params_for(0.15)
         rho = DensityMatrix.from_state_vector(self.sf, transformed_vacuum(self.sf, self.base.epsilon))
         traj = self.run(rho, p, 60.0 * p.tau, seed=5, include_stark=True)
         assert traj.diagnostics["accepted_arrivals"] > 0
-        assert np.max(np.abs(traj.final_state.matrix - rho.matrix)) < 1e-10
+        assert np.max(np.abs(bare_state(traj.final_state, derive_rates(p).epsilon) - rho.matrix)) < 1e-10
 
 
 class TestTransitKrausPair:
@@ -376,7 +390,7 @@ class TestRunCollisionModel:
         traj = run_collision_model(rho, p, 1.0, proc, sample_times=np.linspace(0.0, 1.0, 5))
         for series in traj.records.values():
             np.testing.assert_allclose(series, series[0], atol=1e-12)
-        assert np.max(np.abs(traj.final_state.matrix - rho.matrix)) < 1e-12
+        assert np.max(np.abs(bare_state(traj.final_state, derive_rates(p).epsilon) - rho.matrix)) < 1e-12
         assert traj.diagnostics["accepted_arrivals"] == 0
 
     def test_occupation_decays(self):
@@ -413,8 +427,25 @@ class TestRunCollisionModel:
         c = run_collision_model(rho, p, duration, ArrivalProcess(rate=p.r_a, seed=13))
         for key in a.records:
             np.testing.assert_array_equal(a.records[key], b.records[key])
-        np.testing.assert_array_equal(a.final_state.matrix, b.final_state.matrix)
+        np.testing.assert_array_equal(a.final_state.blocks, b.final_state.blocks)
         assert any(not np.array_equal(a.records[k], c.records[k]) for k in a.records)
+
+    def test_no_density_matrix_on_the_engine_path(self, monkeypatch):
+        # the run stays in the squeezed frame and returns rho_b, so the
+        # initial state is the only DensityMatrix it sees
+        built = []
+        validate = DensityMatrix.__post_init__
+
+        def counting(self):
+            built.append(self.space)
+            validate(self)
+
+        p = self.params_for(0.1, 0.1)
+        rho = self.initial_state(p)
+        monkeypatch.setattr(DensityMatrix, "__post_init__", counting)
+        traj = run_collision_model(rho, p, 0.5 / derive_rates(p).gamma, ArrivalProcess(rate=p.r_a, seed=4))
+        assert traj.diagnostics["accepted_arrivals"] > 0
+        assert built == []
 
     def test_drop_policy_counts(self):
         p = self.params_for(0.05, 0.19)
@@ -441,7 +472,7 @@ class TestRunCollisionModel:
         duration = 50.0 * p.tau
         traj = run_collision_model(rho, p, duration, ArrivalProcess(rate=p.r_a, seed=8),
                                    include_stark=True)
-        assert np.max(np.abs(traj.final_state.matrix - rho.matrix)) < 1e-9
+        assert np.max(np.abs(bare_state(traj.final_state, eps) - rho.matrix)) < 1e-9
 
 
 class TestRunCollisionEnsemble:

@@ -24,6 +24,7 @@ from cavsqueeze.protocol import (
     validate_regime,
 )
 from oracles import (
+    bare_state,
     build_displacement_operator,
     dense_damping_pass,
     lindblad_evolve,
@@ -288,17 +289,30 @@ class TestRunProtocolFock:
         spec_again = build_two_step_protocol(p, engine="fock", truncation=(10, 10),
                                              durations=(T, 0.0))
         traj, _ = run_protocol(spec_again, initial=rho0)
-        assert np.max(np.abs(traj.final_state.matrix - ode.final_state.matrix)) < 1e-8
+        assert np.max(np.abs(bare_state(traj.final_state, d.epsilon) - ode.final_state.matrix)) < 1e-8
 
     def test_zero_duration_returns_initial(self):
         spec = build_two_step_protocol(clean_params(), engine="fock",
                                        truncation=(10, 10), durations=(0.0, 0.0))
         traj, report = run_protocol(spec)
         assert traj.times.tolist() == [0.0]
-        assert report.n1_mean == pytest.approx(0.0, abs=1e-12)
-        # vacuum against the squeezed target: 1/cosh^2(ln 2) = 0.64, up to
-        # the renormalization of the truncated target (3.7e-5 at ten levels)
+        vacuum = vacuum_density(10, 10).matrix
+        assert np.max(np.abs(bare_state(traj.final_state, spec.epsilon) - vacuum)) < 1e-12
+        # the report reads the frame moments through the Bogoliubov map, as
+        # the records do: 9.7e-4 photons at ten levels, where the map is
+        # exact only on the untruncated space
+        assert report.n1_mean == traj.records["n_a1"][0]
+        # vacuum against the squeezed target S+|0,0>: 1/cosh^2(ln 2) = 0.64,
+        # up to the truncation of S (2.6e-9 at ten levels)
         assert report.fidelity == pytest.approx(0.64, abs=5e-5)
+
+    @pytest.mark.parametrize("engine", ["fock", "collision"])
+    def test_zero_duration_vacuum_has_no_boundary_population(self, engine):
+        spec = build_two_step_protocol(clean_params(), engine=engine,
+                                       truncation=(10, 10), durations=(0.0, 0.0))
+        traj, report = run_protocol(spec)
+        assert report.truncation_leak == 0.0
+        assert traj.diagnostics["max_truncation_leak"] == 0.0
 
     def test_squeezed_vacuum_is_fixed_point(self):
         space = SpaceDescriptor(1, 14, 14)
@@ -516,6 +530,25 @@ class TestRunProtocolInputs:
                                        durations=(T, T))
         run_protocol(spec, samples_per_step=3)
         assert dims == []
+
+    @pytest.mark.parametrize("engine", ["fock", "collision"])
+    def test_no_density_matrix_on_the_engine_path(self, engine, monkeypatch):
+        # the run reads its report in the squeezed frame and returns rho_b,
+        # so a given initial state is the only DensityMatrix it sees
+        built = []
+        validate = DensityMatrix.__post_init__
+
+        def counting(self):
+            built.append(self.space)
+            validate(self)
+
+        initial = vacuum_density(12, 12)
+        monkeypatch.setattr(DensityMatrix, "__post_init__", counting)
+        T = 1.0 / derive_rates(clean_params()).gamma
+        spec = build_two_step_protocol(clean_params(), engine=engine, truncation=(12, 12),
+                                       durations=(T, T))
+        run_protocol(spec, initial=initial, samples_per_step=3)
+        assert built == []
 
 
 def test_package_runs_without_importing_scipy():

@@ -30,6 +30,9 @@ ALLOWED = {
         "dense truncated-space reference the moment records are tested against",
     "recorder_from_matrices":
         "dense truncated-space reference the moment records are tested against",
+    "squeezing_report":
+        "public report of a bare-mode Fock state (the engines read theirs in the squeezed frame); "
+        "perfbench's tracer wraps it",
 }
 
 
