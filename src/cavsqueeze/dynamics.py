@@ -18,13 +18,13 @@ from typing import Callable, Optional, Sequence, Union
 import numpy as np
 
 from .analysis import moment_records, moments, report_from_moments, symplectic_squeeze
-from .hilbert import DensityMatrix, Operator, split_charges
+from .hilbert import ChargeBlocks, DensityMatrix, Operator, SpaceDescriptor, split_charges
 from .model import (
     DerivedParams,
     PhysicalParams,
     StarkShifts,
-    build_squeeze_operator,
     derive_rates,
+    squeeze_sectors,
     stark_shifts,
 )
 
@@ -190,30 +190,49 @@ def interval_advance(times: np.ndarray, duration: float, evolve: Callable) -> Ca
     return advance
 
 
-def _squeezed_frame(rho0: DensityMatrix, epsilon: float):
+def _charge0_block(shape: tuple, sectors: Sequence, column: int) -> np.ndarray:
+    """sum_k c_k c_k^T for c_k = block_k[:, column] over the given
+    squeeze_sectors, as a charge-0 block of ChargeBlocks on the field grid
+    shape: its entry for the sector's rows j and j' has d = n2[j'] - n2[j]."""
+    out = np.zeros((2 * shape[1] - 1, *shape))
+    for n1, n2, block in sectors:
+        c = block[:, column]
+        out[n2 - n2[:, None] + shape[1] - 1, n1[:, None], n2[:, None]] = np.outer(c, c)
+    return out
+
+
+def _squeezed_frame(rho0: Union[DensityMatrix, SpaceDescriptor], epsilon: float):
     """(rho_b, record, report) of run_in_squeezed_frame: record(rho_b)
     holds the boundary leak under "leak", next to the moment records."""
-    space = rho0.space
+    space = rho0 if isinstance(rho0, SpaceDescriptor) else rho0.space
     if space.atom_levels != 1:
         raise ValueError("the squeezed frame expects a field-only initial state")
-    squeeze = build_squeeze_operator(space, epsilon).matrix
+    sectors = squeeze_sectors(space, epsilon)
     to_bare = symplectic_squeeze(epsilon)
     # tr(S P S+ rho_b) = vdot(S P S+, rho_b) for the projector P on the
-    # boundary layers; S keeps n1 - n2, so S P S+ has charge 0 only
-    edge = np.ones(space.shape[1:], dtype=bool)
-    edge[: space.n1_trunc - 1, : space.n2_trunc - 1] = False
-    edge_cols = squeeze[:, edge.ravel()]
-    boundary = split_charges((edge_cols @ edge_cols.conj().T).reshape(space.shape[1:] * 2), [0]).block(0)
+    # boundary layers; S keeps n1 - n2, so S P S+ has charge 0 only, and
+    # on each sector it is c c^T for the S column c of its last state
+    boundary = _charge0_block(space.shape[1:], sectors, -1)
     # rounding can take the trace of an empty boundary a little below 0
-    leak = lambda rho: max(0.0, float(np.vdot(boundary, rho.block(0)).real))
+    leak = lambda rho: max(0.0, float(np.einsum("ijk,ijk->", boundary, rho.block(0).real)))
     bare = lambda mean, cov: (to_bare @ mean, to_bare @ cov @ to_bare.T)
     record = lambda rho: {"leak": leak(rho), **moment_records(*bare(*moments(rho)), epsilon)}
     # the squeezed vacuum S+|0,0> has fidelity <0,0|rho_b|0,0>
     fidelity = lambda rho: float(rho.diagonal(0, 0)[0, 0].real)
     report = lambda rho: report_from_moments(*bare(*moments(rho)), epsilon, fidelity(rho), leak(rho))
 
-    rho_b = split_charges((squeeze @ rho0.matrix @ squeeze.conj().T).reshape(space.shape[1:] * 2))
-    return rho_b, record, report
+    if isinstance(rho0, SpaceDescriptor):
+        # S|0,0> is the first column of sector 0, so rho_b has charge 0 only
+        vacuum = _charge0_block(space.shape[1:], [sectors[space.n2_trunc - 1]], 0)
+        return ChargeBlocks(np.zeros(1, int), vacuum[None] + 0j), record, report
+    # S rho S+ with S_k applied to the rows of each sector, then to its columns
+    rho = rho0.matrix.copy()
+    cuts = [n1 * space.n2_trunc + n2 for n1, n2, _ in sectors]
+    for cut, (_, _, block) in zip(cuts, sectors):
+        rho[cut] = block @ rho[cut]
+    for cut, (_, _, block) in zip(cuts, sectors):
+        rho[:, cut] = rho[:, cut] @ block.T
+    return split_charges(rho.reshape(space.shape[1:] * 2)), record, report
 
 
 def _refuse_overflow(leak: float, t: float) -> None:
@@ -222,17 +241,20 @@ def _refuse_overflow(leak: float, t: float) -> None:
                          f"{BOUNDARY_ERROR_LIMIT:g}; increase the Fock truncation")
 
 
-def run_in_squeezed_frame(rho0: DensityMatrix, epsilon: float, steps: Sequence) -> tuple:
-    """Run pumping steps back to back in the squeezed frame rho_b = S rho S+.
+def run_in_squeezed_frame(rho0: Union[DensityMatrix, SpaceDescriptor], epsilon: float, steps) -> tuple:
+    """Run pumping steps back to back in the squeezed frame rho_b = S rho S+
+    from the DensityMatrix rho0, or from the vacuum of a SpaceDescriptor.
 
     b_j = S+ a_j S exactly on the truncated space, so there the transformed
     modes are bare and every pumping map acts on rho_b without S.  Those
     maps keep the charge of every entry, so rho_b is carried as the
     ChargeBlocks of the charges it occupies after the entry rotation; steps
-    are run_schedule's (times, advance) pairs on them.  S is built once and
-    the run never leaves the frame: every sample and the SqueezingReport of
-    the final rho_b are read from the moments of rho_b, taken to the bare
-    modes by symplectic_squeeze(epsilon).  The a-frame boundary population
+    are run_schedule's (times, advance) pairs on them.  S is built once, as
+    its (n1 - n2) sector blocks, and enters sector by sector; no N^2 x N^2
+    array is made unless rho0 is one.  The run never leaves the frame:
+    every sample and the SqueezingReport of the final rho_b are read from
+    the moments of rho_b, taken to the bare modes by
+    symplectic_squeeze(epsilon).  The a-frame boundary population
     truncation_leak(S+ rho_b S) is measured at every sample (its maximum
     goes to the diagnostics) and must not exceed BOUNDARY_ERROR_LIMIT on
     the final state.  Returns (Trajectory, SqueezingReport); final_state

@@ -243,24 +243,16 @@ def _stark_diagonal(stark: StarkShifts, n1_like: np.ndarray, n2_like: np.ndarray
     return diag_h @ p_hh + diag_g @ p_gg
 
 
-def build_squeeze_operator(s: SpaceDescriptor, epsilon: float) -> Operator:
-    """Two-mode squeeze unitary exp(epsilon*(a1 a2 - a1+ a2+)) on the truncated space.
+def squeeze_sectors(s: SpaceDescriptor, epsilon: float) -> list:
+    """The (n1 - n2) sectors of the field squeeze unitary S of
+    build_squeeze_operator, which refuses the same truncations.
 
-    The generator is anti-Hermitian even after truncation, so the result is
-    always unitary; what truncation does break is the action on Fock states
-    whose squeezed image S|n1,n2> reaches the photon-number cutoff.  A Fock
-    state is interior when that image stays inside the truncation, as
-    measured by ``analysis.truncation_leak`` of the column S|n1,n2>.  This
-    is not the same as n well below N: at epsilon = 0.5 and N = 25 the
-    largest leak of S|n1,n2> over n1, n2 <= 8 is already 3.6e-2.  The leak
-    of the transformed vacuum past an N-photon cutoff is
-    tanh(epsilon)**(2N), and construction is refused when that exceeds 1e-3.
-
-    The generator keeps n1 - n2, so S is built sector by sector: on the
-    sector n1 - n2 = k it is the exponential of a real tridiagonal block
-    G = L - L^T, and every entry between two sectors is exactly zero.  With
-    D = diag(i^j), D G D^-1 = -i T for the real symmetric T = L + L^T, so
-    exp(G) = D^-1 Q exp(-i Lambda) Q^T D from one eigendecomposition of T.
+    One (n1, n2, block) per sector k = n1 - n2, from k = 1 - n2_trunc up:
+    its Fock states |n1[j], n2[j]> by rising n2, the last on the boundary
+    layers, and the real block with S|n1[j], n2[j]> = sum_i block[i, j]
+    |n1[i], n2[i]>.  On a sector the generator is a real tridiagonal
+    G = L - L^T; with D = diag(i^j), D G D^-1 = -i T for the real symmetric
+    T = L + L^T, so exp(G) = D^-1 Q exp(-i Lambda) Q^T D from one eigh of T.
     """
     if not math.isfinite(epsilon):
         raise ValueError("epsilon must be finite")
@@ -274,7 +266,7 @@ def build_squeeze_operator(s: SpaceDescriptor, epsilon: float) -> Operator:
             f"vacuum leak {leak:.2e} exceeds {SQUEEZE_LEAK_LIMIT:g}; "
             f"use at least {suggested} Fock states per mode"
         )
-    fields = np.zeros((s.n1_trunc * s.n2_trunc,) * 2)
+    sectors = []
     for k in range(1 - s.n2_trunc, s.n1_trunc):
         n2 = np.arange(max(0, -k), min(s.n2_trunc, s.n1_trunc - k))
         n1 = n2 + k
@@ -283,8 +275,30 @@ def build_squeeze_operator(s: SpaceDescriptor, epsilon: float) -> Operator:
         lam, q = np.linalg.eigh(np.diag(coupling, 1) + np.diag(coupling, -1))
         phase = np.array([1, 1j, -1, -1j])[np.arange(n1.size) % 4]
         block = phase.conj()[:, None] * ((q * np.exp(-1j * lam)) @ q.T) * phase
+        sectors.append((n1, n2, block.real))
+    return sectors
+
+
+def build_squeeze_operator(s: SpaceDescriptor, epsilon: float) -> Operator:
+    """Two-mode squeeze unitary exp(epsilon*(a1 a2 - a1+ a2+)) on the truncated space.
+
+    The generator is anti-Hermitian even after truncation, so the result is
+    always unitary; what truncation does break is the action on Fock states
+    whose squeezed image S|n1,n2> reaches the photon-number cutoff.  A Fock
+    state is interior when that image stays inside the truncation, as
+    measured by ``analysis.truncation_leak`` of the column S|n1,n2>.  This
+    is not the same as n well below N: at epsilon = 0.5 and N = 25 the
+    largest leak of S|n1,n2> over n1, n2 <= 8 is already 3.6e-2.  The leak
+    of the transformed vacuum past an N-photon cutoff is
+    tanh(epsilon)**(2N), and construction is refused when that exceeds 1e-3.
+
+    It is the scatter of squeeze_sectors, which the engines use directly;
+    every entry between two sectors is exactly zero.
+    """
+    fields = np.zeros((s.n1_trunc * s.n2_trunc,) * 2)
+    for n1, n2, block in squeeze_sectors(s, epsilon):
         sector = n1 * s.n2_trunc + n2
-        fields[np.ix_(sector, sector)] = block.real
+        fields[np.ix_(sector, sector)] = block
     return Operator(s, np.kron(np.eye(s.atom_levels), fields))
 
 

@@ -19,7 +19,7 @@ import numpy as np
 from .analysis import preparation_time, report_from_moments
 from .dynamics import ArrivalProcess, _accepted_counts, _kraus_advance, interval_advance, run_in_squeezed_frame
 from .gaussian import GaussianState, gaussian_fidelity_to_tmsv, run_protocol_gaussian
-from .hilbert import ChargeBlocks, DensityMatrix, SpaceDescriptor, basis_state
+from .hilbert import ChargeBlocks, DensityMatrix, SpaceDescriptor
 from .model import (
     DISPERSIVE_LIMIT,
     PhysicalParams,
@@ -253,12 +253,21 @@ def validate_regime(p: PhysicalParams, d) -> RegimeReport:
     return RegimeReport(checks=tuple(checks))
 
 
-@functools.lru_cache(maxsize=8)
-def _binomials(n: int) -> np.ndarray:
-    """Read-only table of the exact binomials comb(m + k, k), indexed [k, m]."""
-    table = np.array([[math.comb(m + k, k) for m in range(n)] for k in range(n)], dtype=float)
-    table.flags.writeable = False
-    return table
+@functools.lru_cache(maxsize=4)
+def _damping_base(n: int, shift_shape: tuple, shift: bytes) -> tuple:
+    """Read-only eta-free factors (root, power, lag) of _damping_pass's
+    kernel for axis length n and row shifts e: kernel = root *
+    sqrt(eta)**power * (1 - eta)**lag, with exact binomials comb(m + k, k)."""
+    binomials = np.array([[math.comb(m + k, k) for m in range(n)] for k in range(n)], dtype=float)
+    row, col = np.indices((n, n))
+    far = row + np.frombuffer(shift, dtype=int).reshape(shift_shape)[..., None, None]
+    lag = np.maximum(col - row, 0)
+    inside = (col >= row) & (far >= 0) & (lag + far < n)
+    root = np.where(inside, np.sqrt(binomials[lag, row] * binomials[lag, np.clip(far, 0, n - 1)]), 0.0)
+    factors = root, np.maximum(row + far, 0)[..., :1], lag
+    for table in factors:
+        table.flags.writeable = False
+    return factors
 
 
 def _damping_pass(rho: ChargeBlocks, eta: float, mode: int) -> ChargeBlocks:
@@ -269,20 +278,18 @@ def _damping_pass(rho: ChargeBlocks, eta: float, mode: int) -> ChargeBlocks:
     lowers n_j and m_j of the mode by k together, which keeps each block
     entry's charge and d.  Along the n_j axis of a block row whose entries
     have m_j - n_j = e, the map is therefore the matrix
-    kernel[n, n + k] = w[k, n] w[k, n + e].
+    kernel[n, n + k] = w[k, n] w[k, n + e], w[k, m] = <m| K_k |m + k>, whose
+    eta-free part is cached.  The real kernel acts on a float view of the
+    blocks; on mode 2 of their transpose, which the result keeps.
     """
     n = rho.blocks.shape[1 + mode]
-    k, m = np.indices((n, n))
-    # w[k, m] = <m| K_k |m + k>, zero where m + k is off the grid
-    w = np.sqrt(_binomials(n) * eta**m * (1.0 - eta) ** k) * (m + k < n)
-    row, col = np.indices((n, n))
-    k = np.maximum(col - row, 0)
-    far = row + rho.shifts()[mode - 1][..., None, None]
-    inside = (col >= row) & (far >= 0) & (far < n)
-    kernel = np.where(inside, w[k, row] * w[k, np.clip(far, 0, n - 1)], 0.0)
+    shift = np.ascontiguousarray(rho.shifts()[mode - 1], dtype=int)
+    root, power, lag = _damping_base(n, shift.shape, shift.tobytes())
+    kernel = root * math.sqrt(eta) ** power * (1.0 - eta) ** lag
     if mode == 1:
-        return replace(rho, blocks=kernel @ rho.blocks)
-    return replace(rho, blocks=rho.blocks @ kernel.swapaxes(2, 3))
+        return replace(rho, blocks=(kernel @ np.ascontiguousarray(rho.blocks).view(float)).view(complex))
+    flipped = np.ascontiguousarray(rho.blocks.swapaxes(2, 3))
+    return replace(rho, blocks=(kernel @ flipped.view(float)).view(complex).swapaxes(2, 3))
 
 
 def _fock_step(step: ProtocolStep, times: np.ndarray):
@@ -332,13 +339,10 @@ def run_protocol(
         return traj, report_from_moments(final.mean, final.cov, epsilon, fidelity, 0.0)
 
     space = SpaceDescriptor(1, *spec.truncation)
-    state = DensityMatrix.from_state_vector(space, basis_state(space, 0, 0, 0)) if initial is None else initial
-    if not isinstance(state, DensityMatrix):
+    if initial is not None and not isinstance(initial, DensityMatrix):
         raise ValueError(f"{spec.engine} engine takes a DensityMatrix initial state")
-    if state.space != space:
-        raise ValueError(
-            f"initial state space {state.space} does not match truncation {spec.truncation}"
-        )
+    if initial is not None and initial.space != space:
+        raise ValueError(f"initial state space {initial.space} does not match truncation {spec.truncation}")
 
     # the steps share epsilon, so both Fock-space engines run the whole
     # schedule in one squeezed frame
@@ -355,7 +359,7 @@ def run_protocol(
             accepted += int(counts[-1])
             dropped += step_dropped
         steps.append((times, advance))
-    traj, report = run_in_squeezed_frame(state, epsilon, steps)
+    traj, report = run_in_squeezed_frame(space if initial is None else initial, epsilon, steps)
 
     diagnostics = {"engine": spec.engine, "regime_failures": failures}
     if spec.engine == "collision":

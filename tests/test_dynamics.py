@@ -6,15 +6,19 @@ import pytest
 import scipy.linalg
 import scipy.stats
 
-from cavsqueeze.analysis import tmsv_state_vector
+from cavsqueeze.analysis import tmsv_state_vector, truncation_leak
 from cavsqueeze.dynamics import (
     ArrivalProcess,
     Trajectory,
     _accepted_counts,
+    _charge0_block,
     _kraus_advance,
+    _squeezed_frame,
+    interval_advance,
     propagate_state,
     run_collision_ensemble,
     run_collision_model,
+    run_in_squeezed_frame,
     transit_kraus_pair,
 )
 from cavsqueeze.hilbert import (
@@ -36,12 +40,15 @@ from cavsqueeze.model import (
     build_selective_hamiltonian,
     build_squeeze_operator,
     derive_rates,
+    squeeze_sectors,
     stark_shifts,
 )
+from cavsqueeze.protocol import _damping_pass
 from oracles import (
     bare_state,
     build_displacement_operator,
     dense_kraus_pass,
+    dense_squeeze_operator,
     lindblad_evolve,
     loop_arrival_times,
     random_low_fock_state,
@@ -537,6 +544,61 @@ class TestRunCollisionEnsemble:
     def test_rejects_empty_ensemble(self):
         with pytest.raises(ValueError, match="at least 1"):
             run_collision_ensemble(self.rho, self.p, self.duration, 0, 0)
+
+
+@pytest.mark.parametrize("shape", [(9, 13), (12, 12)])
+@pytest.mark.parametrize("eps", [0.5, -0.3])
+class TestSectorFrame:
+    # the frame builds S, enters it and measures its boundary sector by
+    # sector; each piece must equal the dense construction it replaces
+
+    def test_scatter_is_the_squeeze_operator(self, shape, eps):
+        s = SpaceDescriptor(1, *shape)
+        scattered = np.zeros((s.dim, s.dim))
+        for n1, n2, block in squeeze_sectors(s, eps):
+            cut = n1 * shape[1] + n2
+            scattered[np.ix_(cut, cut)] = block
+        assert np.array_equal(scattered, build_squeeze_operator(s, eps).matrix)
+        assert np.max(np.abs(scattered - dense_squeeze_operator(s, eps))) <= 1e-12
+
+    def test_entry_matches_dense_rotation(self, shape, eps):
+        s = SpaceDescriptor(1, *shape)
+        squeeze = dense_squeeze_operator(s, eps)
+        for seed in range(3):
+            rho = random_low_fock_state(s, 4, 2, seed)
+            rho_b, _, _ = _squeezed_frame(DensityMatrix(s, rho), eps)
+            want = (squeeze @ rho @ squeeze.conj().T).reshape(shape * 2)
+            assert np.max(np.abs(rho_b.dense() - want)) <= 1e-13
+
+    def test_boundary_block_matches_dense_projector(self, shape, eps):
+        s = SpaceDescriptor(1, *shape)
+        squeeze = dense_squeeze_operator(s, eps)
+        edge = np.ones(shape, dtype=bool)
+        edge[:-1, :-1] = False
+        cols = squeeze[:, edge.ravel()]
+        want = split_charges((cols @ cols.conj().T).reshape(shape * 2), [0]).block(0)
+        assert np.max(np.abs(_charge0_block(shape, squeeze_sectors(s, eps), -1) - want)) <= 1e-13
+        # a state reaching the boundary layers: the frame's leak is the bare one
+        rho = DensityMatrix(s, random_low_fock_state(s, min(shape), 2, seed=4))
+        rho_b, record, _ = _squeezed_frame(rho, eps)
+        assert truncation_leak(rho) > 1e-3
+        assert record(rho_b)["leak"] == pytest.approx(truncation_leak(rho), rel=0, abs=1e-13)
+
+    def test_default_vacuum_equals_explicit_vacuum(self, shape, eps):
+        s = SpaceDescriptor(1, *shape)
+        explicit = DensityMatrix.from_state_vector(s, basis_state(s, 0, 0, 0))
+        times = np.linspace(0.0, 2.0, 5)
+        damp = lambda j: lambda rho, dt: _damping_pass(rho, math.exp(-dt), j)
+        steps = [(times, interval_advance(times, 2.0, damp(j))) for j in (1, 2)]
+        got, got_report = run_in_squeezed_frame(s, eps, steps)
+        want, want_report = run_in_squeezed_frame(explicit, eps, steps)
+        assert list(got.records) == list(want.records)
+        for key, series in want.records.items():
+            assert np.max(np.abs(got.records[key] - series)) <= 1e-14, key
+        assert np.array_equal(got.final_state.charges, [0])
+        assert np.max(np.abs(got.final_state.blocks - want.final_state.blocks)) <= 1e-14
+        for key, value in want_report.to_json().items():
+            assert got_report.to_json()[key] == pytest.approx(value, rel=0, abs=1e-14), key
 
 
 class TestLindbladEvolve:

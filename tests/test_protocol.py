@@ -3,7 +3,9 @@ import os
 import subprocess
 import sys
 import textwrap
+import tracemalloc
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -11,6 +13,7 @@ import scipy.linalg
 
 import cavsqueeze
 from cavsqueeze.analysis import preparation_time, tmsv_state_vector
+from cavsqueeze.cli import build_spec, load_run_config
 from cavsqueeze.dynamics import ArrivalProcess
 from cavsqueeze.gaussian import GaussianState, gaussian_vacuum
 from cavsqueeze.hilbert import DensityMatrix, SpaceDescriptor, basis_state, split_charges
@@ -550,6 +553,59 @@ class TestRunProtocolInputs:
         run_protocol(spec, initial=initial, samples_per_step=3)
         assert built == []
 
+    @pytest.mark.parametrize("engine", ["fock", "collision"])
+    def test_default_vacuum_builds_no_dense_state(self, engine, monkeypatch):
+        # with no initial state the vacuum enters the frame as the sector-0
+        # column S|0,0>: no DensityMatrix and no dense squeeze operator
+        built = []
+        validate = DensityMatrix.__post_init__
+
+        def counting(self):
+            built.append(self.space)
+            validate(self)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("dense squeeze operator built on the engine path")
+
+        monkeypatch.setattr(DensityMatrix, "__post_init__", counting)
+        for module in (cavsqueeze, cavsqueeze.model, cavsqueeze.dynamics, cavsqueeze.protocol):
+            if hasattr(module, "build_squeeze_operator"):
+                monkeypatch.setattr(module, "build_squeeze_operator", refuse)
+        T = 1.0 / derive_rates(clean_params()).gamma
+        spec = build_two_step_protocol(clean_params(), engine=engine, truncation=(12, 12),
+                                       durations=(T, T))
+        run_protocol(spec, samples_per_step=3)
+        assert built == []
+
+    @pytest.mark.parametrize("engine", ["fock", "collision"])
+    @pytest.mark.parametrize("shape", [(12, 12), (9, 13)])
+    def test_default_vacuum_matches_explicit_vacuum(self, engine, shape):
+        T = 1.0 / derive_rates(clean_params()).gamma
+        spec = build_two_step_protocol(clean_params(), engine=engine, truncation=shape, durations=(T, T))
+        got, got_report = run_protocol(spec, samples_per_step=5)
+        want, want_report = run_protocol(spec, initial=vacuum_density(*shape), samples_per_step=5)
+        for key, series in want.records.items():
+            assert np.max(np.abs(got.records[key] - series)) <= 1e-14, key
+        for key, value in want_report.to_json().items():
+            assert got_report.to_json()[key] == pytest.approx(value, rel=0, abs=1e-14), key
+
+
+def test_paper_regime_on_fock_holds_no_dense_array():
+    # the bundled config (r = 0.96, 11.755 frame photons per mode) at 85
+    # levels: one dense N^2 x N^2 complex array would be 835 MB
+    cfg = load_run_config(None)
+    spec = build_spec(replace(cfg, engine="fock", truncation=(85, 85)))
+    tracemalloc.start()
+    try:
+        _, report = run_protocol(spec, samples_per_step=3)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 150e6, peak
+    _, want = run_protocol(build_spec(replace(cfg, engine="gaussian")), samples_per_step=3)
+    assert report.duan_sum == pytest.approx(want.duan_sum, rel=0, abs=1e-4)
+    assert report.fidelity == pytest.approx(want.fidelity, rel=0, abs=1e-4)
+
 
 def test_package_runs_without_importing_scipy():
     # scipy is a test oracle only: the package, its CLI and a short run on
@@ -598,3 +654,20 @@ class TestDampingPass:
                 assert np.array_equal(out.charges, rho.charges)
                 diff = np.max(np.abs(out.dense() - dense_damping_pass(rho4, eta, mode)))
                 assert diff <= 1e-12, (eta, diff)
+
+    def test_cached_kernel_follows_eta_mode_and_charges(self):
+        # the eta-free part of the kernel is cached per axis length and
+        # shifts: passes that change eta, the mode and the charge set in
+        # turn must each use their own kernel
+        shape = (9, 13)
+        states = [(split_charges(rho4), rho4) for rho4 in many_charge_states(shape)]
+        vacuum = vacuum_density(*shape).matrix.reshape(shape * 2)
+        states.append((split_charges(vacuum), vacuum))
+        assert len({rho.charges.size for rho, _ in states}) == len(states)
+        schedule = [(0.9, 1), (0.5, 2), (0.2, 1), (0.9, 2), (0.5, 1), (0.2, 2)]
+        for i, (eta, mode) in enumerate(schedule):
+            for j, (rho, rho4) in enumerate(states):
+                rho, rho4 = _damping_pass(rho, eta, mode), dense_damping_pass(rho4, eta, mode)
+                diff = np.max(np.abs(rho.dense() - rho4))
+                assert diff <= 1e-12, (i, j, diff)
+                states[j] = (rho, rho4)
