@@ -33,7 +33,6 @@ from .gaussian import (
     gaussian_lindblad_evolve,
     gaussian_tmsv,
     gaussian_vacuum,
-    run_protocol_gaussian,
 )
 from .hilbert import (
     DensityMatrix,
@@ -102,7 +101,6 @@ __all__ = [
     "run_collision_ensemble",
     "run_collision_model",
     "run_protocol",
-    "run_protocol_gaussian",
     "spontaneous_decay_estimate",
     "squeezing_report",
     "stark_shifts",

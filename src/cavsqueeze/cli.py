@@ -15,7 +15,6 @@ import os
 import sys
 import tempfile
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from importlib import resources
 from typing import Optional, Sequence
@@ -23,7 +22,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .analysis import epr_variances_fock, preparation_time, tmsv_state_vector
-from .dynamics import _worker_count
+from .dynamics import write_csv
 from .gaussian import gaussian_epr_variances, gaussian_tmsv
 from .hilbert import SpaceDescriptor, annihilation_op, basis_state
 from .model import (
@@ -317,13 +316,6 @@ def _write_json(path: Optional[str], payload: dict) -> None:
         print(f"wrote {path}")
 
 
-def _write_csv(path: str, header: str, rows) -> None:
-    with open(path, "w", newline="\n") as fh:
-        fh.write(header + "\n")
-        for row in rows:
-            fh.write(",".join(f"{v:.17g}" for v in row) + "\n")
-
-
 def cmd_derive(cfg: RunConfig) -> int:
     d = derive_rates(cfg.params)
     report = validate_regime(cfg.params, d)
@@ -393,7 +385,7 @@ def cmd_fig2(cfg: RunConfig, svg_path: Optional[str]) -> int:
             rows.append((r, prep.n_bar_initial, prep.t_total))
 
     out = cfg.output_path if cfg.output_path is not None else "fig2.csv"
-    _write_csv(out, "r,n_bar,total_time_2T", rows)
+    write_csv(out, ["r", "n_bar", "total_time_2T"], rows)
     print(f"wrote {out}")
     if svg_path is not None:
         series = {
@@ -414,48 +406,41 @@ def cmd_sweep(cfg: RunConfig) -> int:
         raise ValueError("sweep needs a nonzero weak-channel rate to rescale")
     grid = cfg.r_grid if cfg.r_grid is not None else _DEFAULT_R_GRID
 
-    def one(r: float):
-        scaled = replace(p, omega2=p.omega2 * (r * d0.theta1 / d0.theta2))
-        spec = build_two_step_protocol(
-            scaled,
-            durations=cfg.durations,
-            engine=cfg.engine,
-            seed=cfg.seed,
-            truncation=cfg.truncation,
-            n_target=cfg.n_target,
-        )
-        # a row is the final report, which one sample per step gives exactly
-        _, report = run_protocol(spec, samples_per_step=1)
-        d = derive_rates(scaled)
-        t_total = sum(s.duration for s in spec.steps)
-        return (
-            r,
-            d.epsilon,
-            d.gamma,
-            t_total,
-            report.duan_sum,
-            report.n1_mean,
-            report.n2_mean,
-            report.fidelity,
-        )
-
-    workers = _worker_count(None)
-    # the warning filters are process-wide, so they are changed once, here in
-    # the calling thread, and the pool threads run under that one change
+    rows = []
+    # each row carries its point's regime and leak flags, so the warnings of
+    # a long scan are not repeated on stderr
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
-        if workers == 1:
-            rows = [one(r) for r in grid]
-        else:
-            with ThreadPoolExecutor(max_workers=workers) as pool:
-                rows = list(pool.map(one, grid))
+        for r in grid:
+            scaled = replace(p, omega2=p.omega2 * (r * d0.theta1 / d0.theta2))
+            spec = build_two_step_protocol(
+                scaled,
+                durations=cfg.durations,
+                engine=cfg.engine,
+                seed=cfg.seed,
+                truncation=cfg.truncation,
+                n_target=cfg.n_target,
+            )
+            # a row is the final report, which one sample per step gives exactly
+            traj, report = run_protocol(spec, samples_per_step=1)
+            d = derive_rates(scaled)
+            rows.append((
+                r,
+                d.epsilon,
+                d.gamma,
+                sum(s.duration for s in spec.steps),
+                report.duan_sum,
+                report.n1_mean,
+                report.n2_mean,
+                report.fidelity,
+                0 if traj.diagnostics["regime_failures"] else 1,
+                report.truncation_leak,
+            ))
 
     out = cfg.output_path if cfg.output_path is not None else "sweep.csv"
-    _write_csv(
-        out,
-        "r,epsilon,gamma_per_s,t_total_s,duan_sum,n1_mean,n2_mean,fidelity",
-        rows,
-    )
+    columns = ["r", "epsilon", "gamma_per_s", "t_total_s", "duan_sum", "n1_mean", "n2_mean", "fidelity",
+               "regime_ok", "truncation_leak"]
+    write_csv(out, columns, rows)
     print(f"wrote {out}")
     return EXIT_OK
 

@@ -64,12 +64,16 @@ class Trajectory:
         object.__setattr__(self, "records", records)
 
     def to_csv(self, path) -> None:
-        keys = list(self.records)
-        with open(path, "w", newline="\n") as fh:
-            fh.write(",".join(["t"] + keys) + "\n")
-            for i, t in enumerate(self.times):
-                row = [t] + [self.records[k][i] for k in keys]
-                fh.write(",".join(f"{v:.17g}" for v in row) + "\n")
+        write_csv(path, ["t", *self.records], zip(self.times, *self.records.values()))
+
+
+def write_csv(path, columns: Sequence[str], rows) -> None:
+    """The CSV of every command: a header of the column names, then one
+    line of ,-joined %.17g numbers per row, which round-trip exactly."""
+    with open(path, "w", newline="\n") as fh:
+        fh.write(",".join(columns) + "\n")
+        for row in rows:
+            fh.write(",".join(f"{v:.17g}" for v in row) + "\n")
 
 
 @dataclass(frozen=True)

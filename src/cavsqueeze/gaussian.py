@@ -11,13 +11,11 @@ with X = (a + a+)/2, P = -i(a - a+)/2, vacuum covariance I/4.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
-from .analysis import EPRVariances, moment_records, symplectic_squeeze
-from .dynamics import Trajectory, interval_advance, run_schedule
-from .model import derive_rates
+from .analysis import EPRVariances, symplectic_squeeze
 
 SYMMETRY_TOL = 1e-12
 UNCERTAINTY_FLOOR = -1e-10
@@ -116,35 +114,3 @@ def gaussian_fidelity_to_tmsv(s: GaussianState, epsilon: float) -> float:
     delta = s.mean - target.mean
     fidelity = math.exp(-0.5 * float(delta @ np.linalg.solve(m, delta)))
     return fidelity / (4.0 * math.sqrt(float(np.linalg.det(m))))
-
-
-def _pump_step(step, times: np.ndarray):
-    """advance of one pumping step for run_schedule."""
-    d = derive_rates(step.params)
-    which = 1 if d.channel == "b1" else 2
-    return interval_advance(
-        times, step.duration, lambda s, dt: gaussian_lindblad_evolve(s, d.epsilon, d.gamma, which, dt)
-    )
-
-
-def run_protocol_gaussian(
-    protocol, samples_per_step: int = 51, initial: GaussianState = None
-) -> Trajectory:
-    """Covariance-level run of a multi-step pumping protocol.
-
-    Each step pumps the transformed mode selected by its own derived
-    channel for its whole duration; the squeezed-frame attenuator
-    gaussian_lindblad_evolve carries the state between the samples of a
-    per-step time grid, and every sample is recorded from its moments with
-    the first step's epsilon (the steps of a ProtocolSpec share it).  The
-    final GaussianState rides on the trajectory.
-    """
-    steps = []
-    for step in protocol.steps:
-        # a step of zero duration has its one sample at 0
-        times = np.linspace(0.0, step.duration, samples_per_step if step.duration else 1)
-        steps.append((times, _pump_step(step, times)))
-    epsilon = derive_rates(protocol.steps[0].params).epsilon
-    record = lambda s: moment_records(s.mean, s.cov, epsilon)
-    traj = run_schedule(gaussian_vacuum() if initial is None else initial, steps, record)
-    return replace(traj, diagnostics={"engine": "gaussian", "steps": len(steps)})

@@ -177,9 +177,10 @@ class ChargeBlocks:
         """rho[n1, n2, n1 - d1, n2 - d2] on the (N1, N2) grid, zero where
         that column is off the grid; it lies in the block of charge d1 - d2."""
         n2_trunc = self.blocks.shape[3]
-        if abs(d2) >= n2_trunc:
+        hit = np.flatnonzero(self.charges == d1 - d2)
+        if abs(d2) >= n2_trunc or not hit.size:
             return np.zeros(self.blocks.shape[2:], complex)
-        return self.block(d1 - d2)[n2_trunc - 1 - d2]
+        return self.blocks[hit[0], n2_trunc - 1 - d2]
 
     def outer(self, left: np.ndarray, right: np.ndarray) -> np.ndarray:
         """left[n1, n2] * conj(right[m1, m2]) in the shape of blocks."""

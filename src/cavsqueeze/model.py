@@ -193,7 +193,9 @@ def build_full_hamiltonian(p: PhysicalParams, s: SpaceDescriptor, t: float) -> O
     build_effective_hamiltonian, so the second-order reduction of this
     Hamiltonian is that one (checked dynamically in the tests).  Only the
     phases change with t, so the operators they multiply are built once per
-    space and reused: a propagator calls this four times per step.
+    space and reused: propagate_state calls this twice per RK4 step (at
+    the midpoint and the end, which is the next step's start), plus once at
+    the start of the span.
     """
     if s.atom_levels != 3:
         raise ValueError(f"full model needs 3 atom levels, space has {s.atom_levels}")

@@ -16,9 +16,16 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .analysis import preparation_time, report_from_moments
-from .dynamics import ArrivalProcess, _accepted_counts, _kraus_advance, interval_advance, run_in_squeezed_frame
-from .gaussian import GaussianState, gaussian_fidelity_to_tmsv, run_protocol_gaussian
+from .analysis import moment_records, preparation_time, report_from_moments
+from .dynamics import (
+    ArrivalProcess,
+    _accepted_counts,
+    _kraus_advance,
+    interval_advance,
+    run_in_squeezed_frame,
+    run_schedule,
+)
+from .gaussian import GaussianState, gaussian_fidelity_to_tmsv, gaussian_lindblad_evolve, gaussian_vacuum
 from .hilbert import ChargeBlocks, DensityMatrix, SpaceDescriptor
 from .model import (
     DISPERSIVE_LIMIT,
@@ -292,17 +299,21 @@ def _damping_pass(rho: ChargeBlocks, eta: float, mode: int) -> ChargeBlocks:
     return replace(rho, blocks=(kernel @ flipped.view(float)).view(complex).swapaxes(2, 3))
 
 
-def _fock_step(step: ProtocolStep, times: np.ndarray):
-    """Advance map of one pump-down step for run_in_squeezed_frame.
+def _pump_step(step: ProtocolStep, times: np.ndarray, engine: str):
+    """Advance map of one pump-down step on the fock or gaussian engine.
 
     In the squeezed frame the transformed-mode jump is bare amplitude
-    damping, whose Fock-basis kernel is closed form, so the step is exact.
+    damping of the pumped mode: on rho_b its Fock-basis kernel, on the
+    moments the attenuator gaussian_lindblad_evolve.  Both are closed form,
+    so the step is exact.
     """
     d = derive_rates(step.params)
     mode = 1 if step.channel == "b1" else 2
-    return interval_advance(
-        times, step.duration, lambda rho, dt: _damping_pass(rho, math.exp(-d.gamma * dt), mode)
-    )
+    if engine == "gaussian":
+        evolve = lambda s, dt: gaussian_lindblad_evolve(s, d.epsilon, d.gamma, mode, dt)
+    else:
+        evolve = lambda rho, dt: _damping_pass(rho, math.exp(-d.gamma * dt), mode)
+    return interval_advance(times, step.duration, evolve)
 
 
 def run_protocol(
@@ -316,7 +327,12 @@ def run_protocol(
     must be a DensityMatrix on the spec truncation for the fock and
     collision engines, or a GaussianState for the gaussian engine; the
     final state is rho_b = S rho S+ (ChargeBlocks) or a GaussianState.
-    Regime violations are warnings, recorded in the trajectory diagnostics.
+    Every engine pumps in the one squeezed frame the steps share and reads
+    its records from the same quadrature moments.  The diagnostics have the
+    same keys on every engine: engine, steps, regime_failures (the checks
+    validate_regime fails, also issued as a warning), max_truncation_leak
+    (0.0 on gaussian, which has no truncation), and accepted_arrivals and
+    dropped_arrivals (None except on collision).
     """
     whole = isinstance(samples_per_step, (int, np.integer)) and not isinstance(samples_per_step, bool)
     if not whole or samples_per_step < 1:
@@ -328,41 +344,48 @@ def run_protocol(
     if failures:
         warnings.warn("outside validity regime: " + ", ".join(failures), stacklevel=2)
 
-    epsilon = spec.epsilon
     if spec.engine == "gaussian":
         if initial is not None and not isinstance(initial, GaussianState):
             raise ValueError("gaussian engine takes a GaussianState initial state")
-        traj = run_protocol_gaussian(spec, samples_per_step=samples_per_step, initial=initial)
-        traj = replace(traj, diagnostics={**traj.diagnostics, "regime_failures": failures})
-        final = traj.final_state
-        fidelity = gaussian_fidelity_to_tmsv(final, epsilon)
-        return traj, report_from_moments(final.mean, final.cov, epsilon, fidelity, 0.0)
+        start = gaussian_vacuum() if initial is None else initial
+    else:
+        space = SpaceDescriptor(1, *spec.truncation)
+        if initial is not None and not isinstance(initial, DensityMatrix):
+            raise ValueError(f"{spec.engine} engine takes a DensityMatrix initial state")
+        if initial is not None and initial.space != space:
+            raise ValueError(f"initial state space {initial.space} does not match truncation {spec.truncation}")
+        start = space if initial is None else initial
 
-    space = SpaceDescriptor(1, *spec.truncation)
-    if initial is not None and not isinstance(initial, DensityMatrix):
-        raise ValueError(f"{spec.engine} engine takes a DensityMatrix initial state")
-    if initial is not None and initial.space != space:
-        raise ValueError(f"initial state space {initial.space} does not match truncation {spec.truncation}")
-
-    # the steps share epsilon, so both Fock-space engines run the whole
-    # schedule in one squeezed frame
     steps, accepted, dropped = [], 0, 0
     for i, step in enumerate(spec.steps):
         # a step of zero duration has its one sample at 0
         times = np.linspace(0.0, step.duration, samples_per_step if step.duration else 1)
-        if spec.engine == "fock":
-            advance = _fock_step(step, times)
-        else:
+        if spec.engine == "collision":
             arrivals = ArrivalProcess(rate=step.params.r_a, seed=spec.seed + i)
             counts, step_dropped = _accepted_counts(step.params, step.duration, arrivals, times)
             advance = _kraus_advance(spec.truncation, step.params, False, counts)
             accepted += int(counts[-1])
             dropped += step_dropped
+        else:
+            advance = _pump_step(step, times, spec.engine)
         steps.append((times, advance))
-    traj, report = run_in_squeezed_frame(space if initial is None else initial, epsilon, steps)
 
-    diagnostics = {"engine": spec.engine, "regime_failures": failures}
-    if spec.engine == "collision":
-        diagnostics.update(accepted_arrivals=accepted, dropped_arrivals=dropped)
-    traj = replace(traj, diagnostics={**diagnostics, **traj.diagnostics})
-    return traj, report
+    # the steps share epsilon, so every engine runs the whole schedule in one squeezed frame
+    epsilon = spec.epsilon
+    if spec.engine == "gaussian":
+        record = lambda s: moment_records(s.mean, s.cov, epsilon)
+        traj = run_schedule(start, steps, record)
+        final = traj.final_state
+        report = report_from_moments(final.mean, final.cov, epsilon, gaussian_fidelity_to_tmsv(final, epsilon), 0.0)
+    else:
+        traj, report = run_in_squeezed_frame(start, epsilon, steps)
+
+    diagnostics = {
+        "engine": spec.engine,
+        "steps": len(steps),
+        "regime_failures": failures,
+        "max_truncation_leak": traj.diagnostics.get("max_truncation_leak", 0.0),
+        "accepted_arrivals": accepted if spec.engine == "collision" else None,
+        "dropped_arrivals": dropped if spec.engine == "collision" else None,
+    }
+    return replace(traj, diagnostics=diagnostics), report

@@ -14,9 +14,8 @@ from cavsqueeze.cli import (
     load_run_config,
     main,
 )
-from cavsqueeze.gaussian import run_protocol_gaussian
 from cavsqueeze.model import TWO_PI, PhysicalParams, derive_rates
-from cavsqueeze.protocol import mirror_to_b1
+from cavsqueeze.protocol import ENGINES, mirror_to_b1, run_protocol
 
 
 def config_dict(**overrides):
@@ -339,6 +338,26 @@ class TestSimulate:
             "t,n_a1,n_b1,n_a2,n_b2,v_x_minus,v_x_plus,v_p_minus,v_p_plus,duan_sum"
         ] * 3
 
+    def test_same_diagnostics_on_every_engine(self, tmp_path):
+        path = write_config(tmp_path, config_dict(durations=[10.0, 10.0], sample_count=3, truncation=[8, 8]))
+        schema = {"engine", "steps", "regime_failures", "max_truncation_leak",
+                  "accepted_arrivals", "dropped_arrivals"}
+        for engine in ENGINES:
+            assert main(["simulate", "--config", path, "--engine", engine,
+                         "--out", str(tmp_path / engine)]) == 0
+            diagnostics = json.loads((tmp_path / f"{engine}.json").read_text())["diagnostics"]
+            assert set(diagnostics) == schema, engine
+            assert (diagnostics["engine"], diagnostics["steps"], diagnostics["regime_failures"]) == (engine, 2, [])
+            arrivals = (diagnostics["accepted_arrivals"], diagnostics["dropped_arrivals"])
+            if engine == "collision":
+                assert arrivals[0] > 0 and arrivals[1] >= 0
+            else:
+                assert arrivals == (None, None), engine
+            if engine == "gaussian":
+                assert diagnostics["max_truncation_leak"] == 0.0
+            else:
+                assert 0.0 < diagnostics["max_truncation_leak"] < 1e-3, engine
+
     def test_regime_warning_does_not_abort(self, tmp_path):
         data = config_dict(engine="gaussian", durations=[0.0, 0.0])
         data["params"]["tau_s"] = 0.2  # transit phase 0.5, outside the limit
@@ -432,9 +451,11 @@ class TestSweep:
                 warnings.simplefilter("ignore")
                 assert main(["simulate", "--config", write_config(tmp_path, point, f"p{i}.json"),
                              "--out", str(tmp_path / f"sim{i}")]) == 0
-            report = json.loads((tmp_path / f"sim{i}.json").read_text())["report"]
-            for key in ("duan_sum", "n1_mean", "n2_mean", "fidelity"):
+            payload = json.loads((tmp_path / f"sim{i}.json").read_text())
+            report = payload["report"]
+            for key in ("duan_sum", "n1_mean", "n2_mean", "fidelity", "truncation_leak"):
                 assert rows[key][i] == pytest.approx(report[key], rel=1e-9)
+            assert rows["regime_ok"][i] == (not payload["diagnostics"]["regime_failures"])
 
     def test_gaussian_engine_never_calls_expm(self, tmp_path, monkeypatch):
         def refuse(*args, **kwargs):
@@ -442,29 +463,21 @@ class TestSweep:
 
         monkeypatch.setattr(scipy.linalg, "expm", refuse)
         spec = build_spec(load_run_config(None))
-        assert run_protocol_gaussian(spec).times.size > 1
+        assert run_protocol(spec)[0].times.size > 1
         assert main(["sweep", "--out", str(tmp_path / "s.csv"), "--r-grid", "0.5,0.9"]) == 0
 
-    def test_warning_filters_unchanged(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("CAVSQUEEZE_WORKERS", "2")
+    def test_warning_filters_unchanged(self, tmp_path):
+        # on the bundled config r = 0.4 is outside the validity regime (its
+        # transit phase is above the limit); its row says so, and the sweep
+        # leaves the warning filters as it found them
         before = list(warnings.filters)
-        assert main(["sweep", "--out", str(tmp_path / "s.csv"), "--r-grid", "0.4,0.7,0.95"]) == 0
+        out = tmp_path / "s.csv"
+        assert main(["sweep", "--out", str(out), "--r-grid", "0.4,0.8,0.95"]) == 0
         assert warnings.filters == before
-
-    def test_bad_worker_count_names_the_setting(self, tmp_path, monkeypatch, capsys):
-        monkeypatch.setenv("CAVSQUEEZE_WORKERS", "abc")
-        assert main(["sweep", "--out", str(tmp_path / "s.csv"), "--r-grid", "0.4,0.7"]) == 2
-        err = capsys.readouterr().err.strip()
-        assert err == "error: CAVSQUEEZE_WORKERS must be an integer, got 'abc'"
-
-    def test_worker_count_does_not_change_output(self, tmp_path, monkeypatch):
-        blobs = []
-        for workers in ("1", "3"):
-            monkeypatch.setenv("CAVSQUEEZE_WORKERS", workers)
-            out = tmp_path / f"w{workers}.csv"
-            assert main(["sweep", "--out", str(out), "--r-grid", "0.4,0.7"]) == 0
-            blobs.append(out.read_bytes())
-        assert blobs[0] == blobs[1]
+        data = read_csv(out)
+        assert data.dtype.names[-2:] == ("regime_ok", "truncation_leak")
+        assert list(data["regime_ok"]) == [0, 1, 1]
+        assert list(data["truncation_leak"]) == [0.0, 0.0, 0.0]
 
 
 class TestValidate:

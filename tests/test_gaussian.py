@@ -1,5 +1,4 @@
 import math
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -12,10 +11,10 @@ from cavsqueeze.gaussian import (
     gaussian_lindblad_evolve,
     gaussian_tmsv,
     gaussian_vacuum,
-    run_protocol_gaussian,
 )
 from cavsqueeze.hilbert import DensityMatrix, SpaceDescriptor, expectation
 from cavsqueeze.model import PhysicalParams, b_mode_annihilation, build_squeeze_operator, derive_rates
+from cavsqueeze.protocol import build_two_step_protocol, run_protocol
 from oracles import gaussian_block_evolve, lindblad_evolve
 
 
@@ -263,28 +262,21 @@ class TestGaussianLindbladEvolve:
         assert abs(epr_fock.duan_sum - epr_gauss.duan_sum) < 1e-5
 
 
+@pytest.mark.filterwarnings("ignore:outside validity regime")
 class TestRunProtocolGaussian:
     def protocol(self, r, gamma_t):
+        # step 2 of the builder is pump_params(r, 1.0), the mirror of step 1
         p1 = pump_params(1.0, r)
-        p2 = pump_params(r, 1.0)
-        gamma = derive_rates(p1).gamma
-        duration = gamma_t / gamma
-        return SimpleNamespace(steps=[
-            SimpleNamespace(params=p1, duration=duration),
-            SimpleNamespace(params=p2, duration=duration),
-        ])
+        duration = gamma_t / derive_rates(p1).gamma
+        return build_two_step_protocol(p1, engine="gaussian", durations=(duration, duration))
 
     def test_zero_duration_returns_initial(self):
-        proto = self.protocol(0.6, 1.0)
-        for step in proto.steps:
-            step.duration = 0.0
-        traj = run_protocol_gaussian(proto)
+        traj, _ = run_protocol(self.protocol(0.6, 0.0))
         np.testing.assert_array_equal(traj.final_state.cov, gaussian_vacuum().cov)
         assert traj.times.size == 1
 
     def test_two_step_prepares_squeezed_state(self):
-        proto = self.protocol(0.95, 9.2)
-        traj = run_protocol_gaussian(proto)
+        traj, _ = run_protocol(self.protocol(0.95, 9.2))
         eps = math.atanh(0.95)
         ideal = gaussian_epr_variances(gaussian_tmsv(eps))
         final = gaussian_epr_variances(traj.final_state)
@@ -295,7 +287,7 @@ class TestRunProtocolGaussian:
 
     def test_monotone_transformed_decay_per_step(self):
         proto = self.protocol(0.6, 4.0)
-        traj = run_protocol_gaussian(proto)
+        traj, _ = run_protocol(proto)
         boundary = proto.steps[0].duration
         step1 = traj.times <= boundary + 1e-12
         step2 = traj.times >= boundary - 1e-12
@@ -309,19 +301,17 @@ class TestRunProtocolGaussian:
             GaussianState(mean=np.zeros(4), cov=0.75 * np.eye(4)),
             GaussianState(mean=np.array([1.0, 0.0, 0.5, -0.2]), cov=0.25 * np.eye(4)),
         ]
-        finals = [run_protocol_gaussian(proto, initial=s).final_state for s in initials]
+        finals = [run_protocol(proto, initial=s)[0].final_state for s in initials]
         for other in finals[1:]:
             assert np.max(np.abs(other.cov - finals[0].cov)) < 1e-4
 
     def test_degenerate_channel_rejected(self):
         p = pump_params(1.0, 1.0 + 0.0)
-        proto = SimpleNamespace(steps=[SimpleNamespace(params=p, duration=1.0)])
         with pytest.raises(ValueError, match="degenerate"):
-            run_protocol_gaussian(proto)
+            run_protocol(build_two_step_protocol(p, engine="gaussian", durations=(1.0, 1.0)))
 
     def test_record_keys(self):
-        proto = self.protocol(0.5, 2.0)
-        traj = run_protocol_gaussian(proto)
+        traj, _ = run_protocol(self.protocol(0.5, 2.0))
         assert set(traj.records) == {
             "n_a1", "n_a2", "n_b1", "n_b2",
             "v_x_minus", "v_x_plus", "v_p_minus", "v_p_plus", "duan_sum",

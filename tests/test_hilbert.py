@@ -1,7 +1,10 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from cavsqueeze.hilbert import (
+    ChargeBlocks,
     DensityMatrix,
     Operator,
     SpaceDescriptor,
@@ -175,3 +178,21 @@ def test_charge_blocks_hold_only_occupied_charges():
     np.testing.assert_array_equal(
         rho.outer(left, left), split_charges(np.einsum("ij,kl->ijkl", left, left.conj())).block(0)[None]
     )
+
+
+def test_diagonal_of_an_absent_charge_builds_no_block():
+    # at N = 85 one block is (2N - 1) N^2 complex entries, 19.5 MB; a band of
+    # a charge the state does not hold is an (N, N) zero array
+    n = 85
+    rho = ChargeBlocks(np.zeros(1, int), np.zeros((1, 2 * n - 1, n, n), complex))
+    tracemalloc.start()
+    try:
+        band = rho.diagonal(1, 0)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < rho.blocks[0].nbytes / 10, peak
+    np.testing.assert_array_equal(band, np.zeros((n, n)))
+    # a held charge still reads its band out of the block
+    rho.blocks[0, n - 1 - 2, 3, 4] = 1.5
+    assert rho.diagonal(2, 2)[3, 4] == 1.5
