@@ -423,7 +423,7 @@ def cmd_sweep(cfg: RunConfig) -> int:
             )
             # a row is the final report, which one sample per step gives exactly
             traj, report = run_protocol(spec, samples_per_step=1)
-            d = derive_rates(scaled)
+            d = spec.steps[0].derived
             rows.append((
                 r,
                 d.epsilon,

@@ -119,12 +119,24 @@ def propagate_state(
 ) -> np.ndarray:
     """Classical fourth-order Runge-Kutta on a state vector, renormalized
     each step.  Cheap path for pure-state runs on large spaces, where a
-    dense propagator or density matrix is too expensive."""
+    dense propagator or density matrix is too expensive.
+
+    h_of_t is a constant Operator or a callable returning H(t) as an array
+    or an Operator.  The span, dt and psi0 are checked once, before the
+    first step: all must be finite, psi0 nonzero and as long as H is wide.
+    """
     t0, t1 = float(t_span[0]), float(t_span[1])
+    if not (math.isfinite(t0) and math.isfinite(t1)):
+        raise ValueError(f"t_span must be finite, got ({t0!r}, {t1!r})")
     if t1 < t0:
         raise ValueError("t_span must be ordered")
-    if dt <= 0:
-        raise ValueError("dt must be positive")
+    if not (math.isfinite(dt) and dt > 0):
+        raise ValueError(f"dt must be positive and finite, got {dt!r}")
+    psi = np.array(psi0, dtype=complex)
+    if not np.all(np.isfinite(psi)):
+        raise ValueError("psi0 must be finite")
+    if not np.any(psi):
+        raise ValueError("psi0 must be nonzero")
     if isinstance(h_of_t, Operator):
         constant = h_of_t.matrix
         h_fn = lambda t: constant
@@ -132,26 +144,35 @@ def propagate_state(
         def h_fn(t):
             h = h_of_t(t)
             return h.matrix if isinstance(h, Operator) else h
+    h_start = h_fn(t0)
+    if psi.shape != h_start.shape[-1:]:
+        raise ValueError(f"psi0 has shape {psi.shape} but H has dimension {h_start.shape[-1]}")
     span = t1 - t0
-    psi = np.asarray(psi0, dtype=complex).copy()
     if span == 0.0:
         return psi
     n_steps = max(1, math.ceil(span / dt))
     if n_steps > MAX_STEPS:
         raise ValueError(f"span {span:g} at dt {dt:g} needs {n_steps} steps; refusing")
     h = span / n_steps
+    # -i h and -i h/2 scale the products H psi, so the k below are H psi without the -i
+    full, half = -1j * h, -0.5j * h
     t = t0
     # H(t + h) of one step is H(t) of the next: t += h gives the same t
-    h_start = h_fn(t)
     for _ in range(n_steps):
-        k1 = -1j * (h_start @ psi)
+        k1 = h_start @ psi
         h_mid = h_fn(t + 0.5 * h)
-        k2 = -1j * (h_mid @ (psi + 0.5 * h * k1))
-        k3 = -1j * (h_mid @ (psi + 0.5 * h * k2))
+        k2 = h_mid @ (psi + half * k1)
+        k3 = h_mid @ (psi + half * k2)
         h_start = h_fn(t + h)
-        k4 = -1j * (h_start @ (psi + h * k3))
-        psi = psi + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        psi /= np.linalg.norm(psi)
+        k4 = h_start @ (psi + full * k3)
+        # k1 + 2 (k2 + k3) + k4, accumulated in place
+        k2 += k3
+        k2 *= 2.0
+        k1 += k2
+        k1 += k4
+        k1 *= full / 6.0
+        psi += k1
+        psi /= math.sqrt(np.vdot(psi, psi).real)
         t += h
     return psi
 

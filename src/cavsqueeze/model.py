@@ -171,16 +171,29 @@ def stark_shifts(p: PhysicalParams) -> StarkShifts:
 
 @functools.lru_cache(maxsize=4)
 def _full_couplings(s: SpaceDescriptor) -> tuple:
-    """The read-only operators s_eh, s_eg, a1 s_eg and a2 s_eh, built once per space."""
+    """Sparsity pattern of build_full_hamiltonian, built once per space.
+
+    Returns read-only arrays over the nonzero entries of the four raising
+    terms s_eh, s_eg, a1 s_eg and a2 s_eh: their flat indices in H, the
+    flat indices of the same entries in the adjoint, their values, and
+    the term (0 to 3) each belongs to.  The four supports are disjoint
+    from each other and from their transposes, since every raising entry
+    has its row in the e block and its column in the g or h block.  On
+    3 levels and N Fock states per mode there are about 4 N^2 entries
+    against 9 N^4 in H.
+    """
     a1 = annihilation_op(s, 1).matrix
     a2 = annihilation_op(s, 2).matrix
     s_eh = atom_transition_op(s, "e", "h").matrix
     s_eg = atom_transition_op(s, "e", "g").matrix
-    a1_s_eg = a1 @ s_eg
-    a2_s_eh = a2 @ s_eh
-    a1_s_eg.setflags(write=False)
-    a2_s_eh.setflags(write=False)
-    return s_eh, s_eg, a1_s_eg, a2_s_eh
+    terms = (s_eh, s_eg, a1 @ s_eg, a2 @ s_eh)
+    rows, cols = np.concatenate([np.nonzero(m) for m in terms], axis=1)
+    values = np.concatenate([m[m != 0] for m in terms])
+    term = np.repeat(np.arange(len(terms)), [np.count_nonzero(m) for m in terms])
+    pattern = rows * s.dim + cols, cols * s.dim + rows, values, term
+    for array in pattern:
+        array.setflags(write=False)
+    return pattern
 
 
 def build_full_hamiltonian(p: PhysicalParams, s: SpaceDescriptor, t: float) -> Operator:
@@ -191,24 +204,28 @@ def build_full_hamiltonian(p: PhysicalParams, s: SpaceDescriptor, t: float) -> O
     (h <-> e) at detuning delta2.  Raising terms carry e^{-i delta t}; this
     sign pairs with the +omega^2/delta shift convention of
     build_effective_hamiltonian, so the second-order reduction of this
-    Hamiltonian is that one (checked dynamically in the tests).  Only the
-    phases change with t, so the operators they multiply are built once per
-    space and reused: propagate_state calls this twice per RK4 step (at
-    the midpoint and the end, which is the next step's start), plus once at
-    the start of the span.
+    Hamiltonian is that one (checked dynamically in the tests).
+
+    Only the four coefficients omega1 e^{-i delta1 t}, omega2 e^{-i delta2 t},
+    g1 e^{-i delta1 t} and g2 e^{-i delta2 t} change with t.  The positions
+    and values of the entries they multiply are cached per space by
+    _full_couplings, so a call costs O(nonzeros) arithmetic plus filling
+    one zero dim x dim matrix: each stored entry is multiplied by its
+    coefficient and scattered, and its conjugate into the adjoint position.
+    propagate_state calls this twice per RK4 step (at the midpoint and the
+    end, which is the next step's start), plus once at the start of the span.
     """
     if s.atom_levels != 3:
         raise ValueError(f"full model needs 3 atom levels, space has {s.atom_levels}")
-    s_eh, s_eg, a1_s_eg, a2_s_eh = _full_couplings(s)
+    flat, adjoint, values, term = _full_couplings(s)
     phase1 = np.exp(-1j * p.delta1 * t)
     phase2 = np.exp(-1j * p.delta2 * t)
-    half = (
-        p.omega1 * phase1 * s_eh
-        + p.omega2 * phase2 * s_eg
-        + p.g1 * phase1 * a1_s_eg
-        + p.g2 * phase2 * a2_s_eh
-    )
-    return Operator(s, half + half.conj().T)
+    coefficients = np.array([p.omega1 * phase1, p.omega2 * phase2, p.g1 * phase1, p.g2 * phase2])
+    raising = coefficients[term] * values
+    h = np.zeros(s.dim * s.dim, dtype=complex)
+    h[flat] = raising
+    h[adjoint] = raising.conj()
+    return Operator(s, h.reshape(s.dim, s.dim))
 
 
 def build_effective_hamiltonian(p: PhysicalParams, s: SpaceDescriptor) -> Operator:

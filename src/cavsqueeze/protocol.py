@@ -11,7 +11,7 @@ from __future__ import annotations
 import functools
 import math
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from typing import Optional, Sequence
 
 import numpy as np
@@ -29,6 +29,7 @@ from .gaussian import GaussianState, gaussian_fidelity_to_tmsv, gaussian_lindbla
 from .hilbert import ChargeBlocks, DensityMatrix, SpaceDescriptor
 from .model import (
     DISPERSIVE_LIMIT,
+    DerivedParams,
     PhysicalParams,
     derive_rates,
     spontaneous_decay_estimate,
@@ -45,17 +46,23 @@ DECAY_BUDGET = 0.1
 
 @dataclass(frozen=True)
 class ProtocolStep:
-    """One pumping interval: parameters, injected atom level, duration."""
+    """One pumping interval: parameters, injected atom level, duration.
+
+    derived is derive_rates(params), computed once at construction for
+    everything that reads the step's rates.
+    """
 
     params: PhysicalParams
     atom_state: str
     duration: float
     channel: str
+    derived: DerivedParams = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.duration < 0:
             raise ValueError("duration must be nonnegative")
         d = derive_rates(self.params)
+        object.__setattr__(self, "derived", d)
         if d.channel != self.channel:
             raise ValueError(
                 f"declared channel {self.channel!r} but parameters derive {d.channel!r}"
@@ -89,7 +96,7 @@ class ProtocolSpec:
         if len(trunc) != 2 or not whole or min(trunc) < 1:
             raise ValueError(f"truncation must be two positive integers, got {self.truncation!r}")
         trunc = tuple(int(n) for n in trunc)
-        rates = [derive_rates(s.params) for s in steps]
+        rates = [s.derived for s in steps]
         eps0 = rates[0].epsilon
         for d in rates[1:]:
             if abs(d.epsilon - eps0) > EPSILON_MATCH_TOL * max(1.0, abs(eps0)):
@@ -108,7 +115,7 @@ class ProtocolSpec:
 
     @property
     def epsilon(self) -> float:
-        return derive_rates(self.steps[0].params).epsilon
+        return self.steps[0].derived.epsilon
 
     def to_json(self) -> dict:
         return {
@@ -307,7 +314,7 @@ def _pump_step(step: ProtocolStep, times: np.ndarray, engine: str):
     moments the attenuator gaussian_lindblad_evolve.  Both are closed form,
     so the step is exact.
     """
-    d = derive_rates(step.params)
+    d = step.derived
     mode = 1 if step.channel == "b1" else 2
     if engine == "gaussian":
         evolve = lambda s, dt: gaussian_lindblad_evolve(s, d.epsilon, d.gamma, mode, dt)
@@ -339,7 +346,7 @@ def run_protocol(
         raise ValueError(f"samples_per_step must be an integer >= 1, got {samples_per_step!r}")
     failures = []
     for step in spec.steps:
-        report = validate_regime(step.params, derive_rates(step.params))
+        report = validate_regime(step.params, step.derived)
         failures.extend(f"{c.name}={c.value:.3g}" for c in report.failures())
     if failures:
         warnings.warn("outside validity regime: " + ", ".join(failures), stacklevel=2)

@@ -8,6 +8,9 @@ random states only serve as test inputs.  Each
 oracle here computes the same physics another way, so a test can compare
 the two.  The Fock engines also never rotate their state back to the bare
 modes; bare_state does that for a test that compares bare density matrices.
+The three-level Hamiltonian is built from a cached sparsity pattern, and
+its RK4 step accumulates in place; dense_full_hamiltonian and rk4_reference
+are the dense four-term sum and the plain RK4 loop they replaced.
 """
 
 import math
@@ -29,7 +32,7 @@ from cavsqueeze.hilbert import (
     atom_transition_op,
     number_op,
 )
-from cavsqueeze.model import DerivedParams, StarkShifts, build_squeeze_operator
+from cavsqueeze.model import DerivedParams, PhysicalParams, StarkShifts, build_squeeze_operator
 
 HERMITICITY_TOL = 1e-8
 STEP_BOUND = 0.05
@@ -322,3 +325,47 @@ def loop_arrival_times(rate: float, seed: int, duration: float) -> np.ndarray:
             if t >= duration:
                 return np.array(times)
             times.append(t)
+
+
+def dense_full_hamiltonian(p: PhysicalParams, s: SpaceDescriptor, t: float) -> np.ndarray:
+    """build_full_hamiltonian as the dense sum of its four phase x coupling
+    x operator terms plus their conjugate transpose."""
+    a1 = annihilation_op(s, 1).matrix
+    a2 = annihilation_op(s, 2).matrix
+    s_eh = atom_transition_op(s, "e", "h").matrix
+    s_eg = atom_transition_op(s, "e", "g").matrix
+    phase1 = np.exp(-1j * p.delta1 * t)
+    phase2 = np.exp(-1j * p.delta2 * t)
+    half = (
+        p.omega1 * phase1 * s_eh
+        + p.omega2 * phase2 * s_eg
+        + p.g1 * phase1 * (a1 @ s_eg)
+        + p.g2 * phase2 * (a2 @ s_eh)
+    )
+    return half + half.conj().T
+
+
+def rk4_reference(h_fn: Callable, psi0: np.ndarray, t_span: tuple, dt: float) -> np.ndarray:
+    """Classical RK4 on a state vector, renormalized each step, with every
+    stage written out: k = -i H(t) y, and H(t + h) of one step reused as the
+    next step's H(t).  h_fn returns H(t) as an array."""
+    t0, t1 = float(t_span[0]), float(t_span[1])
+    psi = np.asarray(psi0, dtype=complex).copy()
+    span = t1 - t0
+    if span == 0.0:
+        return psi
+    n_steps = max(1, math.ceil(span / dt))
+    h = span / n_steps
+    t = t0
+    h_start = h_fn(t)
+    for _ in range(n_steps):
+        k1 = -1j * (h_start @ psi)
+        h_mid = h_fn(t + 0.5 * h)
+        k2 = -1j * (h_mid @ (psi + 0.5 * h * k1))
+        k3 = -1j * (h_mid @ (psi + 0.5 * h * k2))
+        h_start = h_fn(t + h)
+        k4 = -1j * (h_start @ (psi + h * k3))
+        psi = psi + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        psi /= np.linalg.norm(psi)
+        t += h
+    return psi

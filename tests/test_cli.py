@@ -466,6 +466,24 @@ class TestSweep:
         assert run_protocol(spec)[0].times.size > 1
         assert main(["sweep", "--out", str(tmp_path / "s.csv"), "--r-grid", "0.5,0.9"]) == 0
 
+    def test_derives_rates_once_per_step(self, tmp_path, monkeypatch):
+        # a point builds its two steps, each deriving its rates once, and
+        # the spec builder derives step 1's to pick its durations
+        calls = []
+
+        def counted(p):
+            calls.append(p)
+            return derive_rates(p)
+
+        for module in ("cli", "dynamics", "model", "protocol"):
+            monkeypatch.setattr(f"cavsqueeze.{module}.derive_rates", counted)
+        counts = []
+        for grid in ("0.5", "0.5,0.7,0.9"):
+            calls.clear()
+            assert main(["sweep", "--out", str(tmp_path / "s.csv"), "--r-grid", grid]) == 0
+            counts.append(len(calls))
+        assert (counts[1] - counts[0]) / 2 <= 3
+
     def test_warning_filters_unchanged(self, tmp_path):
         # on the bundled config r = 0.4 is outside the validity regime (its
         # transit phase is above the limit); its row says so, and the sweep

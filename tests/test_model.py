@@ -22,7 +22,12 @@ from cavsqueeze.model import (
     spontaneous_decay_estimate,
     stark_shifts,
 )
-from oracles import build_displacement_operator, dense_squeeze_operator, effective_hamiltonian_rate_form
+from oracles import (
+    build_displacement_operator,
+    dense_full_hamiltonian,
+    dense_squeeze_operator,
+    effective_hamiltonian_rate_form,
+)
 
 TWO_PI = 2.0 * math.pi
 
@@ -181,6 +186,22 @@ class TestFullHamiltonian:
         p = PhysicalParams(1.0, 1.0, 1.0, 1.0, -1.0, 1.0)
         with pytest.raises(ValueError, match="3 atom levels"):
             build_full_hamiltonian(p, SpaceDescriptor(2, 3, 3), 0.0)
+
+    @pytest.mark.parametrize("shape", [(3, 2, 2), (3, 5, 5), (3, 4, 6), (3, 6, 3)])
+    def test_matches_dense_terms(self, shape):
+        # the cached pattern multiplies coefficient and entry as the dense sum
+        # does, and the terms' supports are disjoint, so every entry is equal
+        # (a zero may differ in sign)
+        s = SpaceDescriptor(*shape)
+        rng = np.random.default_rng(sum(shape))
+        params = [PhysicalParams(*rng.normal(size=4), -rng.uniform(0.5, 3.0), rng.uniform(0.5, 3.0))
+                  for _ in range(4)]
+        params.append(PhysicalParams(0.0, 0.0, 0.0, 0.0, -1.0, 2.0))
+        params.append(PhysicalParams(0.3, 0.0, 0.0, -0.7, -1.5, 2.5))
+        for p in params:
+            for t in (0.0, 0.25, 1.3, -2.0, 37.9, rng.uniform(0.0, 100.0)):
+                h = build_full_hamiltonian(p, s, t).matrix
+                np.testing.assert_array_equal(h, dense_full_hamiltonian(p, s, t))
 
 
 class TestEffectiveHamiltonian:
