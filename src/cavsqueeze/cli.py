@@ -15,7 +15,7 @@ import os
 import sys
 import tempfile
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from importlib import resources
 from typing import Optional, Sequence
 
@@ -38,6 +38,7 @@ from .protocol import (
     ProtocolStep,
     build_two_step_protocol,
     mirror_to_b1,
+    pump_down_time,
     run_protocol,
     validate_regime,
 )
@@ -48,28 +49,6 @@ EXIT_INVALID = 2
 EXIT_CHECKS = 3
 
 _BUNDLED_CONFIG = "microwave_rydberg.json"
-_CONFIG_KEYS = {
-    "params",
-    "steps",
-    "engine",
-    "seed",
-    "truncation",
-    "n_target",
-    "sample_count",
-    "durations",
-    "output_path",
-    "r_grid",
-    "r_a_per_s",
-    "tau_s",
-    "theta1_hz",
-}
-
-# Documented rate inputs for the ratio-scan timing curve.  They reproduce
-# the millisecond preparation scale; r_a*tau exceeds the one-atom collision
-# regime, so the curve is an analytic estimate, not a collision-model run.
-FIG2_DEFAULTS = {"r_a_per_s": 1.3e5, "tau_s": 2.5e-5, "theta1_hz": 2000.0}
-_DEFAULT_R_GRID = tuple(round(0.05 * i, 10) for i in range(1, 20))
-
 _SVG_COLORS = ("#2c6fbb", "#c23b22", "#3a7d44", "#8e5ba6")
 
 
@@ -90,7 +69,14 @@ class _Parser(argparse.ArgumentParser):
 
 @dataclass(frozen=True)
 class RunConfig:
-    """Physics parameters plus the run options shared by all commands."""
+    """Physics parameters plus the run options shared by all commands.
+
+    The field names are the config keys and the command-line flag dests,
+    and the defaults here are the only defaults.  r_a_per_s, tau_s and
+    theta1_hz are fig2's rate inputs: they reproduce the millisecond
+    preparation scale, but r_a*tau exceeds the one-atom collision regime,
+    so the curve is an analytic estimate, not a collision-model run.
+    """
 
     params: PhysicalParams
     steps: Optional[tuple] = None
@@ -101,10 +87,13 @@ class RunConfig:
     sample_count: int = 51
     durations: Optional[tuple] = None
     output_path: Optional[str] = None
-    r_grid: Optional[tuple] = None
-    r_a_per_s: Optional[float] = None
-    tau_s: Optional[float] = None
-    theta1_hz: Optional[float] = None
+    r_grid: tuple = tuple(round(0.05 * i, 10) for i in range(1, 20))
+    r_a_per_s: float = 1.3e5
+    tau_s: float = 2.5e-5
+    theta1_hz: float = 2000.0
+
+
+_CONFIG_KEYS = frozenset(f.name for f in fields(RunConfig))
 
 
 def _read_config_data(path: Optional[str]) -> dict:
@@ -163,137 +152,86 @@ def _numbers(key: str, value) -> tuple:
 
 def load_run_config(path: Optional[str], args=None) -> RunConfig:
     """Parse a config file (bundled set when path is None) and fold in any
-    overriding command-line flags."""
+    overriding command-line flags: a flag that is given replaces the
+    config key of its dest."""
     data = _read_config_data(path)
 
     steps = None
     if "steps" in data:
-        raw = data["steps"]
+        raw = data.pop("steps")
         if not isinstance(raw, list) or len(raw) != 2:
             raise ConfigError("steps must list exactly two parameter tables")
         steps = tuple(_params_from(item, "steps entry") for item in raw)
     if "params" in data:
-        params = _params_from(data["params"], "params")
+        params = _params_from(data.pop("params"), "params")
     elif steps is not None:
         params = steps[0]
     else:
         raise ConfigError("config needs a 'params' table (or a 'steps' pair)")
-
-    engine = data.get("engine", "fock")
-    seed = data.get("seed", 0)
-    truncation = data.get("truncation", (15, 15))
-    n_target = data.get("n_target", 0.1)
-    output_path = data.get("output_path")
-    r_grid = data.get("r_grid")
-
     if args is not None:
-        if getattr(args, "engine", None) is not None:
-            engine = args.engine
-        if getattr(args, "seed", None) is not None:
-            seed = args.seed
-        if getattr(args, "truncation", None) is not None:
-            truncation = args.truncation
-        if getattr(args, "n_target", None) is not None:
-            n_target = args.n_target
-        if getattr(args, "out", None) is not None:
-            output_path = args.out
-        if getattr(args, "r_grid", None) is not None:
-            r_grid = args.r_grid
+        data.update((k, v) for k, v in vars(args).items() if k in _CONFIG_KEYS and v is not None)
+    cfg = replace(RunConfig(params=params, steps=steps), **data)
 
-    if engine not in ENGINES:
-        raise ConfigError(f"engine must be one of {ENGINES}, got {engine!r}")
-    if not isinstance(truncation, (list, tuple)):
-        raise ConfigError(f"truncation must be two positive integers, got {truncation!r}")
-    truncation = tuple(_integer("truncation", n) for n in truncation)
+    if cfg.engine not in ENGINES:
+        raise ConfigError(f"engine must be one of {ENGINES}, got {cfg.engine!r}")
+    if not isinstance(cfg.truncation, (list, tuple)):
+        raise ConfigError(f"truncation must be two positive integers, got {cfg.truncation!r}")
+    truncation = tuple(_integer("truncation", n) for n in cfg.truncation)
     if len(truncation) != 2 or min(truncation) < 1:
         raise ConfigError(f"truncation must be two positive integers, got {truncation!r}")
-    seed = _integer("seed", seed)
+    seed = _integer("seed", cfg.seed)
     if seed < 0:
         raise ConfigError(f"seed must be nonnegative, got {seed}")
-    n_target = _number("n_target", n_target)
+    n_target = _number("n_target", cfg.n_target)
     if not n_target > 0.0:
         raise ConfigError(f"n_target must be positive, got {n_target!r}")
-    sample_count = _integer("sample_count", data.get("sample_count", 51))
+    sample_count = _integer("sample_count", cfg.sample_count)
     if sample_count < 1:
         raise ConfigError(f"sample_count must be at least 1, got {sample_count}")
 
-    durations = data.get("durations")
+    durations = cfg.durations
     if durations is not None:
         durations = _numbers("durations", durations)
-        if len(durations) != 2 or min(durations) < 0.0:
-            raise ConfigError("durations must give two nonnegative times")
+        if len(durations) != 2 or not all(0.0 <= t < math.inf for t in durations):
+            raise ConfigError(f"durations must give two finite nonnegative times, got {list(durations)}")
 
-    if r_grid is not None:
-        r_grid = _numbers("r_grid", r_grid)
-        if not r_grid:
-            raise ConfigError("r_grid must not be empty")
-        for r in r_grid:
-            if not 0.0 < r < 1.0:
-                raise ConfigError(f"r values must lie strictly between 0 and 1, got {r:g}")
+    r_grid = _numbers("r_grid", cfg.r_grid)
+    if not r_grid:
+        raise ConfigError("r_grid must not be empty")
+    for r in r_grid:
+        if not 0.0 < r < 1.0:
+            raise ConfigError(f"r values must lie strictly between 0 and 1, got {r:g}")
 
-    extras = {}
+    rates = {}
     for key in ("r_a_per_s", "tau_s", "theta1_hz"):
-        if key in data:
-            value = _number(key, data[key])
-            if not value > 0.0:
-                raise ConfigError(f"{key} must be positive, got {value!r}")
-            extras[key] = value
+        rates[key] = _number(key, getattr(cfg, key))
+        if not rates[key] > 0.0:
+            raise ConfigError(f"{key} must be positive, got {rates[key]!r}")
 
-    return RunConfig(
-        params=params,
-        steps=steps,
-        engine=engine,
-        seed=seed,
-        truncation=truncation,
-        n_target=n_target,
-        sample_count=sample_count,
-        durations=durations,
-        output_path=output_path,
-        r_grid=r_grid,
-        r_a_per_s=extras.get("r_a_per_s"),
-        tau_s=extras.get("tau_s"),
-        theta1_hz=extras.get("theta1_hz"),
-    )
+    return replace(cfg, truncation=truncation, seed=seed, n_target=n_target, sample_count=sample_count,
+                   durations=durations, r_grid=r_grid, **rates)
 
 
-def _default_duration(d, n_target: float) -> float:
-    if d.gamma <= 0.0 or d.r <= 0.0:
-        return 0.0
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        return preparation_time(d.r, d.gamma, n_target).t_step
+def _as_step1(p: PhysicalParams) -> PhysicalParams:
+    # a params table whose strong channel is the second one is step 2 of its mirror
+    return mirror_to_b1(p) if derive_rates(p).channel == "b2" else p
+
+
+def _two_step_spec(cfg: RunConfig, step1: PhysicalParams) -> ProtocolSpec:
+    return build_two_step_protocol(step1, durations=cfg.durations, engine=cfg.engine, seed=cfg.seed,
+                                   truncation=cfg.truncation, n_target=cfg.n_target)
 
 
 def build_spec(cfg: RunConfig) -> ProtocolSpec:
     """Protocol from the config: an explicit steps pair is taken as-is, a
     single params table goes through the two-step builder (mirrored into
-    the step-1 slot when its strong channel is the second one)."""
+    the step-1 slot when its strong channel is the second one).  Without
+    durations each step lasts its pump_down_time."""
     if cfg.steps is not None:
-        built = []
-        for i, p in enumerate(cfg.steps):
-            d = derive_rates(p)
-            atom = "g" if d.channel == "b1" else "h"
-            if cfg.durations is not None:
-                duration = cfg.durations[i]
-            else:
-                duration = _default_duration(d, cfg.n_target)
-            built.append(
-                ProtocolStep(params=p, atom_state=atom, duration=duration, channel=d.channel)
-            )
-        return ProtocolSpec(
-            steps=built, engine=cfg.engine, seed=cfg.seed, truncation=cfg.truncation
-        )
-    p = cfg.params
-    if derive_rates(p).channel == "b2":
-        p = mirror_to_b1(p)
-    return build_two_step_protocol(
-        p,
-        durations=cfg.durations,
-        engine=cfg.engine,
-        seed=cfg.seed,
-        truncation=cfg.truncation,
-        n_target=cfg.n_target,
-    )
+        durations = cfg.durations or [pump_down_time(derive_rates(p), cfg.n_target) for p in cfg.steps]
+        steps = [ProtocolStep(p, t) for p, t in zip(cfg.steps, durations)]
+        return ProtocolSpec(steps=steps, engine=cfg.engine, seed=cfg.seed, truncation=cfg.truncation)
+    return _two_step_spec(cfg, _as_step1(cfg.params))
 
 
 def _json_default(obj):
@@ -370,18 +308,14 @@ def cmd_simulate(cfg: RunConfig, config_path: Optional[str]) -> int:
 
 
 def cmd_fig2(cfg: RunConfig, svg_path: Optional[str]) -> int:
-    r_a = cfg.r_a_per_s if cfg.r_a_per_s is not None else FIG2_DEFAULTS["r_a_per_s"]
-    tau = cfg.tau_s if cfg.tau_s is not None else FIG2_DEFAULTS["tau_s"]
-    theta1 = TWO_PI * (cfg.theta1_hz if cfg.theta1_hz is not None else FIG2_DEFAULTS["theta1_hz"])
-    grid = cfg.r_grid if cfg.r_grid is not None else _DEFAULT_R_GRID
-
+    theta1 = TWO_PI * cfg.theta1_hz
     rows = []
     with warnings.catch_warnings():
         # rows at or below the target have nothing to pump and read 2T = 0
         warnings.simplefilter("ignore")
-        for r in grid:
+        for r in cfg.r_grid:
             # theta_b**2 = theta1**2 (1 - r**2) at fixed strong-channel rate
-            prep = preparation_time(r, r_a * theta1**2 * (1.0 - r * r) * tau**2, cfg.n_target)
+            prep = preparation_time(r, cfg.r_a_per_s * theta1**2 * (1.0 - r * r) * cfg.tau_s**2, cfg.n_target)
             rows.append((r, prep.n_bar_initial, prep.t_total))
 
     out = cfg.output_path if cfg.output_path is not None else "fig2.csv"
@@ -398,29 +332,20 @@ def cmd_fig2(cfg: RunConfig, svg_path: Optional[str]) -> int:
 
 
 def cmd_sweep(cfg: RunConfig) -> int:
-    p = cfg.params
-    if derive_rates(p).channel == "b2":
-        p = mirror_to_b1(p)
+    if cfg.steps is not None:
+        raise ConfigError("sweep rescales one params table; it cannot scan a steps pair")
+    p = _as_step1(cfg.params)
     d0 = derive_rates(p)
     if d0.theta2 == 0.0:
         raise ValueError("sweep needs a nonzero weak-channel rate to rescale")
-    grid = cfg.r_grid if cfg.r_grid is not None else _DEFAULT_R_GRID
 
     rows = []
     # each row carries its point's regime and leak flags, so the warnings of
     # a long scan are not repeated on stderr
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
-        for r in grid:
-            scaled = replace(p, omega2=p.omega2 * (r * d0.theta1 / d0.theta2))
-            spec = build_two_step_protocol(
-                scaled,
-                durations=cfg.durations,
-                engine=cfg.engine,
-                seed=cfg.seed,
-                truncation=cfg.truncation,
-                n_target=cfg.n_target,
-            )
+        for r in cfg.r_grid:
+            spec = _two_step_spec(cfg, replace(p, omega2=p.omega2 * (r * d0.theta1 / d0.theta2)))
             # a row is the final report, which one sample per step gives exactly
             traj, report = run_protocol(spec, samples_per_step=1)
             d = spec.steps[0].derived
@@ -600,12 +525,9 @@ def _truncation_arg(text: str):
     if len(parts) != 2:
         raise argparse.ArgumentTypeError(f"truncation must be N1,N2, got {text!r}")
     try:
-        pair = tuple(int(x) for x in parts)
+        return tuple(int(x) for x in parts)
     except ValueError:
         raise argparse.ArgumentTypeError(f"truncation must be two integers, got {text!r}")
-    if min(pair) < 1:
-        raise argparse.ArgumentTypeError(f"truncation levels must be positive, got {text!r}")
-    return pair
 
 
 def _grid_arg(text: str):
@@ -619,11 +541,11 @@ def _grid_arg(text: str):
 
 
 def _add_common(sp) -> None:
-    sp.add_argument("--config", metavar="PATH", help="JSON run config (bundled set when omitted)")
+    # each dest is a RunConfig field, which the flag overrides
     sp.add_argument("--seed", type=int, metavar="N", help="RNG seed (default 0)")
     sp.add_argument("--engine", choices=ENGINES, help="simulation engine")
     sp.add_argument("--truncation", type=_truncation_arg, metavar="N1,N2", help="Fock levels per mode")
-    sp.add_argument("--out", metavar="PATH", help="output path (or prefix for simulate)")
+    sp.add_argument("--out", dest="output_path", metavar="PATH", help="output path (or prefix for simulate)")
     sp.add_argument("--n-target", type=float, dest="n_target", metavar="X", help="pump-down target occupation")
 
 
@@ -631,28 +553,22 @@ def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="cavsqueeze", description="Two-mode squeezed cavity-field protocol toolkit.")
     sub = parser.add_subparsers(dest="command", required=True, metavar="command")
 
-    sp = sub.add_parser("derive", help="print derived rates and the validity report as JSON")
-    _add_common(sp)
-    sp = sub.add_parser("simulate", help="run the two-step protocol; write trajectory CSV and report JSON")
-    _add_common(sp)
-    sp = sub.add_parser("fig2", help="preparation-time and occupation curves versus the squeezing ratio r")
-    _add_common(sp)
+    def command(name: str, text: str):
+        sp = sub.add_parser(name, help=text)
+        sp.add_argument("--config", metavar="PATH", help="JSON run config (bundled set when omitted)")
+        _add_common(sp)
+        return sp
+
+    command("derive", "print derived rates and the validity report as JSON")
+    command("simulate", "run the two-step protocol; write trajectory CSV and report JSON")
+    sp = command("fig2", "preparation-time and occupation curves versus the squeezing ratio r")
     sp.add_argument("--r-grid", type=_grid_arg, dest="r_grid", metavar="R1,R2,...", help="ratio grid")
     sp.add_argument("--svg", metavar="PATH", help="also write a line-plot SVG")
-    sp = sub.add_parser("validate", help="run the numerical self-check battery")
-    _add_common(sp)
-    sp.add_argument(
-        "--tolerance-scale",
-        type=float,
-        default=1.0,
-        dest="tolerance_scale",
-        metavar="S",
-        help="multiply every check tolerance by S (default 1)",
-    )
-    sp = sub.add_parser("sweep", help="scan the ratio r with one protocol run per grid point")
-    _add_common(sp)
+    sp = command("validate", "run the numerical self-check battery")
+    sp.add_argument("--tolerance-scale", type=float, default=1.0, dest="tolerance_scale", metavar="S",
+                    help="multiply every check tolerance by S (default 1)")
+    sp = command("sweep", "scan the ratio r with one protocol run per grid point")
     sp.add_argument("--r-grid", type=_grid_arg, dest="r_grid", metavar="R1,R2,...", help="ratio grid")
-
     return parser
 
 
@@ -672,7 +588,7 @@ def main(argv=None) -> int:
         if args.command == "fig2":
             return cmd_fig2(cfg, args.svg)
         if args.command == "validate":
-            return cmd_validate(args.tolerance_scale, args.out)
+            return cmd_validate(args.tolerance_scale, args.output_path)
         return cmd_sweep(cfg)
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import math
 import os
-import warnings
 from dataclasses import dataclass, field, replace
 from typing import Callable, Optional, Sequence, Union
 
@@ -20,6 +19,7 @@ import numpy as np
 from .analysis import moment_records, moments, report_from_moments, symplectic_squeeze
 from .hilbert import ChargeBlocks, DensityMatrix, Operator, SpaceDescriptor, split_charges
 from .model import (
+    OCCUPANCY_LIMIT,
     DerivedParams,
     PhysicalParams,
     StarkShifts,
@@ -29,8 +29,6 @@ from .model import (
 )
 
 COUPLING_ERROR_LIMIT = 0.5
-COUPLING_WARN_LIMIT = 0.2
-ARRIVAL_RATE_LIMIT = 0.2
 BOUNDARY_ERROR_LIMIT = 1e-3
 MAX_STEPS = 10_000_000
 
@@ -330,10 +328,10 @@ def _accepted_counts(params: PhysicalParams, duration: float, arrivals: ArrivalP
     counts[i] atoms are accepted up to sample i, counts[-1] in the whole
     duration."""
     occupancy = arrivals.rate * params.tau
-    if occupancy > ARRIVAL_RATE_LIMIT:
+    if occupancy > OCCUPANCY_LIMIT:
         raise ValueError(
             f"arrival rate violates the one-atom regime: r_a*tau = {occupancy:.3g} > "
-            f"{ARRIVAL_RATE_LIMIT}"
+            f"{OCCUPANCY_LIMIT}"
         )
     accepted, dropped, busy_until = [], 0, -math.inf
     for t in arrivals.sample(duration):
@@ -353,8 +351,6 @@ def _kraus_advance(shape, params: PhysicalParams, include_stark: bool, counts) -
     x = d.theta_b * params.tau
     if x >= COUPLING_ERROR_LIMIT:
         raise ValueError(f"theta_b*tau = {x:.3g} is outside the perturbative regime (< 0.5)")
-    if x > COUPLING_WARN_LIMIT:
-        warnings.warn(f"theta_b*tau = {x:.3g} above 0.2; collision kicks are large", stacklevel=3)
 
     stark = stark_shifts(params) if include_stark else None
     stay, jump = transit_kraus_pair(d, stark, params.tau, shape)
@@ -417,7 +413,7 @@ def run_collision_model(
     d = derive_rates(params)
     traj, _ = run_in_squeezed_frame(rho0, d.epsilon, [(sample_times, advance)])
     diagnostics = {"accepted_arrivals": int(counts[-1]), "dropped_arrivals": int(dropped), "channel": d.channel,
-                   "atom_state": "g" if d.channel == "b1" else "h", "seed": arrivals.seed}
+                   "atom_state": d.atom_state, "seed": arrivals.seed}
     return replace(traj, diagnostics={**diagnostics, **traj.diagnostics})
 
 

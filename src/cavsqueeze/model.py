@@ -19,6 +19,9 @@ from .hilbert import Operator, SpaceDescriptor, annihilation_op, atom_transition
 TWO_PI = 2.0 * math.pi
 
 DISPERSIVE_LIMIT = 0.1
+# validity limits of theta_b*tau (transit phase) and r_a*tau (beam occupancy)
+TRANSIT_LIMIT = 0.2
+OCCUPANCY_LIMIT = 0.2
 SQUEEZE_LEAK_LIMIT = 1e-3
 
 _HZ_KEYS = {
@@ -119,6 +122,11 @@ class DerivedParams:
     theta_b: float
     gamma: float
     channel: str
+
+    @property
+    def atom_state(self) -> str:
+        """Level the pumping atoms enter in: g on channel b1, h on b2."""
+        return "g" if self.channel == "b1" else "h"
 
 
 def derive_rates(p: PhysicalParams) -> DerivedParams:

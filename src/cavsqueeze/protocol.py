@@ -29,6 +29,8 @@ from .gaussian import GaussianState, gaussian_fidelity_to_tmsv, gaussian_lindbla
 from .hilbert import ChargeBlocks, DensityMatrix, SpaceDescriptor
 from .model import (
     DISPERSIVE_LIMIT,
+    OCCUPANCY_LIMIT,
+    TRANSIT_LIMIT,
     DerivedParams,
     PhysicalParams,
     derive_rates,
@@ -38,41 +40,34 @@ from .model import (
 EPSILON_MATCH_TOL = 1e-12
 DETUNING_SUM_TOL = 1e-9
 ENGINES = ("fock", "gaussian", "collision")
-
-TRANSIT_LIMIT = 0.2
-OCCUPANCY_LIMIT = 0.2
 DECAY_BUDGET = 0.1
 
 
 @dataclass(frozen=True)
 class ProtocolStep:
-    """One pumping interval: parameters, injected atom level, duration.
+    """One pumping interval: parameters and duration.
 
     derived is derive_rates(params), computed once at construction for
-    everything that reads the step's rates.
+    everything that reads the step's rates; its rate ordering fixes the
+    step's channel and the level its atoms enter in.
     """
 
     params: PhysicalParams
-    atom_state: str
     duration: float
-    channel: str
     derived: DerivedParams = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if self.duration < 0:
-            raise ValueError("duration must be nonnegative")
-        d = derive_rates(self.params)
-        object.__setattr__(self, "derived", d)
-        if d.channel != self.channel:
-            raise ValueError(
-                f"declared channel {self.channel!r} but parameters derive {d.channel!r}"
-            )
-        expected_atom = "g" if self.channel == "b1" else "h"
-        if self.atom_state != expected_atom:
-            raise ValueError(
-                f"channel {self.channel} pumps with atoms in {expected_atom!r}, "
-                f"got {self.atom_state!r}"
-            )
+        if not 0.0 <= self.duration < math.inf:
+            raise ValueError(f"duration must be finite and nonnegative, got {self.duration!r}")
+        object.__setattr__(self, "derived", derive_rates(self.params))
+
+    @property
+    def channel(self) -> str:
+        return self.derived.channel
+
+    @property
+    def atom_state(self) -> str:
+        return self.derived.atom_state
 
 
 @dataclass(frozen=True)
@@ -169,30 +164,26 @@ def build_two_step_protocol(
     Step 2 is mirror_to_b1(step1): the two drive pairs and the detuning
     magnitudes are exchanged, which makes the step-2 rate ordering the exact
     reciprocal of step 1 (same r, same epsilon) and conserves the detuning
-    sum.  Durations default to the pump-down time to n_target per step.
+    sum.  Durations default to step 1's pump_down_time, which step 2 shares.
     """
     d1 = derive_rates(step1)
     if d1.channel != "b1":
         raise ValueError("step 1 must have theta1 > theta2 (channel b1)")
-    step2 = mirror_to_b1(step1)
-
     if durations is None:
-        if d1.r == 0.0:
-            raise ValueError("zero weak-channel rate (theta2 = 0) sets no pump-down time; "
-                             "give explicit durations")
-        if d1.gamma > 0:
-            t_step = preparation_time(d1.r, d1.gamma, n_target).t_step
-        else:
-            t_step = 0.0
-        durations = (t_step, t_step)
+        durations = (pump_down_time(d1, n_target),) * 2
     if len(durations) != 2:
         raise ValueError("durations must give one time per step")
-
-    steps = (
-        ProtocolStep(params=step1, atom_state="g", duration=float(durations[0]), channel="b1"),
-        ProtocolStep(params=step2, atom_state="h", duration=float(durations[1]), channel="b2"),
-    )
+    steps = (ProtocolStep(step1, float(durations[0])), ProtocolStep(mirror_to_b1(step1), float(durations[1])))
     return ProtocolSpec(steps=steps, engine=engine, seed=seed, truncation=truncation)
+
+
+def pump_down_time(d: DerivedParams, n_target: float) -> float:
+    """Default duration of a step: the time its pump takes to bring the
+    transformed mode down to n_target (0 when it does not pump)."""
+    if d.r == 0.0:
+        raise ValueError("zero weak-channel rate (theta2 = 0) sets no pump-down time; "
+                         "give explicit durations")
+    return preparation_time(d.r, d.gamma, n_target).t_step if d.gamma > 0 else 0.0
 
 
 @dataclass(frozen=True)

@@ -1,6 +1,8 @@
+import argparse
 import json
 import math
 import warnings
+from dataclasses import fields
 from importlib import resources
 
 import numpy as np
@@ -8,7 +10,10 @@ import pytest
 import scipy.linalg
 
 from cavsqueeze.cli import (
+    _CONFIG_KEYS,
     ConfigError,
+    RunConfig,
+    _add_common,
     build_parser,
     build_spec,
     load_run_config,
@@ -35,6 +40,13 @@ def config_dict(**overrides):
         },
     }
     data.update(overrides)
+    return data
+
+
+def steps_config(data):
+    # the params table and its mirror given as an explicit steps pair
+    p1 = data.pop("params")
+    data["steps"] = [p1, mirror_to_b1(PhysicalParams.from_hz_dict(p1)).to_hz_dict()]
     return data
 
 
@@ -104,10 +116,18 @@ class TestConfigLoading:
         with pytest.raises(ConfigError, match="n_target"):
             load_run_config(path)
 
-    def test_bad_durations(self, tmp_path):
+    def test_bad_durations(self, tmp_path, capsys):
         path = write_config(tmp_path, config_dict(durations=[1.0]))
         with pytest.raises(ConfigError, match="durations"):
             load_run_config(path)
+        # json writes NaN and Infinity, which json.loads reads back as floats
+        for bad in (math.nan, math.inf):
+            path = write_config(tmp_path, config_dict(durations=[bad, 0.001]))
+            with pytest.raises(ConfigError, match="durations must give two finite"):
+                load_run_config(path)
+            assert main(["simulate", "--config", path, "--out", str(tmp_path / "x")]) == 1
+            assert capsys.readouterr().err.startswith("error: durations must give")
+            assert not (tmp_path / "x.csv").exists()
 
     def test_bad_grid(self, tmp_path):
         path = write_config(tmp_path, config_dict(r_grid=[0.5, 1.5]))
@@ -162,6 +182,31 @@ class TestConfigLoading:
         assert cfg.truncation == (8, 9)
         assert cfg.n_target == 0.05
         assert cfg.output_path == "prefix"
+
+    def test_schema_is_run_config(self):
+        # one schema: the config keys are RunConfig's fields, and every
+        # override flag writes the field of the same name
+        names = {f.name for f in fields(RunConfig)}
+        assert _CONFIG_KEYS == names
+        sp = argparse.ArgumentParser()
+        _add_common(sp)
+        dests = {a.dest for a in sp._actions} - {"help"}
+        assert dests and dests <= names
+
+    def test_defaults_come_from_run_config(self, tmp_path):
+        data = config_dict()
+        cfg = load_run_config(write_config(tmp_path, data))
+        defaults = RunConfig(params=cfg.params)
+        assert cfg == defaults
+        assert cfg.r_grid == tuple(round(0.05 * i, 10) for i in range(1, 20))
+        assert (cfg.r_a_per_s, cfg.tau_s, cfg.theta1_hz) == (1.3e5, 2.5e-5, 2000.0)
+
+    def test_steps_pair_default_durations_match_params(self, tmp_path):
+        # a steps pair without durations follows the params pump-down rule
+        by_params = build_spec(load_run_config(write_config(tmp_path, config_dict(), "a.json")))
+        by_steps = build_spec(load_run_config(write_config(tmp_path, steps_config(config_dict()), "b.json")))
+        assert by_steps.to_json() == by_params.to_json()
+        assert by_steps.steps[0].duration > 0.0
 
     def test_steps_pair(self, tmp_path):
         p1 = PhysicalParams.from_hz_dict(config_dict()["params"])
@@ -282,9 +327,12 @@ class TestSimulate:
         assert err.startswith("error: truncation overflow")
         assert err.count("\n") == 1
 
-    def test_zero_weak_drive_exits_two(self, tmp_path, capsys):
+    @pytest.mark.parametrize("table", ["params", "steps"])
+    def test_zero_weak_drive_exits_two(self, tmp_path, capsys, table):
         data = config_dict(engine="gaussian")
         data["params"]["omega2_hz"] = 0.0
+        if table == "steps":
+            data = steps_config(data)
         rc = main(["simulate", "--config", write_config(tmp_path, data),
                    "--out", str(tmp_path / "z")])
         assert rc == 2
@@ -483,6 +531,16 @@ class TestSweep:
             assert main(["sweep", "--out", str(tmp_path / "s.csv"), "--r-grid", grid]) == 0
             counts.append(len(calls))
         assert (counts[1] - counts[0]) / 2 <= 3
+
+    def test_refuses_steps_pair(self, tmp_path, capsys):
+        # a sweep rescales one params table; a steps pair's second step
+        # would be dropped, so it is refused
+        data = steps_config(config_dict(engine="gaussian"))
+        data["steps"][1]["r_a_hz"] = 8.0
+        out = tmp_path / "s.csv"
+        assert main(["sweep", "--config", write_config(tmp_path, data), "--out", str(out)]) == 1
+        assert capsys.readouterr().err == "error: sweep rescales one params table; it cannot scan a steps pair\n"
+        assert not out.exists()
 
     def test_warning_filters_unchanged(self, tmp_path):
         # on the bundled config r = 0.4 is outside the validity regime (its

@@ -63,16 +63,28 @@ def vacuum_density(n1, n2):
 class TestProtocolStep:
     def test_rejects_negative_duration(self):
         with pytest.raises(ValueError, match="duration"):
-            ProtocolStep(params=clean_params(), atom_state="g", duration=-1.0, channel="b1")
+            ProtocolStep(params=clean_params(), duration=-1.0)
 
-    def test_rejects_wrong_channel_declaration(self):
-        # theta1 > theta2 derives channel b1
-        with pytest.raises(ValueError, match="channel"):
-            ProtocolStep(params=clean_params(), atom_state="h", duration=1.0, channel="b2")
+    @pytest.mark.parametrize("duration", [math.nan, math.inf])
+    def test_rejects_non_finite_duration(self, duration):
+        with pytest.raises(ValueError, match="duration must be finite"):
+            ProtocolStep(params=clean_params(), duration=duration)
 
-    def test_rejects_mismatched_atom_state(self):
-        with pytest.raises(ValueError, match="atoms in 'g'"):
-            ProtocolStep(params=clean_params(), atom_state="h", duration=1.0, channel="b1")
+    def test_channel_and_atom_state_follow_rates(self):
+        # theta1 > theta2 pumps b1 with atoms in g; theta1 < theta2 pumps b2 with atoms in h
+        b1, b2 = clean_params(1.0, 0.6), clean_params(0.6, 1.0)
+        assert (derive_rates(b1).channel, derive_rates(b2).channel) == ("b1", "b2")
+        steps = (ProtocolStep(b1, 2.0), ProtocolStep(b2, 3.0))
+        assert [(s.channel, s.atom_state) for s in steps] == [("b1", "g"), ("b2", "h")]
+        assert ProtocolSpec(steps=steps, engine="gaussian").to_json() == {
+            "steps": [
+                {"params": b1.to_hz_dict(), "atom_state": "g", "duration": 2.0, "channel": "b1"},
+                {"params": b2.to_hz_dict(), "atom_state": "h", "duration": 3.0, "channel": "b2"},
+            ],
+            "engine": "gaussian",
+            "seed": 0,
+            "truncation": [15, 15],
+        }
 
 
 class TestProtocolSpec:
@@ -107,19 +119,15 @@ class TestProtocolSpec:
 
     def test_rejects_mismatched_squeezing_across_steps(self):
         # r = 0.6 in step one, r = 0.5 in step two
-        step1 = ProtocolStep(params=clean_params(1.0, 0.6), atom_state="g",
-                             duration=1.0, channel="b1")
-        step2 = ProtocolStep(params=pump_params(0.5, 1.0, delta_mag=20.0, r_a=0.2),
-                             atom_state="h", duration=1.0, channel="b2")
+        step1 = ProtocolStep(params=clean_params(1.0, 0.6), duration=1.0)
+        step2 = ProtocolStep(params=pump_params(0.5, 1.0, delta_mag=20.0, r_a=0.2), duration=1.0)
         with pytest.raises(ValueError, match="disagree"):
             ProtocolSpec(steps=(step1, step2), engine="fock")
 
     def test_rejects_changed_detuning_sum(self):
         # same ratio (same epsilon) but detunings doubled in step two
-        step1 = ProtocolStep(params=clean_params(1.0, 0.6), atom_state="g",
-                             duration=1.0, channel="b1")
-        step2 = ProtocolStep(params=pump_params(0.6, 1.0, delta_mag=40.0, r_a=0.2),
-                             atom_state="h", duration=1.0, channel="b2")
+        step1 = ProtocolStep(params=clean_params(1.0, 0.6), duration=1.0)
+        step2 = ProtocolStep(params=pump_params(0.6, 1.0, delta_mag=40.0, r_a=0.2), duration=1.0)
         with pytest.raises(ValueError, match="detuning sum"):
             ProtocolSpec(steps=(step1, step2), engine="fock")
 
@@ -453,6 +461,18 @@ class TestRunProtocolCollision:
         # two 11-point grids sharing the boundary sample
         assert traj.times.size == 21
         assert np.all(np.diff(traj.times) > 0)
+
+    def test_large_transit_phase_warns_once(self):
+        # theta_b*tau = 0.3 on the collision engine: one regime warning for
+        # the run, no second warning per step from the collision kicks
+        p = pump_params(1.0, 0.6, delta_mag=20.0, r_a=0.02, tau=7.5)
+        spec = build_two_step_protocol(p, engine="collision", truncation=(10, 10), durations=(50.0, 50.0))
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            run_protocol(spec, samples_per_step=3)
+        assert [str(w.message) for w in caught if issubclass(w.category, UserWarning)] == [
+            "outside validity regime: transit_phase=0.3, transit_phase=0.3"
+        ]
 
 
 class TestCrossEngine:
