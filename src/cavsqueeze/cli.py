@@ -183,8 +183,8 @@ def load_run_config(path: Optional[str], args=None) -> RunConfig:
     if seed < 0:
         raise ConfigError(f"seed must be nonnegative, got {seed}")
     n_target = _number("n_target", cfg.n_target)
-    if not n_target > 0.0:
-        raise ConfigError(f"n_target must be positive, got {n_target!r}")
+    if not 0.0 < n_target < math.inf:
+        raise ConfigError(f"n_target must be positive and finite, got {n_target!r}")
     sample_count = _integer("sample_count", cfg.sample_count)
     if sample_count < 1:
         raise ConfigError(f"sample_count must be at least 1, got {sample_count}")
@@ -205,8 +205,8 @@ def load_run_config(path: Optional[str], args=None) -> RunConfig:
     rates = {}
     for key in ("r_a_per_s", "tau_s", "theta1_hz"):
         rates[key] = _number(key, getattr(cfg, key))
-        if not rates[key] > 0.0:
-            raise ConfigError(f"{key} must be positive, got {rates[key]!r}")
+        if not 0.0 < rates[key] < math.inf:
+            raise ConfigError(f"{key} must be positive and finite, got {rates[key]!r}")
 
     return replace(cfg, truncation=truncation, seed=seed, n_target=n_target, sample_count=sample_count,
                    durations=durations, r_grid=r_grid, **rates)

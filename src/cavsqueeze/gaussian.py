@@ -16,6 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .analysis import EPRVariances, symplectic_squeeze
+from .hilbert import _unchecked
 
 SYMMETRY_TOL = 1e-12
 UNCERTAINTY_FLOOR = -1e-10
@@ -33,7 +34,12 @@ OMEGA = np.array(
 
 @dataclass(frozen=True)
 class GaussianState:
-    """First and second quadrature moments of a two-mode Gaussian state."""
+    """First and second quadrature moments of a two-mode Gaussian state.
+
+    A caller's state is checked: finite moments, symmetric cov and the
+    uncertainty relation cov + i OMEGA/4 >= 0.  The package's own states
+    skip the check (_built): Gaussian channels keep that relation.
+    """
 
     mean: np.ndarray
     cov: np.ndarray
@@ -43,6 +49,8 @@ class GaussianState:
         cov = np.asarray(self.cov, dtype=float)
         if cov.shape != (4, 4):
             raise ValueError(f"cov must be 4x4, got {cov.shape}")
+        if not (np.all(np.isfinite(mean)) and np.all(np.isfinite(cov))):
+            raise ValueError("mean and cov must be finite")
         if np.max(np.abs(cov - cov.T)) > SYMMETRY_TOL:
             raise ValueError("cov must be symmetric")
         sigma = cov + 0.25j * OMEGA
@@ -55,8 +63,16 @@ class GaussianState:
         object.__setattr__(self, "cov", cov)
 
 
+def _built(mean: np.ndarray, cov: np.ndarray) -> GaussianState:
+    """A GaussianState of fresh float moments the package computed, frozen
+    in place without the check."""
+    mean.setflags(write=False)
+    cov.setflags(write=False)
+    return _unchecked(GaussianState, mean=mean, cov=cov)
+
+
 def gaussian_vacuum() -> GaussianState:
-    return GaussianState(mean=np.zeros(4), cov=0.25 * np.eye(4))
+    return _built(np.zeros(4), 0.25 * np.eye(4))
 
 
 def gaussian_tmsv(epsilon: float) -> GaussianState:
@@ -68,7 +84,7 @@ def gaussian_tmsv(epsilon: float) -> GaussianState:
     if epsilon < 0:
         raise ValueError("epsilon must be nonnegative")
     # the squeezed vacuum covariance S(eps) (I/4) S(eps)^T, with S(eps) S(eps)^T = S(2 eps)
-    return GaussianState(mean=np.zeros(4), cov=0.25 * symplectic_squeeze(2.0 * epsilon))
+    return _built(np.zeros(4), 0.25 * symplectic_squeeze(2.0 * epsilon))
 
 
 def gaussian_lindblad_evolve(
@@ -99,7 +115,7 @@ def gaussian_lindblad_evolve(
     to_bare = symplectic_squeeze(epsilon)
     f = (to_bare * keep) @ symplectic_squeeze(-epsilon)
     cov = f @ s0.cov @ f.T + (to_bare * noise) @ to_bare.T
-    return GaussianState(mean=f @ s0.mean, cov=0.5 * (cov + cov.T))
+    return _built(f @ s0.mean, 0.5 * (cov + cov.T))
 
 
 def gaussian_epr_variances(s: GaussianState) -> EPRVariances:

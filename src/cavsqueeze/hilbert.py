@@ -73,12 +73,26 @@ class SpaceDescriptor:
         return (a * self.n1_trunc + n1) * self.n2_trunc + n2
 
 
-def _frozen_matrix(matrix, dim: int) -> np.ndarray:
-    m = np.array(matrix, dtype=complex)
+def _read_only(m: np.ndarray, dim: int) -> np.ndarray:
     if m.shape != (dim, dim):
         raise ValueError(f"matrix shape {m.shape} does not match space dimension {dim}")
     m.setflags(write=False)
     return m
+
+
+def _frozen_matrix(matrix, dim: int) -> np.ndarray:
+    # a copy, so that freezing never reaches the caller's array
+    return _read_only(np.array(matrix, dtype=complex), dim)
+
+
+def _unchecked(cls, **fields):
+    """An instance of the frozen dataclass cls holding fields as given,
+    without its validating __post_init__: for values the package has just
+    built and already knows to be valid."""
+    obj = object.__new__(cls)
+    for name, value in fields.items():
+        object.__setattr__(obj, name, value)
+    return obj
 
 
 @dataclass(frozen=True)
@@ -91,8 +105,14 @@ class Operator:
     def __post_init__(self):
         object.__setattr__(self, "matrix", _frozen_matrix(self.matrix, self.space.dim))
 
+    @classmethod
+    def _adopt(cls, space: SpaceDescriptor, matrix: np.ndarray) -> "Operator":
+        """The operator of a matrix the package has just built and no one
+        else holds, frozen in place where Operator(space, matrix) copies."""
+        return _unchecked(cls, space=space, matrix=_read_only(np.asarray(matrix, dtype=complex), space.dim))
+
     def dagger(self) -> "Operator":
-        return Operator(self.space, self.matrix.conj().T)
+        return Operator._adopt(self.space, self.matrix.conj().T)
 
     def _check_space(self, other: "Operator"):
         if self.space != other.space:
@@ -100,34 +120,37 @@ class Operator:
 
     def __add__(self, other: "Operator") -> "Operator":
         self._check_space(other)
-        return Operator(self.space, self.matrix + other.matrix)
+        return Operator._adopt(self.space, self.matrix + other.matrix)
 
     def __sub__(self, other: "Operator") -> "Operator":
         self._check_space(other)
-        return Operator(self.space, self.matrix - other.matrix)
+        return Operator._adopt(self.space, self.matrix - other.matrix)
 
     def __neg__(self) -> "Operator":
-        return Operator(self.space, -self.matrix)
+        return Operator._adopt(self.space, -self.matrix)
 
     def __mul__(self, scalar) -> "Operator":
-        return Operator(self.space, self.matrix * complex(scalar))
+        return Operator._adopt(self.space, self.matrix * complex(scalar))
 
     __rmul__ = __mul__
 
     def __matmul__(self, other: "Operator") -> "Operator":
         self._check_space(other)
-        return Operator(self.space, self.matrix @ other.matrix)
+        return Operator._adopt(self.space, self.matrix @ other.matrix)
 
 
 @dataclass(frozen=True)
 class DensityMatrix:
-    """A validated density matrix: hermitian, unit trace, positive within tolerance."""
+    """A validated density matrix: hermitian, unit trace, positive within
+    tolerance.  The full check costs one O(dim^3) eigensolve."""
 
     space: SpaceDescriptor
     matrix: np.ndarray
 
     def __post_init__(self):
         m = _frozen_matrix(self.matrix, self.space.dim)
+        if not np.all(np.isfinite(m)):
+            raise ValueError("density matrix must be finite")
         herm_defect = np.max(np.abs(m - m.conj().T))
         if herm_defect > HERMITICITY_TOL:
             raise ValueError(f"density matrix is not hermitian (defect {herm_defect:.3e})")
@@ -141,10 +164,18 @@ class DensityMatrix:
 
     @classmethod
     def from_state_vector(cls, space: SpaceDescriptor, psi: np.ndarray) -> "DensityMatrix":
+        """|psi><psi| from a normalized state vector.  Only the vector is
+        checked (length, finite, unit norm): the outer product is hermitian
+        and positive by construction, so it skips the eigensolve."""
         v = np.asarray(psi, dtype=complex).ravel()
         if v.size != space.dim:
             raise ValueError(f"state vector length {v.size} does not match dimension {space.dim}")
-        return cls(space, np.outer(v, v.conj()))
+        if not np.all(np.isfinite(v)):
+            raise ValueError("state vector must be finite")
+        tr = float(np.vdot(v, v).real)
+        if abs(tr - 1.0) > TRACE_TOL:
+            raise ValueError(f"density matrix trace {tr!r} is not 1")
+        return _unchecked(cls, space=space, matrix=_read_only(np.outer(v, v.conj()), space.dim))
 
 
 @dataclass(frozen=True)
@@ -254,7 +285,7 @@ def annihilation_op(space: SpaceDescriptor, mode: int) -> Operator:
         )
     else:
         raise ValueError(f"mode must be 1 or 2, got {mode!r}")
-    return Operator(space, m)
+    return Operator._adopt(space, m)
 
 
 def number_op(space: SpaceDescriptor, mode: int) -> Operator:
@@ -272,7 +303,7 @@ def atom_transition_op(space: SpaceDescriptor, upper: Union[int, str], lower: Un
     block = np.zeros((space.atom_levels, space.atom_levels), dtype=complex)
     block[iu, il] = 1.0
     m = _embed(block, np.eye(space.n1_trunc), np.eye(space.n2_trunc))
-    return Operator(space, m)
+    return Operator._adopt(space, m)
 
 
 def basis_state(space: SpaceDescriptor, atom: Union[int, str], n1: int, n2: int) -> np.ndarray:

@@ -233,7 +233,7 @@ def build_full_hamiltonian(p: PhysicalParams, s: SpaceDescriptor, t: float) -> O
     h = np.zeros(s.dim * s.dim, dtype=complex)
     h[flat] = raising
     h[adjoint] = raising.conj()
-    return Operator(s, h.reshape(s.dim, s.dim))
+    return Operator._adopt(s, h.reshape(s.dim, s.dim))
 
 
 def build_effective_hamiltonian(p: PhysicalParams, s: SpaceDescriptor) -> Operator:
@@ -257,7 +257,7 @@ def build_effective_hamiltonian(p: PhysicalParams, s: SpaceDescriptor) -> Operat
     diag_g = (p.omega2**2 / p.delta2) * eye + (p.g1**2 / p.delta1) * n1
     flip = (p.omega1 * p.g1 / p.delta1) * a1.conj().T + (p.omega2 * p.g2 / p.delta2) * a2
     m = diag_h @ p_hh + diag_g @ p_gg + flip @ s_gh + (flip @ s_gh).conj().T
-    return Operator(s, m)
+    return Operator._adopt(s, m)
 
 
 def _stark_diagonal(stark: StarkShifts, n1_like: np.ndarray, n2_like: np.ndarray, s: SpaceDescriptor) -> np.ndarray:
@@ -326,7 +326,7 @@ def build_squeeze_operator(s: SpaceDescriptor, epsilon: float) -> Operator:
     for n1, n2, block in squeeze_sectors(s, epsilon):
         sector = n1 * s.n2_trunc + n2
         fields[np.ix_(sector, sector)] = block
-    return Operator(s, np.kron(np.eye(s.atom_levels), fields))
+    return Operator._adopt(s, np.kron(np.eye(s.atom_levels), fields))
 
 
 def b_mode_annihilation(s: SpaceDescriptor, epsilon: float, mode: int) -> Operator:
@@ -347,8 +347,8 @@ def b_mode_annihilation(s: SpaceDescriptor, epsilon: float, mode: int) -> Operat
     a = annihilation_op(fields, mode)
     b = sq.dagger() @ a @ sq
     if s.atom_levels == 1:
-        return Operator(s, b.matrix)
-    return Operator(s, np.kron(np.eye(s.atom_levels), b.matrix))
+        return b
+    return Operator._adopt(s, np.kron(np.eye(s.atom_levels), b.matrix))
 
 
 def build_selective_hamiltonian(
@@ -381,7 +381,7 @@ def build_selective_hamiltonian(
     h0 = _stark_diagonal(stark, nb1, nb2, s)
     dark_energy = stark.shift_g if d.channel == "b1" else -stark.shift_h
     h0 = h0 - dark_energy * np.eye(s.dim)
-    return Operator(s, h0 + h1.matrix)
+    return Operator._adopt(s, h0 + h1.matrix)
 
 
 @dataclass(frozen=True)

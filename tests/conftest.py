@@ -1,4 +1,22 @@
-"""Shared pytest wiring: prints a one-line verdict per acceptance check."""
+"""Shared pytest wiring: prints a one-line verdict per acceptance check,
+and counts eigensolves for the tests of where states are validated."""
+
+import numpy as np
+import pytest
+
+
+@pytest.fixture
+def eigvalsh_calls(monkeypatch):
+    """The shapes of every np.linalg.eigvalsh call the test makes."""
+    calls = []
+    eigvalsh = np.linalg.eigvalsh
+
+    def counting(a, *args, **kwargs):
+        calls.append(np.shape(a))
+        return eigvalsh(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", counting)
+    return calls
 
 
 def pytest_terminal_summary(terminalreporter, exitstatus, config):

@@ -161,6 +161,19 @@ class TestConfigLoading:
         assert err.startswith(f"error: {key} must be")
         assert err.count("\n") == 1
 
+    @pytest.mark.parametrize("key", ["n_target", "r_a_per_s", "tau_s", "theta1_hz"])
+    def test_infinite_value_is_a_config_error(self, tmp_path, capsys, key):
+        # inf passes a plain "> 0" check; json reads Infinity back as a float
+        path = write_config(tmp_path, config_dict(**{key: math.inf}))
+        with pytest.raises(ConfigError, match=f"{key} must be positive and finite, got inf"):
+            load_run_config(path)
+        assert main(["derive", "--config", path]) == 1
+        assert capsys.readouterr().err == f"error: {key} must be positive and finite, got inf\n"
+
+    def test_infinite_n_target_flag_exits_1(self, capsys):
+        assert main(["derive", "--n-target", "inf"]) == 1
+        assert capsys.readouterr().err == "error: n_target must be positive and finite, got inf\n"
+
     @pytest.mark.parametrize("engine", ["fock", "gaussian", "collision"])
     def test_negative_seed_is_a_config_error(self, tmp_path, capsys, engine):
         path = write_config(tmp_path, collision_config(seed=-2))

@@ -34,6 +34,19 @@ def occupation(s, key, epsilon=0.0):
     return moment_records(s.mean, s.cov, epsilon)[key]
 
 
+def displaced_squeezed_thermal(rng):
+    """A random valid state: thermal occupations, local squeezing and a
+    two-mode squeeze, then a random displacement."""
+    thermal = 0.25 * (2.0 * rng.uniform(0.0, 2.0, 2) + 1.0)
+    r1, r2 = rng.uniform(-1.0, 1.0, 2)
+    local = np.diag([
+        thermal[0] * math.exp(2 * r1), thermal[0] * math.exp(-2 * r1),
+        thermal[1] * math.exp(2 * r2), thermal[1] * math.exp(-2 * r2),
+    ])
+    two_mode = symplectic_squeeze(rng.uniform(-1.5, 1.5))
+    return GaussianState(mean=rng.normal(0.0, 2.0, 4), cov=two_mode @ local @ two_mode.T)
+
+
 def pump_params(theta1, theta2):
     return PhysicalParams(
         omega1=math.sqrt(theta1),
@@ -59,6 +72,13 @@ class TestGaussianState:
     def test_rejects_sub_vacuum_noise(self):
         with pytest.raises(ValueError, match="uncertainty"):
             GaussianState(mean=np.zeros(4), cov=0.125 * np.eye(4))
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_rejects_non_finite_moments(self, bad):
+        with pytest.raises(ValueError, match="must be finite"):
+            GaussianState(mean=np.array([bad, 0.0, 0.0, 0.0]), cov=0.25 * np.eye(4))
+        with pytest.raises(ValueError, match="must be finite"):
+            GaussianState(mean=np.zeros(4), cov=np.diag([bad, 1.0, 1.0, 1.0]))
 
     def test_mode_photon(self):
         assert occupation(gaussian_vacuum(), "n_a1") == 0.0
@@ -213,20 +233,10 @@ class TestGaussianLindbladEvolve:
         np.testing.assert_allclose(st.cov, gaussian_tmsv(eps).cov, atol=1e-8)
 
     def test_matches_block_expm_oracle(self):
-        # displaced squeezed-thermal states: thermal occupations, local
-        # squeezing and a two-mode squeeze, then a random displacement
         rng = np.random.default_rng(2017)
         worst = 0.0
         for _ in range(200):
-            thermal = 0.25 * (2.0 * rng.uniform(0.0, 2.0, 2) + 1.0)
-            r1, r2 = rng.uniform(-1.0, 1.0, 2)
-            local = np.diag([
-                thermal[0] * math.exp(2 * r1), thermal[0] * math.exp(-2 * r1),
-                thermal[1] * math.exp(2 * r2), thermal[1] * math.exp(-2 * r2),
-            ])
-            two_mode = symplectic_squeeze(rng.uniform(-1.5, 1.5))
-            cov = two_mode @ local @ two_mode.T
-            s0 = GaussianState(mean=rng.normal(0.0, 2.0, 4), cov=cov)
+            s0 = displaced_squeezed_thermal(rng)
             eps = rng.uniform(0.0, 2.5)
             gamma = rng.uniform(0.1, 5.0)
             t = rng.uniform(0.0, 50.0) / gamma
@@ -244,7 +254,20 @@ class TestGaussianLindbladEvolve:
         eps = 0.7
         s = GaussianState(mean=np.array([2.0, 0.0, 0.0, 0.0]), cov=0.25 * np.eye(4))
         for t in np.linspace(0.1, 5.0, 20):
-            gaussian_lindblad_evolve(s, eps, 1.0, 1, float(t))  # constructor validates
+            out = gaussian_lindblad_evolve(s, eps, 1.0, 1, float(t))
+            GaussianState(mean=out.mean, cov=out.cov)  # the caller-side check
+
+    def test_random_evolutions_pass_the_full_check(self):
+        # evolve builds its output without the constructor's check, because
+        # the attenuator keeps the uncertainty relation; pin that property
+        rng = np.random.default_rng(1551)
+        for _ in range(50):
+            s0 = displaced_squeezed_thermal(rng)
+            gamma = rng.uniform(0.1, 5.0)
+            out = gaussian_lindblad_evolve(s0, rng.uniform(0.0, 2.5), gamma, int(rng.integers(1, 3)),
+                                           rng.uniform(0.0, 50.0) / gamma)
+            GaussianState(mean=out.mean, cov=out.cov)
+            assert not out.cov.flags.writeable and not out.mean.flags.writeable
 
     def test_matches_fock_engine(self):
         eps = 0.3
@@ -269,6 +292,13 @@ class TestRunProtocolGaussian:
         p1 = pump_params(1.0, r)
         duration = gamma_t / derive_rates(p1).gamma
         return build_two_step_protocol(p1, engine="gaussian", durations=(duration, duration))
+
+    def test_engine_built_states_skip_the_eigensolve(self, eigvalsh_calls):
+        # the vacuum, every evolved sample and the fidelity target are built
+        # by the package, so a default run checks no uncertainty relation
+        traj, _ = run_protocol(self.protocol(0.6, 4.0), samples_per_step=51)
+        assert traj.times.size > 100
+        assert len(eigvalsh_calls) <= 1
 
     def test_zero_duration_returns_initial(self):
         traj, _ = run_protocol(self.protocol(0.6, 0.0))

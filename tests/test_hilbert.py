@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from cavsqueeze.hilbert import (
+    EIGENVALUE_FLOOR,
     ChargeBlocks,
     DensityMatrix,
     Operator,
@@ -122,6 +123,57 @@ def test_density_matrix_validation():
         DensityMatrix(space, np.eye(2))
     with pytest.raises(ValueError, match="negative eigenvalue"):
         DensityMatrix(space, np.diag([1.5, -0.5]))
+    for bad in (np.nan, np.inf):
+        with pytest.raises(ValueError, match="must be finite"):
+            DensityMatrix(space, np.array([[1.0, 0.0], [0.0, bad]]))
+
+
+def random_unit_vector(dim, seed):
+    rng = np.random.default_rng(seed)
+    v = rng.normal(size=dim) + 1j * rng.normal(size=dim)
+    return v / np.linalg.norm(v)
+
+
+@pytest.mark.parametrize("shape", [(1, 5, 5), (1, 25, 25)])
+def test_from_state_vector_is_the_outer_product(shape):
+    space = SpaceDescriptor(*shape)
+    for seed in range(3):
+        v = random_unit_vector(space.dim, seed)
+        rho = DensityMatrix.from_state_vector(space, v)
+        expected = np.outer(v, v.conj())
+        assert rho.matrix.dtype == expected.dtype and rho.matrix.shape == expected.shape
+        assert rho.matrix.tobytes() == expected.tobytes()
+        assert not rho.matrix.flags.writeable
+        # the full check's eigenvalue floor, as an oracle the constructor no longer runs
+        assert np.linalg.eigvalsh(rho.matrix).min() >= EIGENVALUE_FLOOR
+
+
+def test_from_state_vector_checks_the_vector():
+    space = SpaceDescriptor(1, 2, 2)
+    with pytest.raises(ValueError, match="length 3"):
+        DensityMatrix.from_state_vector(space, np.ones(3) / np.sqrt(3))
+    for bad in (np.nan, np.inf):
+        with pytest.raises(ValueError, match="must be finite"):
+            DensityMatrix.from_state_vector(space, np.array([bad, 0.0, 0.0, 0.0]))
+    with pytest.raises(ValueError, match="trace .* is not 1"):
+        DensityMatrix.from_state_vector(space, np.array([1.1, 0.0, 0.0, 0.0]) ** 0.5)
+
+
+def test_from_state_vector_runs_no_eigensolve(eigvalsh_calls):
+    space = SpaceDescriptor(1, 25, 25)
+    DensityMatrix.from_state_vector(space, basis_state(space, 0, 0, 0))
+    DensityMatrix.from_state_vector(space, random_unit_vector(space.dim, 9))
+    assert eigvalsh_calls == []
+
+
+def test_operator_copies_the_callers_array():
+    space = SpaceDescriptor(1, 3, 1)
+    for a in (np.eye(3), np.eye(3, dtype=complex)):
+        op = Operator(space, a)
+        assert a.flags.writeable
+        a[0, 0] = 5.0
+        assert op.matrix[0, 0] == 1.0
+        assert not op.matrix.flags.writeable
 
 
 def test_matrices_are_read_only():

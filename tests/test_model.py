@@ -203,6 +203,14 @@ class TestFullHamiltonian:
                 h = build_full_hamiltonian(p, s, t).matrix
                 np.testing.assert_array_equal(h, dense_full_hamiltonian(p, s, t))
 
+    def test_matrix_is_read_only(self):
+        # the freshly filled matrix is adopted and frozen in place, not copied
+        p = PhysicalParams(0.11, 0.22, 0.33, 0.44, -1.0, 2.0)
+        h = build_full_hamiltonian(p, SpaceDescriptor(3, 3, 3), 0.4).matrix
+        assert not h.flags.writeable
+        with pytest.raises(ValueError):
+            h[0, 0] = 1.0
+
 
 class TestEffectiveHamiltonian:
     def test_diagonal_readoffs(self):
