@@ -10,7 +10,6 @@ two-step pumping protocol, and a command line interface.
 """
 
 from .analysis import (
-    EPRVariances,
     PreparationTime,
     SqueezingReport,
     epr_variances_fock,
@@ -58,7 +57,6 @@ from .model import (
 from .protocol import (
     ProtocolSpec,
     ProtocolStep,
-    RegimeReport,
     build_two_step_protocol,
     run_protocol,
     validate_regime,
@@ -68,14 +66,12 @@ __all__ = [
     "ArrivalProcess",
     "DensityMatrix",
     "DerivedParams",
-    "EPRVariances",
     "GaussianState",
     "Operator",
     "PhysicalParams",
     "PreparationTime",
     "ProtocolSpec",
     "ProtocolStep",
-    "RegimeReport",
     "SpaceDescriptor",
     "SqueezingReport",
     "Trajectory",

@@ -82,28 +82,6 @@ def quadrature_ops(s: SpaceDescriptor):
     return x1, p1, x2, p2
 
 
-@dataclass(frozen=True)
-class EPRVariances:
-    """Variances of the joint quadratures and the entanglement witness.
-
-    v_x_minus is V(X1 - X2), v_p_plus is V(P1 + P2), and so on; duan_sum is
-    v_x_minus + v_p_plus, and entangled records duan_sum < 1.
-    """
-
-    v_x_minus: float
-    v_x_plus: float
-    v_p_minus: float
-    v_p_plus: float
-    duan_sum: float
-    entangled: bool
-
-    @classmethod
-    def from_covariance(cls, v: np.ndarray) -> "EPRVariances":
-        """The joint variances of the 4x4 covariance of (X1, P1, X2, P2)."""
-        joint = _joint_variances(v)
-        return cls(**joint, entangled=bool(joint["duan_sum"] < 1.0))
-
-
 def _joint_variances(v: np.ndarray) -> dict:
     x, p = v[0, 0] + v[2, 2], v[1, 1] + v[3, 3]
     out = {
@@ -173,10 +151,12 @@ def _fock_moments(state: StateLike, space: Optional[SpaceDescriptor]) -> tuple:
     return (*moments(split_charges(rho.reshape(space.shape[1:] * 2), range(-2, 3))), leak)
 
 
-def epr_variances_fock(state: StateLike, space: Optional[SpaceDescriptor] = None) -> EPRVariances:
-    """Joint-quadrature variances of a Fock-basis state, from its moments;
-    warns when the boundary Fock layers hold more than 1e-3."""
-    return EPRVariances.from_covariance(_fock_moments(state, space)[1])
+def epr_variances_fock(state: StateLike, space: Optional[SpaceDescriptor] = None) -> dict:
+    """The joint-quadrature variance records of a Fock-basis state, from its
+    moments: v_x_minus = V(X1 - X2), v_x_plus, v_p_minus, v_p_plus = V(P1 + P2)
+    and duan_sum = v_x_minus + v_p_plus (entangled below 1), as in
+    moment_records.  Warns when the boundary Fock layers hold more than 1e-3."""
+    return _joint_variances(_fock_moments(state, space)[1])
 
 
 def _photon_numbers(mean: np.ndarray, cov: np.ndarray) -> tuple:

@@ -10,7 +10,6 @@ closed-form Kraus pair per atom.
 from __future__ import annotations
 
 import math
-import os
 from dataclasses import dataclass, field, replace
 from typing import Callable, Optional, Sequence, Union
 
@@ -418,15 +417,9 @@ def run_collision_model(
 
 
 def _worker_count(requested: Optional[int]) -> int:
-    if requested is not None:
-        return max(1, int(requested))
-    env = os.environ.get("CAVSQUEEZE_WORKERS", "").strip()
-    if env:
-        try:
-            return max(1, int(env))
-        except ValueError:
-            raise ValueError(f"CAVSQUEEZE_WORKERS must be an integer, got {env!r}") from None
-    return min(4, os.cpu_count() or 1)
+    """Worker count of every command, whatever is requested: 1, since none
+    starts a pool."""
+    return 1
 
 
 def run_collision_ensemble(

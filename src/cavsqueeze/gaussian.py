@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .analysis import EPRVariances, symplectic_squeeze
+from .analysis import _joint_variances, symplectic_squeeze
 from .hilbert import _unchecked
 
 SYMMETRY_TOL = 1e-12
@@ -118,9 +118,10 @@ def gaussian_lindblad_evolve(
     return _built(f @ s0.mean, 0.5 * (cov + cov.T))
 
 
-def gaussian_epr_variances(s: GaussianState) -> EPRVariances:
-    """Joint quadrature variances from the covariance matrix."""
-    return EPRVariances.from_covariance(s.cov)
+def gaussian_epr_variances(s: GaussianState) -> dict:
+    """The joint-quadrature variance records of the covariance matrix, the
+    keys v_x_minus .. duan_sum of moment_records."""
+    return _joint_variances(s.cov)
 
 
 def gaussian_fidelity_to_tmsv(s: GaussianState, epsilon: float) -> float:

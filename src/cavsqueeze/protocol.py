@@ -186,76 +186,30 @@ def pump_down_time(d: DerivedParams, n_target: float) -> float:
     return preparation_time(d.r, d.gamma, n_target).t_step if d.gamma > 0 else 0.0
 
 
-@dataclass(frozen=True)
-class RegimeCheck:
-    name: str
-    value: float
-    limit: float
-    passed: bool
+def validate_regime(p: PhysicalParams, d: DerivedParams, pump_time: float) -> dict:
+    """Check the approximations behind the effective dynamics of a run that
+    pumps for pump_time in all.
 
-
-@dataclass(frozen=True)
-class RegimeReport:
-    checks: tuple
-
-    @property
-    def all_passed(self) -> bool:
-        return all(c.passed for c in self.checks)
-
-    def failures(self) -> list:
-        return [c for c in self.checks if not c.passed]
-
-    def to_json(self) -> dict:
-        return {
-            c.name: {"value": c.value, "limit": c.limit, "passed": c.passed}
-            for c in self.checks
-        }
-
-
-def validate_regime(p: PhysicalParams, d) -> RegimeReport:
-    """Check the approximations behind the effective dynamics.
-
-    Reports, never raises: deliberately running outside the regime is a
-    legitimate numerical experiment.
+    Returns {name: {"value", "limit", "passed"}} for dispersive_ratio,
+    transit_phase, beam_occupancy and decay_budget, the spontaneous-emission
+    probability over pump_time (0.0 without decay, inf when the step does
+    not pump).  Reports, never raises: deliberately running outside the
+    regime is a legitimate numerical experiment.
     """
-    checks = [
-        RegimeCheck(
-            name="dispersive_ratio",
-            value=p.dispersive_ratio,
-            limit=DISPERSIVE_LIMIT,
-            passed=p.dispersive_ratio <= DISPERSIVE_LIMIT,
-        ),
-        RegimeCheck(
-            name="transit_phase",
-            value=d.theta_b * p.tau,
-            limit=TRANSIT_LIMIT,
-            passed=d.theta_b * p.tau <= TRANSIT_LIMIT,
-        ),
-        RegimeCheck(
-            name="beam_occupancy",
-            value=p.r_a * p.tau,
-            limit=OCCUPANCY_LIMIT,
-            passed=p.r_a * p.tau <= OCCUPANCY_LIMIT,
-        ),
-    ]
     decay_rate = spontaneous_decay_estimate(p).rate
     if decay_rate == 0.0:
         decay_budget = 0.0
     elif d.gamma > 0:
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            decay_budget = decay_rate * preparation_time(d.r, d.gamma).t_total
+        decay_budget = decay_rate * pump_time
     else:
         decay_budget = math.inf
-    checks.append(
-        RegimeCheck(
-            name="decay_budget",
-            value=decay_budget,
-            limit=DECAY_BUDGET,
-            passed=decay_budget <= DECAY_BUDGET,
-        )
-    )
-    return RegimeReport(checks=tuple(checks))
+    table = {
+        "dispersive_ratio": (p.dispersive_ratio, DISPERSIVE_LIMIT),
+        "transit_phase": (d.theta_b * p.tau, TRANSIT_LIMIT),
+        "beam_occupancy": (p.r_a * p.tau, OCCUPANCY_LIMIT),
+        "decay_budget": (decay_budget, DECAY_BUDGET),
+    }
+    return {name: {"value": value, "limit": limit, "passed": value <= limit} for name, (value, limit) in table.items()}
 
 
 @functools.lru_cache(maxsize=4)
@@ -328,17 +282,19 @@ def run_protocol(
     Every engine pumps in the one squeezed frame the steps share and reads
     its records from the same quadrature moments.  The diagnostics have the
     same keys on every engine: engine, steps, regime_failures (the checks
-    validate_regime fails, also issued as a warning), max_truncation_leak
-    (0.0 on gaussian, which has no truncation), and accepted_arrivals and
-    dropped_arrivals (None except on collision).
+    validate_regime fails at the summed step durations, also issued as a
+    warning), max_truncation_leak (0.0 on gaussian, which has no
+    truncation), and accepted_arrivals and dropped_arrivals (None except
+    on collision).
     """
     whole = isinstance(samples_per_step, (int, np.integer)) and not isinstance(samples_per_step, bool)
     if not whole or samples_per_step < 1:
         raise ValueError(f"samples_per_step must be an integer >= 1, got {samples_per_step!r}")
+    pump_time = sum(step.duration for step in spec.steps)
     failures = []
     for step in spec.steps:
-        report = validate_regime(step.params, step.derived)
-        failures.extend(f"{c.name}={c.value:.3g}" for c in report.failures())
+        regime = validate_regime(step.params, step.derived, pump_time)
+        failures.extend(f"{name}={c['value']:.3g}" for name, c in regime.items() if not c["passed"])
     if failures:
         warnings.warn("outside validity regime: " + ", ".join(failures), stacklevel=2)
 

@@ -100,8 +100,8 @@ def test_squeezed_vacuum_closed_form(record_property):
 def test_squeezed_joint_variance_both_engines(record_property):
     eps = math.atanh(0.6)
     s = SpaceDescriptor(1, 20, 20)
-    fock_gap = abs(epr_variances_fock(tmsv_state_vector(s, eps), s).v_x_minus - 0.125)
-    gauss_gap = abs(gaussian_epr_variances(gaussian_tmsv(eps)).v_x_minus - 0.125)
+    fock_gap = abs(epr_variances_fock(tmsv_state_vector(s, eps), s)["v_x_minus"] - 0.125)
+    gauss_gap = abs(gaussian_epr_variances(gaussian_tmsv(eps))["v_x_minus"] - 0.125)
     record_property(
         "detail",
         f"|v - 0.125|: fock {fock_gap:.2e} (bound 1e-4), "

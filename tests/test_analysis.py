@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from cavsqueeze.analysis import (
+    _fock_moments,
     epr_variances_fock,
     fidelity_to_tmsv,
     moment_records,
@@ -140,34 +141,54 @@ class TestMoments:
         np.testing.assert_allclose(cov, gaussian_tmsv(0.5).cov, atol=1e-6)
 
 
+VARIANCE_KEYS = ["v_x_minus", "v_x_plus", "v_p_minus", "v_p_plus", "duan_sum"]
+
+
 class TestEPRVariances:
     def test_vacuum(self):
         epr = epr_variances_fock(basis_state(FIELDS20, 0, 0, 0), FIELDS20)
-        assert epr.v_x_minus == pytest.approx(0.5, abs=1e-12)
-        assert epr.v_x_plus == pytest.approx(0.5, abs=1e-12)
-        assert epr.v_p_minus == pytest.approx(0.5, abs=1e-12)
-        assert epr.v_p_plus == pytest.approx(0.5, abs=1e-12)
-        assert epr.duan_sum == pytest.approx(1.0, abs=1e-12)
-        assert not epr.entangled
+        assert epr["v_x_minus"] == pytest.approx(0.5, abs=1e-12)
+        assert epr["v_x_plus"] == pytest.approx(0.5, abs=1e-12)
+        assert epr["v_p_minus"] == pytest.approx(0.5, abs=1e-12)
+        assert epr["v_p_plus"] == pytest.approx(0.5, abs=1e-12)
+        assert epr["duan_sum"] == pytest.approx(1.0, abs=1e-12)
+        # not entangled
+        assert not epr["duan_sum"] < 1.0
 
     def test_tmsv_squeezed_pair(self):
         # eps = atanh(0.6) = ln 2, squeezed variance e^{-2 eps}/2 = 1/8
         eps = math.atanh(0.6)
         psi = tmsv_state_vector(FIELDS20, eps)
         epr = epr_variances_fock(psi, FIELDS20)
-        assert epr.v_x_minus == pytest.approx(0.125, abs=1e-4)
-        assert epr.v_p_plus == pytest.approx(0.125, abs=1e-4)
-        assert epr.v_x_plus == pytest.approx(2.0, abs=1e-3)
-        assert epr.v_p_minus == pytest.approx(2.0, abs=1e-3)
-        assert epr.duan_sum == pytest.approx(0.25, abs=2e-4)
-        assert epr.entangled
+        assert epr["v_x_minus"] == pytest.approx(0.125, abs=1e-4)
+        assert epr["v_p_plus"] == pytest.approx(0.125, abs=1e-4)
+        assert epr["v_x_plus"] == pytest.approx(2.0, abs=1e-3)
+        assert epr["v_p_minus"] == pytest.approx(2.0, abs=1e-3)
+        assert epr["duan_sum"] == pytest.approx(0.25, abs=2e-4)
+        # entangled
+        assert epr["duan_sum"] < 1.0
 
     def test_accepts_density_matrix(self):
         psi = tmsv_state_vector(FIELDS20, 0.4)
         rho = DensityMatrix.from_state_vector(FIELDS20, psi)
         from_vec = epr_variances_fock(psi, FIELDS20)
         from_dm = epr_variances_fock(rho)
-        assert from_dm.duan_sum == pytest.approx(from_vec.duan_sum, rel=1e-12)
+        assert from_dm["duan_sum"] == pytest.approx(from_vec["duan_sum"], rel=1e-12)
+
+    def test_returns_the_variance_records(self):
+        # exactly the five variance columns moment_records writes for the same moments
+        assert list(moment_records(np.zeros(4), 0.25 * np.eye(4), 0.0))[-5:] == VARIANCE_KEYS
+        psi = tmsv_state_vector(FIELDS20, 0.4)
+        states = [
+            (basis_state(FIELDS20, 0, 0, 0), FIELDS20),
+            (psi, FIELDS20),
+            (DensityMatrix.from_state_vector(FIELDS20, psi), None),
+        ]
+        for state, space in states:
+            epr = epr_variances_fock(state, space)
+            records = moment_records(*_fock_moments(state, space)[:2], 0.4)
+            assert list(epr) == VARIANCE_KEYS
+            assert epr == {key: records[key] for key in VARIANCE_KEYS}
 
     def test_boundary_population_warns(self):
         s = SpaceDescriptor(1, 6, 6)
@@ -184,8 +205,8 @@ class TestEPRVariances:
         for eps in (0.1, 0.3, 0.5, math.atanh(0.7)):
             psi = tmsv_state_vector(SpaceDescriptor(1, 30, 30), eps)
             epr = epr_variances_fock(psi, SpaceDescriptor(1, 30, 30))
-            assert epr.v_x_minus * epr.v_x_plus == pytest.approx(0.25, abs=1e-4)
-            assert epr.duan_sum < 1.0
+            assert epr["v_x_minus"] * epr["v_x_plus"] == pytest.approx(0.25, abs=1e-4)
+            assert epr["duan_sum"] < 1.0
 
 
 class TestMeanPhotonAndLeak:

@@ -1,6 +1,9 @@
 import argparse
 import json
 import math
+import os
+import subprocess
+import sys
 import warnings
 from dataclasses import fields
 from importlib import resources
@@ -9,6 +12,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
+import cavsqueeze
 from cavsqueeze.cli import (
     _CONFIG_KEYS,
     ConfigError,
@@ -19,7 +23,7 @@ from cavsqueeze.cli import (
     load_run_config,
     main,
 )
-from cavsqueeze.model import TWO_PI, PhysicalParams, derive_rates
+from cavsqueeze.model import TWO_PI, PhysicalParams, derive_rates, spontaneous_decay_estimate
 from cavsqueeze.protocol import ENGINES, mirror_to_b1, run_protocol
 
 
@@ -247,7 +251,98 @@ class TestMirror:
         assert derive_rates(partner).epsilon == derive_rates(cfg.params).epsilon
 
 
+def bundled_config(**params):
+    data = json.loads(resources.files("cavsqueeze").joinpath("data", "microwave_rydberg.json").read_text())
+    data["params"].update(params)
+    return data
+
+
+def regime_text(out):
+    # derive's JSON text from "regime_ok" through the closing brace of "regime"
+    start = out.index('  "regime_ok"')
+    return out[start:out.index("\n  }", start) + 4]
+
+
+# derive's text for the bundled config and for a config that fails transit_phase
+BUNDLED_REGIME = '''\
+  "regime_ok": true,
+  "regime": {
+    "dispersive_ratio": {
+      "value": 0.08333333333333333,
+      "limit": 0.1,
+      "passed": true
+    },
+    "transit_phase": {
+      "value": 0.09162978572970207,
+      "limit": 0.2,
+      "passed": true
+    },
+    "beam_occupancy": {
+      "value": 0.1,
+      "limit": 0.2,
+      "passed": true
+    },
+    "decay_budget": {
+      "value": 0.0,
+      "limit": 0.1,
+      "passed": true
+    }
+  }'''
+
+TRANSIT_REGIME = '''\
+  "regime_ok": false,
+  "regime": {
+    "dispersive_ratio": {
+      "value": 0.07071067811865475,
+      "limit": 0.1,
+      "passed": true
+    },
+    "transit_phase": {
+      "value": 0.25132741228718347,
+      "limit": 0.2,
+      "passed": false
+    },
+    "beam_occupancy": {
+      "value": 0.1,
+      "limit": 0.2,
+      "passed": true
+    },
+    "decay_budget": {
+      "value": 0.0,
+      "limit": 0.1,
+      "passed": true
+    }
+  }'''
+
+
 class TestDerive:
+    def test_regime_text_is_unchanged(self, tmp_path, capsys):
+        # the exact text of regime_ok and regime, key order included
+        assert main(["derive"]) == 0
+        assert regime_text(capsys.readouterr().out) == BUNDLED_REGIME
+        # theta_b*tau = 0.4 Hz * 2 pi * 0.1 s = 0.251 > 0.2
+        data = config_dict()
+        data["params"].update(tau_s=0.1, r_a_hz=1.0)
+        assert main(["derive", "--config", write_config(tmp_path, data)]) == 0
+        assert regime_text(capsys.readouterr().out) == TRANSIT_REGIME
+
+    def test_decay_budget_at_the_printed_pumping_time(self, tmp_path, capsys):
+        data = bundled_config(gamma_e_hz=50.0)
+        assert main(["derive", "--config", write_config(tmp_path, data), "--n-target", "0.001"]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        rate = spontaneous_decay_estimate(PhysicalParams.from_hz_dict(data["params"])).rate
+        assert payload["t_total_s"] == pytest.approx(0.558, abs=1e-3)
+        assert payload["regime"]["decay_budget"]["value"] == rate * payload["t_total_s"]
+
+    def test_zero_weak_drive_derives_an_unbounded_decay_budget(self, tmp_path, capsys):
+        # no pumping time is printed, so the decay budget has no bound
+        data = bundled_config(omega2_hz=0.0, gamma_e_hz=50.0)
+        assert main(["derive", "--config", write_config(tmp_path, data)]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["regime_ok"] is False
+        assert payload["regime"]["decay_budget"] == {"value": math.inf, "limit": 0.1, "passed": False}
+        assert "t_total_s" not in payload
+
     def test_bundled_rates(self, capsys):
         assert main(["derive"]) == 0
         payload = json.loads(capsys.readouterr().out)
@@ -599,6 +694,16 @@ class TestValidate:
         by_name = {c["name"]: c for c in summary["checks"]}
         assert by_name["bogoliubov_action"]["passed"] is False
         assert any(line.startswith("FAIL") for line in out.splitlines())
+
+    def test_dev_mode_run_writes_nothing_to_stderr(self):
+        # -X dev shows every warning, unclosed files among them
+        src = os.path.dirname(os.path.dirname(cavsqueeze.__file__))
+        path = [src, os.environ.get("PYTHONPATH", "")]
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
+        done = subprocess.run([sys.executable, "-X", "dev", "-m", "cavsqueeze", "validate"], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert done.returncode == 0, done.stdout
+        assert done.stderr == ""
 
     def test_nonpositive_scale_is_config_error(self, capsys):
         assert main(["validate", "--tolerance-scale", "-1"]) == 1

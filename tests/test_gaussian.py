@@ -101,12 +101,13 @@ class TestGaussianVacuum:
 
     def test_joint_variances(self):
         epr = gaussian_epr_variances(gaussian_vacuum())
-        assert epr.v_x_minus == 0.5
-        assert epr.v_x_plus == 0.5
-        assert epr.v_p_minus == 0.5
-        assert epr.v_p_plus == 0.5
-        assert epr.duan_sum == 1.0
-        assert not epr.entangled
+        assert epr["v_x_minus"] == 0.5
+        assert epr["v_x_plus"] == 0.5
+        assert epr["v_p_minus"] == 0.5
+        assert epr["v_p_plus"] == 0.5
+        assert epr["duan_sum"] == 1.0
+        # not entangled
+        assert not epr["duan_sum"] < 1.0
 
     def test_symplectic_eigenvalues(self):
         v = gaussian_vacuum()
@@ -126,13 +127,24 @@ class TestGaussianTmsv:
     def test_squeezed_and_antisqueezed_variances(self):
         eps = math.atanh(0.6)
         epr = gaussian_epr_variances(gaussian_tmsv(eps))
-        assert abs(epr.v_x_minus - 0.125) < 1e-12
-        assert abs(epr.v_p_plus - 0.125) < 1e-12
-        assert abs(epr.v_x_plus - 2.0) < 1e-12
-        assert abs(epr.v_p_minus - 2.0) < 1e-12
-        assert abs(epr.duan_sum - 0.25) < 1e-12
-        assert epr.entangled
-        assert abs(epr.v_x_minus * epr.v_x_plus - 0.25) < 1e-12
+        assert abs(epr["v_x_minus"] - 0.125) < 1e-12
+        assert abs(epr["v_p_plus"] - 0.125) < 1e-12
+        assert abs(epr["v_x_plus"] - 2.0) < 1e-12
+        assert abs(epr["v_p_minus"] - 2.0) < 1e-12
+        assert abs(epr["duan_sum"] - 0.25) < 1e-12
+        # entangled
+        assert epr["duan_sum"] < 1.0
+        assert abs(epr["v_x_minus"] * epr["v_x_plus"] - 0.25) < 1e-12
+
+    def test_variances_are_the_moment_records(self):
+        # exactly the five variance columns moment_records writes for the same moments
+        keys = ["v_x_minus", "v_x_plus", "v_p_minus", "v_p_plus", "duan_sum"]
+        for eps in (0.0, 0.4, math.atanh(0.6)):
+            s = gaussian_tmsv(eps)
+            epr = gaussian_epr_variances(s)
+            records = moment_records(s.mean, s.cov, eps)
+            assert list(epr) == keys
+            assert epr == {key: records[key] for key in keys}
 
     def test_matches_fock_covariance(self):
         space = SpaceDescriptor(1, 25, 25)
@@ -282,7 +294,7 @@ class TestGaussianLindbladEvolve:
         np.testing.assert_allclose(cov_fock, out.cov, atol=1e-5)
         epr_fock = gaussian_epr_variances(GaussianState(mean=np.zeros(4), cov=cov_fock))
         epr_gauss = gaussian_epr_variances(out)
-        assert abs(epr_fock.duan_sum - epr_gauss.duan_sum) < 1e-5
+        assert abs(epr_fock["duan_sum"] - epr_gauss["duan_sum"]) < 1e-5
 
 
 @pytest.mark.filterwarnings("ignore:outside validity regime")
@@ -310,7 +322,7 @@ class TestRunProtocolGaussian:
         eps = math.atanh(0.95)
         ideal = gaussian_epr_variances(gaussian_tmsv(eps))
         final = gaussian_epr_variances(traj.final_state)
-        assert abs(final.duan_sum - ideal.duan_sum) / ideal.duan_sum < 0.03
+        assert abs(final["duan_sum"] - ideal["duan_sum"]) / ideal["duan_sum"] < 0.03
         target_n = 0.95**2 / (1.0 - 0.95**2)
         for key in ("n_a1", "n_a2"):
             assert abs(occupation(traj.final_state, key) - target_n) / target_n < 0.02

@@ -17,7 +17,7 @@ from cavsqueeze.cli import build_spec, load_run_config
 from cavsqueeze.dynamics import ArrivalProcess
 from cavsqueeze.gaussian import GaussianState, gaussian_vacuum
 from cavsqueeze.hilbert import DensityMatrix, SpaceDescriptor, basis_state, split_charges
-from cavsqueeze.model import PhysicalParams, b_mode_annihilation, derive_rates
+from cavsqueeze.model import PhysicalParams, b_mode_annihilation, derive_rates, spontaneous_decay_estimate
 from cavsqueeze.protocol import (
     ProtocolSpec,
     ProtocolStep,
@@ -195,71 +195,89 @@ class TestBuildTwoStepProtocol:
             build_two_step_protocol(clean_params(0.5, 0.5))
 
 
+def regime_at_default_target(p):
+    # validate_regime over the two pump-down steps of the default n_target = 0.1
+    d = derive_rates(p)
+    return validate_regime(p, d, preparation_time(d.r, d.gamma).t_total if d.gamma > 0 else math.inf)
+
+
+def regime_failures(regime):
+    return [name for name, check in regime.items() if not check["passed"]]
+
+
 class TestValidateRegime:
     def test_clean_params_pass_all(self):
-        p = clean_params()
-        report = validate_regime(p, derive_rates(p))
-        assert report.all_passed
-        assert {c.name for c in report.checks} == {
-            "dispersive_ratio", "transit_phase", "beam_occupancy", "decay_budget",
-        }
+        regime = regime_at_default_target(clean_params())
+        assert all(check["passed"] for check in regime.values())
+        assert list(regime) == ["dispersive_ratio", "transit_phase", "beam_occupancy", "decay_budget"]
 
     def test_dispersive_failure(self):
         p = pump_params(1.0, 0.6, delta_mag=1.0, r_a=0.01, tau=0.1)
-        report = validate_regime(p, derive_rates(p))
-        names = [c.name for c in report.failures()]
-        assert "dispersive_ratio" in names
+        assert "dispersive_ratio" in regime_failures(regime_at_default_target(p))
 
     def test_transit_failure(self):
         # theta_b*tau = 0.04 * 6 = 0.24 > 0.2, all else inside
         p = pump_params(1.0, 0.6, delta_mag=20.0, r_a=0.03, tau=6.0)
         d = derive_rates(p)
         assert d.theta_b * p.tau == pytest.approx(0.24, rel=1e-12)
-        report = validate_regime(p, d)
-        assert [c.name for c in report.failures()] == ["transit_phase"]
+        assert regime_failures(regime_at_default_target(p)) == ["transit_phase"]
 
     def test_occupancy_failure(self):
         p = pump_params(1.0, 0.6, delta_mag=20.0, r_a=0.5, tau=1.0)
-        report = validate_regime(p, derive_rates(p))
-        assert [c.name for c in report.failures()] == ["beam_occupancy"]
+        assert regime_failures(regime_at_default_target(p)) == ["beam_occupancy"]
 
     def test_decay_budget_zero_without_decay(self):
+        budget = regime_at_default_target(clean_params())["decay_budget"]
+        assert budget["value"] == 0.0
+        assert budget["passed"]
+        # also over a run that never ends
         p = clean_params()
-        report = validate_regime(p, derive_rates(p))
-        budget = {c.name: c for c in report.checks}["decay_budget"]
-        assert budget.value == 0.0
-        assert budget.passed
+        assert validate_regime(p, derive_rates(p), math.inf)["decay_budget"]["value"] == 0.0
 
     def test_decay_budget_value(self):
         gamma_e = 1e-6
         p = pump_params(1.0, 0.6, delta_mag=20.0, r_a=0.2, tau=1.0, gamma_e=gamma_e)
         d = derive_rates(p)
-        report = validate_regime(p, d)
-        budget = {c.name: c for c in report.checks}["decay_budget"]
+        budget = regime_at_default_target(p)["decay_budget"]
         # excited occupation (1/20)^2 times gamma_e, over both pump-down steps
         n_bar = d.r**2 / (1.0 - d.r**2)
         expected = (1.0 / 400.0) * gamma_e * 2.0 * math.log(n_bar / 0.1) / d.gamma
-        assert budget.value == pytest.approx(expected, rel=1e-12)
-        assert budget.passed
+        assert budget["value"] == pytest.approx(expected, rel=1e-12)
+        assert budget["passed"]
 
     def test_decay_budget_failure(self):
         p = pump_params(1.0, 0.6, delta_mag=20.0, r_a=0.2, tau=1.0, gamma_e=1e-2)
-        report = validate_regime(p, derive_rates(p))
-        budget = {c.name: c for c in report.checks}["decay_budget"]
-        assert not budget.passed
+        assert not regime_at_default_target(p)["decay_budget"]["passed"]
 
     def test_decay_budget_infinite_when_not_pumping(self):
         p = pump_params(1.0, 0.6, delta_mag=20.0, r_a=0.0, tau=1.0, gamma_e=1e-6)
-        report = validate_regime(p, derive_rates(p))
-        budget = {c.name: c for c in report.checks}["decay_budget"]
-        assert budget.value == math.inf
-        assert not budget.passed
+        budget = regime_at_default_target(p)["decay_budget"]
+        assert budget["value"] == math.inf
+        assert not budget["passed"]
+        # whatever pumping time is given
+        assert validate_regime(p, derive_rates(p), 1.0)["decay_budget"]["value"] == math.inf
+
+    def test_decay_budget_at_the_run_pumping_time(self):
+        # the bundled config with gamma_e = 50 Hz pumps for 0.558 s in all at
+        # n_target = 0.001, against 0.284 s at the default target 0.1
+        cfg = load_run_config(None)
+        params = PhysicalParams.from_hz_dict(dict(cfg.params.to_hz_dict(), gamma_e_hz=50.0))
+        spec = build_spec(replace(cfg, params=params, n_target=0.001))
+        pump_time = sum(step.duration for step in spec.steps)
+        assert pump_time == pytest.approx(0.558, abs=1e-3)
+        step = spec.steps[0]
+        budget = validate_regime(step.params, step.derived, pump_time)["decay_budget"]
+        assert budget["value"] == spontaneous_decay_estimate(step.params).rate * pump_time
+        assert budget["value"] == pytest.approx(0.304, abs=1e-3)
+        with pytest.warns(UserWarning, match="decay_budget=0.304"):
+            traj, _ = run_protocol(spec, samples_per_step=2)
+        assert traj.diagnostics["regime_failures"] == ["decay_budget=0.304", "decay_budget=0.281"]
 
     def test_report_json(self):
-        p = clean_params()
-        data = validate_regime(p, derive_rates(p)).to_json()
-        assert data["transit_phase"]["passed"] is True
-        assert data["transit_phase"]["limit"] == 0.2
+        regime = regime_at_default_target(clean_params())
+        assert regime["transit_phase"]["passed"] is True
+        assert regime["transit_phase"]["limit"] == 0.2
+        assert all(list(check) == ["value", "limit", "passed"] for check in regime.values())
 
 
 class TestRunProtocolFock:

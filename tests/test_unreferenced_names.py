@@ -15,8 +15,9 @@ SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "cavsqueeze"
 
 ALLOWED = {
     "_worker_count":
-        "no command runs a thread pool any more; perfbench/worker.py still records it in its run "
-        "metadata and test_bench_contract pins its arity, so it leaves with the next benchmark change",
+        "returns 1, the worker count of every command (none runs a thread pool); perfbench/worker.py "
+        "records it in its run metadata and test_bench_contract pins its arity, so it leaves with the "
+        "next benchmark change",
     "build_effective_hamiltonian":
         "dispersive model the three-level acceptance check and workload compare against",
     "build_full_hamiltonian":
