@@ -251,8 +251,11 @@ def cmd_derive(cfg: RunConfig) -> int:
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
             prep = preparation_time(d.r, d.gamma, cfg.n_target)
-    # decay is priced over the printed pumping time, or without end where none is printed
-    regime = validate_regime(cfg.params, d, math.inf if prep is None else prep.t_total)
+    # the regime of the run simulate makes; without a pump-down time that run never ends
+    if d.r == 0.0 and cfg.durations is None:
+        regime = validate_regime([(cfg.params, d, math.inf)])
+    else:
+        regime = validate_regime([(step.params, step.derived, step.duration) for step in build_spec(cfg).steps])
     payload = {
         "theta1_hz": d.theta1 / TWO_PI,
         "theta2_hz": d.theta2 / TWO_PI,
@@ -272,15 +275,7 @@ def cmd_derive(cfg: RunConfig) -> int:
     return EXIT_OK
 
 
-def cmd_simulate(cfg: RunConfig, config_path: Optional[str]) -> int:
-    prefix = cfg.output_path if cfg.output_path is not None else "run"
-    csv_path = prefix + ".csv"
-    json_path = prefix + ".json"
-    if config_path is not None:
-        config_real = os.path.realpath(config_path)
-        for path in (csv_path, json_path):
-            if os.path.realpath(path) == config_real:
-                raise ConfigError(f"output {path} would overwrite the config {config_path}")
+def cmd_simulate(cfg: RunConfig, csv_path: str, json_path: str) -> int:
     spec = build_spec(cfg)
     traj, report = run_protocol(spec, samples_per_step=cfg.sample_count)
     traj.to_csv(csv_path)
@@ -300,7 +295,7 @@ def cmd_simulate(cfg: RunConfig, config_path: Optional[str]) -> int:
     return EXIT_OK
 
 
-def cmd_fig2(cfg: RunConfig, svg_path: Optional[str]) -> int:
+def cmd_fig2(cfg: RunConfig, out: str, svg_path: Optional[str]) -> int:
     theta1 = TWO_PI * cfg.theta1_hz
     rows = []
     with warnings.catch_warnings():
@@ -311,7 +306,6 @@ def cmd_fig2(cfg: RunConfig, svg_path: Optional[str]) -> int:
             prep = preparation_time(r, cfg.r_a_per_s * theta1**2 * (1.0 - r * r) * cfg.tau_s**2, cfg.n_target)
             rows.append((r, prep.n_bar_initial, prep.t_total))
 
-    out = cfg.output_path if cfg.output_path is not None else "fig2.csv"
     write_csv(out, ["r", "n_bar", "total_time_2T"], rows)
     print(f"wrote {out}")
     if svg_path is not None:
@@ -324,7 +318,7 @@ def cmd_fig2(cfg: RunConfig, svg_path: Optional[str]) -> int:
     return EXIT_OK
 
 
-def cmd_sweep(cfg: RunConfig) -> int:
+def cmd_sweep(cfg: RunConfig, out: str) -> int:
     if cfg.steps is not None:
         raise ConfigError("sweep rescales one params table; it cannot scan a steps pair")
     p = _as_step1(cfg.params)
@@ -355,7 +349,6 @@ def cmd_sweep(cfg: RunConfig) -> int:
                 report.truncation_leak,
             ))
 
-    out = cfg.output_path if cfg.output_path is not None else "sweep.csv"
     columns = ["r", "epsilon", "gamma_per_s", "t_total_s", "duan_sum", "n1_mean", "n2_mean", "fidelity",
                "regime_ok", "truncation_leak"]
     write_csv(out, columns, rows)
@@ -557,6 +550,19 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _outputs(args, cfg: RunConfig) -> list:
+    """The files the command writes, None where it prints instead."""
+    if args.command == "validate":
+        return [args.output_path]
+    if args.command == "derive":
+        return [cfg.output_path]
+    if args.command == "simulate":
+        prefix = cfg.output_path if cfg.output_path is not None else "run"
+        return [prefix + ".csv", prefix + ".json"]
+    out = cfg.output_path if cfg.output_path is not None else args.command + ".csv"
+    return [out, args.svg] if args.command == "fig2" else [out]
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     try:
@@ -566,15 +572,19 @@ def main(argv=None) -> int:
         return EXIT_CONFIG
     try:
         cfg = load_run_config(args.config, args)
+        outputs = _outputs(args, cfg)
+        for path in outputs:
+            if None not in (path, args.config) and os.path.realpath(path) == os.path.realpath(args.config):
+                raise ConfigError(f"output {path} would overwrite the config {args.config}")
         if args.command == "derive":
             return cmd_derive(cfg)
         if args.command == "simulate":
-            return cmd_simulate(cfg, args.config)
+            return cmd_simulate(cfg, *outputs)
         if args.command == "fig2":
-            return cmd_fig2(cfg, args.svg)
+            return cmd_fig2(cfg, *outputs)
         if args.command == "validate":
-            return cmd_validate(args.tolerance_scale, args.output_path)
-        return cmd_sweep(cfg)
+            return cmd_validate(args.tolerance_scale, *outputs)
+        return cmd_sweep(cfg, *outputs)
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

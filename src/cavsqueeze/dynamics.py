@@ -1,10 +1,12 @@
 """Time evolution engines.
 
-Fourth-order Runge-Kutta propagation of state vectors under a
-time-dependent Hamiltonian; the squeezed frame that the fock and collision
-engines share; and the stochastic collision model, in which a Poisson
-stream of two-level atoms pumps the transformed cavity mode with one
-closed-form Kraus pair per atom.
+Every engine runs one driver, run_steps: a pumping step is the triple
+(times, amounts, apply), and apply(state, amount) carries the state from
+one sample to the next; the fock and gaussian engines pass interval
+lengths, the collision engine atom counts.  The fock and collision engines
+enter through the squeezed frame they share, and the collision model adds
+the Poisson stream of two-level atoms, one closed-form Kraus pair per atom.
+Fourth-order Runge-Kutta propagates state vectors of the three-level model.
 """
 
 from __future__ import annotations
@@ -174,42 +176,28 @@ def propagate_state(
     return psi
 
 
-def run_schedule(state, steps: Sequence, record: Callable) -> Trajectory:
+def run_schedule(state, steps: Sequence, record: Callable) -> tuple:
     """Run pumping steps back to back and record the state at every sample.
 
-    steps holds (times, advance) pairs: times from 0, and advance(state, i)
-    carries the state to sample i, or past the last sample for
-    i = len(times).  A later step's first sample repeats the previous
-    step's last and is not recorded again.  Returns the Trajectory of the
-    dicts record(state) returns, with the final state.
+    steps holds (times, amounts, apply) triples: times from 0, and
+    apply(state, amounts[i]) carries the state to sample i, then
+    amounts[len(times)], where given, past the last sample; a zero amount is
+    skipped.  A later step's first sample repeats the previous step's last
+    and is not recorded again.  Returns (times, records, final state):
+    the sample clock and the series of the dicts record(state) returns.
     """
     clock, rows, offset = [], [], 0.0
-    for times, advance in steps:
-        for i, t in enumerate(times):
-            state = advance(state, i)
-            if clock and i == 0:
-                continue
-            clock.append(t + offset)
-            rows.append(record(state))
-        state = advance(state, len(times))
+    for times, amounts, apply in steps:
+        for i, amount in enumerate(amounts):
+            if amount:
+                state = apply(state, amount)
+            if i < len(times) and not (clock and i == 0):
+                clock.append(times[i] + offset)
+                rows.append(record(state))
         if len(times):
             offset = float(times[-1] + offset)
     records = {key: np.array([row[key] for row in rows]) for key in rows[0]} if rows else {}
-    return Trajectory(times=np.array(clock), records=records, final_state=state)
-
-
-def interval_advance(times: np.ndarray, duration: float, evolve: Callable) -> Callable:
-    """advance for run_schedule that applies evolve(state, dt) over each
-    interval between consecutive samples, and past the last sample up to
-    duration (the whole step when it has only the sample at 0)."""
-    def advance(state, i):
-        if 0 < i < len(times):
-            state = evolve(state, float(times[i] - times[i - 1]))
-        elif i == len(times) and duration > times[-1]:
-            state = evolve(state, float(duration - times[-1]))
-        return state
-
-    return advance
+    return np.array(clock), records, state
 
 
 def _charge0_block(shape: tuple, sectors: Sequence, column: int) -> np.ndarray:
@@ -223,9 +211,21 @@ def _charge0_block(shape: tuple, sectors: Sequence, column: int) -> np.ndarray:
     return out
 
 
-def _squeezed_frame(rho0: Union[DensityMatrix, SpaceDescriptor], epsilon: float):
-    """(rho_b, record, report) of run_in_squeezed_frame: record(rho_b)
-    holds the boundary leak under "leak", next to the moment records."""
+def squeezed_frame(rho0: Union[DensityMatrix, SpaceDescriptor], epsilon: float) -> tuple:
+    """Entry (rho_b, record, report) of run_steps in the squeezed frame
+    rho_b = S rho S+, from the DensityMatrix rho0 or the vacuum of a
+    SpaceDescriptor.
+
+    b_j = S+ a_j S exactly on the truncated space, so there the transformed
+    modes are bare and every pumping map acts on rho_b without S.  Those
+    maps keep the charge of every entry, so rho_b is carried as the
+    ChargeBlocks of the charges it occupies after the entry rotation.  S is
+    built once, as its (n1 - n2) sector blocks, and enters sector by
+    sector; no N^2 x N^2 array is made unless rho0 is one.  record and
+    report read the moments of rho_b, taken to the bare modes by
+    symplectic_squeeze(epsilon); record(rho_b) also holds the a-frame
+    boundary population truncation_leak(S+ rho_b S) under "leak".
+    """
     space = rho0 if isinstance(rho0, SpaceDescriptor) else rho0.space
     if space.atom_levels != 1:
         raise ValueError("the squeezed frame expects a field-only initial state")
@@ -263,33 +263,20 @@ def _refuse_overflow(leak: float, t: float) -> None:
                          f"{BOUNDARY_ERROR_LIMIT:g}; increase the Fock truncation")
 
 
-def run_in_squeezed_frame(rho0: Union[DensityMatrix, SpaceDescriptor], epsilon: float, steps) -> tuple:
-    """Run pumping steps back to back in the squeezed frame rho_b = S rho S+
-    from the DensityMatrix rho0, or from the vacuum of a SpaceDescriptor.
-
-    b_j = S+ a_j S exactly on the truncated space, so there the transformed
-    modes are bare and every pumping map acts on rho_b without S.  Those
-    maps keep the charge of every entry, so rho_b is carried as the
-    ChargeBlocks of the charges it occupies after the entry rotation; steps
-    are run_schedule's (times, advance) pairs on them.  S is built once, as
-    its (n1 - n2) sector blocks, and enters sector by sector; no N^2 x N^2
-    array is made unless rho0 is one.  The run never leaves the frame:
-    every sample and the SqueezingReport of the final rho_b are read from
-    the moments of rho_b, taken to the bare modes by
-    symplectic_squeeze(epsilon).  The a-frame boundary population
-    truncation_leak(S+ rho_b S) is measured at every sample (its maximum
-    goes to the diagnostics) and must not exceed BOUNDARY_ERROR_LIMIT on
-    the final state.  Returns (Trajectory, SqueezingReport); final_state
-    is rho_b.
-    """
-    rho_b, record, report = _squeezed_frame(rho0, epsilon)
-    traj = run_schedule(rho_b, steps, record)
-    records = dict(traj.records)
+def run_steps(entry: tuple, steps: Sequence) -> tuple:
+    """Run run_schedule's steps from entry = (state, record, report), the
+    squeezed_frame of the fock and collision engines or the moments of the
+    gaussian one.  The "leak" records leave the records for the
+    diagnostics' max_truncation_leak, with the final report's
+    truncation_leak, which must not exceed BOUNDARY_ERROR_LIMIT.  Returns
+    (Trajectory, SqueezingReport); final_state is the last state."""
+    state, record, report = entry
+    times, records, state = run_schedule(state, steps, record)
     leaks = records.pop("leak", [])
-    final = report(traj.final_state)
-    _refuse_overflow(final.truncation_leak, traj.times[-1] if traj.times.size else 0.0)
-    diagnostics = {"max_truncation_leak": float(max(final.truncation_leak, *leaks))}
-    return replace(traj, records=records, diagnostics=diagnostics), final
+    final = report(state)
+    _refuse_overflow(final.truncation_leak, times[-1] if times.size else 0.0)
+    diagnostics = {"max_truncation_leak": float(max([final.truncation_leak, *leaks]))}
+    return Trajectory(times, records, state, diagnostics), final
 
 
 def transit_kraus_pair(d: DerivedParams, stark: Optional[StarkShifts], tau: float, shape: tuple):
@@ -342,10 +329,9 @@ def _accepted_counts(params: PhysicalParams, duration: float, arrivals: ArrivalP
     return np.append(np.searchsorted(accepted, sample_times, side="right"), len(accepted)), dropped
 
 
-def _kraus_advance(shape, params: PhysicalParams, include_stark: bool, counts) -> Callable:
-    """advance for run_schedule that applies one atom transit's Kraus pair
-    until counts[i] atoms in all have passed: at sample i, and at the end of
-    the step for i = len(counts) - 1 (the sample count)."""
+def transit_map(shape, params: PhysicalParams, include_stark: bool) -> Callable:
+    """apply(rho_b, k) of a collision step: k atom transits, each the Kraus
+    pair of transit_kraus_pair on the charge blocks of rho_b."""
     d = derive_rates(params)
     x = d.theta_b * params.tau
     if x >= COUPLING_ERROR_LIMIT:
@@ -361,27 +347,30 @@ def _kraus_advance(shape, params: PhysicalParams, include_stark: bool, counts) -
     dst = (slice(None),) * axis + (slice(None, -1),)
     gathered = {}
 
-    def pairs(rho):
+    def apply(rho, k):
         # the charges are conserved, so a run gathers the pair into block shape once per step
         key = rho.charges.tobytes()
         if key not in gathered:
             gathered[key] = rho.outer(stay, stay), rho.outer(jump, jump)[src]
-        return gathered[key]
-
-    steps = np.diff(counts, prepend=0)
-
-    def advance(rho, i):
-        if not steps[i]:
-            return rho
-        stay_pair, jump_pair = pairs(rho)
+        stay_pair, jump_pair = gathered[key]
         blocks = rho.blocks
-        for _ in range(steps[i]):
+        for _ in range(k):
             new = stay_pair * blocks
             new[dst] += jump_pair * blocks[src]
             blocks = new
         return replace(rho, blocks=blocks)
 
-    return advance
+    return apply
+
+
+def collision_step(shape, params: PhysicalParams, duration: float, arrivals: ArrivalProcess, times,
+                   include_stark: bool = False) -> tuple:
+    """(step, accepted, dropped) of one collision run over duration: the
+    run_schedule step (times, atom counts, transit_map) of the arrivals the
+    drop rule accepts, and how many it accepts and drops."""
+    counts, dropped = _accepted_counts(params, duration, arrivals, times)
+    step = (times, np.diff(counts, prepend=0), transit_map(shape, params, include_stark))
+    return step, int(counts[-1]), dropped
 
 
 def run_collision_model(
@@ -407,11 +396,11 @@ def run_collision_model(
     at sample_times (default: 101 evenly spaced points).
     """
     sample_times = np.linspace(0.0, duration, 101) if sample_times is None else np.asarray(sample_times, float)
-    counts, dropped = _accepted_counts(params, duration, arrivals, sample_times)
-    advance = _kraus_advance(rho0.space.shape[1:], params, include_stark, counts)
+    step, accepted, dropped = collision_step(rho0.space.shape[1:], params, duration, arrivals, sample_times,
+                                             include_stark)
     d = derive_rates(params)
-    traj, _ = run_in_squeezed_frame(rho0, d.epsilon, [(sample_times, advance)])
-    diagnostics = {"accepted_arrivals": int(counts[-1]), "dropped_arrivals": int(dropped), "channel": d.channel,
+    traj, _ = run_steps(squeezed_frame(rho0, d.epsilon), [step])
+    diagnostics = {"accepted_arrivals": accepted, "dropped_arrivals": dropped, "channel": d.channel,
                    "atom_state": d.atom_state, "seed": arrivals.seed}
     return replace(traj, diagnostics={**diagnostics, **traj.diagnostics})
 
@@ -452,9 +441,9 @@ def run_collision_ensemble(
     levels, at = np.unique(counts, return_inverse=True)
     at = at.reshape(counts.shape)
     d = derive_rates(params)
-    advance = _kraus_advance(rho0.space.shape[1:], params, False, np.append(levels, levels[-1]))
-    rho_b, record, _ = _squeezed_frame(rho0, d.epsilon)
-    orbit = run_schedule(rho_b, [(levels, advance)], record).records
+    apply = transit_map(rho0.space.shape[1:], params, False)
+    rho_b, record, _ = squeezed_frame(rho0, d.epsilon)
+    _, orbit, _ = run_schedule(rho_b, [(levels, np.diff(levels, prepend=0), apply)], record)
     leaks = orbit.pop("leak")[at]
     for leak in leaks[:, -1]:
         _refuse_overflow(leak, sample_times[-1] if sample_times.size else 0.0)

@@ -17,14 +17,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .analysis import moment_records, preparation_time, report_from_moments
-from .dynamics import (
-    ArrivalProcess,
-    _accepted_counts,
-    _kraus_advance,
-    interval_advance,
-    run_in_squeezed_frame,
-    run_schedule,
-)
+from .dynamics import ArrivalProcess, collision_step, run_steps, squeezed_frame
 from .gaussian import GaussianState, gaussian_fidelity_to_tmsv, gaussian_lindblad_evolve, gaussian_vacuum
 from .hilbert import ChargeBlocks, DensityMatrix, SpaceDescriptor
 from .model import (
@@ -186,30 +179,29 @@ def pump_down_time(d: DerivedParams, n_target: float) -> float:
     return preparation_time(d.r, d.gamma, n_target).t_step if d.gamma > 0 else 0.0
 
 
-def validate_regime(p: PhysicalParams, d: DerivedParams, pump_time: float) -> dict:
-    """Check the approximations behind the effective dynamics of a run that
-    pumps for pump_time in all.
+def validate_regime(steps: Sequence[tuple]) -> dict:
+    """Check the approximations behind the effective dynamics of a run of
+    (params, derive_rates(params), duration) steps.
 
-    Returns {name: {"value", "limit", "passed"}} for dispersive_ratio,
-    transit_phase, beam_occupancy and decay_budget, the spontaneous-emission
-    probability over pump_time (0.0 without decay, inf when the step does
-    not pump).  Reports, never raises: deliberately running outside the
-    regime is a legitimate numerical experiment.
+    Returns {name: {"value", "limit", "passed"}}: dispersive_ratio,
+    transit_phase and beam_occupancy at the run's worst step, and
+    decay_budget, the run's spontaneous-emission probability, the sum of
+    each step's decay rate times its duration (0.0 without decay, inf when a
+    step that decays does not pump).  Reports, never raises: deliberately
+    running outside the regime is a legitimate numerical experiment.
     """
-    decay_rate = spontaneous_decay_estimate(p).rate
-    if decay_rate == 0.0:
-        decay_budget = 0.0
-    elif d.gamma > 0:
-        decay_budget = decay_rate * pump_time
-    else:
-        decay_budget = math.inf
-    table = {
-        "dispersive_ratio": (p.dispersive_ratio, DISPERSIVE_LIMIT),
-        "transit_phase": (d.theta_b * p.tau, TRANSIT_LIMIT),
-        "beam_occupancy": (p.r_a * p.tau, OCCUPANCY_LIMIT),
-        "decay_budget": (decay_budget, DECAY_BUDGET),
-    }
-    return {name: {"value": value, "limit": limit, "passed": value <= limit} for name, (value, limit) in table.items()}
+    limits = {"dispersive_ratio": DISPERSIVE_LIMIT, "transit_phase": TRANSIT_LIMIT,
+              "beam_occupancy": OCCUPANCY_LIMIT, "decay_budget": DECAY_BUDGET}
+    values = dict.fromkeys(limits, 0.0)
+    for p, d, duration in steps:
+        # the three per-step checks, in the order of limits
+        for name, value in zip(limits, (p.dispersive_ratio, d.theta_b * p.tau, p.r_a * p.tau)):
+            values[name] = max(values[name], value)
+        decay_rate = spontaneous_decay_estimate(p).rate
+        if decay_rate:
+            values["decay_budget"] += decay_rate * duration if d.gamma > 0 else math.inf
+    return {name: {"value": values[name], "limit": limit, "passed": values[name] <= limit}
+            for name, limit in limits.items()}
 
 
 @functools.lru_cache(maxsize=4)
@@ -251,8 +243,9 @@ def _damping_pass(rho: ChargeBlocks, eta: float, mode: int) -> ChargeBlocks:
     return replace(rho, blocks=(kernel @ flipped.view(float)).view(complex).swapaxes(2, 3))
 
 
-def _pump_step(step: ProtocolStep, times: np.ndarray, engine: str):
-    """Advance map of one pump-down step on the fock or gaussian engine.
+def _pump_step(step: ProtocolStep, times: np.ndarray, engine: str) -> tuple:
+    """run_schedule step (times, interval lengths, map) of one pump-down
+    step on the fock or gaussian engine.
 
     In the squeezed frame the transformed-mode jump is bare amplitude
     damping of the pumped mode: on rho_b its Fock-basis kernel, on the
@@ -265,7 +258,8 @@ def _pump_step(step: ProtocolStep, times: np.ndarray, engine: str):
         evolve = lambda s, dt: gaussian_lindblad_evolve(s, d.epsilon, d.gamma, mode, dt)
     else:
         evolve = lambda rho, dt: _damping_pass(rho, math.exp(-d.gamma * dt), mode)
-    return interval_advance(times, step.duration, evolve)
+    # the intervals between samples, from 0 and on to the end of the step
+    return times, np.diff(np.concatenate(([0.0], times, [step.duration]))), evolve
 
 
 def run_protocol(
@@ -279,36 +273,21 @@ def run_protocol(
     must be a DensityMatrix on the spec truncation for the fock and
     collision engines, or a GaussianState for the gaussian engine; the
     final state is rho_b = S rho S+ (ChargeBlocks) or a GaussianState.
-    Every engine pumps in the one squeezed frame the steps share and reads
-    its records from the same quadrature moments.  The diagnostics have the
-    same keys on every engine: engine, steps, regime_failures (the checks
-    validate_regime fails at the summed step durations, also issued as a
-    warning), max_truncation_leak (0.0 on gaussian, which has no
-    truncation), and accepted_arrivals and dropped_arrivals (None except
-    on collision).
+    Every engine pumps in the one squeezed frame the steps share, through
+    run_steps, and reads its records from the same quadrature moments.  The
+    diagnostics have the same keys on every engine: engine, steps,
+    regime_failures (the checks validate_regime fails on the run's steps,
+    also issued as a warning), max_truncation_leak (0.0 on gaussian, which
+    has no truncation), and accepted_arrivals and dropped_arrivals (None
+    except on collision).
     """
     whole = isinstance(samples_per_step, (int, np.integer)) and not isinstance(samples_per_step, bool)
     if not whole or samples_per_step < 1:
         raise ValueError(f"samples_per_step must be an integer >= 1, got {samples_per_step!r}")
-    pump_time = sum(step.duration for step in spec.steps)
-    failures = []
-    for step in spec.steps:
-        regime = validate_regime(step.params, step.derived, pump_time)
-        failures.extend(f"{name}={c['value']:.3g}" for name, c in regime.items() if not c["passed"])
+    regime = validate_regime([(step.params, step.derived, step.duration) for step in spec.steps])
+    failures = [f"{name}={c['value']:.3g}" for name, c in regime.items() if not c["passed"]]
     if failures:
         warnings.warn("outside validity regime: " + ", ".join(failures), stacklevel=2)
-
-    if spec.engine == "gaussian":
-        if initial is not None and not isinstance(initial, GaussianState):
-            raise ValueError("gaussian engine takes a GaussianState initial state")
-        start = gaussian_vacuum() if initial is None else initial
-    else:
-        space = SpaceDescriptor(1, *spec.truncation)
-        if initial is not None and not isinstance(initial, DensityMatrix):
-            raise ValueError(f"{spec.engine} engine takes a DensityMatrix initial state")
-        if initial is not None and initial.space != space:
-            raise ValueError(f"initial state space {initial.space} does not match truncation {spec.truncation}")
-        start = space if initial is None else initial
 
     steps, accepted, dropped = [], 0, 0
     for i, step in enumerate(spec.steps):
@@ -316,29 +295,36 @@ def run_protocol(
         times = np.linspace(0.0, step.duration, samples_per_step if step.duration else 1)
         if spec.engine == "collision":
             arrivals = ArrivalProcess(rate=step.params.r_a, seed=spec.seed + i)
-            counts, step_dropped = _accepted_counts(step.params, step.duration, arrivals, times)
-            advance = _kraus_advance(spec.truncation, step.params, False, counts)
-            accepted += int(counts[-1])
+            pumped, step_accepted, step_dropped = collision_step(spec.truncation, step.params, step.duration,
+                                                                 arrivals, times)
+            accepted += step_accepted
             dropped += step_dropped
         else:
-            advance = _pump_step(step, times, spec.engine)
-        steps.append((times, advance))
+            pumped = _pump_step(step, times, spec.engine)
+        steps.append(pumped)
 
     # the steps share epsilon, so every engine runs the whole schedule in one squeezed frame
     epsilon = spec.epsilon
     if spec.engine == "gaussian":
+        if initial is not None and not isinstance(initial, GaussianState):
+            raise ValueError("gaussian engine takes a GaussianState initial state")
         record = lambda s: moment_records(s.mean, s.cov, epsilon)
-        traj = run_schedule(start, steps, record)
-        final = traj.final_state
-        report = report_from_moments(final.mean, final.cov, epsilon, gaussian_fidelity_to_tmsv(final, epsilon), 0.0)
+        final = lambda s: report_from_moments(s.mean, s.cov, epsilon, gaussian_fidelity_to_tmsv(s, epsilon), 0.0)
+        entry = (gaussian_vacuum() if initial is None else initial, record, final)
     else:
-        traj, report = run_in_squeezed_frame(start, epsilon, steps)
+        space = SpaceDescriptor(1, *spec.truncation)
+        if initial is not None and not isinstance(initial, DensityMatrix):
+            raise ValueError(f"{spec.engine} engine takes a DensityMatrix initial state")
+        if initial is not None and initial.space != space:
+            raise ValueError(f"initial state space {initial.space} does not match truncation {spec.truncation}")
+        entry = squeezed_frame(space if initial is None else initial, epsilon)
 
+    traj, report = run_steps(entry, steps)
     diagnostics = {
         "engine": spec.engine,
         "steps": len(steps),
         "regime_failures": failures,
-        "max_truncation_leak": traj.diagnostics.get("max_truncation_leak", 0.0),
+        "max_truncation_leak": traj.diagnostics["max_truncation_leak"],
         "accepted_arrivals": accepted if spec.engine == "collision" else None,
         "dropped_arrivals": dropped if spec.engine == "collision" else None,
     }

@@ -17,7 +17,7 @@ from cavsqueeze.analysis import (
     tmsv_state_vector,
     truncation_leak,
 )
-from cavsqueeze.dynamics import run_in_squeezed_frame
+from cavsqueeze.dynamics import run_steps, squeezed_frame
 from cavsqueeze.gaussian import gaussian_tmsv
 from cavsqueeze.hilbert import (
     DensityMatrix,
@@ -368,8 +368,8 @@ class TestRecorder:
             rho_b = random_low_fock_state(s, 3, 2, seed)
             rho = squeeze.conj().T @ rho_b @ squeeze
             assert truncation_leak(DensityMatrix(s, rho)) <= 1e-12
-            traj, _ = run_in_squeezed_frame(
-                DensityMatrix(s, rho), eps, [(np.array([0.0]), lambda r, i: r)]
+            traj, _ = run_steps(
+                squeezed_frame(DensityMatrix(s, rho), eps), [(np.array([0.0]), [0], lambda r, k: r)]
             )
             want = dense(rho_b)
             assert list(traj.records) == list(want)

@@ -327,12 +327,33 @@ class TestDerive:
         assert regime_text(capsys.readouterr().out) == TRANSIT_REGIME
 
     def test_decay_budget_at_the_printed_pumping_time(self, tmp_path, capsys):
+        # the printed time is the two steps of the run simulate makes, and
+        # each step's decay rate is priced over its own half of it
         data = bundled_config(gamma_e_hz=50.0)
-        assert main(["derive", "--config", write_config(tmp_path, data), "--n-target", "0.001"]) == 0
+        path = write_config(tmp_path, data)
+        assert main(["derive", "--config", path, "--n-target", "0.001"]) == 0
         payload = json.loads(capsys.readouterr().out)
-        rate = spontaneous_decay_estimate(PhysicalParams.from_hz_dict(data["params"])).rate
+        steps = build_spec(load_run_config(path, build_parser().parse_args(
+            ["derive", "--n-target", "0.001"]))).steps
         assert payload["t_total_s"] == pytest.approx(0.558, abs=1e-3)
-        assert payload["regime"]["decay_budget"]["value"] == rate * payload["t_total_s"]
+        assert sum(s.duration for s in steps) == pytest.approx(payload["t_total_s"], rel=1e-12)
+        want = sum(spontaneous_decay_estimate(s.params).rate * s.duration for s in steps)
+        assert payload["regime"]["decay_budget"]["value"] == want
+        assert want == pytest.approx(0.2925, abs=1e-4)
+
+    def test_derive_and_simulate_judge_the_same_run(self, tmp_path, capsys):
+        # gamma_e = 34 Hz: the params table alone (step 2) would read 0.0970,
+        # but the run, with its mirrored step 1, reads 0.1012 and fails
+        path = write_config(tmp_path, bundled_config(gamma_e_hz=34.0))
+        assert main(["derive", "--config", path]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["regime_ok"] is False
+        assert payload["regime"]["decay_budget"]["value"] == pytest.approx(0.1012, abs=1e-4)
+        assert not payload["regime"]["decay_budget"]["passed"]
+        with pytest.warns(UserWarning, match="decay_budget=0.101"):
+            assert main(["simulate", "--config", path, "--out", str(tmp_path / "run")]) == 0
+        diagnostics = json.loads((tmp_path / "run.json").read_text())["diagnostics"]
+        assert diagnostics["regime_failures"] == ["decay_budget=0.101"]
 
     def test_zero_weak_drive_derives_an_unbounded_decay_budget(self, tmp_path, capsys):
         # no pumping time is printed, so the decay budget has no bound
@@ -730,3 +751,26 @@ class TestParser:
 
     def test_bad_grid_flag(self, capsys):
         assert main(["fig2", "--r-grid", "a,b"]) == 1
+
+
+@pytest.mark.parametrize("command, out_flags", [
+    (["derive"], ["--out"]),
+    (["simulate", "--engine", "gaussian"], ["--out"]),
+    (["sweep", "--engine", "gaussian", "--r-grid", "0.3"], ["--out"]),
+    (["fig2"], ["--out"]),
+    (["fig2", "--out", "curve.csv"], ["--svg"]),
+    (["validate"], ["--out"]),
+], ids=["derive", "simulate", "sweep", "fig2", "fig2-svg", "validate"])
+def test_no_command_overwrites_its_config(tmp_path, monkeypatch, capsys, command, out_flags):
+    # simulate's --out is a prefix: its config is named as the CSV it writes
+    name = "cfg.csv" if command[0] == "simulate" else "cfg.json"
+    path = write_config(tmp_path, config_dict(), name=name)
+    before = (tmp_path / name).read_bytes()
+    monkeypatch.chdir(tmp_path)
+    target = "cfg" if command[0] == "simulate" else path
+    rc = main([*command, "--config", path, *out_flags, target])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: output ") and f"would overwrite the config {path}" in err
+    assert (tmp_path / name).read_bytes() == before
+    assert sorted(p.name for p in tmp_path.iterdir()) == [name]

@@ -12,13 +12,13 @@ from cavsqueeze.dynamics import (
     Trajectory,
     _accepted_counts,
     _charge0_block,
-    _kraus_advance,
-    _squeezed_frame,
-    interval_advance,
+    collision_step,
     propagate_state,
     run_collision_ensemble,
     run_collision_model,
-    run_in_squeezed_frame,
+    run_schedule,
+    run_steps,
+    squeezed_frame,
     transit_kraus_pair,
 )
 from cavsqueeze.hilbert import (
@@ -395,14 +395,12 @@ class TestCollisionBlocks:
         psi = build_displacement_operator(s, 0.7 - 0.4j, 0.5).matrix @ basis_state(s, 0, 0, 0)
         for rho4 in (np.outer(psi, psi.conj()).reshape(shape * 2),
                      random_low_fock_state(s, min(shape), 3, seed=2).reshape(shape * 2)):
-            counts, _ = _accepted_counts(p, 10.0, ArrivalProcess(rate=p.r_a, seed=4), times)
-            advance = _kraus_advance(shape, p, with_stark, counts)
-            assert counts[-1] > 2
-            rho = split_charges(rho4)
-            for i in range(times.size + 1):
-                rho = advance(rho, i)
+            step, accepted, _ = collision_step(shape, p, 10.0, ArrivalProcess(rate=p.r_a, seed=4), times,
+                                               with_stark)
+            assert accepted > 2
+            _, _, rho = run_schedule(split_charges(rho4), [step], lambda r: {})
             want = rho4
-            for _ in range(counts[-1]):
+            for _ in range(accepted):
                 want = dense_kraus_pass(want, stay, jump, channel)
             assert np.max(np.abs(rho.dense() - want)) <= 1e-12
 
@@ -618,7 +616,7 @@ class TestSectorFrame:
         squeeze = dense_squeeze_operator(s, eps)
         for seed in range(3):
             rho = random_low_fock_state(s, 4, 2, seed)
-            rho_b, _, _ = _squeezed_frame(DensityMatrix(s, rho), eps)
+            rho_b, _, _ = squeezed_frame(DensityMatrix(s, rho), eps)
             want = (squeeze @ rho @ squeeze.conj().T).reshape(shape * 2)
             assert np.max(np.abs(rho_b.dense() - want)) <= 1e-13
 
@@ -632,7 +630,7 @@ class TestSectorFrame:
         assert np.max(np.abs(_charge0_block(shape, squeeze_sectors(s, eps), -1) - want)) <= 1e-13
         # a state reaching the boundary layers: the frame's leak is the bare one
         rho = DensityMatrix(s, random_low_fock_state(s, min(shape), 2, seed=4))
-        rho_b, record, _ = _squeezed_frame(rho, eps)
+        rho_b, record, _ = squeezed_frame(rho, eps)
         assert truncation_leak(rho) > 1e-3
         assert record(rho_b)["leak"] == pytest.approx(truncation_leak(rho), rel=0, abs=1e-13)
 
@@ -641,9 +639,10 @@ class TestSectorFrame:
         explicit = DensityMatrix.from_state_vector(s, basis_state(s, 0, 0, 0))
         times = np.linspace(0.0, 2.0, 5)
         damp = lambda j: lambda rho, dt: _damping_pass(rho, math.exp(-dt), j)
-        steps = [(times, interval_advance(times, 2.0, damp(j))) for j in (1, 2)]
-        got, got_report = run_in_squeezed_frame(s, eps, steps)
-        want, want_report = run_in_squeezed_frame(explicit, eps, steps)
+        amounts = np.append(np.diff(times, prepend=0.0), 0.0)
+        steps = [(times, amounts, damp(j)) for j in (1, 2)]
+        got, got_report = run_steps(squeezed_frame(s, eps), steps)
+        want, want_report = run_steps(squeezed_frame(explicit, eps), steps)
         assert list(got.records) == list(want.records)
         for key, series in want.records.items():
             assert np.max(np.abs(got.records[key] - series)) <= 1e-14, key

@@ -14,7 +14,7 @@ import scipy.linalg
 import cavsqueeze
 from cavsqueeze.analysis import preparation_time, tmsv_state_vector
 from cavsqueeze.cli import build_spec, load_run_config
-from cavsqueeze.dynamics import ArrivalProcess
+from cavsqueeze.dynamics import ArrivalProcess, run_collision_model
 from cavsqueeze.gaussian import GaussianState, gaussian_vacuum
 from cavsqueeze.hilbert import DensityMatrix, SpaceDescriptor, basis_state, split_charges
 from cavsqueeze.model import PhysicalParams, b_mode_annihilation, derive_rates, spontaneous_decay_estimate
@@ -196,9 +196,9 @@ class TestBuildTwoStepProtocol:
 
 
 def regime_at_default_target(p):
-    # validate_regime over the two pump-down steps of the default n_target = 0.1
+    # validate_regime over two pump-down steps of p at the default n_target = 0.1
     d = derive_rates(p)
-    return validate_regime(p, d, preparation_time(d.r, d.gamma).t_total if d.gamma > 0 else math.inf)
+    return validate_regime([(p, d, preparation_time(d.r, d.gamma).t_step if d.gamma > 0 else math.inf)] * 2)
 
 
 def regime_failures(regime):
@@ -232,7 +232,7 @@ class TestValidateRegime:
         assert budget["passed"]
         # also over a run that never ends
         p = clean_params()
-        assert validate_regime(p, derive_rates(p), math.inf)["decay_budget"]["value"] == 0.0
+        assert validate_regime([(p, derive_rates(p), math.inf)])["decay_budget"]["value"] == 0.0
 
     def test_decay_budget_value(self):
         gamma_e = 1e-6
@@ -255,7 +255,7 @@ class TestValidateRegime:
         assert budget["value"] == math.inf
         assert not budget["passed"]
         # whatever pumping time is given
-        assert validate_regime(p, derive_rates(p), 1.0)["decay_budget"]["value"] == math.inf
+        assert validate_regime([(p, derive_rates(p), 1.0)])["decay_budget"]["value"] == math.inf
 
     def test_decay_budget_at_the_run_pumping_time(self):
         # the bundled config with gamma_e = 50 Hz pumps for 0.558 s in all at
@@ -265,13 +265,43 @@ class TestValidateRegime:
         spec = build_spec(replace(cfg, params=params, n_target=0.001))
         pump_time = sum(step.duration for step in spec.steps)
         assert pump_time == pytest.approx(0.558, abs=1e-3)
+        # one step priced over the run's whole time reads its own rate; the
+        # run reads each step's rate over that step's duration
         step = spec.steps[0]
-        budget = validate_regime(step.params, step.derived, pump_time)["decay_budget"]
+        budget = validate_regime([(step.params, step.derived, pump_time)])["decay_budget"]
         assert budget["value"] == spontaneous_decay_estimate(step.params).rate * pump_time
         assert budget["value"] == pytest.approx(0.304, abs=1e-3)
-        with pytest.warns(UserWarning, match="decay_budget=0.304"):
+        budget = validate_regime([(s.params, s.derived, s.duration) for s in spec.steps])["decay_budget"]
+        assert budget["value"] == sum(spontaneous_decay_estimate(s.params).rate * s.duration for s in spec.steps)
+        assert budget["value"] == pytest.approx(0.2925, abs=1e-4)
+        with pytest.warns(UserWarning, match="decay_budget=0.292"):
             traj, _ = run_protocol(spec, samples_per_step=2)
-        assert traj.diagnostics["regime_failures"] == ["decay_budget=0.304", "decay_budget=0.281"]
+        assert traj.diagnostics["regime_failures"] == ["decay_budget=0.292"]
+
+    def test_decay_budget_of_the_run_fails_where_each_step_may_not(self):
+        # bundled config at gamma_e = 34 Hz: step 1 alone over the run's
+        # time reads 0.105, step 2 alone 0.0970, and the run 0.1012
+        cfg = load_run_config(None)
+        params = PhysicalParams.from_hz_dict(dict(cfg.params.to_hz_dict(), gamma_e_hz=34.0))
+        spec = build_spec(replace(cfg, params=params))
+        budget = validate_regime([(s.params, s.derived, s.duration) for s in spec.steps])["decay_budget"]
+        assert budget["value"] == pytest.approx(0.1012, abs=1e-4)
+        assert not budget["passed"]
+        with pytest.warns(UserWarning, match="decay_budget=0.101"):
+            traj, _ = run_protocol(spec, samples_per_step=2)
+        assert traj.diagnostics["regime_failures"] == ["decay_budget=0.101"]
+
+    def test_per_step_checks_read_the_worst_step_once(self):
+        # a transit phase 0.24 fails on one step only, and a failing check
+        # shared by both steps is named once
+        inside, outside = clean_params(), pump_params(1.0, 0.6, delta_mag=20.0, r_a=0.03, tau=6.0)
+        regime = validate_regime([(p, derive_rates(p), 1.0) for p in (inside, outside)])
+        assert regime["transit_phase"]["value"] == derive_rates(outside).theta_b * outside.tau
+        assert regime_failures(regime) == ["transit_phase"]
+        spec = ProtocolSpec([ProtocolStep(outside, 1.0), ProtocolStep(outside, 1.0)], engine="gaussian")
+        with pytest.warns(UserWarning, match="transit_phase=0.24"):
+            traj, _ = run_protocol(spec, samples_per_step=2)
+        assert traj.diagnostics["regime_failures"] == ["transit_phase=0.24"]
 
     def test_report_json(self):
         regime = regime_at_default_target(clean_params())
@@ -480,6 +510,26 @@ class TestRunProtocolCollision:
         assert traj.times.size == 21
         assert np.all(np.diff(traj.times) > 0)
 
+    @pytest.mark.parametrize("seed", [0, 5, 9])
+    def test_one_step_run_is_the_collision_model(self, seed):
+        # theta_b*tau = 0.023, r_a*tau = 0.1: run_protocol's collision branch
+        # and run_collision_model build one step the same way and run it alike
+        base = derive_rates(pump_params(1.0, 0.45, delta_mag=20.0))
+        tau = 0.023 / base.theta_b
+        p = pump_params(1.0, 0.45, delta_mag=20.0, r_a=0.1 / tau, tau=tau)
+        duration = 1.5 / derive_rates(p).gamma
+        spec = ProtocolSpec([ProtocolStep(p, duration)], engine="collision", seed=seed, truncation=(8, 8))
+        traj, _ = run_protocol(spec, samples_per_step=11)
+        single = run_collision_model(vacuum_density(8, 8), p, duration, ArrivalProcess(p.r_a, seed),
+                                     sample_times=np.linspace(0.0, duration, 11))
+        assert np.array_equal(traj.times, single.times)
+        assert list(traj.records) == list(single.records)
+        for key, series in single.records.items():
+            assert np.array_equal(traj.records[key], series), key
+        assert single.diagnostics["accepted_arrivals"] > 0
+        for key in ("accepted_arrivals", "dropped_arrivals", "max_truncation_leak"):
+            assert traj.diagnostics[key] == single.diagnostics[key], key
+
     def test_large_transit_phase_warns_once(self):
         # theta_b*tau = 0.3 on the collision engine: one regime warning for
         # the run, no second warning per step from the collision kicks
@@ -489,7 +539,7 @@ class TestRunProtocolCollision:
             warnings.simplefilter("always")
             run_protocol(spec, samples_per_step=3)
         assert [str(w.message) for w in caught if issubclass(w.category, UserWarning)] == [
-            "outside validity regime: transit_phase=0.3, transit_phase=0.3"
+            "outside validity regime: transit_phase=0.3"
         ]
 
 
