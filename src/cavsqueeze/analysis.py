@@ -9,6 +9,7 @@ any entangled two-mode squeezed state).
 
 from __future__ import annotations
 
+import functools
 import math
 import warnings
 from dataclasses import asdict, dataclass
@@ -83,15 +84,53 @@ def quadrature_ops(s: SpaceDescriptor):
 
 
 def _joint_variances(v: np.ndarray) -> dict:
-    x, p = v[0, 0] + v[2, 2], v[1, 1] + v[3, 3]
-    out = {
-        "v_x_minus": float(x - 2.0 * v[0, 2]),
-        "v_x_plus": float(x + 2.0 * v[0, 2]),
-        "v_p_minus": float(p - 2.0 * v[1, 3]),
-        "v_p_plus": float(p + 2.0 * v[1, 3]),
-    }
-    out["duan_sum"] = out["v_x_minus"] + out["v_p_plus"]
-    return out
+    c = v.T  # c[j, i] is v[i, j] of one sample, or the series v[:, i, j] of a stack
+    x, p, x_cross, p_cross = c[0, 0] + c[2, 2], c[1, 1] + c[3, 3], 2.0 * c[2, 0], 2.0 * c[3, 1]
+    x_minus, p_plus = x - x_cross, p + p_cross
+    return {"v_x_minus": x_minus, "v_x_plus": x + x_cross, "v_p_minus": p - p_cross, "v_p_plus": p_plus,
+            "duan_sum": x_minus + p_plus}
+
+
+@functools.lru_cache(maxsize=8)
+def _band_table(charges: tuple, shape: tuple) -> tuple:
+    """Read-only (block, row, weight) of band_sums; weight is 0 off the grid and on bands not held."""
+    n1, n2 = np.indices(shape, dtype=float)
+    # O|m> = weight[m] |m - (d1, d2)> for the eight operators O of band_sums
+    bands = [((1, 0), np.sqrt(n1)), ((0, 1), np.sqrt(n2)), ((1, 1), np.sqrt(n1 * n2)),
+             ((2, 0), np.sqrt(n1 * (n1 - 1.0))), ((0, 2), np.sqrt(n2 * (n2 - 1.0))),
+             ((-1, 1), np.sqrt((n1 + 1.0) * n2)), ((0, 0), n1), ((0, 0), n2)]
+    block, row, table = np.zeros(8, int), np.zeros(8, int), np.zeros((8, *shape))
+    for k, ((d1, d2), weight) in enumerate(bands):
+        # rho[n1, n2, n1 - d1, n2 - d2] is row N2 - 1 - d2 of the block of charge d1 - d2
+        if d1 - d2 in charges and abs(d2) < shape[1]:
+            m = tuple(slice(max(d, 0), n + min(d, 0)) for d, n in zip((d1, d2), shape))
+            block[k], row[k], table[k][m] = charges.index(d1 - d2), shape[1] - 1 - d2, weight[m]
+    for array in (block, row, table):
+        array.flags.writeable = False
+    return block, row, table
+
+
+def band_sums(rho: ChargeBlocks) -> np.ndarray:
+    """<a1>, <a2>, <a1 a2>, <a1^2>, <a2^2>, <a1+ a2>, <a1+ a1> and <a2+ a2> in rho: one gather of
+    their bands and one contraction with their weights, both cached per charges and grid."""
+    block, row, weight = _band_table(tuple(rho.charges.tolist()), rho.blocks.shape[2:])
+    return np.einsum("kij,kij->k", rho.blocks[block, row], weight)
+
+
+def band_moments(bands: np.ndarray) -> tuple:
+    """moments from the band_sums of a state, or of states stacked on its leading axes."""
+    b = np.concatenate([bands, np.conj(bands[..., 5:6])], axis=-1)
+    a = b[..., :2]
+    # centred <a_j a_k> and <a_j+ a_k>
+    aa = b[..., [[3, 2], [2, 4]]] - a[..., :, None] * a[..., None, :]
+    ada = b[..., [[6, 5], [8, 7]]] - a.conj()[..., :, None] * a[..., None, :]
+    # X = (a + a+)/2, P = (a - a+)/2i and a a+ = a+ a + 1
+    cov = np.empty((*a.shape[:-1], 4, 4))
+    cov[..., 0::2, 0::2] = 0.5 * (aa + ada).real + 0.25 * np.eye(2)
+    cov[..., 1::2, 1::2] = 0.5 * (ada - aa).real + 0.25 * np.eye(2)
+    cov[..., 0::2, 1::2] = 0.5 * (aa + ada).imag
+    cov[..., 1::2, 0::2] = np.swapaxes(cov[..., 0::2, 1::2], -1, -2)
+    return np.stack([a.real, a.imag], axis=-1).reshape(*a.shape[:-1], 4), cov
 
 
 def moments(rho: ChargeBlocks) -> tuple:
@@ -105,29 +144,7 @@ def moments(rho: ChargeBlocks) -> tuple:
     quadratures in the state held; no N^2 x N^2 operator is built.
     Covariance convention: V_ij = <{dR_i, dR_j}>/2, vacuum I/4.
     """
-    n1, n2 = np.indices(rho.blocks.shape[2:], dtype=float)
-
-    def band(d1, d2, weight):
-        # tr(O rho) for O|m> = weight[m] |m - d>: the sum of
-        # weight[m] <m|rho|m - d> over m with m and m - d on the grid
-        m = tuple(slice(max(d, 0), n + min(d, 0)) for d, n in zip((d1, d2), n1.shape))
-        return np.einsum("ij,ij->", rho.diagonal(d1, d2)[m], weight[m])
-
-    a = np.array([band(1, 0, np.sqrt(n1)), band(0, 1, np.sqrt(n2))])
-    # centred <a_j a_k> and <a_j+ a_k>
-    a1a2 = band(1, 1, np.sqrt(n1 * n2))
-    aa = np.array([[band(2, 0, np.sqrt(n1 * (n1 - 1.0))), a1a2],
-                   [a1a2, band(0, 2, np.sqrt(n2 * (n2 - 1.0)))]]) - np.outer(a, a)
-    a1d_a2 = band(-1, 1, np.sqrt((n1 + 1.0) * n2))
-    ada = np.array([[band(0, 0, n1), a1d_a2],
-                    [np.conj(a1d_a2), band(0, 0, n2)]]) - np.outer(a.conj(), a)
-    # X = (a + a+)/2, P = (a - a+)/2i and a a+ = a+ a + 1
-    cov = np.empty((4, 4))
-    cov[0::2, 0::2] = 0.5 * (aa + ada).real + 0.25 * np.eye(2)
-    cov[1::2, 1::2] = 0.5 * (ada - aa).real + 0.25 * np.eye(2)
-    cov[0::2, 1::2] = 0.5 * (aa + ada).imag
-    cov[1::2, 0::2] = cov[0::2, 1::2].T
-    return np.column_stack([a.real, a.imag]).ravel(), cov
+    return band_moments(band_sums(rho))
 
 
 def _fock_moments(state: StateLike, space: Optional[SpaceDescriptor]) -> tuple:
@@ -156,13 +173,13 @@ def epr_variances_fock(state: StateLike, space: Optional[SpaceDescriptor] = None
     moments: v_x_minus = V(X1 - X2), v_x_plus, v_p_minus, v_p_plus = V(P1 + P2)
     and duan_sum = v_x_minus + v_p_plus (entangled below 1), as in
     moment_records.  Warns when the boundary Fock layers hold more than 1e-3."""
-    return _joint_variances(_fock_moments(state, space)[1])
+    return {key: float(v) for key, v in _joint_variances(_fock_moments(state, space)[1]).items()}
 
 
 def _photon_numbers(mean: np.ndarray, cov: np.ndarray) -> tuple:
-    """<a1+ a1> and <a2+ a2> from the quadrature moments."""
-    return tuple(float(cov[i, i] + cov[i + 1, i + 1] + mean[i] ** 2 + mean[i + 1] ** 2 - 0.5)
-                 for i in (0, 2))
+    """<a1+ a1> and <a2+ a2> from the quadrature moments (squared by C pow, the records' rounding)."""
+    c, square = cov.T, np.float_power(mean, 2).T
+    return tuple(c[i, i] + c[i + 1, i + 1] + square[i] + square[i + 1] - 0.5 for i in (0, 2))
 
 
 def symplectic_squeeze(epsilon: float) -> np.ndarray:
@@ -180,10 +197,11 @@ def moment_records(mean: np.ndarray, cov: np.ndarray, epsilon: float) -> dict:
     """Per-sample records of every engine, in the CSV column order: the
     occupations n_a1, n_b1, n_a2, n_b2 (n_bj is the bare occupation of the
     moments mapped back by symplectic_squeeze(-epsilon)), the four
-    joint-quadrature variances and the witness duan_sum."""
+    joint-quadrature variances and the witness duan_sum.  mean and cov may
+    stack samples on a first axis, for one record value per sample."""
     back = symplectic_squeeze(-epsilon)
     n_a1, n_a2 = _photon_numbers(mean, cov)
-    n_b1, n_b2 = _photon_numbers(back @ mean, back @ cov @ back.T)
+    n_b1, n_b2 = _photon_numbers((back @ mean[..., None])[..., 0], back @ cov @ back.T)
     return {"n_a1": n_a1, "n_b1": n_b1, "n_a2": n_a2, "n_b2": n_b2, **_joint_variances(cov)}
 
 
@@ -277,14 +295,15 @@ def report_from_moments(
 ) -> SqueezingReport:
     """SqueezingReport of a state from its quadrature moments, its fidelity
     to the target and its boundary population."""
-    rec = moment_records(mean, cov, epsilon_target)
+    n1, n2 = map(float, _photon_numbers(mean, cov))
+    rec = {key: float(v) for key, v in _joint_variances(cov).items()}
     return SqueezingReport(
         epsilon_target=float(epsilon_target),
         v_squeezed=0.5 * (rec["v_x_minus"] + rec["v_p_plus"]),
         v_antisqueezed=0.5 * (rec["v_x_plus"] + rec["v_p_minus"]),
         duan_sum=rec["duan_sum"],
-        n1_mean=rec["n_a1"],
-        n2_mean=rec["n_a2"],
+        n1_mean=n1,
+        n2_mean=n2,
         fidelity=fidelity,
         truncation_leak=leak,
     )

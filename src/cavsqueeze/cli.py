@@ -552,9 +552,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _outputs(args, cfg: RunConfig) -> list:
     """The files the command writes, None where it prints instead."""
-    if args.command == "validate":
-        return [args.output_path]
-    if args.command == "derive":
+    if args.command in ("derive", "validate"):
         return [cfg.output_path]
     if args.command == "simulate":
         prefix = cfg.output_path if cfg.output_path is not None else "run"

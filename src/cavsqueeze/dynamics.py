@@ -17,7 +17,7 @@ from typing import Callable, Optional, Sequence, Union
 
 import numpy as np
 
-from .analysis import moment_records, moments, report_from_moments, symplectic_squeeze
+from .analysis import band_moments, band_sums, moment_records, moments, report_from_moments, symplectic_squeeze
 from .hilbert import ChargeBlocks, DensityMatrix, Operator, SpaceDescriptor, split_charges
 from .model import (
     OCCUPANCY_LIMIT,
@@ -176,15 +176,15 @@ def propagate_state(
     return psi
 
 
-def run_schedule(state, steps: Sequence, record: Callable) -> tuple:
-    """Run pumping steps back to back and record the state at every sample.
+def run_schedule(state, steps: Sequence, read: Callable) -> tuple:
+    """Run pumping steps back to back and read the state at every sample.
 
     steps holds (times, amounts, apply) triples: times from 0, and
     apply(state, amounts[i]) carries the state to sample i, then
     amounts[len(times)], where given, past the last sample; a zero amount is
     skipped.  A later step's first sample repeats the previous step's last
-    and is not recorded again.  Returns (times, records, final state):
-    the sample clock and the series of the dicts record(state) returns.
+    and is not read again.  Returns (times, readings, final state): the
+    sample clock and each part of the tuples read(state) returns, stacked.
     """
     clock, rows, offset = [], [], 0.0
     for times, amounts, apply in steps:
@@ -193,11 +193,10 @@ def run_schedule(state, steps: Sequence, record: Callable) -> tuple:
                 state = apply(state, amount)
             if i < len(times) and not (clock and i == 0):
                 clock.append(times[i] + offset)
-                rows.append(record(state))
+                rows.append(read(state))
         if len(times):
             offset = float(times[-1] + offset)
-    records = {key: np.array([row[key] for row in rows]) for key in rows[0]} if rows else {}
-    return np.array(clock), records, state
+    return np.array(clock), tuple(map(np.array, zip(*rows))), state
 
 
 def _charge0_block(shape: tuple, sectors: Sequence, column: int) -> np.ndarray:
@@ -212,8 +211,8 @@ def _charge0_block(shape: tuple, sectors: Sequence, column: int) -> np.ndarray:
 
 
 def squeezed_frame(rho0: Union[DensityMatrix, SpaceDescriptor], epsilon: float) -> tuple:
-    """Entry (rho_b, record, report) of run_steps in the squeezed frame
-    rho_b = S rho S+, from the DensityMatrix rho0 or the vacuum of a
+    """Entry (rho_b, read, tabulate, report) of run_steps in the squeezed
+    frame rho_b = S rho S+, from the DensityMatrix rho0 or the vacuum of a
     SpaceDescriptor.
 
     b_j = S+ a_j S exactly on the truncated space, so there the transformed
@@ -221,10 +220,11 @@ def squeezed_frame(rho0: Union[DensityMatrix, SpaceDescriptor], epsilon: float) 
     maps keep the charge of every entry, so rho_b is carried as the
     ChargeBlocks of the charges it occupies after the entry rotation.  S is
     built once, as its (n1 - n2) sector blocks, and enters sector by
-    sector; no N^2 x N^2 array is made unless rho0 is one.  record and
-    report read the moments of rho_b, taken to the bare modes by
-    symplectic_squeeze(epsilon); record(rho_b) also holds the a-frame
-    boundary population truncation_leak(S+ rho_b S) under "leak".
+    sector; no N^2 x N^2 array is made unless rho0 is one.  read(rho_b) is
+    its band_sums, through one band table per run, and its a-frame boundary
+    population truncation_leak(S+ rho_b S); tabulate takes the stacked
+    readings to the bare modes by symplectic_squeeze(epsilon) and to their
+    records in one pass, the leaks under "leak"; report reads the last rho_b.
     """
     space = rho0 if isinstance(rho0, SpaceDescriptor) else rho0.space
     if space.atom_levels != 1:
@@ -237,8 +237,9 @@ def squeezed_frame(rho0: Union[DensityMatrix, SpaceDescriptor], epsilon: float) 
     boundary = _charge0_block(space.shape[1:], sectors, -1)
     # rounding can take the trace of an empty boundary a little below 0
     leak = lambda rho: max(0.0, float(np.einsum("ijk,ijk->", boundary, rho.block(0).real)))
-    bare = lambda mean, cov: (to_bare @ mean, to_bare @ cov @ to_bare.T)
-    record = lambda rho: {"leak": leak(rho), **moment_records(*bare(*moments(rho)), epsilon)}
+    bare = lambda mean, cov: ((to_bare @ mean[..., None])[..., 0], to_bare @ cov @ to_bare.T)
+    read = lambda rho: (band_sums(rho), leak(rho))
+    tabulate = lambda bands, leaks: {"leak": leaks, **moment_records(*bare(*band_moments(bands)), epsilon)}
     # the squeezed vacuum S+|0,0> has fidelity <0,0|rho_b|0,0>
     fidelity = lambda rho: float(rho.diagonal(0, 0)[0, 0].real)
     report = lambda rho: report_from_moments(*bare(*moments(rho)), epsilon, fidelity(rho), leak(rho))
@@ -246,7 +247,7 @@ def squeezed_frame(rho0: Union[DensityMatrix, SpaceDescriptor], epsilon: float) 
     if isinstance(rho0, SpaceDescriptor):
         # S|0,0> is the first column of sector 0, so rho_b has charge 0 only
         vacuum = _charge0_block(space.shape[1:], [sectors[space.n2_trunc - 1]], 0)
-        return ChargeBlocks(np.zeros(1, int), vacuum[None] + 0j), record, report
+        return ChargeBlocks(np.zeros(1, int), vacuum[None] + 0j), read, tabulate, report
     # S rho S+ with S_k applied to the rows of each sector, then to its columns
     rho = rho0.matrix.copy()
     cuts = [n1 * space.n2_trunc + n2 for n1, n2, _ in sectors]
@@ -254,7 +255,7 @@ def squeezed_frame(rho0: Union[DensityMatrix, SpaceDescriptor], epsilon: float) 
         rho[cut] = block @ rho[cut]
     for cut, (_, _, block) in zip(cuts, sectors):
         rho[:, cut] = rho[:, cut] @ block.T
-    return split_charges(rho.reshape(space.shape[1:] * 2)), record, report
+    return split_charges(rho.reshape(space.shape[1:] * 2)), read, tabulate, report
 
 
 def _refuse_overflow(leak: float, t: float) -> None:
@@ -264,19 +265,20 @@ def _refuse_overflow(leak: float, t: float) -> None:
 
 
 def run_steps(entry: tuple, steps: Sequence) -> tuple:
-    """Run run_schedule's steps from entry = (state, record, report), the
-    squeezed_frame of the fock and collision engines or the moments of the
-    gaussian one.  The "leak" records leave the records for the
-    diagnostics' max_truncation_leak, with the final report's
-    truncation_leak, which must not exceed BOUNDARY_ERROR_LIMIT.  Returns
-    (Trajectory, SqueezingReport); final_state is the last state."""
-    state, record, report = entry
-    times, records, state = run_schedule(state, steps, record)
+    """Run run_schedule's steps from entry = (state, read, tabulate,
+    report), the squeezed_frame of the fock and collision engines or the
+    moments of the gaussian one; tabulate(*readings) makes the records of
+    all samples in one pass.  The "leak" records leave the records for
+    max_truncation_leak, with the final report's truncation_leak, which
+    must not exceed BOUNDARY_ERROR_LIMIT.  Returns (times, records, final
+    state, SqueezingReport, max_truncation_leak)."""
+    state, read, tabulate, report = entry
+    times, readings, state = run_schedule(state, steps, read)
+    records = tabulate(*readings) if readings else {}
     leaks = records.pop("leak", [])
     final = report(state)
     _refuse_overflow(final.truncation_leak, times[-1] if times.size else 0.0)
-    diagnostics = {"max_truncation_leak": float(max([final.truncation_leak, *leaks]))}
-    return Trajectory(times, records, state, diagnostics), final
+    return times, records, state, final, float(max([final.truncation_leak, *leaks]))
 
 
 def transit_kraus_pair(d: DerivedParams, stark: Optional[StarkShifts], tau: float, shape: tuple):
@@ -399,10 +401,10 @@ def run_collision_model(
     step, accepted, dropped = collision_step(rho0.space.shape[1:], params, duration, arrivals, sample_times,
                                              include_stark)
     d = derive_rates(params)
-    traj, _ = run_steps(squeezed_frame(rho0, d.epsilon), [step])
+    times, records, state, _, leak = run_steps(squeezed_frame(rho0, d.epsilon), [step])
     diagnostics = {"accepted_arrivals": accepted, "dropped_arrivals": dropped, "channel": d.channel,
-                   "atom_state": d.atom_state, "seed": arrivals.seed}
-    return replace(traj, diagnostics={**diagnostics, **traj.diagnostics})
+                   "atom_state": d.atom_state, "seed": arrivals.seed, "max_truncation_leak": leak}
+    return Trajectory(times, records, state, diagnostics)
 
 
 def _worker_count(requested: Optional[int]) -> int:
@@ -438,12 +440,12 @@ def run_collision_ensemble(
     drawn = [_accepted_counts(params, duration, ArrivalProcess(params.r_a, master_seed ^ i), sample_times)
              for i in range(n_trajectories)]
     counts = np.array([c for c, _ in drawn])
-    levels, at = np.unique(counts, return_inverse=True)
-    at = at.reshape(counts.shape)
+    levels = np.flatnonzero(np.bincount(counts.ravel()))  # the distinct counts
+    at = np.searchsorted(levels, counts)
     d = derive_rates(params)
     apply = transit_map(rho0.space.shape[1:], params, False)
-    rho_b, record, _ = squeezed_frame(rho0, d.epsilon)
-    _, orbit, _ = run_schedule(rho_b, [(levels, np.diff(levels, prepend=0), apply)], record)
+    rho_b, read, tabulate, _ = squeezed_frame(rho0, d.epsilon)
+    orbit = tabulate(*run_schedule(rho_b, [(levels, np.diff(levels, prepend=0), apply)], read)[1])
     leaks = orbit.pop("leak")[at]
     for leak in leaks[:, -1]:
         _refuse_overflow(leak, sample_times[-1] if sample_times.size else 0.0)

@@ -121,7 +121,7 @@ def gaussian_lindblad_evolve(
 def gaussian_epr_variances(s: GaussianState) -> dict:
     """The joint-quadrature variance records of the covariance matrix, the
     keys v_x_minus .. duan_sum of moment_records."""
-    return _joint_variances(s.cov)
+    return {key: float(v) for key, v in _joint_variances(s.cov).items()}
 
 
 def gaussian_fidelity_to_tmsv(s: GaussianState, epsilon: float) -> float:

@@ -249,8 +249,9 @@ def split_charges(rho4: np.ndarray, charges: Optional[Sequence[int]] = None) -> 
     charges, or by default every charge that has a nonzero entry."""
     n1_trunc, n2_trunc = rho4.shape[:2]
     if charges is None:
+        top = n1_trunc + n2_trunc - 2  # the largest |q|: bincount counts q + top from 0
         n1, n2, m1, m2 = np.indices(rho4.shape, sparse=True)
-        charges = np.unique(np.broadcast_to((n1 - n2) - (m1 - m2), rho4.shape)[rho4 != 0])
+        charges = np.flatnonzero(np.bincount(((n1 - n2 + top) - (m1 - m2))[rho4 != 0])) - top
     charges = np.asarray(charges)
     c1, c2, on_grid = _charge_columns(charges, n1_trunc, n2_trunc)
     rows = np.indices((n1_trunc, n2_trunc), sparse=True)

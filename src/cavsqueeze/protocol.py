@@ -17,7 +17,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .analysis import moment_records, preparation_time, report_from_moments
-from .dynamics import ArrivalProcess, collision_step, run_steps, squeezed_frame
+from .dynamics import ArrivalProcess, Trajectory, collision_step, run_steps, squeezed_frame
 from .gaussian import GaussianState, gaussian_fidelity_to_tmsv, gaussian_lindblad_evolve, gaussian_vacuum
 from .hilbert import ChargeBlocks, DensityMatrix, SpaceDescriptor
 from .model import (
@@ -308,9 +308,9 @@ def run_protocol(
     if spec.engine == "gaussian":
         if initial is not None and not isinstance(initial, GaussianState):
             raise ValueError("gaussian engine takes a GaussianState initial state")
-        record = lambda s: moment_records(s.mean, s.cov, epsilon)
+        tabulate = lambda mean, cov: moment_records(mean, cov, epsilon)
         final = lambda s: report_from_moments(s.mean, s.cov, epsilon, gaussian_fidelity_to_tmsv(s, epsilon), 0.0)
-        entry = (gaussian_vacuum() if initial is None else initial, record, final)
+        entry = (gaussian_vacuum() if initial is None else initial, lambda s: (s.mean, s.cov), tabulate, final)
     else:
         space = SpaceDescriptor(1, *spec.truncation)
         if initial is not None and not isinstance(initial, DensityMatrix):
@@ -319,13 +319,13 @@ def run_protocol(
             raise ValueError(f"initial state space {initial.space} does not match truncation {spec.truncation}")
         entry = squeezed_frame(space if initial is None else initial, epsilon)
 
-    traj, report = run_steps(entry, steps)
+    times, records, state, report, leak = run_steps(entry, steps)
     diagnostics = {
         "engine": spec.engine,
         "steps": len(steps),
         "regime_failures": failures,
-        "max_truncation_leak": traj.diagnostics["max_truncation_leak"],
+        "max_truncation_leak": leak,
         "accepted_arrivals": accepted if spec.engine == "collision" else None,
         "dropped_arrivals": dropped if spec.engine == "collision" else None,
     }
-    return replace(traj, diagnostics=diagnostics), report
+    return Trajectory(times, records, state, diagnostics), report

@@ -10,7 +10,9 @@ the two.  The Fock engines also never rotate their state back to the bare
 modes; bare_state does that for a test that compares bare density matrices.
 The three-level Hamiltonian is built from a cached sparsity pattern, and
 its RK4 step accumulates in place; dense_full_hamiltonian and rk4_reference
-are the dense four-term sum and the plain RK4 loop they replaced.
+are the dense four-term sum and the plain RK4 loop they replaced.  The
+moments read their bands through a table cached per charges and grid;
+band_by_band_moments reads each band on its own.
 """
 
 import math
@@ -251,6 +253,34 @@ def gaussian_block_evolve(mean, cov, epsilon: float, gamma: float, which: int, t
         mean = f @ mean
         cov = f @ cov @ f.T + q
     return mean, 0.5 * (cov + cov.T)
+
+
+def band_by_band_moments(rho: ChargeBlocks) -> tuple:
+    """analysis.moments with each band looked up, cropped to the grid and
+    summed on its own: (mean, cov) of (X1, P1, X2, P2), vacuum cov I/4."""
+    n1, n2 = np.indices(rho.blocks.shape[2:], dtype=float)
+
+    def band(d1, d2, weight):
+        # tr(O rho) for O|m> = weight[m] |m - d>: the sum of
+        # weight[m] <m|rho|m - d> over m with m and m - d on the grid
+        m = tuple(slice(max(d, 0), n + min(d, 0)) for d, n in zip((d1, d2), n1.shape))
+        return np.einsum("ij,ij->", rho.diagonal(d1, d2)[m], weight[m])
+
+    a = np.array([band(1, 0, np.sqrt(n1)), band(0, 1, np.sqrt(n2))])
+    # centred <a_j a_k> and <a_j+ a_k>
+    a1a2 = band(1, 1, np.sqrt(n1 * n2))
+    aa = np.array([[band(2, 0, np.sqrt(n1 * (n1 - 1.0))), a1a2],
+                   [a1a2, band(0, 2, np.sqrt(n2 * (n2 - 1.0)))]]) - np.outer(a, a)
+    a1d_a2 = band(-1, 1, np.sqrt((n1 + 1.0) * n2))
+    ada = np.array([[band(0, 0, n1), a1d_a2],
+                    [np.conj(a1d_a2), band(0, 0, n2)]]) - np.outer(a.conj(), a)
+    # X = (a + a+)/2, P = (a - a+)/2i and a a+ = a+ a + 1
+    cov = np.empty((4, 4))
+    cov[0::2, 0::2] = 0.5 * (aa + ada).real + 0.25 * np.eye(2)
+    cov[1::2, 1::2] = 0.5 * (ada - aa).real + 0.25 * np.eye(2)
+    cov[0::2, 1::2] = 0.5 * (aa + ada).imag
+    cov[1::2, 0::2] = cov[0::2, 1::2].T
+    return np.column_stack([a.real, a.imag]).ravel(), cov
 
 
 def random_low_fock_state(s: SpaceDescriptor, levels: int, rank: int, seed: int) -> np.ndarray:

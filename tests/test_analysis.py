@@ -5,6 +5,8 @@ import pytest
 
 from cavsqueeze.analysis import (
     _fock_moments,
+    band_moments,
+    band_sums,
     epr_variances_fock,
     fidelity_to_tmsv,
     moment_records,
@@ -26,7 +28,7 @@ from cavsqueeze.hilbert import (
     split_charges,
 )
 from cavsqueeze.model import build_squeeze_operator
-from oracles import build_displacement_operator, random_low_fock_state
+from oracles import band_by_band_moments, build_displacement_operator, random_low_fock_state
 
 
 FIELDS20 = SpaceDescriptor(1, 20, 20)
@@ -139,6 +141,35 @@ class TestMoments:
         psi = tmsv_state_vector(FIELDS20, 0.5)
         _, cov = moments(split_charges(np.outer(psi, psi.conj()).reshape(20, 20, 20, 20)))
         np.testing.assert_allclose(cov, gaussian_tmsv(0.5).cov, atol=1e-6)
+
+    @pytest.mark.parametrize("shape", [(1, 1), (1, 5), (2, 2), (5, 1), (2, 7), (6, 6), (12, 9)])
+    def test_band_table_equals_band_by_band_reading(self, shape):
+        # bitwise, on states holding every charge, none of +-1 or +-2, or
+        # only some of them, on grids where some bands fall off entirely
+        rng = np.random.default_rng(3)
+        for rank in (1, 2, 3):
+            g = rng.normal(size=(np.prod(shape), rank)) + 1j * rng.normal(size=(np.prod(shape), rank))
+            rho4 = (g @ g.conj().T / np.sum(np.abs(g) ** 2)).reshape(shape * 2)
+            for charges in (None, [0], [-1, 0], [0, 2], [-2, 0, 1], range(-2, 3), [3, 0, -1]):
+                rho = split_charges(rho4, charges)
+                want_mean, want_cov = band_by_band_moments(rho)
+                mean, cov = moments(rho)
+                assert np.array_equal(mean, want_mean) and np.array_equal(cov, want_cov), charges
+
+    def test_stacked_readings_equal_sample_by_sample(self):
+        # one record pass over a run's stacked readings gives, bitwise, the
+        # records of each sample read on its own
+        s = SpaceDescriptor(1, 7, 6)
+        states = [split_charges(random_low_fock_state(s, 6, 2, seed).reshape(7, 6, 7, 6)) for seed in range(5)]
+        psi = build_displacement_operator(s, 0.6 - 0.2j, 0.3j).matrix @ basis_state(s, 0, 0, 0)
+        states.append(split_charges(np.outer(psi, psi.conj()).reshape(7, 6, 7, 6)))
+        mean, cov = band_moments(np.array([band_sums(rho) for rho in states]))
+        records = moment_records(mean, cov, 0.37)
+        for i, rho in enumerate(states):
+            one_mean, one_cov = moments(rho)
+            assert np.array_equal(mean[i], one_mean) and np.array_equal(cov[i], one_cov)
+            for key, value in moment_records(one_mean, one_cov, 0.37).items():
+                assert records[key][i] == value, key
 
 
 VARIANCE_KEYS = ["v_x_minus", "v_x_plus", "v_p_minus", "v_p_plus", "duan_sum"]
@@ -368,10 +399,10 @@ class TestRecorder:
             rho_b = random_low_fock_state(s, 3, 2, seed)
             rho = squeeze.conj().T @ rho_b @ squeeze
             assert truncation_leak(DensityMatrix(s, rho)) <= 1e-12
-            traj, _ = run_steps(
+            _, records, *_ = run_steps(
                 squeezed_frame(DensityMatrix(s, rho), eps), [(np.array([0.0]), [0], lambda r, k: r)]
             )
             want = dense(rho_b)
-            assert list(traj.records) == list(want)
+            assert list(records) == list(want)
             for key, value in want.items():
-                assert traj.records[key][0] == pytest.approx(value, abs=1e-9), key
+                assert records[key][0] == pytest.approx(value, abs=1e-9), key

@@ -735,6 +735,17 @@ class TestValidate:
         assert main(["validate", "--out", str(out)]) == 0
         summary = json.loads(out.read_text())
         assert {c["name"] for c in summary["checks"]} == self.EXPECTED
+        assert all(type(c["value"]) is float for c in summary["checks"])
+
+    def test_summary_file_from_config_output_path(self, tmp_path, capsys):
+        # the config's output_path, as every other command honours it
+        out = tmp_path / "from-config.json"
+        path = write_config(tmp_path, config_dict(output_path=str(out)))
+        assert main(["validate", "--config", path]) == 0
+        summary = json.loads(out.read_text())
+        assert summary["all_passed"] is True
+        assert {c["name"] for c in summary["checks"]} == self.EXPECTED
+        assert f"wrote {out}" in capsys.readouterr().out
 
 
 class TestParser:

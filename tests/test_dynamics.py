@@ -398,7 +398,7 @@ class TestCollisionBlocks:
             step, accepted, _ = collision_step(shape, p, 10.0, ArrivalProcess(rate=p.r_a, seed=4), times,
                                                with_stark)
             assert accepted > 2
-            _, _, rho = run_schedule(split_charges(rho4), [step], lambda r: {})
+            _, _, rho = run_schedule(split_charges(rho4), [step], lambda r: ())
             want = rho4
             for _ in range(accepted):
                 want = dense_kraus_pass(want, stay, jump, channel)
@@ -616,7 +616,7 @@ class TestSectorFrame:
         squeeze = dense_squeeze_operator(s, eps)
         for seed in range(3):
             rho = random_low_fock_state(s, 4, 2, seed)
-            rho_b, _, _ = squeezed_frame(DensityMatrix(s, rho), eps)
+            rho_b, *_ = squeezed_frame(DensityMatrix(s, rho), eps)
             want = (squeeze @ rho @ squeeze.conj().T).reshape(shape * 2)
             assert np.max(np.abs(rho_b.dense() - want)) <= 1e-13
 
@@ -630,9 +630,9 @@ class TestSectorFrame:
         assert np.max(np.abs(_charge0_block(shape, squeeze_sectors(s, eps), -1) - want)) <= 1e-13
         # a state reaching the boundary layers: the frame's leak is the bare one
         rho = DensityMatrix(s, random_low_fock_state(s, min(shape), 2, seed=4))
-        rho_b, record, _ = squeezed_frame(rho, eps)
+        rho_b, read, _, _ = squeezed_frame(rho, eps)
         assert truncation_leak(rho) > 1e-3
-        assert record(rho_b)["leak"] == pytest.approx(truncation_leak(rho), rel=0, abs=1e-13)
+        assert read(rho_b)[1] == pytest.approx(truncation_leak(rho), rel=0, abs=1e-13)
 
     def test_default_vacuum_equals_explicit_vacuum(self, shape, eps):
         s = SpaceDescriptor(1, *shape)
@@ -641,13 +641,13 @@ class TestSectorFrame:
         damp = lambda j: lambda rho, dt: _damping_pass(rho, math.exp(-dt), j)
         amounts = np.append(np.diff(times, prepend=0.0), 0.0)
         steps = [(times, amounts, damp(j)) for j in (1, 2)]
-        got, got_report = run_steps(squeezed_frame(s, eps), steps)
-        want, want_report = run_steps(squeezed_frame(explicit, eps), steps)
-        assert list(got.records) == list(want.records)
-        for key, series in want.records.items():
-            assert np.max(np.abs(got.records[key] - series)) <= 1e-14, key
-        assert np.array_equal(got.final_state.charges, [0])
-        assert np.max(np.abs(got.final_state.blocks - want.final_state.blocks)) <= 1e-14
+        _, got, got_state, got_report, _ = run_steps(squeezed_frame(s, eps), steps)
+        _, want, want_state, want_report, _ = run_steps(squeezed_frame(explicit, eps), steps)
+        assert list(got) == list(want)
+        for key, series in want.items():
+            assert np.max(np.abs(got[key] - series)) <= 1e-14, key
+        assert np.array_equal(got_state.charges, [0])
+        assert np.max(np.abs(got_state.blocks - want_state.blocks)) <= 1e-14
         for key, value in want_report.to_json().items():
             assert got_report.to_json()[key] == pytest.approx(value, rel=0, abs=1e-14), key
 

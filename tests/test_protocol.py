@@ -721,6 +721,39 @@ def test_package_runs_without_importing_scipy():
     assert done.stdout.strip() == "[]"
 
 
+def test_engine_runs_without_importing_numpy_ma():
+    # np.unique imports numpy.ma for its masked-array check, 15 ms of a
+    # fresh process; the charges and the ensemble's atom counts are found
+    # with np.bincount instead, so fock, collision and the ensemble leave it
+    # unimported, from the vacuum and from a given density matrix alike
+    code = textwrap.dedent(
+        f"""
+        import sys
+        from cavsqueeze.dynamics import run_collision_ensemble
+        from cavsqueeze.hilbert import DensityMatrix, SpaceDescriptor, basis_state
+        from cavsqueeze.model import PhysicalParams
+        from cavsqueeze.protocol import build_two_step_protocol, run_protocol
+
+        space = SpaceDescriptor(1, 8, 8)
+        vacuum = DensityMatrix.from_state_vector(space, basis_state(space, 0, 0, 0))
+        for engine in ("fock", "collision"):
+            spec = build_two_step_protocol({clean_params()!r}, engine=engine,
+                                           truncation=(8, 8), durations=(10.0, 10.0))
+            run_protocol(spec, samples_per_step=3)
+            run_protocol(spec, initial=vacuum, samples_per_step=3)
+        run_collision_ensemble(vacuum, spec.steps[0].params, 10.0, 4, 8)
+        print("numpy.ma" in sys.modules)
+        """
+    )
+    src = os.path.dirname(os.path.dirname(cavsqueeze.__file__))
+    path = [src, os.environ.get("PYTHONPATH", "")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "False"
+
+
 def many_charge_states(shape):
     # a displaced vacuum and a random mixed state on n1, n2 < min(shape):
     # both occupy every charge (n1 - n2) - (m1 - m2) of that square
