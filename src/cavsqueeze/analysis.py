@@ -111,14 +111,17 @@ def _band_table(charges: tuple, shape: tuple) -> tuple:
 
 
 def band_sums(rho: ChargeBlocks) -> np.ndarray:
-    """<a1>, <a2>, <a1 a2>, <a1^2>, <a2^2>, <a1+ a2>, <a1+ a1> and <a2+ a2> in rho: one gather of
-    their bands and one contraction with their weights, both cached per charges and grid."""
+    """<a1>, <a2>, <a1 a2>, <a1^2>, <a2^2>, <a1+ a2>, <a1+ a1> and <a2+ a2> in rho, off their bands in the
+    blocks of charge 0, +-1 and +-2 with the elements of the untruncated ladder operators: one gather
+    and one contraction, both cached per charges and grid; no N^2 x N^2 operator is built."""
     block, row, weight = _band_table(tuple(rho.charges.tolist()), rho.blocks.shape[2:])
     return np.einsum("kij,kij->k", rho.blocks[block, row], weight)
 
 
 def band_moments(bands: np.ndarray) -> tuple:
-    """moments from the band_sums of a state, or of states stacked on its leading axes."""
+    """Mean and covariance V_ij = <{dR_i, dR_j}>/2 (vacuum I/4) of R = (X1, P1, X2, P2) from the band_sums
+    of a state, or of states stacked on its leading axes: [a, a+] = 1 restores symmetric order, so they
+    are the exact moments of the physical quadratures in the state held."""
     b = np.concatenate([bands, np.conj(bands[..., 5:6])], axis=-1)
     a = b[..., :2]
     # centred <a_j a_k> and <a_j+ a_k>
@@ -131,20 +134,6 @@ def band_moments(bands: np.ndarray) -> tuple:
     cov[..., 0::2, 1::2] = 0.5 * (aa + ada).imag
     cov[..., 1::2, 0::2] = np.swapaxes(cov[..., 0::2, 1::2], -1, -2)
     return np.stack([a.real, a.imag], axis=-1).reshape(*a.shape[:-1], 4), cov
-
-
-def moments(rho: ChargeBlocks) -> tuple:
-    """Mean and covariance of (X1, P1, X2, P2) in a two-mode state.
-
-    <a_j>, <a_j+ a_k> and <a_j a_k> are read off the few bands of rho they
-    touch, which lie in its blocks of charge 0 (<a_j+ a_j> and <a1 a2>),
-    +-1 (<a_j>) and +-2 (<a_j^2> and <a1+ a2>), with the matrix elements of
-    the untruncated ladder operators, and symmetric order is restored with
-    [a, a+] = 1.  The result is the exact moments of the physical
-    quadratures in the state held; no N^2 x N^2 operator is built.
-    Covariance convention: V_ij = <{dR_i, dR_j}>/2, vacuum I/4.
-    """
-    return band_moments(band_sums(rho))
 
 
 def _fock_moments(state: StateLike, space: Optional[SpaceDescriptor]) -> tuple:
@@ -164,8 +153,8 @@ def _fock_moments(state: StateLike, space: Optional[SpaceDescriptor]) -> tuple:
     rho = st.matrix if isinstance(st, DensityMatrix) else st
     if rho.ndim == 1:
         rho = np.outer(rho, rho.conj())
-    # moments reads the blocks of charge -2 .. 2 only
-    return (*moments(split_charges(rho.reshape(space.shape[1:] * 2), range(-2, 3))), leak)
+    # band_sums reads the blocks of charge -2 .. 2 only
+    return (*band_moments(band_sums(split_charges(rho.reshape(space.shape[1:] * 2), range(-2, 3)))), leak)
 
 
 def epr_variances_fock(state: StateLike, space: Optional[SpaceDescriptor] = None) -> dict:
@@ -290,32 +279,29 @@ class SqueezingReport:
         return asdict(self)
 
 
-def report_from_moments(
-    mean: np.ndarray, cov: np.ndarray, epsilon_target: float, fidelity: float, leak: float
-) -> SqueezingReport:
-    """SqueezingReport of a state from its quadrature moments, its fidelity
-    to the target and its boundary population."""
-    n1, n2 = map(float, _photon_numbers(mean, cov))
-    rec = {key: float(v) for key, v in _joint_variances(cov).items()}
+def report_from_records(row: dict, epsilon_target: float, fidelity: float, leak: float) -> SqueezingReport:
+    """SqueezingReport of a state from its row of moment_records, its
+    fidelity to the target and its boundary population."""
+    rec = {key: float(v) for key, v in row.items()}
     return SqueezingReport(
         epsilon_target=float(epsilon_target),
         v_squeezed=0.5 * (rec["v_x_minus"] + rec["v_p_plus"]),
         v_antisqueezed=0.5 * (rec["v_x_plus"] + rec["v_p_minus"]),
         duan_sum=rec["duan_sum"],
-        n1_mean=n1,
-        n2_mean=n2,
+        n1_mean=rec["n_a1"],
+        n2_mean=rec["n_a2"],
         fidelity=fidelity,
-        truncation_leak=leak,
+        truncation_leak=float(leak),
     )
 
 
 def squeezing_report(
     state: StateLike, epsilon_target: float, space: Optional[SpaceDescriptor] = None
 ) -> SqueezingReport:
-    """SqueezingReport of a Fock-basis state, from its moments."""
+    """SqueezingReport of a Fock-basis state, from the moment_records of its moments."""
     mean, cov, leak = _fock_moments(state, space)
     fidelity = fidelity_to_tmsv(state, epsilon_target, space)
-    return report_from_moments(mean, cov, epsilon_target, fidelity, leak)
+    return report_from_records(moment_records(mean, cov, epsilon_target), epsilon_target, fidelity, leak)
 
 
 def observable_matrices(space: SpaceDescriptor, squeeze: np.ndarray) -> tuple:

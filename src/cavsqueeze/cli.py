@@ -130,7 +130,8 @@ def _params_from(data: dict, key: str) -> PhysicalParams:
 
 def _number(key: str, value):
     try:
-        return float(value)
+        # float() would take true and false as 1.0 and 0.0; None raises as other non-numbers do
+        return float(None if isinstance(value, bool) else value)
     except (TypeError, ValueError):
         raise ConfigError(f"{key} must be a number, got {value!r}")
 
@@ -174,6 +175,8 @@ def load_run_config(path: Optional[str], args=None) -> RunConfig:
 
     if cfg.engine not in ENGINES:
         raise ConfigError(f"engine must be one of {ENGINES}, got {cfg.engine!r}")
+    if not isinstance(cfg.output_path, (str, type(None))):
+        raise ConfigError(f"output_path must be a string, got {cfg.output_path!r}")
     if not isinstance(cfg.truncation, (list, tuple)):
         raise ConfigError(f"truncation must be two positive integers, got {cfg.truncation!r}")
     truncation = tuple(_integer("truncation", n) for n in cfg.truncation)

@@ -17,7 +17,7 @@ from typing import Callable, Optional, Sequence, Union
 
 import numpy as np
 
-from .analysis import band_moments, band_sums, moment_records, moments, report_from_moments, symplectic_squeeze
+from .analysis import band_moments, band_sums, moment_records, report_from_records, symplectic_squeeze
 from .hilbert import ChargeBlocks, DensityMatrix, Operator, SpaceDescriptor, split_charges
 from .model import (
     OCCUPANCY_LIMIT,
@@ -184,7 +184,8 @@ def run_schedule(state, steps: Sequence, read: Callable) -> tuple:
     amounts[len(times)], where given, past the last sample; a zero amount is
     skipped.  A later step's first sample repeats the previous step's last
     and is not read again.  Returns (times, readings, final state): the
-    sample clock and each part of the tuples read(state) returns, stacked.
+    sample clock and each part of the tuples read(state) returns, stacked
+    over the samples and, last, the final state.
     """
     clock, rows, offset = [], [], 0.0
     for times, amounts, apply in steps:
@@ -196,6 +197,7 @@ def run_schedule(state, steps: Sequence, read: Callable) -> tuple:
                 rows.append(read(state))
         if len(times):
             offset = float(times[-1] + offset)
+    rows.append(read(state))
     return np.array(clock), tuple(map(np.array, zip(*rows))), state
 
 
@@ -223,8 +225,8 @@ def squeezed_frame(rho0: Union[DensityMatrix, SpaceDescriptor], epsilon: float) 
     sector; no N^2 x N^2 array is made unless rho0 is one.  read(rho_b) is
     its band_sums, through one band table per run, and its a-frame boundary
     population truncation_leak(S+ rho_b S); tabulate takes the stacked
-    readings to the bare modes by symplectic_squeeze(epsilon) and to their
-    records in one pass, the leaks under "leak"; report reads the last rho_b.
+    band_sums to the bare modes by symplectic_squeeze(epsilon) and to their
+    records in one pass.
     """
     space = rho0 if isinstance(rho0, SpaceDescriptor) else rho0.space
     if space.atom_levels != 1:
@@ -239,10 +241,10 @@ def squeezed_frame(rho0: Union[DensityMatrix, SpaceDescriptor], epsilon: float) 
     leak = lambda rho: max(0.0, float(np.einsum("ijk,ijk->", boundary, rho.block(0).real)))
     bare = lambda mean, cov: ((to_bare @ mean[..., None])[..., 0], to_bare @ cov @ to_bare.T)
     read = lambda rho: (band_sums(rho), leak(rho))
-    tabulate = lambda bands, leaks: {"leak": leaks, **moment_records(*bare(*band_moments(bands)), epsilon)}
-    # the squeezed vacuum S+|0,0> has fidelity <0,0|rho_b|0,0>
-    fidelity = lambda rho: float(rho.diagonal(0, 0)[0, 0].real)
-    report = lambda rho: report_from_moments(*bare(*moments(rho)), epsilon, fidelity(rho), leak(rho))
+    tabulate = lambda bands: moment_records(*bare(*band_moments(bands)), epsilon)
+    # the squeezed vacuum S+|0,0> has fidelity <0,0|rho_b|0,0>, in the charge-0 block at [N2 - 1, 0, 0]
+    fidelity = lambda rho: float(rho.block(0)[space.n2_trunc - 1, 0, 0].real)
+    report = lambda row, rho, final_leak: report_from_records(row, epsilon, fidelity(rho), final_leak)
 
     if isinstance(rho0, SpaceDescriptor):
         # S|0,0> is the first column of sector 0, so rho_b has charge 0 only
@@ -267,18 +269,17 @@ def _refuse_overflow(leak: float, t: float) -> None:
 def run_steps(entry: tuple, steps: Sequence) -> tuple:
     """Run run_schedule's steps from entry = (state, read, tabulate,
     report), the squeezed_frame of the fock and collision engines or the
-    moments of the gaussian one; tabulate(*readings) makes the records of
-    all samples in one pass.  The "leak" records leave the records for
-    max_truncation_leak, with the final report's truncation_leak, which
-    must not exceed BOUNDARY_ERROR_LIMIT.  Returns (times, records, final
-    state, SqueezingReport, max_truncation_leak)."""
+    moments of the gaussian one.  A reading ends with the boundary leak;
+    tabulate makes the records of the rest, stacked, in one pass, and
+    report(row, state, leak) the SqueezingReport from the final state's
+    row, whose leak must not exceed BOUNDARY_ERROR_LIMIT.  Returns (times,
+    records, final state, SqueezingReport, max_truncation_leak)."""
     state, read, tabulate, report = entry
-    times, readings, state = run_schedule(state, steps, read)
-    records = tabulate(*readings) if readings else {}
-    leaks = records.pop("leak", [])
-    final = report(state)
-    _refuse_overflow(final.truncation_leak, times[-1] if times.size else 0.0)
-    return times, records, state, final, float(max([final.truncation_leak, *leaks]))
+    times, (*readings, leaks), state = run_schedule(state, steps, read)
+    table = tabulate(*readings)
+    _refuse_overflow(leaks[-1], times[-1] if times.size else 0.0)
+    final = report({key: series[-1] for key, series in table.items()}, state, leaks[-1])
+    return times, {key: series[:-1] for key, series in table.items()}, state, final, float(leaks.max())
 
 
 def transit_kraus_pair(d: DerivedParams, stark: Optional[StarkShifts], tau: float, shape: tuple):
@@ -445,8 +446,9 @@ def run_collision_ensemble(
     d = derive_rates(params)
     apply = transit_map(rho0.space.shape[1:], params, False)
     rho_b, read, tabulate, _ = squeezed_frame(rho0, d.epsilon)
-    orbit = tabulate(*run_schedule(rho_b, [(levels, np.diff(levels, prepend=0), apply)], read)[1])
-    leaks = orbit.pop("leak")[at]
+    # the last level is the orbit's final state, which run_schedule reads last
+    *readings, leaks = run_schedule(rho_b, [(levels[:-1], np.diff(levels, prepend=0), apply)], read)[1]
+    orbit, leaks = tabulate(*readings), leaks[at]
     for leak in leaks[:, -1]:
         _refuse_overflow(leak, sample_times[-1] if sample_times.size else 0.0)
     records = {key: np.mean(series[at[:, :-1]], axis=0) for key, series in orbit.items()}

@@ -36,7 +36,7 @@ class SpaceDescriptor:
     def __post_init__(self):
         for name in ("atom_levels", "n1_trunc", "n2_trunc"):
             value = getattr(self, name)
-            if not isinstance(value, (int, np.integer)) or value < 1:
+            if not isinstance(value, (int, np.integer)) or isinstance(value, bool) or value < 1:
                 raise ValueError(f"{name} must be a positive integer, got {value!r}")
         if self.atom_levels > len(ATOM_LABELS):
             raise ValueError(
@@ -204,15 +204,6 @@ class ChargeBlocks:
         hit = np.flatnonzero(self.charges == q)
         return self.blocks[hit[0]] if hit.size else np.zeros(self.blocks.shape[1:], complex)
 
-    def diagonal(self, d1: int, d2: int) -> np.ndarray:
-        """rho[n1, n2, n1 - d1, n2 - d2] on the (N1, N2) grid, zero where
-        that column is off the grid; it lies in the block of charge d1 - d2."""
-        n2_trunc = self.blocks.shape[3]
-        hit = np.flatnonzero(self.charges == d1 - d2)
-        if abs(d2) >= n2_trunc or not hit.size:
-            return np.zeros(self.blocks.shape[2:], complex)
-        return self.blocks[hit[0], n2_trunc - 1 - d2]
-
     def outer(self, left: np.ndarray, right: np.ndarray) -> np.ndarray:
         """left[n1, n2] * conj(right[m1, m2]) in the shape of blocks."""
         n1_trunc, n2_trunc = left.shape
@@ -244,19 +235,26 @@ def _charge_columns(charges: np.ndarray, n1_trunc: int, n2_trunc: int) -> tuple:
     return m1, m2, (m1 >= 0) & (m1 < n1_trunc) & (m2 >= 0) & (m2 < n2_trunc)
 
 
+def _occupied_charges(rho4: np.ndarray) -> np.ndarray:
+    """The charges q = (m2 - n2) - (m1 - n1) of the nonzero entries of rho4, ascending, from the
+    (d2 = m2 - n2 + N2 - 1, n1, m1) whose (n2, m2) plane holds one on its diagonal m2 - n2; bincount
+    counts q + N1 + N2 - 2 = d2 - (m1 - n1) + N1 - 1 from 0."""
+    n1_trunc, n2_trunc = rho4.shape[:2]
+    nonzero = rho4 != 0
+    d2, n1, m1 = np.nonzero([np.diagonal(nonzero, d, 1, 3).any(-1) for d in range(1 - n2_trunc, n2_trunc)])
+    return np.flatnonzero(np.bincount(d2 - (m1 - n1) + n1_trunc - 1)) - (n1_trunc + n2_trunc - 2)
+
+
 def split_charges(rho4: np.ndarray, charges: Optional[Sequence[int]] = None) -> ChargeBlocks:
     """The ChargeBlocks of rho4, shaped (N1, N2, N1, N2), holding the given
     charges, or by default every charge that has a nonzero entry."""
     n1_trunc, n2_trunc = rho4.shape[:2]
-    if charges is None:
-        top = n1_trunc + n2_trunc - 2  # the largest |q|: bincount counts q + top from 0
-        n1, n2, m1, m2 = np.indices(rho4.shape, sparse=True)
-        charges = np.flatnonzero(np.bincount(((n1 - n2 + top) - (m1 - m2))[rho4 != 0])) - top
-    charges = np.asarray(charges)
+    charges = _occupied_charges(rho4) if charges is None else np.asarray(charges)
     c1, c2, on_grid = _charge_columns(charges, n1_trunc, n2_trunc)
     rows = np.indices((n1_trunc, n2_trunc), sparse=True)
-    taken = rho4[(*rows, np.clip(c1, 0, n1_trunc - 1), np.clip(c2, 0, n2_trunc - 1))]
-    return ChargeBlocks(charges, np.where(on_grid, taken, 0j))
+    blocks = np.asarray(rho4, complex)[(*rows, np.clip(c1, 0, n1_trunc - 1), np.clip(c2, 0, n2_trunc - 1))]
+    blocks[np.logical_not(on_grid, out=on_grid)] = 0.0  # in place: on_grid is as large as a sixteenth of blocks
+    return ChargeBlocks(charges, blocks)
 
 
 def _single_mode_lowering(n_trunc: int) -> np.ndarray:

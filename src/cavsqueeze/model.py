@@ -91,6 +91,9 @@ class PhysicalParams:
         unknown = set(data) - known
         if unknown:
             raise ValueError(f"unknown parameter keys {sorted(unknown)}")
+        for key, value in data.items():
+            if isinstance(value, bool):  # which float() takes as 1.0 and 0.0
+                raise ValueError(f"{key} must be a number, got {value!r}")
         kwargs = {field: TWO_PI * float(data[key]) for key, field in _HZ_KEYS.items() if key in data}
         missing = [k for k in ("omega1_hz", "omega2_hz", "g1_hz", "g2_hz", "delta1_hz", "delta2_hz") if k not in data]
         if missing:

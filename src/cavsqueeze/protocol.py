@@ -16,7 +16,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .analysis import moment_records, preparation_time, report_from_moments
+from .analysis import moment_records, preparation_time, report_from_records
 from .dynamics import ArrivalProcess, Trajectory, collision_step, run_steps, squeezed_frame
 from .gaussian import GaussianState, gaussian_fidelity_to_tmsv, gaussian_lindblad_evolve, gaussian_vacuum
 from .hilbert import ChargeBlocks, DensityMatrix, SpaceDescriptor
@@ -309,8 +309,8 @@ def run_protocol(
         if initial is not None and not isinstance(initial, GaussianState):
             raise ValueError("gaussian engine takes a GaussianState initial state")
         tabulate = lambda mean, cov: moment_records(mean, cov, epsilon)
-        final = lambda s: report_from_moments(s.mean, s.cov, epsilon, gaussian_fidelity_to_tmsv(s, epsilon), 0.0)
-        entry = (gaussian_vacuum() if initial is None else initial, lambda s: (s.mean, s.cov), tabulate, final)
+        final = lambda row, s, leak: report_from_records(row, epsilon, gaussian_fidelity_to_tmsv(s, epsilon), leak)
+        entry = (gaussian_vacuum() if initial is None else initial, lambda s: (s.mean, s.cov, 0.0), tabulate, final)
     else:
         space = SpaceDescriptor(1, *spec.truncation)
         if initial is not None and not isinstance(initial, DensityMatrix):

@@ -12,7 +12,7 @@ The three-level Hamiltonian is built from a cached sparsity pattern, and
 its RK4 step accumulates in place; dense_full_hamiltonian and rk4_reference
 are the dense four-term sum and the plain RK4 loop they replaced.  The
 moments read their bands through a table cached per charges and grid;
-band_by_band_moments reads each band on its own.
+band_by_band_moments reads each band on its own, through charge_diagonal.
 """
 
 import math
@@ -255,16 +255,26 @@ def gaussian_block_evolve(mean, cov, epsilon: float, gamma: float, which: int, t
     return mean, 0.5 * (cov + cov.T)
 
 
+def charge_diagonal(rho: ChargeBlocks, d1: int, d2: int) -> np.ndarray:
+    """rho[n1, n2, n1 - d1, n2 - d2] on the (N1, N2) grid, zero where that
+    column is off the grid; it lies in the block of charge d1 - d2."""
+    n2_trunc = rho.blocks.shape[3]
+    if abs(d2) >= n2_trunc:
+        return np.zeros(rho.blocks.shape[2:], complex)
+    return rho.block(d1 - d2)[n2_trunc - 1 - d2]
+
+
 def band_by_band_moments(rho: ChargeBlocks) -> tuple:
-    """analysis.moments with each band looked up, cropped to the grid and
-    summed on its own: (mean, cov) of (X1, P1, X2, P2), vacuum cov I/4."""
+    """analysis.band_moments(band_sums(rho)) with each band looked up,
+    cropped to the grid and summed on its own: (mean, cov) of
+    (X1, P1, X2, P2), vacuum cov I/4."""
     n1, n2 = np.indices(rho.blocks.shape[2:], dtype=float)
 
     def band(d1, d2, weight):
         # tr(O rho) for O|m> = weight[m] |m - d>: the sum of
         # weight[m] <m|rho|m - d> over m with m and m - d on the grid
         m = tuple(slice(max(d, 0), n + min(d, 0)) for d, n in zip((d1, d2), n1.shape))
-        return np.einsum("ij,ij->", rho.diagonal(d1, d2)[m], weight[m])
+        return np.einsum("ij,ij->", charge_diagonal(rho, d1, d2)[m], weight[m])
 
     a = np.array([band(1, 0, np.sqrt(n1)), band(0, 1, np.sqrt(n2))])
     # centred <a_j a_k> and <a_j+ a_k>

@@ -10,7 +10,6 @@ from cavsqueeze.analysis import (
     epr_variances_fock,
     fidelity_to_tmsv,
     moment_records,
-    moments,
     observable_matrices,
     preparation_time,
     quadrature_ops,
@@ -37,7 +36,7 @@ FIELDS20 = SpaceDescriptor(1, 20, 20)
 def mean_photons(psi, s):
     """(<a1+ a1>, <a2+ a2>) of a pure state, from its moments."""
     rho4 = np.outer(psi, psi.conj()).reshape(s.shape[1:] * 2)
-    out = moment_records(*moments(split_charges(rho4)), 0.0)
+    out = moment_records(*band_moments(band_sums(split_charges(rho4))), 0.0)
     return out["n_a1"], out["n_a2"]
 
 
@@ -120,7 +119,7 @@ class TestMoments:
         rho = random_low_fock_state(big, n, 3, seed=4).reshape(big.shape[1:] * 2)
         held = rho[:n, :n, :n, :n]
         assert truncation_leak(held.reshape(n * n, n * n), SpaceDescriptor(1, n, n)) > 0.1
-        mean, cov = moments(split_charges(held))
+        mean, cov = band_moments(band_sums(split_charges(held)))
         dense = rho.reshape(big.dim, big.dim)
         quads = [op.matrix for op in quadrature_ops(big)]
         want_mean = np.array([np.trace(q @ dense).real for q in quads])
@@ -135,11 +134,11 @@ class TestMoments:
     def test_coherent_and_squeezed_closed_forms(self):
         s = SpaceDescriptor(1, 25, 4)
         psi = build_displacement_operator(s, 0.8, 0.0).matrix @ basis_state(s, 0, 0, 0)
-        mean, cov = moments(split_charges(np.outer(psi, psi.conj()).reshape(s.shape[1:] * 2)))
+        mean, cov = band_moments(band_sums(split_charges(np.outer(psi, psi.conj()).reshape(s.shape[1:] * 2))))
         np.testing.assert_allclose(mean, [0.8, 0.0, 0.0, 0.0], atol=1e-8)
         np.testing.assert_allclose(cov, 0.25 * np.eye(4), atol=1e-8)
         psi = tmsv_state_vector(FIELDS20, 0.5)
-        _, cov = moments(split_charges(np.outer(psi, psi.conj()).reshape(20, 20, 20, 20)))
+        _, cov = band_moments(band_sums(split_charges(np.outer(psi, psi.conj()).reshape(20, 20, 20, 20))))
         np.testing.assert_allclose(cov, gaussian_tmsv(0.5).cov, atol=1e-6)
 
     @pytest.mark.parametrize("shape", [(1, 1), (1, 5), (2, 2), (5, 1), (2, 7), (6, 6), (12, 9)])
@@ -153,7 +152,7 @@ class TestMoments:
             for charges in (None, [0], [-1, 0], [0, 2], [-2, 0, 1], range(-2, 3), [3, 0, -1]):
                 rho = split_charges(rho4, charges)
                 want_mean, want_cov = band_by_band_moments(rho)
-                mean, cov = moments(rho)
+                mean, cov = band_moments(band_sums(rho))
                 assert np.array_equal(mean, want_mean) and np.array_equal(cov, want_cov), charges
 
     def test_stacked_readings_equal_sample_by_sample(self):
@@ -166,7 +165,7 @@ class TestMoments:
         mean, cov = band_moments(np.array([band_sums(rho) for rho in states]))
         records = moment_records(mean, cov, 0.37)
         for i, rho in enumerate(states):
-            one_mean, one_cov = moments(rho)
+            one_mean, one_cov = band_moments(band_sums(rho))
             assert np.array_equal(mean[i], one_mean) and np.array_equal(cov[i], one_cov)
             for key, value in moment_records(one_mean, one_cov, 0.37).items():
                 assert records[key][i] == value, key

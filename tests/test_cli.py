@@ -154,16 +154,35 @@ class TestConfigLoading:
             ("sample_count", 2.7),
             ("seed", 1.9),
             ("truncation", [7.5, 7]),
+            # float() takes JSON true as 1.0, and a path must be a string
+            ("output_path", 5),
+            ("output_path", ["x"]),
+            ("n_target", True),
+            ("durations", [True, 0.001]),
+            ("r_a_per_s", True),
+            ("gamma_e_hz", True),
         ],
     )
     def test_type_errors_are_config_errors(self, tmp_path, capsys, key, value):
-        path = write_config(tmp_path, config_dict(**{key: value}))
+        data = config_dict()
+        # a key that is no config key is set in the params table
+        (data if key in _CONFIG_KEYS else data["params"])[key] = value
+        path = write_config(tmp_path, data)
         with pytest.raises(ConfigError, match=key):
             load_run_config(path)
         assert main(["derive", "--config", path]) == 1
         err = capsys.readouterr().err
         assert err.startswith(f"error: {key} must be")
         assert err.count("\n") == 1
+
+    @pytest.mark.parametrize("command", ["derive", "simulate", "sweep", "fig2", "validate"])
+    def test_non_string_output_path_exits_1_on_every_command(self, tmp_path, capsys, monkeypatch, command):
+        # the bundled config with "output_path": 5, as the CI console-script step runs it
+        path = os.path.join(os.path.dirname(__file__), "data", "mistyped_output_path.json")
+        monkeypatch.chdir(tmp_path)
+        assert main([command, "--config", path]) == 1
+        assert capsys.readouterr().err == "error: output_path must be a string, got 5\n"
+        assert not list(tmp_path.iterdir())
 
     @pytest.mark.parametrize("key", ["n_target", "r_a_per_s", "tau_s", "theta1_hz"])
     def test_infinite_value_is_a_config_error(self, tmp_path, capsys, key):

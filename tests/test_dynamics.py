@@ -522,6 +522,24 @@ class TestRunCollisionModel:
         with pytest.raises(ValueError, match="truncation overflow"):
             run_collision_model(rho, p, 1.0, proc)
 
+    def test_run_without_samples_reads_its_end_state(self):
+        # with no sample times every atom acts past the last sample; the end
+        # state is still read, for the report and the boundary leak
+        p = self.params_for(0.1, 0.1)
+        rho = self.initial_state(p)
+        duration = 0.5 / derive_rates(p).gamma
+        proc = ArrivalProcess(rate=p.r_a, seed=4)
+        empty = run_collision_model(rho, p, duration, proc, sample_times=[])
+        last = run_collision_model(rho, p, duration, proc, sample_times=[duration])
+        assert empty.times.size == 0 and all(series.size == 0 for series in empty.records.values())
+        assert empty.diagnostics["accepted_arrivals"] > 0
+        assert empty.diagnostics == last.diagnostics
+        assert np.array_equal(empty.final_state.blocks, last.final_state.blocks)
+        eps = derive_rates(p).epsilon
+        reports = [run_steps(squeezed_frame(rho, eps), [collision_step((8, 8), p, duration, proc, times)[0]])[3:]
+                   for times in (np.array([]), np.array([duration]))]
+        assert reports[0] == reports[1]
+
     def test_dark_state_fixed_point_with_stark(self):
         p = self.params_for(0.1, 0.1)
         eps = derive_rates(p).epsilon

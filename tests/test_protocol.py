@@ -594,6 +594,8 @@ class TestCrossEngine:
         assert rep_1.duan_sum < 0.5
         for key, value in rep_51.to_json().items():
             assert rep_1.to_json()[key] == pytest.approx(value, rel=1e-9, abs=1e-12), key
+        # the report is read off the end state, not off the one (t = 0) row
+        assert rep_1.n1_mean - traj_1.records["n_a1"][0] > 0.4
 
 
 class TestRunProtocolInputs:
