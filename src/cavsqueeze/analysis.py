@@ -22,6 +22,7 @@ from .hilbert import (
     DensityMatrix,
     SpaceDescriptor,
     annihilation_op,
+    charge_outer,
     expectation,
     number_op,
     split_charges,
@@ -34,9 +35,11 @@ BOUNDARY_WARN_LIMIT = 1e-3
 StateLike = Union[np.ndarray, DensityMatrix]
 
 
-def _resolve_state(state: StateLike, space: Optional[SpaceDescriptor]):
+def _fock_state(state: StateLike, space: Optional[SpaceDescriptor]) -> tuple:
+    """(space, psi or rho) of a Fock-basis state: a DensityMatrix, or a raw
+    state vector or density matrix on the given space."""
     if isinstance(state, DensityMatrix):
-        return state.space, state
+        return state.space, state.matrix
     if space is None:
         raise ValueError("a raw state array needs an explicit space")
     return space, np.asarray(state, dtype=complex)
@@ -140,7 +143,7 @@ def _fock_moments(state: StateLike, space: Optional[SpaceDescriptor]) -> tuple:
     """(mean, cov, truncation_leak) of a field-only Fock-basis state; warns
     when the boundary Fock layers hold more than 1e-3, where the state has
     likely been clipped."""
-    space, st = _resolve_state(state, space)
+    space, st = _fock_state(state, space)
     if space.atom_levels != 1:
         raise ValueError("quadrature moments are taken of a field-only state")
     leak = truncation_leak(st, space)
@@ -150,11 +153,14 @@ def _fock_moments(state: StateLike, space: Optional[SpaceDescriptor]) -> tuple:
             "variances may be distorted by truncation",
             stacklevel=3,
         )
-    rho = st.matrix if isinstance(st, DensityMatrix) else st
-    if rho.ndim == 1:
-        rho = np.outer(rho, rho.conj())
-    # band_sums reads the blocks of charge -2 .. 2 only
-    return (*band_moments(band_sums(split_charges(rho.reshape(space.shape[1:] * 2), range(-2, 3)))), leak)
+    # band_sums reads the blocks of charge -2 .. 2 only, which a vector gives without |psi><psi|
+    charges = np.arange(-2, 3)
+    if st.ndim == 1:
+        psi = st.reshape(space.shape[1:])
+        rho = ChargeBlocks(charges, charge_outer(charges, psi, psi))
+    else:
+        rho = split_charges(st.reshape(space.shape[1:] * 2), charges)
+    return (*band_moments(band_sums(rho)), leak)
 
 
 def epr_variances_fock(state: StateLike, space: Optional[SpaceDescriptor] = None) -> dict:
@@ -196,14 +202,8 @@ def moment_records(mean: np.ndarray, cov: np.ndarray, epsilon: float) -> dict:
 
 def truncation_leak(state: StateLike, space: Optional[SpaceDescriptor] = None) -> float:
     """Population outside the interior region n1 < N1-1 and n2 < N2-1."""
-    space, st = _resolve_state(state, space)
-    if isinstance(st, DensityMatrix):
-        pops = np.diag(st.matrix).real
-    elif st.ndim == 2:
-        pops = np.diag(st).real
-    else:
-        pops = np.abs(st) ** 2
-    pops = pops.reshape(space.shape)
+    space, st = _fock_state(state, space)
+    pops = (np.abs(st) ** 2 if st.ndim == 1 else np.diag(st).real).reshape(space.shape)
     interior = pops[:, : space.n1_trunc - 1, : space.n2_trunc - 1].sum()
     total = pops.sum()
     return float(max(total - interior, 0.0))
@@ -214,12 +214,11 @@ def fidelity_to_tmsv(state: StateLike, epsilon: float, space: Optional[SpaceDesc
 
     This is the pure-target overlap convention, not its square root.
     """
-    space, st = _resolve_state(state, space)
+    space, st = _fock_state(state, space)
     target = tmsv_state_vector(space, epsilon, tail_limit=FIDELITY_TAIL_LIMIT)
-    rho = st.matrix if isinstance(st, DensityMatrix) else st
-    if rho.ndim == 2:
-        return float(np.real(np.vdot(target, rho @ target)))
-    return float(abs(np.vdot(target, rho)) ** 2)
+    if st.ndim == 2:
+        return float(np.real(np.vdot(target, st @ target)))
+    return float(abs(np.vdot(target, st)) ** 2)
 
 
 @dataclass(frozen=True)

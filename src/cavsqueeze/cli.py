@@ -21,7 +21,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .analysis import epr_variances_fock, preparation_time, tmsv_state_vector
+from .analysis import epr_variances_fock, preparation_time, tmsv_state_vector, truncation_leak
 from .dynamics import write_csv
 from .gaussian import gaussian_epr_variances, gaussian_tmsv
 from .hilbert import SpaceDescriptor, annihilation_op, basis_state
@@ -30,6 +30,7 @@ from .model import (
     PhysicalParams,
     build_squeeze_operator,
     derive_rates,
+    number,
     spontaneous_decay_estimate,
 )
 from .protocol import (
@@ -124,16 +125,15 @@ def _params_from(data: dict, key: str) -> PhysicalParams:
         raise ConfigError(f"{key} must be a mapping of parameter keys")
     try:
         return PhysicalParams.from_hz_dict(data)
-    except (ValueError, TypeError) as exc:
+    except ValueError as exc:
         raise ConfigError(str(exc))
 
 
-def _number(key: str, value):
+def _number(key: str, value) -> float:
     try:
-        # float() would take true and false as 1.0 and 0.0; None raises as other non-numbers do
-        return float(None if isinstance(value, bool) else value)
-    except (TypeError, ValueError):
-        raise ConfigError(f"{key} must be a number, got {value!r}")
+        return number(key, value)
+    except ValueError as exc:
+        raise ConfigError(str(exc))
 
 
 def _integer(key: str, value) -> int:
@@ -367,18 +367,20 @@ def _battery() -> list:
     d = derive_rates(bundle.params)
     checks.append(("raman_rates", abs(d.theta1 / TWO_PI - 2000.0), 1e-9))
 
-    space = SpaceDescriptor(1, 25, 25)
+    space = SpaceDescriptor(1, 30, 30)
     eps = 0.5
     squeeze = build_squeeze_operator(space, eps).matrix
     a1 = annihilation_op(space, 1).matrix
     a2 = annihilation_op(space, 2).matrix
-    conjugated = squeeze.conj().T @ a1 @ squeeze
-    closed = math.cosh(eps) * a1 - math.sinh(eps) * a2.conj().T
-    # elements between low-lying Fock states; the truncated unitary feels
-    # the cutoff well inside the space, so the checked block stays small
+    # elements between low-lying Fock states; the identity holds only while the block's columns
+    # S|n1,n2> stay inside the truncation, so a leak above 1e-8 fails it at any tolerance scale
     block = [space.index(0, n1, n2) for n1 in range(5) for n2 in range(5)]
-    residual = float(np.max(np.abs((conjugated - closed)[np.ix_(block, block)])))
-    checks.append(("bogoliubov_action", residual, 1e-6))
+    columns = squeeze[:, block]
+    sel = np.ix_(block, block)
+    closed = math.cosh(eps) * a1[sel] - math.sinh(eps) * a2.conj().T[sel]
+    residual = float(np.max(np.abs(columns.conj().T @ a1 @ columns - closed)))
+    contained = max(truncation_leak(column, space) for column in columns.T) <= 1e-8
+    checks.append(("bogoliubov_action", residual if contained else math.inf, 1e-6))
 
     vac = basis_state(space, 0, 0, 0)
     target = tmsv_state_vector(space, eps)
@@ -501,31 +503,19 @@ def _write_svg(path: str, xs: Sequence[float], series: dict, x_label: str) -> No
         fh.write("\n".join(parts) + "\n")
 
 
-def _truncation_arg(text: str):
-    parts = text.split(",")
-    if len(parts) != 2:
-        raise argparse.ArgumentTypeError(f"truncation must be N1,N2, got {text!r}")
+def _list_arg(text: str) -> tuple:
+    # the numbers of a list flag; load_run_config checks them as it checks the config's list
     try:
-        return tuple(int(x) for x in parts)
+        return tuple(float(x) for x in text.split(","))
     except ValueError:
-        raise argparse.ArgumentTypeError(f"truncation must be two integers, got {text!r}")
-
-
-def _grid_arg(text: str):
-    try:
-        values = tuple(float(x) for x in text.split(","))
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"grid must be comma-separated numbers, got {text!r}")
-    if not values:
-        raise argparse.ArgumentTypeError("grid must not be empty")
-    return values
+        raise argparse.ArgumentTypeError(f"expected comma-separated numbers, got {text!r}")
 
 
 def _add_common(sp) -> None:
     # each dest is a RunConfig field, which the flag overrides
     sp.add_argument("--seed", type=int, metavar="N", help="RNG seed (default 0)")
     sp.add_argument("--engine", choices=ENGINES, help="simulation engine")
-    sp.add_argument("--truncation", type=_truncation_arg, metavar="N1,N2", help="Fock levels per mode")
+    sp.add_argument("--truncation", type=_list_arg, metavar="N1,N2", help="Fock levels per mode")
     sp.add_argument("--out", dest="output_path", metavar="PATH", help="output path (or prefix for simulate)")
     sp.add_argument("--n-target", type=float, dest="n_target", metavar="X", help="pump-down target occupation")
 
@@ -543,13 +533,13 @@ def build_parser() -> argparse.ArgumentParser:
     command("derive", "print derived rates and the validity report as JSON")
     command("simulate", "run the two-step protocol; write trajectory CSV and report JSON")
     sp = command("fig2", "preparation-time and occupation curves versus the squeezing ratio r")
-    sp.add_argument("--r-grid", type=_grid_arg, dest="r_grid", metavar="R1,R2,...", help="ratio grid")
+    sp.add_argument("--r-grid", type=_list_arg, dest="r_grid", metavar="R1,R2,...", help="ratio grid")
     sp.add_argument("--svg", metavar="PATH", help="also write a line-plot SVG")
     sp = command("validate", "run the numerical self-check battery")
     sp.add_argument("--tolerance-scale", type=float, default=1.0, dest="tolerance_scale", metavar="S",
                     help="multiply every check tolerance by S (default 1)")
     sp = command("sweep", "scan the ratio r with one protocol run per grid point")
-    sp.add_argument("--r-grid", type=_grid_arg, dest="r_grid", metavar="R1,R2,...", help="ratio grid")
+    sp.add_argument("--r-grid", type=_list_arg, dest="r_grid", metavar="R1,R2,...", help="ratio grid")
     return parser
 
 
@@ -577,6 +567,8 @@ def main(argv=None) -> int:
         for path in outputs:
             if None not in (path, args.config) and os.path.realpath(path) == os.path.realpath(args.config):
                 raise ConfigError(f"output {path} would overwrite the config {args.config}")
+            if path is not None and not os.path.isdir(os.path.dirname(path) or os.curdir):
+                raise ConfigError(f"output {path}: directory {os.path.dirname(path)} does not exist")
         if args.command == "derive":
             return cmd_derive(cfg)
         if args.command == "simulate":
@@ -586,15 +578,9 @@ def main(argv=None) -> int:
         if args.command == "validate":
             return cmd_validate(args.tolerance_scale, *outputs)
         return cmd_sweep(cfg, *outputs)
-    except ConfigError as exc:
+    except (ConfigError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INVALID
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
+        return EXIT_INVALID if isinstance(exc, ValueError) else EXIT_CONFIG
 
 
 if __name__ == "__main__":

@@ -18,7 +18,7 @@ from typing import Callable, Optional, Sequence, Union
 import numpy as np
 
 from .analysis import band_moments, band_sums, moment_records, report_from_records, symplectic_squeeze
-from .hilbert import ChargeBlocks, DensityMatrix, Operator, SpaceDescriptor, split_charges
+from .hilbert import ChargeBlocks, DensityMatrix, Operator, SpaceDescriptor, charge_outer, split_charges
 from .model import (
     OCCUPANCY_LIMIT,
     DerivedParams,
@@ -38,6 +38,7 @@ MAX_STEPS = 10_000_000
 class Trajectory:
     """Sampled time evolution: times, named observable series, optional final state.
 
+    It holds its runner's float arrays as built; the runners check a caller's clock.
     final_state holds whatever state representation the producing engine
     uses (the squeezed-frame ChargeBlocks rho_b for the Fock engines,
     GaussianState for the covariance engine)."""
@@ -46,21 +47,6 @@ class Trajectory:
     records: dict
     final_state: Optional[object] = None
     diagnostics: dict = field(default_factory=dict)
-
-    def __post_init__(self):
-        times = np.asarray(self.times, dtype=float)
-        if times.ndim != 1:
-            raise ValueError("times must be one-dimensional")
-        if times.size > 1 and not np.all(np.diff(times) > 0):
-            raise ValueError("times must be strictly increasing")
-        records = {}
-        for key, series in self.records.items():
-            arr = np.asarray(series, dtype=float)
-            if arr.shape != times.shape:
-                raise ValueError(f"record {key!r} has length {arr.shape} != times {times.shape}")
-            records[key] = arr
-        object.__setattr__(self, "times", times)
-        object.__setattr__(self, "records", records)
 
     def to_csv(self, path) -> None:
         write_csv(path, ["t", *self.records], zip(self.times, *self.records.values()))
@@ -312,6 +298,14 @@ def transit_kraus_pair(d: DerivedParams, stark: Optional[StarkShifts], tau: floa
     return stay, jump
 
 
+def _sample_clock(duration: float, sample_times: Optional[Sequence[float]]) -> np.ndarray:
+    """The collision runners' clock: 101 points over duration, or the caller's if 1-D and strictly increasing."""
+    times = np.linspace(0.0, duration, 101) if sample_times is None else np.asarray(sample_times, float)
+    if times.ndim != 1 or not np.all(np.diff(times) > 0):
+        raise ValueError("sample_times must be one-dimensional and strictly increasing")
+    return times
+
+
 def _accepted_counts(params: PhysicalParams, duration: float, arrivals: ArrivalProcess, sample_times):
     """(counts, dropped) of one drawn arrival stream under the drop rule:
     counts[i] atoms are accepted up to sample i, counts[-1] in the whole
@@ -354,7 +348,7 @@ def transit_map(shape, params: PhysicalParams, include_stark: bool) -> Callable:
         # the charges are conserved, so a run gathers the pair into block shape once per step
         key = rho.charges.tobytes()
         if key not in gathered:
-            gathered[key] = rho.outer(stay, stay), rho.outer(jump, jump)[src]
+            gathered[key] = charge_outer(rho.charges, stay, stay), charge_outer(rho.charges, jump, jump)[src]
         stay_pair, jump_pair = gathered[key]
         blocks = rho.blocks
         for _ in range(k):
@@ -398,7 +392,7 @@ def run_collision_model(
     Records bare and transformed occupations plus joint-quadrature variances
     at sample_times (default: 101 evenly spaced points).
     """
-    sample_times = np.linspace(0.0, duration, 101) if sample_times is None else np.asarray(sample_times, float)
+    sample_times = _sample_clock(duration, sample_times)
     step, accepted, dropped = collision_step(rho0.space.shape[1:], params, duration, arrivals, sample_times,
                                              include_stark)
     d = derive_rates(params)
@@ -437,7 +431,7 @@ def run_collision_ensemble(
         raise ValueError("n_trajectories must be at least 1")
     if master_seed < 0:
         raise ValueError(f"master_seed must be nonnegative, got {master_seed!r}")
-    sample_times = np.linspace(0.0, duration, 101) if sample_times is None else np.asarray(sample_times, float)
+    sample_times = _sample_clock(duration, sample_times)
     drawn = [_accepted_counts(params, duration, ArrivalProcess(params.r_a, master_seed ^ i), sample_times)
              for i in range(n_trajectories)]
     counts = np.array([c for c, _ in drawn])

@@ -204,13 +204,6 @@ class ChargeBlocks:
         hit = np.flatnonzero(self.charges == q)
         return self.blocks[hit[0]] if hit.size else np.zeros(self.blocks.shape[1:], complex)
 
-    def outer(self, left: np.ndarray, right: np.ndarray) -> np.ndarray:
-        """left[n1, n2] * conj(right[m1, m2]) in the shape of blocks."""
-        n1_trunc, n2_trunc = left.shape
-        m1, m2, on_grid = _charge_columns(self.charges, n1_trunc, n2_trunc)
-        far = right.conj()[np.clip(m1, 0, n1_trunc - 1), np.clip(m2, 0, n2_trunc - 1)]
-        return np.where(on_grid, left * far, 0j)
-
     def dense(self) -> np.ndarray:
         """The density matrix reshaped (N1, N2, N1, N2)."""
         n1_trunc, n2_trunc = self.blocks.shape[2:]
@@ -233,6 +226,17 @@ def _charge_columns(charges: np.ndarray, n1_trunc: int, n2_trunc: int) -> tuple:
     m1 = np.arange(n1_trunc)[:, None] + shift1[:, :, None, None]
     m2 = np.arange(n2_trunc) + shift2[:, :, None, None]
     return m1, m2, (m1 >= 0) & (m1 < n1_trunc) & (m2 >= 0) & (m2 < n2_trunc)
+
+
+def charge_outer(charges: np.ndarray, left: np.ndarray, right: np.ndarray) -> np.ndarray:
+    """left[n1, n2] * conj(right[m1, m2]) in the shape of the blocks of the given charges: the
+    ChargeBlocks of |left><right| without the N1 N2 x N1 N2 outer product."""
+    n1_trunc, n2_trunc = left.shape
+    m1, m2, on_grid = _charge_columns(charges, n1_trunc, n2_trunc)
+    blocks = right.conj()[np.clip(m1, 0, n1_trunc - 1), np.clip(m2, 0, n2_trunc - 1)]
+    blocks *= left
+    blocks[np.logical_not(on_grid, out=on_grid)] = 0.0
+    return blocks
 
 
 def _occupied_charges(rho4: np.ndarray) -> np.ndarray:

@@ -35,6 +35,14 @@ _HZ_KEYS = {
 }
 
 
+def number(key: str, value) -> float:
+    """float(value) of the config value key, refused where float() fails and for true and false."""
+    try:
+        return float(None if isinstance(value, bool) else value)
+    except (TypeError, ValueError):
+        raise ValueError(f"{key} must be a number, got {value!r}")
+
+
 @dataclass(frozen=True)
 class PhysicalParams:
     """Lab-frame inputs.  All frequencies are angular (rad/s).
@@ -91,15 +99,13 @@ class PhysicalParams:
         unknown = set(data) - known
         if unknown:
             raise ValueError(f"unknown parameter keys {sorted(unknown)}")
-        for key, value in data.items():
-            if isinstance(value, bool):  # which float() takes as 1.0 and 0.0
-                raise ValueError(f"{key} must be a number, got {value!r}")
-        kwargs = {field: TWO_PI * float(data[key]) for key, field in _HZ_KEYS.items() if key in data}
+        values = {key: number(key, value) for key, value in data.items()}
+        kwargs = {field: TWO_PI * values[key] for key, field in _HZ_KEYS.items() if key in values}
         missing = [k for k in ("omega1_hz", "omega2_hz", "g1_hz", "g2_hz", "delta1_hz", "delta2_hz") if k not in data]
         if missing:
             raise ValueError(f"missing parameter keys {missing}")
-        kwargs["r_a"] = float(data.get("r_a_hz", 0.0))
-        kwargs["tau"] = float(data.get("tau_s", 0.0))
+        kwargs["r_a"] = values.get("r_a_hz", 0.0)
+        kwargs["tau"] = values.get("tau_s", 0.0)
         return cls(**kwargs)
 
     def to_hz_dict(self) -> dict:

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -204,6 +205,22 @@ class TestEPRVariances:
         from_vec = epr_variances_fock(psi, FIELDS20)
         from_dm = epr_variances_fock(rho)
         assert from_dm["duan_sum"] == pytest.approx(from_vec["duan_sum"], rel=1e-12)
+
+    def test_vector_is_read_without_its_outer_product(self):
+        # at N = 40 |psi><psi| alone is 41 MB, the five charge blocks gathered
+        # from the vector 10.1 MB; they are the blocks split_charges takes out
+        # of the outer product, so every form of the state reads the same bits
+        space = SpaceDescriptor(1, 40, 40)
+        psi = tmsv_state_vector(space, 0.5)
+        tracemalloc.start()
+        try:
+            from_vector = epr_variances_fock(psi, space)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 15e6, peak
+        assert from_vector == epr_variances_fock(np.outer(psi, psi.conj()), space)
+        assert from_vector == epr_variances_fock(DensityMatrix.from_state_vector(space, psi))
 
     def test_returns_the_variance_records(self):
         # exactly the five variance columns moment_records writes for the same moments

@@ -161,6 +161,11 @@ class TestConfigLoading:
             ("durations", [True, 0.001]),
             ("r_a_per_s", True),
             ("gamma_e_hz", True),
+            # params values that float() refuses with a line naming no key
+            ("g1_hz", [1]),
+            ("g1_hz", None),
+            ("g1_hz", {"a": 1}),
+            ("g1_hz", "x"),
         ],
     )
     def test_type_errors_are_config_errors(self, tmp_path, capsys, key, value):
@@ -516,6 +521,16 @@ class TestSimulate:
         assert (tmp_path / ("run" + suffix)).read_bytes() == before
         assert sorted(p.name for p in tmp_path.iterdir()) == ["run" + suffix, "sub"]
 
+    def test_missing_output_directory_runs_nothing(self, tmp_path, capsys, monkeypatch):
+        calls = []
+        monkeypatch.setattr("cavsqueeze.cli.run_protocol",
+                            lambda *args, **kwargs: calls.append(args) or run_protocol(*args, **kwargs))
+        missing = tmp_path / "missing"
+        assert main(["simulate", "--engine", "gaussian", "--out", str(missing / "run")]) == 1
+        assert capsys.readouterr().err == f"error: output {missing / 'run'}.csv: directory {missing} does not exist\n"
+        assert calls == []
+        assert not list(tmp_path.iterdir())
+
     def test_same_columns_on_every_engine(self, tmp_path):
         data = config_dict(durations=[10.0, 10.0], sample_count=3, truncation=[8, 8])
         path = write_config(tmp_path, data)
@@ -601,6 +616,12 @@ class TestFig2:
         assert text.count("<polyline") == 2
         assert "total_time_2T" in text
         assert text.startswith("<svg")
+
+    def test_svg_in_a_missing_directory_writes_no_csv(self, tmp_path, capsys):
+        svg = tmp_path / "missing" / "x.svg"
+        assert main(["fig2", "--out", str(tmp_path / "f.csv"), "--svg", str(svg)]) == 1
+        assert capsys.readouterr().err == f"error: output {svg}: directory {svg.parent} does not exist\n"
+        assert not list(tmp_path.iterdir())
 
     def test_grid_outside_unit_interval(self, tmp_path, capsys):
         rc = main(["fig2", "--out", str(tmp_path / "x.csv"), "--r-grid", "0.5,1.5"])
@@ -726,6 +747,20 @@ class TestValidate:
         assert summary["all_passed"] is True
         assert {c["name"] for c in summary["checks"]} == self.EXPECTED
 
+    def test_half_tolerance_passes(self, capsys):
+        # the Bogoliubov check runs where its block is contained, so its
+        # residual (1.1e-9) is no truncation artefact
+        assert main(["validate", "--tolerance-scale", "0.5"]) == 0
+        assert "FAIL" not in capsys.readouterr().out
+
+    def test_uncontained_block_fails_at_any_scale(self, capsys, monkeypatch):
+        # past a column leak of 1e-8 the identity no longer holds, whatever the tolerance
+        monkeypatch.setattr("cavsqueeze.cli.truncation_leak", lambda state, space: 2e-8)
+        assert main(["validate", "--tolerance-scale", "1e9"]) == 3
+        summary = json.loads(capsys.readouterr().out.splitlines()[-1])
+        failed = [c["name"] for c in summary["checks"] if not c["passed"]]
+        assert failed == ["bogoliubov_action"]
+
     def test_forced_bad_tolerance_exits_three(self, capsys):
         rc = main(["validate", "--tolerance-scale", "1e-9"])
         assert rc == 3
@@ -781,6 +816,20 @@ class TestParser:
 
     def test_bad_grid_flag(self, capsys):
         assert main(["fig2", "--r-grid", "a,b"]) == 1
+
+    @pytest.mark.parametrize("flag, text, key, value, line", [
+        ("--truncation", "8,9,10", "truncation", [8, 9, 10],
+         "truncation must be two positive integers, got (8, 9, 10)"),
+        ("--truncation", "8.5,9", "truncation", [8.5, 9], "truncation must be an integer, got 8.5"),
+        ("--r-grid", "0.5,1.5", "r_grid", [0.5, 1.5], "r values must lie strictly between 0 and 1, got 1.5"),
+    ], ids=["three-truncations", "fractional-truncation", "grid-above-1"])
+    def test_list_flag_gets_the_line_of_its_config_value(self, tmp_path, capsys, flag, text, key, value, line):
+        # load_run_config checks a list flag's numbers as it checks the config's list
+        path = write_config(tmp_path, config_dict(**{key: value}))
+        for args in (["--config", path], [flag, text]):
+            assert main(["fig2", *args, "--out", str(tmp_path / "f.csv")]) == 1
+            assert capsys.readouterr().err == f"error: {line}\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json"]
 
 
 @pytest.mark.parametrize("command, out_flags", [

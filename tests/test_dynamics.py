@@ -98,14 +98,6 @@ def collision_params(theta1=1.0, theta2=0.3, r_a=0.0, tau=0.0):
 
 
 class TestTrajectory:
-    def test_rejects_decreasing_times(self):
-        with pytest.raises(ValueError, match="strictly increasing"):
-            Trajectory(times=np.array([0.0, 1.0, 1.0]), records={})
-
-    def test_rejects_length_mismatch(self):
-        with pytest.raises(ValueError, match="length"):
-            Trajectory(times=np.array([0.0, 1.0]), records={"n": np.array([1.0])})
-
     def test_csv_round_trip(self, tmp_path):
         times = np.array([0.0, 0.1, 0.2])
         records = {"n_b1": np.array([1.0, 1.0 / 3.0, 0.123456789012345678]),
@@ -559,6 +551,28 @@ class TestRunCollisionEnsemble:
         eps = derive_rates(self.p).epsilon
         self.rho = DensityMatrix.from_state_vector(self.sf, transformed_fock1(self.sf, eps, 1))
         self.duration = 0.4 / derive_rates(self.p).gamma
+
+    @pytest.mark.parametrize("clock", [[0.0, 5.0, 2.0], [0.0, 1.0, 1.0], [[0.0, 1.0], [2.0, 3.0]]],
+                             ids=["decreasing", "repeated", "two-dimensional"])
+    @pytest.mark.parametrize("runner", ["model", "ensemble"])
+    def test_runners_reject_a_bad_clock_before_drawing(self, monkeypatch, runner, clock):
+        draws = []
+        sample = ArrivalProcess.sample
+        monkeypatch.setattr(ArrivalProcess, "sample",
+                            lambda proc, duration: draws.append(duration) or sample(proc, duration))
+
+        def run(times):
+            if runner == "model":
+                return run_collision_model(self.rho, self.p, self.duration, ArrivalProcess(self.p.r_a, 3),
+                                           sample_times=times)
+            return run_collision_ensemble(self.rho, self.p, self.duration, 2, 3, sample_times=times)
+
+        with pytest.raises(ValueError, match="sample_times must be one-dimensional and strictly increasing"):
+            run(clock)
+        assert draws == []
+        # the same run on a good clock draws its arrivals
+        run([0.0, 1.0, 2.0])
+        assert draws
 
     @pytest.mark.parametrize(
         "n_trajectories, master, grid",

@@ -11,6 +11,7 @@ from cavsqueeze.hilbert import (
     annihilation_op,
     atom_transition_op,
     basis_state,
+    charge_outer,
     expectation,
     number_op,
     split_charges,
@@ -234,7 +235,8 @@ def test_charge_blocks_hold_only_occupied_charges():
     np.testing.assert_array_equal(asked.dense(), rho.dense())
     left = np.arange(25.0).reshape(5, 5) + 1j
     np.testing.assert_array_equal(
-        rho.outer(left, left), split_charges(np.einsum("ij,kl->ijkl", left, left.conj())).block(0)[None]
+        charge_outer(rho.charges, left, left),
+        split_charges(np.einsum("ij,kl->ijkl", left, left.conj())).block(0)[None],
     )
 
 
