@@ -27,9 +27,9 @@ from .hilbert import (
     number_op,
     split_charges,
 )
+from .model import SQUEEZE_LEAK_LIMIT, refuse_tail
 
 TMSV_TAIL_LIMIT = 1e-6
-FIDELITY_TAIL_LIMIT = 1e-3
 BOUNDARY_WARN_LIMIT = 1e-3
 
 StateLike = Union[np.ndarray, DensityMatrix]
@@ -50,21 +50,13 @@ def tmsv_state_vector(
 ) -> np.ndarray:
     """Two-mode squeezed vacuum with amplitudes tanh(eps)**n / cosh(eps) on |n,n>.
 
-    The neglected tail mass past an N-photon cutoff is tanh(eps)**(2N); the
-    truncation must keep it below tail_limit.  The truncated vector is
-    renormalized.
+    The truncation must keep the neglected tail mass tanh(eps)**(2N) within
+    tail_limit (model.refuse_tail).  The truncated vector is renormalized.
     """
     if s.atom_levels != 1:
         raise ValueError("two-mode squeezed vacuum is a field-only state")
+    refuse_tail(s, epsilon, tail_limit)
     n_min = min(s.n1_trunc, s.n2_trunc)
-    t = abs(math.tanh(epsilon))
-    tail = t ** (2 * n_min)
-    if tail >= tail_limit:
-        needed = math.ceil(math.log(tail_limit) / (2.0 * math.log(t)))
-        raise ValueError(
-            f"truncation {n_min} leaves tail mass {tail:.2e} >= {tail_limit:g} "
-            f"for epsilon={epsilon:.4g}; need at least {needed} Fock states per mode"
-        )
     psi = np.zeros(s.dim, dtype=complex)
     amp = 1.0 / math.cosh(epsilon)
     signed_t = math.tanh(epsilon)
@@ -215,7 +207,7 @@ def fidelity_to_tmsv(state: StateLike, epsilon: float, space: Optional[SpaceDesc
     This is the pure-target overlap convention, not its square root.
     """
     space, st = _fock_state(state, space)
-    target = tmsv_state_vector(space, epsilon, tail_limit=FIDELITY_TAIL_LIMIT)
+    target = tmsv_state_vector(space, epsilon, tail_limit=SQUEEZE_LEAK_LIMIT)
     if st.ndim == 2:
         return float(np.real(np.vdot(target, st @ target)))
     return float(abs(np.vdot(target, st)) ** 2)

@@ -18,7 +18,7 @@ from typing import Callable, Optional, Sequence, Union
 import numpy as np
 
 from .analysis import band_moments, band_sums, moment_records, report_from_records, symplectic_squeeze
-from .hilbert import ChargeBlocks, DensityMatrix, Operator, SpaceDescriptor, charge_outer, split_charges
+from .hilbert import ChargeBlocks, DensityMatrix, Operator, SpaceDescriptor, charge_outer, is_integer, split_charges
 from .model import (
     OCCUPANCY_LIMIT,
     DerivedParams,
@@ -76,6 +76,8 @@ class ArrivalProcess:
     def __post_init__(self):
         if not math.isfinite(self.rate) or self.rate < 0.0:
             raise ValueError(f"rate must be finite and nonnegative, got {self.rate!r}")
+        if not is_integer(self.seed):
+            raise ValueError(f"seed must be an integer, got {self.seed!r}")
         if self.seed < 0:
             raise ValueError(f"seed must be nonnegative, got {self.seed!r}")
 
@@ -282,9 +284,8 @@ def transit_kraus_pair(d: DerivedParams, stark: Optional[StarkShifts], tau: floa
     n1, n2 = np.indices(shape, dtype=float)
     e_g = e_h = dark = 0.0
     if stark is not None:
-        e_g = stark.shift_g - stark.per_photon_1 * n1
-        e_h = stark.per_photon_2 * n2 - stark.shift_h
-        dark = stark.shift_g if d.channel == "b1" else -stark.shift_h
+        e_g, e_h = stark.levels(n1, n2)
+        dark = getattr(stark, "shift_" + d.atom_state)  # the entry level's n = 0 shift
     if d.channel == "b1":
         c, e_in, e_out = -d.theta_b * np.sqrt(n1), e_g, e_h
     else:
@@ -298,11 +299,19 @@ def transit_kraus_pair(d: DerivedParams, stark: Optional[StarkShifts], tau: floa
     return stay, jump
 
 
-def _sample_clock(duration: float, sample_times: Optional[Sequence[float]]) -> np.ndarray:
-    """The collision runners' clock: 101 points over duration, or the caller's if 1-D and strictly increasing."""
-    times = np.linspace(0.0, duration, 101) if sample_times is None else np.asarray(sample_times, float)
+def sample_clock(duration: float, sample_times: Optional[Sequence[float]] = None, samples: int = 101) -> np.ndarray:
+    """The sample clock of a run or step over [0, duration]: the caller's
+    sample_times, one-dimensional, strictly increasing and inside [0,
+    duration], or samples evenly spaced points (one, at 0, when duration is 0)."""
+    if not 0.0 <= duration < math.inf:
+        raise ValueError(f"duration must be finite and nonnegative, got {duration!r}")
+    if sample_times is None:
+        return np.linspace(0.0, duration, samples if duration else 1)
+    times = np.asarray(sample_times, float)
     if times.ndim != 1 or not np.all(np.diff(times) > 0):
         raise ValueError("sample_times must be one-dimensional and strictly increasing")
+    if times.size and not 0.0 <= times[0] <= times[-1] <= duration:
+        raise ValueError("sample_times must lie in [0, duration]")
     return times
 
 
@@ -390,9 +399,10 @@ def run_collision_model(
     transit_kraus_pair in the squeezed frame.
 
     Records bare and transformed occupations plus joint-quadrature variances
-    at sample_times (default: 101 evenly spaced points).
+    on sample_clock(duration, sample_times), checked before any arrival is
+    drawn: 101 points by default, one (t = 0) when duration is 0.
     """
-    sample_times = _sample_clock(duration, sample_times)
+    sample_times = sample_clock(duration, sample_times)
     step, accepted, dropped = collision_step(rho0.space.shape[1:], params, duration, arrivals, sample_times,
                                              include_stark)
     d = derive_rates(params)
@@ -427,11 +437,13 @@ def run_collision_ensemble(
     means; final_state is None.  A trajectory that ends above
     BOUNDARY_ERROR_LIMIT raises, as in run_collision_model.
     """
-    if n_trajectories < 1:
-        raise ValueError("n_trajectories must be at least 1")
+    if not is_integer(n_trajectories) or n_trajectories < 1:
+        raise ValueError(f"n_trajectories must be an integer of at least 1, got {n_trajectories!r}")
+    if not is_integer(master_seed):
+        raise ValueError(f"master_seed must be an integer, got {master_seed!r}")
     if master_seed < 0:
         raise ValueError(f"master_seed must be nonnegative, got {master_seed!r}")
-    sample_times = _sample_clock(duration, sample_times)
+    sample_times = sample_clock(duration, sample_times)
     drawn = [_accepted_counts(params, duration, ArrivalProcess(params.r_a, master_seed ^ i), sample_times)
              for i in range(n_trajectories)]
     counts = np.array([c for c, _ in drawn])

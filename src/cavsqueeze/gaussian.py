@@ -38,7 +38,7 @@ class GaussianState:
 
     A caller's state is checked: finite moments, symmetric cov and the
     uncertainty relation cov + i OMEGA/4 >= 0.  The package's own states
-    skip the check (_built): Gaussian channels keep that relation.
+    skip the check (hilbert._unchecked): Gaussian channels keep that relation.
     """
 
     mean: np.ndarray
@@ -63,16 +63,8 @@ class GaussianState:
         object.__setattr__(self, "cov", cov)
 
 
-def _built(mean: np.ndarray, cov: np.ndarray) -> GaussianState:
-    """A GaussianState of fresh float moments the package computed, frozen
-    in place without the check."""
-    mean.setflags(write=False)
-    cov.setflags(write=False)
-    return _unchecked(GaussianState, mean=mean, cov=cov)
-
-
 def gaussian_vacuum() -> GaussianState:
-    return _built(np.zeros(4), 0.25 * np.eye(4))
+    return _unchecked(GaussianState, mean=np.zeros(4), cov=0.25 * np.eye(4))
 
 
 def gaussian_tmsv(epsilon: float) -> GaussianState:
@@ -84,7 +76,7 @@ def gaussian_tmsv(epsilon: float) -> GaussianState:
     if epsilon < 0:
         raise ValueError("epsilon must be nonnegative")
     # the squeezed vacuum covariance S(eps) (I/4) S(eps)^T, with S(eps) S(eps)^T = S(2 eps)
-    return _built(np.zeros(4), 0.25 * symplectic_squeeze(2.0 * epsilon))
+    return _unchecked(GaussianState, mean=np.zeros(4), cov=0.25 * symplectic_squeeze(2.0 * epsilon))
 
 
 def gaussian_lindblad_evolve(
@@ -115,7 +107,7 @@ def gaussian_lindblad_evolve(
     to_bare = symplectic_squeeze(epsilon)
     f = (to_bare * keep) @ symplectic_squeeze(-epsilon)
     cov = f @ s0.cov @ f.T + (to_bare * noise) @ to_bare.T
-    return _built(f @ s0.mean, 0.5 * (cov + cov.T))
+    return _unchecked(GaussianState, mean=f @ s0.mean, cov=0.5 * (cov + cov.T))
 
 
 def gaussian_epr_variances(s: GaussianState) -> dict:

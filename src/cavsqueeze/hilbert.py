@@ -19,6 +19,11 @@ TRACE_TOL = 1e-8
 EIGENVALUE_FLOOR = -1e-8
 
 
+def is_integer(value) -> bool:
+    """True for an int or a numpy integer; a bool is not one."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
 @dataclass(frozen=True)
 class SpaceDescriptor:
     """Dimensions of the composite space.
@@ -36,7 +41,7 @@ class SpaceDescriptor:
     def __post_init__(self):
         for name in ("atom_levels", "n1_trunc", "n2_trunc"):
             value = getattr(self, name)
-            if not isinstance(value, (int, np.integer)) or isinstance(value, bool) or value < 1:
+            if not is_integer(value) or value < 1:
                 raise ValueError(f"{name} must be a positive integer, got {value!r}")
         if self.atom_levels > len(ATOM_LABELS):
             raise ValueError(
@@ -80,17 +85,15 @@ def _read_only(m: np.ndarray, dim: int) -> np.ndarray:
     return m
 
 
-def _frozen_matrix(matrix, dim: int) -> np.ndarray:
-    # a copy, so that freezing never reaches the caller's array
-    return _read_only(np.array(matrix, dtype=complex), dim)
-
-
 def _unchecked(cls, **fields):
     """An instance of the frozen dataclass cls holding fields as given,
     without its validating __post_init__: for values the package has just
-    built and already knows to be valid."""
+    built and already knows to be valid.  The arrays it adopts are frozen
+    in place."""
     obj = object.__new__(cls)
     for name, value in fields.items():
+        if isinstance(value, np.ndarray):
+            value.setflags(write=False)
         object.__setattr__(obj, name, value)
     return obj
 
@@ -103,7 +106,8 @@ class Operator:
     matrix: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "matrix", _frozen_matrix(self.matrix, self.space.dim))
+        # a copy, so that freezing never reaches the caller's array
+        object.__setattr__(self, "matrix", _read_only(np.array(self.matrix, dtype=complex), self.space.dim))
 
     @classmethod
     def _adopt(cls, space: SpaceDescriptor, matrix: np.ndarray) -> "Operator":
@@ -148,7 +152,7 @@ class DensityMatrix:
     matrix: np.ndarray
 
     def __post_init__(self):
-        m = _frozen_matrix(self.matrix, self.space.dim)
+        m = _read_only(np.array(self.matrix, dtype=complex), self.space.dim)
         if not np.all(np.isfinite(m)):
             raise ValueError("density matrix must be finite")
         herm_defect = np.max(np.abs(m - m.conj().T))
@@ -175,7 +179,7 @@ class DensityMatrix:
         tr = float(np.vdot(v, v).real)
         if abs(tr - 1.0) > TRACE_TOL:
             raise ValueError(f"density matrix trace {tr!r} is not 1")
-        return _unchecked(cls, space=space, matrix=_read_only(np.outer(v, v.conj()), space.dim))
+        return _unchecked(cls, space=space, matrix=np.outer(v, v.conj()))
 
 
 @dataclass(frozen=True)
@@ -274,21 +278,11 @@ def _embed(atom_block, mode1_block, mode2_block) -> np.ndarray:
 
 def annihilation_op(space: SpaceDescriptor, mode: int) -> Operator:
     """Photon annihilation operator for mode 1 or mode 2, embedded in the full space."""
-    if mode == 1:
-        m = _embed(
-            np.eye(space.atom_levels),
-            _single_mode_lowering(space.n1_trunc),
-            np.eye(space.n2_trunc),
-        )
-    elif mode == 2:
-        m = _embed(
-            np.eye(space.atom_levels),
-            np.eye(space.n1_trunc),
-            _single_mode_lowering(space.n2_trunc),
-        )
-    else:
+    if mode not in (1, 2):
         raise ValueError(f"mode must be 1 or 2, got {mode!r}")
-    return Operator._adopt(space, m)
+    factors = [np.eye(n) for n in space.shape]
+    factors[mode] = _single_mode_lowering(space.shape[mode])
+    return Operator._adopt(space, _embed(*factors))
 
 
 def number_op(space: SpaceDescriptor, mode: int) -> Operator:

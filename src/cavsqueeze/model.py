@@ -162,13 +162,13 @@ def derive_rates(p: PhysicalParams) -> DerivedParams:
 
 @dataclass(frozen=True)
 class StarkShifts:
-    """Magnitudes of the dispersive light shifts (all nonnegative, rad/s).
+    """Signed dispersive light shifts (rad/s), the diagonal of
+    build_effective_hamiltonian (James & Jerke, Can. J. Phys. 85, 625 (2007)).
 
-    shift_g is the drive-2 shift of level g, shift_h the drive-1 shift of
-    level h; per_photon_1 and per_photon_2 are the cavity shifts per photon
-    of modes 1 and 2 on levels g and h respectively.  Signs follow the
-    sign convention delta1 < 0 < delta2, under which the drive shift enters
-    with + on g and - on h, and the photon shifts with - on g and + on h.
+    shift_g = omega2^2/delta2 and shift_h = omega1^2/delta1 are the drive
+    shifts, per_photon_1 = g1^2/delta1 and per_photon_2 = g2^2/delta2 the
+    cavity shifts per photon: level g sits at shift_g + per_photon_1 n1 and
+    level h at shift_h + per_photon_2 n2, for either sign of each detuning.
     """
 
     shift_g: float
@@ -176,13 +176,17 @@ class StarkShifts:
     per_photon_1: float
     per_photon_2: float
 
+    def levels(self, n1, n2, one=1.0) -> tuple:
+        """(E_g, E_h) at photon numbers n1, n2, or at number operators with one the identity."""
+        return self.shift_g * one + self.per_photon_1 * n1, self.shift_h * one + self.per_photon_2 * n2
+
 
 def stark_shifts(p: PhysicalParams) -> StarkShifts:
     return StarkShifts(
-        shift_g=abs(p.omega2**2 / p.delta2),
-        shift_h=abs(p.omega1**2 / p.delta1),
-        per_photon_1=abs(p.g1**2 / p.delta1),
-        per_photon_2=abs(p.g2**2 / p.delta2),
+        shift_g=p.omega2**2 / p.delta2,
+        shift_h=p.omega1**2 / p.delta1,
+        per_photon_1=p.g1**2 / p.delta1,
+        per_photon_2=p.g2**2 / p.delta2,
     )
 
 
@@ -253,30 +257,34 @@ def build_effective_hamiltonian(p: PhysicalParams, s: SpaceDescriptor) -> Operat
     """
     if s.atom_levels < 2:
         raise ValueError("effective model needs at least the two ground levels g, h")
-    n1 = number_op(s, 1).matrix
-    n2 = number_op(s, 2).matrix
     a1 = annihilation_op(s, 1).matrix
     a2 = annihilation_op(s, 2).matrix
-    p_gg = atom_transition_op(s, "g", "g").matrix
-    p_hh = atom_transition_op(s, "h", "h").matrix
     s_gh = atom_transition_op(s, "g", "h").matrix
-    eye = np.eye(s.dim)
-
-    diag_h = (p.omega1**2 / p.delta1) * eye + (p.g2**2 / p.delta2) * n2
-    diag_g = (p.omega2**2 / p.delta2) * eye + (p.g1**2 / p.delta1) * n1
     flip = (p.omega1 * p.g1 / p.delta1) * a1.conj().T + (p.omega2 * p.g2 / p.delta2) * a2
-    m = diag_h @ p_hh + diag_g @ p_gg + flip @ s_gh + (flip @ s_gh).conj().T
-    return Operator._adopt(s, m)
+    h0 = _stark_diagonal(stark_shifts(p), number_op(s, 1).matrix, number_op(s, 2).matrix, s)
+    return Operator._adopt(s, h0 + flip @ s_gh + (flip @ s_gh).conj().T)
 
 
 def _stark_diagonal(stark: StarkShifts, n1_like: np.ndarray, n2_like: np.ndarray, s: SpaceDescriptor) -> np.ndarray:
     """Light-shift Hamiltonian with the given number operators substituted in."""
-    p_gg = atom_transition_op(s, "g", "g").matrix
-    p_hh = atom_transition_op(s, "h", "h").matrix
-    eye = np.eye(s.dim)
-    diag_h = stark.per_photon_2 * n2_like - stark.shift_h * eye
-    diag_g = stark.shift_g * eye - stark.per_photon_1 * n1_like
-    return diag_h @ p_hh + diag_g @ p_gg
+    e_g, e_h = stark.levels(n1_like, n2_like, np.eye(s.dim))
+    return e_h @ atom_transition_op(s, "h", "h").matrix + e_g @ atom_transition_op(s, "g", "g").matrix
+
+
+def refuse_tail(s: SpaceDescriptor, epsilon: float, limit: float = SQUEEZE_LEAK_LIMIT) -> None:
+    """Refuse a truncation whose squeezed-vacuum tail tanh(epsilon)**(2N)
+    past N = min(n1_trunc, n2_trunc) Fock states per mode exceeds limit."""
+    if not math.isfinite(epsilon):
+        raise ValueError("epsilon must be finite")
+    n_min = min(s.n1_trunc, s.n2_trunc)
+    t = abs(math.tanh(epsilon))
+    tail = t ** (2 * n_min)
+    if tail > limit:
+        needed = math.ceil(math.log(limit) / (2.0 * math.log(t)))
+        raise ValueError(
+            f"truncation {n_min} too small for epsilon={epsilon:.4g}: squeezed-vacuum tail "
+            f"{tail:.2e} exceeds {limit:g}; use at least {needed} Fock states per mode"
+        )
 
 
 def squeeze_sectors(s: SpaceDescriptor, epsilon: float) -> list:
@@ -290,18 +298,7 @@ def squeeze_sectors(s: SpaceDescriptor, epsilon: float) -> list:
     G = L - L^T; with D = diag(i^j), D G D^-1 = -i T for the real symmetric
     T = L + L^T, so exp(G) = D^-1 Q exp(-i Lambda) Q^T D from one eigh of T.
     """
-    if not math.isfinite(epsilon):
-        raise ValueError("epsilon must be finite")
-    n_min = min(s.n1_trunc, s.n2_trunc)
-    t = abs(math.tanh(epsilon))
-    leak = t ** (2 * n_min)
-    if leak > SQUEEZE_LEAK_LIMIT:
-        suggested = math.ceil(math.log(SQUEEZE_LEAK_LIMIT) / (2.0 * math.log(t)))
-        raise ValueError(
-            f"truncation {n_min} too small for epsilon={epsilon:.4g}: "
-            f"vacuum leak {leak:.2e} exceeds {SQUEEZE_LEAK_LIMIT:g}; "
-            f"use at least {suggested} Fock states per mode"
-        )
+    refuse_tail(s, epsilon)
     sectors = []
     for k in range(1 - s.n2_trunc, s.n1_trunc):
         n2 = np.arange(max(0, -k), min(s.n2_trunc, s.n1_trunc - k))
@@ -355,8 +352,6 @@ def b_mode_annihilation(s: SpaceDescriptor, epsilon: float, mode: int) -> Operat
     sq = build_squeeze_operator(fields, epsilon)
     a = annihilation_op(fields, mode)
     b = sq.dagger() @ a @ sq
-    if s.atom_levels == 1:
-        return b
     return Operator._adopt(s, np.kron(np.eye(s.atom_levels), b.matrix))
 
 
@@ -387,9 +382,8 @@ def build_selective_hamiltonian(
         return h1
     nb1 = (b1.dagger() @ b1).matrix
     nb2 = (b2.dagger() @ b2).matrix
-    h0 = _stark_diagonal(stark, nb1, nb2, s)
-    dark_energy = stark.shift_g if d.channel == "b1" else -stark.shift_h
-    h0 = h0 - dark_energy * np.eye(s.dim)
+    # less the dark energy, the entry level's n = 0 shift
+    h0 = _stark_diagonal(stark, nb1, nb2, s) - getattr(stark, "shift_" + d.atom_state) * np.eye(s.dim)
     return Operator._adopt(s, h0 + h1.matrix)
 
 

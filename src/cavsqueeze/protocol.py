@@ -17,9 +17,9 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .analysis import moment_records, preparation_time, report_from_records
-from .dynamics import ArrivalProcess, Trajectory, collision_step, run_steps, squeezed_frame
+from .dynamics import ArrivalProcess, Trajectory, collision_step, run_steps, sample_clock, squeezed_frame
 from .gaussian import GaussianState, gaussian_fidelity_to_tmsv, gaussian_lindblad_evolve, gaussian_vacuum
-from .hilbert import ChargeBlocks, DensityMatrix, SpaceDescriptor
+from .hilbert import ChargeBlocks, DensityMatrix, SpaceDescriptor, is_integer
 from .model import (
     DISPERSIVE_LIMIT,
     OCCUPANCY_LIMIT,
@@ -80,8 +80,7 @@ class ProtocolSpec:
             raise ValueError("protocol needs at least one step")
         trunc = tuple(self.truncation)
         # no floats (8.0 neither) and no bools; the CLI config reader turns whole floats into ints
-        whole = all(isinstance(n, (int, np.integer)) and not isinstance(n, bool) for n in trunc)
-        if len(trunc) != 2 or not whole or min(trunc) < 1:
+        if len(trunc) != 2 or not all(map(is_integer, trunc)) or min(trunc) < 1:
             raise ValueError(f"truncation must be two positive integers, got {self.truncation!r}")
         trunc = tuple(int(n) for n in trunc)
         rates = [s.derived for s in steps]
@@ -231,16 +230,15 @@ def _damping_pass(rho: ChargeBlocks, eta: float, mode: int) -> ChargeBlocks:
     have m_j - n_j = e, the map is therefore the matrix
     kernel[n, n + k] = w[k, n] w[k, n + e], w[k, m] = <m| K_k |m + k>, whose
     eta-free part is cached.  The real kernel acts on a float view of the
-    blocks; on mode 2 of their transpose, which the result keeps.
+    blocks with the mode's axis moved to the rows (a transpose on mode 2,
+    which the result keeps).
     """
     n = rho.blocks.shape[1 + mode]
     shift = np.ascontiguousarray(rho.shifts()[mode - 1], dtype=int)
     root, power, lag = _damping_base(n, shift.shape, shift.tobytes())
     kernel = root * math.sqrt(eta) ** power * (1.0 - eta) ** lag
-    if mode == 1:
-        return replace(rho, blocks=(kernel @ np.ascontiguousarray(rho.blocks).view(float)).view(complex))
-    flipped = np.ascontiguousarray(rho.blocks.swapaxes(2, 3))
-    return replace(rho, blocks=(kernel @ flipped.view(float)).view(complex).swapaxes(2, 3))
+    rows = np.ascontiguousarray(rho.blocks.swapaxes(2, 1 + mode))
+    return replace(rho, blocks=(kernel @ rows.view(float)).view(complex).swapaxes(2, 1 + mode))
 
 
 def _pump_step(step: ProtocolStep, times: np.ndarray, engine: str) -> tuple:
@@ -281,8 +279,7 @@ def run_protocol(
     has no truncation), and accepted_arrivals and dropped_arrivals (None
     except on collision).
     """
-    whole = isinstance(samples_per_step, (int, np.integer)) and not isinstance(samples_per_step, bool)
-    if not whole or samples_per_step < 1:
+    if not is_integer(samples_per_step) or samples_per_step < 1:
         raise ValueError(f"samples_per_step must be an integer >= 1, got {samples_per_step!r}")
     regime = validate_regime([(step.params, step.derived, step.duration) for step in spec.steps])
     failures = [f"{name}={c['value']:.3g}" for name, c in regime.items() if not c["passed"]]
@@ -291,8 +288,7 @@ def run_protocol(
 
     steps, accepted, dropped = [], 0, 0
     for i, step in enumerate(spec.steps):
-        # a step of zero duration has its one sample at 0
-        times = np.linspace(0.0, step.duration, samples_per_step if step.duration else 1)
+        times = sample_clock(step.duration, samples=samples_per_step)
         if spec.engine == "collision":
             arrivals = ArrivalProcess(rate=step.params.r_a, seed=spec.seed + i)
             pumped, step_accepted, step_dropped = collision_step(spec.truncation, step.params, step.duration,

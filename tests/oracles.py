@@ -194,8 +194,8 @@ def effective_hamiltonian_rate_form(d: DerivedParams, stark: StarkShifts, s: Spa
     p_hh = atom_transition_op(s, "h", "h").matrix
     s_hg = atom_transition_op(s, "h", "g").matrix
     eye = np.eye(s.dim)
-    diag_h = stark.per_photon_2 * n2 - stark.shift_h * eye
-    diag_g = stark.shift_g * eye - stark.per_photon_1 * n1
+    diag_h = stark.per_photon_2 * n2 + stark.shift_h * eye
+    diag_g = stark.shift_g * eye + stark.per_photon_1 * n1
     flip = (d.theta2 * a2.conj().T - d.theta1 * a1) @ s_hg
     return Operator(s, diag_h @ p_hh + diag_g @ p_gg + flip + flip.conj().T)
 

@@ -68,7 +68,7 @@ class TestTmsvStateVector:
 
     def test_truncation_rejected_with_requirement(self):
         s = SpaceDescriptor(1, 10, 10)
-        with pytest.raises(ValueError, match="tail mass") as exc:
+        with pytest.raises(ValueError, match="squeezed-vacuum tail") as exc:
             tmsv_state_vector(s, math.atanh(0.95))
         assert "135" in str(exc.value)
 
@@ -313,7 +313,7 @@ class TestFidelity:
 
     def test_target_truncation_guard(self):
         s = SpaceDescriptor(1, 8, 8)
-        with pytest.raises(ValueError, match="tail mass"):
+        with pytest.raises(ValueError, match="squeezed-vacuum tail"):
             fidelity_to_tmsv(basis_state(s, 0, 0, 0), math.atanh(0.97), s)
 
 

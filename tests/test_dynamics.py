@@ -124,6 +124,11 @@ class TestArrivalProcess:
         with pytest.raises(ValueError, match="seed must be nonnegative, got -1"):
             ArrivalProcess(rate=1.0, seed=-1)
 
+    @pytest.mark.parametrize("seed", [1.5, 2.0, True])
+    def test_rejects_a_seed_that_is_not_an_integer(self, seed):
+        with pytest.raises(ValueError, match=f"^seed must be an integer, got {seed!r}$"):
+            ArrivalProcess(rate=1.0, seed=seed)
+
     def test_zero_rate_no_arrivals(self):
         assert ArrivalProcess(rate=0.0, seed=3).sample(10.0).size == 0
 
@@ -552,27 +557,56 @@ class TestRunCollisionEnsemble:
         self.rho = DensityMatrix.from_state_vector(self.sf, transformed_fock1(self.sf, eps, 1))
         self.duration = 0.4 / derive_rates(self.p).gamma
 
-    @pytest.mark.parametrize("clock", [[0.0, 5.0, 2.0], [0.0, 1.0, 1.0], [[0.0, 1.0], [2.0, 3.0]]],
-                             ids=["decreasing", "repeated", "two-dimensional"])
+    def run(self, runner, duration, sample_times=None):
+        """One seed-3 run of run_collision_model, or a two-trajectory ensemble from master seed 3."""
+        if runner == "model":
+            return run_collision_model(self.rho, self.p, duration, ArrivalProcess(self.p.r_a, 3),
+                                       sample_times=sample_times)
+        return run_collision_ensemble(self.rho, self.p, duration, 2, 3, sample_times=sample_times)
+
+    @pytest.mark.parametrize("duration, clock, message", [
+        (None, [0.0, 5.0, 2.0], "sample_times must be one-dimensional and strictly increasing"),
+        (None, [0.0, 1.0, 1.0], "sample_times must be one-dimensional and strictly increasing"),
+        (None, [[0.0, 1.0], [2.0, 3.0]], "sample_times must be one-dimensional and strictly increasing"),
+        (10.0, [-5.0, 3.0, 50.0], r"sample_times must lie in \[0, duration\]"),
+        (10.0, [0.0, 3.0, 10.5], r"sample_times must lie in \[0, duration\]"),
+        (math.nan, None, "duration must be finite and nonnegative, got nan"),
+        (-1.0, [], "duration must be finite and nonnegative, got -1.0"),
+        (math.inf, [0.0, 1.0], "duration must be finite and nonnegative, got inf"),
+    ], ids=["decreasing", "repeated", "two-dimensional", "before-zero", "past-the-end", "nan-duration",
+            "negative-duration", "infinite-duration"])
     @pytest.mark.parametrize("runner", ["model", "ensemble"])
-    def test_runners_reject_a_bad_clock_before_drawing(self, monkeypatch, runner, clock):
+    def test_runners_reject_a_bad_clock_before_drawing(self, monkeypatch, runner, duration, clock, message):
+        # sample only records its calls: a real draw over an infinite duration would never end
         draws = []
-        sample = ArrivalProcess.sample
-        monkeypatch.setattr(ArrivalProcess, "sample",
-                            lambda proc, duration: draws.append(duration) or sample(proc, duration))
-
-        def run(times):
-            if runner == "model":
-                return run_collision_model(self.rho, self.p, self.duration, ArrivalProcess(self.p.r_a, 3),
-                                           sample_times=times)
-            return run_collision_ensemble(self.rho, self.p, self.duration, 2, 3, sample_times=times)
-
-        with pytest.raises(ValueError, match="sample_times must be one-dimensional and strictly increasing"):
-            run(clock)
+        monkeypatch.setattr(ArrivalProcess, "sample", lambda proc, duration: draws.append(duration) or np.empty(0))
+        with pytest.raises(ValueError, match=message):
+            self.run(runner, self.duration if duration is None else duration, clock)
         assert draws == []
-        # the same run on a good clock draws its arrivals
-        run([0.0, 1.0, 2.0])
+        # the same run on a good clock asks for its arrivals
+        self.run(runner, self.duration, [0.0, 1.0, 2.0])
         assert draws
+
+    @pytest.mark.parametrize("runner", ["model", "ensemble"])
+    def test_zero_duration_reads_the_initial_state_once(self, runner):
+        # the default clock of a zero-length run is the one sample t = 0,
+        # which reads what a longer run reads before its first atom
+        still, longer = self.run(runner, 0.0), self.run(runner, self.duration)
+        np.testing.assert_array_equal(still.times, [0.0])
+        assert still.diagnostics["accepted_arrivals"] == 0 and longer.diagnostics["accepted_arrivals"] > 0
+        assert set(still.records) == set(longer.records)
+        for key, series in still.records.items():
+            assert series.tolist() == [longer.records[key][0]]
+
+    @pytest.mark.parametrize("n_trajectories, master_seed, message", [
+        (2.0, 3, "n_trajectories must be an integer of at least 1, got 2.0"),
+        (True, 3, "n_trajectories must be an integer of at least 1, got True"),
+        (2, 1.5, "master_seed must be an integer, got 1.5"),
+        (2, False, "master_seed must be an integer, got False"),
+    ], ids=["float-count", "bool-count", "float-seed", "bool-seed"])
+    def test_rejects_a_count_or_seed_that_is_not_an_integer(self, n_trajectories, master_seed, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            run_collision_ensemble(self.rho, self.p, self.duration, n_trajectories, master_seed)
 
     @pytest.mark.parametrize(
         "n_trajectories, master, grid",

@@ -257,6 +257,19 @@ class TestEffectiveHamiltonian:
         np.testing.assert_array_equal(h[e_rows, :], 0.0)
         np.testing.assert_array_equal(h[:, e_rows], 0.0)
 
+    @pytest.mark.parametrize("signs", [(-1.0, 1.0), (1.0, -1.0)], ids=["delta1<0<delta2", "delta1>0>delta2"])
+    def test_stark_shifts_are_its_diagonal(self, signs):
+        # g sits at shift_g + per_photon_1 n1 and h at shift_h + per_photon_2 n2, for either sign pattern
+        s = SpaceDescriptor(3, 4, 5)
+        p = PhysicalParams(0.2, 0.3, 0.25, 0.15, 2.0 * signs[0], 5.0 * signs[1])
+        h = build_effective_hamiltonian(p, s).matrix
+        stark = stark_shifts(p)
+        for n1 in range(4):
+            for n2 in range(5):
+                g, hh = s.index("g", n1, n2), s.index("h", n1, n2)
+                assert h[g, g] == pytest.approx(stark.shift_g + stark.per_photon_1 * n1, rel=1e-12, abs=1e-15)
+                assert h[hh, hh] == pytest.approx(stark.shift_h + stark.per_photon_2 * n2, rel=1e-12, abs=1e-15)
+
     def test_rate_form_equivalence(self):
         # regrouped light-shift + flip form reproduces the signed build exactly
         rng = np.random.default_rng(4)
@@ -315,7 +328,7 @@ class TestSqueezeOperator:
 
     def test_truncation_leak_rejected(self):
         s = SpaceDescriptor(1, 5, 5)
-        with pytest.raises(ValueError, match="vacuum leak") as exc:
+        with pytest.raises(ValueError, match="squeezed-vacuum tail") as exc:
             build_squeeze_operator(s, math.atanh(0.95))
         # ceil(ln 1e-3 / (2 ln 0.95)) Fock states needed
         assert "68" in str(exc.value)
