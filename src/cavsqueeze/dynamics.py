@@ -83,8 +83,8 @@ class ArrivalProcess:
 
     def sample(self, duration: float) -> np.ndarray:
         """Arrival times in [0, duration), strictly increasing."""
-        if duration < 0:
-            raise ValueError("duration must be nonnegative")
+        if not 0.0 <= duration < math.inf:
+            raise ValueError(f"duration must be finite and nonnegative, got {duration!r}")
         if self.rate == 0.0 or duration == 0.0:
             return np.empty(0)
         rng = np.random.default_rng(self.seed)
@@ -238,13 +238,13 @@ def squeezed_frame(rho0: Union[DensityMatrix, SpaceDescriptor], epsilon: float) 
         # S|0,0> is the first column of sector 0, so rho_b has charge 0 only
         vacuum = _charge0_block(space.shape[1:], [sectors[space.n2_trunc - 1]], 0)
         return ChargeBlocks(np.zeros(1, int), vacuum[None] + 0j), read, tabulate, report
-    # S rho S+ with S_k applied to the rows of each sector, then to its columns
+    # S rho S+ = (S (S rho)^T)^T for the real S: S_k applied to a float view
+    # of the rows of each sector, then of the rows of the transpose
     rho = rho0.matrix.copy()
     cuts = [n1 * space.n2_trunc + n2 for n1, n2, _ in sectors]
-    for cut, (_, _, block) in zip(cuts, sectors):
-        rho[cut] = block @ rho[cut]
-    for cut, (_, _, block) in zip(cuts, sectors):
-        rho[:, cut] = rho[:, cut] @ block.T
+    for rows in (rho, rho.T):
+        for cut, (_, _, block) in zip(cuts, sectors):
+            rows[cut] = (block @ rows[cut].view(float)).view(complex)
     return split_charges(rho.reshape(space.shape[1:] * 2)), read, tabulate, report
 
 

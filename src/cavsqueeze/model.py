@@ -294,21 +294,26 @@ def squeeze_sectors(s: SpaceDescriptor, epsilon: float) -> list:
     One (n1, n2, block) per sector k = n1 - n2, from k = 1 - n2_trunc up:
     its Fock states |n1[j], n2[j]> by rising n2, the last on the boundary
     layers, and the real block with S|n1[j], n2[j]> = sum_i block[i, j]
-    |n1[i], n2[i]>.  On a sector the generator is a real tridiagonal
-    G = L - L^T; with D = diag(i^j), D G D^-1 = -i T for the real symmetric
-    T = L + L^T, so exp(G) = D^-1 Q exp(-i Lambda) Q^T D from one eigh of T.
+    |n1[i], n2[i]>, read-only and shared by the sectors of equal couplings.
+    On a sector the generator is a real tridiagonal G = L - L^T; with D =
+    diag(i^j), D G D^-1 = -i T for the real symmetric T = L + L^T, so
+    exp(G) = D^-1 Q exp(-i Lambda) Q^T D from one eigh of T.
     """
     refuse_tail(s, epsilon)
-    sectors = []
+    sectors, blocks = [], {}
     for k in range(1 - s.n2_trunc, s.n1_trunc):
         n2 = np.arange(max(0, -k), min(s.n2_trunc, s.n1_trunc - k))
         n1 = n2 + k
-        # <n1 - 1, n2 - 1| a1 a2 |n1, n2> = sqrt(n1 n2), and a1+ a2+ is its transpose
+        # <n1 - 1, n2 - 1| a1 a2 |n1, n2> = sqrt(n1 n2), and a1+ a2+ is its transpose;
+        # sectors k and -k of one length have equal products n1 n2, so one block serves both
         coupling = epsilon * np.sqrt(n1[1:] * n2[1:])
-        lam, q = np.linalg.eigh(np.diag(coupling, 1) + np.diag(coupling, -1))
-        phase = np.array([1, 1j, -1, -1j])[np.arange(n1.size) % 4]
-        block = phase.conj()[:, None] * ((q * np.exp(-1j * lam)) @ q.T) * phase
-        sectors.append((n1, n2, block.real))
+        key = coupling.tobytes()
+        if key not in blocks:
+            lam, q = np.linalg.eigh(np.diag(coupling, 1) + np.diag(coupling, -1))
+            phase = np.array([1, 1j, -1, -1j])[np.arange(n1.size) % 4]
+            blocks[key] = (phase.conj()[:, None] * ((q * np.exp(-1j * lam)) @ q.T) * phase).real.copy()
+            blocks[key].flags.writeable = False
+        sectors.append((n1, n2, blocks[key]))
     return sectors
 
 

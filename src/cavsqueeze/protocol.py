@@ -205,8 +205,8 @@ def validate_regime(steps: Sequence[tuple]) -> dict:
 
 @functools.lru_cache(maxsize=4)
 def _damping_base(n: int, shift_shape: tuple, shift: bytes) -> tuple:
-    """Read-only eta-free factors (root, power, lag) of _damping_pass's
-    kernel for axis length n and row shifts e: kernel = root *
+    """Read-only eta-free factors (root, power, lag) of _damping_kernel
+    for axis length n and row shifts e: kernel = root *
     sqrt(eta)**power * (1 - eta)**lag, with exact binomials comb(m + k, k)."""
     binomials = np.array([[math.comb(m + k, k) for m in range(n)] for k in range(n)], dtype=float)
     row, col = np.indices((n, n))
@@ -220,8 +220,8 @@ def _damping_base(n: int, shift_shape: tuple, shift: bytes) -> tuple:
     return factors
 
 
-def _damping_pass(rho: ChargeBlocks, eta: float, mode: int) -> ChargeBlocks:
-    """Exact amplitude-damping map on one mode of rho_b, block by block.
+def _damping_kernel(rho: ChargeBlocks, eta: float, mode: int) -> np.ndarray:
+    """Kernel of the exact amplitude-damping map on one mode of rho_b, which _damp applies.
 
     Population flows only downward, so the truncated space is invariant and
     the infinite-space kernel is exact here.  The k-th Kraus operator
@@ -229,35 +229,44 @@ def _damping_pass(rho: ChargeBlocks, eta: float, mode: int) -> ChargeBlocks:
     entry's charge and d.  Along the n_j axis of a block row whose entries
     have m_j - n_j = e, the map is therefore the matrix
     kernel[n, n + k] = w[k, n] w[k, n + e], w[k, m] = <m| K_k |m + k>, whose
-    eta-free part is cached.  The real kernel acts on a float view of the
-    blocks with the mode's axis moved to the rows (a transpose on mode 2,
-    which the result keeps).
+    eta-free part is cached.
     """
-    n = rho.blocks.shape[1 + mode]
     shift = np.ascontiguousarray(rho.shifts()[mode - 1], dtype=int)
-    root, power, lag = _damping_base(n, shift.shape, shift.tobytes())
-    kernel = root * math.sqrt(eta) ** power * (1.0 - eta) ** lag
+    root, power, lag = _damping_base(rho.blocks.shape[1 + mode], shift.shape, shift.tobytes())
+    return root * math.sqrt(eta) ** power * (1.0 - eta) ** lag
+
+
+def _damp(rho: ChargeBlocks, kernel: np.ndarray, mode: int) -> ChargeBlocks:
+    """A real _damping_kernel applied to a float view of the blocks with the
+    mode's axis moved to the rows (a transpose on mode 2, which the result keeps)."""
     rows = np.ascontiguousarray(rho.blocks.swapaxes(2, 1 + mode))
     return replace(rho, blocks=(kernel @ rows.view(float)).view(complex).swapaxes(2, 1 + mode))
 
 
-def _pump_step(step: ProtocolStep, times: np.ndarray, engine: str) -> tuple:
+def _pump_step(step: ProtocolStep, times: np.ndarray, engine: str, kernels: dict) -> tuple:
     """run_schedule step (times, interval lengths, map) of one pump-down
     step on the fock or gaussian engine.
 
     In the squeezed frame the transformed-mode jump is bare amplitude
     damping of the pumped mode: on rho_b its Fock-basis kernel, on the
     moments the attenuator gaussian_lindblad_evolve.  Both are closed form,
-    so the step is exact.
+    so the step is exact.  The samples are evenly spaced, so a fock step builds
+    one kernel; kernels, shared by a run's steps, holds the last, keyed on (mode, eta, charges).
     """
     d = step.derived
     mode = 1 if step.channel == "b1" else 2
     if engine == "gaussian":
         evolve = lambda s, dt: gaussian_lindblad_evolve(s, d.epsilon, d.gamma, mode, dt)
     else:
-        evolve = lambda rho, dt: _damping_pass(rho, math.exp(-d.gamma * dt), mode)
-    # the intervals between samples, from 0 and on to the end of the step
-    return times, np.diff(np.concatenate(([0.0], times, [step.duration]))), evolve
+        def evolve(rho, dt):
+            key = (mode, math.exp(-d.gamma * dt), rho.charges.tobytes())
+            if key not in kernels:
+                kernels.clear()  # the last step's kernel goes before this one is built
+                kernels[key] = _damping_kernel(rho, key[1], mode)
+            return _damp(rho, kernels[key], mode)
+    # the intervals between samples, each the clock's spacing, from 0 and on to the end of the step
+    spacing = step.duration / max(times.size - 1, 1)
+    return times, [0.0, *[spacing] * (times.size - 1), step.duration - times[-1]], evolve
 
 
 def run_protocol(
@@ -286,7 +295,7 @@ def run_protocol(
     if failures:
         warnings.warn("outside validity regime: " + ", ".join(failures), stacklevel=2)
 
-    steps, accepted, dropped = [], 0, 0
+    steps, accepted, dropped, kernels = [], 0, 0, {}
     for i, step in enumerate(spec.steps):
         times = sample_clock(step.duration, samples=samples_per_step)
         if spec.engine == "collision":
@@ -296,7 +305,7 @@ def run_protocol(
             accepted += step_accepted
             dropped += step_dropped
         else:
-            pumped = _pump_step(step, times, spec.engine)
+            pumped = _pump_step(step, times, spec.engine, kernels)
         steps.append(pumped)
 
     # the steps share epsilon, so every engine runs the whole schedule in one squeezed frame

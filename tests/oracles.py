@@ -13,6 +13,9 @@ its RK4 step accumulates in place; dense_full_hamiltonian and rk4_reference
 are the dense four-term sum and the plain RK4 loop they replaced.  The
 moments read their bands through a table cached per charges and grid;
 band_by_band_moments reads each band on its own, through charge_diagonal.
+The fock engine builds one damping kernel per step and applies it at every
+sample; damping_pass builds it anew for each pass, as a per-interval
+reference.
 """
 
 import math
@@ -35,6 +38,7 @@ from cavsqueeze.hilbert import (
     number_op,
 )
 from cavsqueeze.model import DerivedParams, PhysicalParams, StarkShifts, build_squeeze_operator
+from cavsqueeze.protocol import _damp, _damping_kernel
 
 HERMITICITY_TOL = 1e-8
 STEP_BOUND = 0.05
@@ -309,6 +313,11 @@ def dense_squeeze_operator(s: SpaceDescriptor, epsilon: float) -> np.ndarray:
     a2 = annihilation_op(s, 2)
     gen = a1 @ a2 - a1.dagger() @ a2.dagger()
     return scipy.linalg.expm((epsilon * gen).matrix)
+
+
+def damping_pass(rho: ChargeBlocks, eta: float, mode: int) -> ChargeBlocks:
+    """One amplitude-damping pass on one mode of rho_b, its kernel built for this pass alone."""
+    return _damp(rho, _damping_kernel(rho, eta, mode), mode)
 
 
 def dense_damping_pass(rho4: np.ndarray, eta: float, mode: int) -> np.ndarray:

@@ -43,10 +43,10 @@ from cavsqueeze.model import (
     squeeze_sectors,
     stark_shifts,
 )
-from cavsqueeze.protocol import _damping_pass
 from oracles import (
     bare_state,
     build_displacement_operator,
+    damping_pass,
     dense_kraus_pass,
     dense_squeeze_operator,
     lindblad_evolve,
@@ -131,6 +131,12 @@ class TestArrivalProcess:
 
     def test_zero_rate_no_arrivals(self):
         assert ArrivalProcess(rate=0.0, seed=3).sample(10.0).size == 0
+
+    @pytest.mark.parametrize("duration", [math.inf, math.nan, -1.0])
+    def test_rejects_a_duration_sample_clock_refuses(self, duration):
+        # sample_clock's rule and message; an infinite horizon never ended the draw
+        with pytest.raises(ValueError, match=f"^duration must be finite and nonnegative, got {duration!r}$"):
+            ArrivalProcess(rate=2.0, seed=0).sample(duration)
 
     def test_samples_sorted_and_bounded(self):
         times = ArrivalProcess(rate=5.0, seed=11).sample(20.0)
@@ -662,6 +668,18 @@ class TestRunCollisionEnsemble:
             run_collision_ensemble(self.rho, self.p, self.duration, 0, 0)
 
 
+@pytest.mark.parametrize("eps", [0.5, -0.3])
+def test_mirrored_sectors_share_one_read_only_block(eps):
+    # on a square grid sectors k and -k have equal couplings: one eigh, one block
+    sectors = squeeze_sectors(SpaceDescriptor(1, 12, 12), eps)
+    assert len(sectors) == 23
+    for k in range(12):
+        block = sectors[11 + k][2]
+        assert block is sectors[11 - k][2]
+        assert not block.flags.writeable
+    assert len({id(block) for _, _, block in sectors}) == 12
+
+
 @pytest.mark.parametrize("shape", [(9, 13), (12, 12)])
 @pytest.mark.parametrize("eps", [0.5, -0.3])
 class TestSectorFrame:
@@ -704,7 +722,7 @@ class TestSectorFrame:
         s = SpaceDescriptor(1, *shape)
         explicit = DensityMatrix.from_state_vector(s, basis_state(s, 0, 0, 0))
         times = np.linspace(0.0, 2.0, 5)
-        damp = lambda j: lambda rho, dt: _damping_pass(rho, math.exp(-dt), j)
+        damp = lambda j: lambda rho, dt: damping_pass(rho, math.exp(-dt), j)
         amounts = np.append(np.diff(times, prepend=0.0), 0.0)
         steps = [(times, amounts, damp(j)) for j in (1, 2)]
         _, got, got_state, got_report, _ = run_steps(squeezed_frame(s, eps), steps)

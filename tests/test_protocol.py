@@ -5,6 +5,7 @@ import sys
 import textwrap
 import tracemalloc
 import warnings
+import weakref
 from dataclasses import replace
 
 import numpy as np
@@ -12,9 +13,10 @@ import pytest
 import scipy.linalg
 
 import cavsqueeze
+from cavsqueeze import protocol
 from cavsqueeze.analysis import preparation_time, tmsv_state_vector
 from cavsqueeze.cli import build_spec, load_run_config
-from cavsqueeze.dynamics import ArrivalProcess, run_collision_model
+from cavsqueeze.dynamics import ArrivalProcess, run_collision_model, run_steps, squeezed_frame
 from cavsqueeze.gaussian import GaussianState, gaussian_vacuum
 from cavsqueeze.hilbert import DensityMatrix, SpaceDescriptor, basis_state, split_charges
 from cavsqueeze.model import PhysicalParams, b_mode_annihilation, derive_rates, spontaneous_decay_estimate
@@ -22,13 +24,13 @@ from cavsqueeze.protocol import (
     ProtocolSpec,
     ProtocolStep,
     build_two_step_protocol,
-    _damping_pass,
     run_protocol,
     validate_regime,
 )
 from oracles import (
     bare_state,
     build_displacement_operator,
+    damping_pass,
     dense_damping_pass,
     lindblad_evolve,
     random_low_fock_state,
@@ -773,7 +775,7 @@ class TestDampingPass:
             rho = split_charges(rho4)
             assert rho.charges.size >= 4 * min(shape) - 3
             for eta in (0.97, 0.4):
-                out = _damping_pass(rho, eta, mode)
+                out = damping_pass(rho, eta, mode)
                 assert np.array_equal(out.charges, rho.charges)
                 diff = np.max(np.abs(out.dense() - dense_damping_pass(rho4, eta, mode)))
                 assert diff <= 1e-12, (eta, diff)
@@ -790,7 +792,44 @@ class TestDampingPass:
         schedule = [(0.9, 1), (0.5, 2), (0.2, 1), (0.9, 2), (0.5, 1), (0.2, 2)]
         for i, (eta, mode) in enumerate(schedule):
             for j, (rho, rho4) in enumerate(states):
-                rho, rho4 = _damping_pass(rho, eta, mode), dense_damping_pass(rho4, eta, mode)
+                rho, rho4 = damping_pass(rho, eta, mode), dense_damping_pass(rho4, eta, mode)
                 diff = np.max(np.abs(rho.dense() - rho4))
                 assert diff <= 1e-12, (i, j, diff)
                 states[j] = (rho, rho4)
+
+    def test_one_kernel_per_step(self, monkeypatch):
+        # every interval of a step is the clock's spacing, so a step builds
+        # one kernel, and the run drops step 1's before it builds step 2's
+        built, kernel = [], protocol._damping_kernel
+
+        def counting(rho, eta, mode):
+            assert all(alive() is None for alive, _ in built)
+            out = kernel(rho, eta, mode)
+            built.append((weakref.ref(out), mode))
+            return out
+
+        monkeypatch.setattr(protocol, "_damping_kernel", counting)
+        spec = build_two_step_protocol(clean_params(), truncation=(8, 8), durations=(10.0, 10.0))
+        run_protocol(spec, samples_per_step=51)
+        assert [mode for _, mode in built] == [1, 2]
+
+    @pytest.mark.parametrize("shape", [(12, 12), (9, 13)])
+    def test_clock_spacing_matches_per_interval_reference(self, shape):
+        # the clock's spacing in place of each np.diff interval moves the records by rounding only
+        p = clean_params()
+        gamma = derive_rates(p).gamma
+        spec = build_two_step_protocol(p, truncation=shape, durations=(6.0 / gamma, 5.0 / gamma))
+        space = SpaceDescriptor(1, *shape)
+        for rho4 in many_charge_states(shape):
+            initial = DensityMatrix(space, rho4.reshape(space.dim, space.dim))
+            traj, _ = run_protocol(spec, initial=initial, samples_per_step=5)
+            steps = []
+            for step in spec.steps:
+                times = np.linspace(0.0, step.duration, 5)
+                mode, rate = (1 if step.channel == "b1" else 2), step.derived.gamma
+                damp = lambda rho, dt, m=mode, g=rate: damping_pass(rho, math.exp(-g * dt), m)
+                steps.append((times, np.diff(np.concatenate(([0.0], times, [step.duration]))), damp))
+            times, want, *_ = run_steps(squeezed_frame(initial, spec.epsilon), steps)
+            assert np.array_equal(traj.times, times)
+            for key, series in want.items():
+                assert np.max(np.abs(traj.records[key] - series)) <= 1e-13, key
