@@ -11,6 +11,7 @@ Fourth-order Runge-Kutta propagates state vectors of the three-level model.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field, replace
 from typing import Callable, Optional, Sequence, Union
@@ -18,7 +19,7 @@ from typing import Callable, Optional, Sequence, Union
 import numpy as np
 
 from .analysis import band_moments, band_sums, moment_records, report_from_records, symplectic_squeeze
-from .hilbert import ChargeBlocks, DensityMatrix, Operator, SpaceDescriptor, charge_outer, is_integer, split_charges
+from .hilbert import ChargeBlocks, DensityMatrix, Operator, SpaceDescriptor, _occupied_charges, charge_outer, is_integer
 from .model import (
     OCCUPANCY_LIMIT,
     DerivedParams,
@@ -208,9 +209,11 @@ def squeezed_frame(rho0: Union[DensityMatrix, SpaceDescriptor], epsilon: float) 
     b_j = S+ a_j S exactly on the truncated space, so there the transformed
     modes are bare and every pumping map acts on rho_b without S.  Those
     maps keep the charge of every entry, so rho_b is carried as the
-    ChargeBlocks of the charges it occupies after the entry rotation.  S is
-    built once, as its (n1 - n2) sector blocks, and enters sector by
-    sector; no N^2 x N^2 array is made unless rho0 is one.  read(rho_b) is
+    ChargeBlocks of the charges it occupies.  S is built once, as its
+    (n1 - n2) sector blocks; a given rho0 enters charge block by charge
+    block, through _rotate_charges, and the vacuum is written straight into
+    its one block.  No N^2 x N^2 array is made beyond a given rho0, which
+    is read, never copied.  read(rho_b) is
     its band_sums, through one band table per run, and its a-frame boundary
     population truncation_leak(S+ rho_b S); tabulate takes the stacked
     band_sums to the bare modes by symplectic_squeeze(epsilon) and to their
@@ -238,14 +241,53 @@ def squeezed_frame(rho0: Union[DensityMatrix, SpaceDescriptor], epsilon: float) 
         # S|0,0> is the first column of sector 0, so rho_b has charge 0 only
         vacuum = _charge0_block(space.shape[1:], [sectors[space.n2_trunc - 1]], 0)
         return ChargeBlocks(np.zeros(1, int), vacuum[None] + 0j), read, tabulate, report
-    # S rho S+ = (S (S rho)^T)^T for the real S: S_k applied to a float view
-    # of the rows of each sector, then of the rows of the transpose
-    rho = rho0.matrix.copy()
-    cuts = [n1 * space.n2_trunc + n2 for n1, n2, _ in sectors]
-    for rows in (rho, rho.T):
-        for cut, (_, _, block) in zip(cuts, sectors):
-            rows[cut] = (block @ rows[cut].view(float)).view(complex)
-    return split_charges(rho.reshape(space.shape[1:] * 2)), read, tabulate, report
+    return _rotate_charges(rho0.matrix, space.shape[1:], sectors), read, tabulate, report
+
+
+@functools.lru_cache(maxsize=16)
+def _sector_pairs(shape: tuple, q: int) -> tuple:
+    """(rows, columns, pair, n1, n2, m1, m2) of charge q on the Fock grid
+    shape: the slices of the row sectors k and of their column sectors
+    k - q, taking every k for which both exist, and, read-only, the entries
+    of those sector pairs on the grid, with n1 = n2 + k and m1 = m2 + k - q
+    for the k of pair."""
+    n1_trunc, n2_trunc = shape
+    k0, k1 = max(1 - n2_trunc, 1 - n2_trunc + q), min(n1_trunc - 1, n1_trunc - 1 + q)
+    pair, n2, m2 = np.indices((k1 - k0 + 1, n2_trunc, n2_trunc))
+    n1, m1 = n2 + k0 + pair, m2 + k0 + pair - q
+    on_grid = (n1 >= 0) & (n1 < n1_trunc) & (m1 >= 0) & (m1 < n1_trunc)
+    entries = tuple(i[on_grid] for i in (pair, n1, n2, m1, m2))
+    for array in entries:
+        array.flags.writeable = False
+    rows = slice(k0 + n2_trunc - 1, k1 + n2_trunc)  # sector k is squeeze_sectors[k + N2 - 1]
+    return (rows, slice(rows.start - q, rows.stop - q), *entries)
+
+
+def _rotate_charges(rho: np.ndarray, shape: tuple, sectors: Sequence) -> ChargeBlocks:
+    """The ChargeBlocks of S rho S+ for the N1 N2 x N1 N2 rho and the
+    squeeze_sectors of S, with rho read in place, never copied.
+
+    S keeps n1 - n2, so the charges are those of rho.  On charge q, row
+    sector k pairs with column sector k - q: R_k[n2, m2] = rho[n2 + k, n2,
+    m2 + k - q, m2] turns into S_k R_k S_{k-q}^T.  With the sector blocks
+    embedded on the n2 grid, the pairs of one charge take two stacked real
+    products on float views: S_k on the rows, then S_{k-q} on the rows of
+    the transposes."""
+    n2_trunc = shape[1]
+    embedded = np.zeros((len(sectors), n2_trunc, n2_trunc))
+    for grid, (_, n2, block) in zip(embedded, sectors):
+        grid[np.ix_(n2, n2)] = block
+    rho4 = rho.reshape(shape * 2)
+    charges = _occupied_charges(rho4)
+    blocks = np.zeros((charges.size, 2 * n2_trunc - 1, *shape), complex)
+    for out, q in zip(blocks, charges.tolist()):
+        rows, columns, pair, n1, n2, m1, m2 = _sector_pairs(shape, q)
+        pairs = np.zeros(embedded[rows].shape, complex)
+        pairs[pair, n2, m2] = rho4[n1, n2, m1, m2]
+        left = (embedded[rows] @ pairs.view(float)).view(complex)
+        right = (embedded[columns] @ left.transpose(0, 2, 1).copy().view(float)).view(complex)
+        out[m2 - n2 + n2_trunc - 1, n1, n2] = right[pair, m2, n2]
+    return ChargeBlocks(charges, blocks)
 
 
 def _refuse_overflow(leak: float, t: float) -> None:

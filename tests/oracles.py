@@ -15,7 +15,8 @@ moments read their bands through a table cached per charges and grid;
 band_by_band_moments reads each band on its own, through charge_diagonal.
 The fock engine builds one damping kernel per step and applies it at every
 sample; damping_pass builds it anew for each pass, as a per-interval
-reference.
+reference.  The squeezed frame enters a given density matrix charge block
+by charge block; dense_frame_entry rotates a dense copy of it instead.
 """
 
 import math
@@ -36,8 +37,9 @@ from cavsqueeze.hilbert import (
     annihilation_op,
     atom_transition_op,
     number_op,
+    split_charges,
 )
-from cavsqueeze.model import DerivedParams, PhysicalParams, StarkShifts, build_squeeze_operator
+from cavsqueeze.model import DerivedParams, PhysicalParams, StarkShifts, build_squeeze_operator, squeeze_sectors
 from cavsqueeze.protocol import _damp, _damping_kernel
 
 HERMITICITY_TOL = 1e-8
@@ -351,6 +353,21 @@ def dense_kraus_pass(rho4: np.ndarray, stay: np.ndarray, jump: np.ndarray, chann
         jump = jump[:, 1:]
         new[:, :-1, :, :-1] += jump[:, :, None, None] * jump.conj() * rho4[:, 1:, :, 1:]
     return new
+
+
+def dense_frame_entry(rho0: DensityMatrix, epsilon: float) -> ChargeBlocks:
+    """The ChargeBlocks of S rho0 S+ through the dense matrix: each real
+    sector block of S applied to a float view of the rows of a copy of rho0,
+    then of the rows of its transpose, and the result split by charge."""
+    space = rho0.space
+    sectors = squeeze_sectors(space, epsilon)
+    # S rho S+ = (S (S rho)^T)^T for the real S
+    rho = rho0.matrix.copy()
+    cuts = [n1 * space.n2_trunc + n2 for n1, n2, _ in sectors]
+    for rows in (rho, rho.T):
+        for cut, (_, _, block) in zip(cuts, sectors):
+            rows[cut] = (block @ rows[cut].view(float)).view(complex)
+    return split_charges(rho.reshape(space.shape[1:] * 2))
 
 
 def bare_state(rho_b: ChargeBlocks, epsilon: float) -> np.ndarray:

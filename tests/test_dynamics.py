@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -47,6 +48,7 @@ from oracles import (
     bare_state,
     build_displacement_operator,
     damping_pass,
+    dense_frame_entry,
     dense_kraus_pass,
     dense_squeeze_operator,
     lindblad_evolve,
@@ -734,6 +736,57 @@ class TestSectorFrame:
         assert np.max(np.abs(got_state.blocks - want_state.blocks)) <= 1e-14
         for key, value in want_report.to_json().items():
             assert got_report.to_json()[key] == pytest.approx(value, rel=0, abs=1e-14), key
+
+
+class TestChargeBlockEntry:
+    # a given density matrix enters the frame charge block by charge block;
+    # it must give the dense row and column rotation's charges and blocks
+    # bit for bit
+
+    @staticmethod
+    def assert_dense_rotation(rho, eps):
+        got, *_ = squeezed_frame(rho, eps)
+        want = dense_frame_entry(rho, eps)
+        assert np.array_equal(got.charges, want.charges)
+        assert np.array_equal(got.blocks, want.blocks)
+        return got
+
+    @pytest.mark.parametrize("shape", [(5, 7), (7, 5), (6, 6)])
+    def test_full_rank_states(self, shape):
+        s = SpaceDescriptor(1, *shape)
+        rng = np.random.default_rng(shape[0])
+        g = rng.normal(size=(s.dim, s.dim)) + 1j * rng.normal(size=(s.dim, s.dim))
+        rho = DensityMatrix(s, g @ g.conj().T / np.trace(g @ g.conj().T).real)
+        span = sum(shape) - 2  # every charge (n1 - n2) - (m1 - m2) is occupied
+        for eps in (0.5, -0.3):
+            assert self.assert_dense_rotation(rho, eps).charges.tolist() == list(range(-span, span + 1))
+
+    def test_pump_vacuum(self):
+        # the vacuum of a fock run at N = 25, given as a density matrix
+        s = SpaceDescriptor(1, 25, 25)
+        vacuum = DensityMatrix.from_state_vector(s, basis_state(s, 0, 0, 0))
+        assert self.assert_dense_rotation(vacuum, math.atanh(0.6)).charges.tolist() == [0]
+
+    def test_one_quantum_collision_state(self):
+        # one quantum in transformed mode 1 at N = 12, as the collision ensemble starts
+        s = SpaceDescriptor(1, 12, 12)
+        eps = math.atanh(0.4)
+        vac = build_squeeze_operator(s, eps).dagger().matrix @ basis_state(s, 0, 0, 0)
+        raised = b_mode_annihilation(s, eps, 1).dagger().matrix @ vac
+        rho = DensityMatrix.from_state_vector(s, raised / np.linalg.norm(raised))
+        self.assert_dense_rotation(rho, eps)
+
+    def test_entry_makes_no_dense_copy(self):
+        # one N^2 x N^2 complex copy of the N = 25 vacuum is 6.25 MB
+        s = SpaceDescriptor(1, 25, 25)
+        vacuum = DensityMatrix.from_state_vector(s, basis_state(s, 0, 0, 0))
+        tracemalloc.start()
+        try:
+            squeezed_frame(vacuum, math.atanh(0.6))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < vacuum.matrix.nbytes, peak
 
 
 class TestLindbladEvolve:
