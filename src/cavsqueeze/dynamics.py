@@ -11,7 +11,6 @@ Fourth-order Runge-Kutta propagates state vectors of the three-level model.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass, field, replace
 from typing import Callable, Optional, Sequence, Union
@@ -210,10 +209,10 @@ def squeezed_frame(rho0: Union[DensityMatrix, SpaceDescriptor], epsilon: float) 
     modes are bare and every pumping map acts on rho_b without S.  Those
     maps keep the charge of every entry, so rho_b is carried as the
     ChargeBlocks of the charges it occupies.  S is built once, as its
-    (n1 - n2) sector blocks; a given rho0 enters charge block by charge
-    block, through _rotate_charges, and the vacuum is written straight into
-    its one block.  No N^2 x N^2 array is made beyond a given rho0, which
-    is read, never copied.  read(rho_b) is
+    (n1 - n2) sector blocks; a given rho0 enters sector by sector on the
+    entries of its charges only, through _rotate_charges, and the vacuum is
+    written straight into its one block.  No N^2 x N^2 array is made beyond
+    a given rho0, which is read, never copied.  read(rho_b) is
     its band_sums, through one band table per run, and its a-frame boundary
     population truncation_leak(S+ rho_b S); tabulate takes the stacked
     band_sums to the bare modes by symplectic_squeeze(epsilon) and to their
@@ -244,49 +243,39 @@ def squeezed_frame(rho0: Union[DensityMatrix, SpaceDescriptor], epsilon: float) 
     return _rotate_charges(rho0.matrix, space.shape[1:], sectors), read, tabulate, report
 
 
-@functools.lru_cache(maxsize=16)
-def _sector_pairs(shape: tuple, q: int) -> tuple:
-    """(rows, columns, pair, n1, n2, m1, m2) of charge q on the Fock grid
-    shape: the slices of the row sectors k and of their column sectors
-    k - q, taking every k for which both exist, and, read-only, the entries
-    of those sector pairs on the grid, with n1 = n2 + k and m1 = m2 + k - q
-    for the k of pair."""
-    n1_trunc, n2_trunc = shape
-    k0, k1 = max(1 - n2_trunc, 1 - n2_trunc + q), min(n1_trunc - 1, n1_trunc - 1 + q)
-    pair, n2, m2 = np.indices((k1 - k0 + 1, n2_trunc, n2_trunc))
-    n1, m1 = n2 + k0 + pair, m2 + k0 + pair - q
-    on_grid = (n1 >= 0) & (n1 < n1_trunc) & (m1 >= 0) & (m1 < n1_trunc)
-    entries = tuple(i[on_grid] for i in (pair, n1, n2, m1, m2))
-    for array in entries:
-        array.flags.writeable = False
-    rows = slice(k0 + n2_trunc - 1, k1 + n2_trunc)  # sector k is squeeze_sectors[k + N2 - 1]
-    return (rows, slice(rows.start - q, rows.stop - q), *entries)
-
-
 def _rotate_charges(rho: np.ndarray, shape: tuple, sectors: Sequence) -> ChargeBlocks:
     """The ChargeBlocks of S rho S+ for the N1 N2 x N1 N2 rho and the
     squeeze_sectors of S, with rho read in place, never copied.
 
-    S keeps n1 - n2, so the charges are those of rho.  On charge q, row
-    sector k pairs with column sector k - q: R_k[n2, m2] = rho[n2 + k, n2,
-    m2 + k - q, m2] turns into S_k R_k S_{k-q}^T.  With the sector blocks
-    embedded on the n2 grid, the pairs of one charge take two stacked real
-    products on float views: S_k on the rows, then S_{k-q} on the rows of
-    the transposes."""
-    n2_trunc = shape[1]
-    embedded = np.zeros((len(sectors), n2_trunc, n2_trunc))
-    for grid, (_, n2, block) in zip(embedded, sectors):
-        grid[np.ix_(n2, n2)] = block
-    rho4 = rho.reshape(shape * 2)
-    charges = _occupied_charges(rho4)
+    S keeps n1 - n2, so the charges are those of rho, and only their
+    entries turn: the rows of sector k meet the columns of the states of
+    sector k' for which k - k' is an occupied charge.  As in the dense
+    rotation, each S_k acts as a real product on float views, first on the
+    rows of sector k, across the columns they meet, gathered from rho and
+    written into the blocks; then on the columns of sector k, across the
+    rows they meet, gathered from the blocks and written back."""
+    n2_trunc, dim = shape[1], rho.shape[0]
+    charges = _occupied_charges(rho.reshape(shape * 2))
     blocks = np.zeros((charges.size, 2 * n2_trunc - 1, *shape), complex)
-    for out, q in zip(blocks, charges.tolist()):
-        rows, columns, pair, n1, n2, m1, m2 = _sector_pairs(shape, q)
-        pairs = np.zeros(embedded[rows].shape, complex)
-        pairs[pair, n2, m2] = rho4[n1, n2, m1, m2]
-        left = (embedded[rows] @ pairs.view(float)).view(complex)
-        right = (embedded[columns] @ left.transpose(0, 2, 1).copy().view(float)).view(complex)
-        out[m2 - n2 + n2_trunc - 1, n1, n2] = right[pair, m2, n2]
+    flat = blocks.reshape(-1)
+    # entry (n1, n2; m1, m2) of charge q is flat[start[q + span] + row[n1, n2] + column[m1, m2]],
+    # where start is -1 for the charges rho does not occupy
+    n1, n2 = np.indices(shape).reshape(2, -1)
+    row, column = n1 * n2_trunc + n2 + (n2_trunc - 1 - n2) * dim, n2 * dim
+    span = sum(shape) - 2
+    start = np.full(2 * span + 1, -1)
+    start[charges + span] = np.arange(charges.size) * (2 * n2_trunc - 1) * dim
+    k = np.arange(1 - n2_trunc, shape[0])[:, None]  # sectors runs over k = n1 - n2 from 1 - N2 up
+    states = [s1 * n2_trunc + s2 for s1, s2, _ in sectors]
+    for across_columns, own, other in ((True, row, column), (False, column, row)):
+        # per sector k and grid state of sector k', the start of the charge they meet at:
+        # k - k' across the columns, k' - k across the rows
+        meeting = start[(k - (n1 - n2) if across_columns else (n1 - n2) - k) + span]
+        for (_, _, block), starts, state in zip(sectors, meeting, states):
+            met = np.flatnonzero(starts >= 0)
+            at = own[state][:, None] + (starts[met] + other[met])
+            entries = rho[state[:, None], met] if across_columns else flat[at]
+            flat[at] = (block @ entries.view(float)).view(complex)
     return ChargeBlocks(charges, blocks)
 
 

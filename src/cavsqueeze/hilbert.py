@@ -243,25 +243,14 @@ def charge_outer(charges: np.ndarray, left: np.ndarray, right: np.ndarray) -> np
     return blocks
 
 
-def _sector_any(rows: np.ndarray, n1_trunc: int, n2_trunc: int) -> np.ndarray:
-    """For each sector k = n1 - n2, from k = 1 - N2 up, whether each column is nonzero in any of the
-    sector's rows, for rows running over the flat (N1, N2) grid: a sector's rows are every
-    (N2 + 1)-th from its first."""
-    return np.array([rows[max(k * n2_trunc, -k)::n2_trunc + 1][:min(n2_trunc, n1_trunc - k) - max(0, -k)].any(0)
-                     for k in range(1 - n2_trunc, n1_trunc)])
-
-
 def _occupied_charges(rho4: np.ndarray) -> np.ndarray:
-    """The charges q = (n1 - n2) - (m1 - m2) of the nonzero entries of rho4, ascending: the
-    differences k - k' of the row and column sectors that share one.  The rows reduce on a float
-    view, an entry being nonzero where its real or imaginary part is, then the columns."""
+    """The charges q = (m2 - n2) - (m1 - n1) of the nonzero entries of rho4, ascending, from the
+    (d2 = m2 - n2 + N2 - 1, n1, m1) whose (n2, m2) plane holds one on its diagonal m2 - n2; bincount
+    counts q + N1 + N2 - 2 = d2 - (m1 - n1) + N1 - 1 from 0."""
     n1_trunc, n2_trunc = rho4.shape[:2]
-    dim = n1_trunc * n2_trunc
-    rows = _sector_any(np.ascontiguousarray(rho4, complex).reshape(dim, dim).view(float), n1_trunc, n2_trunc)
-    pairs = _sector_any((rows[:, 0::2] | rows[:, 1::2]).T.copy(), n1_trunc, n2_trunc)
-    column, row = np.nonzero(pairs)
-    # bincount counts q + N1 + N2 - 2 from 0
-    return np.flatnonzero(np.bincount(row - column + n1_trunc + n2_trunc - 2)) - (n1_trunc + n2_trunc - 2)
+    nonzero = rho4 != 0
+    d2, n1, m1 = np.nonzero([np.diagonal(nonzero, d, 1, 3).any(-1) for d in range(1 - n2_trunc, n2_trunc)])
+    return np.flatnonzero(np.bincount(d2 - (m1 - n1) + n1_trunc - 1)) - (n1_trunc + n2_trunc - 2)
 
 
 def split_charges(rho4: np.ndarray, charges: Optional[Sequence[int]] = None) -> ChargeBlocks:

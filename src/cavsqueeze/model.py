@@ -7,7 +7,6 @@ basis, the squeeze unitary, and the derived coupling and dissipation rates.
 
 from __future__ import annotations
 
-import cmath
 import functools
 import math
 from dataclasses import dataclass
@@ -15,7 +14,7 @@ from typing import Optional
 
 import numpy as np
 
-from .hilbert import Operator, SpaceDescriptor, _unchecked, annihilation_op, atom_transition_op, number_op
+from .hilbert import Operator, SpaceDescriptor, annihilation_op, atom_transition_op, number_op
 
 TWO_PI = 2.0 * math.pi
 
@@ -240,15 +239,14 @@ def build_full_hamiltonian(p: PhysicalParams, s: SpaceDescriptor, t: float) -> O
     if s.atom_levels != 3:
         raise ValueError(f"full model needs 3 atom levels, space has {s.atom_levels}")
     flat, adjoint, values, term = _full_couplings(s)
-    phase1 = cmath.exp(-1j * p.delta1 * t)
-    phase2 = cmath.exp(-1j * p.delta2 * t)
+    phase1 = np.exp(-1j * p.delta1 * t)
+    phase2 = np.exp(-1j * p.delta2 * t)
     coefficients = np.array([p.omega1 * phase1, p.omega2 * phase2, p.g1 * phase1, p.g2 * phase2])
     raising = coefficients[term] * values
     h = np.zeros(s.dim * s.dim, dtype=complex)
     h[flat] = raising
     h[adjoint] = raising.conj()
-    # complex and dim x dim by construction, so adopted as built
-    return _unchecked(Operator, space=s, matrix=h.reshape(s.dim, s.dim))
+    return Operator._adopt(s, h.reshape(s.dim, s.dim))
 
 
 def build_effective_hamiltonian(p: PhysicalParams, s: SpaceDescriptor) -> Operator:

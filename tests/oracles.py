@@ -15,8 +15,9 @@ moments read their bands through a table cached per charges and grid;
 band_by_band_moments reads each band on its own, through charge_diagonal.
 The fock engine builds one damping kernel per step and applies it at every
 sample; damping_pass builds it anew for each pass, as a per-interval
-reference.  The squeezed frame enters a given density matrix charge block
-by charge block; dense_frame_entry rotates a dense copy of it instead.
+reference.  The squeezed frame enters a given density matrix on the
+entries of its charges only; dense_frame_entry rotates a dense copy of it
+instead.
 """
 
 import math

@@ -761,6 +761,13 @@ class TestChargeBlockEntry:
         for eps in (0.5, -0.3):
             assert self.assert_dense_rotation(rho, eps).charges.tolist() == list(range(-span, span + 1))
 
+    def test_charges_with_gaps(self):
+        # sectors n1 - n2 = -2, 0 and 2 occupy the even charges -4 to 4 only
+        s = SpaceDescriptor(1, 9, 7)
+        psi = basis_state(s, 0, 0, 0) + 0.5j * basis_state(s, 0, 2, 0) - 0.7 * basis_state(s, 0, 1, 3)
+        rho = DensityMatrix.from_state_vector(s, psi / np.linalg.norm(psi))
+        assert self.assert_dense_rotation(rho, 0.4).charges.tolist() == [-4, -2, 0, 2, 4]
+
     def test_pump_vacuum(self):
         # the vacuum of a fock run at N = 25, given as a density matrix
         s = SpaceDescriptor(1, 25, 25)

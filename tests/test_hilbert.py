@@ -240,19 +240,6 @@ def test_charge_blocks_hold_only_occupied_charges():
     )
 
 
-@pytest.mark.parametrize("shape", [(4, 6), (6, 4), (1, 5), (5, 1), (3, 3)])
-def test_split_charges_finds_the_charges_of_the_nonzero_entries(shape):
-    # a few nonzero entries, some purely real or imaginary, at random places
-    rng = np.random.default_rng(sum(shape))
-    n1, n2, m1, m2 = np.indices(shape * 2)
-    charge = (n1 - n2) - (m1 - m2)
-    for _ in range(20):
-        rho4 = np.zeros(shape * 2, complex)
-        where = tuple(rng.integers(0, n, size=4) for n in shape * 2)
-        rho4[where] = rng.choice([1.0, 1j, 1e-300 - 2j], size=4)
-        assert split_charges(rho4).charges.tolist() == sorted(set(charge[rho4 != 0].tolist()))
-
-
 def test_split_charges_finds_charges_without_a_full_charge_array():
     # at N = 25 the charge of every entry as an (N1, N2, N1, N2) int64 array
     # is 3.1 MB, against 0.49 MB for the one block of the vacuum: the whole
