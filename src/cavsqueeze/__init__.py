@@ -4,9 +4,9 @@ A stream of three-level atoms crosses two cavity modes driven by a pair of
 far-detuned Raman channels.  In a Bogoliubov-transformed mode basis each
 atom acts as a zero-temperature reservoir that pumps the field toward a
 two-mode squeezed vacuum.  The package provides the composite-space
-primitives, the physical model and its derived rates, exact-diagonalization
-and collision-model dynamics, a Gaussian (covariance-matrix) engine, the
-two-step pumping protocol, and a command line interface.
+primitives, the physical model and its derived rates, Fock-space
+density-matrix and collision-model dynamics, a Gaussian (covariance-matrix)
+engine, the two-step pumping protocol, and a command line interface.
 """
 
 from .analysis import (

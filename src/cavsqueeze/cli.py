@@ -4,8 +4,8 @@ squeezing ratio, and execute the numerical self-check battery.
 Every command reads a JSON run config (--config PATH); when the flag is
 omitted a bundled microwave-cavity parameter set is used.  A handful of
 flags override individual config entries.  Exit codes: 0 success, 1 config
-error, 2 hard validation failure (degenerate rates, truncation too small),
-3 failed self-checks.
+error, 2 hard validation failure (degenerate rates, truncation too small, or
+too large to fit in memory), 3 failed self-checks.
 """
 
 import argparse
@@ -24,7 +24,7 @@ import numpy as np
 from .analysis import epr_variances_fock, preparation_time, tmsv_state_vector, truncation_leak
 from .dynamics import write_csv
 from .gaussian import gaussian_epr_variances, gaussian_tmsv
-from .hilbert import SpaceDescriptor, annihilation_op, basis_state
+from .hilbert import SpaceDescriptor, annihilation_op, basis_state, is_integer
 from .model import (
     TWO_PI,
     PhysicalParams,
@@ -123,96 +123,84 @@ def _read_config_data(path: Optional[str]) -> dict:
 def _params_from(data: dict, key: str) -> PhysicalParams:
     if not isinstance(data, dict):
         raise ConfigError(f"{key} must be a mapping of parameter keys")
-    try:
-        return PhysicalParams.from_hz_dict(data)
-    except ValueError as exc:
-        raise ConfigError(str(exc))
-
-
-def _number(key: str, value) -> float:
-    try:
-        return number(key, value)
-    except ValueError as exc:
-        raise ConfigError(str(exc))
+    return PhysicalParams.from_hz_dict(data)
 
 
 def _integer(key: str, value) -> int:
     # whole floats such as 7.0 pass; 2.7, strings, bools and None do not
-    if isinstance(value, float) and value.is_integer():
+    if is_integer(value) or isinstance(value, float) and value.is_integer():
         return int(value)
-    if isinstance(value, int) and not isinstance(value, bool):
-        return value
     raise ConfigError(f"{key} must be an integer, got {value!r}")
 
 
 def _numbers(key: str, value) -> tuple:
     if not isinstance(value, (list, tuple)):
         raise ConfigError(f"{key} must be a list of numbers, got {value!r}")
-    return tuple(_number(key, x) for x in value)
+    return tuple(number(key, x) for x in value)
 
 
 def load_run_config(path: Optional[str], args=None) -> RunConfig:
     """Parse a config file (bundled set when path is None) and fold in any
     overriding command-line flags: a flag that is given replaces the
-    config key of its dest."""
-    data = _read_config_data(path)
+    config key of its dest.  A value the model refuses is a ConfigError."""
+    try:
+        data = _read_config_data(path)
 
-    steps = None
-    if "steps" in data:
-        raw = data.pop("steps")
-        if not isinstance(raw, list) or len(raw) != 2:
-            raise ConfigError("steps must list exactly two parameter tables")
-        steps = tuple(_params_from(item, "steps entry") for item in raw)
-    if "params" in data:
-        params = _params_from(data.pop("params"), "params")
-    elif steps is not None:
-        params = steps[0]
-    else:
-        raise ConfigError("config needs a 'params' table (or a 'steps' pair)")
-    if args is not None:
-        data.update((k, v) for k, v in vars(args).items() if k in _CONFIG_KEYS and v is not None)
-    cfg = replace(RunConfig(params=params, steps=steps), **data)
+        steps = None
+        if "steps" in data:
+            raw = data.pop("steps")
+            if not isinstance(raw, list) or len(raw) != 2:
+                raise ConfigError("steps must list exactly two parameter tables")
+            steps = tuple(_params_from(item, "steps entry") for item in raw)
+        if "params" in data:
+            params = _params_from(data.pop("params"), "params")
+        elif steps is not None:
+            params = steps[0]
+        else:
+            raise ConfigError("config needs a 'params' table (or a 'steps' pair)")
+        if args is not None:
+            data.update((k, v) for k, v in vars(args).items() if k in _CONFIG_KEYS and v is not None)
+        cfg = replace(RunConfig(params=params, steps=steps), **data)
 
-    if cfg.engine not in ENGINES:
-        raise ConfigError(f"engine must be one of {ENGINES}, got {cfg.engine!r}")
-    if not isinstance(cfg.output_path, (str, type(None))):
-        raise ConfigError(f"output_path must be a string, got {cfg.output_path!r}")
-    if not isinstance(cfg.truncation, (list, tuple)):
-        raise ConfigError(f"truncation must be two positive integers, got {cfg.truncation!r}")
-    truncation = tuple(_integer("truncation", n) for n in cfg.truncation)
-    if len(truncation) != 2 or min(truncation) < 1:
-        raise ConfigError(f"truncation must be two positive integers, got {truncation!r}")
-    seed = _integer("seed", cfg.seed)
-    if seed < 0:
-        raise ConfigError(f"seed must be nonnegative, got {seed}")
-    n_target = _number("n_target", cfg.n_target)
-    if not 0.0 < n_target < math.inf:
-        raise ConfigError(f"n_target must be positive and finite, got {n_target!r}")
-    sample_count = _integer("sample_count", cfg.sample_count)
-    if sample_count < 1:
-        raise ConfigError(f"sample_count must be at least 1, got {sample_count}")
+        if cfg.engine not in ENGINES:
+            raise ConfigError(f"engine must be one of {ENGINES}, got {cfg.engine!r}")
+        if not isinstance(cfg.output_path, (str, type(None))):
+            raise ConfigError(f"output_path must be a string, got {cfg.output_path!r}")
+        if not isinstance(cfg.truncation, (list, tuple)):
+            raise ConfigError(f"truncation must be two positive integers, got {cfg.truncation!r}")
+        truncation = tuple(_integer("truncation", n) for n in cfg.truncation)
+        if len(truncation) != 2 or min(truncation) < 1:
+            raise ConfigError(f"truncation must be two positive integers, got {truncation!r}")
+        seed = _integer("seed", cfg.seed)
+        if seed < 0:
+            raise ConfigError(f"seed must be nonnegative, got {seed}")
+        sample_count = _integer("sample_count", cfg.sample_count)
+        if sample_count < 1:
+            raise ConfigError(f"sample_count must be at least 1, got {sample_count}")
 
-    durations = cfg.durations
-    if durations is not None:
-        durations = _numbers("durations", durations)
-        if len(durations) != 2 or not all(0.0 <= t < math.inf for t in durations):
-            raise ConfigError(f"durations must give two finite nonnegative times, got {list(durations)}")
+        durations = cfg.durations
+        if durations is not None:
+            durations = _numbers("durations", durations)
+            if len(durations) != 2 or not all(0.0 <= t < math.inf for t in durations):
+                raise ConfigError(f"durations must give two finite nonnegative times, got {list(durations)}")
 
-    r_grid = _numbers("r_grid", cfg.r_grid)
-    if not r_grid:
-        raise ConfigError("r_grid must not be empty")
-    for r in r_grid:
-        if not 0.0 < r < 1.0:
-            raise ConfigError(f"r values must lie strictly between 0 and 1, got {r:g}")
+        r_grid = _numbers("r_grid", cfg.r_grid)
+        if not r_grid:
+            raise ConfigError("r_grid must not be empty")
+        for r in r_grid:
+            if not 0.0 < r < 1.0:
+                raise ConfigError(f"r values must lie strictly between 0 and 1, got {r:g}")
 
-    rates = {}
-    for key in ("r_a_per_s", "tau_s", "theta1_hz"):
-        rates[key] = _number(key, getattr(cfg, key))
-        if not 0.0 < rates[key] < math.inf:
-            raise ConfigError(f"{key} must be positive and finite, got {rates[key]!r}")
+        positive = {}
+        for key in ("n_target", "r_a_per_s", "tau_s", "theta1_hz"):
+            positive[key] = number(key, getattr(cfg, key))
+            if not 0.0 < positive[key] < math.inf:
+                raise ConfigError(f"{key} must be positive and finite, got {positive[key]!r}")
 
-    return replace(cfg, truncation=truncation, seed=seed, n_target=n_target, sample_count=sample_count,
-                   durations=durations, r_grid=r_grid, **rates)
+        return replace(cfg, truncation=truncation, seed=seed, sample_count=sample_count, durations=durations,
+                       r_grid=r_grid, **positive)
+    except ValueError as exc:
+        raise ConfigError(str(exc))
 
 
 def _as_step1(p: PhysicalParams) -> PhysicalParams:
@@ -581,6 +569,9 @@ def main(argv=None) -> int:
     except (ConfigError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID if isinstance(exc, ValueError) else EXIT_CONFIG
+    except MemoryError as exc:
+        print(f"error: {exc}; lower --truncation to fit the run in memory", file=sys.stderr)
+        return EXIT_INVALID
 
 
 if __name__ == "__main__":

@@ -18,7 +18,7 @@ from typing import Callable, Optional, Sequence, Union
 import numpy as np
 
 from .analysis import band_moments, band_sums, moment_records, report_from_records, symplectic_squeeze
-from .hilbert import ChargeBlocks, DensityMatrix, Operator, SpaceDescriptor, _occupied_charges, charge_outer, is_integer
+from .hilbert import ChargeBlocks, DensityMatrix, SpaceDescriptor, _occupied_charges, charge_outer, is_integer
 from .model import (
     OCCUPANCY_LIMIT,
     DerivedParams,
@@ -99,7 +99,7 @@ class ArrivalProcess:
 
 
 def propagate_state(
-    h_of_t: Union[Operator, Callable[[float], Union[Operator, np.ndarray]]],
+    h_of_t: Callable[[float], np.ndarray],
     psi0: np.ndarray,
     t_span: tuple,
     dt: float,
@@ -108,9 +108,9 @@ def propagate_state(
     each step.  Cheap path for pure-state runs on large spaces, where a
     dense propagator or density matrix is too expensive.
 
-    h_of_t is a constant Operator or a callable returning H(t) as an array
-    or an Operator.  The span, dt and psi0 are checked once, before the
-    first step: all must be finite, psi0 nonzero and as long as H is wide.
+    h_of_t is a callable returning H(t) as an array.  The span, dt and
+    psi0 are checked once, before the first step: all must be finite,
+    psi0 nonzero and as long as H is wide.
     """
     t0, t1 = float(t_span[0]), float(t_span[1])
     if not (math.isfinite(t0) and math.isfinite(t1)):
@@ -124,14 +124,7 @@ def propagate_state(
         raise ValueError("psi0 must be finite")
     if not np.any(psi):
         raise ValueError("psi0 must be nonzero")
-    if isinstance(h_of_t, Operator):
-        constant = h_of_t.matrix
-        h_fn = lambda t: constant
-    else:
-        def h_fn(t):
-            h = h_of_t(t)
-            return h.matrix if isinstance(h, Operator) else h
-    h_start = h_fn(t0)
+    h_start = h_of_t(t0)
     if psi.shape != h_start.shape[-1:]:
         raise ValueError(f"psi0 has shape {psi.shape} but H has dimension {h_start.shape[-1]}")
     span = t1 - t0
@@ -147,10 +140,10 @@ def propagate_state(
     # H(t + h) of one step is H(t) of the next: t += h gives the same t
     for _ in range(n_steps):
         k1 = h_start @ psi
-        h_mid = h_fn(t + 0.5 * h)
+        h_mid = h_of_t(t + 0.5 * h)
         k2 = h_mid @ (psi + half * k1)
         k3 = h_mid @ (psi + half * k2)
-        h_start = h_fn(t + h)
+        h_start = h_of_t(t + h)
         k4 = h_start @ (psi + full * k3)
         # k1 + 2 (k2 + k3) + k4, accumulated in place
         k2 += k3

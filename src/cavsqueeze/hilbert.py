@@ -130,9 +130,6 @@ class Operator:
         self._check_space(other)
         return Operator._adopt(self.space, self.matrix - other.matrix)
 
-    def __neg__(self) -> "Operator":
-        return Operator._adopt(self.space, -self.matrix)
-
     def __mul__(self, scalar) -> "Operator":
         return Operator._adopt(self.space, self.matrix * complex(scalar))
 

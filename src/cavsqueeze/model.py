@@ -68,18 +68,14 @@ class PhysicalParams:
         for name in ("omega1", "omega2", "g1", "g2", "delta1", "delta2", "gamma_e", "r_a", "tau"):
             if not math.isfinite(getattr(self, name)):
                 raise ValueError(f"{name} must be finite")
-        if self.delta1 == 0.0:
-            raise ValueError("delta1 must be nonzero")
-        if self.delta2 == 0.0:
-            raise ValueError("delta2 must be nonzero")
+        for name in ("delta1", "delta2"):
+            if getattr(self, name) == 0.0:
+                raise ValueError(f"{name} must be nonzero")
         if self.delta1 == self.delta2:
             raise ValueError("delta1 and delta2 must differ: equal detunings collapse the two Raman channels")
-        if self.gamma_e < 0.0:
-            raise ValueError("gamma_e must be nonnegative")
-        if self.r_a < 0.0:
-            raise ValueError("r_a must be nonnegative")
-        if self.tau < 0.0:
-            raise ValueError("tau must be nonnegative")
+        for name in ("gamma_e", "r_a", "tau"):
+            if getattr(self, name) < 0.0:
+                raise ValueError(f"{name} must be nonnegative")
 
     @property
     def dispersive_ratio(self) -> float:

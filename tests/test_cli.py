@@ -68,6 +68,13 @@ def write_config(tmp_path, data, name="cfg.json"):
     return str(path)
 
 
+def package_env(**extra):
+    # a child process's environment that imports this checkout's package
+    src = os.path.dirname(os.path.dirname(cavsqueeze.__file__))
+    path = [src, os.environ.get("PYTHONPATH", "")]
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)), **extra)
+
+
 def read_csv(path):
     return np.genfromtxt(path, delimiter=",", names=True)
 
@@ -211,6 +218,15 @@ class TestConfigLoading:
         assert rc == 1
         assert capsys.readouterr().err == "error: seed must be nonnegative, got -1\n"
         assert not (tmp_path / "x.csv").exists()
+
+    def test_model_error_in_a_steps_entry_is_a_config_error(self, tmp_path, capsys):
+        data = steps_config(config_dict())
+        data["steps"][1]["omega1_hz"] = "x"
+        path = write_config(tmp_path, data)
+        with pytest.raises(ConfigError, match="omega1_hz must be a number"):
+            load_run_config(path)
+        assert main(["derive", "--config", path]) == 1
+        assert capsys.readouterr().err == "error: omega1_hz must be a number, got 'x'\n"
 
     def test_flag_overrides(self):
         args = build_parser().parse_args(
@@ -508,6 +524,26 @@ class TestSimulate:
             assert err.count("\n") == 1
             assert not (tmp_path / f"{engine}.csv").exists()
 
+    @pytest.mark.parametrize("engine", ["fock", "collision"])
+    def test_oversized_truncation_exits_two_with_one_line(self, tmp_path, engine):
+        # the child alone runs under a 512 MiB address-space limit, so numpy's
+        # allocation fails at once instead of the run taking several GB
+        resource = pytest.importorskip("resource")
+
+        def limit():
+            resource.setrlimit(resource.RLIMIT_AS, (512 * 2**20, 512 * 2**20))
+
+        done = subprocess.run([sys.executable, "-m", "cavsqueeze", "simulate", "--engine", engine,
+                               "--truncation", "200,200", "--out", str(tmp_path / "run")],
+                              env=package_env(OPENBLAS_NUM_THREADS="1"), preexec_fn=limit,
+                              capture_output=True, text=True, timeout=120)
+        assert done.returncode == 2, done.stderr
+        assert done.stderr.startswith("error: Unable to allocate")
+        assert done.stderr.endswith("; lower --truncation to fit the run in memory\n")
+        assert done.stderr.count("\n") == 1
+        assert "Traceback" not in done.stderr
+        assert not list(tmp_path.iterdir())
+
     @pytest.mark.parametrize("suffix", [".json", ".csv"])
     def test_refuses_to_overwrite_config(self, tmp_path, capsys, suffix):
         path = write_config(tmp_path, config_dict(engine="gaussian"), name="run" + suffix)
@@ -772,10 +808,7 @@ class TestValidate:
 
     def test_dev_mode_run_writes_nothing_to_stderr(self):
         # -X dev shows every warning, unclosed files among them
-        src = os.path.dirname(os.path.dirname(cavsqueeze.__file__))
-        path = [src, os.environ.get("PYTHONPATH", "")]
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
-        done = subprocess.run([sys.executable, "-X", "dev", "-m", "cavsqueeze", "validate"], env=env,
+        done = subprocess.run([sys.executable, "-X", "dev", "-m", "cavsqueeze", "validate"], env=package_env(),
                               capture_output=True, text=True, timeout=120)
         assert done.returncode == 0, done.stdout
         assert done.stderr == ""

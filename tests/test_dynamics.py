@@ -24,7 +24,6 @@ from cavsqueeze.dynamics import (
 )
 from cavsqueeze.hilbert import (
     DensityMatrix,
-    Operator,
     SpaceDescriptor,
     annihilation_op,
     basis_state,
@@ -182,7 +181,7 @@ class TestPropagateState:
         m = rng.normal(size=(s.dim, s.dim)) + 1j * rng.normal(size=(s.dim, s.dim))
         hm = 0.5 * (m + m.conj().T)
         psi0 = basis_state(s, 0, 2, 0)
-        out = propagate_state(Operator(s, hm), psi0, (0.0, 1.2), dt=1e-3)
+        out = propagate_state(lambda t: hm, psi0, (0.0, 1.2), dt=1e-3)
         ref = scipy.linalg.expm(-1j * 1.2 * hm) @ psi0
         overlap = abs(np.vdot(ref, out))
         assert abs(overlap - 1.0) < 1e-7
@@ -220,29 +219,28 @@ class TestPropagateState:
 
     @staticmethod
     def reference_cases():
-        """(H for propagate_state, H(t) as an array, psi0, t_span, dt): the
-        constant and cos(t) n cases above and the three-level workload span."""
+        """(H(t) as an array, psi0, t_span, dt): the constant and cos(t) n
+        cases above and the three-level workload span."""
         s = SpaceDescriptor(1, 5, 1)
         rng = np.random.default_rng(9)
         m = rng.normal(size=(s.dim, s.dim)) + 1j * rng.normal(size=(s.dim, s.dim))
         hm = 0.5 * (m + m.conj().T)
-        yield Operator(s, hm), lambda t: hm, basis_state(s, 0, 2, 0), (0.0, 1.2), 1e-3
+        yield lambda t: hm, basis_state(s, 0, 2, 0), (0.0, 1.2), 1e-3
         s = SpaceDescriptor(1, 4, 1)
         n = number_op(s, 1).matrix
         psi0 = (basis_state(s, 0, 0, 0) + basis_state(s, 0, 3, 0)) / math.sqrt(2.0)
-        cos_n = lambda t: math.cos(t) * n
-        yield cos_n, cos_n, psi0, (0.0, 2.0), 1e-3
+        yield lambda t: math.cos(t) * n, psi0, (0.0, 2.0), 1e-3
         p = PhysicalParams(omega1=0.15, omega2=0.25, g1=0.15, g2=0.25, delta1=-3.0, delta2=5.0)
         s = SpaceDescriptor(3, 5, 5)
         full = lambda t: build_full_hamiltonian(p, s, t).matrix
-        yield full, full, basis_state(s, s.atom_index("h"), 0, 0), (0.0, 6.0 * math.pi), 0.01
+        yield full, basis_state(s, s.atom_index("h"), 0, 0), (0.0, 6.0 * math.pi), 0.01
 
     def test_matches_reference_loop(self):
         # the in-place accumulation and the folded -i h round differently
         # from the written-out stages, by a few ulp per step
-        for h_of_t, h_fn, psi0, span, dt in self.reference_cases():
+        for h_of_t, psi0, span, dt in self.reference_cases():
             out = propagate_state(h_of_t, psi0, span, dt)
-            np.testing.assert_allclose(out, rk4_reference(h_fn, psi0, span, dt), rtol=0.0, atol=1e-13)
+            np.testing.assert_allclose(out, rk4_reference(h_of_t, psi0, span, dt), rtol=0.0, atol=1e-13)
 
     @pytest.mark.parametrize("span, dt", [
         ((0.0, math.inf), 0.1), ((-math.inf, 0.0), 0.1), ((0.0, math.nan), 0.1),
@@ -251,7 +249,7 @@ class TestPropagateState:
     def test_rejects_non_finite_span_or_step(self, span, dt):
         s = SpaceDescriptor(1, 3, 1)
         with pytest.raises(ValueError, match="must be (finite|positive and finite)"):
-            propagate_state(number_op(s, 1), basis_state(s, 0, 1, 0), span, dt)
+            propagate_state(lambda t: number_op(s, 1).matrix, basis_state(s, 0, 1, 0), span, dt)
 
     @pytest.mark.parametrize("psi0", [np.zeros(3), np.array([1.0, math.nan, 0.0]), np.array([math.inf, 0.0, 0.0])])
     def test_rejects_zero_or_non_finite_state(self, psi0):
@@ -259,12 +257,12 @@ class TestPropagateState:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(ValueError, match="psi0 must be"):
-                propagate_state(number_op(s, 1), psi0, (0.0, 1.0), 0.1)
+                propagate_state(lambda t: number_op(s, 1).matrix, psi0, (0.0, 1.0), 0.1)
 
     def test_rejects_state_of_wrong_length(self):
         s = SpaceDescriptor(1, 3, 1)
         with pytest.raises(ValueError, match=r"psi0 has shape \(4,\) but H has dimension 3"):
-            propagate_state(lambda t: number_op(s, 1), np.ones(4), (0.0, 1.0), 0.1)
+            propagate_state(lambda t: number_op(s, 1).matrix, np.ones(4), (0.0, 1.0), 0.1)
 
 
 class TestBModeJumpOperator:
