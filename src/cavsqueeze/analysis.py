@@ -31,6 +31,8 @@ from .model import SQUEEZE_LEAK_LIMIT, refuse_tail
 
 TMSV_TAIL_LIMIT = 1e-6
 BOUNDARY_WARN_LIMIT = 1e-3
+# the mode-1 and mode-2 ladder operators in each band of band_sums
+BAND_LADDERS = np.array([(1, 0), (0, 1), (1, 1), (2, 0), (0, 2), (1, 1), (2, 0), (0, 2)])
 
 StateLike = Union[np.ndarray, DensityMatrix]
 

@@ -1,12 +1,13 @@
 """Time evolution engines.
 
-Every engine runs one driver, run_steps: a pumping step is the triple
-(times, amounts, apply), and apply(state, amount) carries the state from
-one sample to the next; the fock and gaussian engines pass interval
-lengths, the collision engine atom counts.  The fock and collision engines
-enter through the squeezed frame they share, and the collision model adds
-the Poisson stream of two-level atoms, one closed-form Kraus pair per atom.
-Fourth-order Runge-Kutta propagates state vectors of the three-level model.
+Every engine runs one driver, run_steps: a pumping step is the pair (times,
+advance), and advance(state, read) returns the step's readings and its end
+state.  The gaussian and collision engines step from sample to sample by
+interval lengths and atom counts (stepwise); the fock engine reads a step's
+samples in closed form and damps once.  The fock and collision engines enter
+through the squeezed frame they share, and the collision model adds the Poisson
+stream of two-level atoms, one closed-form Kraus pair per atom.  Fourth-order
+Runge-Kutta propagates state vectors of the three-level model.
 """
 
 from __future__ import annotations
@@ -17,13 +18,14 @@ from typing import Callable, Optional, Sequence, Union
 
 import numpy as np
 
-from .analysis import band_moments, band_sums, moment_records, report_from_records, symplectic_squeeze
+from .analysis import BAND_LADDERS, band_moments, band_sums, moment_records, report_from_records, symplectic_squeeze
 from .hilbert import ChargeBlocks, DensityMatrix, SpaceDescriptor, _occupied_charges, charge_outer, is_integer
 from .model import (
     OCCUPANCY_LIMIT,
     DerivedParams,
     PhysicalParams,
     StarkShifts,
+    _damping_base,
     derive_rates,
     squeeze_sectors,
     stark_shifts,
@@ -160,26 +162,35 @@ def propagate_state(
 def run_schedule(state, steps: Sequence, read: Callable) -> tuple:
     """Run pumping steps back to back and read the state at every sample.
 
-    steps holds (times, amounts, apply) triples: times from 0, and
-    apply(state, amounts[i]) carries the state to sample i, then
-    amounts[len(times)], where given, past the last sample; a zero amount is
-    skipped.  A later step's first sample repeats the previous step's last
-    and is not read again.  Returns (times, readings, final state): the
-    sample clock and each part of the tuples read(state) returns, stacked
-    over the samples and, last, the final state.
+    steps holds (times, advance) pairs: times from 0, and advance(state,
+    read) returns the tuples read gives at each of times and the state at
+    the end of the step.  A later step's first sample repeats the previous
+    step's last; its reading is dropped.  Returns (times, readings, final
+    state): the sample clock and each part of the readings, stacked over
+    the samples and, last, the final state.
     """
     clock, rows, offset = [], [], 0.0
-    for times, amounts, apply in steps:
-        for i, amount in enumerate(amounts):
-            if amount:
-                state = apply(state, amount)
-            if i < len(times) and not (clock and i == 0):
-                clock.append(times[i] + offset)
-                rows.append(read(state))
-        if len(times):
-            offset = float(times[-1] + offset)
+    for times, advance in steps:
+        readings, state = advance(state, read)
+        rows.extend(readings[bool(clock):])
+        clock.extend(t + offset for t in times[bool(clock):])
+        offset += float(times[-1]) if len(times) else 0.0
     rows.append(read(state))
     return np.array(clock), tuple(map(np.array, zip(*rows))), state
+
+
+def stepwise(times, amounts: Sequence, apply: Callable) -> tuple:
+    """run_schedule step in which apply(state, amounts[i]) carries the state to sample i, then
+    amounts[len(times)], where given, past the last sample; a zero amount is skipped."""
+    def advance(state, read):
+        rows = []
+        for i, amount in enumerate(amounts):
+            state = apply(state, amount) if amount else state
+            if i < len(times):
+                rows.append(read(state))
+        return rows, state
+
+    return times, advance
 
 
 def _charge0_block(shape: tuple, sectors: Sequence, column: int) -> np.ndarray:
@@ -207,9 +218,10 @@ def squeezed_frame(rho0: Union[DensityMatrix, SpaceDescriptor], epsilon: float) 
     written straight into its one block.  No N^2 x N^2 array is made beyond
     a given rho0, which is read, never copied.  read(rho_b) is
     its band_sums, through one band table per run, and its a-frame boundary
-    population truncation_leak(S+ rho_b S); tabulate takes the stacked
-    band_sums to the bare modes by symplectic_squeeze(epsilon) and to their
-    records in one pass.
+    population truncation_leak(S+ rho_b S); read(rho_b, mode, etas) lists them
+    for rho_b with the mode damped to each transmissivity in etas, exactly,
+    with no damping product; tabulate takes the stacked band_sums to the bare
+    modes by symplectic_squeeze(epsilon) and to their records in one pass.
     """
     space = rho0 if isinstance(rho0, SpaceDescriptor) else rho0.space
     if space.atom_levels != 1:
@@ -223,7 +235,20 @@ def squeezed_frame(rho0: Union[DensityMatrix, SpaceDescriptor], epsilon: float) 
     # rounding can take the trace of an empty boundary a little below 0
     leak = lambda rho: max(0.0, float(np.einsum("ijk,ijk->", boundary, rho.block(0).real)))
     bare = lambda mean, cov: ((to_bare @ mean[..., None])[..., 0], to_bare @ cov @ to_bare.T)
-    read = lambda rho: (band_sums(rho), leak(rho))
+
+    def read(rho, mode=None, etas=None):
+        if etas is None:
+            return band_sums(rho), leak(rho)
+        # damping scales a band by sqrt(eta) per ladder operator of the mode that it holds; the
+        # damped leak is <kernel, G>, G[d] = boundary[d] rho[d]^T along the mode's axis of the
+        # charge-0 blocks, and root G summed per (power, lag) of the kernel serves every eta
+        roots, shift, n = np.sqrt(etas)[:, None], rho.shifts()[1], space.shape[mode]  # charge 0's shifts
+        root, power, lag = _damping_base(n, shift.shape, shift.tobytes())
+        g = root[0] * (boundary.transpose(0, mode, 3 - mode) @ rho.block(0).real.transpose(0, 3 - mode, mode))
+        bins = np.bincount((power[0] * n + lag).ravel(), g.ravel(), (power.max() + 1) * n).reshape(-1, n)
+        leaks = ((roots ** np.arange(len(bins)) @ bins) * (1.0 - etas)[:, None] ** np.arange(n)).sum(1)
+        return list(zip(band_sums(rho) * roots ** BAND_LADDERS[:, mode - 1], np.maximum(leaks, 0.0)))
+
     tabulate = lambda bands: moment_records(*bare(*band_moments(bands)), epsilon)
     # the squeezed vacuum S+|0,0> has fidelity <0,0|rho_b|0,0>, in the charge-0 block at [N2 - 1, 0, 0]
     fidelity = lambda rho: float(rho.block(0)[space.n2_trunc - 1, 0, 0].real)
@@ -279,9 +304,9 @@ def _refuse_overflow(leak: float, t: float) -> None:
 
 
 def run_steps(entry: tuple, steps: Sequence) -> tuple:
-    """Run run_schedule's steps from entry = (state, read, tabulate,
-    report), the squeezed_frame of the fock and collision engines or the
-    moments of the gaussian one.  A reading ends with the boundary leak;
+    """Run run_schedule's (times, advance) steps from entry = (state, read,
+    tabulate, report), the squeezed_frame of the fock and collision engines
+    or the moments of the gaussian one.  A reading ends with the boundary leak;
     tabulate makes the records of the rest, stacked, in one pass, and
     report(row, state, leak) the SqueezingReport from the final state's
     row, whose leak must not exceed BOUNDARY_ERROR_LIMIT.  Returns (times,
@@ -396,10 +421,10 @@ def transit_map(shape, params: PhysicalParams, include_stark: bool) -> Callable:
 def collision_step(shape, params: PhysicalParams, duration: float, arrivals: ArrivalProcess, times,
                    include_stark: bool = False) -> tuple:
     """(step, accepted, dropped) of one collision run over duration: the
-    run_schedule step (times, atom counts, transit_map) of the arrivals the
+    stepwise step of transit_map by the atom counts of the arrivals the
     drop rule accepts, and how many it accepts and drops."""
     counts, dropped = _accepted_counts(params, duration, arrivals, times)
-    step = (times, np.diff(counts, prepend=0), transit_map(shape, params, include_stark))
+    step = stepwise(times, np.diff(counts, prepend=0), transit_map(shape, params, include_stark))
     return step, int(counts[-1]), dropped
 
 
@@ -477,7 +502,7 @@ def run_collision_ensemble(
     apply = transit_map(rho0.space.shape[1:], params, False)
     rho_b, read, tabulate, _ = squeezed_frame(rho0, d.epsilon)
     # the last level is the orbit's final state, which run_schedule reads last
-    *readings, leaks = run_schedule(rho_b, [(levels[:-1], np.diff(levels, prepend=0), apply)], read)[1]
+    *readings, leaks = run_schedule(rho_b, [stepwise(levels[:-1], np.diff(levels, prepend=0), apply)], read)[1]
     orbit, leaks = tabulate(*readings), leaks[at]
     for leak in leaks[:, -1]:
         _refuse_overflow(leak, sample_times[-1] if sample_times.size else 0.0)

@@ -8,7 +8,6 @@ level.  Both steps then share the squeezed vacuum as their dark state.
 
 from __future__ import annotations
 
-import functools
 import math
 import warnings
 from dataclasses import dataclass, field, replace
@@ -17,7 +16,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .analysis import moment_records, preparation_time, report_from_records
-from .dynamics import ArrivalProcess, Trajectory, collision_step, run_steps, sample_clock, squeezed_frame
+from .dynamics import ArrivalProcess, Trajectory, collision_step, run_steps, sample_clock, squeezed_frame, stepwise
 from .gaussian import GaussianState, gaussian_fidelity_to_tmsv, gaussian_lindblad_evolve, gaussian_vacuum
 from .hilbert import ChargeBlocks, DensityMatrix, SpaceDescriptor, is_integer
 from .model import (
@@ -26,6 +25,7 @@ from .model import (
     TRANSIT_LIMIT,
     DerivedParams,
     PhysicalParams,
+    _damping_base,
     derive_rates,
     spontaneous_decay_estimate,
 )
@@ -203,23 +203,6 @@ def validate_regime(steps: Sequence[tuple]) -> dict:
             for name, limit in limits.items()}
 
 
-@functools.lru_cache(maxsize=4)
-def _damping_base(n: int, shift_shape: tuple, shift: bytes) -> tuple:
-    """Read-only eta-free factors (root, power, lag) of _damping_kernel
-    for axis length n and row shifts e: kernel = root *
-    sqrt(eta)**power * (1 - eta)**lag, with exact binomials comb(m + k, k)."""
-    binomials = np.array([[math.comb(m + k, k) for m in range(n)] for k in range(n)], dtype=float)
-    row, col = np.indices((n, n))
-    far = row + np.frombuffer(shift, dtype=int).reshape(shift_shape)[..., None, None]
-    lag = np.maximum(col - row, 0)
-    inside = (col >= row) & (far >= 0) & (lag + far < n)
-    root = np.where(inside, np.sqrt(binomials[lag, row] * binomials[lag, np.clip(far, 0, n - 1)]), 0.0)
-    factors = root, np.maximum(row + far, 0)[..., :1], lag
-    for table in factors:
-        table.flags.writeable = False
-    return factors
-
-
 def _damping_kernel(rho: ChargeBlocks, eta: float, mode: int) -> np.ndarray:
     """Kernel of the exact amplitude-damping map on one mode of rho_b, which _damp applies.
 
@@ -243,30 +226,32 @@ def _damp(rho: ChargeBlocks, kernel: np.ndarray, mode: int) -> ChargeBlocks:
     return replace(rho, blocks=(kernel @ rows.view(float)).view(complex).swapaxes(2, 1 + mode))
 
 
-def _pump_step(step: ProtocolStep, times: np.ndarray, engine: str, kernels: dict) -> tuple:
-    """run_schedule step (times, interval lengths, map) of one pump-down
-    step on the fock or gaussian engine.
+def _pump_step(step: ProtocolStep, times: np.ndarray, engine: str) -> tuple:
+    """run_schedule step (times, advance) of one pump-down step on the fock or gaussian engine.
 
     In the squeezed frame the transformed-mode jump is bare amplitude
-    damping of the pumped mode: on rho_b its Fock-basis kernel, on the
-    moments the attenuator gaussian_lindblad_evolve.  Both are closed form,
-    so the step is exact.  The samples are evenly spaced, so a fock step builds
-    one kernel; kernels, shared by a run's steps, holds the last, keyed on (mode, eta, charges).
+    damping of the pumped mode, closed form, so the step is exact.  On the
+    moments the attenuator gaussian_lindblad_evolve steps from sample to
+    sample; on rho_b the frame reads every sample from the step's entry
+    state, which one _damping_kernel product takes to the step's end.
     """
     d = step.derived
     mode = 1 if step.channel == "b1" else 2
     if engine == "gaussian":
-        evolve = lambda s, dt: gaussian_lindblad_evolve(s, d.epsilon, d.gamma, mode, dt)
-    else:
-        def evolve(rho, dt):
-            key = (mode, math.exp(-d.gamma * dt), rho.charges.tobytes())
-            if key not in kernels:
-                kernels.clear()  # the last step's kernel goes before this one is built
-                kernels[key] = _damping_kernel(rho, key[1], mode)
-            return _damp(rho, kernels[key], mode)
-    # the intervals between samples, each the clock's spacing, from 0 and on to the end of the step
-    spacing = step.duration / max(times.size - 1, 1)
-    return times, [0.0, *[spacing] * (times.size - 1), step.duration - times[-1]], evolve
+        # the intervals between samples, each the clock's spacing, from 0 and on to the end of the step
+        spacing = step.duration / max(times.size - 1, 1)
+        return stepwise(times, [0.0, *[spacing] * (times.size - 1), step.duration - times[-1]],
+                        lambda s, dt: gaussian_lindblad_evolve(s, d.epsilon, d.gamma, mode, dt))
+    eta = math.exp(-d.gamma * step.duration)
+
+    def advance(rho, read):
+        rows = read(rho, mode, np.exp(-d.gamma * times))
+        end = rho if eta == 1.0 else _damp(rho, _damping_kernel(rho, eta, mode), mode)
+        if times[-1] == step.duration:
+            rows[-1] = read(end)  # a sample at the step's end reads the state there, as the report does
+        return rows, end
+
+    return times, advance
 
 
 def run_protocol(
@@ -281,12 +266,12 @@ def run_protocol(
     collision engines, or a GaussianState for the gaussian engine; the
     final state is rho_b = S rho S+ (ChargeBlocks) or a GaussianState.
     Every engine pumps in the one squeezed frame the steps share, through
-    run_steps, and reads its records from the same quadrature moments.  The
-    diagnostics have the same keys on every engine: engine, steps,
-    regime_failures (the checks validate_regime fails on the run's steps,
-    also issued as a warning), max_truncation_leak (0.0 on gaussian, which
-    has no truncation), and accepted_arrivals and dropped_arrivals (None
-    except on collision).
+    run_steps (fock in closed form, one damping product per step), and reads
+    its records from the same quadrature moments.  The diagnostics have the
+    same keys on every engine: engine, steps, regime_failures (the checks
+    validate_regime fails on the run's steps, also issued as a warning),
+    max_truncation_leak (0.0 on gaussian, which has no truncation), and
+    accepted_arrivals and dropped_arrivals (None except on collision).
     """
     if not is_integer(samples_per_step) or samples_per_step < 1:
         raise ValueError(f"samples_per_step must be an integer >= 1, got {samples_per_step!r}")
@@ -295,7 +280,7 @@ def run_protocol(
     if failures:
         warnings.warn("outside validity regime: " + ", ".join(failures), stacklevel=2)
 
-    steps, accepted, dropped, kernels = [], 0, 0, {}
+    steps, accepted, dropped = [], 0, 0
     for i, step in enumerate(spec.steps):
         times = sample_clock(step.duration, samples=samples_per_step)
         if spec.engine == "collision":
@@ -305,7 +290,7 @@ def run_protocol(
             accepted += step_accepted
             dropped += step_dropped
         else:
-            pumped = _pump_step(step, times, spec.engine, kernels)
+            pumped = _pump_step(step, times, spec.engine)
         steps.append(pumped)
 
     # the steps share epsilon, so every engine runs the whole schedule in one squeezed frame

@@ -13,11 +13,11 @@ its RK4 step accumulates in place; dense_full_hamiltonian and rk4_reference
 are the dense four-term sum and the plain RK4 loop they replaced.  The
 moments read their bands through a table cached per charges and grid;
 band_by_band_moments reads each band on its own, through charge_diagonal.
-The fock engine builds one damping kernel per step and applies it at every
-sample; damping_pass builds it anew for each pass, as a per-interval
-reference.  The squeezed frame enters a given density matrix on the
-entries of its charges only; dense_frame_entry rotates a dense copy of it
-instead.
+The fock engine reads a step's samples in closed form and damps its state
+once per step; damping_pass damps it once per clock interval, its kernel
+built anew for each pass, as a per-interval reference.  The squeezed frame
+enters a given density matrix on the entries of its charges only;
+dense_frame_entry rotates a dense copy of it instead.
 """
 
 import math

@@ -605,6 +605,13 @@ class TestSimulate:
             else:
                 assert 0.0 < diagnostics["max_truncation_leak"] < 1e-3, engine
 
+    def test_bundled_fock_run_in_the_paper_regime(self, tmp_path, capsys):
+        # r = 0.96, 11.755 frame photons per mode, at 85 levels per mode
+        assert main(["simulate", "--engine", "fock", "--truncation", "85,85", "--out", str(tmp_path / "paper")]) == 0
+        assert "fidelity 0.834004  duan_sum 0.0286783  n (" in capsys.readouterr().out
+        leak = json.loads((tmp_path / "paper.json").read_text())["diagnostics"]["max_truncation_leak"]
+        assert f"{leak:.6g}" == "0.0178896"
+
     def test_regime_warning_does_not_abort(self, tmp_path):
         data = config_dict(engine="gaussian", durations=[0.0, 0.0])
         data["params"]["tau_s"] = 0.2  # transit phase 0.5, outside the limit

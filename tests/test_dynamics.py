@@ -20,6 +20,7 @@ from cavsqueeze.dynamics import (
     run_schedule,
     run_steps,
     squeezed_frame,
+    stepwise,
     transit_kraus_pair,
 )
 from cavsqueeze.hilbert import (
@@ -724,7 +725,7 @@ class TestSectorFrame:
         times = np.linspace(0.0, 2.0, 5)
         damp = lambda j: lambda rho, dt: damping_pass(rho, math.exp(-dt), j)
         amounts = np.append(np.diff(times, prepend=0.0), 0.0)
-        steps = [(times, amounts, damp(j)) for j in (1, 2)]
+        steps = [stepwise(times, amounts, damp(j)) for j in (1, 2)]
         _, got, got_state, got_report, _ = run_steps(squeezed_frame(s, eps), steps)
         _, want, want_state, want_report, _ = run_steps(squeezed_frame(explicit, eps), steps)
         assert list(got) == list(want)

@@ -16,7 +16,7 @@ import cavsqueeze
 from cavsqueeze import protocol
 from cavsqueeze.analysis import preparation_time, tmsv_state_vector
 from cavsqueeze.cli import build_spec, load_run_config
-from cavsqueeze.dynamics import ArrivalProcess, run_collision_model, run_steps, squeezed_frame
+from cavsqueeze.dynamics import ArrivalProcess, run_collision_model, run_steps, squeezed_frame, stepwise
 from cavsqueeze.gaussian import GaussianState, gaussian_vacuum
 from cavsqueeze.hilbert import DensityMatrix, SpaceDescriptor, basis_state, split_charges
 from cavsqueeze.model import PhysicalParams, b_mode_annihilation, derive_rates, spontaneous_decay_estimate
@@ -798,9 +798,10 @@ class TestDampingPass:
                 states[j] = (rho, rho4)
 
     def test_one_kernel_per_step(self, monkeypatch):
-        # every interval of a step is the clock's spacing, so a step builds
-        # one kernel, and the run drops step 1's before it builds step 2's
-        built, kernel = [], protocol._damping_kernel
+        # a step reads its samples in closed form and damps its state once, to
+        # the step's end: one kernel and one product per step, and the run
+        # drops step 1's kernel before it builds step 2's
+        built, kernel, damped, damp = [], protocol._damping_kernel, [], protocol._damp
 
         def counting(rho, eta, mode):
             assert all(alive() is None for alive, _ in built)
@@ -808,10 +809,16 @@ class TestDampingPass:
             built.append((weakref.ref(out), mode))
             return out
 
+        def counting_damp(rho, kernel, mode):
+            damped.append(mode)
+            return damp(rho, kernel, mode)
+
         monkeypatch.setattr(protocol, "_damping_kernel", counting)
+        monkeypatch.setattr(protocol, "_damp", counting_damp)
         spec = build_two_step_protocol(clean_params(), truncation=(8, 8), durations=(10.0, 10.0))
         run_protocol(spec, samples_per_step=51)
         assert [mode for _, mode in built] == [1, 2]
+        assert damped == [1, 2]
 
     @pytest.mark.parametrize("shape", [(12, 12), (9, 13)])
     def test_clock_spacing_matches_per_interval_reference(self, shape):
@@ -828,8 +835,97 @@ class TestDampingPass:
                 times = np.linspace(0.0, step.duration, 5)
                 mode, rate = (1 if step.channel == "b1" else 2), step.derived.gamma
                 damp = lambda rho, dt, m=mode, g=rate: damping_pass(rho, math.exp(-g * dt), m)
-                steps.append((times, np.diff(np.concatenate(([0.0], times, [step.duration]))), damp))
+                steps.append(stepwise(times, np.diff(np.concatenate(([0.0], times, [step.duration]))), damp))
             times, want, *_ = run_steps(squeezed_frame(initial, spec.epsilon), steps)
             assert np.array_equal(traj.times, times)
             for key, series in want.items():
                 assert np.max(np.abs(traj.records[key] - series)) <= 1e-13, key
+
+
+def per_interval_step(step, times, rho, read):
+    """(readings, end state) of a fock step by one damping_pass per clock interval, read after each."""
+    mode, rate = (1 if step.channel == "b1" else 2), step.derived.gamma
+    rows = []
+    for dt in np.diff(np.concatenate(([0.0], times, [step.duration]))):
+        if dt:
+            rho = damping_pass(rho, math.exp(-rate * dt), mode)
+        if len(rows) < times.size:
+            rows.append(read(rho))
+    return rows, rho
+
+
+def assert_rows_match(got, want, tol):
+    assert len(got) == len(want)
+    for (got_bands, got_leak), (want_bands, want_leak) in zip(got, want):
+        assert np.max(np.abs(got_bands - want_bands)) <= tol
+        assert abs(got_leak - want_leak) <= tol
+
+
+class TestClosedFormStep:
+    """A fock step reads every sample in closed form from the state it
+    starts in; the per-interval damping_pass reference damps and reads the
+    state sample by sample."""
+
+    def entries(self):
+        for shape in ((9, 13), (13, 9)):
+            space = SpaceDescriptor(1, *shape)
+            for rho4 in many_charge_states(shape):
+                yield space, DensityMatrix(space, rho4.reshape(space.dim, space.dim))
+        yield SpaceDescriptor(1, 25, 25), SpaceDescriptor(1, 25, 25)
+
+    def test_readings_match_per_interval_reference(self):
+        p = clean_params()
+        gamma = derive_rates(p).gamma
+        for space, entry in self.entries():
+            spec = build_two_step_protocol(p, truncation=space.shape[1:], durations=(6.0 / gamma, 5.0 / gamma))
+            rho, read, _, _ = squeezed_frame(entry, spec.epsilon)
+            want_rho = rho
+            # both mode orderings: step 1 damps mode 1, step 2 mode 2
+            for step in spec.steps:
+                times = np.linspace(0.0, step.duration, 7)
+                got, rho = protocol._pump_step(step, times, "fock")[1](rho, read)
+                want, want_rho = per_interval_step(step, times, want_rho, read)
+                assert_rows_match(got, want, 1e-13)
+                assert np.array_equal(rho.charges, want_rho.charges)
+                assert np.max(np.abs(rho.blocks - want_rho.blocks)) <= 1e-13
+
+    def test_zero_duration_step_reads_once_and_damps_nothing(self, monkeypatch):
+        damped, damp = [], protocol._damp
+        monkeypatch.setattr(protocol, "_damp", lambda *args: damped.append(args[2]) or damp(*args))
+        p = clean_params()
+        spec = build_two_step_protocol(p, truncation=(9, 13), durations=(0.0, 1.0 / derive_rates(p).gamma))
+        rho, read, _, _ = squeezed_frame(next(self.entries())[1], spec.epsilon)
+        times = np.zeros(1)
+        rows, end = protocol._pump_step(spec.steps[0], times, "fock")[1](rho, read)
+        assert end is rho
+        assert_rows_match(rows, [read(rho)], 0.0)
+        traj, _ = run_protocol(spec, samples_per_step=5)
+        assert damped == [2]
+        assert traj.times.size == 5
+
+    @pytest.mark.parametrize("r_a", [0.2, 0.0])
+    def test_one_sample_per_step_and_a_step_that_does_not_pump(self, monkeypatch, r_a):
+        # one sample, at t = 0, and the product to the step's end; at r_a = 0
+        # gamma is 0, the transmissivity 1 and no product is made
+        damped, damp, gamma = [], protocol._damp, derive_rates(clean_params()).gamma
+        monkeypatch.setattr(protocol, "_damp", lambda *args: damped.append(args[2]) or damp(*args))
+        p = replace(clean_params(), r_a=r_a)
+        assert (derive_rates(p).gamma == 0.0) == (r_a == 0.0)
+        space = SpaceDescriptor(1, 13, 9)
+        initial = DensityMatrix(space, next(many_charge_states((13, 9))).reshape(space.dim, space.dim))
+        for samples in (1, 4):
+            spec = build_two_step_protocol(p, truncation=(13, 9), durations=(2.0 / gamma, 1.5 / gamma))
+            traj, report = run_protocol(spec, initial=initial, samples_per_step=samples)
+            steps = []
+            for step in spec.steps:
+                times = np.linspace(0.0, step.duration, samples)
+                mode = 1 if step.channel == "b1" else 2
+                damp_dt = lambda rho, dt, m=mode, g=step.derived.gamma: damping_pass(rho, math.exp(-g * dt), m)
+                steps.append(stepwise(times, np.diff(np.concatenate(([0.0], times, [step.duration]))), damp_dt))
+            times, want, want_state, want_report, _ = run_steps(squeezed_frame(initial, spec.epsilon), steps)
+            assert np.array_equal(traj.times, times)
+            for key, series in want.items():
+                assert np.max(np.abs(traj.records[key] - series)) <= 1e-13, key
+            assert np.max(np.abs(traj.final_state.blocks - want_state.blocks)) <= 1e-13
+            assert report.fidelity == pytest.approx(want_report.fidelity, rel=0, abs=1e-13)
+        assert damped == ([1, 2, 1, 2] if r_a else [])
