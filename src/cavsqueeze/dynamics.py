@@ -2,11 +2,11 @@
 
 Every engine runs one driver, run_steps: a pumping step is the pair (times,
 advance), and advance(state, read) returns the step's readings and its end
-state.  The gaussian and collision engines step from sample to sample by
-interval lengths and atom counts (stepwise); the fock engine reads a step's
-samples in closed form and damps once.  The fock and collision engines enter
-through the squeezed frame they share, and the collision model adds the Poisson
-stream of two-level atoms, one closed-form Kraus pair per atom.  Fourth-order
+state.  The fock and collision engines enter through the squeezed frame they
+share; its pump reads every sample of a fock step in closed form from the
+state the step starts in and damps once, as gaussian_frame does on the moments.
+The collision model steps from sample to sample by atom counts (stepwise), one
+closed-form Kraus pair per atom of its Poisson stream.  Fourth-order
 Runge-Kutta propagates state vectors of the three-level model.
 """
 
@@ -25,7 +25,6 @@ from .model import (
     DerivedParams,
     PhysicalParams,
     StarkShifts,
-    _damping_base,
     derive_rates,
     squeeze_sectors,
     stark_shifts,
@@ -205,9 +204,9 @@ def _charge0_block(shape: tuple, sectors: Sequence, column: int) -> np.ndarray:
 
 
 def squeezed_frame(rho0: Union[DensityMatrix, SpaceDescriptor], epsilon: float) -> tuple:
-    """Entry (rho_b, read, tabulate, report) of run_steps in the squeezed
-    frame rho_b = S rho S+, from the DensityMatrix rho0 or the vacuum of a
-    SpaceDescriptor.
+    """(entry, pump): the entry (rho_b, read, tabulate, report) of run_steps
+    in the squeezed frame rho_b = S rho S+, from the DensityMatrix rho0 or
+    the vacuum of a SpaceDescriptor, and the frame's pump step.
 
     b_j = S+ a_j S exactly on the truncated space, so there the transformed
     modes are bare and every pumping map acts on rho_b without S.  Those
@@ -218,10 +217,12 @@ def squeezed_frame(rho0: Union[DensityMatrix, SpaceDescriptor], epsilon: float) 
     written straight into its one block.  No N^2 x N^2 array is made beyond
     a given rho0, which is read, never copied.  read(rho_b) is
     its band_sums, through one band table per run, and its a-frame boundary
-    population truncation_leak(S+ rho_b S); read(rho_b, mode, etas) lists them
-    for rho_b with the mode damped to each transmissivity in etas, exactly,
-    with no damping product; tabulate takes the stacked band_sums to the bare
-    modes by symplectic_squeeze(epsilon) and to their records in one pass.
+    population truncation_leak(S+ rho_b S); tabulate takes the stacked
+    band_sums to the bare modes by symplectic_squeeze(epsilon) and to their
+    records in one pass.  pump(d, duration, times) is the run_schedule step
+    that pumps the transformed mode of d's channel at d.gamma, here
+    ChargeBlocks.damped of the bare mode: it reads every sample in closed
+    form from the state the step starts in, and damps that state once.
     """
     space = rho0 if isinstance(rho0, SpaceDescriptor) else rho0.space
     if space.atom_levels != 1:
@@ -235,19 +236,22 @@ def squeezed_frame(rho0: Union[DensityMatrix, SpaceDescriptor], epsilon: float) 
     # rounding can take the trace of an empty boundary a little below 0
     leak = lambda rho: max(0.0, float(np.einsum("ijk,ijk->", boundary, rho.block(0).real)))
     bare = lambda mean, cov: ((to_bare @ mean[..., None])[..., 0], to_bare @ cov @ to_bare.T)
+    read = lambda rho: (band_sums(rho), leak(rho))
 
-    def read(rho, mode=None, etas=None):
-        if etas is None:
-            return band_sums(rho), leak(rho)
-        # damping scales a band by sqrt(eta) per ladder operator of the mode that it holds; the
-        # damped leak is <kernel, G>, G[d] = boundary[d] rho[d]^T along the mode's axis of the
-        # charge-0 blocks, and root G summed per (power, lag) of the kernel serves every eta
-        roots, shift, n = np.sqrt(etas)[:, None], rho.shifts()[1], space.shape[mode]  # charge 0's shifts
-        root, power, lag = _damping_base(n, shift.shape, shift.tobytes())
-        g = root[0] * (boundary.transpose(0, mode, 3 - mode) @ rho.block(0).real.transpose(0, 3 - mode, mode))
-        bins = np.bincount((power[0] * n + lag).ravel(), g.ravel(), (power.max() + 1) * n).reshape(-1, n)
-        leaks = ((roots ** np.arange(len(bins)) @ bins) * (1.0 - etas)[:, None] ** np.arange(n)).sum(1)
-        return list(zip(band_sums(rho) * roots ** BAND_LADDERS[:, mode - 1], np.maximum(leaks, 0.0)))
+    def pump(d, duration, times):
+        mode = 1 if d.channel == "b1" else 2
+        etas = np.exp(-d.gamma * times)
+
+        def advance(rho, read):
+            # damping scales a band by sqrt(eta) per ladder operator of the mode that it holds
+            bands = band_sums(rho) * np.sqrt(etas)[:, None] ** BAND_LADDERS[:, mode - 1]
+            rows = list(zip(bands, np.maximum(rho.damped_overlaps(boundary, mode, etas), 0.0)))
+            end = rho.damped(mode, math.exp(-d.gamma * duration))
+            if times[-1] == duration:
+                rows[-1] = read(end)  # a sample at the step's end reads the state there, as the report does
+            return rows, end
+
+        return times, advance
 
     tabulate = lambda bands: moment_records(*bare(*band_moments(bands)), epsilon)
     # the squeezed vacuum S+|0,0> has fidelity <0,0|rho_b|0,0>, in the charge-0 block at [N2 - 1, 0, 0]
@@ -257,8 +261,8 @@ def squeezed_frame(rho0: Union[DensityMatrix, SpaceDescriptor], epsilon: float) 
     if isinstance(rho0, SpaceDescriptor):
         # S|0,0> is the first column of sector 0, so rho_b has charge 0 only
         vacuum = _charge0_block(space.shape[1:], [sectors[space.n2_trunc - 1]], 0)
-        return ChargeBlocks(np.zeros(1, int), vacuum[None] + 0j), read, tabulate, report
-    return _rotate_charges(rho0.matrix, space.shape[1:], sectors), read, tabulate, report
+        return (ChargeBlocks(np.zeros(1, int), vacuum[None] + 0j), read, tabulate, report), pump
+    return (_rotate_charges(rho0.matrix, space.shape[1:], sectors), read, tabulate, report), pump
 
 
 def _rotate_charges(rho: np.ndarray, shape: tuple, sectors: Sequence) -> ChargeBlocks:
@@ -455,7 +459,7 @@ def run_collision_model(
     step, accepted, dropped = collision_step(rho0.space.shape[1:], params, duration, arrivals, sample_times,
                                              include_stark)
     d = derive_rates(params)
-    times, records, state, _, leak = run_steps(squeezed_frame(rho0, d.epsilon), [step])
+    times, records, state, _, leak = run_steps(squeezed_frame(rho0, d.epsilon)[0], [step])
     diagnostics = {"accepted_arrivals": accepted, "dropped_arrivals": dropped, "channel": d.channel,
                    "atom_state": d.atom_state, "seed": arrivals.seed, "max_truncation_leak": leak}
     return Trajectory(times, records, state, diagnostics)
@@ -500,7 +504,7 @@ def run_collision_ensemble(
     at = np.searchsorted(levels, counts)
     d = derive_rates(params)
     apply = transit_map(rho0.space.shape[1:], params, False)
-    rho_b, read, tabulate, _ = squeezed_frame(rho0, d.epsilon)
+    (rho_b, read, tabulate, _), _ = squeezed_frame(rho0, d.epsilon)
     # the last level is the orbit's final state, which run_schedule reads last
     *readings, leaks = run_schedule(rho_b, [stepwise(levels[:-1], np.diff(levels, prepend=0), apply)], read)[1]
     orbit, leaks = tabulate(*readings), leaks[at]

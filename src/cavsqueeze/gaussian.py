@@ -4,8 +4,9 @@ Squeezing, displacement, and the transformed-mode pumping are all Gaussian,
 so states are fully described by a quadrature mean vector and a 4x4
 covariance matrix.  This scales to squeezing levels where Fock truncation
 is impractical.  Pumping is the closed-form attenuator of the pumped mode
-in the squeezed frame all engines share.  Conventions: R = (X1, P1, X2, P2)
-with X = (a + a+)/2, P = -i(a - a+)/2, vacuum covariance I/4.
+in the squeezed frame all engines share, from a step's entry state to each
+sample.  Conventions: R = (X1, P1, X2, P2) with X = (a + a+)/2,
+P = -i(a - a+)/2, vacuum covariance I/4.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .analysis import _joint_variances, symplectic_squeeze
+from .analysis import _joint_variances, moment_records, report_from_records, symplectic_squeeze
 from .hilbert import _unchecked
 
 SYMMETRY_TOL = 1e-12
@@ -108,6 +109,22 @@ def gaussian_lindblad_evolve(
     f = (to_bare * keep) @ symplectic_squeeze(-epsilon)
     cov = f @ s0.cov @ f.T + (to_bare * noise) @ to_bare.T
     return _unchecked(GaussianState, mean=f @ s0.mean, cov=0.5 * (cov + cov.T))
+
+
+def gaussian_frame(s0: GaussianState, epsilon: float) -> tuple:
+    """(entry, pump) on the moments, as dynamics.squeezed_frame gives them on
+    rho_b: the run_steps entry reads the mean and covariance with no boundary
+    leak, and each sample of a pump step, and its end, is one
+    gaussian_lindblad_evolve of the state the step starts in."""
+    read = lambda s: (s.mean, s.cov, 0.0)
+    tabulate = lambda mean, cov: moment_records(mean, cov, epsilon)
+    report = lambda row, s, leak: report_from_records(row, epsilon, gaussian_fidelity_to_tmsv(s, epsilon), leak)
+
+    def pump(d, duration, times):
+        evolve = lambda s, t: gaussian_lindblad_evolve(s, d.epsilon, d.gamma, 1 if d.channel == "b1" else 2, t)
+        return times, lambda s, read: ([read(evolve(s, t)) for t in times], evolve(s, duration))
+
+    return (s0, read, tabulate, report), pump
 
 
 def gaussian_epr_variances(s: GaussianState) -> dict:

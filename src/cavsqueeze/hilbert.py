@@ -7,7 +7,9 @@ trivial, so atom_levels=1 describes a field-only space.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import functools
+import math
+from dataclasses import dataclass, replace
 from typing import Optional, Sequence, Union
 
 import numpy as np
@@ -214,6 +216,54 @@ class ChargeBlocks:
         rho4 = np.zeros((n1_trunc, n2_trunc) * 2, dtype=complex)
         rho4[index] = self.blocks[on_grid]
         return rho4
+
+    def damped(self, mode: int, eta: float) -> "ChargeBlocks":
+        """The state after exact amplitude damping of mode 1 or 2 to transmissivity eta.
+
+        The k-th Kraus operator lowers n_j and m_j of the mode by k together, so population flows
+        only down (the truncated space is invariant and the map exact) and each entry keeps its
+        charge and d.  Along the n_j axis of a block row whose entries have m_j - n_j = e, the map
+        is the matrix kernel[n, n + k] = w[k, n] w[k, n + e], w[k, m] = <m| K_k |m + k>, applied as
+        a real product with the mode's axis moved to the rows (a transpose on mode 2, kept).
+        """
+        if eta == 1.0:
+            return self
+        shift = np.ascontiguousarray(self.shifts()[mode - 1], dtype=int)
+        root, power, lag = _damping_base(self.blocks.shape[1 + mode], shift.shape, shift.tobytes())
+        rows = np.ascontiguousarray(self.blocks.swapaxes(2, 1 + mode))
+        with np.errstate(under="ignore"):  # long jumps' weights at small eta fall below the smallest float
+            kernel = root * math.sqrt(eta) ** power * (1.0 - eta) ** lag
+            return replace(self, blocks=(kernel @ rows.view(float)).view(complex).swapaxes(2, 1 + mode))
+
+    def damped_overlaps(self, b: np.ndarray, mode: int, etas: np.ndarray) -> np.ndarray:
+        """tr(b damped(mode, eta)) at each of etas for a real charge-0 block b, with no damping
+        product: the overlap is <kernel, G>, G[d] = b[d] rho[d]^T along the mode's axis of the
+        charge-0 blocks, and root G summed once per (power, lag) of the kernel serves every eta."""
+        shift, n = self.shifts()[1], self.blocks.shape[1 + mode]  # charge 0's shifts: m_j - n_j = d on either mode
+        root, power, lag = _damping_base(n, shift.shape, shift.tobytes())
+        with np.errstate(under="ignore"):  # as in damped, and on the entries a damped state holds
+            g = root[0] * (b.transpose(0, mode, 3 - mode) @ self.block(0).real.transpose(0, 3 - mode, mode))
+            bins = np.bincount((power[0] * n + lag).ravel(), g.ravel(), (power.max() + 1) * n).reshape(-1, n)
+            powers = np.sqrt(etas)[:, None] ** np.arange(len(bins)) @ bins
+            return (powers * (1.0 - etas)[:, None] ** np.arange(n)).sum(1)
+
+
+@functools.lru_cache(maxsize=4)
+def _damping_base(n: int, shift_shape: tuple, shift: bytes) -> tuple:
+    """Read-only eta-free factors (root, power, lag) of the kernel of
+    ChargeBlocks.damped for axis length n and row shifts e: kernel = root *
+    sqrt(eta)**power * (1 - eta)**lag, with exact binomials comb(m + k, k),
+    the Kraus weights of Chuang, Leung & Yamamoto, PRA 56, 1114 (1997)."""
+    binomials = np.array([[math.comb(m + k, k) for m in range(n)] for k in range(n)], dtype=float)
+    row, col = np.indices((n, n))
+    far = row + np.frombuffer(shift, dtype=int).reshape(shift_shape)[..., None, None]
+    lag = np.maximum(col - row, 0)
+    inside = (col >= row) & (far >= 0) & (lag + far < n)
+    root = np.where(inside, np.sqrt(binomials[lag, row] * binomials[lag, np.clip(far, 0, n - 1)]), 0.0)
+    factors = root, np.maximum(row + far, 0)[..., :1], lag
+    for table in factors:
+        table.flags.writeable = False
+    return factors
 
 
 def _charge_shifts(charges: np.ndarray, n2_trunc: int) -> tuple:

@@ -2,8 +2,8 @@
 
 Builds the driven three-level Hamiltonian, its dispersive (adiabatically
 eliminated) two-level form, the single-channel form in the Bogoliubov mode
-basis, the squeeze unitary, the derived coupling and dissipation rates, and
-the Kraus weights of the amplitude damping that pumps a transformed mode.
+basis, the squeeze unitary, and the derived coupling and dissipation rates.
+The amplitude damping that pumps a transformed mode is ChargeBlocks.damped.
 """
 
 from __future__ import annotations
@@ -355,23 +355,6 @@ def b_mode_annihilation(s: SpaceDescriptor, epsilon: float, mode: int) -> Operat
     a = annihilation_op(fields, mode)
     b = sq.dagger() @ a @ sq
     return Operator._adopt(s, np.kron(np.eye(s.atom_levels), b.matrix))
-
-
-@functools.lru_cache(maxsize=4)
-def _damping_base(n: int, shift_shape: tuple, shift: bytes) -> tuple:
-    """Read-only eta-free factors (root, power, lag) of protocol._damping_kernel
-    for axis length n and row shifts e: kernel = root *
-    sqrt(eta)**power * (1 - eta)**lag, with exact binomials comb(m + k, k)."""
-    binomials = np.array([[math.comb(m + k, k) for m in range(n)] for k in range(n)], dtype=float)
-    row, col = np.indices((n, n))
-    far = row + np.frombuffer(shift, dtype=int).reshape(shift_shape)[..., None, None]
-    lag = np.maximum(col - row, 0)
-    inside = (col >= row) & (far >= 0) & (lag + far < n)
-    root = np.where(inside, np.sqrt(binomials[lag, row] * binomials[lag, np.clip(far, 0, n - 1)]), 0.0)
-    factors = root, np.maximum(row + far, 0)[..., :1], lag
-    for table in factors:
-        table.flags.writeable = False
-    return factors
 
 
 def build_selective_hamiltonian(

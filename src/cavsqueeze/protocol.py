@@ -10,22 +10,19 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
-import numpy as np
-
-from .analysis import moment_records, preparation_time, report_from_records
-from .dynamics import ArrivalProcess, Trajectory, collision_step, run_steps, sample_clock, squeezed_frame, stepwise
-from .gaussian import GaussianState, gaussian_fidelity_to_tmsv, gaussian_lindblad_evolve, gaussian_vacuum
-from .hilbert import ChargeBlocks, DensityMatrix, SpaceDescriptor, is_integer
+from .analysis import preparation_time
+from .dynamics import ArrivalProcess, Trajectory, collision_step, run_steps, sample_clock, squeezed_frame
+from .gaussian import GaussianState, gaussian_frame, gaussian_vacuum
+from .hilbert import DensityMatrix, SpaceDescriptor, is_integer
 from .model import (
     DISPERSIVE_LIMIT,
     OCCUPANCY_LIMIT,
     TRANSIT_LIMIT,
     DerivedParams,
     PhysicalParams,
-    _damping_base,
     derive_rates,
     spontaneous_decay_estimate,
 )
@@ -203,57 +200,6 @@ def validate_regime(steps: Sequence[tuple]) -> dict:
             for name, limit in limits.items()}
 
 
-def _damping_kernel(rho: ChargeBlocks, eta: float, mode: int) -> np.ndarray:
-    """Kernel of the exact amplitude-damping map on one mode of rho_b, which _damp applies.
-
-    Population flows only downward, so the truncated space is invariant and
-    the infinite-space kernel is exact here.  The k-th Kraus operator
-    lowers n_j and m_j of the mode by k together, which keeps each block
-    entry's charge and d.  Along the n_j axis of a block row whose entries
-    have m_j - n_j = e, the map is therefore the matrix
-    kernel[n, n + k] = w[k, n] w[k, n + e], w[k, m] = <m| K_k |m + k>, whose
-    eta-free part is cached.
-    """
-    shift = np.ascontiguousarray(rho.shifts()[mode - 1], dtype=int)
-    root, power, lag = _damping_base(rho.blocks.shape[1 + mode], shift.shape, shift.tobytes())
-    return root * math.sqrt(eta) ** power * (1.0 - eta) ** lag
-
-
-def _damp(rho: ChargeBlocks, kernel: np.ndarray, mode: int) -> ChargeBlocks:
-    """A real _damping_kernel applied to a float view of the blocks with the
-    mode's axis moved to the rows (a transpose on mode 2, which the result keeps)."""
-    rows = np.ascontiguousarray(rho.blocks.swapaxes(2, 1 + mode))
-    return replace(rho, blocks=(kernel @ rows.view(float)).view(complex).swapaxes(2, 1 + mode))
-
-
-def _pump_step(step: ProtocolStep, times: np.ndarray, engine: str) -> tuple:
-    """run_schedule step (times, advance) of one pump-down step on the fock or gaussian engine.
-
-    In the squeezed frame the transformed-mode jump is bare amplitude
-    damping of the pumped mode, closed form, so the step is exact.  On the
-    moments the attenuator gaussian_lindblad_evolve steps from sample to
-    sample; on rho_b the frame reads every sample from the step's entry
-    state, which one _damping_kernel product takes to the step's end.
-    """
-    d = step.derived
-    mode = 1 if step.channel == "b1" else 2
-    if engine == "gaussian":
-        # the intervals between samples, each the clock's spacing, from 0 and on to the end of the step
-        spacing = step.duration / max(times.size - 1, 1)
-        return stepwise(times, [0.0, *[spacing] * (times.size - 1), step.duration - times[-1]],
-                        lambda s, dt: gaussian_lindblad_evolve(s, d.epsilon, d.gamma, mode, dt))
-    eta = math.exp(-d.gamma * step.duration)
-
-    def advance(rho, read):
-        rows = read(rho, mode, np.exp(-d.gamma * times))
-        end = rho if eta == 1.0 else _damp(rho, _damping_kernel(rho, eta, mode), mode)
-        if times[-1] == step.duration:
-            rows[-1] = read(end)  # a sample at the step's end reads the state there, as the report does
-        return rows, end
-
-    return times, advance
-
-
 def run_protocol(
     spec: ProtocolSpec,
     initial=None,
@@ -266,8 +212,8 @@ def run_protocol(
     collision engines, or a GaussianState for the gaussian engine; the
     final state is rho_b = S rho S+ (ChargeBlocks) or a GaussianState.
     Every engine pumps in the one squeezed frame the steps share, through
-    run_steps (fock in closed form, one damping product per step), and reads
-    its records from the same quadrature moments.  The diagnostics have the
+    run_steps (fock and gaussian by their frame's pump, collision by its
+    atoms), and reads its records from the same quadrature moments.  The diagnostics have the
     same keys on every engine: engine, steps, regime_failures (the checks
     validate_regime fails on the run's steps, also issued as a warning),
     max_truncation_leak (0.0 on gaussian, which has no truncation), and
@@ -280,34 +226,28 @@ def run_protocol(
     if failures:
         warnings.warn("outside validity regime: " + ", ".join(failures), stacklevel=2)
 
-    steps, accepted, dropped = [], 0, 0
-    for i, step in enumerate(spec.steps):
-        times = sample_clock(step.duration, samples=samples_per_step)
-        if spec.engine == "collision":
-            arrivals = ArrivalProcess(rate=step.params.r_a, seed=spec.seed + i)
-            pumped, step_accepted, step_dropped = collision_step(spec.truncation, step.params, step.duration,
-                                                                 arrivals, times)
-            accepted += step_accepted
-            dropped += step_dropped
-        else:
-            pumped = _pump_step(step, times, spec.engine)
-        steps.append(pumped)
+    clocks = [sample_clock(step.duration, samples=samples_per_step) for step in spec.steps]
+    if spec.engine == "collision":
+        # drawn before the frame is entered, so a run outside the one-atom regime is refused first
+        steps, accepted, dropped = zip(*(
+            collision_step(spec.truncation, step.params, step.duration,
+                           ArrivalProcess(rate=step.params.r_a, seed=spec.seed + i), times)
+            for i, (step, times) in enumerate(zip(spec.steps, clocks))))
 
     # the steps share epsilon, so every engine runs the whole schedule in one squeezed frame
-    epsilon = spec.epsilon
     if spec.engine == "gaussian":
         if initial is not None and not isinstance(initial, GaussianState):
             raise ValueError("gaussian engine takes a GaussianState initial state")
-        tabulate = lambda mean, cov: moment_records(mean, cov, epsilon)
-        final = lambda row, s, leak: report_from_records(row, epsilon, gaussian_fidelity_to_tmsv(s, epsilon), leak)
-        entry = (gaussian_vacuum() if initial is None else initial, lambda s: (s.mean, s.cov, 0.0), tabulate, final)
+        entry, pump = gaussian_frame(gaussian_vacuum() if initial is None else initial, spec.epsilon)
     else:
         space = SpaceDescriptor(1, *spec.truncation)
         if initial is not None and not isinstance(initial, DensityMatrix):
             raise ValueError(f"{spec.engine} engine takes a DensityMatrix initial state")
         if initial is not None and initial.space != space:
             raise ValueError(f"initial state space {initial.space} does not match truncation {spec.truncation}")
-        entry = squeezed_frame(space if initial is None else initial, epsilon)
+        entry, pump = squeezed_frame(space if initial is None else initial, spec.epsilon)
+    if spec.engine != "collision":
+        steps = [pump(step.derived, step.duration, times) for step, times in zip(spec.steps, clocks)]
 
     times, records, state, report, leak = run_steps(entry, steps)
     diagnostics = {
@@ -315,7 +255,7 @@ def run_protocol(
         "steps": len(steps),
         "regime_failures": failures,
         "max_truncation_leak": leak,
-        "accepted_arrivals": accepted if spec.engine == "collision" else None,
-        "dropped_arrivals": dropped if spec.engine == "collision" else None,
+        "accepted_arrivals": sum(accepted) if spec.engine == "collision" else None,
+        "dropped_arrivals": sum(dropped) if spec.engine == "collision" else None,
     }
     return Trajectory(times, records, state, diagnostics), report

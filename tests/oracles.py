@@ -14,8 +14,9 @@ are the dense four-term sum and the plain RK4 loop they replaced.  The
 moments read their bands through a table cached per charges and grid;
 band_by_band_moments reads each band on its own, through charge_diagonal.
 The fock engine reads a step's samples in closed form and damps its state
-once per step; damping_pass damps it once per clock interval, its kernel
-built anew for each pass, as a per-interval reference.  The squeezed frame
+once per step; the tests' per-interval references damp it by
+ChargeBlocks.damped once per clock interval instead, and dense_damping_pass
+applies the Kraus operators one at a time to the dense state.  The squeezed frame
 enters a given density matrix on the entries of its charges only;
 dense_frame_entry rotates a dense copy of it instead.
 """
@@ -41,7 +42,6 @@ from cavsqueeze.hilbert import (
     split_charges,
 )
 from cavsqueeze.model import DerivedParams, PhysicalParams, StarkShifts, build_squeeze_operator, squeeze_sectors
-from cavsqueeze.protocol import _damp, _damping_kernel
 
 HERMITICITY_TOL = 1e-8
 STEP_BOUND = 0.05
@@ -316,11 +316,6 @@ def dense_squeeze_operator(s: SpaceDescriptor, epsilon: float) -> np.ndarray:
     a2 = annihilation_op(s, 2)
     gen = a1 @ a2 - a1.dagger() @ a2.dagger()
     return scipy.linalg.expm((epsilon * gen).matrix)
-
-
-def damping_pass(rho: ChargeBlocks, eta: float, mode: int) -> ChargeBlocks:
-    """One amplitude-damping pass on one mode of rho_b, its kernel built for this pass alone."""
-    return _damp(rho, _damping_kernel(rho, eta, mode), mode)
 
 
 def dense_damping_pass(rho4: np.ndarray, eta: float, mode: int) -> np.ndarray:

@@ -416,7 +416,7 @@ class TestRecorder:
             rho = squeeze.conj().T @ rho_b @ squeeze
             assert truncation_leak(DensityMatrix(s, rho)) <= 1e-12
             _, records, *_ = run_steps(
-                squeezed_frame(DensityMatrix(s, rho), eps), [stepwise(np.array([0.0]), [0], lambda r, k: r)]
+                squeezed_frame(DensityMatrix(s, rho), eps)[0], [stepwise(np.array([0.0]), [0], lambda r, k: r)]
             )
             want = dense(rho_b)
             assert list(records) == list(want)

@@ -496,6 +496,17 @@ class TestSimulate:
         assert err.startswith("error: truncation overflow")
         assert err.count("\n") == 1
 
+    def test_arrival_rate_refused_before_truncation(self, tmp_path, capsys):
+        # r_a*tau = 0.4 and three levels are both refused; the collision
+        # arrivals are drawn before the squeezed frame is entered
+        data = config_dict(engine="collision", truncation=[3, 3])
+        data["params"]["r_a_hz"] = 20.0
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            rc = main(["simulate", "--config", write_config(tmp_path, data), "--out", str(tmp_path / "x")])
+        assert rc == 2
+        assert capsys.readouterr().err == "error: arrival rate violates the one-atom regime: r_a*tau = 0.4 > 0.2\n"
+
     @pytest.mark.parametrize("table", ["params", "steps"])
     def test_zero_weak_drive_exits_two(self, tmp_path, capsys, table):
         data = config_dict(engine="gaussian")

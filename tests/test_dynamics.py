@@ -47,7 +47,6 @@ from cavsqueeze.model import (
 from oracles import (
     bare_state,
     build_displacement_operator,
-    damping_pass,
     dense_frame_entry,
     dense_kraus_pass,
     dense_squeeze_operator,
@@ -540,7 +539,7 @@ class TestRunCollisionModel:
         assert empty.diagnostics == last.diagnostics
         assert np.array_equal(empty.final_state.blocks, last.final_state.blocks)
         eps = derive_rates(p).epsilon
-        reports = [run_steps(squeezed_frame(rho, eps), [collision_step((8, 8), p, duration, proc, times)[0]])[3:]
+        reports = [run_steps(squeezed_frame(rho, eps)[0], [collision_step((8, 8), p, duration, proc, times)[0]])[3:]
                    for times in (np.array([]), np.array([duration]))]
         assert reports[0] == reports[1]
 
@@ -701,7 +700,7 @@ class TestSectorFrame:
         squeeze = dense_squeeze_operator(s, eps)
         for seed in range(3):
             rho = random_low_fock_state(s, 4, 2, seed)
-            rho_b, *_ = squeezed_frame(DensityMatrix(s, rho), eps)
+            (rho_b, *_), _ = squeezed_frame(DensityMatrix(s, rho), eps)
             want = (squeeze @ rho @ squeeze.conj().T).reshape(shape * 2)
             assert np.max(np.abs(rho_b.dense() - want)) <= 1e-13
 
@@ -715,7 +714,7 @@ class TestSectorFrame:
         assert np.max(np.abs(_charge0_block(shape, squeeze_sectors(s, eps), -1) - want)) <= 1e-13
         # a state reaching the boundary layers: the frame's leak is the bare one
         rho = DensityMatrix(s, random_low_fock_state(s, min(shape), 2, seed=4))
-        rho_b, read, _, _ = squeezed_frame(rho, eps)
+        (rho_b, read, _, _), _ = squeezed_frame(rho, eps)
         assert truncation_leak(rho) > 1e-3
         assert read(rho_b)[1] == pytest.approx(truncation_leak(rho), rel=0, abs=1e-13)
 
@@ -723,11 +722,11 @@ class TestSectorFrame:
         s = SpaceDescriptor(1, *shape)
         explicit = DensityMatrix.from_state_vector(s, basis_state(s, 0, 0, 0))
         times = np.linspace(0.0, 2.0, 5)
-        damp = lambda j: lambda rho, dt: damping_pass(rho, math.exp(-dt), j)
+        damp = lambda j: lambda rho, dt: rho.damped(j, math.exp(-dt))
         amounts = np.append(np.diff(times, prepend=0.0), 0.0)
         steps = [stepwise(times, amounts, damp(j)) for j in (1, 2)]
-        _, got, got_state, got_report, _ = run_steps(squeezed_frame(s, eps), steps)
-        _, want, want_state, want_report, _ = run_steps(squeezed_frame(explicit, eps), steps)
+        _, got, got_state, got_report, _ = run_steps(squeezed_frame(s, eps)[0], steps)
+        _, want, want_state, want_report, _ = run_steps(squeezed_frame(explicit, eps)[0], steps)
         assert list(got) == list(want)
         for key, series in want.items():
             assert np.max(np.abs(got[key] - series)) <= 1e-14, key
@@ -744,7 +743,7 @@ class TestChargeBlockEntry:
 
     @staticmethod
     def assert_dense_rotation(rho, eps):
-        got, *_ = squeezed_frame(rho, eps)
+        (got, *_), _ = squeezed_frame(rho, eps)
         want = dense_frame_entry(rho, eps)
         assert np.array_equal(got.charges, want.charges)
         assert np.array_equal(got.blocks, want.blocks)

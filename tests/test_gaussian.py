@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from cavsqueeze.analysis import moment_records, quadrature_ops, symplectic_squeeze, tmsv_state_vector
+from cavsqueeze.cli import build_spec, load_run_config
 from cavsqueeze.gaussian import (
     OMEGA,
     GaussianState,
@@ -311,6 +312,24 @@ class TestRunProtocolGaussian:
         traj, _ = run_protocol(self.protocol(0.6, 4.0), samples_per_step=51)
         assert traj.times.size > 100
         assert len(eigvalsh_calls) <= 1
+
+    def test_each_sample_evolves_the_step_entry_once(self):
+        # on the bundled config, 51 samples per step: every record row is the
+        # moments of one gaussian_lindblad_evolve from the state its step
+        # starts in; a later step's first sample repeats the last one
+        spec = build_spec(load_run_config(None))
+        traj, _ = run_protocol(spec, samples_per_step=51)
+        entry, states = gaussian_vacuum(), []
+        for i, step in enumerate(spec.steps):
+            d, mode = step.derived, 1 if step.channel == "b1" else 2
+            for t in np.linspace(0.0, step.duration, 51)[bool(i):]:
+                states.append(gaussian_lindblad_evolve(entry, d.epsilon, d.gamma, mode, t))
+            entry = gaussian_lindblad_evolve(entry, d.epsilon, d.gamma, mode, step.duration)
+        want = moment_records(np.array([s.mean for s in states]), np.array([s.cov for s in states]), spec.epsilon)
+        assert list(traj.records) == list(want)
+        for key, series in want.items():
+            assert np.array_equal(traj.records[key], series), key
+        assert np.array_equal(traj.final_state.cov, entry.cov)
 
     def test_zero_duration_returns_initial(self):
         traj, _ = run_protocol(self.protocol(0.6, 0.0))

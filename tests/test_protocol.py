@@ -5,7 +5,6 @@ import sys
 import textwrap
 import tracemalloc
 import warnings
-import weakref
 from dataclasses import replace
 
 import numpy as np
@@ -13,12 +12,11 @@ import pytest
 import scipy.linalg
 
 import cavsqueeze
-from cavsqueeze import protocol
 from cavsqueeze.analysis import preparation_time, tmsv_state_vector
 from cavsqueeze.cli import build_spec, load_run_config
 from cavsqueeze.dynamics import ArrivalProcess, run_collision_model, run_steps, squeezed_frame, stepwise
 from cavsqueeze.gaussian import GaussianState, gaussian_vacuum
-from cavsqueeze.hilbert import DensityMatrix, SpaceDescriptor, basis_state, split_charges
+from cavsqueeze.hilbert import ChargeBlocks, DensityMatrix, SpaceDescriptor, basis_state, split_charges
 from cavsqueeze.model import PhysicalParams, b_mode_annihilation, derive_rates, spontaneous_decay_estimate
 from cavsqueeze.protocol import (
     ProtocolSpec,
@@ -30,7 +28,6 @@ from cavsqueeze.protocol import (
 from oracles import (
     bare_state,
     build_displacement_operator,
-    damping_pass,
     dense_damping_pass,
     lindblad_evolve,
     random_low_fock_state,
@@ -682,6 +679,20 @@ class TestRunProtocolInputs:
             assert got_report.to_json()[key] == pytest.approx(value, rel=0, abs=1e-14), key
 
 
+def test_underflow_raising_caller_gets_the_default_digits():
+    # gamma * duration = 200 per step takes the far damping weights below the
+    # smallest float; a caller that raises on underflow still gets the run
+    gamma = derive_rates(clean_params()).gamma
+    spec = build_two_step_protocol(clean_params(), truncation=(9, 9), durations=(200.0 / gamma, 200.0 / gamma))
+    want, want_report = run_protocol(spec)
+    with np.errstate(under="raise"):
+        got, report = run_protocol(spec)
+    for key, series in want.records.items():
+        assert np.array_equal(got.records[key], series), key
+    assert np.array_equal(got.final_state.blocks, want.final_state.blocks)
+    assert report == want_report
+
+
 def test_paper_regime_on_fock_holds_no_dense_array():
     # the bundled config (r = 0.96, 11.755 frame photons per mode) at 85
     # levels: one dense N^2 x N^2 complex array would be 835 MB
@@ -775,7 +786,7 @@ class TestDampingPass:
             rho = split_charges(rho4)
             assert rho.charges.size >= 4 * min(shape) - 3
             for eta in (0.97, 0.4):
-                out = damping_pass(rho, eta, mode)
+                out = rho.damped(mode, eta)
                 assert np.array_equal(out.charges, rho.charges)
                 diff = np.max(np.abs(out.dense() - dense_damping_pass(rho4, eta, mode)))
                 assert diff <= 1e-12, (eta, diff)
@@ -792,32 +803,18 @@ class TestDampingPass:
         schedule = [(0.9, 1), (0.5, 2), (0.2, 1), (0.9, 2), (0.5, 1), (0.2, 2)]
         for i, (eta, mode) in enumerate(schedule):
             for j, (rho, rho4) in enumerate(states):
-                rho, rho4 = damping_pass(rho, eta, mode), dense_damping_pass(rho4, eta, mode)
+                rho, rho4 = rho.damped(mode, eta), dense_damping_pass(rho4, eta, mode)
                 diff = np.max(np.abs(rho.dense() - rho4))
                 assert diff <= 1e-12, (i, j, diff)
                 states[j] = (rho, rho4)
 
     def test_one_kernel_per_step(self, monkeypatch):
         # a step reads its samples in closed form and damps its state once, to
-        # the step's end: one kernel and one product per step, and the run
-        # drops step 1's kernel before it builds step 2's
-        built, kernel, damped, damp = [], protocol._damping_kernel, [], protocol._damp
-
-        def counting(rho, eta, mode):
-            assert all(alive() is None for alive, _ in built)
-            out = kernel(rho, eta, mode)
-            built.append((weakref.ref(out), mode))
-            return out
-
-        def counting_damp(rho, kernel, mode):
-            damped.append(mode)
-            return damp(rho, kernel, mode)
-
-        monkeypatch.setattr(protocol, "_damping_kernel", counting)
-        monkeypatch.setattr(protocol, "_damp", counting_damp)
+        # the step's end: one kernel and one product per step (the kernel is
+        # local to ChargeBlocks.damped, so step 1's is gone before step 2's)
+        damped = count_damping_products(monkeypatch)
         spec = build_two_step_protocol(clean_params(), truncation=(8, 8), durations=(10.0, 10.0))
         run_protocol(spec, samples_per_step=51)
-        assert [mode for _, mode in built] == [1, 2]
         assert damped == [1, 2]
 
     @pytest.mark.parametrize("shape", [(12, 12), (9, 13)])
@@ -834,21 +831,35 @@ class TestDampingPass:
             for step in spec.steps:
                 times = np.linspace(0.0, step.duration, 5)
                 mode, rate = (1 if step.channel == "b1" else 2), step.derived.gamma
-                damp = lambda rho, dt, m=mode, g=rate: damping_pass(rho, math.exp(-g * dt), m)
+                damp = lambda rho, dt, m=mode, g=rate: rho.damped(m, math.exp(-g * dt))
                 steps.append(stepwise(times, np.diff(np.concatenate(([0.0], times, [step.duration]))), damp))
-            times, want, *_ = run_steps(squeezed_frame(initial, spec.epsilon), steps)
+            times, want, *_ = run_steps(squeezed_frame(initial, spec.epsilon)[0], steps)
             assert np.array_equal(traj.times, times)
             for key, series in want.items():
                 assert np.max(np.abs(traj.records[key] - series)) <= 1e-13, key
 
 
+def count_damping_products(monkeypatch):
+    """The modes of the damping products a run makes, in order; ChargeBlocks.damped makes none at eta = 1."""
+    modes, damped = [], ChargeBlocks.damped
+
+    def counting(rho, mode, eta):
+        out = damped(rho, mode, eta)
+        if out is not rho:
+            modes.append(mode)
+        return out
+
+    monkeypatch.setattr(ChargeBlocks, "damped", counting)
+    return modes
+
+
 def per_interval_step(step, times, rho, read):
-    """(readings, end state) of a fock step by one damping_pass per clock interval, read after each."""
+    """(readings, end state) of a fock step by one ChargeBlocks.damped per clock interval, read after each."""
     mode, rate = (1 if step.channel == "b1" else 2), step.derived.gamma
     rows = []
     for dt in np.diff(np.concatenate(([0.0], times, [step.duration]))):
         if dt:
-            rho = damping_pass(rho, math.exp(-rate * dt), mode)
+            rho = rho.damped(mode, math.exp(-rate * dt))
         if len(rows) < times.size:
             rows.append(read(rho))
     return rows, rho
@@ -863,7 +874,7 @@ def assert_rows_match(got, want, tol):
 
 class TestClosedFormStep:
     """A fock step reads every sample in closed form from the state it
-    starts in; the per-interval damping_pass reference damps and reads the
+    starts in; the per-interval reference damps by ChargeBlocks.damped and reads the
     state sample by sample."""
 
     def entries(self):
@@ -878,25 +889,24 @@ class TestClosedFormStep:
         gamma = derive_rates(p).gamma
         for space, entry in self.entries():
             spec = build_two_step_protocol(p, truncation=space.shape[1:], durations=(6.0 / gamma, 5.0 / gamma))
-            rho, read, _, _ = squeezed_frame(entry, spec.epsilon)
+            (rho, read, _, _), pump = squeezed_frame(entry, spec.epsilon)
             want_rho = rho
             # both mode orderings: step 1 damps mode 1, step 2 mode 2
             for step in spec.steps:
                 times = np.linspace(0.0, step.duration, 7)
-                got, rho = protocol._pump_step(step, times, "fock")[1](rho, read)
+                got, rho = pump(step.derived, step.duration, times)[1](rho, read)
                 want, want_rho = per_interval_step(step, times, want_rho, read)
                 assert_rows_match(got, want, 1e-13)
                 assert np.array_equal(rho.charges, want_rho.charges)
                 assert np.max(np.abs(rho.blocks - want_rho.blocks)) <= 1e-13
 
     def test_zero_duration_step_reads_once_and_damps_nothing(self, monkeypatch):
-        damped, damp = [], protocol._damp
-        monkeypatch.setattr(protocol, "_damp", lambda *args: damped.append(args[2]) or damp(*args))
+        damped = count_damping_products(monkeypatch)
         p = clean_params()
         spec = build_two_step_protocol(p, truncation=(9, 13), durations=(0.0, 1.0 / derive_rates(p).gamma))
-        rho, read, _, _ = squeezed_frame(next(self.entries())[1], spec.epsilon)
+        (rho, read, _, _), pump = squeezed_frame(next(self.entries())[1], spec.epsilon)
         times = np.zeros(1)
-        rows, end = protocol._pump_step(spec.steps[0], times, "fock")[1](rho, read)
+        rows, end = pump(spec.steps[0].derived, spec.steps[0].duration, times)[1](rho, read)
         assert end is rho
         assert_rows_match(rows, [read(rho)], 0.0)
         traj, _ = run_protocol(spec, samples_per_step=5)
@@ -907,8 +917,9 @@ class TestClosedFormStep:
     def test_one_sample_per_step_and_a_step_that_does_not_pump(self, monkeypatch, r_a):
         # one sample, at t = 0, and the product to the step's end; at r_a = 0
         # gamma is 0, the transmissivity 1 and no product is made
-        damped, damp, gamma = [], protocol._damp, derive_rates(clean_params()).gamma
-        monkeypatch.setattr(protocol, "_damp", lambda *args: damped.append(args[2]) or damp(*args))
+        # the reference damps through the unpatched method, so that only the run's products are counted
+        damp, gamma = ChargeBlocks.damped, derive_rates(clean_params()).gamma
+        damped = count_damping_products(monkeypatch)
         p = replace(clean_params(), r_a=r_a)
         assert (derive_rates(p).gamma == 0.0) == (r_a == 0.0)
         space = SpaceDescriptor(1, 13, 9)
@@ -920,9 +931,9 @@ class TestClosedFormStep:
             for step in spec.steps:
                 times = np.linspace(0.0, step.duration, samples)
                 mode = 1 if step.channel == "b1" else 2
-                damp_dt = lambda rho, dt, m=mode, g=step.derived.gamma: damping_pass(rho, math.exp(-g * dt), m)
+                damp_dt = lambda rho, dt, m=mode, g=step.derived.gamma: damp(rho, m, math.exp(-g * dt))
                 steps.append(stepwise(times, np.diff(np.concatenate(([0.0], times, [step.duration]))), damp_dt))
-            times, want, want_state, want_report, _ = run_steps(squeezed_frame(initial, spec.epsilon), steps)
+            times, want, want_state, want_report, _ = run_steps(squeezed_frame(initial, spec.epsilon)[0], steps)
             assert np.array_equal(traj.times, times)
             for key, series in want.items():
                 assert np.max(np.abs(traj.records[key] - series)) <= 1e-13, key
