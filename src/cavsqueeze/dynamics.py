@@ -19,7 +19,7 @@ from typing import Callable, Optional, Sequence, Union
 import numpy as np
 
 from .analysis import BAND_LADDERS, band_moments, band_sums, moment_records, report_from_records, symplectic_squeeze
-from .hilbert import ChargeBlocks, DensityMatrix, SpaceDescriptor, _occupied_charges, charge_outer, is_integer
+from .hilbert import ChargeBlocks, DensityMatrix, SpaceDescriptor, _occupied_pairs, charge_outer, is_integer
 from .model import (
     OCCUPANCY_LIMIT,
     DerivedParams,
@@ -212,8 +212,8 @@ def squeezed_frame(rho0: Union[DensityMatrix, SpaceDescriptor], epsilon: float) 
     modes are bare and every pumping map acts on rho_b without S.  Those
     maps keep the charge of every entry, so rho_b is carried as the
     ChargeBlocks of the charges it occupies.  S is built once, as its
-    (n1 - n2) sector blocks; a given rho0 enters sector by sector on the
-    entries of its charges only, through _rotate_charges, and the vacuum is
+    (n1 - n2) sector blocks; a given rho0 enters on the sector pairs it
+    occupies only, through _rotate_charges, and the vacuum is
     written straight into its one block.  No N^2 x N^2 array is made beyond
     a given rho0, which is read, never copied.  read(rho_b) is
     its band_sums, through one band table per run, and its a-frame boundary
@@ -269,35 +269,33 @@ def _rotate_charges(rho: np.ndarray, shape: tuple, sectors: Sequence) -> ChargeB
     """The ChargeBlocks of S rho S+ for the N1 N2 x N1 N2 rho and the
     squeeze_sectors of S, with rho read in place, never copied.
 
-    S keeps n1 - n2, so the charges are those of rho, and only their
-    entries turn: the rows of sector k meet the columns of the states of
-    sector k' for which k - k' is an occupied charge.  As in the dense
-    rotation, each S_k acts as a real product on float views, first on the
-    rows of sector k, across the columns they meet, gathered from rho and
-    written into the blocks; then on the columns of sector k, across the
-    rows they meet, gathered from the blocks and written back."""
+    S keeps n1 - n2, so the part of rho in the rows of sector k and the
+    columns of sector k' turns alone, S_k rho_kk' S_k'^T, and stays zero
+    where rho_kk' is zero: only the sector pairs of _occupied_pairs turn,
+    and their charges k - k' are those of rho.  As in the dense rotation,
+    each S_k acts as a real product on float views, first on the rows of
+    sector k, across the columns of the sectors it meets in a pair,
+    gathered from rho and written into the blocks; then on the columns of
+    sector k, across the rows it meets, gathered from the blocks and
+    written back.  A sector in no pair makes no product."""
     n2_trunc, dim = shape[1], rho.shape[0]
-    charges = _occupied_charges(rho.reshape(shape * 2))
+    pairs, charges = _occupied_pairs(rho.reshape(shape * 2))
     blocks = np.zeros((charges.size, 2 * n2_trunc - 1, *shape), complex)
     flat = blocks.reshape(-1)
-    # entry (n1, n2; m1, m2) of charge q is flat[start[q + span] + row[n1, n2] + column[m1, m2]],
-    # where start is -1 for the charges rho does not occupy
+    # entry (n1, n2; m1, m2) of charge q is flat[start[q + span] + row[n1, n2] + column[m1, m2]]
     n1, n2 = np.indices(shape).reshape(2, -1)
     row, column = n1 * n2_trunc + n2 + (n2_trunc - 1 - n2) * dim, n2 * dim
-    span = sum(shape) - 2
-    start = np.full(2 * span + 1, -1)
+    span, home = sum(shape) - 2, n1 - n2 + n2_trunc - 1  # home: the index of a state's sector
+    start = np.zeros(2 * span + 1, int)
     start[charges + span] = np.arange(charges.size) * (2 * n2_trunc - 1) * dim
-    k = np.arange(1 - n2_trunc, shape[0])[:, None]  # sectors runs over k = n1 - n2 from 1 - N2 up
     states = [s1 * n2_trunc + s2 for s1, s2, _ in sectors]
-    for across_columns, own, other in ((True, row, column), (False, column, row)):
-        # per sector k and grid state of sector k', the start of the charge they meet at:
-        # k - k' across the columns, k' - k across the rows
-        meeting = start[(k - (n1 - n2) if across_columns else (n1 - n2) - k) + span]
-        for (_, _, block), starts, state in zip(sectors, meeting, states):
-            met = np.flatnonzero(starts >= 0)
-            at = own[state][:, None] + (starts[met] + other[met])
+    for across_columns, own, other, meets in ((True, row, column, pairs), (False, column, row, pairs.T)):
+        for k in np.flatnonzero(meets.any(1)):
+            state, met = states[k], np.flatnonzero(meets[k, home])
+            charge = k - home[met] if across_columns else home[met] - k
+            at = own[state][:, None] + (start[charge + span] + other[met])
             entries = rho[state[:, None], met] if across_columns else flat[at]
-            flat[at] = (block @ entries.view(float)).view(complex)
+            flat[at] = (sectors[k][2] @ entries.view(float)).view(complex)
     return ChargeBlocks(charges, blocks)
 
 

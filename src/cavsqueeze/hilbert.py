@@ -197,11 +197,6 @@ class ChargeBlocks:
     charges: np.ndarray
     blocks: np.ndarray
 
-    def shifts(self) -> tuple:
-        """(m1 - n1, m2 - n2) of the entries of each block row blocks[i, j],
-        shaped (Q, D) and (1, D)."""
-        return _charge_shifts(self.charges, self.blocks.shape[3])
-
     def block(self, q: int) -> np.ndarray:
         """The block of charge q, zero when the state holds none."""
         hit = np.flatnonzero(self.charges == q)
@@ -228,7 +223,7 @@ class ChargeBlocks:
         """
         if eta == 1.0:
             return self
-        shift = np.ascontiguousarray(self.shifts()[mode - 1], dtype=int)
+        shift = np.ascontiguousarray(_charge_shifts(self.charges, self.blocks.shape[3])[mode - 1], dtype=int)
         root, power, lag = _damping_base(self.blocks.shape[1 + mode], shift.shape, shift.tobytes())
         rows = np.ascontiguousarray(self.blocks.swapaxes(2, 1 + mode))
         with np.errstate(under="ignore"):  # long jumps' weights at small eta fall below the smallest float
@@ -239,7 +234,8 @@ class ChargeBlocks:
         """tr(b damped(mode, eta)) at each of etas for a real charge-0 block b, with no damping
         product: the overlap is <kernel, G>, G[d] = b[d] rho[d]^T along the mode's axis of the
         charge-0 blocks, and root G summed once per (power, lag) of the kernel serves every eta."""
-        shift, n = self.shifts()[1], self.blocks.shape[1 + mode]  # charge 0's shifts: m_j - n_j = d on either mode
+        n = self.blocks.shape[1 + mode]
+        shift = _charge_shifts(self.charges, self.blocks.shape[3])[1]  # charge 0's: m_j - n_j = d on either mode
         root, power, lag = _damping_base(n, shift.shape, shift.tobytes())
         with np.errstate(under="ignore"):  # as in damped, and on the entries a damped state holds
             g = root[0] * (b.transpose(0, mode, 3 - mode) @ self.block(0).real.transpose(0, 3 - mode, mode))
@@ -267,6 +263,8 @@ def _damping_base(n: int, shift_shape: tuple, shift: bytes) -> tuple:
 
 
 def _charge_shifts(charges: np.ndarray, n2_trunc: int) -> tuple:
+    """(m1 - n1, m2 - n2) of the entries of each block row blocks[i, j] of the given charges,
+    shaped (Q, D) and (1, D)."""
     d = np.arange(1 - n2_trunc, n2_trunc)
     return d - charges[:, None], d[None, :]
 
@@ -290,33 +288,36 @@ def charge_outer(charges: np.ndarray, left: np.ndarray, right: np.ndarray) -> np
     return blocks
 
 
-def _occupied_charges(rho4: np.ndarray) -> np.ndarray:
-    """The charges q = (m2 - n2) - (m1 - n1) of the nonzero entries of rho4, ascending, from the
-    (d2 = m2 - n2 + N2 - 1, n1, m1) whose (n2, m2) plane holds one on its diagonal m2 - n2; bincount
-    counts q + N1 + N2 - 2 = d2 - (m1 - n1) + N1 - 1 from 0."""
+def _occupied_pairs(rho4: np.ndarray) -> tuple:
+    """(pairs, charges) of rho4, shaped (N1, N2, N1, N2), from one test rho4 != 0: pairs[k + N2 - 1,
+    k' + N2 - 1] tells whether a nonzero entry sits in the rows of sector k = n1 - n2 and the
+    columns of sector k' = m1 - m2, and charges are the distinct q = k - k' of those pairs,
+    ascending.  Rows and columns are read apart: a hermitian rho within HERMITICITY_TOL may hold
+    an entry whose transpose is 0."""
     n1_trunc, n2_trunc = rho4.shape[:2]
-    nonzero = rho4 != 0
-    d2, n1, m1 = np.nonzero([np.diagonal(nonzero, d, 1, 3).any(-1) for d in range(1 - n2_trunc, n2_trunc)])
-    return np.flatnonzero(np.bincount(d2 - (m1 - n1) + n1_trunc - 1)) - (n1_trunc + n2_trunc - 2)
+    span = n1_trunc + n2_trunc - 1
+    pairs = (rho4 != 0).reshape(n1_trunc * n2_trunc, -1)
+    for _ in range(2):  # the rows of each sector ORed together, then the columns
+        grid = pairs.reshape(n1_trunc, n2_trunc, -1)
+        pairs = np.zeros((span, grid.shape[2]), bool)
+        for n1 in range(n1_trunc):  # row n2 of grid[n1] is in sector n1 - n2, here at n2 - n1 + N1 - 1
+            pairs[n1_trunc - 1 - n1 : span - n1] |= grid[n1]
+        pairs = pairs[::-1].T
+    k, k_column = np.nonzero(pairs)
+    return pairs, np.flatnonzero(np.bincount(k - k_column + span - 1)) - (span - 1)
 
 
 def split_charges(rho4: np.ndarray, charges: Optional[Sequence[int]] = None) -> ChargeBlocks:
     """The ChargeBlocks of rho4, shaped (N1, N2, N1, N2), holding the given
-    charges, or by default every charge that has a nonzero entry."""
+    charges, or by default every charge that has a nonzero entry, read
+    from the sector pairs of _occupied_pairs."""
     n1_trunc, n2_trunc = rho4.shape[:2]
-    charges = _occupied_charges(rho4) if charges is None else np.asarray(charges)
+    charges = _occupied_pairs(rho4)[1] if charges is None else np.asarray(charges)
     c1, c2, on_grid = _charge_columns(charges, n1_trunc, n2_trunc)
     rows = np.indices((n1_trunc, n2_trunc), sparse=True)
     blocks = np.asarray(rho4, complex)[(*rows, np.clip(c1, 0, n1_trunc - 1), np.clip(c2, 0, n2_trunc - 1))]
     blocks[np.logical_not(on_grid, out=on_grid)] = 0.0  # in place: on_grid is as large as a sixteenth of blocks
     return ChargeBlocks(charges, blocks)
-
-
-def _single_mode_lowering(n_trunc: int) -> np.ndarray:
-    a = np.zeros((n_trunc, n_trunc), dtype=complex)
-    for n in range(1, n_trunc):
-        a[n - 1, n] = np.sqrt(n)
-    return a
 
 
 def _embed(atom_block, mode1_block, mode2_block) -> np.ndarray:
@@ -328,7 +329,7 @@ def annihilation_op(space: SpaceDescriptor, mode: int) -> Operator:
     if mode not in (1, 2):
         raise ValueError(f"mode must be 1 or 2, got {mode!r}")
     factors = [np.eye(n) for n in space.shape]
-    factors[mode] = _single_mode_lowering(space.shape[mode])
+    factors[mode] = np.diag(np.sqrt(np.arange(1, space.shape[mode])), 1)
     return Operator._adopt(space, _embed(*factors))
 
 
@@ -342,12 +343,9 @@ def atom_transition_op(space: SpaceDescriptor, upper: Union[int, str], lower: Un
 
     Equal labels give an atomic population projector.
     """
-    iu = space.atom_index(upper)
-    il = space.atom_index(lower)
     block = np.zeros((space.atom_levels, space.atom_levels), dtype=complex)
-    block[iu, il] = 1.0
-    m = _embed(block, np.eye(space.n1_trunc), np.eye(space.n2_trunc))
-    return Operator._adopt(space, m)
+    block[space.atom_index(upper), space.atom_index(lower)] = 1.0
+    return Operator._adopt(space, _embed(block, np.eye(space.n1_trunc), np.eye(space.n2_trunc)))
 
 
 def basis_state(space: SpaceDescriptor, atom: Union[int, str], n1: int, n2: int) -> np.ndarray:

@@ -13,6 +13,7 @@ from cavsqueeze.dynamics import (
     Trajectory,
     _accepted_counts,
     _charge0_block,
+    _rotate_charges,
     collision_step,
     propagate_state,
     run_collision_ensemble,
@@ -737,9 +738,13 @@ class TestSectorFrame:
 
 
 class TestChargeBlockEntry:
-    # a given density matrix enters the frame charge block by charge block;
-    # it must give the dense row and column rotation's charges and blocks
-    # bit for bit
+    # a given density matrix enters the frame on the sector pairs it occupies.
+    # Its charges are the dense row and column rotation's.  Its blocks match
+    # bit for bit on the states of assert_dense_rotation below: the full-rank
+    # states, the charges with gaps, the pump vacuum and the one-quantum
+    # collision state.  Elsewhere a product may run on fewer columns than the
+    # dense rotation's whole rows, and BLAS may round it otherwise, so the
+    # sparse states of test_sparse_states_within_rounding agree to 1e-15
 
     @staticmethod
     def assert_dense_rotation(rho, eps):
@@ -780,6 +785,62 @@ class TestChargeBlockEntry:
         raised = b_mode_annihilation(s, eps, 1).dagger().matrix @ vac
         rho = DensityMatrix.from_state_vector(s, raised / np.linalg.norm(raised))
         self.assert_dense_rotation(rho, eps)
+
+    @staticmethod
+    def sparse_state(case):
+        s = SpaceDescriptor(1, 25, 25)
+        if case == "diagonal":  # thermal-like populations 2^-(n1 + n2)
+            n1, n2 = np.indices(s.shape[1:]).reshape(2, -1)
+            p = 0.5 ** (n1 + n2)
+            return DensityMatrix(s, np.diag(p / p.sum()))
+        if case == "four_fock":
+            psi = (basis_state(s, 0, 2, 5) - 0.6 * basis_state(s, 0, 5, 1)
+                   + 0.5j * basis_state(s, 0, 0, 3) + 0.4 * basis_state(s, 0, 4, 4))
+        else:  # a rank-1 state over 60 random basis states
+            rng = np.random.default_rng(0)
+            psi = np.zeros(s.dim, complex)
+            psi[rng.choice(s.dim, 60, replace=False)] = rng.normal(size=60) + 1j * rng.normal(size=60)
+        return DensityMatrix.from_state_vector(s, psi / np.linalg.norm(psi))
+
+    @pytest.mark.parametrize("case", ["diagonal", "four_fock", "rank_one_60"])
+    def test_sparse_states_within_rounding(self, case):
+        # measured 4e-19 at most; the bound is absolute, on entries of magnitude up to 1
+        rho = self.sparse_state(case)
+        for eps in (math.atanh(0.6), 0.5):
+            (got, *_), _ = squeezed_frame(rho, eps)
+            want = dense_frame_entry(rho, eps)
+            assert np.array_equal(got.charges, want.charges)
+            np.testing.assert_allclose(got.blocks, want.blocks, rtol=0, atol=1e-15)
+
+    @staticmethod
+    def count_products(rho: DensityMatrix, eps: float) -> int:
+        class Counted:  # a sector block of S that counts its products
+            calls = 0
+
+            def __init__(self, block):
+                self.block = block
+
+            def __matmul__(self, other):
+                Counted.calls += 1
+                return self.block @ other
+
+        sectors = squeeze_sectors(rho.space, eps)
+        counted = [(n1, n2, Counted(block)) for n1, n2, block in sectors]
+        got = _rotate_charges(rho.matrix, rho.space.shape[1:], counted)
+        want = _rotate_charges(rho.matrix, rho.space.shape[1:], sectors)
+        assert np.array_equal(got.blocks, want.blocks)
+        return Counted.calls
+
+    def test_products_only_on_occupied_pairs(self):
+        # the vacuum occupies sector pair (0, 0): one product on its rows, one on its columns,
+        # where turning every sector twice makes 2 * 49; a full-rank state turns all 11 sectors twice
+        s = SpaceDescriptor(1, 25, 25)
+        vacuum = DensityMatrix.from_state_vector(s, basis_state(s, 0, 0, 0))
+        assert self.count_products(vacuum, math.atanh(0.6)) == 2
+        s = SpaceDescriptor(1, 6, 6)
+        g = np.random.default_rng(6).normal(size=(s.dim, s.dim))
+        full = DensityMatrix(s, g @ g.T / np.trace(g @ g.T))
+        assert self.count_products(full, 0.5) == 2 * 11
 
     def test_entry_makes_no_dense_copy(self):
         # one N^2 x N^2 complex copy of the N = 25 vacuum is 6.25 MB
