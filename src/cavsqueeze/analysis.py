@@ -33,6 +33,7 @@ TMSV_TAIL_LIMIT = 1e-6
 BOUNDARY_WARN_LIMIT = 1e-3
 # the mode-1 and mode-2 ladder operators in each band of band_sums
 BAND_LADDERS = np.array([(1, 0), (0, 1), (1, 1), (2, 0), (0, 2), (1, 1), (2, 0), (0, 2)])
+SQUEEZE_PAIRS = np.array([[0.0, 0.0, 1.0, 0.0], [0.0, 0.0, 0.0, -1.0], [1.0, 0.0, 0.0, 0.0], [0.0, -1.0, 0.0, 0.0]])
 
 StateLike = Union[np.ndarray, DensityMatrix]
 
@@ -171,27 +172,34 @@ def _photon_numbers(mean: np.ndarray, cov: np.ndarray) -> tuple:
     return tuple(c[i, i] + c[i + 1, i + 1] + square[i] + square[i + 1] - 0.5 for i in (0, 2))
 
 
-def symplectic_squeeze(epsilon: float) -> np.ndarray:
+def symplectic_squeeze(epsilon) -> np.ndarray:
     """Quadrature action of the two-mode squeeze: X1 -> cosh X1 + sinh X2 etc.
 
     Satisfies S Omega S^T = Omega and maps the vacuum covariance to the
     gaussian_tmsv(epsilon) covariance.  The moments of rho are this matrix
-    applied to those of the squeezed-frame state S rho S+.
+    applied to those of the squeezed-frame state S rho S+; cosh I + sinh SQUEEZE_PAIRS per entry of an array epsilon.
     """
-    c, s = math.cosh(epsilon), math.sinh(epsilon)
-    return np.array([[c, 0.0, s, 0.0], [0.0, c, 0.0, -s], [s, 0.0, c, 0.0], [0.0, -s, 0.0, c]])
+    c, s = np.array([(math.cosh(e), math.sinh(e)) for e in np.ravel(epsilon)]).T.reshape(2, *np.shape(epsilon), 1, 1)
+    return c * np.eye(4) + s * SQUEEZE_PAIRS
 
 
-def moment_records(mean: np.ndarray, cov: np.ndarray, epsilon: float) -> dict:
-    """Per-sample records of every engine, in the CSV column order: the
-    occupations n_a1, n_b1, n_a2, n_b2 (n_bj is the bare occupation of the
-    moments mapped back by symplectic_squeeze(-epsilon)), the four
-    joint-quadrature variances and the witness duan_sum.  mean and cov may
-    stack samples on a first axis, for one record value per sample."""
-    back = symplectic_squeeze(-epsilon)
-    n_a1, n_a2 = _photon_numbers(mean, cov)
-    n_b1, n_b2 = _photon_numbers((back @ mean[..., None])[..., 0], back @ cov @ back.T)
-    return {"n_a1": n_a1, "n_b1": n_b1, "n_a2": n_a2, "n_b2": n_b2, **_joint_variances(cov)}
+def squeeze_moments(mean: np.ndarray, cov: np.ndarray, epsilon) -> tuple:
+    """(S mean, S cov S^T) for S = symplectic_squeeze(epsilon), stackable; S(0) = I returns them as given."""
+    if not np.any(epsilon):
+        return mean, cov
+    s = symplectic_squeeze(epsilon)
+    return (s @ mean[..., None])[..., 0], s @ cov @ np.swapaxes(s, -1, -2)
+
+
+def moment_records(mean: np.ndarray, cov: np.ndarray, epsilon, frame=0.0) -> dict:
+    """Per-sample records of every engine, in the CSV column order, of moments held in the
+    squeezed frame of frame (0: bare): n_a1, n_b1, n_a2, n_b2 (n_bj in the frame of epsilon),
+    and the joint-quadrature variances and duan_sum, which S(frame) scales by exp(-+2 frame).
+    The moments may stack samples on a first axis, with an epsilon and frame per sample."""
+    (n_a1, n_a2), (n_b1, n_b2) = (_photon_numbers(*squeeze_moments(mean, cov, f)) for f in (frame, frame - epsilon))
+    grow = np.reshape([math.exp(2.0 * f) for f in np.ravel(frame)], np.shape(frame))
+    joint = {key: v * grow**sign for (key, v), sign in zip(_joint_variances(cov).items(), (-1, 1, 1, -1, -1))}
+    return {"n_a1": n_a1, "n_b1": n_b1, "n_a2": n_a2, "n_b2": n_b2, **joint}
 
 
 def truncation_leak(state: StateLike, space: Optional[SpaceDescriptor] = None) -> float:

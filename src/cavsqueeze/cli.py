@@ -23,7 +23,7 @@ import numpy as np
 
 from .analysis import epr_variances_fock, preparation_time, tmsv_state_vector, truncation_leak
 from .dynamics import write_csv
-from .gaussian import gaussian_epr_variances, gaussian_tmsv
+from .gaussian import gaussian_epr_variances, gaussian_tmsv, two_step_reports
 from .hilbert import SpaceDescriptor, annihilation_op, basis_state, is_integer
 from .model import (
     TWO_PI,
@@ -317,28 +317,27 @@ def cmd_sweep(cfg: RunConfig, out: str) -> int:
     if d0.theta2 == 0.0:
         raise ValueError("sweep needs a nonzero weak-channel rate to rescale")
 
-    rows = []
+    rows, points = [], []
     # each row carries its point's regime and leak flags, so the warnings of
     # a long scan are not repeated on stderr
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         for r in cfg.r_grid:
             spec = _two_step_spec(cfg, replace(p, omega2=p.omega2 * (r * d0.theta1 / d0.theta2)))
+            point = (r, spec.epsilon, spec.steps[0].derived.gamma, sum(s.duration for s in spec.steps))
+            if cfg.engine == "gaussian":
+                # the one pass below needs only these scalars of the point, not its spec
+                regime = validate_regime([(s.params, s.derived, s.duration) for s in spec.steps])
+                points.append((*point, *(math.exp(-s.derived.gamma * s.duration) for s in spec.steps),
+                               all(c["passed"] for c in regime.values())))
+                continue
             # a row is the final report, which one sample per step gives exactly
             traj, report = run_protocol(spec, samples_per_step=1)
-            d = spec.steps[0].derived
-            rows.append((
-                r,
-                d.epsilon,
-                d.gamma,
-                sum(s.duration for s in spec.steps),
-                report.duan_sum,
-                report.n1_mean,
-                report.n2_mean,
-                report.fidelity,
-                0 if traj.diagnostics["regime_failures"] else 1,
-                report.truncation_leak,
-            ))
+            rows.append((*point, report.duan_sum, report.n1_mean, report.n2_mean, report.fidelity,
+                         0 if traj.diagnostics["regime_failures"] else 1, report.truncation_leak))
+    if points:
+        r, epsilon, gamma, t_total, eta1, eta2, ok = map(np.array, zip(*points))
+        rows = zip(r, epsilon, gamma, t_total, *two_step_reports(epsilon, eta1, eta2), ok.astype(int), 0.0 * r)
 
     columns = ["r", "epsilon", "gamma_per_s", "t_total_s", "duan_sum", "n1_mean", "n2_mean", "fidelity",
                "regime_ok", "truncation_leak"]

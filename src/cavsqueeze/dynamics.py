@@ -18,7 +18,7 @@ from typing import Callable, Optional, Sequence, Union
 
 import numpy as np
 
-from .analysis import BAND_LADDERS, band_moments, band_sums, moment_records, report_from_records, symplectic_squeeze
+from .analysis import BAND_LADDERS, band_moments, band_sums, moment_records, report_from_records, squeeze_moments
 from .hilbert import ChargeBlocks, DensityMatrix, SpaceDescriptor, _occupied_pairs, charge_outer, is_integer
 from .model import (
     OCCUPANCY_LIMIT,
@@ -228,14 +228,12 @@ def squeezed_frame(rho0: Union[DensityMatrix, SpaceDescriptor], epsilon: float) 
     if space.atom_levels != 1:
         raise ValueError("the squeezed frame expects a field-only initial state")
     sectors = squeeze_sectors(space, epsilon)
-    to_bare = symplectic_squeeze(epsilon)
     # tr(S P S+ rho_b) = vdot(S P S+, rho_b) for the projector P on the
     # boundary layers; S keeps n1 - n2, so S P S+ has charge 0 only, and
     # on each sector it is c c^T for the S column c of its last state
     boundary = _charge0_block(space.shape[1:], sectors, -1)
     # rounding can take the trace of an empty boundary a little below 0
     leak = lambda rho: max(0.0, float(np.einsum("ijk,ijk->", boundary, rho.block(0).real)))
-    bare = lambda mean, cov: ((to_bare @ mean[..., None])[..., 0], to_bare @ cov @ to_bare.T)
     read = lambda rho: (band_sums(rho), leak(rho))
 
     def pump(d, duration, times):
@@ -253,7 +251,7 @@ def squeezed_frame(rho0: Union[DensityMatrix, SpaceDescriptor], epsilon: float) 
 
         return times, advance
 
-    tabulate = lambda bands: moment_records(*bare(*band_moments(bands)), epsilon)
+    tabulate = lambda bands: moment_records(*squeeze_moments(*band_moments(bands), epsilon), epsilon)
     # the squeezed vacuum S+|0,0> has fidelity <0,0|rho_b|0,0>, in the charge-0 block at [N2 - 1, 0, 0]
     fidelity = lambda rho: float(rho.block(0)[space.n2_trunc - 1, 0, 0].real)
     report = lambda row, rho, final_leak: report_from_records(row, epsilon, fidelity(rho), final_leak)

@@ -12,11 +12,11 @@ P = -i(a - a+)/2, vacuum covariance I/4.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from .analysis import _joint_variances, moment_records, report_from_records, symplectic_squeeze
+from .analysis import _joint_variances, moment_records, report_from_records, squeeze_moments, symplectic_squeeze
 from .hilbert import _unchecked
 
 SYMMETRY_TOL = 1e-12
@@ -40,10 +40,12 @@ class GaussianState:
     A caller's state is checked: finite moments, symmetric cov and the
     uncertainty relation cov + i OMEGA/4 >= 0.  The package's own states
     skip the check (hilbert._unchecked): Gaussian channels keep that relation.
+    frame is (mean, cov, epsilon) in the squeezed frame of epsilon, set by gaussian_lindblad_evolve.
     """
 
     mean: np.ndarray
     cov: np.ndarray
+    frame: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         mean = np.asarray(self.mean, dtype=float).reshape(4)
@@ -80,16 +82,24 @@ def gaussian_tmsv(epsilon: float) -> GaussianState:
     return _unchecked(GaussianState, mean=np.zeros(4), cov=0.25 * symplectic_squeeze(2.0 * epsilon))
 
 
+def attenuate(mean: np.ndarray, cov: np.ndarray, eta, which: int) -> tuple:
+    """Squeezed-frame moments after the attenuator R -> sqrt(eta) R + sqrt(1 - eta) R_env of
+    bare mode which (vacuum environment), stackable; exact at eta = 1."""
+    scale = np.ones((*np.shape(eta), 4))
+    scale[..., 2 * which - 2:2 * which] = np.asarray(eta)[..., None]
+    keep = np.sqrt(scale)
+    return keep * mean, cov * (keep[..., :, None] * keep[..., None, :]) + 0.25 * (1.0 - scale)[..., None] * np.eye(4)
+
+
 def gaussian_lindblad_evolve(
     s0: GaussianState, epsilon: float, gamma: float, which: int, t: float
 ) -> GaussianState:
     """Exact moment evolution under pumping of transformed mode 1 or 2.
 
     In the squeezed frame the transformed mode b_j is the bare mode j, so
-    pumping it for t is the attenuator R -> sqrt(eta) R + sqrt(1 - eta) R_env
-    on that mode, eta = exp(-gamma t), with the vacuum environment; the
-    frame moments go in and out with symplectic_squeeze(-+epsilon).  Closed
-    form, so there is no step-size error.
+    pumping it for t is attenuate at eta = exp(-gamma t) there.  The result keeps
+    those moments as its frame, since mapping bare moments back would lose digits
+    as cosh(epsilon)**4; eta = 1 returns s0.  Closed form: no step-size error.
     """
     if gamma < 0:
         raise ValueError("gamma must be nonnegative")
@@ -97,34 +107,44 @@ def gaussian_lindblad_evolve(
         raise ValueError("t must be nonnegative")
     if which not in (1, 2):
         raise ValueError(f"which must be 1 or 2, got {which!r}")
-    if t == 0.0 or gamma == 0.0:
+    eta = math.exp(-gamma * t) if gamma else 1.0
+    if eta == 1.0:
         return s0
-    eta = math.exp(-gamma * t)
-    pumped = slice(2 * which - 2, 2 * which)
-    keep = np.ones(4)
-    keep[pumped] = math.sqrt(eta)
-    noise = np.zeros(4)
-    noise[pumped] = 0.25 * (1.0 - eta)
-    to_bare = symplectic_squeeze(epsilon)
-    f = (to_bare * keep) @ symplectic_squeeze(-epsilon)
-    cov = f @ s0.cov @ f.T + (to_bare * noise) @ to_bare.T
-    return _unchecked(GaussianState, mean=f @ s0.mean, cov=0.5 * (cov + cov.T))
+    mean, cov, frame = _held(s0)
+    mean, cov = attenuate(*squeeze_moments(mean, cov, frame - epsilon), eta, which)
+    bare_mean, bare_cov = squeeze_moments(mean, cov, epsilon)
+    return _unchecked(GaussianState, mean=bare_mean, cov=0.5 * (bare_cov + bare_cov.T), frame=(mean, cov, epsilon))
+
+
+def _held(s: GaussianState) -> tuple:
+    """(mean, cov, epsilon): s's moments in the frame it holds them in (0: bare)."""
+    return s.frame or (s.mean, s.cov, 0.0)
 
 
 def gaussian_frame(s0: GaussianState, epsilon: float) -> tuple:
     """(entry, pump) on the moments, as dynamics.squeezed_frame gives them on
-    rho_b: the run_steps entry reads the mean and covariance with no boundary
-    leak, and each sample of a pump step, and its end, is one
-    gaussian_lindblad_evolve of the state the step starts in."""
-    read = lambda s: (s.mean, s.cov, 0.0)
-    tabulate = lambda mean, cov: moment_records(mean, cov, epsilon)
-    report = lambda row, s, leak: report_from_records(row, epsilon, gaussian_fidelity_to_tmsv(s, epsilon), leak)
+    rho_b: each sample of a pump step, and its end, is one gaussian_lindblad_evolve
+    of the state the step starts in, read as its _held moments with no leak."""
+    read = lambda s: (*_held(s), 0.0)
+    tabulate = lambda mean, cov, frame: moment_records(mean, cov, epsilon, frame)
+    fidelity = lambda mean, cov, frame: float(gaussian_fidelity_to_tmsv(mean, cov, epsilon - frame))
+    report = lambda row, s, leak: report_from_records(row, epsilon, fidelity(*_held(s)), leak)
 
     def pump(d, duration, times):
-        evolve = lambda s, t: gaussian_lindblad_evolve(s, d.epsilon, d.gamma, 1 if d.channel == "b1" else 2, t)
+        evolve = lambda s, t: gaussian_lindblad_evolve(s, epsilon, d.gamma, 1 if d.channel == "b1" else 2, t)
         return times, lambda s, read: ([read(evolve(s, t)) for t in times], evolve(s, duration))
 
     return (s0, read, tabulate, report), pump
+
+
+def two_step_reports(epsilon: np.ndarray, eta1: np.ndarray, eta2: np.ndarray) -> tuple:
+    """(duan_sum, n1_mean, n2_mean, fidelity) of gaussian_frame's report on runs from the vacuum
+    pumping b1 at transmissivity eta1, then b2 at eta2, one per epsilon, in one broadcast pass.
+    A run with eta = 1 on both steps stays in the bare modes (frame 0) and reads the vacuum exactly."""
+    vacuum, frame = gaussian_vacuum(), np.where((eta1 != 1.0) | (eta2 != 1.0), epsilon, 0.0)
+    mean, cov = attenuate(*attenuate(*squeeze_moments(vacuum.mean, vacuum.cov, -frame), eta1, 1), eta2, 2)
+    rec = moment_records(mean, cov, epsilon, frame)
+    return rec["duan_sum"], rec["n_a1"], rec["n_a2"], gaussian_fidelity_to_tmsv(mean, cov, epsilon - frame)
 
 
 def gaussian_epr_variances(s: GaussianState) -> dict:
@@ -133,10 +153,9 @@ def gaussian_epr_variances(s: GaussianState) -> dict:
     return {key: float(v) for key, v in _joint_variances(s.cov).items()}
 
 
-def gaussian_fidelity_to_tmsv(s: GaussianState, epsilon: float) -> float:
-    """Fidelity of s to the pure target gaussian_tmsv(epsilon), closed form."""
-    target = gaussian_tmsv(epsilon)
-    m = s.cov + target.cov
-    delta = s.mean - target.mean
-    fidelity = math.exp(-0.5 * float(delta @ np.linalg.solve(m, delta)))
-    return fidelity / (4.0 * math.sqrt(float(np.linalg.det(m))))
+def gaussian_fidelity_to_tmsv(mean: np.ndarray, cov: np.ndarray, epsilon) -> np.ndarray:
+    """Fidelity of the state with moments mean and cov to gaussian_tmsv(epsilon), stackable.
+    In the target's squeezed frame the target is the vacuum (epsilon 0)."""
+    m = cov + 0.25 * symplectic_squeeze(2.0 * epsilon)
+    q = np.sum(mean * np.linalg.solve(m, mean[..., None])[..., 0], -1)
+    return np.reshape([math.exp(-0.5 * v) for v in np.ravel(q)], q.shape) / (4.0 * np.sqrt(np.linalg.det(m)))

@@ -18,9 +18,12 @@ once per step; the tests' per-interval references damp it by
 ChargeBlocks.damped once per clock interval instead, and dense_damping_pass
 applies the Kraus operators one at a time to the dense state.  The squeezed frame
 enters a given density matrix on the entries of its charges only;
-dense_frame_entry rotates a dense copy of it instead.
+dense_frame_entry rotates a dense copy of it instead.  The gaussian sweep
+reads its rows in double precision from moments held in the squeezed frame;
+two_step_vacuum_reading evaluates the same closed form in 50-digit decimal.
 """
 
+import decimal
 import math
 import warnings
 from typing import Callable, Optional, Sequence
@@ -431,3 +434,31 @@ def rk4_reference(h_fn: Callable, psi0: np.ndarray, t_span: tuple, dt: float) ->
         psi /= np.linalg.norm(psi)
         t += h
     return psi
+
+
+def two_step_vacuum_reading(epsilon: float, steps: Sequence[tuple], digits: int = 50) -> dict:
+    """duan_sum, n1_mean, n2_mean and fidelity after the vacuum's transformed
+    modes 1 and 2 are pumped in turn by the (gamma, duration) steps, in closed
+    form in decimal arithmetic at the given precision.
+
+    In the squeezed frame the vacuum holds each mode at variance cosh(2 eps)/4,
+    the pair correlated by sinh(2 eps)/4; pumping a mode at eta = exp(-gamma t)
+    scales its moments by sqrt(eta) and adds (1 - eta)/4 of vacuum noise.  With
+    final variances a, b and correlation x, the bare X1 - X2 and P1 + P2 have
+    variance exp(-2 eps)(a + b + 2x) each, the bare occupations are
+    2(c^2 a + s^2 b - 2csx) - 1/2 and 2(s^2 a + c^2 b - 2csx) - 1/2, and the
+    fidelity to the target, the frame's vacuum, is 1 / (4((a + 1/4)(b + 1/4) - x^2))."""
+    with decimal.localcontext() as ctx:
+        ctx.prec = digits
+        e = decimal.Decimal(epsilon).exp()
+        c, s = (e + 1 / e) / 2, (e - 1 / e) / 2
+        eta1, eta2 = ((-decimal.Decimal(gamma) * decimal.Decimal(t)).exp() for gamma, t in steps)
+        a, b = ((1 + eta * (c * c + s * s - 1)) / 4 for eta in (eta1, eta2))
+        x = (eta1 * eta2).sqrt() * c * s / 2
+        half, quarter = decimal.Decimal("0.5"), decimal.Decimal("0.25")
+        return {
+            "duan_sum": 2 * (a + b + 2 * x) / (e * e),
+            "n1_mean": 2 * (c * c * a + s * s * b - 2 * c * s * x) - half,
+            "n2_mean": 2 * (s * s * a + c * c * b - 2 * c * s * x) - half,
+            "fidelity": 1 / (4 * ((a + quarter) * (b + quarter) - x * x)),
+        }

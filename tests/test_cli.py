@@ -5,7 +5,7 @@ import os
 import subprocess
 import sys
 import warnings
-from dataclasses import fields
+from dataclasses import fields, replace
 from importlib import resources
 
 import numpy as np
@@ -18,6 +18,8 @@ from cavsqueeze.cli import (
     ConfigError,
     RunConfig,
     _add_common,
+    _as_step1,
+    _two_step_spec,
     build_parser,
     build_spec,
     load_run_config,
@@ -25,6 +27,7 @@ from cavsqueeze.cli import (
 )
 from cavsqueeze.model import TWO_PI, PhysicalParams, derive_rates, spontaneous_decay_estimate
 from cavsqueeze.protocol import ENGINES, mirror_to_b1, run_protocol
+from oracles import two_step_vacuum_reading
 
 
 def config_dict(**overrides):
@@ -727,6 +730,56 @@ class TestSweep:
             for key in ("duan_sum", "n1_mean", "n2_mean", "fidelity", "truncation_leak"):
                 assert rows[key][i] == pytest.approx(report[key], rel=1e-9)
             assert rows["regime_ok"][i] == (not payload["diagnostics"]["regime_failures"])
+
+    @pytest.mark.parametrize("params, extra", [({}, {}), ({}, {"durations": [0.003, 0.0]}),
+                                               ({"gamma_e_hz": 50.0}, {})], ids=["bundled", "durations", "decay"])
+    def test_gaussian_rows_equal_per_point_runs(self, tmp_path, params, extra):
+        # gaussian rows come from one closed-form pass over the grid; each must be the
+        # report of run_protocol on its point at one sample per step.  On the bundled
+        # config r = 0.05 and 0.3 do not pump (n_bar <= n_target, zero durations) and
+        # r = 0.4 fails the regime; the durations case leaves step 2 at eta = 1
+        data = json.loads(resources.files("cavsqueeze").joinpath("data", "microwave_rydberg.json").read_text())
+        data["params"].update(params)
+        data.update(extra, engine="gaussian")
+        grid = (0.05, 0.3, 0.4, 0.95, 0.999)
+        path, out = write_config(tmp_path, data), tmp_path / "sweep.csv"
+        assert main(["sweep", "--config", path, "--out", str(out), "--r-grid", ",".join(map(str, grid))]) == 0
+        rows = read_csv(out)
+        cfg = load_run_config(path)
+        p = _as_step1(cfg.params)
+        d0 = derive_rates(p)
+        exact = lambda value: pytest.approx(value, rel=1e-10, abs=0.0)
+        for i, r in enumerate(grid):
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore")
+                spec = _two_step_spec(cfg, replace(p, omega2=p.omega2 * (r * d0.theta1 / d0.theta2)))
+                traj, report = run_protocol(spec, samples_per_step=1)
+            want = {"epsilon": spec.epsilon, "gamma_per_s": spec.steps[0].derived.gamma,
+                    "t_total_s": sum(s.duration for s in spec.steps), "duan_sum": report.duan_sum,
+                    "n1_mean": report.n1_mean, "n2_mean": report.n2_mean, "fidelity": report.fidelity,
+                    "regime_ok": 0 if traj.diagnostics["regime_failures"] else 1,
+                    "truncation_leak": report.truncation_leak}
+            for key, value in want.items():
+                assert rows[key][i] == exact(value), (r, key)
+        if not params and not extra:
+            # the points that do not pump read the vacuum exactly, never -1e-16 photons
+            assert list(rows["t_total_s"][:2]) == [0.0, 0.0] and rows["regime_ok"][2] == 0
+            assert list(rows["n1_mean"][:2]) == [0.0, 0.0] and list(rows["duan_sum"][:2]) == [1.0, 1.0]
+
+    @pytest.mark.parametrize("r", [0.99, 0.999, 0.9999])
+    def test_gaussian_rows_keep_their_digits_at_large_epsilon(self, tmp_path, r):
+        # the sweep's duan_sum, fidelity and photon numbers against the closed form of the
+        # row's own epsilon, rate and step durations at 50 digits; read in the bare frame
+        # instead, duan_sum cancels digits as cosh(epsilon)**4 (8e-2 off at r = 0.9999)
+        out = tmp_path / "sweep.csv"
+        assert main(["sweep", "--engine", "gaussian", "--out", str(out), "--r-grid", str(r)]) == 0
+        row = read_csv(out)
+        t_step = float(row["t_total_s"]) / 2.0
+        gamma = float(row["gamma_per_s"])
+        want = two_step_vacuum_reading(float(row["epsilon"]), [(gamma, t_step), (gamma, t_step)])
+        for key in ("duan_sum", "fidelity", "n1_mean", "n2_mean"):
+            assert float(row[key]) == pytest.approx(float(want[key]), rel=1e-8, abs=0.0), key
+        assert float(row["n1_mean"]) == pytest.approx(float(row["n2_mean"]), rel=1e-12, abs=0.0)
 
     def test_gaussian_engine_never_calls_expm(self, tmp_path, monkeypatch):
         def refuse(*args, **kwargs):

@@ -8,6 +8,8 @@ from cavsqueeze.cli import build_spec, load_run_config
 from cavsqueeze.gaussian import (
     OMEGA,
     GaussianState,
+    attenuate,
+    gaussian_fidelity_to_tmsv,
     gaussian_epr_variances,
     gaussian_lindblad_evolve,
     gaussian_tmsv,
@@ -16,7 +18,7 @@ from cavsqueeze.gaussian import (
 from cavsqueeze.hilbert import DensityMatrix, SpaceDescriptor, expectation
 from cavsqueeze.model import PhysicalParams, b_mode_annihilation, build_squeeze_operator, derive_rates
 from cavsqueeze.protocol import build_two_step_protocol, run_protocol
-from oracles import gaussian_block_evolve, lindblad_evolve
+from oracles import gaussian_block_evolve, lindblad_evolve, two_step_vacuum_reading
 
 
 def fock_covariance(space, psi):
@@ -263,6 +265,40 @@ class TestGaussianLindbladEvolve:
             )
         assert worst < 1e-9
 
+    def test_chained_steps_keep_their_digits_at_large_epsilon(self):
+        # r = 0.9999: each evolve starts from the frame moments the last one left, so
+        # the joint variances, photon numbers and fidelity match the 50-digit closed
+        # form; a bare-frame round trip per step lost digits as cosh(eps)**4
+        eps, gamma, t = math.atanh(0.9999), 2.0, 4.0
+        state = gaussian_lindblad_evolve(gaussian_vacuum(), eps, gamma, 1, t)
+        state = gaussian_lindblad_evolve(state, eps, gamma, 2, t)
+        want = two_step_vacuum_reading(eps, [(gamma, t), (gamma, t)])
+        mean, cov, frame = state.frame
+        records = moment_records(mean, cov, eps, frame)
+        got = {"duan_sum": records["duan_sum"], "n1_mean": records["n_a1"], "n2_mean": records["n_a2"],
+               "fidelity": gaussian_fidelity_to_tmsv(mean, cov, eps - frame)}
+        for key, value in got.items():
+            assert value == pytest.approx(float(want[key]), rel=1e-12), key
+
+    def test_kernels_broadcast_over_runs(self):
+        # the sweep's one pass stacks runs on a leading axis; entry by entry it is the
+        # single-run kernel
+        rng = np.random.default_rng(30)
+        eps, eta = rng.uniform(0.0, 5.0, 7), rng.uniform(0.0, 1.0, 7)
+        states = [displaced_squeezed_thermal(rng) for _ in eps]
+        mean, cov = np.array([s.mean for s in states]), np.array([s.cov for s in states])
+        stacked = symplectic_squeeze(eps)
+        out_mean, out_cov = attenuate(mean, cov, eta, 2)
+        fidelity = gaussian_fidelity_to_tmsv(mean, cov, eps)
+        for i in range(eps.size):
+            assert np.array_equal(stacked[i], symplectic_squeeze(eps[i]))
+            one_mean, one_cov = attenuate(mean[i], cov[i], eta[i], 2)
+            assert np.array_equal(out_mean[i], one_mean) and np.array_equal(out_cov[i], one_cov)
+            assert fidelity[i] == pytest.approx(gaussian_fidelity_to_tmsv(mean[i], cov[i], eps[i]), rel=1e-14)
+        # eta = 1 leaves the moments exactly as they are
+        same = attenuate(mean, cov, np.ones(eps.size), 1)
+        assert np.array_equal(same[0], mean) and np.array_equal(same[1], cov)
+
     def test_uncertainty_holds_along_evolution(self):
         eps = 0.7
         s = GaussianState(mean=np.array([2.0, 0.0, 0.0, 0.0]), cov=0.25 * np.eye(4))
@@ -316,7 +352,9 @@ class TestRunProtocolGaussian:
     def test_each_sample_evolves_the_step_entry_once(self):
         # on the bundled config, 51 samples per step: every record row is the
         # moments of one gaussian_lindblad_evolve from the state its step
-        # starts in; a later step's first sample repeats the last one
+        # starts in, read in the squeezed frame they are held in (the bare
+        # modes for the vacuum at t = 0); a later step's first sample
+        # repeats the last one
         spec = build_spec(load_run_config(None))
         traj, _ = run_protocol(spec, samples_per_step=51)
         entry, states = gaussian_vacuum(), []
@@ -325,7 +363,9 @@ class TestRunProtocolGaussian:
             for t in np.linspace(0.0, step.duration, 51)[bool(i):]:
                 states.append(gaussian_lindblad_evolve(entry, d.epsilon, d.gamma, mode, t))
             entry = gaussian_lindblad_evolve(entry, d.epsilon, d.gamma, mode, step.duration)
-        want = moment_records(np.array([s.mean for s in states]), np.array([s.cov for s in states]), spec.epsilon)
+        held = [s.frame or (s.mean, s.cov, 0.0) for s in states]
+        mean, cov, frame = map(np.array, zip(*held))
+        want = moment_records(mean, cov, spec.epsilon, frame)
         assert list(traj.records) == list(want)
         for key, series in want.items():
             assert np.array_equal(traj.records[key], series), key
