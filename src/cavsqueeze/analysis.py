@@ -23,8 +23,10 @@ from .hilbert import (
     SpaceDescriptor,
     annihilation_op,
     charge_outer,
+    elementwise,
     expectation,
     number_op,
+    plain,
     split_charges,
 )
 from .model import SQUEEZE_LEAK_LIMIT, refuse_tail
@@ -179,7 +181,7 @@ def symplectic_squeeze(epsilon) -> np.ndarray:
     gaussian_tmsv(epsilon) covariance.  The moments of rho are this matrix
     applied to those of the squeezed-frame state S rho S+; cosh I + sinh SQUEEZE_PAIRS per entry of an array epsilon.
     """
-    c, s = np.array([(math.cosh(e), math.sinh(e)) for e in np.ravel(epsilon)]).T.reshape(2, *np.shape(epsilon), 1, 1)
+    c, s = (elementwise(f, epsilon)[..., None, None] for f in (math.cosh, math.sinh))
     return c * np.eye(4) + s * SQUEEZE_PAIRS
 
 
@@ -197,7 +199,7 @@ def moment_records(mean: np.ndarray, cov: np.ndarray, epsilon, frame=0.0) -> dic
     and the joint-quadrature variances and duan_sum, which S(frame) scales by exp(-+2 frame).
     The moments may stack samples on a first axis, with an epsilon and frame per sample."""
     (n_a1, n_a2), (n_b1, n_b2) = (_photon_numbers(*squeeze_moments(mean, cov, f)) for f in (frame, frame - epsilon))
-    grow = np.reshape([math.exp(2.0 * f) for f in np.ravel(frame)], np.shape(frame))
+    grow = elementwise(math.exp, 2.0 * frame)
     joint = {key: v * grow**sign for (key, v), sign in zip(_joint_variances(cov).items(), (-1, 1, 1, -1, -1))}
     return {"n_a1": n_a1, "n_b1": n_b1, "n_a2": n_a2, "n_b2": n_b2, **joint}
 
@@ -238,25 +240,31 @@ def preparation_time(r: float, gamma: float, n_target: float = 0.1) -> Preparati
     occupation r**2/(1-r**2) down to n_target, at rate gamma.
 
     The occupation decays exactly exponentially, so
-    t_step = ln(n_bar_initial / n_target) / gamma.  The protocol needs one
-    such step per transformed mode, hence t_total = 2*t_step.
+    t_step = ln(n_bar_initial / n_target) / gamma, and 0 (with a warning)
+    where n_target is not below n_bar_initial.  The protocol needs one such
+    step per transformed mode, hence t_total = 2*t_step.  r and gamma may be
+    same-shape arrays, one point per element.
     """
-    if not 0.0 < r < 1.0:
+    if not np.all((0.0 < r) & (r < 1.0)):
         raise ValueError(f"r must lie strictly between 0 and 1, got {r}")
-    if gamma <= 0.0:
+    if np.any(gamma <= 0.0):
         raise ValueError(f"gamma must be positive, got {gamma}")
     if n_target <= 0.0:
         raise ValueError(f"n_target must be positive, got {n_target}")
-    n_bar = r**2 / (1.0 - r**2)
-    if n_target >= n_bar:
+    square = elementwise(math.pow, r, 2.0)
+    n_bar = square / (1.0 - square)
+    idle = n_target >= n_bar
+    if np.any(idle):
         warnings.warn(
             f"target occupation {n_target:g} is not below the starting occupation "
-            f"{n_bar:g}; nothing to pump",
+            f"{np.max(n_bar[idle]):g}; nothing to pump",
             stacklevel=2,
         )
-        return PreparationTime(t_step=0.0, n_bar_initial=n_bar, t_total=0.0)
-    t_step = math.log(n_bar / n_target) / gamma
-    return PreparationTime(t_step=t_step, n_bar_initial=n_bar, t_total=2.0 * t_step)
+    # n_bar / n_target <= 1 exactly where idle, and log(1) = 0; a gamma too small
+    # for a finite time gives inf, as float division does, for the caller to refuse
+    with np.errstate(over="ignore"):
+        t_step = elementwise(math.log, np.maximum(n_bar / n_target, 1.0)) / gamma
+        return PreparationTime(t_step=plain(t_step), n_bar_initial=plain(n_bar), t_total=plain(2.0 * t_step))
 
 
 @dataclass(frozen=True)

@@ -24,7 +24,7 @@ import numpy as np
 from .analysis import epr_variances_fock, preparation_time, tmsv_state_vector, truncation_leak
 from .dynamics import write_csv
 from .gaussian import gaussian_epr_variances, gaussian_tmsv, two_step_reports
-from .hilbert import SpaceDescriptor, annihilation_op, basis_state, is_integer
+from .hilbert import SpaceDescriptor, annihilation_op, basis_state, elementwise, is_integer
 from .model import (
     TWO_PI,
     PhysicalParams,
@@ -41,6 +41,7 @@ from .protocol import (
     mirror_to_b1,
     pump_down_time,
     run_protocol,
+    two_step_schedule,
     validate_regime,
 )
 
@@ -287,24 +288,17 @@ def cmd_simulate(cfg: RunConfig, csv_path: str, json_path: str) -> int:
 
 
 def cmd_fig2(cfg: RunConfig, out: str, svg_path: Optional[str]) -> int:
-    theta1 = TWO_PI * cfg.theta1_hz
-    rows = []
+    theta1, r = TWO_PI * cfg.theta1_hz, np.array(cfg.r_grid)
     with warnings.catch_warnings():
         # rows at or below the target have nothing to pump and read 2T = 0
         warnings.simplefilter("ignore")
-        for r in cfg.r_grid:
-            # theta_b**2 = theta1**2 (1 - r**2) at fixed strong-channel rate
-            prep = preparation_time(r, cfg.r_a_per_s * theta1**2 * (1.0 - r * r) * cfg.tau_s**2, cfg.n_target)
-            rows.append((r, prep.n_bar_initial, prep.t_total))
+        # theta_b**2 = theta1**2 (1 - r**2) at fixed strong-channel rate
+        prep = preparation_time(r, cfg.r_a_per_s * theta1**2 * (1.0 - r * r) * cfg.tau_s**2, cfg.n_target)
 
-    write_csv(out, ["r", "n_bar", "total_time_2T"], rows)
+    write_csv(out, ["r", "n_bar", "total_time_2T"], zip(r, prep.n_bar_initial, prep.t_total))
     print(f"wrote {out}")
     if svg_path is not None:
-        series = {
-            "n_bar": [row[1] for row in rows],
-            "total_time_2T": [row[2] for row in rows],
-        }
-        _write_svg(svg_path, [row[0] for row in rows], series, "r")
+        _write_svg(svg_path, r, {"n_bar": prep.n_bar_initial, "total_time_2T": prep.t_total}, "r")
         print(f"wrote {svg_path}")
     return EXIT_OK
 
@@ -317,28 +311,30 @@ def cmd_sweep(cfg: RunConfig, out: str) -> int:
     if d0.theta2 == 0.0:
         raise ValueError("sweep needs a nonzero weak-channel rate to rescale")
 
-    rows, points = [], []
-    # each row carries its point's regime and leak flags, so the warnings of
-    # a long scan are not repeated on stderr
+    # each point's weak drive rescales theta2 to r * theta1 (a drive too large to hold is inf, refused)
+    omega2 = [p.omega2 * (r * d0.theta1 / d0.theta2) for r in cfg.r_grid]
+    rows = []
+    # each row carries its point's regime and leak flags, so the warnings of a long scan are not
+    # repeated on stderr; the gaussian pass still shows numpy's, which no point of it should raise
     with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        for r in cfg.r_grid:
-            spec = _two_step_spec(cfg, replace(p, omega2=p.omega2 * (r * d0.theta1 / d0.theta2)))
-            point = (r, spec.epsilon, spec.steps[0].derived.gamma, sum(s.duration for s in spec.steps))
-            if cfg.engine == "gaussian":
-                # the one pass below needs only these scalars of the point, not its spec
-                regime = validate_regime([(s.params, s.derived, s.duration) for s in spec.steps])
-                points.append((*point, *(math.exp(-s.derived.gamma * s.duration) for s in spec.steps),
-                               all(c["passed"] for c in regime.values())))
-                continue
-            # a row is the final report, which one sample per step gives exactly
-            traj, report = run_protocol(spec, samples_per_step=1)
-            rows.append((*point, report.duan_sum, report.n1_mean, report.n2_mean, report.fidelity,
-                         0 if traj.diagnostics["regime_failures"] else 1, report.truncation_leak))
-    if points:
-        r, epsilon, gamma, t_total, eta1, eta2, ok = map(np.array, zip(*points))
-        rows = zip(r, epsilon, gamma, t_total, *two_step_reports(epsilon, eta1, eta2), ok.astype(int), 0.0 * r)
-
+        warnings.simplefilter("ignore", UserWarning if cfg.engine == "gaussian" else Warning)
+        if cfg.engine == "gaussian":
+            # one params table holds the whole grid, which each rule reads per element
+            steps = two_step_schedule(replace(p, omega2=np.array(omega2)), cfg.durations, cfg.n_target)
+            (_, d, t1), (_, _, t2) = steps
+            r = np.array(cfg.r_grid)
+            eta1, eta2 = (elementwise(math.exp, -s.gamma * t) for _, s, t in steps)
+            ok = np.all([np.broadcast_to(c["passed"], r.shape) for c in validate_regime(steps).values()], axis=0)
+            rows = zip(r, d.epsilon, d.gamma, np.broadcast_to(t1 + t2, r.shape),
+                       *two_step_reports(d.epsilon, eta1, eta2), ok.astype(int), 0.0 * r)
+        else:
+            for r, weak in zip(cfg.r_grid, omega2):
+                spec = _two_step_spec(cfg, replace(p, omega2=weak))
+                # a row is the final report, which one sample per step gives exactly
+                traj, report = run_protocol(spec, samples_per_step=1)
+                rows.append((r, spec.epsilon, spec.steps[0].derived.gamma, sum(s.duration for s in spec.steps),
+                             report.duan_sum, report.n1_mean, report.n2_mean, report.fidelity,
+                             0 if traj.diagnostics["regime_failures"] else 1, report.truncation_leak))
     columns = ["r", "epsilon", "gamma_per_s", "t_total_s", "duan_sum", "n1_mean", "n2_mean", "fidelity",
                "regime_ok", "truncation_leak"]
     write_csv(out, columns, rows)

@@ -56,10 +56,10 @@ class Trajectory:
 def write_csv(path, columns: Sequence[str], rows) -> None:
     """The CSV of every command: a header of the column names, then one
     line of ,-joined %.17g numbers per row, which round-trip exactly."""
+    line = ",".join(["%.17g"] * len(columns)) + "\n"
     with open(path, "w", newline="\n") as fh:
         fh.write(",".join(columns) + "\n")
-        for row in rows:
-            fh.write(",".join(f"{v:.17g}" for v in row) + "\n")
+        fh.writelines(line % tuple(row) for row in rows)
 
 
 @dataclass(frozen=True)
@@ -84,8 +84,7 @@ class ArrivalProcess:
 
     def sample(self, duration: float) -> np.ndarray:
         """Arrival times in [0, duration), strictly increasing."""
-        if not 0.0 <= duration < math.inf:
-            raise ValueError(f"duration must be finite and nonnegative, got {duration!r}")
+        check_duration(duration)
         if self.rate == 0.0 or duration == 0.0:
             return np.empty(0)
         rng = np.random.default_rng(self.seed)
@@ -348,12 +347,18 @@ def transit_kraus_pair(d: DerivedParams, stark: Optional[StarkShifts], tau: floa
     return stay, jump
 
 
+def check_duration(duration) -> None:
+    """Refuse a duration, or any element of an array of them, that is not finite and nonnegative."""
+    bad = [t for t in np.ravel(duration).tolist() if not 0.0 <= t < math.inf]
+    if bad:
+        raise ValueError(f"duration must be finite and nonnegative, got {bad[0]!r}")
+
+
 def sample_clock(duration: float, sample_times: Optional[Sequence[float]] = None, samples: int = 101) -> np.ndarray:
     """The sample clock of a run or step over [0, duration]: the caller's
     sample_times, one-dimensional, strictly increasing and inside [0,
     duration], or samples evenly spaced points (one, at 0, when duration is 0)."""
-    if not 0.0 <= duration < math.inf:
-        raise ValueError(f"duration must be finite and nonnegative, got {duration!r}")
+    check_duration(duration)
     if sample_times is None:
         return np.linspace(0.0, duration, samples if duration else 1)
     times = np.asarray(sample_times, float)

@@ -16,8 +16,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .analysis import _joint_variances, moment_records, report_from_records, squeeze_moments, symplectic_squeeze
-from .hilbert import _unchecked
+from .analysis import moment_records, report_from_records, squeeze_moments, symplectic_squeeze
+from .hilbert import _unchecked, elementwise
 
 SYMMETRY_TOL = 1e-12
 UNCERTAINTY_FLOOR = -1e-10
@@ -148,9 +148,10 @@ def two_step_reports(epsilon: np.ndarray, eta1: np.ndarray, eta2: np.ndarray) ->
 
 
 def gaussian_epr_variances(s: GaussianState) -> dict:
-    """The joint-quadrature variance records of the covariance matrix, the
-    keys v_x_minus .. duan_sum of moment_records."""
-    return {key: float(v) for key, v in _joint_variances(s.cov).items()}
+    """The joint-quadrature variance records of the state, the keys v_x_minus .. duan_sum of
+    moment_records, read from the moments it holds (in the squeezed frame once a step has moved it)."""
+    mean, cov, frame = _held(s)
+    return {key: float(v) for key, v in moment_records(mean, cov, frame, frame).items() if not key.startswith("n_")}
 
 
 def gaussian_fidelity_to_tmsv(mean: np.ndarray, cov: np.ndarray, epsilon) -> np.ndarray:
@@ -158,4 +159,4 @@ def gaussian_fidelity_to_tmsv(mean: np.ndarray, cov: np.ndarray, epsilon) -> np.
     In the target's squeezed frame the target is the vacuum (epsilon 0)."""
     m = cov + 0.25 * symplectic_squeeze(2.0 * epsilon)
     q = np.sum(mean * np.linalg.solve(m, mean[..., None])[..., 0], -1)
-    return np.reshape([math.exp(-0.5 * v) for v in np.ravel(q)], q.shape) / (4.0 * np.sqrt(np.linalg.det(m)))
+    return elementwise(math.exp, -0.5 * q) / (4.0 * np.sqrt(np.linalg.det(m)))

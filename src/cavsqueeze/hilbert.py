@@ -26,6 +26,20 @@ def is_integer(value) -> bool:
     return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
 
 
+def elementwise(f, x, *args) -> np.ndarray:
+    """f(v, *args) of each element v of x as a Python float, in x's shape (0-d for a float x).
+    The rules that take a float or an array of points take exp, log, atanh and squares (math.pow,
+    as ** rounds) through math, where numpy's vectorized forms differ in the last place, so
+    each point of an array rounds as a float does."""
+    return np.reshape([f(v, *args) for v in np.ravel(x).tolist()], np.shape(x))
+
+
+def plain(value):
+    """A 0-d result as the Python float or bool it holds; an array of points as it is."""
+    value = np.asarray(value)
+    return value if value.ndim else value.item()
+
+
 @dataclass(frozen=True)
 class SpaceDescriptor:
     """Dimensions of the composite space.

@@ -15,7 +15,7 @@ from typing import Optional
 
 import numpy as np
 
-from .hilbert import Operator, SpaceDescriptor, annihilation_op, atom_transition_op, number_op
+from .hilbert import Operator, SpaceDescriptor, annihilation_op, atom_transition_op, elementwise, number_op, plain
 
 TWO_PI = 2.0 * math.pi
 
@@ -52,7 +52,9 @@ class PhysicalParams:
     couplings; delta1, delta2 the signed one-photon detunings of the two
     Raman channels; gamma_e the excited-state linewidth; r_a the atomic
     arrival rate in atoms per second; tau the single-atom transit time in
-    seconds.
+    seconds.  A field may hold an array, one table per element (the
+    weak drives of a sweep's grid), which derive_rates, mirror_to_b1 and
+    validate_regime read per element.
     """
 
     omega1: float
@@ -67,22 +69,22 @@ class PhysicalParams:
 
     def __post_init__(self):
         for name in ("omega1", "omega2", "g1", "g2", "delta1", "delta2", "gamma_e", "r_a", "tau"):
-            if not math.isfinite(getattr(self, name)):
+            if not np.all(np.isfinite(getattr(self, name))):
                 raise ValueError(f"{name} must be finite")
         for name in ("delta1", "delta2"):
-            if getattr(self, name) == 0.0:
+            if np.any(getattr(self, name) == 0.0):
                 raise ValueError(f"{name} must be nonzero")
-        if self.delta1 == self.delta2:
+        if np.any(self.delta1 == self.delta2):
             raise ValueError("delta1 and delta2 must differ: equal detunings collapse the two Raman channels")
         for name in ("gamma_e", "r_a", "tau"):
-            if getattr(self, name) < 0.0:
+            if np.any(getattr(self, name) < 0.0):
                 raise ValueError(f"{name} must be nonnegative")
 
     @property
     def dispersive_ratio(self) -> float:
         """max coupling over min detuning scale; small values justify elimination of the excited state."""
-        num = max(abs(self.omega1), abs(self.omega2), abs(self.g1), abs(self.g2))
-        den = min(abs(self.delta1), abs(self.delta2), abs(self.delta1 - self.delta2))
+        num = functools.reduce(np.maximum, map(abs, (self.omega1, self.omega2, self.g1, self.g2)))
+        den = functools.reduce(np.minimum, map(abs, (self.delta1, self.delta2, self.delta1 - self.delta2)))
         return num / den
 
     @classmethod
@@ -136,25 +138,17 @@ class DerivedParams:
 
 
 def derive_rates(p: PhysicalParams) -> DerivedParams:
-    """Two-photon Raman rates and the squeeze/dissipation parameters they imply."""
+    """Two-photon Raman rates and the squeeze/dissipation parameters they imply; per point of a
+    table of arrays, refused if any point is degenerate, with channel b1 if every point has it."""
     theta1 = abs(p.omega1 * p.g1 / p.delta1)
     theta2 = abs(p.omega2 * p.g2 / p.delta2)
-    if theta1 == theta2:
+    if np.any(theta1 == theta2):
         raise ValueError("degenerate channel: r = 1, epsilon diverges")
-    r = min(theta1, theta2) / max(theta1, theta2)
-    epsilon = math.atanh(r)
-    theta_b = (theta1 + theta2) * math.sqrt((1.0 - r) / (1.0 + r))
-    gamma = p.r_a * theta_b**2 * p.tau**2
-    channel = "b1" if theta1 > theta2 else "b2"
-    return DerivedParams(
-        theta1=theta1,
-        theta2=theta2,
-        r=r,
-        epsilon=epsilon,
-        theta_b=theta_b,
-        gamma=gamma,
-        channel=channel,
-    )
+    r = np.minimum(theta1, theta2) / np.maximum(theta1, theta2)
+    theta_b = (theta1 + theta2) * np.sqrt((1.0 - r) / (1.0 + r))
+    gamma = p.r_a * elementwise(math.pow, theta_b, 2.0) * p.tau**2
+    channel = "b1" if np.all(theta1 > theta2) else "b2"
+    return DerivedParams(*map(plain, (theta1, theta2, r, elementwise(math.atanh, r), theta_b, gamma)), channel)
 
 
 @dataclass(frozen=True)
@@ -399,5 +393,5 @@ class DecayEstimate:
 
 def spontaneous_decay_estimate(p: PhysicalParams) -> DecayEstimate:
     """Effective spontaneous-emission rate from off-resonant excited-state occupation."""
-    occupation = abs(p.omega1 / p.delta1) ** 2
-    return DecayEstimate(occupation=occupation, rate=occupation * p.gamma_e)
+    occupation = elementwise(math.pow, abs(p.omega1 / p.delta1), 2.0)
+    return DecayEstimate(occupation=plain(occupation), rate=plain(occupation * p.gamma_e))

@@ -13,10 +13,12 @@ import warnings
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
+import numpy as np
+
 from .analysis import preparation_time
-from .dynamics import ArrivalProcess, Trajectory, collision_step, run_steps, sample_clock, squeezed_frame
+from .dynamics import ArrivalProcess, Trajectory, check_duration, collision_step, run_steps, sample_clock, squeezed_frame
 from .gaussian import GaussianState, gaussian_frame, gaussian_vacuum
-from .hilbert import DensityMatrix, SpaceDescriptor, is_integer
+from .hilbert import DensityMatrix, SpaceDescriptor, _unchecked, is_integer, plain
 from .model import (
     DISPERSIVE_LIMIT,
     OCCUPANCY_LIMIT,
@@ -47,8 +49,7 @@ class ProtocolStep:
     derived: DerivedParams = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if not 0.0 <= self.duration < math.inf:
-            raise ValueError(f"duration must be finite and nonnegative, got {self.duration!r}")
+        check_duration(self.duration)
         object.__setattr__(self, "derived", derive_rates(self.params))
 
     @property
@@ -140,20 +141,15 @@ def mirror_to_b1(p: PhysicalParams) -> PhysicalParams:
     )
 
 
-def build_two_step_protocol(
-    step1: PhysicalParams,
-    durations: Optional[Sequence[float]] = None,
-    engine: str = "fock",
-    seed: int = 0,
-    truncation: tuple = (15, 15),
-    n_target: float = 0.1,
-) -> ProtocolSpec:
-    """Construct the two-step schedule from the step-1 parameter set.
+def two_step_schedule(step1: PhysicalParams, durations: Optional[Sequence[float]] = None, n_target: float = 0.1) -> list:
+    """The (params, derive_rates(params), duration) of the two steps from the
+    step-1 parameter set, as validate_regime reads them.
 
     Step 2 is mirror_to_b1(step1): the two drive pairs and the detuning
     magnitudes are exchanged, which makes the step-2 rate ordering the exact
     reciprocal of step 1 (same r, same epsilon) and conserves the detuning
     sum.  Durations default to step 1's pump_down_time, which step 2 shares.
+    A step1 table of arrays gives one schedule per element, refused if any is.
     """
     d1 = derive_rates(step1)
     if d1.channel != "b1":
@@ -162,17 +158,32 @@ def build_two_step_protocol(
         durations = (pump_down_time(d1, n_target),) * 2
     if len(durations) != 2:
         raise ValueError("durations must give one time per step")
-    steps = (ProtocolStep(step1, float(durations[0])), ProtocolStep(mirror_to_b1(step1), float(durations[1])))
+    for t in durations:
+        check_duration(t)
+    step2 = mirror_to_b1(step1)
+    return [(step1, d1, durations[0]), (step2, derive_rates(step2), durations[1])]
+
+
+def build_two_step_protocol(step1: PhysicalParams, durations: Optional[Sequence[float]] = None, engine: str = "fock",
+                            seed: int = 0, truncation: tuple = (15, 15), n_target: float = 0.1) -> ProtocolSpec:
+    """Construct the two-step protocol of two_step_schedule(step1, durations, n_target)."""
+    steps = [_unchecked(ProtocolStep, params=p, duration=float(t), derived=d)
+             for p, d, t in two_step_schedule(step1, durations, n_target)]
     return ProtocolSpec(steps=steps, engine=engine, seed=seed, truncation=truncation)
 
 
 def pump_down_time(d: DerivedParams, n_target: float) -> float:
     """Default duration of a step: the time its pump takes to bring the
-    transformed mode down to n_target (0 when it does not pump)."""
-    if d.r == 0.0:
+    transformed mode down to n_target (0 when it does not pump), per point
+    of d's rates."""
+    if np.any(d.r == 0.0):
         raise ValueError("zero weak-channel rate (theta2 = 0) sets no pump-down time; "
                          "give explicit durations")
-    return preparation_time(d.r, d.gamma, n_target).t_step if d.gamma > 0 else 0.0
+    pumps = d.gamma > 0
+    if not np.any(pumps):
+        return plain(np.zeros(np.shape(pumps)))
+    # a step that does not pump ends at once: ln(n_bar / n_target) / inf = 0
+    return preparation_time(d.r, np.where(pumps, d.gamma, math.inf), n_target).t_step
 
 
 def validate_regime(steps: Sequence[tuple]) -> dict:
@@ -192,11 +203,12 @@ def validate_regime(steps: Sequence[tuple]) -> dict:
     for p, d, duration in steps:
         # the three per-step checks, in the order of limits
         for name, value in zip(limits, (p.dispersive_ratio, d.theta_b * p.tau, p.r_a * p.tau)):
-            values[name] = max(values[name], value)
+            values[name] = np.maximum(values[name], value)
         decay_rate = spontaneous_decay_estimate(p).rate
-        if decay_rate:
-            values["decay_budget"] += decay_rate * duration if d.gamma > 0 else math.inf
-    return {name: {"value": values[name], "limit": limit, "passed": values[name] <= limit}
+        # a step that does not decay spends nothing, even over an infinite duration
+        spent = decay_rate * np.where(decay_rate == 0.0, 0.0, np.where(d.gamma > 0, duration, math.inf))
+        values["decay_budget"] = values["decay_budget"] + spent
+    return {name: {"value": plain(values[name]), "limit": limit, "passed": plain(values[name] <= limit)}
             for name, limit in limits.items()}
 
 

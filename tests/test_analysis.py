@@ -335,6 +335,18 @@ class TestPreparationTime:
         assert prep.t_step == 0.0
         assert prep.t_total == 0.0
 
+    def test_an_array_of_points_rounds_each_as_floats_do(self):
+        # one call over 4,000 points, some with nothing to pump, gives each the times the
+        # rule gives in Python floats (** and math.log), to the last bit
+        rng = np.random.default_rng(8)
+        r, gamma = rng.uniform(0.05, 0.999, 4000), rng.uniform(0.5, 50.0, 4000)
+        with pytest.warns(UserWarning, match="nothing to pump"):
+            prep = preparation_time(r, gamma, 0.1)
+        for point in zip(r.tolist(), gamma.tolist(), prep.n_bar_initial, prep.t_step, prep.t_total):
+            n_bar = point[0] ** 2 / (1.0 - point[0] ** 2)
+            t_step = math.log(n_bar / 0.1) / point[1] if n_bar > 0.1 else 0.0
+            assert point[2:] == (n_bar, t_step, 2.0 * t_step)
+
     def test_monotonic_in_r(self):
         times = [preparation_time(r, 5.0, 0.1).t_step for r in (0.5, 0.7, 0.9, 0.95, 0.99)]
         assert all(a < b for a, b in zip(times, times[1:]))

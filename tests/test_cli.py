@@ -2,6 +2,7 @@ import argparse
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import warnings
@@ -13,6 +14,7 @@ import pytest
 import scipy.linalg
 
 import cavsqueeze
+from cavsqueeze.analysis import preparation_time
 from cavsqueeze.cli import (
     _CONFIG_KEYS,
     ConfigError,
@@ -25,8 +27,10 @@ from cavsqueeze.cli import (
     load_run_config,
     main,
 )
+from cavsqueeze.dynamics import write_csv
+from cavsqueeze.gaussian import two_step_reports
 from cavsqueeze.model import TWO_PI, PhysicalParams, derive_rates, spontaneous_decay_estimate
-from cavsqueeze.protocol import ENGINES, mirror_to_b1, run_protocol
+from cavsqueeze.protocol import ENGINES, ProtocolSpec, mirror_to_b1, run_protocol, validate_regime
 from oracles import two_step_vacuum_reading
 
 
@@ -685,6 +689,24 @@ class TestFig2:
         assert rc == 1
         assert "between 0 and 1" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("n_target", [0.1, 0.5])
+    def test_rows_are_the_scalar_preparation_times(self, tmp_path, n_target):
+        # one call over the grid gives each row exactly, zero-duration rows included
+        cfg = load_run_config(None)
+        out = tmp_path / "c.csv"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["fig2", "--out", str(out), "--n-target", str(n_target)]) == 0
+        rows = read_csv(out)
+        assert rows.shape == (len(cfg.r_grid),)
+        theta1 = TWO_PI * cfg.theta1_hz
+        for row, r in zip(rows, cfg.r_grid):
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore")
+                prep = preparation_time(r, cfg.r_a_per_s * theta1**2 * (1.0 - r * r) * cfg.tau_s**2, n_target)
+            assert (row["r"], row["n_bar"], row["total_time_2T"]) == (r, prep.n_bar_initial, prep.t_total)
+        assert rows["total_time_2T"][0] == 0.0
+
     def test_n_target_moves_crossover(self, tmp_path):
         out = tmp_path / "c.csv"
         assert main(["fig2", "--out", str(out), "--r-grid", "0.5,0.9",
@@ -734,10 +756,11 @@ class TestSweep:
     @pytest.mark.parametrize("params, extra", [({}, {}), ({}, {"durations": [0.003, 0.0]}),
                                                ({"gamma_e_hz": 50.0}, {})], ids=["bundled", "durations", "decay"])
     def test_gaussian_rows_equal_per_point_runs(self, tmp_path, params, extra):
-        # gaussian rows come from one closed-form pass over the grid; each must be the
-        # report of run_protocol on its point at one sample per step.  On the bundled
-        # config r = 0.05 and 0.3 do not pump (n_bar <= n_target, zero durations) and
-        # r = 0.4 fails the regime; the durations case leaves step 2 at eta = 1
+        # gaussian rows come from one array pass over the grid; each must be the
+        # report of run_protocol on its point at one sample per step, and its rates,
+        # time and regime flag those of the point's own spec to the last bit.  On the
+        # bundled config r = 0.05 and 0.3 do not pump (n_bar <= n_target, zero
+        # durations) and r = 0.4 fails the regime; the durations case leaves step 2 at eta = 1
         data = json.loads(resources.files("cavsqueeze").joinpath("data", "microwave_rydberg.json").read_text())
         data["params"].update(params)
         data.update(extra, engine="gaussian")
@@ -760,11 +783,39 @@ class TestSweep:
                     "regime_ok": 0 if traj.diagnostics["regime_failures"] else 1,
                     "truncation_leak": report.truncation_leak}
             for key, value in want.items():
-                assert rows[key][i] == exact(value), (r, key)
+                same = key in ("epsilon", "gamma_per_s", "t_total_s", "regime_ok")
+                assert rows[key][i] == (value if same else exact(value)), (r, key)
         if not params and not extra:
             # the points that do not pump read the vacuum exactly, never -1e-16 photons
             assert list(rows["t_total_s"][:2]) == [0.0, 0.0] and rows["regime_ok"][2] == 0
             assert list(rows["n1_mean"][:2]) == [0.0, 0.0] and list(rows["duan_sum"][:2]) == [1.0, 1.0]
+
+    @pytest.mark.parametrize("config", [None, "sweep_decay.json", "sweep_durations.json"])
+    def test_gaussian_rows_are_the_per_point_pass_to_the_bit(self, tmp_path, config):
+        # the array pass writes, byte for byte, the CSV of the per-point pass it replaced: each
+        # point's own spec and regime, its eta = math.exp(-gamma t) per step, then one
+        # two_step_reports over the grid (numpy's exp differs from math's in the last place)
+        path = config and os.path.join(os.path.dirname(__file__), "data", config)
+        grid = np.linspace(0.05, 0.9999, 300).tolist()
+        out, ref = tmp_path / "sweep.csv", tmp_path / "ref.csv"
+        flags = ["--config", path] if path else []
+        assert main(["sweep", *flags, "--out", str(out), "--r-grid", ",".join(map(repr, grid))]) == 0
+        cfg = load_run_config(path)
+        p = _as_step1(cfg.params)
+        d0 = derive_rates(p)
+        points = []
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            for r in grid:
+                spec = _two_step_spec(cfg, replace(p, omega2=p.omega2 * (r * d0.theta1 / d0.theta2)))
+                regime = validate_regime([(s.params, s.derived, s.duration) for s in spec.steps])
+                points.append((r, spec.epsilon, spec.steps[0].derived.gamma, sum(s.duration for s in spec.steps),
+                               *(math.exp(-s.derived.gamma * s.duration) for s in spec.steps),
+                               all(c["passed"] for c in regime.values())))
+        r, epsilon, gamma, t_total, eta1, eta2, ok = map(np.array, zip(*points))
+        write_csv(ref, read_csv(out).dtype.names, zip(r, epsilon, gamma, t_total,
+                                                     *two_step_reports(epsilon, eta1, eta2), ok.astype(int), 0.0 * r))
+        assert out.read_bytes() == ref.read_bytes()
 
     @pytest.mark.parametrize("r", [0.99, 0.999, 0.9999])
     def test_gaussian_rows_keep_their_digits_at_large_epsilon(self, tmp_path, r):
@@ -790,23 +841,80 @@ class TestSweep:
         assert run_protocol(spec)[0].times.size > 1
         assert main(["sweep", "--out", str(tmp_path / "s.csv"), "--r-grid", "0.5,0.9"]) == 0
 
-    def test_derives_rates_once_per_step(self, tmp_path, monkeypatch):
-        # a point builds its two steps, each deriving its rates once, and
-        # the spec builder derives step 1's to pick its durations
-        calls = []
+    @staticmethod
+    def sweep_counts(tmp_path, monkeypatch, grids, *flags):
+        # the derive_rates calls and ProtocolSpec constructions of one sweep per grid
+        calls, counts = {"derive_rates": 0, "ProtocolSpec": 0}, []
 
         def counted(p):
-            calls.append(p)
+            calls["derive_rates"] += 1
             return derive_rates(p)
+
+        def counted_spec(spec, check=ProtocolSpec.__post_init__):
+            calls["ProtocolSpec"] += 1
+            check(spec)
 
         for module in ("cli", "dynamics", "model", "protocol"):
             monkeypatch.setattr(f"cavsqueeze.{module}.derive_rates", counted)
-        counts = []
-        for grid in ("0.5", "0.5,0.7,0.9"):
-            calls.clear()
-            assert main(["sweep", "--out", str(tmp_path / "s.csv"), "--r-grid", grid]) == 0
-            counts.append(len(calls))
-        assert (counts[1] - counts[0]) / 2 <= 3
+        monkeypatch.setattr(ProtocolSpec, "__post_init__", counted_spec)
+        for grid in grids:
+            calls.update(dict.fromkeys(calls, 0))
+            assert main(["sweep", *flags, "--out", str(tmp_path / "s.csv"), "--r-grid", grid]) == 0
+            counts.append(dict(calls))
+        return counts
+
+    def test_derives_rates_once_per_step(self, tmp_path, monkeypatch):
+        # a fock point derives the rates of its two steps once each, as the
+        # schedule builds them, and runs one protocol
+        one, three = self.sweep_counts(tmp_path, monkeypatch, ("0.3", "0.3,0.4,0.5"),
+                                       "--engine", "fock", "--truncation", "12,12")
+        assert (three["derive_rates"] - one["derive_rates"]) / 2 <= 3
+        assert three["ProtocolSpec"] - one["ProtocolSpec"] == 2
+
+    def test_gaussian_pass_builds_nothing_per_point(self, tmp_path, monkeypatch):
+        # the gaussian rows derive their rates once for the whole grid and build no spec
+        one, three = self.sweep_counts(tmp_path, monkeypatch, ("0.5", "0.5,0.7,0.9"), "--engine", "gaussian")
+        assert one == three
+        assert three["ProtocolSpec"] == 0
+
+    @pytest.mark.parametrize("params, grid, message", [
+        ({"omega1_hz": 40884.58450591904}, "0.5,0.9999999999999999", "degenerate channel: r = 1, epsilon diverges"),
+        ({"omega1_hz": 45164.60492573635}, "0.5,0.9999999999999999", "step 1 must have theta1 > theta2 (channel b1)"),
+        ({"g2_hz": 1e-300}, "0.5,0.9", "omega2 must be finite"),
+        ({"tau_s": 1e-160}, "0.5,0.9", "duration must be finite and nonnegative, got inf"),
+        ({"omega1_hz": 1e-290, "omega2_hz": 1e-291, "g1_hz": 1.0, "g2_hz": 1.0, "delta1_hz": -1.0, "delta2_hz": 1.0},
+         "0.5,1e-40", "zero weak-channel rate (theta2 = 0) sets no pump-down time; give explicit durations"),
+    ], ids=["degenerate", "channel", "drive-overflow", "endless-step", "zero-rate"])
+    def test_gaussian_pass_refuses_as_a_point_does(self, tmp_path, capsys, params, grid, message):
+        # near r = 1 the rescaled weak rate rounds to or past the strong one; a weak rate of
+        # 1e-300 rescales to an infinite drive; tau = 1e-160 pumps too slowly for a finite
+        # step; theta1 * 1e-40 underflows to a zero weak rate.  Each point's own spec
+        # refuses with the message the sweep gives, on one line
+        data = json.loads(resources.files("cavsqueeze").joinpath("data", "microwave_rydberg.json").read_text())
+        data["params"].update(params)
+        path, out = write_config(tmp_path, data), tmp_path / "s.csv"
+        cfg = load_run_config(path)
+        p = _as_step1(cfg.params)
+        d0 = derive_rates(p)
+        with pytest.raises(ValueError, match="^" + re.escape(message) + "$"):
+            for r in map(float, grid.split(",")):
+                _two_step_spec(cfg, replace(p, omega2=p.omega2 * (r * d0.theta1 / d0.theta2)))
+        assert main(["sweep", "--config", path, "--out", str(out), "--r-grid", grid]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("config", ["sweep_decay.json", "sweep_durations.json"])
+    def test_dev_mode_gaussian_pass_writes_nothing_to_stderr(self, tmp_path, config):
+        # -X dev shows every warning: a decay budget at zero-duration points, or a step of
+        # duration 0 (eta = 1), must not meet a 0 * inf, log or division that warns
+        data = os.path.join(os.path.dirname(__file__), "data", config)
+        outs = [tmp_path / f"{name}.csv" for name in "ab"]
+        for out in outs:
+            done = subprocess.run([sys.executable, "-X", "dev", "-m", "cavsqueeze", "sweep", "--config", data,
+                                   "--r-grid", "0.05,0.3,0.4,0.95,0.9999", "--out", str(out)],
+                                  env=package_env(), capture_output=True, text=True, timeout=120)
+            assert (done.returncode, done.stderr) == (0, "")
+        assert outs[0].read_bytes() == outs[1].read_bytes()
 
     def test_refuses_steps_pair(self, tmp_path, capsys):
         # a sweep rescales one params table; a steps pair's second step

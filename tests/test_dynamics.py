@@ -23,6 +23,7 @@ from cavsqueeze.dynamics import (
     squeezed_frame,
     stepwise,
     transit_kraus_pair,
+    write_csv,
 )
 from cavsqueeze.hilbert import (
     DensityMatrix,
@@ -115,6 +116,18 @@ class TestTrajectory:
         np.testing.assert_array_equal(data[:, 0], times)
         np.testing.assert_array_equal(data[:, 1], records["n_b1"])
         np.testing.assert_array_equal(data[:, 2], records["duan_sum"])
+
+    def test_csv_formats_each_value_as_17_significant_digits(self, tmp_path):
+        # one %-format per row: floats, numpy floats and integers (regime_ok) read as format(v, ".17g")
+        rows = [(0.1, np.float64(1.0 / 3.0), np.int64(1), 0), (1e-300, np.float64(2.0**60), np.int64(0), 7),
+                (-0.0, np.float64(math.inf), np.int64(-3), 2**53 + 1)]
+        path = tmp_path / "rows.csv"
+        write_csv(path, ["a", "b", "c", "d"], rows)
+        want = "a,b,c,d\n" + "".join(",".join(format(v, ".17g") for v in row) + "\n" for row in rows)
+        assert path.read_text() == want
+        assert want.splitlines()[1:] == ["0.10000000000000001,0.33333333333333331,1,0",
+                                         "1e-300,1.152921504606847e+18,0,7",
+                                         "-0,inf,-3,9007199254740992"]
 
 
 class TestArrivalProcess:

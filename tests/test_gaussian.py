@@ -333,6 +333,17 @@ class TestGaussianLindbladEvolve:
         epr_gauss = gaussian_epr_variances(out)
         assert abs(epr_fock["duan_sum"] - epr_gauss["duan_sum"]) < 1e-5
 
+    def test_variances_of_a_pumped_state_keep_their_digits(self):
+        # two pump steps at r = 0.9999 (gamma t = 8 each) move the state far from the bare
+        # frame: read from the bare covariance, duan_sum cancels digits as cosh(epsilon)**4
+        # (2.8e-9 off); read from the squeezed frame the state holds, it is exact
+        eps = math.atanh(0.9999)
+        s = gaussian_vacuum()
+        for which in (1, 2):
+            s = gaussian_lindblad_evolve(s, eps, 1.0, which, 8.0)
+        want = two_step_vacuum_reading(eps, [(1.0, 8.0), (1.0, 8.0)])
+        assert gaussian_epr_variances(s)["duan_sum"] == pytest.approx(float(want["duan_sum"]), rel=1e-12, abs=0.0)
+
 
 @pytest.mark.filterwarnings("ignore:outside validity regime")
 class TestRunProtocolGaussian:

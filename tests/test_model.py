@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -107,6 +108,23 @@ class TestDeriveRates:
             assert dq.theta2 == pytest.approx(lam * dp.theta2, rel=1e-12)
             assert dq.theta_b == pytest.approx(lam * dp.theta_b, rel=1e-12)
 
+    def test_a_table_of_arrays_rounds_each_point_as_floats_do(self):
+        # 4,000 drives in one table give, to the last bit, the rates and decay rates the rule
+        # gives in Python floats (** and math): numpy's x**2 and arctanh differ from those in
+        # the last place on some points, which a bit-exact sweep must not take
+        base = microwave_params()
+        drives = base.omega1 * np.random.default_rng(5).uniform(0.05, 1.2, 4000)
+        d = derive_rates(replace(base, omega1=drives, gamma_e=3.0))
+        decay = spontaneous_decay_estimate(replace(base, omega1=drives, gamma_e=3.0)).rate
+        columns = np.broadcast_arrays(d.theta1, d.theta2, d.r, d.epsilon, d.theta_b, d.gamma, decay)
+        for row, w in zip(np.transpose(columns).tolist(), drives.tolist()):
+            theta1, theta2 = abs(w * base.g1 / base.delta1), abs(base.omega2 * base.g2 / base.delta2)
+            r = min(theta1, theta2) / max(theta1, theta2)
+            theta_b = (theta1 + theta2) * math.sqrt((1.0 - r) / (1.0 + r))
+            assert row == [theta1, theta2, r, math.atanh(r), theta_b, base.r_a * theta_b**2 * base.tau**2,
+                           abs(w / base.delta1) ** 2 * 3.0]
+        # the points couple either mode, so the table's channel is not b1
+        assert d.channel == "b2"
 
 class TestPhysicalParams:
     def test_zero_detuning_rejected(self):

@@ -23,6 +23,7 @@ from cavsqueeze.protocol import (
     ProtocolStep,
     build_two_step_protocol,
     run_protocol,
+    two_step_schedule,
     validate_regime,
 )
 from oracles import (
@@ -192,6 +193,30 @@ class TestBuildTwoStepProtocol:
     def test_rejects_degenerate_rates(self):
         with pytest.raises(ValueError):
             build_two_step_protocol(clean_params(0.5, 0.5))
+
+    def test_a_table_of_arrays_schedules_each_point_as_its_own(self):
+        # one table holds five weak drives and transit times: pumping points, one with
+        # nothing to pump (r = 0.06), and one that does not pump (tau = 0) while its atoms
+        # decay, an infinite budget.  Each element of the rates, durations and regime is the
+        # scalar schedule's of its point to the last bit, and the array pass warns of nothing
+        base = pump_params(1.0, 0.6, delta_mag=20.0, r_a=0.2, gamma_e=0.05)
+        omega2 = base.omega2 * np.array([0.1, 0.5, 0.9, 0.999, 0.5])
+        tau = np.array([1.0, 1.0, 1.0, 1.0, 0.0])
+        with warnings.catch_warnings():
+            warnings.filterwarnings("error")
+            warnings.filterwarnings("ignore", "target occupation", UserWarning)
+            steps = two_step_schedule(replace(base, omega2=omega2, tau=tau))
+            regime = validate_regime(steps)
+            points = [two_step_schedule(replace(base, omega2=w, tau=t)) for w, t in zip(omega2.tolist(), tau.tolist())]
+        fields = ("theta1", "theta2", "r", "epsilon", "theta_b", "gamma")
+        for i, point in enumerate(points):
+            at = lambda value: np.broadcast_to(value, tau.shape)[i]
+            for (_, d, t), (_, d_i, t_i) in zip(steps, point):
+                assert [at(getattr(d, f)) for f in fields] + [at(t)] == [getattr(d_i, f) for f in fields] + [t_i]
+            for name, check in validate_regime(point).items():
+                assert (at(regime[name]["value"]), at(regime[name]["passed"])) == (check["value"], check["passed"])
+        assert regime["decay_budget"]["value"][-1] == math.inf
+        assert steps[0][2][0] == 0.0 and steps[0][2][-1] == 0.0
 
 
 def regime_at_default_target(p):
