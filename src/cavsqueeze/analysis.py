@@ -33,8 +33,6 @@ from .model import SQUEEZE_LEAK_LIMIT, refuse_tail
 
 TMSV_TAIL_LIMIT = 1e-6
 BOUNDARY_WARN_LIMIT = 1e-3
-# the mode-1 and mode-2 ladder operators in each band of band_sums
-BAND_LADDERS = np.array([(1, 0), (0, 1), (1, 1), (2, 0), (0, 2), (1, 1), (2, 0), (0, 2)])
 SQUEEZE_PAIRS = np.array([[0.0, 0.0, 1.0, 0.0], [0.0, 0.0, 0.0, -1.0], [1.0, 0.0, 0.0, 0.0], [0.0, -1.0, 0.0, 0.0]])
 
 StateLike = Union[np.ndarray, DensityMatrix]
@@ -191,6 +189,30 @@ def squeeze_moments(mean: np.ndarray, cov: np.ndarray, epsilon) -> tuple:
         return mean, cov
     s = symplectic_squeeze(epsilon)
     return (s @ mean[..., None])[..., 0], s @ cov @ np.swapaxes(s, -1, -2)
+
+
+def transmissivities(gamma, t, mode: int) -> np.ndarray:
+    """The attenuate pair (eta1, eta2) of pumping bare mode 1 or 2 at rate gamma for t, per element
+    of gamma t, on a last axis: exp(-gamma t) through math.exp, the one rounding of every pump and
+    the sweep (numpy's vectorized exp differs in the last place), and 1 on the other mode."""
+    return np.where(np.arange(1, 3) == mode, elementwise(math.exp, -gamma * t)[..., None], 1.0)
+
+
+def attenuate(mean: np.ndarray, cov: np.ndarray, eta: np.ndarray) -> tuple:
+    """Moments after the attenuators R -> sqrt(eta_j) R + sqrt(1 - eta_j) R_env of bare modes j = 1, 2
+    (vacuum environment), for the pair (eta1, eta2) on eta's last axis, stackable; exact at eta = 1."""
+    scale = np.repeat(eta, 2, axis=-1)
+    keep = np.sqrt(scale)
+    return keep * mean, cov * (keep[..., :, None] * keep[..., None, :]) + 0.25 * (1.0 - scale)[..., None] * np.eye(4)
+
+
+def pumped_moments(mean: np.ndarray, cov: np.ndarray, frame, eta: np.ndarray, epsilon) -> tuple:
+    """(mean, cov, frame) of moments held in the squeezed frame of frame after attenuate(eta), stackable.
+    A pumped reading moves first to the frame of epsilon, where pumping a transformed mode is damping a
+    bare one; a reading no pump has moved (eta = (1, 1)) keeps its frame and its digits, so the vacuum
+    reads exactly 0 photons and duan_sum 1."""
+    to = np.where(np.all(eta == 1.0, axis=-1), frame, epsilon)
+    return (*attenuate(*squeeze_moments(mean, cov, frame - to), eta), plain(to))
 
 
 def moment_records(mean: np.ndarray, cov: np.ndarray, epsilon, frame=0.0) -> dict:

@@ -21,10 +21,10 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .analysis import epr_variances_fock, preparation_time, tmsv_state_vector, truncation_leak
+from .analysis import epr_variances_fock, preparation_time, tmsv_state_vector, transmissivities, truncation_leak
 from .dynamics import write_csv
 from .gaussian import gaussian_epr_variances, gaussian_tmsv, two_step_reports
-from .hilbert import SpaceDescriptor, annihilation_op, basis_state, elementwise, is_integer
+from .hilbert import SpaceDescriptor, annihilation_op, basis_state, is_integer
 from .model import (
     TWO_PI,
     PhysicalParams,
@@ -323,7 +323,7 @@ def cmd_sweep(cfg: RunConfig, out: str) -> int:
             steps = two_step_schedule(replace(p, omega2=np.array(omega2)), cfg.durations, cfg.n_target)
             (_, d, t1), (_, _, t2) = steps
             r = np.array(cfg.r_grid)
-            eta1, eta2 = (elementwise(math.exp, -s.gamma * t) for _, s, t in steps)
+            eta1, eta2 = (transmissivities(s.gamma, t, mode) for mode, (_, s, t) in zip((1, 2), steps))
             ok = np.all([np.broadcast_to(c["passed"], r.shape) for c in validate_regime(steps).values()], axis=0)
             rows = zip(r, d.epsilon, d.gamma, np.broadcast_to(t1 + t2, r.shape),
                        *two_step_reports(d.epsilon, eta1, eta2), ok.astype(int), 0.0 * r)

@@ -3,11 +3,12 @@
 Every engine runs one driver, run_steps: a pumping step is the pair (times,
 advance), and advance(state, read) returns the step's readings and its end
 state.  The fock and collision engines enter through the squeezed frame they
-share; its pump reads every sample of a fock step in closed form from the
-state the step starts in and damps once, as gaussian_frame does on the moments.
-The collision model steps from sample to sample by atom counts (stepwise), one
-closed-form Kraus pair per atom of its Poisson stream.  Fourth-order
-Runge-Kutta propagates state vectors of the three-level model.
+share, where a pump is the attenuator of a bare mode: a fock step reads every
+sample as the state it starts in with the sample's transmissivities, and damps
+once, as gaussian_frame does on the moments.  The collision model steps from
+sample to sample by atom counts (stepwise), one closed-form Kraus pair per atom
+of its Poisson stream.  Fourth-order Runge-Kutta propagates state vectors of
+the three-level model.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from typing import Callable, Optional, Sequence, Union
 
 import numpy as np
 
-from .analysis import BAND_LADDERS, band_moments, band_sums, moment_records, report_from_records, squeeze_moments
+from .analysis import attenuate, band_moments, band_sums, moment_records, report_from_records, transmissivities
 from .hilbert import ChargeBlocks, DensityMatrix, SpaceDescriptor, _occupied_pairs, charge_outer, is_integer
 from .model import (
     OCCUPANCY_LIMIT,
@@ -214,14 +215,15 @@ def squeezed_frame(rho0: Union[DensityMatrix, SpaceDescriptor], epsilon: float) 
     (n1 - n2) sector blocks; a given rho0 enters on the sector pairs it
     occupies only, through _rotate_charges, and the vacuum is
     written straight into its one block.  No N^2 x N^2 array is made beyond
-    a given rho0, which is read, never copied.  read(rho_b) is
-    its band_sums, through one band table per run, and its a-frame boundary
-    population truncation_leak(S+ rho_b S); tabulate takes the stacked
-    band_sums to the bare modes by symplectic_squeeze(epsilon) and to their
-    records in one pass.  pump(d, duration, times) is the run_schedule step
-    that pumps the transformed mode of d's channel at d.gamma, here
-    ChargeBlocks.damped of the bare mode: it reads every sample in closed
-    form from the state the step starts in, and damps that state once.
+    a given rho0, which is read, never copied.  A reading of rho_b is its
+    band_sums, through one band table per run, the attenuate pair a pump has
+    applied since ((1, 1) from read) and its a-frame boundary population
+    truncation_leak(S+ rho_b S); tabulate attenuates the moments of the stacked
+    band_sums, held in the frame of epsilon, and reads their records there in
+    one pass.  pump(d, duration, times) is the run_schedule step that pumps the
+    transformed mode of d's channel at d.gamma, here ChargeBlocks.damped of the
+    bare mode: each sample is the state the step starts in with the sample's
+    transmissivities and damped_overlaps leak, and the step damps it once.
     """
     space = rho0 if isinstance(rho0, SpaceDescriptor) else rho0.space
     if space.atom_levels != 1:
@@ -233,24 +235,25 @@ def squeezed_frame(rho0: Union[DensityMatrix, SpaceDescriptor], epsilon: float) 
     boundary = _charge0_block(space.shape[1:], sectors, -1)
     # rounding can take the trace of an empty boundary a little below 0
     leak = lambda rho: max(0.0, float(np.einsum("ijk,ijk->", boundary, rho.block(0).real)))
-    read = lambda rho: (band_sums(rho), leak(rho))
+    unpumped = np.ones(2)  # a read state's attenuate pair, one array for every read of the run
+    read = lambda rho: (band_sums(rho), unpumped, leak(rho))
 
     def pump(d, duration, times):
         mode = 1 if d.channel == "b1" else 2
-        etas = np.exp(-d.gamma * times)
+        etas = transmissivities(d.gamma, times, mode)
 
         def advance(rho, read):
-            # damping scales a band by sqrt(eta) per ladder operator of the mode that it holds
-            bands = band_sums(rho) * np.sqrt(etas)[:, None] ** BAND_LADDERS[:, mode - 1]
-            rows = list(zip(bands, np.maximum(rho.damped_overlaps(boundary, mode, etas), 0.0)))
-            end = rho.damped(mode, math.exp(-d.gamma * duration))
+            bands = band_sums(rho)
+            leaks = np.maximum(rho.damped_overlaps(boundary, mode, etas[:, mode - 1]), 0.0)
+            rows = [(bands, eta, leak) for eta, leak in zip(etas, leaks)]
+            end = rho.damped(mode, transmissivities(d.gamma, duration, mode)[mode - 1])
             if times[-1] == duration:
                 rows[-1] = read(end)  # a sample at the step's end reads the state there, as the report does
             return rows, end
 
         return times, advance
 
-    tabulate = lambda bands: moment_records(*squeeze_moments(*band_moments(bands), epsilon), epsilon)
+    tabulate = lambda bands, eta: moment_records(*attenuate(*band_moments(bands), eta), epsilon, epsilon)
     # the squeezed vacuum S+|0,0> has fidelity <0,0|rho_b|0,0>, in the charge-0 block at [N2 - 1, 0, 0]
     fidelity = lambda rho: float(rho.block(0)[space.n2_trunc - 1, 0, 0].real)
     report = lambda row, rho, final_leak: report_from_records(row, epsilon, fidelity(rho), final_leak)
@@ -305,7 +308,7 @@ def _refuse_overflow(leak: float, t: float) -> None:
 def run_steps(entry: tuple, steps: Sequence) -> tuple:
     """Run run_schedule's (times, advance) steps from entry = (state, read,
     tabulate, report), the squeezed_frame of the fock and collision engines
-    or the moments of the gaussian one.  A reading ends with the boundary leak;
+    or the gaussian_frame of the moments.  A reading ends with the boundary leak;
     tabulate makes the records of the rest, stacked, in one pass, and
     report(row, state, leak) the SqueezingReport from the final state's
     row, whose leak must not exceed BOUNDARY_ERROR_LIMIT.  Returns (times,

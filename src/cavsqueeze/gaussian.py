@@ -16,7 +16,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .analysis import moment_records, report_from_records, squeeze_moments, symplectic_squeeze
+from .analysis import (moment_records, pumped_moments, report_from_records, squeeze_moments, symplectic_squeeze,
+                       transmissivities)
 from .hilbert import _unchecked, elementwise
 
 SYMMETRY_TOL = 1e-12
@@ -82,22 +83,13 @@ def gaussian_tmsv(epsilon: float) -> GaussianState:
     return _unchecked(GaussianState, mean=np.zeros(4), cov=0.25 * symplectic_squeeze(2.0 * epsilon))
 
 
-def attenuate(mean: np.ndarray, cov: np.ndarray, eta, which: int) -> tuple:
-    """Squeezed-frame moments after the attenuator R -> sqrt(eta) R + sqrt(1 - eta) R_env of
-    bare mode which (vacuum environment), stackable; exact at eta = 1."""
-    scale = np.ones((*np.shape(eta), 4))
-    scale[..., 2 * which - 2:2 * which] = np.asarray(eta)[..., None]
-    keep = np.sqrt(scale)
-    return keep * mean, cov * (keep[..., :, None] * keep[..., None, :]) + 0.25 * (1.0 - scale)[..., None] * np.eye(4)
-
-
 def gaussian_lindblad_evolve(
     s0: GaussianState, epsilon: float, gamma: float, which: int, t: float
 ) -> GaussianState:
     """Exact moment evolution under pumping of transformed mode 1 or 2.
 
     In the squeezed frame the transformed mode b_j is the bare mode j, so
-    pumping it for t is attenuate at eta = exp(-gamma t) there.  The result keeps
+    pumping it for t is pumped_moments at eta = exp(-gamma t) there.  The result keeps
     those moments as its frame, since mapping bare moments back would lose digits
     as cosh(epsilon)**4; eta = 1 returns s0.  Closed form: no step-size error.
     """
@@ -107,13 +99,12 @@ def gaussian_lindblad_evolve(
         raise ValueError("t must be nonnegative")
     if which not in (1, 2):
         raise ValueError(f"which must be 1 or 2, got {which!r}")
-    eta = math.exp(-gamma * t) if gamma else 1.0
-    if eta == 1.0:
+    eta = transmissivities(gamma, t, which) if gamma else np.ones(2)
+    if np.all(eta == 1.0):
         return s0
-    mean, cov, frame = _held(s0)
-    mean, cov = attenuate(*squeeze_moments(mean, cov, frame - epsilon), eta, which)
-    bare_mean, bare_cov = squeeze_moments(mean, cov, epsilon)
-    return _unchecked(GaussianState, mean=bare_mean, cov=0.5 * (bare_cov + bare_cov.T), frame=(mean, cov, epsilon))
+    mean, cov, frame = pumped_moments(*_held(s0), eta, epsilon)
+    bare_mean, bare_cov = squeeze_moments(mean, cov, frame)
+    return _unchecked(GaussianState, mean=bare_mean, cov=0.5 * (bare_cov + bare_cov.T), frame=(mean, cov, frame))
 
 
 def _held(s: GaussianState) -> tuple:
@@ -122,27 +113,36 @@ def _held(s: GaussianState) -> tuple:
 
 
 def gaussian_frame(s0: GaussianState, epsilon: float) -> tuple:
-    """(entry, pump) on the moments, as dynamics.squeezed_frame gives them on
-    rho_b: each sample of a pump step, and its end, is one gaussian_lindblad_evolve
-    of the state the step starts in, read as its _held moments with no leak."""
-    read = lambda s: (*_held(s), 0.0)
-    tabulate = lambda mean, cov, frame: moment_records(mean, cov, epsilon, frame)
+    """(entry, pump) on the moments, as dynamics.squeezed_frame gives them on rho_b: a reading
+    is a state's _held moments, the attenuate pair a pump has applied since and no leak, and
+    tabulate takes readings through pumped_moments to their records in one stacked pass.  Each
+    sample of a pump step is the state it starts in with the sample's transmissivities; the
+    step makes one gaussian_lindblad_evolve, for its end."""
+    read = lambda s: (*_held(s), np.ones(2), 0.0)
     fidelity = lambda mean, cov, frame: float(gaussian_fidelity_to_tmsv(mean, cov, epsilon - frame))
     report = lambda row, s, leak: report_from_records(row, epsilon, fidelity(*_held(s)), leak)
 
+    def tabulate(mean, cov, frame, eta):
+        mean, cov, frame = pumped_moments(mean, cov, frame, eta, epsilon)
+        return moment_records(mean, cov, epsilon, frame)
+
     def pump(d, duration, times):
-        evolve = lambda s, t: gaussian_lindblad_evolve(s, epsilon, d.gamma, 1 if d.channel == "b1" else 2, t)
-        return times, lambda s, read: ([read(evolve(s, t)) for t in times], evolve(s, duration))
+        mode = 1 if d.channel == "b1" else 2
+        etas = transmissivities(d.gamma, times, mode)
+        end = lambda s: gaussian_lindblad_evolve(s, epsilon, d.gamma, mode, duration)
+        return times, lambda s, read: ([(*_held(s), eta, 0.0) for eta in etas], end(s))
 
     return (s0, read, tabulate, report), pump
 
 
 def two_step_reports(epsilon: np.ndarray, eta1: np.ndarray, eta2: np.ndarray) -> tuple:
     """(duan_sum, n1_mean, n2_mean, fidelity) of gaussian_frame's report on runs from the vacuum
-    pumping b1 at transmissivity eta1, then b2 at eta2, one per epsilon, in one broadcast pass.
-    A run with eta = 1 on both steps stays in the bare modes (frame 0) and reads the vacuum exactly."""
-    vacuum, frame = gaussian_vacuum(), np.where((eta1 != 1.0) | (eta2 != 1.0), epsilon, 0.0)
-    mean, cov = attenuate(*attenuate(*squeeze_moments(vacuum.mean, vacuum.cov, -frame), eta1, 1), eta2, 2)
+    pumping b1 at the attenuate pairs eta1, then b2 at eta2, one per epsilon, in one broadcast pass
+    that takes each step as a run does.  A run with eta = 1 on both steps stays in the bare modes
+    (frame 0) and reads the vacuum exactly."""
+    mean, cov, frame = _held(gaussian_vacuum())
+    for eta in (eta1, eta2):
+        mean, cov, frame = pumped_moments(mean, cov, frame, eta, epsilon)
     rec = moment_records(mean, cov, epsilon, frame)
     return rec["duan_sum"], rec["n_a1"], rec["n_a2"], gaussian_fidelity_to_tmsv(mean, cov, epsilon - frame)
 

@@ -649,8 +649,10 @@ class TestFig2:
         data = read_csv(out)
         assert data.dtype.names == ("r", "n_bar", "total_time_2T")
         assert data.shape == (19,)
-        r = data["r"]
-        assert np.all(data["n_bar"] == r**2 / (1.0 - r**2))
+        # fig2 squares r by C pow (math.pow), as preparation_time does; numpy's r**2 is r*r,
+        # which rounds otherwise on some doubles
+        square = np.array([math.pow(r, 2.0) for r in data["r"]])
+        assert np.all(data["n_bar"] == square / (1.0 - square))
         t2 = data["total_time_2T"]
         assert np.all(np.diff(t2) >= 0.0)
         # below the crossover n_bar < n_target there is nothing to pump
@@ -794,7 +796,8 @@ class TestSweep:
     def test_gaussian_rows_are_the_per_point_pass_to_the_bit(self, tmp_path, config):
         # the array pass writes, byte for byte, the CSV of the per-point pass it replaced: each
         # point's own spec and regime, its eta = math.exp(-gamma t) per step, then one
-        # two_step_reports over the grid (numpy's exp differs from math's in the last place)
+        # two_step_reports over the grid at the steps' attenuate pairs (eta1, 1) and (1, eta2)
+        # (numpy's exp differs from math's in the last place)
         path = config and os.path.join(os.path.dirname(__file__), "data", config)
         grid = np.linspace(0.05, 0.9999, 300).tolist()
         out, ref = tmp_path / "sweep.csv", tmp_path / "ref.csv"
@@ -813,8 +816,9 @@ class TestSweep:
                                *(math.exp(-s.derived.gamma * s.duration) for s in spec.steps),
                                all(c["passed"] for c in regime.values())))
         r, epsilon, gamma, t_total, eta1, eta2, ok = map(np.array, zip(*points))
+        pairs = np.stack([eta1, np.ones_like(eta1)], -1), np.stack([np.ones_like(eta2), eta2], -1)
         write_csv(ref, read_csv(out).dtype.names, zip(r, epsilon, gamma, t_total,
-                                                     *two_step_reports(epsilon, eta1, eta2), ok.astype(int), 0.0 * r))
+                                                     *two_step_reports(epsilon, *pairs), ok.astype(int), 0.0 * r))
         assert out.read_bytes() == ref.read_bytes()
 
     @pytest.mark.parametrize("r", [0.99, 0.999, 0.9999])

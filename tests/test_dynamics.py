@@ -730,7 +730,7 @@ class TestSectorFrame:
         rho = DensityMatrix(s, random_low_fock_state(s, min(shape), 2, seed=4))
         (rho_b, read, _, _), _ = squeezed_frame(rho, eps)
         assert truncation_leak(rho) > 1e-3
-        assert read(rho_b)[1] == pytest.approx(truncation_leak(rho), rel=0, abs=1e-13)
+        assert read(rho_b)[-1] == pytest.approx(truncation_leak(rho), rel=0, abs=1e-13)
 
     def test_default_vacuum_equals_explicit_vacuum(self, shape, eps):
         s = SpaceDescriptor(1, *shape)

@@ -3,12 +3,12 @@ import math
 import numpy as np
 import pytest
 
-from cavsqueeze.analysis import moment_records, quadrature_ops, symplectic_squeeze, tmsv_state_vector
+from cavsqueeze import gaussian
+from cavsqueeze.analysis import attenuate, moment_records, quadrature_ops, symplectic_squeeze, tmsv_state_vector
 from cavsqueeze.cli import build_spec, load_run_config
 from cavsqueeze.gaussian import (
     OMEGA,
     GaussianState,
-    attenuate,
     gaussian_fidelity_to_tmsv,
     gaussian_epr_variances,
     gaussian_lindblad_evolve,
@@ -284,19 +284,19 @@ class TestGaussianLindbladEvolve:
         # the sweep's one pass stacks runs on a leading axis; entry by entry it is the
         # single-run kernel
         rng = np.random.default_rng(30)
-        eps, eta = rng.uniform(0.0, 5.0, 7), rng.uniform(0.0, 1.0, 7)
+        eps, eta = rng.uniform(0.0, 5.0, 7), np.stack([np.ones(7), rng.uniform(0.0, 1.0, 7)], -1)
         states = [displaced_squeezed_thermal(rng) for _ in eps]
         mean, cov = np.array([s.mean for s in states]), np.array([s.cov for s in states])
         stacked = symplectic_squeeze(eps)
-        out_mean, out_cov = attenuate(mean, cov, eta, 2)
+        out_mean, out_cov = attenuate(mean, cov, eta)
         fidelity = gaussian_fidelity_to_tmsv(mean, cov, eps)
         for i in range(eps.size):
             assert np.array_equal(stacked[i], symplectic_squeeze(eps[i]))
-            one_mean, one_cov = attenuate(mean[i], cov[i], eta[i], 2)
+            one_mean, one_cov = attenuate(mean[i], cov[i], eta[i])
             assert np.array_equal(out_mean[i], one_mean) and np.array_equal(out_cov[i], one_cov)
             assert fidelity[i] == pytest.approx(gaussian_fidelity_to_tmsv(mean[i], cov[i], eps[i]), rel=1e-14)
         # eta = 1 leaves the moments exactly as they are
-        same = attenuate(mean, cov, np.ones(eps.size), 1)
+        same = attenuate(mean, cov, np.ones((eps.size, 2)))
         assert np.array_equal(same[0], mean) and np.array_equal(same[1], cov)
 
     def test_uncertainty_holds_along_evolution(self):
@@ -359,6 +359,14 @@ class TestRunProtocolGaussian:
         traj, _ = run_protocol(self.protocol(0.6, 4.0), samples_per_step=51)
         assert traj.times.size > 100
         assert len(eigvalsh_calls) <= 1
+
+    def test_one_evolve_per_step(self, monkeypatch):
+        # every sample is the step's entry moments and its transmissivities, read in one
+        # stacked pass; the step evolves a GaussianState only for its end
+        calls, evolve = [], gaussian.gaussian_lindblad_evolve
+        monkeypatch.setattr(gaussian, "gaussian_lindblad_evolve", lambda *args: calls.append(args) or evolve(*args))
+        run_protocol(self.protocol(0.6, 4.0), samples_per_step=51)
+        assert [which for _, _, _, which, _ in calls] == [1, 2]
 
     def test_each_sample_evolves_the_step_entry_once(self):
         # on the bundled config, 51 samples per step: every record row is the

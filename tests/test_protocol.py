@@ -12,10 +12,10 @@ import pytest
 import scipy.linalg
 
 import cavsqueeze
-from cavsqueeze.analysis import preparation_time, tmsv_state_vector
+from cavsqueeze.analysis import attenuate, band_moments, band_sums, moment_records, preparation_time, tmsv_state_vector
 from cavsqueeze.cli import build_spec, load_run_config
 from cavsqueeze.dynamics import ArrivalProcess, run_collision_model, run_steps, squeezed_frame, stepwise
-from cavsqueeze.gaussian import GaussianState, gaussian_vacuum
+from cavsqueeze.gaussian import GaussianState, gaussian_frame, gaussian_vacuum
 from cavsqueeze.hilbert import ChargeBlocks, DensityMatrix, SpaceDescriptor, basis_state, split_charges
 from cavsqueeze.model import PhysicalParams, b_mode_annihilation, derive_rates, spontaneous_decay_estimate
 from cavsqueeze.protocol import (
@@ -891,9 +891,11 @@ def per_interval_step(step, times, rho, read):
 
 
 def assert_rows_match(got, want, tol):
+    """Readings (band_sums, attenuate pair, leak) match when the attenuated moments of their bands do."""
     assert len(got) == len(want)
-    for (got_bands, got_leak), (want_bands, want_leak) in zip(got, want):
-        assert np.max(np.abs(got_bands - want_bands)) <= tol
+    for (got_bands, got_eta, got_leak), (want_bands, want_eta, want_leak) in zip(got, want):
+        for g, w in zip(attenuate(*band_moments(got_bands), got_eta), attenuate(*band_moments(want_bands), want_eta)):
+            assert np.max(np.abs(g - w)) <= tol
         assert abs(got_leak - want_leak) <= tol
 
 
@@ -937,6 +939,40 @@ class TestClosedFormStep:
         traj, _ = run_protocol(spec, samples_per_step=5)
         assert damped == [2]
         assert traj.times.size == 5
+
+    def test_every_pump_row_rounds_eta_by_math_exp(self, monkeypatch):
+        # every fock and gaussian pump row, and each fock step's damping to its end, takes
+        # eta = exp(-gamma t) through math.exp, as the sweep does; numpy's vectorized exp
+        # differs from it in the last place on some of these t
+        ends, damp = [], ChargeBlocks.damped
+        monkeypatch.setattr(ChargeBlocks, "damped", lambda rho, mode, eta: ends.append(eta) or damp(rho, mode, eta))
+        p = clean_params()
+        gamma = derive_rates(p).gamma
+        spec = build_two_step_protocol(p, truncation=(9, 13), durations=(6.0 / gamma, 5.0 / gamma))
+        for (state, read, _, _), pump in (squeezed_frame(SpaceDescriptor(1, 9, 13), spec.epsilon),
+                                          gaussian_frame(gaussian_vacuum(), spec.epsilon)):
+            for step in spec.steps:
+                # the clock stops short of the step's end, whose fock row reads the end state
+                times = np.linspace(0.0, step.duration, 201)[:-1]
+                rows, state = pump(step.derived, step.duration, times)[1](state, read)
+                mode = 1 if step.channel == "b1" else 2
+                assert [row[-2][mode - 1] for row in rows] == [math.exp(-step.derived.gamma * t) for t in times]
+                assert all(row[-2][2 - mode] == 1.0 for row in rows)
+        assert ends == [math.exp(-step.derived.gamma * step.duration) for step in spec.steps]
+
+    @pytest.mark.parametrize("engine", ["fock", "collision"])
+    def test_transformed_occupations_read_the_frame_moments(self, engine):
+        # rho_b holds the squeezed frame's moments, where b_j is the bare mode j: the first and last
+        # rows' n_b1 and n_b2 are their occupations to the bit, with no trip through the bare modes
+        p = clean_params()
+        gamma = derive_rates(p).gamma
+        spec = build_two_step_protocol(p, engine=engine, truncation=(12, 12), durations=(3.0 / gamma, 2.0 / gamma))
+        traj, _ = run_protocol(spec, samples_per_step=5)
+        entry = squeezed_frame(SpaceDescriptor(1, 12, 12), spec.epsilon)[0][0]
+        for row, rho_b in ((0, entry), (-1, traj.final_state)):
+            want = moment_records(*band_moments(band_sums(rho_b)), spec.epsilon, spec.epsilon)
+            for key in ("n_b1", "n_b2"):
+                assert traj.records[key][row] == want[key], (row, key)
 
     @pytest.mark.parametrize("r_a", [0.2, 0.0])
     def test_one_sample_per_step_and_a_step_that_does_not_pump(self, monkeypatch, r_a):
