@@ -5,9 +5,11 @@ advance), and advance(state, read) returns the step's readings and its end
 state.  The fock and collision engines enter through the squeezed frame they
 share, where a pump is the attenuator of a bare mode: a fock step reads every
 sample as the state it starts in with the sample's transmissivities, and damps
-once, as gaussian_frame does on the moments.  The collision model steps from
-sample to sample by atom counts (stepwise), one closed-form Kraus pair per atom
-of its Poisson stream.  Fourth-order Runge-Kutta propagates state vectors of
+once, as gaussian_frame does on the moments.  The collision model walks the
+atom counts of its Poisson stream (stepwise): each atom applies one
+closed-form Kraus pair, so c atoms are the c-th power of one transit kernel
+along the pumped mode, which ChargeBlocks.along applies as it applies the
+damping kernel.  Fourth-order Runge-Kutta propagates state vectors of
 the three-level model.
 """
 
@@ -20,7 +22,8 @@ from typing import Callable, Optional, Sequence, Union
 import numpy as np
 
 from .analysis import attenuate, band_moments, band_sums, moment_records, report_from_records, transmissivities
-from .hilbert import ChargeBlocks, DensityMatrix, SpaceDescriptor, _occupied_pairs, charge_outer, is_integer
+from .hilbert import (ChargeBlocks, DensityMatrix, SpaceDescriptor, _charge_shifts, _occupied_pairs, charge_outer,
+                      is_integer)
 from .model import (
     OCCUPANCY_LIMIT,
     DerivedParams,
@@ -34,6 +37,9 @@ from .model import (
 COUPLING_ERROR_LIMIT = 0.5
 BOUNDARY_ERROR_LIMIT = 1e-3
 MAX_STEPS = 10_000_000
+# atoms between the states a collision walk holds (transit_map): one product per 16 atoms moves
+# the held state, and a step keeps 16 kernel powers of 17 diagonals each
+TRANSIT_BLOCK = 16
 
 
 @dataclass(frozen=True)
@@ -178,13 +184,13 @@ def run_schedule(state, steps: Sequence, read: Callable) -> tuple:
     return np.array(clock), tuple(map(np.array, zip(*rows))), state
 
 
-def stepwise(times, amounts: Sequence, apply: Callable) -> tuple:
-    """run_schedule step in which apply(state, amounts[i]) carries the state to sample i, then
-    amounts[len(times)], where given, past the last sample; a zero amount is skipped."""
+def stepwise(times, counts: Sequence, walk: Callable) -> tuple:
+    """run_schedule step that reads at sample i the state after counts[i] atoms and ends at the
+    state after counts[len(times)], where given, or at the last sample's: walk(state, counts)
+    yields those states in order, for nondecreasing counts."""
     def advance(state, read):
         rows = []
-        for i, amount in enumerate(amounts):
-            state = apply(state, amount) if amount else state
+        for i, state in enumerate(walk(state, counts)):
             if i < len(times):
                 rows.append(read(state))
         return rows, state
@@ -392,9 +398,33 @@ def _accepted_counts(params: PhysicalParams, duration: float, arrivals: ArrivalP
     return np.append(np.searchsorted(accepted, sample_times, side="right"), len(accepted)), dropped
 
 
+def _transit_kernel(stay: np.ndarray, jump: np.ndarray, shift: np.ndarray) -> np.ndarray:
+    """M_e of one shift-free transit along the pumped mode's axis of a block row, for each row shift e
+    of shift: upper bidiagonal, stay[n] stay*[n + e] on the diagonal and jump[n + 1] jump*[n + 1 + e]
+    above it, zero where the column n + e is off the grid.  stay is real and jump imaginary, so the
+    products are real, as the per-atom pass of charge_outer pairs computes them."""
+    n = stay.size
+    far = np.arange(n) + shift[..., None]
+    on, at = (far >= 0) & (far < n), np.clip(far, 0, n - 1)
+    kernel = np.zeros((*shift.shape, n, n))
+    i = np.arange(n)
+    kernel[..., i, i] = np.where(on, (stay * stay[at].conj()).real, 0.0)
+    kernel[..., i[:-1], i[1:]] = np.where(on[..., 1:], (jump[1:] * jump[at[..., 1:]].conj()).real, 0.0)
+    return kernel
+
+
 def transit_map(shape, params: PhysicalParams, include_stark: bool) -> Callable:
-    """apply(rho_b, k) of a collision step: k atom transits, each the Kraus
-    pair of transit_kraus_pair on the charge blocks of rho_b."""
+    """walk(rho_b, counts) of a collision step: the states after counts[i] atom transits, each the
+    Kraus pair of transit_kraus_pair, for nondecreasing counts.
+
+    Without light shifts the pair is a function of the pumped mode's photon number alone, and one
+    transit is the real kernel M_e of _transit_kernel along that mode's axis (ChargeBlocks.along),
+    so c transits are M_e^c.  The walk holds the state at the last multiple of TRANSIT_BLOCK atoms
+    and reads c as M_e^(c mod TRANSIT_BLOCK) applied to it: the state after c atoms is the same
+    array whatever counts the walk stopped at before, which keeps an ensemble's orbit bitwise equal
+    to its single runs.  A step's powers are built once, by successive products, and freed when
+    the step ends.  Light shifts make the pair depend on both photon numbers, so with include_stark
+    each atom is applied as one pass of the pair on the charge blocks."""
     d = derive_rates(params)
     x = d.theta_b * params.tau
     if x >= COUPLING_ERROR_LIMIT:
@@ -402,28 +432,63 @@ def transit_map(shape, params: PhysicalParams, include_stark: bool) -> Callable:
 
     stark = stark_shifts(params) if include_stark else None
     stay, jump = transit_kraus_pair(d, stark, params.tau, shape)
+    mode = 1 if d.channel == "b1" else 2
+    if include_stark:
+        return _transit_passes(stay, jump, 1 + mode)
+    pumped = (slice(None), 0) if mode == 1 else (0, slice(None))
+
+    def walk(rho, counts):
+        shift = _charge_shifts(rho.charges, rho.blocks.shape[3])[mode - 1]
+        kernel = _transit_kernel(stay[pumped], jump[pumped], shift)
+        # M_e^k is upper triangular with k diagonals above the main one, so each power up to the
+        # step's last count, at most TRANSIT_BLOCK, is kept as its first TRANSIT_BLOCK + 1
+        # diagonals and written into the zeroed kernel array to apply
+        row, column = np.triu_indices(kernel.shape[-1])
+        band = (row * kernel.shape[-1] + column)[column - row <= TRANSIT_BLOCK]
+        flat = kernel.reshape(*shift.shape, -1)
+        powers, power = [], kernel
+        for k in range(1, min(counts[-1], TRANSIT_BLOCK) + 1):
+            power = power if k == 1 else kernel @ power
+            powers.append(power.reshape(flat.shape)[..., band])
+        del power
+        flat[...] = 0.0
+
+        def transits(state, k):
+            flat[..., band] = powers[k - 1]
+            return state.along(mode, kernel)
+
+        base, held, last, state = rho, 0, 0, rho
+        for c in counts:
+            while c - held >= TRANSIT_BLOCK:
+                base, held = transits(base, TRANSIT_BLOCK), held + TRANSIT_BLOCK
+            if c != last:
+                state, last = (transits(base, c - held) if c > held else base), c
+            yield state
+
+    return walk
+
+
+def _transit_passes(stay: np.ndarray, jump: np.ndarray, axis: int) -> Callable:
+    """walk of transit_map for a pair with light shifts: one pass of the pair per atom on the
+    charge blocks, gathered into block shape once per step."""
     # the jump lowers n_j and m_j of the pumped mode together, which keeps
     # each block entry's charge and d: entries with n_j >= 1 move one down
     # the n_j axis of the blocks
-    axis = 2 if d.channel == "b1" else 3
     src = (slice(None),) * axis + (slice(1, None),)
     dst = (slice(None),) * axis + (slice(None, -1),)
-    gathered = {}
 
-    def apply(rho, k):
-        # the charges are conserved, so a run gathers the pair into block shape once per step
-        key = rho.charges.tobytes()
-        if key not in gathered:
-            gathered[key] = charge_outer(rho.charges, stay, stay), charge_outer(rho.charges, jump, jump)[src]
-        stay_pair, jump_pair = gathered[key]
-        blocks = rho.blocks
-        for _ in range(k):
-            new = stay_pair * blocks
-            new[dst] += jump_pair * blocks[src]
-            blocks = new
-        return replace(rho, blocks=blocks)
+    def walk(rho, counts):
+        stay_pair, jump_pair = charge_outer(rho.charges, stay, stay), charge_outer(rho.charges, jump, jump)[src]
+        blocks, done = rho.blocks, 0
+        for c in counts:
+            for _ in range(c - done):
+                new = stay_pair * blocks
+                new[dst] += jump_pair * blocks[src]
+                blocks = new
+            done = c
+            yield replace(rho, blocks=blocks)
 
-    return apply
+    return walk
 
 
 def collision_step(shape, params: PhysicalParams, duration: float, arrivals: ArrivalProcess, times,
@@ -432,7 +497,7 @@ def collision_step(shape, params: PhysicalParams, duration: float, arrivals: Arr
     stepwise step of transit_map by the atom counts of the arrivals the
     drop rule accepts, and how many it accepts and drops."""
     counts, dropped = _accepted_counts(params, duration, arrivals, times)
-    step = stepwise(times, np.diff(counts, prepend=0), transit_map(shape, params, include_stark))
+    step = stepwise(times, counts, transit_map(shape, params, include_stark))
     return step, int(counts[-1]), dropped
 
 
@@ -453,7 +518,9 @@ def run_collision_model(
     default the light-shift part of the Hamiltonian is absorbed into the
     frame (include_stark=False); setting it true keeps the shifts explicit.
     Each accepted atom applies the closed-form Kraus pair of
-    transit_kraus_pair in the squeezed frame.
+    transit_kraus_pair in the squeezed frame, and transit_map's walk
+    applies the atoms before each sample as one power of the transit
+    kernel (one pass of the pair per atom with the shifts).
 
     Records bare and transformed occupations plus joint-quadrature variances
     on sample_clock(duration, sample_times), checked before any arrival is
@@ -490,9 +557,11 @@ def run_collision_ensemble(
     same Kraus map Phi, so at a sample where trajectory i has accepted k
     atoms its state is Phi^k(rho_b).  The orbit is run once, over the
     distinct counts of all trajectories, and each trajectory's records and
-    boundary leaks are read off it at its counts.  Records are the ensemble
-    means; final_state is None.  A trajectory that ends above
-    BOUNDARY_ERROR_LIMIT raises, as in run_collision_model.
+    boundary leaks are read off it at its counts.  transit_map's walk makes
+    the state after k atoms the same array whatever counts it stopped at
+    before, so the records, the ensemble means, are bitwise those of
+    averaging run_collision_model runs; final_state is None.  A trajectory
+    that ends above BOUNDARY_ERROR_LIMIT raises, as in run_collision_model.
     """
     if not is_integer(n_trajectories) or n_trajectories < 1:
         raise ValueError(f"n_trajectories must be an integer of at least 1, got {n_trajectories!r}")
@@ -507,10 +576,10 @@ def run_collision_ensemble(
     levels = np.flatnonzero(np.bincount(counts.ravel()))  # the distinct counts
     at = np.searchsorted(levels, counts)
     d = derive_rates(params)
-    apply = transit_map(rho0.space.shape[1:], params, False)
+    walk = transit_map(rho0.space.shape[1:], params, False)
     (rho_b, read, tabulate, _), _ = squeezed_frame(rho0, d.epsilon)
     # the last level is the orbit's final state, which run_schedule reads last
-    *readings, leaks = run_schedule(rho_b, [stepwise(levels[:-1], np.diff(levels, prepend=0), apply)], read)[1]
+    *readings, leaks = run_schedule(rho_b, [stepwise(levels[:-1], levels, walk)], read)[1]
     orbit, leaks = tabulate(*readings), leaks[at]
     for leak in leaks[:, -1]:
         _refuse_overflow(leak, sample_times[-1] if sample_times.size else 0.0)

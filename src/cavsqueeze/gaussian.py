@@ -18,6 +18,7 @@ import numpy as np
 
 from .analysis import (moment_records, pumped_moments, report_from_records, squeeze_moments, symplectic_squeeze,
                        transmissivities)
+from .dynamics import check_duration
 from .hilbert import _unchecked, elementwise
 
 SYMMETRY_TOL = 1e-12
@@ -93,10 +94,9 @@ def gaussian_lindblad_evolve(
     those moments as its frame, since mapping bare moments back would lose digits
     as cosh(epsilon)**4; eta = 1 returns s0.  Closed form: no step-size error.
     """
-    if gamma < 0:
-        raise ValueError("gamma must be nonnegative")
-    if t < 0:
-        raise ValueError("t must be nonnegative")
+    if not 0.0 <= gamma < math.inf:
+        raise ValueError(f"gamma must be finite and nonnegative, got {gamma!r}")
+    check_duration(t)
     if which not in (1, 2):
         raise ValueError(f"which must be 1 or 2, got {which!r}")
     eta = transmissivities(gamma, t, which) if gamma else np.ones(2)

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Optional, Sequence, Union
 
 import numpy as np
@@ -226,23 +226,30 @@ class ChargeBlocks:
         rho4[index] = self.blocks[on_grid]
         return rho4
 
+    def along(self, mode: int, kernel: np.ndarray) -> "ChargeBlocks":
+        """The state after a real kernel acts along the n_j axis of every block row, for mode j = 1
+        or 2: row blocks[i, r] takes kernel[i, r] (a leading axis of 1 serves every charge), one
+        (n_j, n_j) matrix applied from the left, as one real product on float views with the
+        mode's axis moved to the rows (a transpose on mode 2, kept).  The pumping maps keep every
+        entry's charge and d, so they act this way: damped, and the collision transits."""
+        rows = np.ascontiguousarray(self.blocks.swapaxes(2, 1 + mode))
+        return ChargeBlocks(self.charges, (kernel @ rows.view(float)).view(complex).swapaxes(2, 1 + mode))
+
     def damped(self, mode: int, eta: float) -> "ChargeBlocks":
         """The state after exact amplitude damping of mode 1 or 2 to transmissivity eta.
 
         The k-th Kraus operator lowers n_j and m_j of the mode by k together, so population flows
         only down (the truncated space is invariant and the map exact) and each entry keeps its
         charge and d.  Along the n_j axis of a block row whose entries have m_j - n_j = e, the map
-        is the matrix kernel[n, n + k] = w[k, n] w[k, n + e], w[k, m] = <m| K_k |m + k>, applied as
-        a real product with the mode's axis moved to the rows (a transpose on mode 2, kept).
+        is the matrix kernel[n, n + k] = w[k, n] w[k, n + e], w[k, m] = <m| K_k |m + k>, applied
+        by along.
         """
         if eta == 1.0:
             return self
         shift = np.ascontiguousarray(_charge_shifts(self.charges, self.blocks.shape[3])[mode - 1], dtype=int)
         root, power, lag = _damping_base(self.blocks.shape[1 + mode], shift.shape, shift.tobytes())
-        rows = np.ascontiguousarray(self.blocks.swapaxes(2, 1 + mode))
         with np.errstate(under="ignore"):  # long jumps' weights at small eta fall below the smallest float
-            kernel = root * math.sqrt(eta) ** power * (1.0 - eta) ** lag
-            return replace(self, blocks=(kernel @ rows.view(float)).view(complex).swapaxes(2, 1 + mode))
+            return self.along(mode, root * math.sqrt(eta) ** power * (1.0 - eta) ** lag)
 
     def damped_overlaps(self, b: np.ndarray, mode: int, etas: np.ndarray) -> np.ndarray:
         """tr(b damped(mode, eta)) at each of etas for a real charge-0 block b, with no damping

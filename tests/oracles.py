@@ -354,6 +354,20 @@ def dense_kraus_pass(rho4: np.ndarray, stay: np.ndarray, jump: np.ndarray, chann
     return new
 
 
+def interval_walk(apply: Callable) -> Callable:
+    """A dynamics.stepwise walk that carries the state from each stop to the next by
+    apply(state, stop - previous stop), from 0 and skipping an interval of 0: the
+    per-interval reference of a pumping step."""
+    def walk(state, stops):
+        previous = 0.0
+        for stop in stops:
+            state = apply(state, stop - previous) if stop != previous else state
+            previous = stop
+            yield state
+
+    return walk
+
+
 def dense_frame_entry(rho0: DensityMatrix, epsilon: float) -> ChargeBlocks:
     """The ChargeBlocks of S rho0 S+ through the dense matrix: each real
     sector block of S applied to a float view of the rows of a copy of rho0,

@@ -28,7 +28,7 @@ from cavsqueeze.hilbert import (
     split_charges,
 )
 from cavsqueeze.model import build_squeeze_operator
-from oracles import band_by_band_moments, build_displacement_operator, random_low_fock_state
+from oracles import band_by_band_moments, build_displacement_operator, interval_walk, random_low_fock_state
 
 
 FIELDS20 = SpaceDescriptor(1, 20, 20)
@@ -428,7 +428,8 @@ class TestRecorder:
             rho = squeeze.conj().T @ rho_b @ squeeze
             assert truncation_leak(DensityMatrix(s, rho)) <= 1e-12
             _, records, *_ = run_steps(
-                squeezed_frame(DensityMatrix(s, rho), eps)[0], [stepwise(np.array([0.0]), [0], lambda r, k: r)]
+                squeezed_frame(DensityMatrix(s, rho), eps)[0],
+                [stepwise(np.array([0.0]), [0], interval_walk(lambda state, dt: state))],
             )
             want = dense(rho_b)
             assert list(records) == list(want)

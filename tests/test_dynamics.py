@@ -9,6 +9,7 @@ import scipy.stats
 
 from cavsqueeze.analysis import tmsv_state_vector, truncation_leak
 from cavsqueeze.dynamics import (
+    TRANSIT_BLOCK,
     ArrivalProcess,
     Trajectory,
     _accepted_counts,
@@ -23,6 +24,7 @@ from cavsqueeze.dynamics import (
     squeezed_frame,
     stepwise,
     transit_kraus_pair,
+    transit_map,
     write_csv,
 )
 from cavsqueeze.hilbert import (
@@ -52,6 +54,7 @@ from oracles import (
     dense_frame_entry,
     dense_kraus_pass,
     dense_squeeze_operator,
+    interval_walk,
     lindblad_evolve,
     loop_arrival_times,
     random_low_fock_state,
@@ -422,6 +425,45 @@ class TestCollisionBlocks:
             assert np.max(np.abs(rho.dense() - want)) <= 1e-12
 
 
+class TestTransitKernel:
+    """The walk of shift-free transits: c atoms as the kernel power M_e^(c mod TRANSIT_BLOCK) of the
+    state held at the last multiple of TRANSIT_BLOCK, on a state that occupies several charges."""
+
+    shape = (9, 13)
+
+    def walk_and_state(self, channel):
+        thetas = (1.0, 0.3) if channel == "b1" else (0.3, 1.0)
+        p = collision_params(*thetas, r_a=1.0, tau=0.15)
+        assert derive_rates(p).channel == channel
+        rho4 = random_low_fock_state(SpaceDescriptor(1, *self.shape), min(self.shape), 3, seed=2)
+        rho = split_charges(rho4.reshape(self.shape * 2))
+        assert rho.charges.size > 1
+        return p, transit_map(self.shape, p, False), rho
+
+    @pytest.mark.parametrize("channel", ["b1", "b2"])
+    def test_powers_match_per_atom_passes(self, channel):
+        p, walk, rho = self.walk_and_state(channel)
+        stay, jump = transit_kraus_pair(derive_rates(p), None, p.tau, self.shape)
+        counts = range(2 * TRANSIT_BLOCK + 2)
+        want = rho.dense()
+        for c, got in zip(counts, walk(rho, counts)):
+            assert np.max(np.abs(got.dense() - want)) <= 1e-13, c
+            want = dense_kraus_pass(want, stay, jump, channel)
+
+    @pytest.mark.parametrize("channel", ["b1", "b2"])
+    def test_state_after_c_atoms_does_not_depend_on_the_stops(self, channel):
+        # an ensemble reads every trajectory's counts off one walk, so the state after c atoms
+        # must be the same array whichever counts the walk stopped at on the way
+        _, walk, rho = self.walk_and_state(channel)
+        rng = np.random.default_rng(7)
+        for c in (5, TRANSIT_BLOCK, 2 * TRANSIT_BLOCK + 3, 3 * TRANSIT_BLOCK + 9):
+            *_, direct = walk(rho, [c])
+            for _ in range(4):
+                stops = np.sort(rng.integers(0, c + 1, size=rng.integers(1, 6)))
+                *_, via = walk(rho, [*stops, c])
+                assert np.array_equal(via.blocks, direct.blocks), (c, stops)
+
+
 class TestRunCollisionModel:
     def setup_method(self):
         self.sf = SpaceDescriptor(1, 8, 8)
@@ -737,8 +779,7 @@ class TestSectorFrame:
         explicit = DensityMatrix.from_state_vector(s, basis_state(s, 0, 0, 0))
         times = np.linspace(0.0, 2.0, 5)
         damp = lambda j: lambda rho, dt: rho.damped(j, math.exp(-dt))
-        amounts = np.append(np.diff(times, prepend=0.0), 0.0)
-        steps = [stepwise(times, amounts, damp(j)) for j in (1, 2)]
+        steps = [stepwise(times, [*times, times[-1]], interval_walk(damp(j))) for j in (1, 2)]
         _, got, got_state, got_report, _ = run_steps(squeezed_frame(s, eps)[0], steps)
         _, want, want_state, want_report, _ = run_steps(squeezed_frame(explicit, eps)[0], steps)
         assert list(got) == list(want)

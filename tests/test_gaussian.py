@@ -197,6 +197,18 @@ class TestGaussianLindbladEvolve:
         with pytest.raises(ValueError, match="which"):
             gaussian_lindblad_evolve(s, 0.3, 1.0, 3, 0.0)
 
+    @pytest.mark.parametrize("gamma, t, message", [
+        (math.nan, 1.0, "gamma must be finite and nonnegative, got nan"),
+        (math.inf, 1.0, "gamma must be finite and nonnegative, got inf"),
+        (1.0, math.nan, "duration must be finite and nonnegative, got nan"),
+        (1.0, math.inf, "duration must be finite and nonnegative, got inf"),
+        (0.0, math.nan, "duration must be finite and nonnegative, got nan"),
+    ], ids=["nan-rate", "infinite-rate", "nan-time", "infinite-time", "nan-time-at-zero-rate"])
+    def test_rejects_a_rate_or_time_that_is_not_finite(self, gamma, t, message):
+        # NaN passes a plain sign check, and inf pumps to a state no finite run reaches
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            gaussian_lindblad_evolve(gaussian_vacuum(), 0.5, gamma, 1, t)
+
     def test_zero_time_or_rate_is_identity(self):
         s = gaussian_tmsv(0.4)
         assert gaussian_lindblad_evolve(s, 0.4, 1.0, 1, 0.0) is s

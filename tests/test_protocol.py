@@ -30,6 +30,7 @@ from oracles import (
     bare_state,
     build_displacement_operator,
     dense_damping_pass,
+    interval_walk,
     lindblad_evolve,
     random_low_fock_state,
 )
@@ -857,7 +858,7 @@ class TestDampingPass:
                 times = np.linspace(0.0, step.duration, 5)
                 mode, rate = (1 if step.channel == "b1" else 2), step.derived.gamma
                 damp = lambda rho, dt, m=mode, g=rate: rho.damped(m, math.exp(-g * dt))
-                steps.append(stepwise(times, np.diff(np.concatenate(([0.0], times, [step.duration]))), damp))
+                steps.append(stepwise(times, [*times, step.duration], interval_walk(damp)))
             times, want, *_ = run_steps(squeezed_frame(initial, spec.epsilon)[0], steps)
             assert np.array_equal(traj.times, times)
             for key, series in want.items():
@@ -993,7 +994,7 @@ class TestClosedFormStep:
                 times = np.linspace(0.0, step.duration, samples)
                 mode = 1 if step.channel == "b1" else 2
                 damp_dt = lambda rho, dt, m=mode, g=step.derived.gamma: damp(rho, m, math.exp(-g * dt))
-                steps.append(stepwise(times, np.diff(np.concatenate(([0.0], times, [step.duration]))), damp_dt))
+                steps.append(stepwise(times, [*times, step.duration], interval_walk(damp_dt)))
             times, want, want_state, want_report, _ = run_steps(squeezed_frame(initial, spec.epsilon)[0], steps)
             assert np.array_equal(traj.times, times)
             for key, series in want.items():
