@@ -9,19 +9,23 @@ once, as gaussian_frame does on the moments.  The collision model walks the
 atom counts of its Poisson stream (stepwise): each atom applies one
 closed-form Kraus pair, so c atoms are the c-th power of one transit kernel
 along the pumped mode, which ChargeBlocks.along applies as it applies the
-damping kernel.  Fourth-order Runge-Kutta propagates state vectors of
-the three-level model.
+damping kernel.  The walk holds the state every TRANSIT_BLOCK atoms and reads
+the samples between off it, the power's band rows and boundary overlap with
+no product of their own.  Fourth-order Runge-Kutta propagates state vectors
+of the three-level model.
 """
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass, field, replace
 from typing import Callable, Optional, Sequence, Union
 
 import numpy as np
 
-from .analysis import attenuate, band_moments, band_sums, moment_records, report_from_records, transmissivities
+from .analysis import (_band_table, attenuate, band_moments, band_sums, moment_records, report_from_records,
+                       transmissivities)
 from .hilbert import (ChargeBlocks, DensityMatrix, SpaceDescriptor, _charge_shifts, _occupied_pairs, charge_outer,
                       is_integer)
 from .model import (
@@ -186,16 +190,10 @@ def run_schedule(state, steps: Sequence, read: Callable) -> tuple:
 
 def stepwise(times, counts: Sequence, walk: Callable) -> tuple:
     """run_schedule step that reads at sample i the state after counts[i] atoms and ends at the
-    state after counts[len(times)], where given, or at the last sample's: walk(state, counts)
-    yields those states in order, for nondecreasing counts."""
-    def advance(state, read):
-        rows = []
-        for i, state in enumerate(walk(state, counts)):
-            if i < len(times):
-                rows.append(read(state))
-        return rows, state
-
-    return times, advance
+    state after counts[len(times)], where given, or at the last sample's: walk(state, counts, end,
+    read) returns read's readings of the states after each of counts atoms, nondecreasing, and the
+    state after end atoms."""
+    return times, lambda state, read: walk(state, counts[:len(times)], counts[-1], read)
 
 
 def _charge0_block(shape: tuple, sectors: Sequence, column: int) -> np.ndarray:
@@ -224,7 +222,10 @@ def squeezed_frame(rho0: Union[DensityMatrix, SpaceDescriptor], epsilon: float) 
     a given rho0, which is read, never copied.  A reading of rho_b is its
     band_sums, through one band table per run, the attenuate pair a pump has
     applied since ((1, 1) from read) and its a-frame boundary population
-    truncation_leak(S+ rho_b S); tabulate attenuates the moments of the stacked
+    truncation_leak(S+ rho_b S).  read(rho_b, mode, kernels, band, which) gives
+    the readings of the states rho_b.along(mode, k) for the kernels
+    kernels[which] kept as their upper bands, stacked, without making those
+    states: the transit walk's samples.  tabulate attenuates the moments of the stacked
     band_sums, held in the frame of epsilon, and reads their records there in
     one pass.  pump(d, duration, times) is the run_schedule step that pumps the
     transformed mode of d's channel at d.gamma, here ChargeBlocks.damped of the
@@ -242,7 +243,25 @@ def squeezed_frame(rho0: Union[DensityMatrix, SpaceDescriptor], epsilon: float) 
     # rounding can take the trace of an empty boundary a little below 0
     leak = lambda rho: max(0.0, float(np.einsum("ijk,ijk->", boundary, rho.block(0).real)))
     unpumped = np.ones(2)  # a read state's attenuate pair, one array for every read of the run
-    read = lambda rho: (band_sums(rho), unpumped, leak(rho))
+
+    def read(rho, mode=None, kernels=None, band=None, which=()):
+        if kernels is None:
+            return band_sums(rho), unpumped, leak(rho)
+        # the readings of rho.along(mode, k) for the kernels k = kernels[which], each kept as its upper
+        # band k[..., band], with no product of rho: along_rows makes the rows of the bands held, and the
+        # leak is <k, gram> over the band
+        charges, n = tuple(rho.charges.tolist()), rho.blocks.shape[1 + mode]
+        block, row, weight = _band_table(charges, rho.blocks.shape[2:])
+        held = np.flatnonzero(weight.any((1, 2)))  # a band not held reads 0, as in band_sums
+        block, row = block[held], row[held]
+        kernels = np.broadcast_to(kernels, (len(kernels), len(charges), *kernels.shape[2:]))  # one per charge
+        rows = np.zeros((len(which), held.size, n, n))
+        rows.reshape(len(which), held.size, -1)[..., band] = kernels[np.reshape(which, (-1, 1)), block, row]
+        bands = np.zeros((len(which), 8), complex)
+        bands[:, held] = np.einsum("rkij,kij->rk", rho.along_rows(mode, rows, block, row), weight[held])
+        gram = rho.gram(boundary, mode).reshape(-1, n * n)[:, band]
+        leaks = kernels[:, charges.index(0)].reshape(len(kernels), -1) @ gram.ravel()
+        return bands, [unpumped] * len(which), np.maximum(leaks[which], 0.0)
 
     def pump(d, duration, times):
         mode = 1 if d.channel == "b1" else 2
@@ -306,6 +325,7 @@ def _rotate_charges(rho: np.ndarray, shape: tuple, sectors: Sequence) -> ChargeB
 
 
 def _refuse_overflow(leak: float, t: float) -> None:
+    """Refuse the state a run ends in at time t when its boundary leak exceeds BOUNDARY_ERROR_LIMIT."""
     if leak > BOUNDARY_ERROR_LIMIT:
         raise ValueError(f"truncation overflow at t={t:g}: boundary population {leak:.2e} > "
                          f"{BOUNDARY_ERROR_LIMIT:g}; increase the Fock truncation")
@@ -317,12 +337,11 @@ def run_steps(entry: tuple, steps: Sequence) -> tuple:
     or the gaussian_frame of the moments.  A reading ends with the boundary leak;
     tabulate makes the records of the rest, stacked, in one pass, and
     report(row, state, leak) the SqueezingReport from the final state's
-    row, whose leak must not exceed BOUNDARY_ERROR_LIMIT.  Returns (times,
-    records, final state, SqueezingReport, max_truncation_leak)."""
+    row, which its runner refuses at its end time (_refuse_overflow).  Returns
+    (times, records, final state, SqueezingReport, max_truncation_leak)."""
     state, read, tabulate, report = entry
     times, (*readings, leaks), state = run_schedule(state, steps, read)
     table = tabulate(*readings)
-    _refuse_overflow(leaks[-1], times[-1] if times.size else 0.0)
     final = report({key: series[-1] for key, series in table.items()}, state, leaks[-1])
     return times, {key: series[:-1] for key, series in table.items()}, state, final, float(leaks.max())
 
@@ -388,14 +407,18 @@ def _accepted_counts(params: PhysicalParams, duration: float, arrivals: ArrivalP
             f"arrival rate violates the one-atom regime: r_a*tau = {occupancy:.3g} > "
             f"{OCCUPANCY_LIMIT}"
         )
-    accepted, dropped, busy_until = [], 0, -math.inf
-    for t in arrivals.sample(duration):
-        if t >= busy_until:
-            accepted.append(t)
-            busy_until = t + params.tau
-        else:
-            dropped += 1
-    return np.append(np.searchsorted(accepted, sample_times, side="right"), len(accepted)), dropped
+    times = arrivals.sample(duration)
+    # an arrival at or after its predecessor's time + tau is accepted whatever came before: the last
+    # accepted time is at most the predecessor's, and rounding keeps their order after adding tau
+    accepted = np.append(True, times[1:] >= times[:-1] + params.tau)[:times.size]
+    t, busy_until = times.tolist(), -math.inf
+    for i in np.flatnonzero(~accepted).tolist():  # the rest, one by one, in order
+        if accepted[i - 1]:  # i is dropped: the atom accepted at i - 1 is inside until busy_until
+            busy_until = t[i - 1] + params.tau
+        elif t[i] >= busy_until:
+            accepted[i], busy_until = True, t[i] + params.tau
+    kept = times[accepted]
+    return np.append(np.searchsorted(kept, sample_times, side="right"), kept.size), times.size - kept.size
 
 
 def _transit_kernel(stay: np.ndarray, jump: np.ndarray, shift: np.ndarray) -> np.ndarray:
@@ -414,17 +437,22 @@ def _transit_kernel(stay: np.ndarray, jump: np.ndarray, shift: np.ndarray) -> np
 
 
 def transit_map(shape, params: PhysicalParams, include_stark: bool) -> Callable:
-    """walk(rho_b, counts) of a collision step: the states after counts[i] atom transits, each the
-    Kraus pair of transit_kraus_pair, for nondecreasing counts.
+    """walk(rho_b, counts, end, read) of a collision step: read's readings of the states after
+    counts[i] atom transits, for nondecreasing counts, and the state after end transits, each
+    transit the Kraus pair of transit_kraus_pair.
 
     Without light shifts the pair is a function of the pumped mode's photon number alone, and one
     transit is the real kernel M_e of _transit_kernel along that mode's axis (ChargeBlocks.along),
-    so c transits are M_e^c.  The walk holds the state at the last multiple of TRANSIT_BLOCK atoms
-    and reads c as M_e^(c mod TRANSIT_BLOCK) applied to it: the state after c atoms is the same
-    array whatever counts the walk stopped at before, which keeps an ensemble's orbit bitwise equal
-    to its single runs.  A step's powers are built once, by successive products, and freed when
-    the step ends.  Light shifts make the pair depend on both photon numbers, so with include_stark
-    each atom is applied as one pass of the pair on the charge blocks."""
+    so c transits are M_e^c.  The walk holds the state X at each multiple of TRANSIT_BLOCK atoms,
+    one product from the last, and the state after c atoms is M_e^r X, r = c mod TRANSIT_BLOCK.
+    The counts that share X are read off it in one read of the squeezed frame, each power r once,
+    and none is made; r = 0 reads X, and a count at end reads the end state, the one product
+    after the last X.  Each band row read is the product along makes on that row, so the band
+    sums at a count have the same bits however the walk reached it, which keeps an ensemble's
+    orbit bitwise equal to its single runs; the leak <M_e^r, G> matches the end state's to
+    rounding.  A step's powers are built once, by successive products, and freed when the step
+    ends.  Light shifts make the pair depend on both photon numbers, so with include_stark each
+    atom is applied as one pass of the pair on the charge blocks and each count's state is read."""
     d = derive_rates(params)
     x = d.theta_b * params.tau
     if x >= COUPLING_ERROR_LIMIT:
@@ -437,19 +465,19 @@ def transit_map(shape, params: PhysicalParams, include_stark: bool) -> Callable:
         return _transit_passes(stay, jump, 1 + mode)
     pumped = (slice(None), 0) if mode == 1 else (0, slice(None))
 
-    def walk(rho, counts):
+    def walk(rho, counts, end, read):
         shift = _charge_shifts(rho.charges, rho.blocks.shape[3])[mode - 1]
         kernel = _transit_kernel(stay[pumped], jump[pumped], shift)
         # M_e^k is upper triangular with k diagonals above the main one, so each power up to the
-        # step's last count, at most TRANSIT_BLOCK, is kept as its first TRANSIT_BLOCK + 1
+        # step's end count, at most TRANSIT_BLOCK, is kept as its first TRANSIT_BLOCK + 1
         # diagonals and written into the zeroed kernel array to apply
         row, column = np.triu_indices(kernel.shape[-1])
         band = (row * kernel.shape[-1] + column)[column - row <= TRANSIT_BLOCK]
         flat = kernel.reshape(*shift.shape, -1)
-        powers, power = [], kernel
-        for k in range(1, min(counts[-1], TRANSIT_BLOCK) + 1):
-            power = power if k == 1 else kernel @ power
-            powers.append(power.reshape(flat.shape)[..., band])
+        powers, power = np.empty((min(end, TRANSIT_BLOCK), *flat.shape[:-1], band.size)), kernel
+        for k in range(len(powers)):
+            power = power if k == 0 else kernel @ power
+            powers[k] = power.reshape(flat.shape)[..., band]
         del power
         flat[...] = 0.0
 
@@ -457,13 +485,20 @@ def transit_map(shape, params: PhysicalParams, include_stark: bool) -> Callable:
             flat[..., band] = powers[k - 1]
             return state.along(mode, kernel)
 
-        base, held, last, state = rho, 0, 0, rho
-        for c in counts:
-            while c - held >= TRANSIT_BLOCK:
-                base, held = transits(base, TRANSIT_BLOCK), held + TRANSIT_BLOCK
-            if c != last:
-                state, last = (transits(base, c - held) if c > held else base), c
-            yield state
+        counts, rows, held = np.asarray(counts, int).tolist(), [], rho
+        for start in range(0, end + 1, TRANSIT_BLOCK):
+            held = transits(held, TRANSIT_BLOCK) if start else rho
+            # the counts before end are read off the state held at start, all its powers in one read
+            near = counts[len(rows):bisect.bisect_left(counts, min(start + TRANSIT_BLOCK, end))]
+            powered = sorted({c - start for c in near} - {0})
+            readings = {0: read(held)} if start in near else {}
+            if powered:
+                readings.update(zip(powered, zip(*read(held, mode, powers, band, [r - 1 for r in powered]))))
+            rows += (readings[c - start] for c in near)
+        state = transits(held, end - start) if end > start else held
+        if len(rows) < len(counts):  # the counts at end read the end state, as the report does
+            rows += [read(state)] * (len(counts) - len(rows))
+        return rows, state
 
     return walk
 
@@ -477,16 +512,17 @@ def _transit_passes(stay: np.ndarray, jump: np.ndarray, axis: int) -> Callable:
     src = (slice(None),) * axis + (slice(1, None),)
     dst = (slice(None),) * axis + (slice(None, -1),)
 
-    def walk(rho, counts):
+    def walk(rho, counts, end, read):
         stay_pair, jump_pair = charge_outer(rho.charges, stay, stay), charge_outer(rho.charges, jump, jump)[src]
-        blocks, done = rho.blocks, 0
-        for c in counts:
+        rows, blocks, done = [], rho.blocks, 0
+        for c in (*counts, end):
             for _ in range(c - done):
                 new = stay_pair * blocks
                 new[dst] += jump_pair * blocks[src]
                 blocks = new
-            done = c
-            yield replace(rho, blocks=blocks)
+            done, state = c, replace(rho, blocks=blocks)
+            rows.append(read(state))
+        return rows[:-1], state
 
     return walk
 
@@ -518,9 +554,11 @@ def run_collision_model(
     default the light-shift part of the Hamiltonian is absorbed into the
     frame (include_stark=False); setting it true keeps the shifts explicit.
     Each accepted atom applies the closed-form Kraus pair of
-    transit_kraus_pair in the squeezed frame, and transit_map's walk
-    applies the atoms before each sample as one power of the transit
-    kernel (one pass of the pair per atom with the shifts).
+    transit_kraus_pair in the squeezed frame, and transit_map's walk reads
+    each sample as one power of the transit kernel applied to the state it
+    holds every TRANSIT_BLOCK atoms (one pass of the pair per atom with the
+    shifts).  A run that ends above BOUNDARY_ERROR_LIMIT raises, naming the
+    end time, duration.
 
     Records bare and transformed occupations plus joint-quadrature variances
     on sample_clock(duration, sample_times), checked before any arrival is
@@ -530,7 +568,8 @@ def run_collision_model(
     step, accepted, dropped = collision_step(rho0.space.shape[1:], params, duration, arrivals, sample_times,
                                              include_stark)
     d = derive_rates(params)
-    times, records, state, _, leak = run_steps(squeezed_frame(rho0, d.epsilon)[0], [step])
+    times, records, state, final, leak = run_steps(squeezed_frame(rho0, d.epsilon)[0], [step])
+    _refuse_overflow(final.truncation_leak, duration)
     diagnostics = {"accepted_arrivals": accepted, "dropped_arrivals": dropped, "channel": d.channel,
                    "atom_state": d.atom_state, "seed": arrivals.seed, "max_truncation_leak": leak}
     return Trajectory(times, records, state, diagnostics)
@@ -557,11 +596,13 @@ def run_collision_ensemble(
     same Kraus map Phi, so at a sample where trajectory i has accepted k
     atoms its state is Phi^k(rho_b).  The orbit is run once, over the
     distinct counts of all trajectories, and each trajectory's records and
-    boundary leaks are read off it at its counts.  transit_map's walk makes
-    the state after k atoms the same array whatever counts it stopped at
-    before, so the records, the ensemble means, are bitwise those of
-    averaging run_collision_model runs; final_state is None.  A trajectory
-    that ends above BOUNDARY_ERROR_LIMIT raises, as in run_collision_model.
+    boundary leaks are read off it at its counts.  transit_map's walk reads
+    k atoms off the state it holds every TRANSIT_BLOCK atoms, all counts
+    that share one in one read, with the band sums at k the same bits
+    however k is reached, so the records, the ensemble means, are bitwise
+    those of averaging run_collision_model runs, and the leaks agree to
+    rounding; final_state is None.  A trajectory that ends above
+    BOUNDARY_ERROR_LIMIT raises at duration, as in run_collision_model.
     """
     if not is_integer(n_trajectories) or n_trajectories < 1:
         raise ValueError(f"n_trajectories must be an integer of at least 1, got {n_trajectories!r}")
@@ -582,7 +623,7 @@ def run_collision_ensemble(
     *readings, leaks = run_schedule(rho_b, [stepwise(levels[:-1], levels, walk)], read)[1]
     orbit, leaks = tabulate(*readings), leaks[at]
     for leak in leaks[:, -1]:
-        _refuse_overflow(leak, sample_times[-1] if sample_times.size else 0.0)
+        _refuse_overflow(leak, duration)
     records = {key: np.mean(series[at[:, :-1]], axis=0) for key, series in orbit.items()}
     diagnostics = {
         "n_trajectories": n_trajectories,

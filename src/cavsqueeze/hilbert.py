@@ -235,6 +235,13 @@ class ChargeBlocks:
         rows = np.ascontiguousarray(self.blocks.swapaxes(2, 1 + mode))
         return ChargeBlocks(self.charges, (kernel @ rows.view(float)).view(complex).swapaxes(2, 1 + mode))
 
+    def along_rows(self, mode: int, kernels: np.ndarray, block: np.ndarray, row: np.ndarray) -> np.ndarray:
+        """Rows blocks[block[k], row[k]] of along(mode, kernel), for row k's kernel kernels[..., k, :, :]
+        and any leading axes of kernels: the product along makes on each of those rows, and on them
+        alone, so each row keeps its bits."""
+        rows = np.ascontiguousarray(self.blocks[block, row].swapaxes(1, mode))
+        return np.ascontiguousarray((kernels @ rows.view(float)).view(complex).swapaxes(-2, mode - 3))
+
     def damped(self, mode: int, eta: float) -> "ChargeBlocks":
         """The state after exact amplitude damping of mode 1 or 2 to transmissivity eta.
 
@@ -251,15 +258,20 @@ class ChargeBlocks:
         with np.errstate(under="ignore"):  # long jumps' weights at small eta fall below the smallest float
             return self.along(mode, root * math.sqrt(eta) ** power * (1.0 - eta) ** lag)
 
+    def gram(self, b: np.ndarray, mode: int) -> np.ndarray:
+        """G[d] = b[d] rho[d]^T along the mode's axis of the charge-0 blocks, for a real charge-0 block b:
+        tr(b rho') = <kernel, G> for the rho' along(mode, kernel) makes, with no product."""
+        return b.transpose(0, mode, 3 - mode) @ self.block(0).real.transpose(0, 3 - mode, mode)
+
     def damped_overlaps(self, b: np.ndarray, mode: int, etas: np.ndarray) -> np.ndarray:
         """tr(b damped(mode, eta)) at each of etas for a real charge-0 block b, with no damping
-        product: the overlap is <kernel, G>, G[d] = b[d] rho[d]^T along the mode's axis of the
-        charge-0 blocks, and root G summed once per (power, lag) of the kernel serves every eta."""
+        product: the overlap is <kernel, gram(b, mode)>, and root G summed once per (power, lag) of
+        the kernel serves every eta."""
         n = self.blocks.shape[1 + mode]
         shift = _charge_shifts(self.charges, self.blocks.shape[3])[1]  # charge 0's: m_j - n_j = d on either mode
         root, power, lag = _damping_base(n, shift.shape, shift.tobytes())
         with np.errstate(under="ignore"):  # as in damped, and on the entries a damped state holds
-            g = root[0] * (b.transpose(0, mode, 3 - mode) @ self.block(0).real.transpose(0, 3 - mode, mode))
+            g = root[0] * self.gram(b, mode)
             bins = np.bincount((power[0] * n + lag).ravel(), g.ravel(), (power.max() + 1) * n).reshape(-1, n)
             powers = np.sqrt(etas)[:, None] ** np.arange(len(bins)) @ bins
             return (powers * (1.0 - etas)[:, None] ** np.arange(n)).sum(1)

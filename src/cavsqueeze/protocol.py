@@ -16,7 +16,8 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .analysis import preparation_time
-from .dynamics import ArrivalProcess, Trajectory, check_duration, collision_step, run_steps, sample_clock, squeezed_frame
+from .dynamics import (ArrivalProcess, Trajectory, _refuse_overflow, check_duration, collision_step, run_steps,
+                       sample_clock, squeezed_frame)
 from .gaussian import GaussianState, gaussian_frame, gaussian_vacuum
 from .hilbert import DensityMatrix, SpaceDescriptor, _unchecked, is_integer, plain
 from .model import (
@@ -262,6 +263,7 @@ def run_protocol(
         steps = [pump(step.derived, step.duration, times) for step, times in zip(spec.steps, clocks)]
 
     times, records, state, report, leak = run_steps(entry, steps)
+    _refuse_overflow(report.truncation_leak, sum(step.duration for step in spec.steps))
     diagnostics = {
         "engine": spec.engine,
         "steps": len(steps),

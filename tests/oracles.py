@@ -356,14 +356,16 @@ def dense_kraus_pass(rho4: np.ndarray, stay: np.ndarray, jump: np.ndarray, chann
 
 def interval_walk(apply: Callable) -> Callable:
     """A dynamics.stepwise walk that carries the state from each stop to the next by
-    apply(state, stop - previous stop), from 0 and skipping an interval of 0: the
-    per-interval reference of a pumping step."""
-    def walk(state, stops):
-        previous = 0.0
-        for stop in stops:
+    apply(state, stop - previous stop), from 0 and skipping an interval of 0, and reads it at
+    each stop before the end: the per-interval reference of a pumping step."""
+    def walk(state, stops, end, read):
+        rows, previous = [], 0.0
+        for i, stop in enumerate((*stops, end)):
             state = apply(state, stop - previous) if stop != previous else state
             previous = stop
-            yield state
+            if i < len(stops):
+                rows.append(read(state))
+        return rows, state
 
     return walk
 
@@ -404,6 +406,19 @@ def loop_arrival_times(rate: float, seed: int, duration: float) -> np.ndarray:
             if t >= duration:
                 return np.array(times)
             times.append(t)
+
+
+def loop_accepted_counts(params: PhysicalParams, duration: float, arrivals, sample_times) -> tuple:
+    """(counts, dropped) of dynamics._accepted_counts by the drop rule applied one arrival at a
+    time: an arrival is accepted once the last accepted atom's time + tau has passed."""
+    accepted, dropped, busy_until = [], 0, -math.inf
+    for t in arrivals.sample(duration):
+        if t >= busy_until:
+            accepted.append(t)
+            busy_until = t + params.tau
+        else:
+            dropped += 1
+    return np.append(np.searchsorted(accepted, sample_times, side="right"), len(accepted)), dropped
 
 
 def dense_full_hamiltonian(p: PhysicalParams, s: SpaceDescriptor, t: float) -> np.ndarray:

@@ -37,6 +37,7 @@ from cavsqueeze.hilbert import (
     split_charges,
 )
 from cavsqueeze.model import (
+    OCCUPANCY_LIMIT,
     DerivedParams,
     PhysicalParams,
     b_mode_annihilation,
@@ -56,6 +57,7 @@ from oracles import (
     dense_squeeze_operator,
     interval_walk,
     lindblad_evolve,
+    loop_accepted_counts,
     loop_arrival_times,
     random_low_fock_state,
     rk4_reference,
@@ -189,6 +191,23 @@ class TestArrivalProcess:
         assert gaps.size > 9000
         result = scipy.stats.kstest(gaps, "expon", args=(0.0, 1.0 / rate))
         assert result.pvalue > 0.01
+
+
+@pytest.mark.parametrize("occupancy", [0.01, 0.1, OCCUPANCY_LIMIT])
+def test_thinning_matches_the_per_arrival_loop(occupancy):
+    # tau = 1/4 scales exactly, so r_a * tau is the occupancy to the bit, OCCUPANCY_LIMIT included
+    p = collision_params(r_a=occupancy / 0.25, tau=0.25)
+    duration = 300.0 / p.r_a
+    samples = np.linspace(0.0, duration, 7)
+    dropped = 0
+    for seed in range(200):
+        arrivals = ArrivalProcess(rate=p.r_a, seed=seed)
+        (counts, got), (want_counts, want) = (f(p, duration, arrivals, samples)
+                                               for f in (_accepted_counts, loop_accepted_counts))
+        np.testing.assert_array_equal(counts, want_counts)
+        assert got == want and type(got) is int, seed
+        dropped += got
+    assert dropped > 0
 
 
 class TestPropagateState:
@@ -412,13 +431,14 @@ class TestCollisionBlocks:
         stay, jump = transit_kraus_pair(d, stark_shifts(p) if with_stark else None, p.tau, shape)
         times = np.array([0.0, 4.0])
         s = SpaceDescriptor(1, *shape)
+        read = squeezed_frame(s, d.epsilon)[0][1]  # the shift-free walk reads its samples through the frame
         psi = build_displacement_operator(s, 0.7 - 0.4j, 0.5).matrix @ basis_state(s, 0, 0, 0)
         for rho4 in (np.outer(psi, psi.conj()).reshape(shape * 2),
                      random_low_fock_state(s, min(shape), 3, seed=2).reshape(shape * 2)):
             step, accepted, _ = collision_step(shape, p, 10.0, ArrivalProcess(rate=p.r_a, seed=4), times,
                                                with_stark)
             assert accepted > 2
-            _, _, rho = run_schedule(split_charges(rho4), [step], lambda r: ())
+            _, _, rho = run_schedule(split_charges(rho4), [step], read)
             want = rho4
             for _ in range(accepted):
                 want = dense_kraus_pass(want, stay, jump, channel)
@@ -431,22 +451,39 @@ class TestTransitKernel:
 
     shape = (9, 13)
 
-    def walk_and_state(self, channel):
+    def walk_and_state(self, channel, shape=shape):
         thetas = (1.0, 0.3) if channel == "b1" else (0.3, 1.0)
         p = collision_params(*thetas, r_a=1.0, tau=0.15)
         assert derive_rates(p).channel == channel
-        rho4 = random_low_fock_state(SpaceDescriptor(1, *self.shape), min(self.shape), 3, seed=2)
-        rho = split_charges(rho4.reshape(self.shape * 2))
+        rho4 = random_low_fock_state(SpaceDescriptor(1, *shape), min(shape), 3, seed=2)
+        rho = split_charges(rho4.reshape(shape * 2))
         assert rho.charges.size > 1
-        return p, transit_map(self.shape, p, False), rho
+        return p, transit_map(shape, p, False), rho
+
+    @pytest.mark.parametrize("shape", [(9, 13), (11, 11)])
+    @pytest.mark.parametrize("channel", ["b1", "b2"])
+    def test_reading_off_the_held_state_is_the_read_of_the_state(self, channel, shape):
+        # counts 0 .. 2 TRANSIT_BLOCK read every power r = 0 .. TRANSIT_BLOCK off three held states;
+        # each must be the frame's read of the state the products make, on bands of every charge
+        p, walk, rho = self.walk_and_state(channel, shape)
+        assert {-2, -1, 0, 1, 2} <= set(rho.charges.tolist())
+        read = squeezed_frame(SpaceDescriptor(1, *shape), derive_rates(p).epsilon)[0][1]
+        counts = np.arange(2 * TRANSIT_BLOCK + 1)
+        rows, _ = walk(rho, counts, counts[-1] + 1, read)
+        assert len(rows) == counts.size
+        for c, (bands, eta, leak) in zip(counts, rows):
+            want_bands, want_eta, want_leak = read(walk(rho, [], c, read)[1])
+            np.testing.assert_array_equal(bands, want_bands)
+            np.testing.assert_array_equal(eta, want_eta)
+            assert abs(leak - want_leak) <= 1e-15, c
 
     @pytest.mark.parametrize("channel", ["b1", "b2"])
     def test_powers_match_per_atom_passes(self, channel):
         p, walk, rho = self.walk_and_state(channel)
         stay, jump = transit_kraus_pair(derive_rates(p), None, p.tau, self.shape)
-        counts = range(2 * TRANSIT_BLOCK + 2)
         want = rho.dense()
-        for c, got in zip(counts, walk(rho, counts)):
+        for c in range(2 * TRANSIT_BLOCK + 2):
+            got = walk(rho, [], c, None)[1]
             assert np.max(np.abs(got.dense() - want)) <= 1e-13, c
             want = dense_kraus_pass(want, stay, jump, channel)
 
@@ -454,13 +491,14 @@ class TestTransitKernel:
     def test_state_after_c_atoms_does_not_depend_on_the_stops(self, channel):
         # an ensemble reads every trajectory's counts off one walk, so the state after c atoms
         # must be the same array whichever counts the walk stopped at on the way
-        _, walk, rho = self.walk_and_state(channel)
+        p, walk, rho = self.walk_and_state(channel)
+        read = squeezed_frame(SpaceDescriptor(1, *self.shape), derive_rates(p).epsilon)[0][1]
         rng = np.random.default_rng(7)
         for c in (5, TRANSIT_BLOCK, 2 * TRANSIT_BLOCK + 3, 3 * TRANSIT_BLOCK + 9):
-            *_, direct = walk(rho, [c])
+            direct = walk(rho, [], c, read)[1]
             for _ in range(4):
                 stops = np.sort(rng.integers(0, c + 1, size=rng.integers(1, 6)))
-                *_, via = walk(rho, [*stops, c])
+                via = walk(rho, stops, c, read)[1]
                 assert np.array_equal(via.blocks, direct.blocks), (c, stops)
 
 
@@ -671,23 +709,34 @@ class TestRunCollisionEnsemble:
             run_collision_ensemble(self.rho, self.p, self.duration, n_trajectories, master_seed)
 
     @pytest.mark.parametrize(
-        "n_trajectories, master, grid",
-        [(2, 100, (0.0, 1.0, 9)), (2, 100, (0.3, 0.7, 5)), (5, 7, (0.0, 1.0, 9))],
-        ids=["two-full-grid", "two-inner-grid", "five-full-grid"],
+        "n_trajectories, master, grid, channel",
+        [(2, 100, (0.0, 1.0, 9), "b1"), (2, 100, (0.3, 0.7, 5), "b1"), (5, 7, (0.0, 1.0, 9), "b1"),
+         (2, 100, (0.0, 1.0, 9), "b2"), (3, 100, (0.0, 0.1, 6, 0.6, 1.0, 2), "b1")],
+        ids=["two-full-grid", "two-inner-grid", "five-full-grid", "two-full-grid-b2", "bunched-then-sparse"],
     )
-    def test_matches_manual_average(self, n_trajectories, master, grid):
-        first, last, n = grid
-        samples = np.linspace(first * self.duration, last * self.duration, n)
-        ens = run_collision_ensemble(self.rho, self.p, self.duration, n_trajectories, master,
-                                     sample_times=samples)
-        arrivals = [ArrivalProcess(rate=self.p.r_a, seed=master ^ i) for i in range(n_trajectories)]
-        singles = [run_collision_model(self.rho, self.p, self.duration, a, sample_times=samples)
-                   for a in arrivals]
+    def test_matches_manual_average(self, n_trajectories, master, grid, channel):
+        # grid: (first, last, n) of each evenly spaced run of samples, as fractions of the duration
+        first = grid[0]
+        samples = np.concatenate([np.linspace(a * self.duration, b * self.duration, n)
+                                  for a, b, n in zip(grid[::3], grid[1::3], grid[2::3])])
+        p, rho = self.p, self.rho
+        if channel == "b2":  # the mirrored run, which pumps mode 2 through the transposed axis
+            p = collision_params(0.3, 1.0, r_a=self.p.r_a, tau=self.p.tau)
+            rho = DensityMatrix.from_state_vector(self.sf, transformed_fock1(self.sf, derive_rates(p).epsilon, 2))
+            assert derive_rates(p).channel == "b2"
+        ens = run_collision_ensemble(rho, p, self.duration, n_trajectories, master, sample_times=samples)
+        arrivals = [ArrivalProcess(rate=p.r_a, seed=master ^ i) for i in range(n_trajectories)]
+        singles = [run_collision_model(rho, p, self.duration, a, sample_times=samples) for a in arrivals]
+        counts = np.array([_accepted_counts(p, self.duration, a, samples)[0] for a in arrivals])
         if first > 0.0:
             # the corners of the orbit: atoms before the first sample and after the last
-            counts = np.array([_accepted_counts(self.p, self.duration, a, samples)[0] for a in arrivals])
             assert counts[:, 0].max() > 0
             assert np.any(counts[:, -1] > counts[:, -2])
+        if len(grid) > 3:
+            # distinct counts read off one held state, and a step past a whole held block
+            held = counts[:, :-1] // TRANSIT_BLOCK
+            assert np.any((np.diff(counts[:, :-1]) > 0) & (np.diff(held) == 0))
+            assert np.any(np.diff(counts[:, :-1]) > TRANSIT_BLOCK)
         for key in singles[0].records:
             manual = np.mean([s.records[key] for s in singles], axis=0)
             np.testing.assert_array_equal(ens.records[key], manual)
@@ -713,7 +762,8 @@ class TestRunCollisionEnsemble:
         with pytest.raises(ValueError, match="truncation overflow") as ens:
             run_collision_ensemble(rho, self.p, duration, 3, 3, sample_times=samples)
         assert str(ens.value) == str(single.value)
-        assert str(ens.value).startswith(f"truncation overflow at t={samples[-1]:g}: ")
+        # both judge the state after every atom of duration, past the last sample
+        assert str(ens.value).startswith(f"truncation overflow at t={duration:g}: ")
 
     def test_rejects_negative_master_seed(self):
         with pytest.raises(ValueError, match="master_seed must be nonnegative, got -1"):
