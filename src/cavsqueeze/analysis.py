@@ -39,10 +39,11 @@ StateLike = Union[np.ndarray, DensityMatrix]
 
 
 def _fock_state(state: StateLike, space: Optional[SpaceDescriptor]) -> tuple:
-    """(space, psi or rho) of a Fock-basis state: a DensityMatrix, or a raw
-    state vector or density matrix on the given space."""
+    """(space, psi or rho) of a Fock-basis state: a DensityMatrix, read as
+    its vector when from_state_vector gave it, or a raw state vector or
+    density matrix on the given space."""
     if isinstance(state, DensityMatrix):
-        return state.space, state.matrix
+        return state.space, state.vector_or_matrix
     if space is None:
         raise ValueError("a raw state array needs an explicit space")
     return space, np.asarray(state, dtype=complex)

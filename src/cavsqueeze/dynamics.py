@@ -26,8 +26,8 @@ import numpy as np
 
 from .analysis import (_band_table, attenuate, band_moments, band_sums, moment_records, report_from_records,
                        transmissivities)
-from .hilbert import (ChargeBlocks, DensityMatrix, SpaceDescriptor, _charge_shifts, _occupied_pairs, charge_outer,
-                      is_integer)
+from .hilbert import (ChargeBlocks, DensityMatrix, SpaceDescriptor, _charge_shifts, _occupied_pairs, basis_state,
+                      charge_outer, is_integer)
 from .model import (
     OCCUPANCY_LIMIT,
     DerivedParams,
@@ -196,14 +196,21 @@ def stepwise(times, counts: Sequence, walk: Callable) -> tuple:
     return times, lambda state, read: walk(state, counts[:len(times)], counts[-1], read)
 
 
-def _charge0_block(shape: tuple, sectors: Sequence, column: int) -> np.ndarray:
-    """sum_k c_k c_k^T for c_k = block_k[:, column] over the given
+def _pair_entries(n1: np.ndarray, n2: np.ndarray, m2: np.ndarray, n2_trunc: int) -> tuple:
+    """The index, in a block of ChargeBlocks, of the entries of the rows
+    (n1, n2) of one sector and the columns of another whose mode-2 numbers
+    are m2: the entry of rows j and columns j' has d = m2[j'] - n2[j]."""
+    return m2 - n2[:, None] + n2_trunc - 1, n1[:, None], n2[:, None]
+
+
+def _charge0_block(shape: tuple, sectors: Sequence) -> np.ndarray:
+    """sum_k c_k c_k^T for c_k the last column of block_k over the given
     squeeze_sectors, as a charge-0 block of ChargeBlocks on the field grid
-    shape: its entry for the sector's rows j and j' has d = n2[j'] - n2[j]."""
+    shape."""
     out = np.zeros((2 * shape[1] - 1, *shape))
     for n1, n2, block in sectors:
-        c = block[:, column]
-        out[n2 - n2[:, None] + shape[1] - 1, n1[:, None], n2[:, None]] = np.outer(c, c)
+        c = block[:, -1]
+        out[_pair_entries(n1, n2, n2, shape[1])] = np.outer(c, c)
     return out
 
 
@@ -216,10 +223,12 @@ def squeezed_frame(rho0: Union[DensityMatrix, SpaceDescriptor], epsilon: float) 
     modes are bare and every pumping map acts on rho_b without S.  Those
     maps keep the charge of every entry, so rho_b is carried as the
     ChargeBlocks of the charges it occupies.  S is built once, as its
-    (n1 - n2) sector blocks; a given rho0 enters on the sector pairs it
-    occupies only, through _rotate_charges, and the vacuum is
-    written straight into its one block.  No N^2 x N^2 array is made beyond
-    a given rho0, which is read, never copied.  A reading of rho_b is its
+    (n1 - n2) sector blocks.  A pure state, the vacuum |0,0> of a
+    SpaceDescriptor or a DensityMatrix of from_state_vector, enters as its
+    vector through _rotate_vector, and its matrix is never formed; a given
+    matrix enters on the sector pairs it occupies only, through
+    _rotate_charges, read in place, never copied.  No N^2 x N^2 array is
+    made beyond a matrix given as one.  A reading of rho_b is its
     band_sums, through one band table per run, the attenuate pair a pump has
     applied since ((1, 1) from read) and its a-frame boundary population
     truncation_leak(S+ rho_b S).  read(rho_b, mode, kernels, band, which) gives
@@ -239,7 +248,7 @@ def squeezed_frame(rho0: Union[DensityMatrix, SpaceDescriptor], epsilon: float) 
     # tr(S P S+ rho_b) = vdot(S P S+, rho_b) for the projector P on the
     # boundary layers; S keeps n1 - n2, so S P S+ has charge 0 only, and
     # on each sector it is c c^T for the S column c of its last state
-    boundary = _charge0_block(space.shape[1:], sectors, -1)
+    boundary = _charge0_block(space.shape[1:], sectors)
     # rounding can take the trace of an empty boundary a little below 0
     leak = lambda rho: max(0.0, float(np.einsum("ijk,ijk->", boundary, rho.block(0).real)))
     unpumped = np.ones(2)  # a read state's attenuate pair, one array for every read of the run
@@ -283,11 +292,35 @@ def squeezed_frame(rho0: Union[DensityMatrix, SpaceDescriptor], epsilon: float) 
     fidelity = lambda rho: float(rho.block(0)[space.n2_trunc - 1, 0, 0].real)
     report = lambda row, rho, final_leak: report_from_records(row, epsilon, fidelity(rho), final_leak)
 
-    if isinstance(rho0, SpaceDescriptor):
-        # S|0,0> is the first column of sector 0, so rho_b has charge 0 only
-        vacuum = _charge0_block(space.shape[1:], [sectors[space.n2_trunc - 1]], 0)
-        return (ChargeBlocks(np.zeros(1, int), vacuum[None] + 0j), read, tabulate, report), pump
-    return (_rotate_charges(rho0.matrix, space.shape[1:], sectors), read, tabulate, report), pump
+    given = basis_state(space, 0, 0, 0) if isinstance(rho0, SpaceDescriptor) else rho0.vector_or_matrix
+    if given.ndim == 2:
+        return (_rotate_charges(given, space.shape[1:], sectors), read, tabulate, report), pump
+    return (_rotate_vector(given.reshape(space.shape[1:]), sectors), read, tabulate, report), pump
+
+
+def _rotate_vector(psi: np.ndarray, sectors: Sequence) -> ChargeBlocks:
+    """The ChargeBlocks of S|psi><psi|S+ for the state vector psi, shaped
+    (N1, N2), and the squeeze_sectors of S, with no N1 N2 x N1 N2 array.
+
+    S keeps n1 - n2, so S psi turns on each sector psi occupies alone, as
+    one real product of the sector's block on a float view of its part of
+    psi, and stays zero elsewhere.  The turned parts c_k and c_k' of each
+    pair of occupied sectors k and k' are written as c_k c_k'^+ into the
+    block of charge k - k'; every other entry is zero."""
+    n1_trunc, n2_trunc = psi.shape
+    span = n1_trunc + n2_trunc - 2
+    home = np.subtract.outer(np.arange(n1_trunc), np.arange(n2_trunc)) + n2_trunc - 1  # the index of a state's sector
+    occupied = np.flatnonzero(np.bincount(home.ravel(), (psi != 0).ravel(), span + 1))
+    pair_charges = occupied[:, None] - occupied
+    charges = np.flatnonzero(np.bincount((pair_charges + span).ravel())) - span
+    slots = np.searchsorted(charges, pair_charges)
+    turned = [(n1, n2, (block @ psi[n1, n2, None].view(float)).view(complex)[:, 0])
+              for n1, n2, block in (sectors[k] for k in occupied)]
+    blocks = np.zeros((len(charges), 2 * n2_trunc - 1, n1_trunc, n2_trunc), complex)
+    for row_slots, (n1, n2, c) in zip(slots, turned):
+        for slot, (_, m2, c_column) in zip(row_slots, turned):
+            blocks[slot][_pair_entries(n1, n2, m2, n2_trunc)] = np.outer(c, c_column.conj())
+    return ChargeBlocks(charges, blocks)
 
 
 def _rotate_charges(rho: np.ndarray, shape: tuple, sectors: Sequence) -> ChargeBlocks:

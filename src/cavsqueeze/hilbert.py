@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Optional, Sequence, Union
 
 import numpy as np
@@ -159,10 +159,15 @@ class Operator:
 @dataclass(frozen=True)
 class DensityMatrix:
     """A validated density matrix: hermitian, unit trace, positive within
-    tolerance.  The full check costs one O(dim^3) eigensolve."""
+    tolerance.  The full check costs one O(dim^3) eigensolve.
+
+    A pure state of from_state_vector holds its vector, _vector, and forms
+    its matrix on first read only; every other state holds None there.  The
+    matrix is left out of repr, so printing a pure state does not form it."""
 
     space: SpaceDescriptor
-    matrix: np.ndarray
+    matrix: np.ndarray = field(repr=False)
+    _vector = None
 
     def __post_init__(self):
         m = _read_only(np.array(self.matrix, dtype=complex), self.space.dim)
@@ -179,12 +184,30 @@ class DensityMatrix:
             raise ValueError(f"density matrix has negative eigenvalue {lowest:.3e}")
         object.__setattr__(self, "matrix", m)
 
+    def __getattr__(self, name):
+        # reached only for an attribute the instance lacks: the matrix of a pure state not yet read
+        if name != "matrix" or self._vector is None:
+            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
+        m = np.outer(self._vector, self._vector.conj())
+        m.setflags(write=False)
+        object.__setattr__(self, "matrix", m)
+        return m
+
+    @property
+    def vector_or_matrix(self) -> np.ndarray:
+        """The vector of a pure state of from_state_vector, else the matrix:
+        what a reader takes without forming a pure state's matrix."""
+        return self.matrix if self._vector is None else self._vector
+
     @classmethod
     def from_state_vector(cls, space: SpaceDescriptor, psi: np.ndarray) -> "DensityMatrix":
         """|psi><psi| from a normalized state vector.  Only the vector is
         checked (length, finite, unit norm): the outer product is hermitian
-        and positive by construction, so it skips the eigensolve."""
-        v = np.asarray(psi, dtype=complex).ravel()
+        and positive by construction, so it skips the eigensolve.  The state
+        keeps a read-only copy of the vector, and the dim x dim matrix
+        np.outer(v, v.conj()) is formed on the first read of .matrix, then
+        kept; the frame entry and the readers of analysis take the vector."""
+        v = np.array(psi, dtype=complex).ravel()
         if v.size != space.dim:
             raise ValueError(f"state vector length {v.size} does not match dimension {space.dim}")
         if not np.all(np.isfinite(v)):
@@ -192,7 +215,7 @@ class DensityMatrix:
         tr = float(np.vdot(v, v).real)
         if abs(tr - 1.0) > TRACE_TOL:
             raise ValueError(f"density matrix trace {tr!r} is not 1")
-        return _unchecked(cls, space=space, matrix=np.outer(v, v.conj()))
+        return _unchecked(cls, space=space, _vector=v)
 
 
 @dataclass(frozen=True)
@@ -392,11 +415,12 @@ def expectation(op, state) -> complex:
     """<op> in the given state.
 
     Accepts an Operator or a raw matrix; the state may be a vector, a
-    DensityMatrix, or a raw square matrix.
+    DensityMatrix, or a raw square matrix.  A pure DensityMatrix of
+    from_state_vector is read as its vector.
     """
     m = op.matrix if isinstance(op, Operator) else np.asarray(op, dtype=complex)
     if isinstance(state, DensityMatrix):
-        return complex(np.einsum("ij,ji->", m, state.matrix))
+        state = state.vector_or_matrix
     s = np.asarray(state, dtype=complex)
     if s.ndim == 1:
         return complex(np.vdot(s, m @ s))

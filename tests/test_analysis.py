@@ -25,6 +25,7 @@ from cavsqueeze.hilbert import (
     DensityMatrix,
     SpaceDescriptor,
     basis_state,
+    expectation,
     split_charges,
 )
 from cavsqueeze.model import build_squeeze_operator
@@ -435,3 +436,38 @@ class TestRecorder:
             assert list(records) == list(want)
             for key, value in want.items():
                 assert records[key][0] == pytest.approx(value, abs=1e-9), key
+
+
+class TestPureStateReaders:
+    # a DensityMatrix of from_state_vector is read as its vector: the readers
+    # agree with the same state given as its matrix, and never form that matrix
+    s = SpaceDescriptor(1, 8, 8)
+    eps = math.atanh(0.5)
+
+    def states(self, seed):
+        rng = np.random.default_rng(seed)
+        psi = np.zeros(self.s.shape[1:], complex)
+        psi[:3, :3] = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
+        psi = psi.ravel() / np.linalg.norm(psi)
+        return DensityMatrix.from_state_vector(self.s, psi), DensityMatrix(self.s, np.outer(psi, psi.conj()))
+
+    def readers(self):
+        record = recorder_from_matrices(*observable_matrices(self.s, build_squeeze_operator(self.s, self.eps).matrix))
+        n1 = quadrature_ops(self.s)[0]
+        return {
+            "truncation_leak": lambda rho: {"leak": truncation_leak(rho)},
+            "epr_variances_fock": epr_variances_fock,
+            "fidelity_to_tmsv": lambda rho: {"fidelity": fidelity_to_tmsv(rho, self.eps)},
+            "recorder": record,
+            "expectation": lambda rho: {"x1": expectation(n1, rho)},
+        }
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_vector_reads_match_matrix_reads(self, seed):
+        pure, given = self.states(seed)
+        for name, read in self.readers().items():
+            got, want = read(pure), read(given)
+            assert list(got) == list(want), name
+            for key, value in want.items():  # values up to 5: within 1e-15 relative, or absolute below 1
+                assert got[key] == pytest.approx(value, rel=1e-15, abs=1e-15), (name, key)
+        assert "matrix" not in vars(pure)

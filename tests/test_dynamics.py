@@ -817,7 +817,7 @@ class TestSectorFrame:
         edge[:-1, :-1] = False
         cols = squeeze[:, edge.ravel()]
         want = split_charges((cols @ cols.conj().T).reshape(shape * 2), [0]).block(0)
-        assert np.max(np.abs(_charge0_block(shape, squeeze_sectors(s, eps), -1) - want)) <= 1e-13
+        assert np.max(np.abs(_charge0_block(shape, squeeze_sectors(s, eps)) - want)) <= 1e-13
         # a state reaching the boundary layers: the frame's leak is the bare one
         rho = DensityMatrix(s, random_low_fock_state(s, min(shape), 2, seed=4))
         (rho_b, read, _, _), _ = squeezed_frame(rho, eps)
@@ -846,9 +846,11 @@ class TestChargeBlockEntry:
     # Its charges are the dense row and column rotation's.  Its blocks match
     # bit for bit on the states of assert_dense_rotation below: the full-rank
     # states, the charges with gaps, the pump vacuum and the one-quantum
-    # collision state.  Elsewhere a product may run on fewer columns than the
-    # dense rotation's whole rows, and BLAS may round it otherwise, so the
-    # sparse states of test_sparse_states_within_rounding agree to 1e-15
+    # collision state, each given as its matrix.  Elsewhere a product may run
+    # on fewer columns than the dense rotation's whole rows, and BLAS may round
+    # it otherwise, so the sparse states of test_sparse_states_within_rounding
+    # agree to 1e-15.  A pure state of from_state_vector enters as its vector,
+    # S psi per occupied sector, and agrees with the dense entry to 1e-15
 
     @staticmethod
     def assert_dense_rotation(rho, eps):
@@ -857,6 +859,35 @@ class TestChargeBlockEntry:
         assert np.array_equal(got.charges, want.charges)
         assert np.array_equal(got.blocks, want.blocks)
         return got
+
+    @staticmethod
+    def pure_state(case):
+        """(space, unit vector, epsilon) of a pure state the class enters."""
+        if case == "charges_with_gaps":  # sectors n1 - n2 = -2, 0 and 2 occupy the even charges -4 to 4 only
+            s, eps = SpaceDescriptor(1, 9, 7), 0.4
+            psi = basis_state(s, 0, 0, 0) + 0.5j * basis_state(s, 0, 2, 0) - 0.7 * basis_state(s, 0, 1, 3)
+        elif case == "pump_vacuum":  # the vacuum of a fock run at N = 25
+            s, eps = SpaceDescriptor(1, 25, 25), math.atanh(0.6)
+            psi = basis_state(s, 0, 0, 0)
+        elif case == "one_quantum":  # one quantum in transformed mode 1 at N = 12, as the collision ensemble starts
+            s, eps = SpaceDescriptor(1, 12, 12), math.atanh(0.4)
+            vac = build_squeeze_operator(s, eps).dagger().matrix @ basis_state(s, 0, 0, 0)
+            psi = b_mode_annihilation(s, eps, 1).dagger().matrix @ vac
+        elif case == "four_fock":
+            s, eps = SpaceDescriptor(1, 25, 25), 0.5
+            psi = (basis_state(s, 0, 2, 5) - 0.6 * basis_state(s, 0, 5, 1)
+                   + 0.5j * basis_state(s, 0, 0, 3) + 0.4 * basis_state(s, 0, 4, 4))
+        else:  # a rank-1 state over 60 random basis states
+            s, eps = SpaceDescriptor(1, 25, 25), 0.5
+            rng = np.random.default_rng(0)
+            psi = np.zeros(s.dim, complex)
+            psi[rng.choice(s.dim, 60, replace=False)] = rng.normal(size=60) + 1j * rng.normal(size=60)
+        return s, psi / np.linalg.norm(psi), eps
+
+    @staticmethod
+    def given_matrix(s, psi):
+        """|psi><psi| given as its matrix, which enters through the dense path."""
+        return DensityMatrix(s, np.outer(psi, psi.conj()))
 
     @pytest.mark.parametrize("shape", [(5, 7), (7, 5), (6, 6)])
     def test_full_rank_states(self, shape):
@@ -869,26 +900,27 @@ class TestChargeBlockEntry:
             assert self.assert_dense_rotation(rho, eps).charges.tolist() == list(range(-span, span + 1))
 
     def test_charges_with_gaps(self):
-        # sectors n1 - n2 = -2, 0 and 2 occupy the even charges -4 to 4 only
-        s = SpaceDescriptor(1, 9, 7)
-        psi = basis_state(s, 0, 0, 0) + 0.5j * basis_state(s, 0, 2, 0) - 0.7 * basis_state(s, 0, 1, 3)
-        rho = DensityMatrix.from_state_vector(s, psi / np.linalg.norm(psi))
-        assert self.assert_dense_rotation(rho, 0.4).charges.tolist() == [-4, -2, 0, 2, 4]
+        s, psi, eps = self.pure_state("charges_with_gaps")
+        assert self.assert_dense_rotation(self.given_matrix(s, psi), eps).charges.tolist() == [-4, -2, 0, 2, 4]
 
     def test_pump_vacuum(self):
-        # the vacuum of a fock run at N = 25, given as a density matrix
-        s = SpaceDescriptor(1, 25, 25)
-        vacuum = DensityMatrix.from_state_vector(s, basis_state(s, 0, 0, 0))
-        assert self.assert_dense_rotation(vacuum, math.atanh(0.6)).charges.tolist() == [0]
+        s, psi, eps = self.pure_state("pump_vacuum")
+        assert self.assert_dense_rotation(self.given_matrix(s, psi), eps).charges.tolist() == [0]
 
     def test_one_quantum_collision_state(self):
-        # one quantum in transformed mode 1 at N = 12, as the collision ensemble starts
-        s = SpaceDescriptor(1, 12, 12)
-        eps = math.atanh(0.4)
-        vac = build_squeeze_operator(s, eps).dagger().matrix @ basis_state(s, 0, 0, 0)
-        raised = b_mode_annihilation(s, eps, 1).dagger().matrix @ vac
-        rho = DensityMatrix.from_state_vector(s, raised / np.linalg.norm(raised))
-        self.assert_dense_rotation(rho, eps)
+        s, psi, eps = self.pure_state("one_quantum")
+        self.assert_dense_rotation(self.given_matrix(s, psi), eps)
+
+    @pytest.mark.parametrize("case", ["charges_with_gaps", "pump_vacuum", "one_quantum", "four_fock", "rank_one_60"])
+    def test_vector_entry_matches_dense_entry(self, case):
+        s, psi, eps = self.pure_state(case)
+        (got, *_), _ = squeezed_frame(DensityMatrix.from_state_vector(s, psi), eps)
+        (want, *_), _ = squeezed_frame(self.given_matrix(s, psi), eps)
+        assert np.array_equal(got.charges, want.charges)
+        np.testing.assert_allclose(got.blocks, want.blocks, rtol=0, atol=1e-15)
+        if case == "pump_vacuum":  # the vacuum of a SpaceDescriptor is the same vector
+            (default, *_), _ = squeezed_frame(s, eps)
+            assert np.array_equal(default.charges, got.charges) and np.array_equal(default.blocks, got.blocks)
 
     @staticmethod
     def sparse_state(case):
@@ -897,14 +929,8 @@ class TestChargeBlockEntry:
             n1, n2 = np.indices(s.shape[1:]).reshape(2, -1)
             p = 0.5 ** (n1 + n2)
             return DensityMatrix(s, np.diag(p / p.sum()))
-        if case == "four_fock":
-            psi = (basis_state(s, 0, 2, 5) - 0.6 * basis_state(s, 0, 5, 1)
-                   + 0.5j * basis_state(s, 0, 0, 3) + 0.4 * basis_state(s, 0, 4, 4))
-        else:  # a rank-1 state over 60 random basis states
-            rng = np.random.default_rng(0)
-            psi = np.zeros(s.dim, complex)
-            psi[rng.choice(s.dim, 60, replace=False)] = rng.normal(size=60) + 1j * rng.normal(size=60)
-        return DensityMatrix.from_state_vector(s, psi / np.linalg.norm(psi))
+        s, psi, _ = TestChargeBlockEntry.pure_state(case)
+        return TestChargeBlockEntry.given_matrix(s, psi)
 
     @pytest.mark.parametrize("case", ["diagonal", "four_fock", "rank_one_60"])
     def test_sparse_states_within_rounding(self, case):
@@ -947,16 +973,18 @@ class TestChargeBlockEntry:
         assert self.count_products(full, 0.5) == 2 * 11
 
     def test_entry_makes_no_dense_copy(self):
-        # one N^2 x N^2 complex copy of the N = 25 vacuum is 6.25 MB
+        # one N^2 x N^2 complex copy of the N = 25 vacuum is 6.25 MB; a given matrix is read in
+        # place, and a vector forms none
         s = SpaceDescriptor(1, 25, 25)
-        vacuum = DensityMatrix.from_state_vector(s, basis_state(s, 0, 0, 0))
-        tracemalloc.start()
-        try:
-            squeezed_frame(vacuum, math.atanh(0.6))
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert peak < vacuum.matrix.nbytes, peak
+        psi = basis_state(s, 0, 0, 0)
+        for vacuum in (self.given_matrix(s, psi), DensityMatrix.from_state_vector(s, psi)):
+            tracemalloc.start()
+            try:
+                squeezed_frame(vacuum, math.atanh(0.6))
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert peak < psi.nbytes * psi.size, peak
 
 
 class TestLindbladEvolve:

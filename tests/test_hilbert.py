@@ -174,6 +174,30 @@ def test_from_state_vector_runs_no_eigensolve(eigvalsh_calls):
     assert eigvalsh_calls == []
 
 
+def test_from_state_vector_forms_its_matrix_once(monkeypatch):
+    # the state holds a read-only copy of the vector; .matrix is the same
+    # np.outer(v, v.conj()) bit for bit, formed on its first read and kept
+    space = SpaceDescriptor(1, 5, 5)
+    v = random_unit_vector(space.dim, 4)
+    want = np.outer(v, v.conj())
+    rho = DensityMatrix.from_state_vector(space, v)
+    assert isinstance(rho, DensityMatrix)
+    assert "matrix" not in vars(rho)
+    assert repr(rho) == f"DensityMatrix(space={space!r})" and "matrix" not in vars(rho)
+    assert v.flags.writeable  # the caller's array is not frozen, nor shared
+    v[0] = 2.0
+    outer, calls = np.outer, []
+    monkeypatch.setattr(np, "outer", lambda *args: calls.append(1) or outer(*args))
+    m = rho.matrix
+    assert m.tobytes() == want.tobytes() and m.dtype == want.dtype and m.shape == want.shape
+    assert not m.flags.writeable
+    assert rho.matrix is m and calls == [1]
+    with pytest.raises(AttributeError):
+        rho.vector
+    with pytest.raises(AttributeError):
+        DensityMatrix(space, want).vector
+
+
 def test_operator_copies_the_callers_array():
     space = SpaceDescriptor(1, 3, 1)
     for a in (np.eye(3), np.eye(3, dtype=complex)):

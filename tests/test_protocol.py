@@ -14,10 +14,12 @@ import scipy.linalg
 import cavsqueeze
 from cavsqueeze.analysis import attenuate, band_moments, band_sums, moment_records, preparation_time, tmsv_state_vector
 from cavsqueeze.cli import build_spec, load_run_config
-from cavsqueeze.dynamics import ArrivalProcess, run_collision_model, run_steps, squeezed_frame, stepwise
+from cavsqueeze.dynamics import (ArrivalProcess, run_collision_ensemble, run_collision_model, run_steps, squeezed_frame,
+                                 stepwise)
 from cavsqueeze.gaussian import GaussianState, gaussian_frame, gaussian_vacuum
 from cavsqueeze.hilbert import ChargeBlocks, DensityMatrix, SpaceDescriptor, basis_state, split_charges
-from cavsqueeze.model import PhysicalParams, b_mode_annihilation, derive_rates, spontaneous_decay_estimate
+from cavsqueeze.model import (PhysicalParams, b_mode_annihilation, build_squeeze_operator, derive_rates,
+                              spontaneous_decay_estimate)
 from cavsqueeze.protocol import (
     ProtocolSpec,
     ProtocolStep,
@@ -736,6 +738,17 @@ def test_paper_regime_on_fock_holds_no_dense_array():
     assert report.fidelity == pytest.approx(want.fidelity, rel=0, abs=1e-4)
 
 
+def fresh_interpreter(code: str) -> str:
+    """The stripped stdout of code run in a new interpreter on this package's source."""
+    src = os.path.dirname(os.path.dirname(cavsqueeze.__file__))
+    path = [src, os.environ.get("PYTHONPATH", "")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    return done.stdout.strip()
+
+
 def test_package_runs_without_importing_scipy():
     # scipy is a test oracle only: the package, its CLI and a short run on
     # every engine must leave it unimported, in a fresh interpreter
@@ -753,13 +766,7 @@ def test_package_runs_without_importing_scipy():
         print(sorted(m for m in sys.modules if m.partition(".")[0] == "scipy"))
         """
     )
-    src = os.path.dirname(os.path.dirname(cavsqueeze.__file__))
-    path = [src, os.environ.get("PYTHONPATH", "")]
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
-    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
-                          text=True, timeout=120)
-    assert done.returncode == 0, done.stderr
-    assert done.stdout.strip() == "[]"
+    assert fresh_interpreter(code) == "[]"
 
 
 def test_engine_runs_without_importing_numpy_ma():
@@ -786,13 +793,50 @@ def test_engine_runs_without_importing_numpy_ma():
         print("numpy.ma" in sys.modules)
         """
     )
-    src = os.path.dirname(os.path.dirname(cavsqueeze.__file__))
-    path = [src, os.environ.get("PYTHONPATH", "")]
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
-    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
-                          text=True, timeout=120)
-    assert done.returncode == 0, done.stderr
-    assert done.stdout.strip() == "False"
+    assert fresh_interpreter(code) == "False"
+
+
+def test_pure_state_runs_import_neither_numpy_ma_nor_scipy():
+    # a pure state enters the frame as its vector, with its charges taken by
+    # np.bincount: a fock run and a collision ensemble from vectors of one
+    # sector and of three leave numpy.ma and scipy unimported
+    code = textwrap.dedent(
+        f"""
+        import sys
+        import numpy as np
+        from cavsqueeze.dynamics import run_collision_ensemble
+        from cavsqueeze.hilbert import DensityMatrix, SpaceDescriptor, basis_state
+        from cavsqueeze.model import PhysicalParams
+        from cavsqueeze.protocol import build_two_step_protocol, run_protocol
+
+        space = SpaceDescriptor(1, 8, 8)
+        spread = basis_state(space, 0, 0, 0) + 0.3 * basis_state(space, 0, 1, 0) - 0.2j * basis_state(space, 0, 0, 1)
+        spec = build_two_step_protocol({clean_params()!r}, engine="fock", truncation=(8, 8), durations=(10.0, 10.0))
+        for psi in (basis_state(space, 0, 0, 0), spread / np.linalg.norm(spread)):
+            rho = DensityMatrix.from_state_vector(space, psi)
+            run_protocol(spec, initial=rho, samples_per_step=3)
+            run_collision_ensemble(rho, spec.steps[0].params, 10.0, 4, 8)
+        print("numpy.ma" in sys.modules, any(m.partition(".")[0] == "scipy" for m in sys.modules))
+        """
+    )
+    assert fresh_interpreter(code) == "False False"
+
+
+def test_runs_from_a_pure_state_leave_its_matrix_unformed():
+    # no engine run forms the N^2 x N^2 |psi><psi| of a from_state_vector state: here one
+    # quantum in transformed mode 1, as the collision ensemble starts
+    space = SpaceDescriptor(1, 12, 12)
+    p = clean_params()
+    eps = derive_rates(p).epsilon
+    raised = b_mode_annihilation(space, eps, 1).dagger().matrix @ (
+        build_squeeze_operator(space, eps).dagger().matrix @ basis_state(space, 0, 0, 0))
+    rho = DensityMatrix.from_state_vector(space, raised / np.linalg.norm(raised))
+    for engine in ("fock", "collision"):
+        spec = build_two_step_protocol(p, engine=engine, truncation=(12, 12), durations=(10.0, 10.0))
+        run_protocol(spec, initial=rho, samples_per_step=3)
+    run_collision_model(rho, spec.steps[0].params, 10.0, ArrivalProcess(p.r_a, 5))
+    run_collision_ensemble(rho, spec.steps[0].params, 10.0, 4, 8)
+    assert "matrix" not in vars(rho)
 
 
 def many_charge_states(shape):
