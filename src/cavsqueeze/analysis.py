@@ -22,12 +22,12 @@ from .hilbert import (
     DensityMatrix,
     SpaceDescriptor,
     annihilation_op,
-    charge_outer,
+    charge_sectors,
     elementwise,
     expectation,
+    factor_blocks,
     number_op,
     plain,
-    split_charges,
 )
 from .model import SQUEEZE_LEAK_LIMIT, refuse_tail
 
@@ -39,14 +39,18 @@ StateLike = Union[np.ndarray, DensityMatrix]
 
 
 def _fock_state(state: StateLike, space: Optional[SpaceDescriptor]) -> tuple:
-    """(space, psi or rho) of a Fock-basis state: a DensityMatrix, read as
-    its vector when from_state_vector gave it, or a raw state vector or
-    density matrix on the given space."""
+    """(space, F) of a Fock-basis state rho = F F+: a DensityMatrix's factor,
+    or a raw state vector on the given space, unchecked, as the one column.
+    A raw density matrix is refused: DensityMatrix(space, matrix) factors it."""
     if isinstance(state, DensityMatrix):
-        return state.space, state.vector_or_matrix
+        return state.space, state.factor
     if space is None:
         raise ValueError("a raw state array needs an explicit space")
-    return space, np.asarray(state, dtype=complex)
+    psi = np.asarray(state, dtype=complex)
+    if psi.shape != (space.dim,):
+        raise ValueError(f"a raw state is a vector of length {space.dim}, got shape {psi.shape}; "
+                         "wrap a density matrix in DensityMatrix(space, matrix)")
+    return space, psi[:, None]
 
 
 def tmsv_state_vector(
@@ -139,23 +143,19 @@ def _fock_moments(state: StateLike, space: Optional[SpaceDescriptor]) -> tuple:
     """(mean, cov, truncation_leak) of a field-only Fock-basis state; warns
     when the boundary Fock layers hold more than 1e-3, where the state has
     likely been clipped."""
-    space, st = _fock_state(state, space)
+    space, factor = _fock_state(state, space)
     if space.atom_levels != 1:
         raise ValueError("quadrature moments are taken of a field-only state")
-    leak = truncation_leak(st, space)
+    leak = truncation_leak(state, space)
     if leak > BOUNDARY_WARN_LIMIT:
         warnings.warn(
             f"boundary Fock population {leak:.2e} exceeds {BOUNDARY_WARN_LIMIT:g}; "
             "variances may be distorted by truncation",
             stacklevel=3,
         )
-    # band_sums reads the blocks of charge -2 .. 2 only, which a vector gives without |psi><psi|
-    charges = np.arange(-2, 3)
-    if st.ndim == 1:
-        psi = st.reshape(space.shape[1:])
-        rho = ChargeBlocks(charges, charge_outer(charges, psi, psi))
-    else:
-        rho = split_charges(st.reshape(space.shape[1:] * 2), charges)
+    # band_sums reads the blocks of charge -2 .. 2 only, which the sector pairs of F give without F F+
+    unturned = [(n1, n2, None) for n1, n2 in charge_sectors(*space.shape[1:])]
+    rho = factor_blocks(factor.reshape(*space.shape[1:], -1), unturned, np.arange(-2, 3))
     return (*band_moments(band_sums(rho)), leak)
 
 
@@ -229,8 +229,8 @@ def moment_records(mean: np.ndarray, cov: np.ndarray, epsilon, frame=0.0) -> dic
 
 def truncation_leak(state: StateLike, space: Optional[SpaceDescriptor] = None) -> float:
     """Population outside the interior region n1 < N1-1 and n2 < N2-1."""
-    space, st = _fock_state(state, space)
-    pops = (np.abs(st) ** 2 if st.ndim == 1 else np.diag(st).real).reshape(space.shape)
+    space, factor = _fock_state(state, space)
+    pops = (np.abs(factor) ** 2).sum(1).reshape(space.shape)
     interior = pops[:, : space.n1_trunc - 1, : space.n2_trunc - 1].sum()
     total = pops.sum()
     return float(max(total - interior, 0.0))
@@ -241,11 +241,9 @@ def fidelity_to_tmsv(state: StateLike, epsilon: float, space: Optional[SpaceDesc
 
     This is the pure-target overlap convention, not its square root.
     """
-    space, st = _fock_state(state, space)
+    space, factor = _fock_state(state, space)
     target = tmsv_state_vector(space, epsilon, tail_limit=SQUEEZE_LEAK_LIMIT)
-    if st.ndim == 2:
-        return float(np.real(np.vdot(target, st @ target)))
-    return float(abs(np.vdot(target, st)) ** 2)
+    return float(np.sum(np.abs(target.conj() @ factor) ** 2))
 
 
 @dataclass(frozen=True)

@@ -26,8 +26,8 @@ import numpy as np
 
 from .analysis import (_band_table, attenuate, band_moments, band_sums, moment_records, report_from_records,
                        transmissivities)
-from .hilbert import (ChargeBlocks, DensityMatrix, SpaceDescriptor, _charge_shifts, _occupied_pairs, basis_state,
-                      charge_outer, is_integer)
+from .hilbert import (ChargeBlocks, DensityMatrix, SpaceDescriptor, _charge_shifts, _pair_entries, basis_state,
+                      charge_outer, factor_blocks, is_integer)
 from .model import (
     OCCUPANCY_LIMIT,
     DerivedParams,
@@ -46,7 +46,7 @@ MAX_STEPS = 10_000_000
 TRANSIT_BLOCK = 16
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Trajectory:
     """Sampled time evolution: times, named observable series, optional final state.
 
@@ -196,13 +196,6 @@ def stepwise(times, counts: Sequence, walk: Callable) -> tuple:
     return times, lambda state, read: walk(state, counts[:len(times)], counts[-1], read)
 
 
-def _pair_entries(n1: np.ndarray, n2: np.ndarray, m2: np.ndarray, n2_trunc: int) -> tuple:
-    """The index, in a block of ChargeBlocks, of the entries of the rows
-    (n1, n2) of one sector and the columns of another whose mode-2 numbers
-    are m2: the entry of rows j and columns j' has d = m2[j'] - n2[j]."""
-    return m2 - n2[:, None] + n2_trunc - 1, n1[:, None], n2[:, None]
-
-
 def _charge0_block(shape: tuple, sectors: Sequence) -> np.ndarray:
     """sum_k c_k c_k^T for c_k the last column of block_k over the given
     squeeze_sectors, as a charge-0 block of ChargeBlocks on the field grid
@@ -223,12 +216,11 @@ def squeezed_frame(rho0: Union[DensityMatrix, SpaceDescriptor], epsilon: float) 
     modes are bare and every pumping map acts on rho_b without S.  Those
     maps keep the charge of every entry, so rho_b is carried as the
     ChargeBlocks of the charges it occupies.  S is built once, as its
-    (n1 - n2) sector blocks.  A pure state, the vacuum |0,0> of a
-    SpaceDescriptor or a DensityMatrix of from_state_vector, enters as its
-    vector through _rotate_vector, and its matrix is never formed; a given
-    matrix enters on the sector pairs it occupies only, through
-    _rotate_charges, read in place, never copied.  No N^2 x N^2 array is
-    made beyond a matrix given as one.  A reading of rho_b is its
+    (n1 - n2) sector blocks.  Every state enters through its factor F,
+    rho = F F+ (the one column |0,0> of a SpaceDescriptor's vacuum), in
+    factor_blocks: S F turns on the sectors F occupies, and only the sector
+    pairs that share a column of F are written.  No N^2 x N^2 array is made
+    beyond a matrix given as one.  A reading of rho_b is its
     band_sums, through one band table per run, the attenuate pair a pump has
     applied since ((1, 1) from read) and its a-frame boundary population
     truncation_leak(S+ rho_b S).  read(rho_b, mode, kernels, band, which) gives
@@ -292,69 +284,8 @@ def squeezed_frame(rho0: Union[DensityMatrix, SpaceDescriptor], epsilon: float) 
     fidelity = lambda rho: float(rho.block(0)[space.n2_trunc - 1, 0, 0].real)
     report = lambda row, rho, final_leak: report_from_records(row, epsilon, fidelity(rho), final_leak)
 
-    given = basis_state(space, 0, 0, 0) if isinstance(rho0, SpaceDescriptor) else rho0.vector_or_matrix
-    if given.ndim == 2:
-        return (_rotate_charges(given, space.shape[1:], sectors), read, tabulate, report), pump
-    return (_rotate_vector(given.reshape(space.shape[1:]), sectors), read, tabulate, report), pump
-
-
-def _rotate_vector(psi: np.ndarray, sectors: Sequence) -> ChargeBlocks:
-    """The ChargeBlocks of S|psi><psi|S+ for the state vector psi, shaped
-    (N1, N2), and the squeeze_sectors of S, with no N1 N2 x N1 N2 array.
-
-    S keeps n1 - n2, so S psi turns on each sector psi occupies alone, as
-    one real product of the sector's block on a float view of its part of
-    psi, and stays zero elsewhere.  The turned parts c_k and c_k' of each
-    pair of occupied sectors k and k' are written as c_k c_k'^+ into the
-    block of charge k - k'; every other entry is zero."""
-    n1_trunc, n2_trunc = psi.shape
-    span = n1_trunc + n2_trunc - 2
-    home = np.subtract.outer(np.arange(n1_trunc), np.arange(n2_trunc)) + n2_trunc - 1  # the index of a state's sector
-    occupied = np.flatnonzero(np.bincount(home.ravel(), (psi != 0).ravel(), span + 1))
-    pair_charges = occupied[:, None] - occupied
-    charges = np.flatnonzero(np.bincount((pair_charges + span).ravel())) - span
-    slots = np.searchsorted(charges, pair_charges)
-    turned = [(n1, n2, (block @ psi[n1, n2, None].view(float)).view(complex)[:, 0])
-              for n1, n2, block in (sectors[k] for k in occupied)]
-    blocks = np.zeros((len(charges), 2 * n2_trunc - 1, n1_trunc, n2_trunc), complex)
-    for row_slots, (n1, n2, c) in zip(slots, turned):
-        for slot, (_, m2, c_column) in zip(row_slots, turned):
-            blocks[slot][_pair_entries(n1, n2, m2, n2_trunc)] = np.outer(c, c_column.conj())
-    return ChargeBlocks(charges, blocks)
-
-
-def _rotate_charges(rho: np.ndarray, shape: tuple, sectors: Sequence) -> ChargeBlocks:
-    """The ChargeBlocks of S rho S+ for the N1 N2 x N1 N2 rho and the
-    squeeze_sectors of S, with rho read in place, never copied.
-
-    S keeps n1 - n2, so the part of rho in the rows of sector k and the
-    columns of sector k' turns alone, S_k rho_kk' S_k'^T, and stays zero
-    where rho_kk' is zero: only the sector pairs of _occupied_pairs turn,
-    and their charges k - k' are those of rho.  As in the dense rotation,
-    each S_k acts as a real product on float views, first on the rows of
-    sector k, across the columns of the sectors it meets in a pair,
-    gathered from rho and written into the blocks; then on the columns of
-    sector k, across the rows it meets, gathered from the blocks and
-    written back.  A sector in no pair makes no product."""
-    n2_trunc, dim = shape[1], rho.shape[0]
-    pairs, charges = _occupied_pairs(rho.reshape(shape * 2))
-    blocks = np.zeros((charges.size, 2 * n2_trunc - 1, *shape), complex)
-    flat = blocks.reshape(-1)
-    # entry (n1, n2; m1, m2) of charge q is flat[start[q + span] + row[n1, n2] + column[m1, m2]]
-    n1, n2 = np.indices(shape).reshape(2, -1)
-    row, column = n1 * n2_trunc + n2 + (n2_trunc - 1 - n2) * dim, n2 * dim
-    span, home = sum(shape) - 2, n1 - n2 + n2_trunc - 1  # home: the index of a state's sector
-    start = np.zeros(2 * span + 1, int)
-    start[charges + span] = np.arange(charges.size) * (2 * n2_trunc - 1) * dim
-    states = [s1 * n2_trunc + s2 for s1, s2, _ in sectors]
-    for across_columns, own, other, meets in ((True, row, column, pairs), (False, column, row, pairs.T)):
-        for k in np.flatnonzero(meets.any(1)):
-            state, met = states[k], np.flatnonzero(meets[k, home])
-            charge = k - home[met] if across_columns else home[met] - k
-            at = own[state][:, None] + (start[charge + span] + other[met])
-            entries = rho[state[:, None], met] if across_columns else flat[at]
-            flat[at] = (sectors[k][2] @ entries.view(float)).view(complex)
-    return ChargeBlocks(charges, blocks)
+    factor = basis_state(space, 0, 0, 0)[:, None] if isinstance(rho0, SpaceDescriptor) else rho0.factor
+    return (factor_blocks(factor.reshape(*space.shape[1:], -1), sectors), read, tabulate, report), pump
 
 
 def _refuse_overflow(leak: float, t: float) -> None:

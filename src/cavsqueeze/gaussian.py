@@ -35,7 +35,7 @@ OMEGA = np.array(
 )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class GaussianState:
     """First and second quadrature moments of a two-mode Gaussian state.
 
@@ -47,7 +47,7 @@ class GaussianState:
 
     mean: np.ndarray
     cov: np.ndarray
-    frame: tuple | None = field(default=None, init=False, repr=False, compare=False)
+    frame: tuple | None = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
         mean = np.asarray(self.mean, dtype=float).reshape(4)

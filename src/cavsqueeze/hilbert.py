@@ -114,7 +114,7 @@ def _unchecked(cls, **fields):
     return obj
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Operator:
     """A linear operator on a composite space.  The matrix is read-only."""
 
@@ -156,18 +156,23 @@ class Operator:
         return Operator._adopt(self.space, self.matrix @ other.matrix)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DensityMatrix:
-    """A validated density matrix: hermitian, unit trace, positive within
-    tolerance.  The full check costs one O(dim^3) eigensolve.
+    """A validated density matrix, held as a factor F (dim x r) with rho = F F+.
 
-    A pure state of from_state_vector holds its vector, _vector, and forms
-    its matrix on first read only; every other state holds None there.  The
-    matrix is left out of repr, so printing a pure state does not form it."""
+    A given matrix is checked hermitian, of unit trace and positive within
+    tolerance, by one O(dim^3) eigh whose eigenpairs also give F: a column
+    sqrt(lambda) v for every eigenvalue lambda > 0, and none for one in
+    [EIGENVALUE_FLOOR, 0].  Wherever rho's diagonal is 0 the rows of F are set
+    to exactly 0, as they are for a positive rho.  The matrix is kept as
+    given in .matrix.  A state of from_state_vector is the one column of its
+    vector and forms .matrix = F F+ on its first read only, so the frame
+    entry and the readers of analysis, which take F, never form it.  The
+    matrix and F are left out of repr."""
 
     space: SpaceDescriptor
     matrix: np.ndarray = field(repr=False)
-    _vector = None
+    factor: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         m = _read_only(np.array(self.matrix, dtype=complex), self.space.dim)
@@ -179,34 +184,34 @@ class DensityMatrix:
         tr = np.trace(m).real
         if abs(tr - 1.0) > TRACE_TOL:
             raise ValueError(f"density matrix trace {tr!r} is not 1")
-        lowest = float(np.linalg.eigvalsh(m)[0])
-        if lowest < EIGENVALUE_FLOOR:
-            raise ValueError(f"density matrix has negative eigenvalue {lowest:.3e}")
+        values, vectors = np.linalg.eigh(m)
+        if values[0] < EIGENVALUE_FLOOR:
+            raise ValueError(f"density matrix has negative eigenvalue {values[0]:.3e}")
+        positive = values > 0
+        factor = vectors[:, positive] * np.sqrt(values[positive])
+        # columns of rounding size may hold entries there, which would add sector pairs rho does not occupy
+        factor[m.diagonal() == 0] = 0.0
+        factor.setflags(write=False)
         object.__setattr__(self, "matrix", m)
+        object.__setattr__(self, "factor", factor)
 
     def __getattr__(self, name):
-        # reached only for an attribute the instance lacks: the matrix of a pure state not yet read
-        if name != "matrix" or self._vector is None:
+        # reached only for an attribute the instance lacks: the matrix of a factored state not yet read
+        if name != "matrix":
             raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
-        m = np.outer(self._vector, self._vector.conj())
+        m = functools.reduce(np.add, map(np.outer, self.factor.T, self.factor.T.conj()))
         m.setflags(write=False)
         object.__setattr__(self, "matrix", m)
         return m
-
-    @property
-    def vector_or_matrix(self) -> np.ndarray:
-        """The vector of a pure state of from_state_vector, else the matrix:
-        what a reader takes without forming a pure state's matrix."""
-        return self.matrix if self._vector is None else self._vector
 
     @classmethod
     def from_state_vector(cls, space: SpaceDescriptor, psi: np.ndarray) -> "DensityMatrix":
         """|psi><psi| from a normalized state vector.  Only the vector is
         checked (length, finite, unit norm): the outer product is hermitian
         and positive by construction, so it skips the eigensolve.  The state
-        keeps a read-only copy of the vector, and the dim x dim matrix
-        np.outer(v, v.conj()) is formed on the first read of .matrix, then
-        kept; the frame entry and the readers of analysis take the vector."""
+        keeps a read-only copy of the vector as its one-column factor, and the
+        dim x dim matrix np.outer(v, v.conj()) is formed on the first read of
+        .matrix, then kept."""
         v = np.array(psi, dtype=complex).ravel()
         if v.size != space.dim:
             raise ValueError(f"state vector length {v.size} does not match dimension {space.dim}")
@@ -215,10 +220,10 @@ class DensityMatrix:
         tr = float(np.vdot(v, v).real)
         if abs(tr - 1.0) > TRACE_TOL:
             raise ValueError(f"density matrix trace {tr!r} is not 1")
-        return _unchecked(cls, space=space, _vector=v)
+        return _unchecked(cls, space=space, factor=v[:, None])
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ChargeBlocks:
     """A two-mode density matrix rho[n1, n2, m1, m2] split by the charge
     q = (n1 - n2) - (m1 - m2) of its entries.
@@ -344,35 +349,49 @@ def charge_outer(charges: np.ndarray, left: np.ndarray, right: np.ndarray) -> np
     return blocks
 
 
-def _occupied_pairs(rho4: np.ndarray) -> tuple:
-    """(pairs, charges) of rho4, shaped (N1, N2, N1, N2), from one test rho4 != 0: pairs[k + N2 - 1,
-    k' + N2 - 1] tells whether a nonzero entry sits in the rows of sector k = n1 - n2 and the
-    columns of sector k' = m1 - m2, and charges are the distinct q = k - k' of those pairs,
-    ascending.  Rows and columns are read apart: a hermitian rho within HERMITICITY_TOL may hold
-    an entry whose transpose is 0."""
-    n1_trunc, n2_trunc = rho4.shape[:2]
-    span = n1_trunc + n2_trunc - 1
-    pairs = (rho4 != 0).reshape(n1_trunc * n2_trunc, -1)
-    for _ in range(2):  # the rows of each sector ORed together, then the columns
-        grid = pairs.reshape(n1_trunc, n2_trunc, -1)
-        pairs = np.zeros((span, grid.shape[2]), bool)
-        for n1 in range(n1_trunc):  # row n2 of grid[n1] is in sector n1 - n2, here at n2 - n1 + N1 - 1
-            pairs[n1_trunc - 1 - n1 : span - n1] |= grid[n1]
-        pairs = pairs[::-1].T
-    k, k_column = np.nonzero(pairs)
-    return pairs, np.flatnonzero(np.bincount(k - k_column + span - 1)) - (span - 1)
+def charge_sectors(n1_trunc: int, n2_trunc: int) -> list:
+    """(n1, n2) of the Fock states of each sector k = n1 - n2 of the field
+    grid, from k = 1 - n2_trunc up, by rising n2."""
+    sectors = []
+    for k in range(1 - n2_trunc, n1_trunc):
+        n2 = np.arange(max(0, -k), min(n2_trunc, n1_trunc - k))
+        sectors.append((n2 + k, n2))
+    return sectors
 
 
-def split_charges(rho4: np.ndarray, charges: Optional[Sequence[int]] = None) -> ChargeBlocks:
-    """The ChargeBlocks of rho4, shaped (N1, N2, N1, N2), holding the given
-    charges, or by default every charge that has a nonzero entry, read
-    from the sector pairs of _occupied_pairs."""
-    n1_trunc, n2_trunc = rho4.shape[:2]
-    charges = _occupied_pairs(rho4)[1] if charges is None else np.asarray(charges)
-    c1, c2, on_grid = _charge_columns(charges, n1_trunc, n2_trunc)
-    rows = np.indices((n1_trunc, n2_trunc), sparse=True)
-    blocks = np.asarray(rho4, complex)[(*rows, np.clip(c1, 0, n1_trunc - 1), np.clip(c2, 0, n2_trunc - 1))]
-    blocks[np.logical_not(on_grid, out=on_grid)] = 0.0  # in place: on_grid is as large as a sixteenth of blocks
+def _pair_entries(n1: np.ndarray, n2: np.ndarray, m2: np.ndarray, n2_trunc: int) -> tuple:
+    """The index, in a block of ChargeBlocks, of the entries of the rows
+    (n1, n2) of one sector and the columns of another whose mode-2 numbers
+    are m2: the entry of rows j and columns j' has d = m2[j'] - n2[j]."""
+    return m2 - n2[:, None] + n2_trunc - 1, n1[:, None], n2[:, None]
+
+
+def factor_blocks(factor: np.ndarray, sectors: Sequence, charges: Optional[np.ndarray] = None) -> ChargeBlocks:
+    """The ChargeBlocks of (S F)(S F)+ for the factor F, shaped (N1, N2, r), and an S that keeps n1 - n2,
+    given as one (n1, n2, block) per sector in the order of charge_sectors: S|n1[j], n2[j]> = sum_i
+    block[i, j] |n1[i], n2[i]> for a real block, and S = 1 on the sector for None.  No N1 N2 x N1 N2
+    array is made.  S F turns on each sector F occupies alone, as one real product of the sector's
+    block on a float view of its rows F_k, and stays zero elsewhere.  Only the sector pairs (k, k')
+    that share a column of F are written, (S_k F_k)(S_k' F_k')^+ into the block of charge k - k', and
+    of those only the pairs of the given charges, by default of every charge they make.  One column
+    makes every pair of the sectors it occupies; a diagonal state's factor makes the pairs (k, k)."""
+    n1_trunc, n2_trunc, rank = factor.shape
+    span = n1_trunc + n2_trunc - 2
+    home = np.subtract.outer(np.arange(n1_trunc), np.arange(n2_trunc)) + n2_trunc - 1  # the index of a state's sector
+    held = np.bincount((home[..., None] * rank + np.arange(rank)).ravel(), (factor != 0).ravel(), (span + 1) * rank)
+    held = held.reshape(span + 1, rank) > 0  # held[k, c]: column c of F is nonzero on sector k
+    pairs = np.argwhere(held @ held.T)
+    pair_charges = pairs[:, 0] - pairs[:, 1]
+    charges = np.flatnonzero(np.bincount(pair_charges + span)) - span if charges is None else np.asarray(charges)
+    kept = np.isin(pair_charges, charges)
+    turned = {}
+    for k in np.flatnonzero(held.any(1)):
+        n1, n2, block = sectors[k]
+        turned[k] = factor[n1, n2] if block is None else (block @ factor[n1, n2].view(float)).view(complex)
+    blocks = np.zeros((charges.size, 2 * n2_trunc - 1, n1_trunc, n2_trunc), complex)
+    for (k, k_column), slot in zip(pairs[kept], np.searchsorted(charges, pair_charges[kept])):
+        (n1, n2, _), (_, m2, _) = sectors[k], sectors[k_column]
+        blocks[slot][_pair_entries(n1, n2, m2, n2_trunc)] = turned[k] @ turned[k_column].conj().T
     return ChargeBlocks(charges, blocks)
 
 
@@ -415,12 +434,12 @@ def expectation(op, state) -> complex:
     """<op> in the given state.
 
     Accepts an Operator or a raw matrix; the state may be a vector, a
-    DensityMatrix, or a raw square matrix.  A pure DensityMatrix of
-    from_state_vector is read as its vector.
+    DensityMatrix, read through its factor as sum_r f_r+ op f_r, or a raw
+    square matrix.
     """
     m = op.matrix if isinstance(op, Operator) else np.asarray(op, dtype=complex)
     if isinstance(state, DensityMatrix):
-        state = state.vector_or_matrix
+        return complex(np.vdot(state.factor, m @ state.factor))
     s = np.asarray(state, dtype=complex)
     if s.ndim == 1:
         return complex(np.vdot(s, m @ s))

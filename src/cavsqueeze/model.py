@@ -15,7 +15,8 @@ from typing import Optional
 
 import numpy as np
 
-from .hilbert import Operator, SpaceDescriptor, annihilation_op, atom_transition_op, elementwise, number_op, plain
+from .hilbert import (Operator, SpaceDescriptor, annihilation_op, atom_transition_op, charge_sectors, elementwise,
+                      number_op, plain)
 
 TWO_PI = 2.0 * math.pi
 
@@ -292,9 +293,7 @@ def squeeze_sectors(s: SpaceDescriptor, epsilon: float) -> list:
     """
     refuse_tail(s, epsilon)
     sectors, blocks = [], {}
-    for k in range(1 - s.n2_trunc, s.n1_trunc):
-        n2 = np.arange(max(0, -k), min(s.n2_trunc, s.n1_trunc - k))
-        n1 = n2 + k
+    for n1, n2 in charge_sectors(s.n1_trunc, s.n2_trunc):
         # <n1 - 1, n2 - 1| a1 a2 |n1, n2> = sqrt(n1 n2), and a1+ a2+ is its transpose;
         # sectors k and -k of one length have equal products n1 n2, so one block serves both
         coupling = epsilon * np.sqrt(n1[1:] * n2[1:])

@@ -6,16 +6,18 @@ import pytest
 
 
 @pytest.fixture
-def eigvalsh_calls(monkeypatch):
-    """The shapes of every np.linalg.eigvalsh call the test makes."""
+def eigensolve_calls(monkeypatch):
+    """The shapes of every np.linalg.eigvalsh and np.linalg.eigh call the test makes."""
     calls = []
-    eigvalsh = np.linalg.eigvalsh
 
-    def counting(a, *args, **kwargs):
-        calls.append(np.shape(a))
-        return eigvalsh(a, *args, **kwargs)
+    def counted(solve):
+        def counting(a, *args, **kwargs):
+            calls.append(np.shape(a))
+            return solve(a, *args, **kwargs)
+        return counting
 
-    monkeypatch.setattr(np.linalg, "eigvalsh", counting)
+    for name in ("eigvalsh", "eigh"):
+        monkeypatch.setattr(np.linalg, name, counted(getattr(np.linalg, name)))
     return calls
 
 

@@ -17,8 +17,9 @@ The fock engine reads a step's samples in closed form and damps its state
 once per step; the tests' per-interval references damp it by
 ChargeBlocks.damped once per clock interval instead, and dense_damping_pass
 applies the Kraus operators one at a time to the dense state.  The squeezed frame
-enters a given density matrix on the entries of its charges only;
-dense_frame_entry rotates a dense copy of it instead.  The gaussian sweep
+enters a state through its factor F, rho = F F+, on the sector pairs that
+share a column of F; dense_frame_entry rotates a dense copy of its matrix
+instead, and split_charges splits a dense matrix by charge.  The gaussian sweep
 reads its rows in double precision from moments held in the squeezed frame;
 two_step_vacuum_reading evaluates the same closed form in 50-digit decimal.
 """
@@ -39,10 +40,10 @@ from cavsqueeze.hilbert import (
     DensityMatrix,
     Operator,
     SpaceDescriptor,
+    _charge_columns,
     annihilation_op,
     atom_transition_op,
     number_op,
-    split_charges,
 )
 from cavsqueeze.model import DerivedParams, PhysicalParams, StarkShifts, build_squeeze_operator, squeeze_sectors
 
@@ -368,6 +369,30 @@ def interval_walk(apply: Callable) -> Callable:
         return rows, state
 
     return walk
+
+
+def split_charges(rho4: np.ndarray, charges: Optional[Sequence[int]] = None) -> ChargeBlocks:
+    """The ChargeBlocks of rho4, shaped (N1, N2, N1, N2), holding the given charges, or by default
+    every charge that has a nonzero entry.  The blocks are gathered one charge at a time, so no
+    array of the charge of every entry is made."""
+    rho4 = np.asarray(rho4, complex)
+    n1_trunc, n2_trunc = rho4.shape[:2]
+    rows = np.indices((n1_trunc, n2_trunc), sparse=True)
+
+    def gather(q):
+        c1, c2, on_grid = _charge_columns(np.array([q]), n1_trunc, n2_trunc)
+        block = rho4[(*rows, np.clip(c1[0], 0, n1_trunc - 1), np.clip(c2[0], 0, n2_trunc - 1))]
+        block[~on_grid[0]] = 0.0
+        return block
+
+    if charges is None:
+        span = n1_trunc + n2_trunc - 2
+        charges = [q for q in range(-span, span + 1) if gather(q).any()]
+    charges = np.asarray(charges, dtype=int)
+    blocks = np.empty((charges.size, 2 * n2_trunc - 1, n1_trunc, n2_trunc), complex)
+    for i, q in enumerate(charges):
+        blocks[i] = gather(q)
+    return ChargeBlocks(charges, blocks)
 
 
 def dense_frame_entry(rho0: DensityMatrix, epsilon: float) -> ChargeBlocks:

@@ -26,10 +26,10 @@ from cavsqueeze.hilbert import (
     SpaceDescriptor,
     basis_state,
     expectation,
-    split_charges,
 )
 from cavsqueeze.model import build_squeeze_operator
-from oracles import band_by_band_moments, build_displacement_operator, interval_walk, random_low_fock_state
+from oracles import (band_by_band_moments, build_displacement_operator, interval_walk, random_low_fock_state,
+                     split_charges)
 
 
 FIELDS20 = SpaceDescriptor(1, 20, 20)
@@ -120,7 +120,7 @@ class TestMoments:
         n, big = 6, SpaceDescriptor(1, 12, 12)
         rho = random_low_fock_state(big, n, 3, seed=4).reshape(big.shape[1:] * 2)
         held = rho[:n, :n, :n, :n]
-        assert truncation_leak(held.reshape(n * n, n * n), SpaceDescriptor(1, n, n)) > 0.1
+        assert truncation_leak(DensityMatrix(SpaceDescriptor(1, n, n), held.reshape(n * n, n * n))) > 0.1
         mean, cov = band_moments(band_sums(split_charges(held)))
         dense = rho.reshape(big.dim, big.dim)
         quads = [op.matrix for op in quadrature_ops(big)]
@@ -208,9 +208,9 @@ class TestEPRVariances:
         assert from_dm["duan_sum"] == pytest.approx(from_vec["duan_sum"], rel=1e-12)
 
     def test_vector_is_read_without_its_outer_product(self):
-        # at N = 40 |psi><psi| alone is 41 MB, the five charge blocks gathered
+        # at N = 40 |psi><psi| alone is 41 MB, the five charge blocks written
         # from the vector 10.1 MB; they are the blocks split_charges takes out
-        # of the outer product, so every form of the state reads the same bits
+        # of the outer product, so both read the same bits
         space = SpaceDescriptor(1, 40, 40)
         psi = tmsv_state_vector(space, 0.5)
         tracemalloc.start()
@@ -220,8 +220,10 @@ class TestEPRVariances:
         finally:
             tracemalloc.stop()
         assert peak <= 15e6, peak
-        assert from_vector == epr_variances_fock(np.outer(psi, psi.conj()), space)
         assert from_vector == epr_variances_fock(DensityMatrix.from_state_vector(space, psi))
+        outer = split_charges(np.outer(psi, psi.conj()).reshape(space.shape[1:] * 2), range(-2, 3))
+        for got, want in zip(_fock_moments(psi, space)[:2], band_moments(band_sums(outer))):
+            assert np.array_equal(got, want)
 
     def test_returns_the_variance_records(self):
         # exactly the five variance columns moment_records writes for the same moments
@@ -286,8 +288,9 @@ class TestFidelity:
         assert fidelity_to_tmsv(psi, 0.5, FIELDS20) == pytest.approx(1.0, abs=1e-10)
         rho = DensityMatrix.from_state_vector(FIELDS20, psi)
         assert fidelity_to_tmsv(rho, 0.5) == pytest.approx(1.0, abs=1e-10)
-        # a raw density matrix is read as one, not as a state vector
-        assert fidelity_to_tmsv(rho.matrix, 0.5, FIELDS20) == pytest.approx(1.0, abs=1e-10)
+        # a raw density matrix is refused, not read as a state vector
+        with pytest.raises(ValueError, match="DensityMatrix"):
+            fidelity_to_tmsv(rho.matrix, 0.5, FIELDS20)
 
     def test_vacuum_overlap(self):
         vac = basis_state(FIELDS20, 0, 0, 0)
@@ -439,8 +442,9 @@ class TestRecorder:
 
 
 class TestPureStateReaders:
-    # a DensityMatrix of from_state_vector is read as its vector: the readers
-    # agree with the same state given as its matrix, and never form that matrix
+    # a DensityMatrix of from_state_vector is read as its one-column factor: the
+    # readers agree with the same state given as its matrix, which eigh factors
+    # into that column and columns of rounding size, and never form the matrix
     s = SpaceDescriptor(1, 8, 8)
     eps = math.atanh(0.5)
 
@@ -471,3 +475,16 @@ class TestPureStateReaders:
             for key, value in want.items():  # values up to 5: within 1e-15 relative, or absolute below 1
                 assert got[key] == pytest.approx(value, rel=1e-15, abs=1e-15), (name, key)
         assert "matrix" not in vars(pure)
+
+
+@pytest.mark.parametrize("reader", [
+    truncation_leak,
+    lambda rho, space: fidelity_to_tmsv(rho, 0.5, space),
+    epr_variances_fock,
+    lambda rho, space: squeezing_report(rho, 0.5, space),
+], ids=["truncation_leak", "fidelity_to_tmsv", "epr_variances_fock", "squeezing_report"])
+def test_readers_refuse_a_raw_density_matrix(reader):
+    # a raw 2-D array is neither read as a vector nor factored: DensityMatrix(space, matrix) factors it
+    psi = tmsv_state_vector(FIELDS20, 0.5)
+    with pytest.raises(ValueError, match=r"wrap a density matrix in DensityMatrix\(space, matrix\)"):
+        reader(np.outer(psi, psi.conj()), FIELDS20)

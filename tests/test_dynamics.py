@@ -14,7 +14,6 @@ from cavsqueeze.dynamics import (
     Trajectory,
     _accepted_counts,
     _charge0_block,
-    _rotate_charges,
     collision_step,
     propagate_state,
     run_collision_ensemble,
@@ -33,8 +32,8 @@ from cavsqueeze.hilbert import (
     annihilation_op,
     basis_state,
     expectation,
+    factor_blocks,
     number_op,
-    split_charges,
 )
 from cavsqueeze.model import (
     OCCUPANCY_LIMIT,
@@ -61,6 +60,7 @@ from oracles import (
     loop_arrival_times,
     random_low_fock_state,
     rk4_reference,
+    split_charges,
 )
 
 
@@ -842,22 +842,20 @@ class TestSectorFrame:
 
 
 class TestChargeBlockEntry:
-    # a given density matrix enters the frame on the sector pairs it occupies.
-    # Its charges are the dense row and column rotation's.  Its blocks match
-    # bit for bit on the states of assert_dense_rotation below: the full-rank
-    # states, the charges with gaps, the pump vacuum and the one-quantum
-    # collision state, each given as its matrix.  Elsewhere a product may run
-    # on fewer columns than the dense rotation's whole rows, and BLAS may round
-    # it otherwise, so the sparse states of test_sparse_states_within_rounding
-    # agree to 1e-15.  A pure state of from_state_vector enters as its vector,
-    # S psi per occupied sector, and agrees with the dense entry to 1e-15
+    # every state enters the frame through its factor F, rho = F F+, on the
+    # sector pairs that share a column of F.  Its charges are the dense row
+    # and column rotation's, and its blocks agree with that rotation's to
+    # 1e-15: the pair products (S_k F_k)(S_k' F_k')^+ sum over the columns of
+    # F, where the dense rotation sums over whole rows of rho, and BLAS rounds
+    # the two otherwise.  A given matrix's F has rows exactly 0 wherever its
+    # diagonal is 0, so the eigh columns of rounding size add no charge
 
     @staticmethod
     def assert_dense_rotation(rho, eps):
         (got, *_), _ = squeezed_frame(rho, eps)
         want = dense_frame_entry(rho, eps)
         assert np.array_equal(got.charges, want.charges)
-        assert np.array_equal(got.blocks, want.blocks)
+        np.testing.assert_allclose(got.blocks, want.blocks, rtol=0, atol=1e-15)
         return got
 
     @staticmethod
@@ -886,7 +884,7 @@ class TestChargeBlockEntry:
 
     @staticmethod
     def given_matrix(s, psi):
-        """|psi><psi| given as its matrix, which enters through the dense path."""
+        """|psi><psi| given as its matrix, which enters through the factor its eigh gives."""
         return DensityMatrix(s, np.outer(psi, psi.conj()))
 
     @pytest.mark.parametrize("shape", [(5, 7), (7, 5), (6, 6)])
@@ -942,6 +940,30 @@ class TestChargeBlockEntry:
             assert np.array_equal(got.charges, want.charges)
             np.testing.assert_allclose(got.blocks, want.blocks, rtol=0, atol=1e-15)
 
+    def test_given_factor_is_zero_off_the_support(self):
+        # eigh gives |psi><psi| columns of rounding size besides psi's own; every row of F off
+        # psi's support is exactly 0, so those columns share no sector pair psi does not
+        s, psi, _ = self.pure_state("charges_with_gaps")
+        factor = self.given_matrix(s, psi).factor
+        assert not np.any(factor[psi == 0])
+        np.testing.assert_allclose(factor @ factor.conj().T, np.outer(psi, psi.conj()), rtol=0, atol=1e-15)
+
+    def test_diagonal_state_enters_on_charge_zero(self):
+        # one column per population, each on one basis state, so each sector pairs with itself
+        # alone: the entry holds charge 0 (0.49 MB) where all 97 charges at N = 25 take 47 MB;
+        # measured 7.4 MB, of which S F is 6.25 MB
+        rho = self.sparse_state("diagonal")
+        assert rho.factor.shape == (rho.space.dim, np.count_nonzero(rho.matrix.diagonal()))
+        assert np.all(np.count_nonzero(rho.factor, axis=0) == 1)
+        tracemalloc.start()
+        try:
+            (got, *_), _ = squeezed_frame(rho, math.atanh(0.6))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert got.charges.tolist() == [0]
+        assert peak < 10e6, peak
+
     @staticmethod
     def count_products(rho: DensityMatrix, eps: float) -> int:
         class Counted:  # a sector block of S that counts its products
@@ -956,25 +978,25 @@ class TestChargeBlockEntry:
 
         sectors = squeeze_sectors(rho.space, eps)
         counted = [(n1, n2, Counted(block)) for n1, n2, block in sectors]
-        got = _rotate_charges(rho.matrix, rho.space.shape[1:], counted)
-        want = _rotate_charges(rho.matrix, rho.space.shape[1:], sectors)
+        factor = rho.factor.reshape(*rho.space.shape[1:], -1)
+        got, want = factor_blocks(factor, counted), factor_blocks(factor, sectors)
         assert np.array_equal(got.blocks, want.blocks)
         return Counted.calls
 
     def test_products_only_on_occupied_pairs(self):
-        # the vacuum occupies sector pair (0, 0): one product on its rows, one on its columns,
-        # where turning every sector twice makes 2 * 49; a full-rank state turns all 11 sectors twice
+        # the vacuum occupies sector 0: one product turns its part of F, where turning every sector
+        # makes 49; a full-rank state turns all 11 sectors once
         s = SpaceDescriptor(1, 25, 25)
         vacuum = DensityMatrix.from_state_vector(s, basis_state(s, 0, 0, 0))
-        assert self.count_products(vacuum, math.atanh(0.6)) == 2
+        assert self.count_products(vacuum, math.atanh(0.6)) == 1
         s = SpaceDescriptor(1, 6, 6)
         g = np.random.default_rng(6).normal(size=(s.dim, s.dim))
         full = DensityMatrix(s, g @ g.T / np.trace(g @ g.T))
-        assert self.count_products(full, 0.5) == 2 * 11
+        assert self.count_products(full, 0.5) == 11
 
     def test_entry_makes_no_dense_copy(self):
-        # one N^2 x N^2 complex copy of the N = 25 vacuum is 6.25 MB; a given matrix is read in
-        # place, and a vector forms none
+        # one N^2 x N^2 complex copy of the N = 25 vacuum is 6.25 MB; a given matrix enters
+        # through its factor, one column here, as a vector does, and neither forms one
         s = SpaceDescriptor(1, 25, 25)
         psi = basis_state(s, 0, 0, 0)
         for vacuum in (self.given_matrix(s, psi), DensityMatrix.from_state_vector(s, psi)):

@@ -365,12 +365,12 @@ class TestRunProtocolGaussian:
         duration = gamma_t / derive_rates(p1).gamma
         return build_two_step_protocol(p1, engine="gaussian", durations=(duration, duration))
 
-    def test_engine_built_states_skip_the_eigensolve(self, eigvalsh_calls):
+    def test_engine_built_states_skip_the_eigensolve(self, eigensolve_calls):
         # the vacuum, every evolved sample and the fidelity target are built
         # by the package, so a default run checks no uncertainty relation
         traj, _ = run_protocol(self.protocol(0.6, 4.0), samples_per_step=51)
         assert traj.times.size > 100
-        assert len(eigvalsh_calls) <= 1
+        assert len(eigensolve_calls) <= 1
 
     def test_one_evolve_per_step(self, monkeypatch):
         # every sample is the step's entry moments and its transmissivities, read in one

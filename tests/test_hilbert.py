@@ -3,20 +3,22 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from cavsqueeze.dynamics import Trajectory
+from cavsqueeze.gaussian import gaussian_vacuum
 from cavsqueeze.hilbert import (
     EIGENVALUE_FLOOR,
+    ChargeBlocks,
     DensityMatrix,
     Operator,
     SpaceDescriptor,
-    _occupied_pairs,
     annihilation_op,
     atom_transition_op,
     basis_state,
     charge_outer,
     expectation,
     number_op,
-    split_charges,
 )
+from oracles import split_charges
 
 
 def test_flat_index_ordering():
@@ -167,11 +169,11 @@ def test_from_state_vector_checks_the_vector():
         DensityMatrix.from_state_vector(space, np.array([1.1, 0.0, 0.0, 0.0]) ** 0.5)
 
 
-def test_from_state_vector_runs_no_eigensolve(eigvalsh_calls):
+def test_from_state_vector_runs_no_eigensolve(eigensolve_calls):
     space = SpaceDescriptor(1, 25, 25)
     DensityMatrix.from_state_vector(space, basis_state(space, 0, 0, 0))
     DensityMatrix.from_state_vector(space, random_unit_vector(space.dim, 9))
-    assert eigvalsh_calls == []
+    assert eigensolve_calls == []
 
 
 def test_from_state_vector_forms_its_matrix_once(monkeypatch):
@@ -216,6 +218,19 @@ def test_matrices_are_read_only():
     rho = DensityMatrix(space, np.eye(3) / 3)
     with pytest.raises(ValueError):
         rho.matrix[0, 0] = 0.0
+
+
+@pytest.mark.parametrize("make", [
+    lambda: Operator(SpaceDescriptor(1, 2, 1), np.eye(2)),
+    lambda: DensityMatrix(SpaceDescriptor(1, 2, 1), np.eye(2) / 2),
+    lambda: ChargeBlocks(np.array([0]), np.ones((1, 1, 2, 1), complex)),
+    lambda: gaussian_vacuum(),
+    lambda: Trajectory(np.zeros(2), {"n_a1": np.zeros(2)}),
+], ids=["Operator", "DensityMatrix", "ChargeBlocks", "GaussianState", "Trajectory"])
+def test_array_dataclasses_compare_by_identity(make):
+    # a generated __eq__ would compare the arrays and raise on their truth value
+    a, b = make(), make()
+    assert (a == b) is False and (a == a) is True
 
 
 def test_operator_algebra_space_mismatch():
@@ -285,68 +300,3 @@ def test_split_charges_finds_charges_without_a_full_charge_array():
             tracemalloc.stop()
         assert rho.charges.tolist() == list(span)
         assert peak - (rho.blocks.nbytes if rho4 is dense else 0) <= extra, peak
-
-
-def sector_pairs_oracle(rho4):
-    """The (n1 - n2, m1 - m2) of every nonzero entry of rho4, by brute force."""
-    n1, n2, m1, m2 = np.nonzero(rho4)
-    return set(zip((n1 - n2).tolist(), (m1 - m2).tolist()))
-
-
-def assert_pairs_match_oracle(rho4):
-    pairs, charges = _occupied_pairs(rho4)
-    n2_trunc = rho4.shape[1]
-    assert pairs.shape == (sum(rho4.shape[:2]) - 1,) * 2
-    k, k_column = np.nonzero(pairs)
-    found = set(zip((k - n2_trunc + 1).tolist(), (k_column - n2_trunc + 1).tolist()))
-    assert found == sector_pairs_oracle(rho4)
-    n1, n2, m1, m2 = np.nonzero(rho4)
-    assert charges.tolist() == sorted(set(((n1 - n2) - (m1 - m2)).tolist()))
-    return found, charges.tolist()
-
-
-def test_occupied_pairs_of_the_vacuum():
-    s = SpaceDescriptor(1, 25, 25)
-    psi = basis_state(s, 0, 0, 0)
-    assert assert_pairs_match_oracle(np.outer(psi, psi).reshape(s.shape[1:] * 2)) == ({(0, 0)}, [0])
-
-
-def test_occupied_pairs_with_gaps():
-    # the state of TestChargeBlockEntry.test_charges_with_gaps: sectors -2, 0 and 2, every pair of them
-    s = SpaceDescriptor(1, 9, 7)
-    psi = basis_state(s, 0, 0, 0) + 0.5j * basis_state(s, 0, 2, 0) - 0.7 * basis_state(s, 0, 1, 3)
-    found, charges = assert_pairs_match_oracle(np.outer(psi, psi.conj()).reshape(9, 7, 9, 7))
-    assert found == {(k, k_column) for k in (-2, 0, 2) for k_column in (-2, 0, 2)}
-    assert charges == [-4, -2, 0, 2, 4]
-
-
-@pytest.mark.parametrize("shape", [(5, 7), (7, 5), (6, 6), (1, 3)])
-def test_occupied_pairs_of_a_full_rank_state(shape):
-    rng = np.random.default_rng(3)
-    dim = shape[0] * shape[1]
-    g = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
-    found, _ = assert_pairs_match_oracle((g @ g.conj().T).reshape(shape * 2))
-    assert len(found) == (sum(shape) - 1) ** 2
-
-
-def test_occupied_pairs_read_rows_and_columns_apart():
-    # a hermitian density matrix within HERMITICITY_TOL may hold an entry whose transpose is 0:
-    # here row |0,0> meets column |1,0>, sector pair (0, 1), and no entry sits at (1, 0)
-    s = SpaceDescriptor(1, 4, 3)
-    rho = np.zeros((s.dim, s.dim), complex)
-    rho[s.index(0, 0, 0), s.index(0, 0, 0)] = 1.0
-    rho[s.index(0, 0, 0), s.index(0, 1, 0)] = 1e-14
-    rho4 = DensityMatrix(s, rho).matrix.reshape(4, 3, 4, 3)
-    assert assert_pairs_match_oracle(rho4) == ({(0, 0), (0, 1)}, [-1, 0])
-    assert assert_pairs_match_oracle(rho4.transpose(2, 3, 0, 1)) == ({(0, 0), (1, 0)}, [0, 1])
-    assert split_charges(rho4).charges.tolist() == [-1, 0]
-
-
-def test_occupied_pairs_of_random_sparse_states():
-    rng = np.random.default_rng(11)
-    for shape in [(5, 7), (7, 5), (4, 4), (1, 3), (3, 1)]:
-        dim = shape[0] * shape[1]
-        for density in (0.002, 0.05, 0.3):
-            hit = rng.random((dim, dim)) < density
-            rho4 = np.where(hit, rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim)), 0.0)
-            assert_pairs_match_oracle(rho4.reshape(shape * 2))

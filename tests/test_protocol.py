@@ -1,5 +1,6 @@
 import math
 import os
+import pathlib
 import subprocess
 import sys
 import textwrap
@@ -17,7 +18,7 @@ from cavsqueeze.cli import build_spec, load_run_config
 from cavsqueeze.dynamics import (ArrivalProcess, run_collision_ensemble, run_collision_model, run_steps, squeezed_frame,
                                  stepwise)
 from cavsqueeze.gaussian import GaussianState, gaussian_frame, gaussian_vacuum
-from cavsqueeze.hilbert import ChargeBlocks, DensityMatrix, SpaceDescriptor, basis_state, split_charges
+from cavsqueeze.hilbert import ChargeBlocks, DensityMatrix, SpaceDescriptor, basis_state
 from cavsqueeze.model import (PhysicalParams, b_mode_annihilation, build_squeeze_operator, derive_rates,
                               spontaneous_decay_estimate)
 from cavsqueeze.protocol import (
@@ -35,6 +36,7 @@ from oracles import (
     interval_walk,
     lindblad_evolve,
     random_low_fock_state,
+    split_charges,
 )
 
 
@@ -705,6 +707,20 @@ class TestRunProtocolInputs:
             assert np.max(np.abs(got.records[key] - series)) <= 1e-14, key
         for key, value in want_report.to_json().items():
             assert got_report.to_json()[key] == pytest.approx(value, rel=0, abs=1e-14), key
+
+    def test_given_vacuum_matrix_runs_as_the_vacuum(self):
+        # eigh of |0,0><0,0| returns e_0 and eigenvalue 1 exactly, and 0 for every other
+        # eigenvalue, so the given matrix's factor is the vacuum's one column
+        spec = build_spec(load_run_config(str(pathlib.Path(__file__).parent / "data" / "small_run.json")))
+        space = SpaceDescriptor(1, *spec.truncation)
+        vacuum = basis_state(space, 0, 0, 0)
+        got, got_report = run_protocol(spec, initial=DensityMatrix(space, np.outer(vacuum, vacuum)))
+        want, want_report = run_protocol(spec)
+        assert np.array_equal(got.times, want.times)
+        for key, series in want.records.items():
+            assert np.array_equal(got.records[key], series), key
+        assert np.array_equal(got.final_state.blocks, want.final_state.blocks)
+        assert got_report == want_report
 
 
 def test_underflow_raising_caller_gets_the_default_digits():
