@@ -154,8 +154,7 @@ def _fock_moments(state: StateLike, space: Optional[SpaceDescriptor]) -> tuple:
             stacklevel=3,
         )
     # band_sums reads the blocks of charge -2 .. 2 only, which the sector pairs of F give without F F+
-    unturned = [(n1, n2, None) for n1, n2 in charge_sectors(*space.shape[1:])]
-    rho = factor_blocks(factor.reshape(*space.shape[1:], -1), unturned, np.arange(-2, 3))
+    rho = factor_blocks(factor.reshape(*space.shape[1:], -1), charge_sectors(*space.shape[1:]), np.arange(-2, 3))
     return (*band_moments(band_sums(rho)), leak)
 
 

@@ -26,8 +26,8 @@ import numpy as np
 
 from .analysis import (_band_table, attenuate, band_moments, band_sums, moment_records, report_from_records,
                        transmissivities)
-from .hilbert import (ChargeBlocks, DensityMatrix, SpaceDescriptor, _charge_shifts, _pair_entries, basis_state,
-                      charge_outer, factor_blocks, is_integer)
+from .hilbert import (DensityMatrix, SpaceDescriptor, basis_state, charge_sectors, factor_blocks, is_integer,
+                      sector_pairs)
 from .model import (
     OCCUPANCY_LIMIT,
     DerivedParams,
@@ -196,17 +196,6 @@ def stepwise(times, counts: Sequence, walk: Callable) -> tuple:
     return times, lambda state, read: walk(state, counts[:len(times)], counts[-1], read)
 
 
-def _charge0_block(shape: tuple, sectors: Sequence) -> np.ndarray:
-    """sum_k c_k c_k^T for c_k the last column of block_k over the given
-    squeeze_sectors, as a charge-0 block of ChargeBlocks on the field grid
-    shape."""
-    out = np.zeros((2 * shape[1] - 1, *shape))
-    for n1, n2, block in sectors:
-        c = block[:, -1]
-        out[_pair_entries(n1, n2, n2, shape[1])] = np.outer(c, c)
-    return out
-
-
 def squeezed_frame(rho0: Union[DensityMatrix, SpaceDescriptor], epsilon: float) -> tuple:
     """(entry, pump): the entry (rho_b, read, tabulate, report) of run_steps
     in the squeezed frame rho_b = S rho S+, from the DensityMatrix rho0 or
@@ -218,12 +207,14 @@ def squeezed_frame(rho0: Union[DensityMatrix, SpaceDescriptor], epsilon: float) 
     ChargeBlocks of the charges it occupies.  S is built once, as its
     (n1 - n2) sector blocks.  Every state enters through its factor F,
     rho = F F+ (the one column |0,0> of a SpaceDescriptor's vacuum), in
-    factor_blocks: S F turns on the sectors F occupies, and only the sector
-    pairs that share a column of F are written.  No N^2 x N^2 array is made
-    beyond a matrix given as one.  A reading of rho_b is its
+    factor_blocks: S F turns on the sectors F occupies, and sector_pairs
+    writes the sector pairs that share a column of F.  No N^2 x N^2 array is
+    made beyond a matrix given as one.  A reading of rho_b is its
     band_sums, through one band table per run, the attenuate pair a pump has
     applied since ((1, 1) from read) and its a-frame boundary population
-    truncation_leak(S+ rho_b S).  read(rho_b, mode, kernels, band, which) gives
+    truncation_leak(S+ rho_b S), the overlap with S P S+ that sector_pairs
+    writes as the pairs (k, k) of each sector's last S column.
+    read(rho_b, mode, kernels, band, which) gives
     the readings of the states rho_b.along(mode, k) for the kernels
     kernels[which] kept as their upper bands, stacked, without making those
     states: the transit walk's samples.  tabulate attenuates the moments of the stacked
@@ -239,8 +230,9 @@ def squeezed_frame(rho0: Union[DensityMatrix, SpaceDescriptor], epsilon: float) 
     sectors = squeeze_sectors(space, epsilon)
     # tr(S P S+ rho_b) = vdot(S P S+, rho_b) for the projector P on the
     # boundary layers; S keeps n1 - n2, so S P S+ has charge 0 only, and
-    # on each sector it is c c^T for the S column c of its last state
-    boundary = _charge0_block(space.shape[1:], sectors)
+    # on each sector it is c c^T for the real S column c of its last state
+    ends = {k: block[:, -1:] for k, (_, _, block) in enumerate(sectors)}
+    boundary = sector_pairs(sectors, np.eye(len(sectors), dtype=bool), ends, space.shape[1:]).block(0)
     # rounding can take the trace of an empty boundary a little below 0
     leak = lambda rho: max(0.0, float(np.einsum("ijk,ijk->", boundary, rho.block(0).real)))
     unpumped = np.ones(2)  # a read state's attenuate pair, one array for every read of the run
@@ -389,7 +381,7 @@ def _transit_kernel(stay: np.ndarray, jump: np.ndarray, shift: np.ndarray) -> np
     """M_e of one shift-free transit along the pumped mode's axis of a block row, for each row shift e
     of shift: upper bidiagonal, stay[n] stay*[n + e] on the diagonal and jump[n + 1] jump*[n + 1 + e]
     above it, zero where the column n + e is off the grid.  stay is real and jump imaginary, so the
-    products are real, as the per-atom pass of charge_outer pairs computes them."""
+    products are real, as the pair blocks of the light-shift pass (_transit_passes) hold them."""
     n = stay.size
     far = np.arange(n) + shift[..., None]
     on, at = (far >= 0) & (far < n), np.clip(far, 0, n - 1)
@@ -430,7 +422,7 @@ def transit_map(shape, params: PhysicalParams, include_stark: bool) -> Callable:
     pumped = (slice(None), 0) if mode == 1 else (0, slice(None))
 
     def walk(rho, counts, end, read):
-        shift = _charge_shifts(rho.charges, rho.blocks.shape[3])[mode - 1]
+        shift = rho.shifts(mode)
         kernel = _transit_kernel(stay[pumped], jump[pumped], shift)
         # M_e^k is upper triangular with k diagonals above the main one, so each power up to the
         # step's end count, at most TRANSIT_BLOCK, is kept as its first TRANSIT_BLOCK + 1
@@ -469,20 +461,21 @@ def transit_map(shape, params: PhysicalParams, include_stark: bool) -> Callable:
 
 def _transit_passes(stay: np.ndarray, jump: np.ndarray, axis: int) -> Callable:
     """walk of transit_map for a pair with light shifts: one pass of the pair per atom on the
-    charge blocks, gathered into block shape once per step."""
+    charge blocks, its products written once per step by factor_blocks of the stay and jump columns."""
     # the jump lowers n_j and m_j of the pumped mode together, which keeps
     # each block entry's charge and d: entries with n_j >= 1 move one down
     # the n_j axis of the blocks
     src = (slice(None),) * axis + (slice(1, None),)
     dst = (slice(None),) * axis + (slice(None, -1),)
+    sectors = charge_sectors(*stay.shape)
 
     def walk(rho, counts, end, read):
-        stay_pair, jump_pair = charge_outer(rho.charges, stay, stay), charge_outer(rho.charges, jump, jump)[src]
+        stay_pair, jump_pair = (factor_blocks(c[..., None], sectors, rho.charges).blocks for c in (stay, jump))
         rows, blocks, done = [], rho.blocks, 0
         for c in (*counts, end):
             for _ in range(c - done):
                 new = stay_pair * blocks
-                new[dst] += jump_pair * blocks[src]
+                new[dst] += jump_pair[src] * blocks[src]
                 blocks = new
             done, state = c, replace(rho, blocks=blocks)
             rows.append(read(state))
@@ -556,7 +549,9 @@ def run_collision_ensemble(
     """Mean records of independent collision runs, read off one orbit.
 
     Trajectory i is run_collision_model's with ArrivalProcess(params.r_a,
-    master_seed ^ i).  In the squeezed frame every accepted atom applies the
+    master_seed ^ i).  A known limitation: nearby master seeds share
+    streams, trajectory 1 of master m and 0 of m ^ 1 both drawing seed
+    m ^ 1.  In the squeezed frame every accepted atom applies the
     same Kraus map Phi, so at a sample where trajectory i has accepted k
     atoms its state is Phi^k(rho_b).  The orbit is run once, over the
     distinct counts of all trajectories, and each trajectory's records and

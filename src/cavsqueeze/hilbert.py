@@ -244,6 +244,11 @@ class ChargeBlocks:
         hit = np.flatnonzero(self.charges == q)
         return self.blocks[hit[0]] if hit.size else np.zeros(self.blocks.shape[1:], complex)
 
+    def shifts(self, mode: int) -> np.ndarray:
+        """m_j - n_j of the entries of each block row blocks[i, r], for mode j = 1 or 2: shaped (Q, D)
+        on mode 1, and (1, D) on mode 2, where it is d for every charge."""
+        return _charge_shifts(self.charges, self.blocks.shape[3])[mode - 1]
+
     def dense(self) -> np.ndarray:
         """The density matrix reshaped (N1, N2, N1, N2)."""
         n1_trunc, n2_trunc = self.blocks.shape[2:]
@@ -281,7 +286,7 @@ class ChargeBlocks:
         """
         if eta == 1.0:
             return self
-        shift = np.ascontiguousarray(_charge_shifts(self.charges, self.blocks.shape[3])[mode - 1], dtype=int)
+        shift = np.ascontiguousarray(self.shifts(mode), dtype=int)
         root, power, lag = _damping_base(self.blocks.shape[1 + mode], shift.shape, shift.tobytes())
         with np.errstate(under="ignore"):  # long jumps' weights at small eta fall below the smallest float
             return self.along(mode, root * math.sqrt(eta) ** power * (1.0 - eta) ** lag)
@@ -296,7 +301,7 @@ class ChargeBlocks:
         product: the overlap is <kernel, gram(b, mode)>, and root G summed once per (power, lag) of
         the kernel serves every eta."""
         n = self.blocks.shape[1 + mode]
-        shift = _charge_shifts(self.charges, self.blocks.shape[3])[1]  # charge 0's: m_j - n_j = d on either mode
+        shift = self.shifts(2)  # charge 0's: m_j - n_j = d on either mode
         root, power, lag = _damping_base(n, shift.shape, shift.tobytes())
         with np.errstate(under="ignore"):  # as in damped, and on the entries a damped state holds
             g = root[0] * self.gram(b, mode)
@@ -338,17 +343,6 @@ def _charge_columns(charges: np.ndarray, n1_trunc: int, n2_trunc: int) -> tuple:
     return m1, m2, (m1 >= 0) & (m1 < n1_trunc) & (m2 >= 0) & (m2 < n2_trunc)
 
 
-def charge_outer(charges: np.ndarray, left: np.ndarray, right: np.ndarray) -> np.ndarray:
-    """left[n1, n2] * conj(right[m1, m2]) in the shape of the blocks of the given charges: the
-    ChargeBlocks of |left><right| without the N1 N2 x N1 N2 outer product."""
-    n1_trunc, n2_trunc = left.shape
-    m1, m2, on_grid = _charge_columns(charges, n1_trunc, n2_trunc)
-    blocks = right.conj()[np.clip(m1, 0, n1_trunc - 1), np.clip(m2, 0, n2_trunc - 1)]
-    blocks *= left
-    blocks[np.logical_not(on_grid, out=on_grid)] = 0.0
-    return blocks
-
-
 def charge_sectors(n1_trunc: int, n2_trunc: int) -> list:
     """(n1, n2) of the Fock states of each sector k = n1 - n2 of the field
     grid, from k = 1 - n2_trunc up, by rising n2."""
@@ -359,40 +353,45 @@ def charge_sectors(n1_trunc: int, n2_trunc: int) -> list:
     return sectors
 
 
-def _pair_entries(n1: np.ndarray, n2: np.ndarray, m2: np.ndarray, n2_trunc: int) -> tuple:
-    """The index, in a block of ChargeBlocks, of the entries of the rows
-    (n1, n2) of one sector and the columns of another whose mode-2 numbers
-    are m2: the entry of rows j and columns j' has d = m2[j'] - n2[j]."""
-    return m2 - n2[:, None] + n2_trunc - 1, n1[:, None], n2[:, None]
+def sector_pairs(sectors: Sequence, pairs: np.ndarray, parts: dict, shape: tuple,
+                 charges: Optional[np.ndarray] = None) -> ChargeBlocks:
+    """The ChargeBlocks on the field grid shape (N1, N2) holding, for each sector pair (k, k') with
+    pairs[k, k'] true, parts[k] @ parts[k'].conj().T in the rows of sector k and the columns of sector
+    k', in the block of charge k - k' and the parts' dtype, and zero elsewhere: the one writer of sector
+    pairs.  sectors lists each sector's (n1, n2, ...) in the order of charge_sectors, parts[k] one row
+    per state of sector k.  Only pairs of the given sorted charges are written, by default of all."""
+    n2_trunc, span = shape[1], len(sectors) - 1
+    pairs = np.argwhere(pairs)
+    pair_charges = pairs[:, 0] - pairs[:, 1]
+    charges = np.flatnonzero(np.bincount(pair_charges + span)) - span if charges is None else np.asarray(charges)
+    kept = np.isin(pair_charges, charges)
+    blocks = np.zeros((charges.size, 2 * n2_trunc - 1, *shape), np.result_type(*parts.values()))
+    for (k, k_column), slot in zip(pairs[kept].tolist(), np.searchsorted(charges, pair_charges[kept]).tolist()):
+        (n1, n2, *_), (_, m2, *_) = sectors[k], sectors[k_column]
+        # the entry of row j and column j' has d = m2[j'] - n2[j]
+        blocks[slot][m2 - n2[:, None] + n2_trunc - 1, n1[:, None], n2[:, None]] = parts[k] @ parts[k_column].conj().T
+    return ChargeBlocks(charges, blocks)
 
 
 def factor_blocks(factor: np.ndarray, sectors: Sequence, charges: Optional[np.ndarray] = None) -> ChargeBlocks:
     """The ChargeBlocks of (S F)(S F)+ for the factor F, shaped (N1, N2, r), and an S that keeps n1 - n2,
-    given as one (n1, n2, block) per sector in the order of charge_sectors: S|n1[j], n2[j]> = sum_i
-    block[i, j] |n1[i], n2[i]> for a real block, and S = 1 on the sector for None.  No N1 N2 x N1 N2
-    array is made.  S F turns on each sector F occupies alone, as one real product of the sector's
-    block on a float view of its rows F_k, and stays zero elsewhere.  Only the sector pairs (k, k')
-    that share a column of F are written, (S_k F_k)(S_k' F_k')^+ into the block of charge k - k', and
-    of those only the pairs of the given charges, by default of every charge they make.  One column
-    makes every pair of the sectors it occupies; a diagonal state's factor makes the pairs (k, k)."""
+    given as one (n1, n2, block) per sector as squeeze_sectors gives them: S|n1[j], n2[j]> = sum_i
+    block[i, j] |n1[i], n2[i]> for a real block; the (n1, n2) of charge_sectors give S = 1.  No
+    N1 N2 x N1 N2 array is made.  S F turns on each sector F occupies alone, as one real product of
+    the sector's block on a float view of its rows F_k, and stays zero elsewhere.  sector_pairs writes
+    the sector pairs (k, k') that share a column of F, (S_k F_k)(S_k' F_k')^+ into the block of charge
+    k - k', only those of the given charges (by default all).  One column makes every pair of the
+    sectors it occupies; a diagonal state's factor makes the pairs (k, k)."""
     n1_trunc, n2_trunc, rank = factor.shape
     span = n1_trunc + n2_trunc - 2
     home = np.subtract.outer(np.arange(n1_trunc), np.arange(n2_trunc)) + n2_trunc - 1  # the index of a state's sector
     held = np.bincount((home[..., None] * rank + np.arange(rank)).ravel(), (factor != 0).ravel(), (span + 1) * rank)
     held = held.reshape(span + 1, rank) > 0  # held[k, c]: column c of F is nonzero on sector k
-    pairs = np.argwhere(held @ held.T)
-    pair_charges = pairs[:, 0] - pairs[:, 1]
-    charges = np.flatnonzero(np.bincount(pair_charges + span)) - span if charges is None else np.asarray(charges)
-    kept = np.isin(pair_charges, charges)
     turned = {}
     for k in np.flatnonzero(held.any(1)):
-        n1, n2, block = sectors[k]
-        turned[k] = factor[n1, n2] if block is None else (block @ factor[n1, n2].view(float)).view(complex)
-    blocks = np.zeros((charges.size, 2 * n2_trunc - 1, n1_trunc, n2_trunc), complex)
-    for (k, k_column), slot in zip(pairs[kept], np.searchsorted(charges, pair_charges[kept])):
-        (n1, n2, _), (_, m2, _) = sectors[k], sectors[k_column]
-        blocks[slot][_pair_entries(n1, n2, m2, n2_trunc)] = turned[k] @ turned[k_column].conj().T
-    return ChargeBlocks(charges, blocks)
+        n1, n2, *block = sectors[k]
+        turned[k] = (block[0] @ factor[n1, n2].view(float)).view(complex) if block else factor[n1, n2]
+    return sector_pairs(sectors, held @ held.T, turned, (n1_trunc, n2_trunc), charges)
 
 
 def _embed(atom_block, mode1_block, mode2_block) -> np.ndarray:

@@ -231,6 +231,9 @@ def run_protocol(
     validate_regime fails on the run's steps, also issued as a warning),
     max_truncation_leak (0.0 on gaussian, which has no truncation), and
     accepted_arrivals and dropped_arrivals (None except on collision).
+    Collision step i draws its atoms with seed spec.seed + i.  A known
+    limitation: nearby seeds share streams, step i of seed s being step
+    i - 1 of seed s + 1.
     """
     if not is_integer(samples_per_step) or samples_per_step < 1:
         raise ValueError(f"samples_per_step must be an integer >= 1, got {samples_per_step!r}")

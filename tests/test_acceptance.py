@@ -65,17 +65,22 @@ def test_bogoliubov_identity_across_low_fock_block(record_property):
     n = 55
     s = SpaceDescriptor(1, n, n)
     sq = build_squeeze_operator(s, eps).matrix
-    a1 = annihilation_op(s, 1).matrix
-    a2 = annihilation_op(s, 2).matrix
     block = [s.index(0, n1, n2) for n1 in range(13) for n2 in range(13)]
     cols = sq[:, block]
     leak = max(truncation_leak(cols[:, i], s) for i in range(len(block)))
     assert leak <= 1e-8
-    sel = np.ix_(block, block)
+    # a_j on the block, whose states n1, n2 <= 12 are the 13 x 13 grid in the same order
+    low = SpaceDescriptor(1, 13, 13)
+    on_block = {j: annihilation_op(low, j).matrix for j in (1, 2)}
     worst = 0.0
-    for aj, ak in ((a1, a2), (a2, a1)):
-        conj = cols.conj().T @ (aj @ cols)
-        target = math.cosh(eps) * aj[sel] - math.sinh(eps) * ak[sel].conj().T
+    for j, k in ((1, 2), (2, 1)):
+        # a_j cols as the ladder shift: row n_j of it is sqrt(n_j + 1) times row n_j + 1 of cols,
+        # the bits of the dense product, whose other terms are exact zeros
+        grid = np.moveaxis(cols.reshape(n, n, -1), j - 1, 0)
+        lowered = np.zeros_like(grid)
+        lowered[:-1] = np.sqrt(np.arange(1, n))[:, None, None] * grid[1:]
+        conj = cols.conj().T @ np.moveaxis(lowered, 0, j - 1).reshape(cols.shape)
+        target = math.cosh(eps) * on_block[j] - math.sinh(eps) * on_block[k].conj().T
         worst = max(worst, float(np.max(np.abs(conj - target))))
     record_property(
         "detail",

@@ -13,7 +13,6 @@ from cavsqueeze.dynamics import (
     ArrivalProcess,
     Trajectory,
     _accepted_counts,
-    _charge0_block,
     collision_step,
     propagate_state,
     run_collision_ensemble,
@@ -34,6 +33,7 @@ from cavsqueeze.hilbert import (
     expectation,
     factor_blocks,
     number_op,
+    sector_pairs,
 )
 from cavsqueeze.model import (
     OCCUPANCY_LIMIT,
@@ -817,7 +817,11 @@ class TestSectorFrame:
         edge[:-1, :-1] = False
         cols = squeeze[:, edge.ravel()]
         want = split_charges((cols @ cols.conj().T).reshape(shape * 2), [0]).block(0)
-        assert np.max(np.abs(_charge0_block(shape, squeeze_sectors(s, eps)) - want)) <= 1e-13
+        sectors = squeeze_sectors(s, eps)
+        ends = {k: block[:, -1:] for k, (_, _, block) in enumerate(sectors)}
+        got = sector_pairs(sectors, np.eye(len(sectors), dtype=bool), ends, shape)
+        assert got.charges.tolist() == [0] and got.blocks.dtype == float
+        assert np.max(np.abs(got.block(0) - want)) <= 1e-13
         # a state reaching the boundary layers: the frame's leak is the bare one
         rho = DensityMatrix(s, random_low_fock_state(s, min(shape), 2, seed=4))
         (rho_b, read, _, _), _ = squeezed_frame(rho, eps)

@@ -14,8 +14,9 @@ from cavsqueeze.hilbert import (
     annihilation_op,
     atom_transition_op,
     basis_state,
-    charge_outer,
+    charge_sectors,
     expectation,
+    factor_blocks,
     number_op,
 )
 from oracles import split_charges
@@ -275,7 +276,7 @@ def test_charge_blocks_hold_only_occupied_charges():
     np.testing.assert_array_equal(asked.dense(), rho.dense())
     left = np.arange(25.0).reshape(5, 5) + 1j
     np.testing.assert_array_equal(
-        charge_outer(rho.charges, left, left),
+        factor_blocks(left[..., None], charge_sectors(5, 5), rho.charges).blocks,
         split_charges(np.einsum("ij,kl->ijkl", left, left.conj())).block(0)[None],
     )
 
