@@ -19,24 +19,15 @@ from __future__ import annotations
 
 import bisect
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence, Union
 
 import numpy as np
 
 from .analysis import (_band_table, attenuate, band_moments, band_sums, moment_records, report_from_records,
                        transmissivities)
-from .hilbert import (DensityMatrix, SpaceDescriptor, basis_state, charge_sectors, factor_blocks, is_integer,
-                      sector_pairs)
-from .model import (
-    OCCUPANCY_LIMIT,
-    DerivedParams,
-    PhysicalParams,
-    StarkShifts,
-    derive_rates,
-    squeeze_sectors,
-    stark_shifts,
-)
+from .hilbert import DensityMatrix, SpaceDescriptor, basis_state, factor_blocks, is_integer, sector_pairs
+from .model import OCCUPANCY_LIMIT, DerivedParams, PhysicalParams, derive_rates, squeeze_sectors
 
 COUPLING_ERROR_LIMIT = 0.5
 BOUNDARY_ERROR_LIMIT = 1e-3
@@ -302,33 +293,20 @@ def run_steps(entry: tuple, steps: Sequence) -> tuple:
     return times, {key: series[:-1] for key, series in table.items()}, state, final, float(leaks.max())
 
 
-def transit_kraus_pair(d: DerivedParams, stark: Optional[StarkShifts], tau: float, shape: tuple):
-    """Closed-form Kraus pair of one atom transit, in the squeezed frame.
+def transit_kraus_pair(d: DerivedParams, tau: float, n: int) -> tuple:
+    """Closed-form Kraus pair of one atom transit, in the squeezed frame, at the pumped mode's photon
+    numbers 0 ... n - 1.
 
-    There the pumped mode j is bare, so the transit couples only |i, n>
-    (i = g on channel b1, h on b2) with |o, n - e_j> (o the other level),
-    under [[E_i, c], [c, E_o]] with c = -theta_b sqrt(n1) on b1 and
-    +theta_b sqrt(n2) on b2 and E the light shifts of
-    build_selective_hamiltonian (zero without stark).  Returns (stay, jump)
-    on the Fock grid (N1, N2): <i|U|i> is diagonal with entries stay[n];
-    <o|U|i> takes |n> to |n - e_j> with amplitude jump[n].
+    There the pumped mode j is bare and the light shifts are absorbed into the frame, so the
+    transit couples only |i, n> (i = g on channel b1, h on b2) with |o, n - e_j> (o the other
+    level), at the rate omega = theta_b sqrt(n_j) of build_selective_hamiltonian's flip term.
+    Returns the real (stay, jump): <i|U|i> is diagonal with entries stay[n_j] = cos(omega tau);
+    <o|U|i> takes |n> to |n - e_j> with amplitude phase * jump[n_j], where jump = sin(omega tau),
+    formed as omega tau sinc(omega tau / pi), and the phase is +i on b1 and -i on b2.  The phase
+    cancels in every product K rho K+ the walk makes.
     """
-    n1, n2 = np.indices(shape, dtype=float)
-    e_g = e_h = dark = 0.0
-    if stark is not None:
-        e_g, e_h = stark.levels(n1, n2)
-        dark = getattr(stark, "shift_" + d.atom_state)  # the entry level's n = 0 shift
-    if d.channel == "b1":
-        c, e_in, e_out = -d.theta_b * np.sqrt(n1), e_g, e_h
-    else:
-        c, e_in, e_out = d.theta_b * np.sqrt(n2), e_h, e_g
-    half = 0.5 * (e_in - e_out)
-    omega = np.sqrt(half**2 + c**2)
-    phase = np.exp(-1j * tau * (0.5 * (e_in + e_out) - dark))
-    sin_over = tau * np.sinc(omega * tau / math.pi)  # sin(omega tau) / omega
-    stay = phase * (np.cos(omega * tau) - 1j * half * sin_over)
-    jump = -1j * phase * c * sin_over
-    return stay, jump
+    omega = d.theta_b * np.sqrt(np.arange(n, dtype=float))
+    return np.cos(omega * tau), omega * (tau * np.sinc(omega * tau / math.pi))
 
 
 def check_duration(duration) -> None:
@@ -378,52 +356,46 @@ def _accepted_counts(params: PhysicalParams, duration: float, arrivals: ArrivalP
 
 
 def _transit_kernel(stay: np.ndarray, jump: np.ndarray, shift: np.ndarray) -> np.ndarray:
-    """M_e of one shift-free transit along the pumped mode's axis of a block row, for each row shift e
-    of shift: upper bidiagonal, stay[n] stay*[n + e] on the diagonal and jump[n + 1] jump*[n + 1 + e]
-    above it, zero where the column n + e is off the grid.  stay is real and jump imaginary, so the
-    products are real, as the pair blocks of the light-shift pass (_transit_passes) hold them."""
+    """M_e of one transit along the pumped mode's axis of a block row, for each row shift e of shift:
+    upper bidiagonal, stay[n] stay[n + e] on the diagonal and jump[n + 1] jump[n + 1 + e] above it,
+    zero where the column n + e is off the grid, for the real pair of transit_kraus_pair."""
     n = stay.size
     far = np.arange(n) + shift[..., None]
     on, at = (far >= 0) & (far < n), np.clip(far, 0, n - 1)
     kernel = np.zeros((*shift.shape, n, n))
     i = np.arange(n)
-    kernel[..., i, i] = np.where(on, (stay * stay[at].conj()).real, 0.0)
-    kernel[..., i[:-1], i[1:]] = np.where(on[..., 1:], (jump[1:] * jump[at[..., 1:]].conj()).real, 0.0)
+    kernel[..., i, i] = np.where(on, stay * stay[at], 0.0)
+    kernel[..., i[:-1], i[1:]] = np.where(on[..., 1:], jump[1:] * jump[at[..., 1:]], 0.0)
     return kernel
 
 
-def transit_map(shape, params: PhysicalParams, include_stark: bool) -> Callable:
+def transit_map(shape, params: PhysicalParams) -> Callable:
     """walk(rho_b, counts, end, read) of a collision step: read's readings of the states after
     counts[i] atom transits, for nondecreasing counts, and the state after end transits, each
     transit the Kraus pair of transit_kraus_pair.
 
-    Without light shifts the pair is a function of the pumped mode's photon number alone, and one
-    transit is the real kernel M_e of _transit_kernel along that mode's axis (ChargeBlocks.along),
-    so c transits are M_e^c.  The walk holds the state X at each multiple of TRANSIT_BLOCK atoms,
-    one product from the last, and the state after c atoms is M_e^r X, r = c mod TRANSIT_BLOCK.
+    The pair is a function of the pumped mode's photon number alone, and one transit is the real
+    kernel M_e of _transit_kernel along that mode's axis (ChargeBlocks.along), so c transits are
+    M_e^c.  The walk holds the state X at each multiple of TRANSIT_BLOCK atoms, one product from
+    the last, and the state after c atoms is M_e^r X, r = c mod TRANSIT_BLOCK.
     The counts that share X are read off it in one read of the squeezed frame, each power r once,
     and none is made; r = 0 reads X, and a count at end reads the end state, the one product
     after the last X.  Each band row read is the product along makes on that row, so the band
     sums at a count have the same bits however the walk reached it, which keeps an ensemble's
     orbit bitwise equal to its single runs; the leak <M_e^r, G> matches the end state's to
     rounding.  A step's powers are built once, by successive products, and freed when the step
-    ends.  Light shifts make the pair depend on both photon numbers, so with include_stark each
-    atom is applied as one pass of the pair on the charge blocks and each count's state is read."""
+    ends."""
     d = derive_rates(params)
     x = d.theta_b * params.tau
     if x >= COUPLING_ERROR_LIMIT:
         raise ValueError(f"theta_b*tau = {x:.3g} is outside the perturbative regime (< 0.5)")
 
-    stark = stark_shifts(params) if include_stark else None
-    stay, jump = transit_kraus_pair(d, stark, params.tau, shape)
     mode = 1 if d.channel == "b1" else 2
-    if include_stark:
-        return _transit_passes(stay, jump, 1 + mode)
-    pumped = (slice(None), 0) if mode == 1 else (0, slice(None))
+    stay, jump = transit_kraus_pair(d, params.tau, shape[mode - 1])
 
     def walk(rho, counts, end, read):
         shift = rho.shifts(mode)
-        kernel = _transit_kernel(stay[pumped], jump[pumped], shift)
+        kernel = _transit_kernel(stay, jump, shift)
         # M_e^k is upper triangular with k diagonals above the main one, so each power up to the
         # step's end count, at most TRANSIT_BLOCK, is kept as its first TRANSIT_BLOCK + 1
         # diagonals and written into the zeroed kernel array to apply
@@ -459,38 +431,12 @@ def transit_map(shape, params: PhysicalParams, include_stark: bool) -> Callable:
     return walk
 
 
-def _transit_passes(stay: np.ndarray, jump: np.ndarray, axis: int) -> Callable:
-    """walk of transit_map for a pair with light shifts: one pass of the pair per atom on the
-    charge blocks, its products written once per step by factor_blocks of the stay and jump columns."""
-    # the jump lowers n_j and m_j of the pumped mode together, which keeps
-    # each block entry's charge and d: entries with n_j >= 1 move one down
-    # the n_j axis of the blocks
-    src = (slice(None),) * axis + (slice(1, None),)
-    dst = (slice(None),) * axis + (slice(None, -1),)
-    sectors = charge_sectors(*stay.shape)
-
-    def walk(rho, counts, end, read):
-        stay_pair, jump_pair = (factor_blocks(c[..., None], sectors, rho.charges).blocks for c in (stay, jump))
-        rows, blocks, done = [], rho.blocks, 0
-        for c in (*counts, end):
-            for _ in range(c - done):
-                new = stay_pair * blocks
-                new[dst] += jump_pair[src] * blocks[src]
-                blocks = new
-            done, state = c, replace(rho, blocks=blocks)
-            rows.append(read(state))
-        return rows[:-1], state
-
-    return walk
-
-
-def collision_step(shape, params: PhysicalParams, duration: float, arrivals: ArrivalProcess, times,
-                   include_stark: bool = False) -> tuple:
+def collision_step(shape, params: PhysicalParams, duration: float, arrivals: ArrivalProcess, times) -> tuple:
     """(step, accepted, dropped) of one collision run over duration: the
     stepwise step of transit_map by the atom counts of the arrivals the
     drop rule accepts, and how many it accepts and drops."""
     counts, dropped = _accepted_counts(params, duration, arrivals, times)
-    step = stepwise(times, counts, transit_map(shape, params, include_stark))
+    step = stepwise(times, counts, transit_map(shape, params))
     return step, int(counts[-1]), dropped
 
 
@@ -499,7 +445,6 @@ def run_collision_model(
     params: PhysicalParams,
     duration: float,
     arrivals: ArrivalProcess,
-    include_stark: bool = False,
     sample_times: Optional[Sequence[float]] = None,
 ) -> Trajectory:
     """Stochastic single-run collision simulation of the pumping step.
@@ -507,23 +452,19 @@ def run_collision_model(
     Atoms arrive as a Poisson stream, each enters in the ground level of the
     selected channel (g for channel b1, h for channel b2), interacts for
     params.tau under the single-channel Hamiltonian, and is discarded.
-    Arrivals while an atom is still inside are dropped and counted.  By
-    default the light-shift part of the Hamiltonian is absorbed into the
-    frame (include_stark=False); setting it true keeps the shifts explicit.
-    Each accepted atom applies the closed-form Kraus pair of
-    transit_kraus_pair in the squeezed frame, and transit_map's walk reads
-    each sample as one power of the transit kernel applied to the state it
-    holds every TRANSIT_BLOCK atoms (one pass of the pair per atom with the
-    shifts).  A run that ends above BOUNDARY_ERROR_LIMIT raises, naming the
-    end time, duration.
+    Arrivals while an atom is still inside are dropped and counted.  The
+    light shifts are absorbed into the squeezed frame, so each accepted atom
+    applies the closed-form Kraus pair of transit_kraus_pair there, and
+    transit_map's walk reads each sample as one power of the transit kernel
+    applied to the state it holds every TRANSIT_BLOCK atoms.  A run that ends
+    above BOUNDARY_ERROR_LIMIT raises, naming the end time, duration.
 
     Records bare and transformed occupations plus joint-quadrature variances
     on sample_clock(duration, sample_times), checked before any arrival is
     drawn: 101 points by default, one (t = 0) when duration is 0.
     """
     sample_times = sample_clock(duration, sample_times)
-    step, accepted, dropped = collision_step(rho0.space.shape[1:], params, duration, arrivals, sample_times,
-                                             include_stark)
+    step, accepted, dropped = collision_step(rho0.space.shape[1:], params, duration, arrivals, sample_times)
     d = derive_rates(params)
     times, records, state, final, leak = run_steps(squeezed_frame(rho0, d.epsilon)[0], [step])
     _refuse_overflow(final.truncation_leak, duration)
@@ -576,7 +517,7 @@ def run_collision_ensemble(
     levels = np.flatnonzero(np.bincount(counts.ravel()))  # the distinct counts
     at = np.searchsorted(levels, counts)
     d = derive_rates(params)
-    walk = transit_map(rho0.space.shape[1:], params, False)
+    walk = transit_map(rho0.space.shape[1:], params)
     (rho_b, read, tabulate, _), _ = squeezed_frame(rho0, d.epsilon)
     # the last level is the orbit's final state, which run_schedule reads last
     *readings, leaks = run_schedule(rho_b, [stepwise(levels[:-1], levels, walk)], read)[1]

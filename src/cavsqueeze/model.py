@@ -160,17 +160,14 @@ class StarkShifts:
     shift_g = omega2^2/delta2 and shift_h = omega1^2/delta1 are the drive
     shifts, per_photon_1 = g1^2/delta1 and per_photon_2 = g2^2/delta2 the
     cavity shifts per photon: level g sits at shift_g + per_photon_1 n1 and
-    level h at shift_h + per_photon_2 n2, for either sign of each detuning.
+    level h at shift_h + per_photon_2 n2, for either sign of each detuning;
+    _stark_diagonal forms these levels.
     """
 
     shift_g: float
     shift_h: float
     per_photon_1: float
     per_photon_2: float
-
-    def levels(self, n1, n2, one=1.0) -> tuple:
-        """(E_g, E_h) at photon numbers n1, n2, or at number operators with one the identity."""
-        return self.shift_g * one + self.per_photon_1 * n1, self.shift_h * one + self.per_photon_2 * n2
 
 
 def stark_shifts(p: PhysicalParams) -> StarkShifts:
@@ -259,7 +256,9 @@ def build_effective_hamiltonian(p: PhysicalParams, s: SpaceDescriptor) -> Operat
 
 def _stark_diagonal(stark: StarkShifts, n1_like: np.ndarray, n2_like: np.ndarray, s: SpaceDescriptor) -> np.ndarray:
     """Light-shift Hamiltonian with the given number operators substituted in."""
-    e_g, e_h = stark.levels(n1_like, n2_like, np.eye(s.dim))
+    one = np.eye(s.dim)
+    e_g = stark.shift_g * one + stark.per_photon_1 * n1_like
+    e_h = stark.shift_h * one + stark.per_photon_2 * n2_like
     return e_h @ atom_transition_op(s, "h", "h").matrix + e_g @ atom_transition_op(s, "g", "g").matrix
 
 

@@ -343,16 +343,14 @@ def dense_damping_pass(rho4: np.ndarray, eta: float, mode: int) -> np.ndarray:
 
 
 def dense_kraus_pass(rho4: np.ndarray, stay: np.ndarray, jump: np.ndarray, channel: str) -> np.ndarray:
-    """One atom transit on rho reshaped (N1, N2, N1, N2): the pair of
-    transit_kraus_pair applied to the whole array."""
-    new = stay[:, :, None, None] * stay.conj() * rho4
-    if channel == "b1":
-        jump = jump[1:, :]
-        new[:-1, :, :-1, :] += jump[:, :, None, None] * jump.conj() * rho4[1:, :, 1:, :]
-    else:
-        jump = jump[:, 1:]
-        new[:, :-1, :, :-1] += jump[:, :, None, None] * jump.conj() * rho4[:, 1:, :, 1:]
-    return new
+    """One atom transit on rho reshaped (N1, N2, N1, N2): the real pair of
+    transit_kraus_pair along the pumped mode, applied to the whole array.
+    The jump's phase +-i cancels in K rho K+."""
+    axes = (0, 1, 2, 3) if channel == "b1" else (1, 0, 3, 2)  # the pumped mode first
+    rho = rho4.transpose(axes)
+    new = stay[:, None, None, None] * stay[:, None] * rho
+    new[:-1, :, :-1, :] += jump[1:, None, None, None] * jump[1:, None] * rho[1:, :, 1:, :]
+    return new.transpose(axes)
 
 
 def interval_walk(apply: Callable) -> Callable:

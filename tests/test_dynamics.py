@@ -105,6 +105,20 @@ def collision_params(theta1=1.0, theta2=0.3, r_a=0.0, tau=0.0):
     )
 
 
+def light_shift_transits(p, rho, k):
+    """k atom transits on the bare-mode rho of an 8 x 8 field, each the Kraus pair <i|U|i>, <o|U|i>
+    of the dense U = expm(-i tau H) of the single-channel Hamiltonian with the light shifts."""
+    d = derive_rates(p)
+    composite = SpaceDescriptor(2, 8, 8)
+    u = scipy.linalg.expm(-1j * p.tau * build_selective_hamiltonian(d, stark_shifts(p), composite).matrix)
+    dim = composite.dim // 2
+    init = composite.atom_index(d.atom_state) * dim
+    pair = [u[at * dim:(at + 1) * dim, init:init + dim] for at in range(2)]
+    for _ in range(k):
+        rho = sum(kraus @ rho @ kraus.conj().T for kraus in pair)
+    return rho
+
+
 class TestTrajectory:
     def test_csv_round_trip(self, tmp_path):
         times = np.array([0.0, 0.1, 0.2])
@@ -331,9 +345,10 @@ class TestCollisionStep:
         self.sf = SpaceDescriptor(1, 8, 8)
         self.base = derive_rates(collision_params(tau=1.0))
 
-    def params_for(self, theta_b_tau, r_a_tau=0.1):
+    def params_for(self, theta_b_tau, r_a_tau=0.1, thetas=(1.0, 0.3)):
+        # swapping the thetas moves the run to channel b2 with the same theta_b and epsilon
         tau = theta_b_tau / self.base.theta_b
-        return collision_params(r_a=r_a_tau / tau, tau=tau)
+        return collision_params(*thetas, r_a=r_a_tau / tau, tau=tau)
 
     def run(self, rho, p, duration, seed=0, **kwargs):
         return run_collision_model(rho, p, duration, ArrivalProcess(rate=p.r_a, seed=seed), **kwargs)
@@ -374,12 +389,16 @@ class TestCollisionStep:
         assert traj.diagnostics["accepted_arrivals"] > 0
         assert np.max(np.abs(bare_state(traj.final_state, derive_rates(p).epsilon) - rho.matrix)) < 1e-10
 
-    def test_dark_state_with_light_shifts(self):
-        p = self.params_for(0.15)
+    @pytest.mark.parametrize("channel", ["b1", "b2"])
+    def test_dark_state_with_light_shifts(self, channel):
+        # the collision walk absorbs the light shifts into the frame; the dense pair of the shifted
+        # Hamiltonian, applied once per atom the same seed accepts, keeps the dark state
+        p = self.params_for(0.15, thetas=(1.0, 0.3) if channel == "b1" else (0.3, 1.0))
+        assert derive_rates(p).channel == channel
         rho = DensityMatrix.from_state_vector(self.sf, transformed_vacuum(self.sf, self.base.epsilon))
-        traj = self.run(rho, p, 60.0 * p.tau, seed=5, include_stark=True)
-        assert traj.diagnostics["accepted_arrivals"] > 0
-        assert np.max(np.abs(bare_state(traj.final_state, derive_rates(p).epsilon) - rho.matrix)) < 1e-10
+        k = self.run(rho, p, 60.0 * p.tau, seed=5).diagnostics["accepted_arrivals"]
+        assert k > 0
+        assert np.max(np.abs(light_shift_transits(p, rho.matrix, k) - rho.matrix)) < 1e-10
 
 
 class TestTransitKrausPair:
@@ -387,17 +406,15 @@ class TestTransitKrausPair:
     single-channel Hamiltonian, rotated into the squeezed frame."""
 
     @pytest.mark.parametrize("channel", ["b1", "b2"])
-    @pytest.mark.parametrize("with_stark", [False, True])
-    def test_matches_dense_propagator(self, channel, with_stark):
+    def test_matches_dense_propagator(self, channel):
         thetas = (1.0, 0.3) if channel == "b1" else (0.3, 1.0)
         p = collision_params(*thetas, tau=0.3)
         d = derive_rates(p)
         assert d.channel == channel
-        stark = stark_shifts(p) if with_stark else None
         n1, n2 = 6, 5
         field = SpaceDescriptor(1, n1, n2)
         composite = SpaceDescriptor(2, n1, n2)
-        u = scipy.linalg.expm(-1j * p.tau * build_selective_hamiltonian(d, stark, composite).matrix)
+        u = scipy.linalg.expm(-1j * p.tau * build_selective_hamiltonian(d, None, composite).matrix)
         dim = field.dim
         blocks = {a: slice(composite.atom_index(a) * dim, (composite.atom_index(a) + 1) * dim)
                   for a in ("g", "h")}
@@ -405,16 +422,31 @@ class TestTransitKrausPair:
         sq = build_squeeze_operator(field, d.epsilon).matrix
         frame = lambda k: sq @ k @ sq.conj().T
 
-        stay, jump = transit_kraus_pair(d, stark, p.tau, (n1, n2))
+        pumped, phase = (0, 1j) if channel == "b1" else (1, -1j)
+        stay, jump = transit_kraus_pair(d, p.tau, (n1, n2)[pumped])
+        assert stay.dtype == jump.dtype == float
+        k_stay = np.zeros((dim, dim), dtype=complex)
         k_jump = np.zeros((dim, dim), dtype=complex)
-        for m1 in range(n1):
-            for m2 in range(n2):
-                lower = (m1 - 1, m2) if channel == "b1" else (m1, m2 - 1)
-                if min(lower) >= 0:
-                    k_jump[field.index(0, *lower), field.index(0, m1, m2)] = jump[m1, m2]
-        k_stay = frame(u[blocks[init], blocks[init]])
-        np.testing.assert_allclose(np.diag(stay.ravel()), k_stay, rtol=0, atol=1e-12)
+        for m in np.ndindex(n1, n2):
+            k_stay[field.index(0, *m), field.index(0, *m)] = stay[m[pumped]]
+            lower = (m[0] - 1, m[1]) if channel == "b1" else (m[0], m[1] - 1)
+            if min(lower) >= 0:
+                k_jump[field.index(0, *lower), field.index(0, *m)] = phase * jump[m[pumped]]
+        np.testing.assert_allclose(k_stay, frame(u[blocks[init], blocks[init]]), rtol=0, atol=1e-12)
         np.testing.assert_allclose(k_jump, frame(u[blocks[other], blocks[init]]), rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("theta_b_tau", [0.1, 0.45])
+    def test_closed_form_at_paper_truncation(self, theta_b_tau):
+        # out to the 110 levels of the paper regime, past omega tau = pi where sinc turns negative:
+        # jump is sin(omega tau), each transit keeps the trace, and the pumped vacuum stays put
+        d = derive_rates(collision_params(tau=1.0))
+        tau = theta_b_tau / d.theta_b
+        stay, jump = transit_kraus_pair(d, tau, 110)
+        omega_tau = theta_b_tau * np.sqrt(np.arange(110))
+        assert stay[0] == 1.0 and jump[0] == 0.0
+        np.testing.assert_allclose(stay, np.cos(omega_tau), rtol=0, atol=1e-15)
+        np.testing.assert_allclose(jump, np.sin(omega_tau), rtol=0, atol=1e-15)
+        np.testing.assert_allclose(stay**2 + jump**2, 1.0, rtol=0, atol=1e-15)
 
 
 class TestCollisionBlocks:
@@ -423,20 +455,18 @@ class TestCollisionBlocks:
 
     @pytest.mark.parametrize("shape", [(12, 12), (9, 13)])
     @pytest.mark.parametrize("channel", ["b1", "b2"])
-    @pytest.mark.parametrize("with_stark", [False, True])
-    def test_blocks_match_dense_pair(self, shape, channel, with_stark):
+    def test_blocks_match_dense_pair(self, shape, channel):
         thetas = (1.0, 0.3) if channel == "b1" else (0.3, 1.0)
         p = collision_params(*thetas, r_a=1.0, tau=0.15)
         d = derive_rates(p)
-        stay, jump = transit_kraus_pair(d, stark_shifts(p) if with_stark else None, p.tau, shape)
+        stay, jump = transit_kraus_pair(d, p.tau, shape[0 if channel == "b1" else 1])
         times = np.array([0.0, 4.0])
         s = SpaceDescriptor(1, *shape)
-        read = squeezed_frame(s, d.epsilon)[0][1]  # the shift-free walk reads its samples through the frame
+        read = squeezed_frame(s, d.epsilon)[0][1]  # the walk reads its samples through the frame
         psi = build_displacement_operator(s, 0.7 - 0.4j, 0.5).matrix @ basis_state(s, 0, 0, 0)
         for rho4 in (np.outer(psi, psi.conj()).reshape(shape * 2),
                      random_low_fock_state(s, min(shape), 3, seed=2).reshape(shape * 2)):
-            step, accepted, _ = collision_step(shape, p, 10.0, ArrivalProcess(rate=p.r_a, seed=4), times,
-                                               with_stark)
+            step, accepted, _ = collision_step(shape, p, 10.0, ArrivalProcess(rate=p.r_a, seed=4), times)
             assert accepted > 2
             _, _, rho = run_schedule(split_charges(rho4), [step], read)
             want = rho4
@@ -458,7 +488,7 @@ class TestTransitKernel:
         rho4 = random_low_fock_state(SpaceDescriptor(1, *shape), min(shape), 3, seed=2)
         rho = split_charges(rho4.reshape(shape * 2))
         assert rho.charges.size > 1
-        return p, transit_map(shape, p, False), rho
+        return p, transit_map(shape, p), rho
 
     @pytest.mark.parametrize("shape", [(9, 13), (11, 11)])
     @pytest.mark.parametrize("channel", ["b1", "b2"])
@@ -480,7 +510,7 @@ class TestTransitKernel:
     @pytest.mark.parametrize("channel", ["b1", "b2"])
     def test_powers_match_per_atom_passes(self, channel):
         p, walk, rho = self.walk_and_state(channel)
-        stay, jump = transit_kraus_pair(derive_rates(p), None, p.tau, self.shape)
+        stay, jump = transit_kraus_pair(derive_rates(p), p.tau, self.shape[0 if channel == "b1" else 1])
         want = rho.dense()
         for c in range(2 * TRANSIT_BLOCK + 2):
             got = walk(rho, [], c, None)[1]
@@ -507,9 +537,9 @@ class TestRunCollisionModel:
         self.sf = SpaceDescriptor(1, 8, 8)
         self.d = derive_rates(collision_params(tau=1.0))
 
-    def params_for(self, theta_b_tau, r_a_tau):
+    def params_for(self, theta_b_tau, r_a_tau, thetas=(1.0, 0.3)):
         tau = theta_b_tau / self.d.theta_b
-        return collision_params(r_a=r_a_tau / tau, tau=tau)
+        return collision_params(*thetas, r_a=r_a_tau / tau, tau=tau)
 
     def initial_state(self, params):
         eps = derive_rates(params).epsilon
@@ -637,14 +667,16 @@ class TestRunCollisionModel:
                    for times in (np.array([]), np.array([duration]))]
         assert reports[0] == reports[1]
 
-    def test_dark_state_fixed_point_with_stark(self):
-        p = self.params_for(0.1, 0.1)
+    @pytest.mark.parametrize("channel", ["b1", "b2"])
+    def test_dark_state_fixed_point_with_stark(self, channel):
+        p = self.params_for(0.1, 0.1, (1.0, 0.3) if channel == "b1" else (0.3, 1.0))
+        assert derive_rates(p).channel == channel
         eps = derive_rates(p).epsilon
         rho = DensityMatrix.from_state_vector(self.sf, transformed_vacuum(self.sf, eps))
         duration = 50.0 * p.tau
-        traj = run_collision_model(rho, p, duration, ArrivalProcess(rate=p.r_a, seed=8),
-                                   include_stark=True)
-        assert np.max(np.abs(bare_state(traj.final_state, eps) - rho.matrix)) < 1e-9
+        traj = run_collision_model(rho, p, duration, ArrivalProcess(rate=p.r_a, seed=8))
+        k = traj.diagnostics["accepted_arrivals"]
+        assert np.max(np.abs(light_shift_transits(p, rho.matrix, k) - rho.matrix)) < 1e-9
 
 
 class TestRunCollisionEnsemble:

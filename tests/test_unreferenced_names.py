@@ -7,6 +7,11 @@ method is listed as Class.method.  A name that only tests, the benchmark
 or a library hook call is either a deliberate reference kept in the
 package or dead code, so the list of such names must equal ALLOWED, and
 each entry says why it stays.
+
+The same holds for the defaulted parameters of top-level functions: one that
+no call in the package passes, by position or by keyword, is an option with
+one value in use, so the list of such parameters, as module.function(param),
+must equal ALLOWED_DEFAULTS.
 """
 
 import ast
@@ -46,6 +51,19 @@ ALLOWED = {
         "argparse's hook for a bad flag, which it calls itself",
 }
 
+ALLOWED_DEFAULTS = {
+    "analysis.squeezing_report(space)":
+        "the space of a bare state vector, read off a DensityMatrix when omitted; tests pass it",
+    "cli.main(argv)":
+        "the console entry point reads sys.argv; tests pass their own",
+    "dynamics.run_collision_model(sample_times)":
+        "a caller's sample clock in place of sample_clock's 101 points; tests pass it",
+    "dynamics.run_collision_ensemble(sample_times)":
+        "a caller's sample clock; perfbench's collision-ensemble workload passes it",
+    "protocol.run_protocol(initial)":
+        "a caller's initial state in place of the vacuum; perfbench's fock-pump workload passes it",
+}
+
 
 def _definitions(tree):
     """(qualified name, bare name) of each top-level function and class and of each non-dunder
@@ -78,3 +96,36 @@ def unreferenced_names():
 
 def test_unreferenced_names_are_the_allowed_references():
     assert unreferenced_names() == sorted(ALLOWED)
+
+
+def _defaulted(function):
+    """(position or None for keyword-only, name) of each defaulted parameter of function."""
+    args = [*function.args.posonlyargs, *function.args.args]
+    first = len(args) - len(function.args.defaults)
+    yield from ((i, arg.arg) for i, arg in enumerate(args) if i >= first)
+    yield from ((None, arg.arg) for arg, default in zip(function.args.kwonlyargs, function.args.kw_defaults)
+                if default is not None)
+
+
+def _passes(call, position, name):
+    """Whether call passes the parameter at position (None for keyword-only) or named name; a *args
+    reaches every position and a **kwargs every name."""
+    by_position = position is not None and (len(call.args) > position
+                                            or any(isinstance(arg, ast.Starred) for arg in call.args))
+    return by_position or any(keyword.arg in (name, None) for keyword in call.keywords)
+
+
+def unpassed_defaults():
+    modules = {p.stem: ast.parse(p.read_text()) for p in sorted(SRC.glob("*.py"))}
+    calls = {}
+    for tree in modules.values():
+        for call in (node for node in ast.walk(tree) if isinstance(node, ast.Call)):
+            callee = call.func.id if isinstance(call.func, ast.Name) else getattr(call.func, "attr", None)
+            calls.setdefault(callee, []).append(call)
+    return sorted(f"{module}.{node.name}({name})" for module, tree in modules.items() for node in tree.body
+                  if isinstance(node, ast.FunctionDef) for position, name in _defaulted(node)
+                  if not any(_passes(call, position, name) for call in calls.get(node.name, ())))
+
+
+def test_unpassed_defaults_are_the_allowed_options():
+    assert unpassed_defaults() == sorted(ALLOWED_DEFAULTS)
