@@ -113,6 +113,12 @@ def propagate_state(
     h_of_t is a callable returning H(t) as an array.  The span, dt and
     psi0 are checked once, before the first step: all must be finite,
     psi0 nonzero and as long as H is wide.
+
+    Each step evaluates H twice, at the midpoint and the end, and keeps the
+    end's H as the next step's start, so h_of_t must return an array no later
+    call overwrites (build_full_hamiltonian returns a fresh one).  psi0 and
+    every H are only read: the stages are formed in place in five buffers
+    allocated once per call, and the returned state is a new array.
     """
     t0, t1 = float(t_span[0]), float(t_span[1])
     if not (math.isfinite(t0) and math.isfinite(t1)):
@@ -138,15 +144,22 @@ def propagate_state(
     h = span / n_steps
     # -i h and -i h/2 scale the products H psi, so the k below are H psi without the -i
     full, half = -1j * h, -0.5j * h
+    k1, k2, k3, k4, stage = (np.empty_like(psi) for _ in range(5))
     t = t0
     # H(t + h) of one step is H(t) of the next: t += h gives the same t
     for _ in range(n_steps):
-        k1 = h_start @ psi
+        h_start.dot(psi, out=k1)
         h_mid = h_of_t(t + 0.5 * h)
-        k2 = h_mid @ (psi + half * k1)
-        k3 = h_mid @ (psi + half * k2)
+        np.multiply(k1, half, out=stage)
+        stage += psi
+        h_mid.dot(stage, out=k2)
+        np.multiply(k2, half, out=stage)
+        stage += psi
+        h_mid.dot(stage, out=k3)
         h_start = h_of_t(t + h)
-        k4 = h_start @ (psi + full * k3)
+        np.multiply(k3, full, out=stage)
+        stage += psi
+        h_start.dot(stage, out=k4)
         # k1 + 2 (k2 + k3) + k4, accumulated in place
         k2 += k3
         k2 *= 2.0

@@ -128,8 +128,12 @@ class Operator:
     @classmethod
     def _adopt(cls, space: SpaceDescriptor, matrix: np.ndarray) -> "Operator":
         """The operator of a matrix the package has just built and no one
-        else holds, frozen in place where Operator(space, matrix) copies."""
-        return _unchecked(cls, space=space, matrix=_read_only(np.asarray(matrix, dtype=complex), space.dim))
+        else holds, frozen in place where Operator(space, matrix) copies;
+        only its shape is checked."""
+        op = object.__new__(cls)
+        object.__setattr__(op, "space", space)
+        object.__setattr__(op, "matrix", _read_only(np.asarray(matrix, dtype=complex), space.dim))
+        return op
 
     def dagger(self) -> "Operator":
         return Operator._adopt(self.space, self.matrix.conj().T)
@@ -398,12 +402,24 @@ def _embed(atom_block, mode1_block, mode2_block) -> np.ndarray:
     return np.kron(np.kron(atom_block, mode1_block), mode2_block)
 
 
+def _ladder(n: int) -> np.ndarray:
+    """The annihilation operator on n Fock states."""
+    return np.diag(np.sqrt(np.arange(1, n)), 1)
+
+
+def _atom_block(space: SpaceDescriptor, upper: Union[int, str], lower: Union[int, str]) -> np.ndarray:
+    """|upper><lower| on the atom alone."""
+    block = np.zeros((space.atom_levels, space.atom_levels), dtype=complex)
+    block[space.atom_index(upper), space.atom_index(lower)] = 1.0
+    return block
+
+
 def annihilation_op(space: SpaceDescriptor, mode: int) -> Operator:
     """Photon annihilation operator for mode 1 or mode 2, embedded in the full space."""
     if mode not in (1, 2):
         raise ValueError(f"mode must be 1 or 2, got {mode!r}")
     factors = [np.eye(n) for n in space.shape]
-    factors[mode] = np.diag(np.sqrt(np.arange(1, space.shape[mode])), 1)
+    factors[mode] = _ladder(space.shape[mode])
     return Operator._adopt(space, _embed(*factors))
 
 
@@ -417,8 +433,7 @@ def atom_transition_op(space: SpaceDescriptor, upper: Union[int, str], lower: Un
 
     Equal labels give an atomic population projector.
     """
-    block = np.zeros((space.atom_levels, space.atom_levels), dtype=complex)
-    block[space.atom_index(upper), space.atom_index(lower)] = 1.0
+    block = _atom_block(space, upper, lower)
     return Operator._adopt(space, _embed(block, np.eye(space.n1_trunc), np.eye(space.n2_trunc)))
 
 

@@ -8,6 +8,7 @@ The amplitude damping that pumps a transformed mode is ChargeBlocks.damped.
 
 from __future__ import annotations
 
+import cmath
 import functools
 import math
 from dataclasses import dataclass
@@ -15,8 +16,8 @@ from typing import Optional
 
 import numpy as np
 
-from .hilbert import (Operator, SpaceDescriptor, annihilation_op, atom_transition_op, charge_sectors, elementwise,
-                      number_op, plain)
+from .hilbert import (Operator, SpaceDescriptor, _atom_block, _embed, _ladder, annihilation_op, atom_transition_op,
+                      charge_sectors, elementwise, number_op, plain)
 
 TWO_PI = 2.0 * math.pi
 
@@ -191,12 +192,15 @@ def _full_couplings(s: SpaceDescriptor) -> tuple:
     has its row in the e block and its column in the g or h block.  On
     3 levels and N Fock states per mode there are about 4 N^2 entries
     against 9 N^4 in H.
+
+    Each term is the Kronecker product of its atom and mode factors, so
+    a1 s_eg and a2 s_eh take no matrix product (mixed-product rule); each
+    of their entries is the one product sqrt(n) * 1 the dense product sums.
     """
-    a1 = annihilation_op(s, 1).matrix
-    a2 = annihilation_op(s, 2).matrix
-    s_eh = atom_transition_op(s, "e", "h").matrix
-    s_eg = atom_transition_op(s, "e", "g").matrix
-    terms = (s_eh, s_eg, a1 @ s_eg, a2 @ s_eh)
+    e_h, e_g = _atom_block(s, "e", "h"), _atom_block(s, "e", "g")
+    eye1, eye2 = np.eye(s.n1_trunc), np.eye(s.n2_trunc)
+    terms = (_embed(e_h, eye1, eye2), _embed(e_g, eye1, eye2),
+             _embed(e_g, _ladder(s.n1_trunc), eye2), _embed(e_h, eye1, _ladder(s.n2_trunc)))
     rows, cols = np.concatenate([np.nonzero(m) for m in terms], axis=1)
     values = np.concatenate([m[m != 0] for m in terms])
     term = np.repeat(np.arange(len(terms)), [np.count_nonzero(m) for m in terms])
@@ -224,18 +228,23 @@ def build_full_hamiltonian(p: PhysicalParams, s: SpaceDescriptor, t: float) -> O
     coefficient and scattered, and its conjugate into the adjoint position.
     propagate_state calls this twice per RK4 step (at the midpoint and the
     end, which is the next step's start), plus once at the start of the span.
+
+    Every call returns a fresh read-only matrix that shares no memory with
+    any other call's: propagate_state holds H(t + h) of one step as the next
+    step's H(t) while it builds the next midpoint.
     """
     if s.atom_levels != 3:
         raise ValueError(f"full model needs 3 atom levels, space has {s.atom_levels}")
     flat, adjoint, values, term = _full_couplings(s)
-    phase1 = np.exp(-1j * p.delta1 * t)
-    phase2 = np.exp(-1j * p.delta2 * t)
-    coefficients = np.array([p.omega1 * phase1, p.omega2 * phase2, p.g1 * phase1, p.g2 * phase2])
-    raising = coefficients[term] * values
-    h = np.zeros(s.dim * s.dim, dtype=complex)
-    h[flat] = raising
-    h[adjoint] = raising.conj()
-    return Operator._adopt(s, h.reshape(s.dim, s.dim))
+    phase1 = cmath.exp(-1j * p.delta1 * t)
+    phase2 = cmath.exp(-1j * p.delta2 * t)
+    raising = np.array([p.omega1 * phase1, p.omega2 * phase2, p.g1 * phase1, p.g2 * phase2])[term]
+    raising *= values
+    h = np.zeros((s.dim, s.dim), dtype=complex)
+    entries = h.reshape(-1)
+    entries[flat] = raising
+    entries[adjoint] = np.conjugate(raising, out=raising)
+    return Operator._adopt(s, h)
 
 
 def build_effective_hamiltonian(p: PhysicalParams, s: SpaceDescriptor) -> Operator:

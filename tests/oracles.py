@@ -8,9 +8,11 @@ random states only serve as test inputs.  Each
 oracle here computes the same physics another way, so a test can compare
 the two.  The Fock engines also never rotate their state back to the bare
 modes; bare_state does that for a test that compares bare density matrices.
-The three-level Hamiltonian is built from a cached sparsity pattern, and
-its RK4 step accumulates in place; dense_full_hamiltonian and rk4_reference
-are the dense four-term sum and the plain RK4 loop they replaced.  The
+The three-level Hamiltonian is built from a cached sparsity pattern into
+a fresh read-only matrix per call, and its RK4 step forms every stage in
+buffers of its own, in place; dense_full_hamiltonian and rk4_reference are
+the dense four-term sum and the plain RK4 loop, with a new array per stage,
+that they replaced.  The
 moments read their bands through a table cached per charges and grid;
 band_by_band_moments reads each band on its own, through charge_diagonal.
 The fock engine reads a step's samples in closed form and damps its state
@@ -464,8 +466,9 @@ def dense_full_hamiltonian(p: PhysicalParams, s: SpaceDescriptor, t: float) -> n
 
 def rk4_reference(h_fn: Callable, psi0: np.ndarray, t_span: tuple, dt: float) -> np.ndarray:
     """Classical RK4 on a state vector, renormalized each step, with every
-    stage written out: k = -i H(t) y, and H(t + h) of one step reused as the
-    next step's H(t).  h_fn returns H(t) as an array."""
+    stage written out as a new array: k = -i H(t) y, and H(t + h) of one step
+    reused as the next step's H(t).  h_fn returns H(t) as an array, which
+    this loop holds across a step as propagate_state does."""
     t0, t1 = float(t_span[0]), float(t_span[1])
     psi = np.asarray(psi0, dtype=complex).copy()
     span = t1 - t0

@@ -247,6 +247,41 @@ class TestPropagateState:
         ref = (basis_state(s, 0, 0, 0) + np.exp(-3j * math.sin(2.0)) * basis_state(s, 0, 3, 0)) / math.sqrt(2.0)
         assert abs(abs(np.vdot(ref, out)) - 1.0) < 1e-8
 
+    def test_reads_but_never_writes_its_inputs(self):
+        # the stages live in propagate_state's own buffers: psi0 and every H
+        # that h_of_t hands it, writable here, are only read
+        s = SpaceDescriptor(1, 5, 1)
+        rng = np.random.default_rng(4)
+        m = rng.normal(size=(s.dim, s.dim)) + 1j * rng.normal(size=(s.dim, s.dim))
+        hm = 0.5 * (m + m.conj().T)
+        handed = []
+
+        def h_of_t(t):
+            h = math.cos(t) * hm
+            handed.append((h, h.copy()))
+            return h
+
+        psi0 = (basis_state(s, 0, 1, 0) + basis_state(s, 0, 4, 0)).astype(complex)
+        kept = psi0.copy()
+        propagate_state(h_of_t, psi0, (0.0, 1.0), 0.25)
+        np.testing.assert_array_equal(psi0, kept)
+        assert len(handed) == 9  # H(0), then each step's midpoint and end
+        for h, copy in handed:
+            assert h.flags.writeable
+            np.testing.assert_array_equal(h, copy)
+
+    def test_calls_return_independent_states(self):
+        s = SpaceDescriptor(1, 4, 1)
+        n = number_op(s, 1).matrix
+        psi0 = (basis_state(s, 0, 0, 0) + basis_state(s, 0, 3, 0)) / math.sqrt(2.0)
+        first = propagate_state(lambda t: math.cos(t) * n, psi0, (0.0, 0.3), 1e-2)
+        kept = first.copy()
+        second = propagate_state(lambda t: math.cos(t) * n, psi0, (0.0, 0.7), 1e-2)
+        assert not np.shares_memory(first, second)
+        assert not np.shares_memory(first, psi0)
+        np.testing.assert_array_equal(first, kept)
+        assert not np.array_equal(first, second)
+
     def test_full_model_reduces_to_dispersive(self):
         # the oscillating three-level model and the dispersive two-level one
         # must agree as propagators, not just per matrix element; the

@@ -229,6 +229,18 @@ class TestFullHamiltonian:
         with pytest.raises(ValueError):
             h[0, 0] = 1.0
 
+    def test_each_call_returns_its_own_matrix(self):
+        # propagate_state holds one step's H(t + h) while it builds the next
+        # midpoint, so a later call may neither reuse nor overwrite the array
+        p = PhysicalParams(0.11, 0.22, 0.33, 0.44, -1.0, 2.0)
+        s = SpaceDescriptor(3, 3, 3)
+        first = build_full_hamiltonian(p, s, 0.4).matrix
+        kept = first.copy()
+        second = build_full_hamiltonian(p, s, 1.7).matrix
+        assert not np.shares_memory(first, second)
+        np.testing.assert_array_equal(first, kept)
+        assert not np.array_equal(first, second)
+
 
 class TestEffectiveHamiltonian:
     def test_diagonal_readoffs(self):
