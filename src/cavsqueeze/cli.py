@@ -313,28 +313,25 @@ def cmd_sweep(cfg: RunConfig, out: str) -> int:
 
     # each point's weak drive rescales theta2 to r * theta1 (a drive too large to hold is inf, refused)
     omega2 = [p.omega2 * (r * d0.theta1 / d0.theta2) for r in cfg.r_grid]
-    rows = []
     # each row carries its point's regime and leak flags, so the warnings of a long scan are not
     # repeated on stderr; the gaussian pass still shows numpy's, which no point of it should raise
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", UserWarning if cfg.engine == "gaussian" else Warning)
-        if cfg.engine == "gaussian":
-            # one params table holds the whole grid, which each rule reads per element
-            steps = two_step_schedule(replace(p, omega2=np.array(omega2)), cfg.durations, cfg.n_target)
-            (_, d, t1), (_, _, t2) = steps
-            r = np.array(cfg.r_grid)
-            eta1, eta2 = (transmissivities(s.gamma, t, mode) for mode, (_, s, t) in zip((1, 2), steps))
-            ok = np.all([np.broadcast_to(c["passed"], r.shape) for c in validate_regime(steps).values()], axis=0)
-            rows = zip(r, d.epsilon, d.gamma, np.broadcast_to(t1 + t2, r.shape),
-                       *two_step_reports(d.epsilon, eta1, eta2), ok.astype(int), 0.0 * r)
-        else:
-            for r, weak in zip(cfg.r_grid, omega2):
-                spec = _two_step_spec(cfg, replace(p, omega2=weak))
-                # a row is the final report, which one sample per step gives exactly
-                traj, report = run_protocol(spec, samples_per_step=1)
-                rows.append((r, spec.epsilon, spec.steps[0].derived.gamma, sum(s.duration for s in spec.steps),
-                             report.duan_sum, report.n1_mean, report.n2_mean, report.fidelity,
-                             0 if traj.diagnostics["regime_failures"] else 1, report.truncation_leak))
+        # a fock or collision row reads its point's final report, which one sample per step gives
+        # exactly; the points run before the grid's array pass, so a grid is refused at its first bad point
+        reports = [run_protocol(_two_step_spec(cfg, replace(p, omega2=weak)), samples_per_step=1)[1]
+                   for weak in omega2] if cfg.engine != "gaussian" else []
+        # one params table holds the whole grid, which each rule reads per element
+        steps = two_step_schedule(replace(p, omega2=np.array(omega2)), cfg.durations, cfg.n_target)
+    (_, d, t1), (_, _, t2) = steps
+    r = np.array(cfg.r_grid)
+    ok = np.all([np.broadcast_to(c["passed"], r.shape) for c in validate_regime(steps).values()], axis=0)
+    if cfg.engine == "gaussian":
+        eta1, eta2 = (transmissivities(s.gamma, t, mode) for mode, (_, s, t) in zip((1, 2), steps))
+        *finals, leaks = (*two_step_reports(d.epsilon, eta1, eta2), 0.0 * r)
+    else:
+        *finals, leaks = zip(*((x.duan_sum, x.n1_mean, x.n2_mean, x.fidelity, x.truncation_leak) for x in reports))
+    rows = zip(r, d.epsilon, d.gamma, np.broadcast_to(t1 + t2, r.shape), *finals, ok.astype(int), leaks)
     columns = ["r", "epsilon", "gamma_per_s", "t_total_s", "duan_sum", "n1_mean", "n2_mean", "fidelity",
                "regime_ok", "truncation_leak"]
     write_csv(out, columns, rows)

@@ -5,14 +5,15 @@ advance), and advance(state, read) returns the step's readings and its end
 state.  The fock and collision engines enter through the squeezed frame they
 share, where a pump is the attenuator of a bare mode: a fock step reads every
 sample as the state it starts in with the sample's transmissivities, and damps
-once, as gaussian_frame does on the moments.  The collision model walks the
-atom counts of its Poisson stream (stepwise): each atom applies one
-closed-form Kraus pair, so c atoms are the c-th power of one transit kernel
-along the pumped mode, which ChargeBlocks.along applies as it applies the
-damping kernel.  The walk holds the state every TRANSIT_BLOCK atoms and reads
-the samples between off it, the power's band rows and boundary overlap with
-no product of their own.  Fourth-order Runge-Kutta propagates state vectors
-of the three-level model.
+once, as gaussian_frame does on the moments.  The collision model's step,
+made by transit_map, walks the atom counts of its Poisson stream, and the
+ensemble walks the distinct counts of all its streams as one such step
+through the same driver: each atom applies one closed-form Kraus pair, so c
+atoms are the c-th power of one transit kernel along the pumped mode, which
+ChargeBlocks.along applies as it applies the damping kernel.  The walk holds
+the state every TRANSIT_BLOCK atoms and reads the samples between off it, the
+power's band rows and boundary overlap with no product of their own.
+Fourth-order Runge-Kutta propagates state vectors of the three-level model.
 """
 
 from __future__ import annotations
@@ -20,13 +21,13 @@ from __future__ import annotations
 import bisect
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Optional, Sequence, Union
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
 from .analysis import (_band_table, attenuate, band_moments, band_sums, moment_records, report_from_records,
                        transmissivities)
-from .hilbert import DensityMatrix, SpaceDescriptor, basis_state, factor_blocks, is_integer, sector_pairs
+from .hilbert import DensityMatrix, factor_blocks, is_integer, sector_pairs
 from .model import OCCUPANCY_LIMIT, DerivedParams, PhysicalParams, derive_rates, squeeze_sectors
 
 COUPLING_ERROR_LIMIT = 0.5
@@ -172,45 +173,17 @@ def propagate_state(
     return psi
 
 
-def run_schedule(state, steps: Sequence, read: Callable) -> tuple:
-    """Run pumping steps back to back and read the state at every sample.
-
-    steps holds (times, advance) pairs: times from 0, and advance(state,
-    read) returns the tuples read gives at each of times and the state at
-    the end of the step.  A later step's first sample repeats the previous
-    step's last; its reading is dropped.  Returns (times, readings, final
-    state): the sample clock and each part of the readings, stacked over
-    the samples and, last, the final state.
-    """
-    clock, rows, offset = [], [], 0.0
-    for times, advance in steps:
-        readings, state = advance(state, read)
-        rows.extend(readings[bool(clock):])
-        clock.extend(t + offset for t in times[bool(clock):])
-        offset += float(times[-1]) if len(times) else 0.0
-    rows.append(read(state))
-    return np.array(clock), tuple(map(np.array, zip(*rows))), state
-
-
-def stepwise(times, counts: Sequence, walk: Callable) -> tuple:
-    """run_schedule step that reads at sample i the state after counts[i] atoms and ends at the
-    state after counts[len(times)], where given, or at the last sample's: walk(state, counts, end,
-    read) returns read's readings of the states after each of counts atoms, nondecreasing, and the
-    state after end atoms."""
-    return times, lambda state, read: walk(state, counts[:len(times)], counts[-1], read)
-
-
-def squeezed_frame(rho0: Union[DensityMatrix, SpaceDescriptor], epsilon: float) -> tuple:
+def squeezed_frame(rho0: DensityMatrix, epsilon: float) -> tuple:
     """(entry, pump): the entry (rho_b, read, tabulate, report) of run_steps
-    in the squeezed frame rho_b = S rho S+, from the DensityMatrix rho0 or
-    the vacuum of a SpaceDescriptor, and the frame's pump step.
+    in the squeezed frame rho_b = S rho S+ of the DensityMatrix rho0, and
+    the frame's pump step.
 
     b_j = S+ a_j S exactly on the truncated space, so there the transformed
     modes are bare and every pumping map acts on rho_b without S.  Those
     maps keep the charge of every entry, so rho_b is carried as the
     ChargeBlocks of the charges it occupies.  S is built once, as its
     (n1 - n2) sector blocks.  Every state enters through its factor F,
-    rho = F F+ (the one column |0,0> of a SpaceDescriptor's vacuum), in
+    rho = F F+ (one column for a state of from_state_vector), in
     factor_blocks: S F turns on the sectors F occupies, and sector_pairs
     writes the sector pairs that share a column of F.  No N^2 x N^2 array is
     made beyond a matrix given as one.  A reading of rho_b is its
@@ -223,12 +196,12 @@ def squeezed_frame(rho0: Union[DensityMatrix, SpaceDescriptor], epsilon: float) 
     kernels[which] kept as their upper bands, stacked, without making those
     states: the transit walk's samples.  tabulate attenuates the moments of the stacked
     band_sums, held in the frame of epsilon, and reads their records there in
-    one pass.  pump(d, duration, times) is the run_schedule step that pumps the
+    one pass.  pump(d, duration, times) is the run_steps step that pumps the
     transformed mode of d's channel at d.gamma, here ChargeBlocks.damped of the
     bare mode: each sample is the state the step starts in with the sample's
     transmissivities and damped_overlaps leak, and the step damps it once.
     """
-    space = rho0 if isinstance(rho0, SpaceDescriptor) else rho0.space
+    space = rho0.space
     if space.atom_levels != 1:
         raise ValueError("the squeezed frame expects a field-only initial state")
     sectors = squeeze_sectors(space, epsilon)
@@ -280,8 +253,7 @@ def squeezed_frame(rho0: Union[DensityMatrix, SpaceDescriptor], epsilon: float) 
     fidelity = lambda rho: float(rho.block(0)[space.n2_trunc - 1, 0, 0].real)
     report = lambda row, rho, final_leak: report_from_records(row, epsilon, fidelity(rho), final_leak)
 
-    factor = basis_state(space, 0, 0, 0)[:, None] if isinstance(rho0, SpaceDescriptor) else rho0.factor
-    return (factor_blocks(factor.reshape(*space.shape[1:], -1), sectors), read, tabulate, report), pump
+    return (factor_blocks(rho0.factor.reshape(*space.shape[1:], -1), sectors), read, tabulate, report), pump
 
 
 def _refuse_overflow(leak: float, t: float) -> None:
@@ -292,18 +264,34 @@ def _refuse_overflow(leak: float, t: float) -> None:
 
 
 def run_steps(entry: tuple, steps: Sequence) -> tuple:
-    """Run run_schedule's (times, advance) steps from entry = (state, read,
-    tabulate, report), the squeezed_frame of the fock and collision engines
-    or the gaussian_frame of the moments.  A reading ends with the boundary leak;
-    tabulate makes the records of the rest, stacked, in one pass, and
+    """The one driver of every run: pumping steps back to back from entry =
+    (state, read, tabulate, report), the squeezed_frame of the fock and
+    collision engines or the gaussian_frame of the moments, read at every
+    sample and, last, at the final state.
+
+    steps holds (times, advance) pairs: times from 0, and advance(state,
+    read) returns the tuples read gives at each of times and the state at
+    the end of the step.  A later step's first sample repeats the previous
+    step's last; its reading is dropped.  A reading ends with the boundary
+    leak; tabulate makes the records of the rest, stacked, in one pass, and
     report(row, state, leak) the SqueezingReport from the final state's
-    row, which its runner refuses at its end time (_refuse_overflow).  Returns
-    (times, records, final state, SqueezingReport, max_truncation_leak)."""
+    row, which its runner refuses at its end time (_refuse_overflow).
+    Returns (times, table, final state, SqueezingReport, leaks): the sample
+    clock, the records of every reading with the final state's row last,
+    and every reading's leak, so a run's samples are all rows but the last.
+    """
     state, read, tabulate, report = entry
-    times, (*readings, leaks), state = run_schedule(state, steps, read)
+    clock, rows, offset = [], [], 0.0
+    for times, advance in steps:
+        readings, state = advance(state, read)
+        rows.extend(readings[bool(clock):])
+        clock.extend(t + offset for t in times[bool(clock):])
+        offset += float(times[-1]) if len(times) else 0.0
+    rows.append(read(state))
+    *readings, leaks = map(np.array, zip(*rows))
     table = tabulate(*readings)
     final = report({key: series[-1] for key, series in table.items()}, state, leaks[-1])
-    return times, {key: series[:-1] for key, series in table.items()}, state, final, float(leaks.max())
+    return np.array(clock), table, state, final, leaks
 
 
 def transit_kraus_pair(d: DerivedParams, tau: float, n: int) -> tuple:
@@ -383,16 +371,16 @@ def _transit_kernel(stay: np.ndarray, jump: np.ndarray, shift: np.ndarray) -> np
 
 
 def transit_map(shape, params: PhysicalParams) -> Callable:
-    """walk(rho_b, counts, end, read) of a collision step: read's readings of the states after
-    counts[i] atom transits, for nondecreasing counts, and the state after end transits, each
-    transit the Kraus pair of transit_kraus_pair.
+    """The step maker of a collision run: step(times, counts) is the run_steps step that reads at
+    sample i the state after counts[i] atom transits, for nondecreasing counts, and ends at the
+    state after counts[-1], each transit the Kraus pair of transit_kraus_pair.
 
     The pair is a function of the pumped mode's photon number alone, and one transit is the real
     kernel M_e of _transit_kernel along that mode's axis (ChargeBlocks.along), so c transits are
-    M_e^c.  The walk holds the state X at each multiple of TRANSIT_BLOCK atoms, one product from
-    the last, and the state after c atoms is M_e^r X, r = c mod TRANSIT_BLOCK.
+    M_e^c.  The step's walk holds the state X at each multiple of TRANSIT_BLOCK atoms, one product
+    from the last, and the state after c atoms is M_e^r X, r = c mod TRANSIT_BLOCK.
     The counts that share X are read off it in one read of the squeezed frame, each power r once,
-    and none is made; r = 0 reads X, and a count at end reads the end state, the one product
+    and none is made; r = 0 reads X, and a count at the end reads the end state, the one product
     after the last X.  Each band row read is the product along makes on that row, so the band
     sums at a count have the same bits however the walk reached it, which keeps an ensemble's
     orbit bitwise equal to its single runs; the leak <M_e^r, G> matches the end state's to
@@ -441,16 +429,15 @@ def transit_map(shape, params: PhysicalParams) -> Callable:
             rows += [read(state)] * (len(counts) - len(rows))
         return rows, state
 
-    return walk
+    return lambda times, counts: (times, lambda rho, read: walk(rho, counts[:len(times)], counts[-1], read))
 
 
 def collision_step(shape, params: PhysicalParams, duration: float, arrivals: ArrivalProcess, times) -> tuple:
     """(step, accepted, dropped) of one collision run over duration: the
-    stepwise step of transit_map by the atom counts of the arrivals the
-    drop rule accepts, and how many it accepts and drops."""
+    run_steps step that transit_map makes from the atom counts of the
+    arrivals the drop rule accepts, and how many it accepts and drops."""
     counts, dropped = _accepted_counts(params, duration, arrivals, times)
-    step = stepwise(times, counts, transit_map(shape, params))
-    return step, int(counts[-1]), dropped
+    return transit_map(shape, params)(times, counts), int(counts[-1]), dropped
 
 
 def run_collision_model(
@@ -479,11 +466,11 @@ def run_collision_model(
     sample_times = sample_clock(duration, sample_times)
     step, accepted, dropped = collision_step(rho0.space.shape[1:], params, duration, arrivals, sample_times)
     d = derive_rates(params)
-    times, records, state, final, leak = run_steps(squeezed_frame(rho0, d.epsilon)[0], [step])
+    times, table, state, final, leaks = run_steps(squeezed_frame(rho0, d.epsilon)[0], [step])
     _refuse_overflow(final.truncation_leak, duration)
     diagnostics = {"accepted_arrivals": accepted, "dropped_arrivals": dropped, "channel": d.channel,
-                   "atom_state": d.atom_state, "seed": arrivals.seed, "max_truncation_leak": leak}
-    return Trajectory(times, records, state, diagnostics)
+                   "atom_state": d.atom_state, "seed": arrivals.seed, "max_truncation_leak": float(leaks.max())}
+    return Trajectory(times, {key: series[:-1] for key, series in table.items()}, state, diagnostics)
 
 
 def _worker_count(requested: Optional[int]) -> int:
@@ -508,8 +495,10 @@ def run_collision_ensemble(
     m ^ 1.  In the squeezed frame every accepted atom applies the
     same Kraus map Phi, so at a sample where trajectory i has accepted k
     atoms its state is Phi^k(rho_b).  The orbit is run once, over the
-    distinct counts of all trajectories, and each trajectory's records and
-    boundary leaks are read off it at its counts.  transit_map's walk reads
+    distinct counts of all trajectories, through run_steps as one step of
+    transit_map that reads every count but the last and ends at the last,
+    so each count is read once, and each trajectory's records and boundary
+    leaks are read off the rows at its counts.  transit_map's walk reads
     k atoms off the state it holds every TRANSIT_BLOCK atoms, all counts
     that share one in one read, with the band sums at k the same bits
     however k is reached, so the records, the ensemble means, are bitwise
@@ -530,11 +519,10 @@ def run_collision_ensemble(
     levels = np.flatnonzero(np.bincount(counts.ravel()))  # the distinct counts
     at = np.searchsorted(levels, counts)
     d = derive_rates(params)
-    walk = transit_map(rho0.space.shape[1:], params)
-    (rho_b, read, tabulate, _), _ = squeezed_frame(rho0, d.epsilon)
-    # the last level is the orbit's final state, which run_schedule reads last
-    *readings, leaks = run_schedule(rho_b, [stepwise(levels[:-1], levels, walk)], read)[1]
-    orbit, leaks = tabulate(*readings), leaks[at]
+    step = transit_map(rho0.space.shape[1:], params)(levels[:-1], levels)
+    # the last level is the orbit's final state, whose row run_steps reads last
+    _, orbit, _, _, leaks = run_steps(squeezed_frame(rho0, d.epsilon)[0], [step])
+    leaks = leaks[at]
     for leak in leaks[:, -1]:
         _refuse_overflow(leak, duration)
     records = {key: np.mean(series[at[:, :-1]], axis=0) for key, series in orbit.items()}

@@ -19,7 +19,7 @@ from .analysis import preparation_time
 from .dynamics import (ArrivalProcess, Trajectory, _refuse_overflow, check_duration, collision_step, run_steps,
                        sample_clock, squeezed_frame)
 from .gaussian import GaussianState, gaussian_frame, gaussian_vacuum
-from .hilbert import DensityMatrix, SpaceDescriptor, _unchecked, is_integer, plain
+from .hilbert import DensityMatrix, SpaceDescriptor, _unchecked, basis_state, is_integer, plain
 from .model import (
     DISPERSIVE_LIMIT,
     OCCUPANCY_LIMIT,
@@ -220,17 +220,18 @@ def run_protocol(
 ):
     """Execute the schedule on the chosen engine.
 
-    Returns (Trajectory, SqueezingReport).  initial defaults to vacuum; it
-    must be a DensityMatrix on the spec truncation for the fock and
-    collision engines, or a GaussianState for the gaussian engine; the
-    final state is rho_b = S rho S+ (ChargeBlocks) or a GaussianState.
-    Every engine pumps in the one squeezed frame the steps share, through
-    run_steps (fock and gaussian by their frame's pump, collision by its
-    atoms), and reads its records from the same quadrature moments.  The diagnostics have the
-    same keys on every engine: engine, steps, regime_failures (the checks
-    validate_regime fails on the run's steps, also issued as a warning),
-    max_truncation_leak (0.0 on gaussian, which has no truncation), and
-    accepted_arrivals and dropped_arrivals (None except on collision).
+    Returns (Trajectory, SqueezingReport).  initial defaults to vacuum (|0,0>
+    of from_state_vector); it must be a DensityMatrix on the spec truncation
+    for the fock and collision engines, or a GaussianState for the gaussian
+    engine; the final state is rho_b = S rho S+ (ChargeBlocks) or a
+    GaussianState.  Every engine pumps in the one squeezed frame the steps
+    share, through run_steps (fock and gaussian by their frame's pump,
+    collision by transit_map's steps): the samples are all rows of its table
+    but the last, the final state's.  The diagnostics have the same keys on
+    every engine: engine, steps, regime_failures (the checks validate_regime
+    fails on the run's steps, also issued as a warning), max_truncation_leak
+    (0.0 on gaussian, which has no truncation), and accepted_arrivals and
+    dropped_arrivals (None except on collision).
     Collision step i draws its atoms with seed spec.seed + i.  A known
     limitation: nearby seeds share streams, step i of seed s being step
     i - 1 of seed s + 1.
@@ -257,22 +258,24 @@ def run_protocol(
         entry, pump = gaussian_frame(gaussian_vacuum() if initial is None else initial, spec.epsilon)
     else:
         space = SpaceDescriptor(1, *spec.truncation)
-        if initial is not None and not isinstance(initial, DensityMatrix):
+        if initial is None:
+            initial = DensityMatrix.from_state_vector(space, basis_state(space, 0, 0, 0))
+        elif not isinstance(initial, DensityMatrix):
             raise ValueError(f"{spec.engine} engine takes a DensityMatrix initial state")
-        if initial is not None and initial.space != space:
+        elif initial.space != space:
             raise ValueError(f"initial state space {initial.space} does not match truncation {spec.truncation}")
-        entry, pump = squeezed_frame(space if initial is None else initial, spec.epsilon)
+        entry, pump = squeezed_frame(initial, spec.epsilon)
     if spec.engine != "collision":
         steps = [pump(step.derived, step.duration, times) for step, times in zip(spec.steps, clocks)]
 
-    times, records, state, report, leak = run_steps(entry, steps)
+    times, table, state, report, leaks = run_steps(entry, steps)
     _refuse_overflow(report.truncation_leak, sum(step.duration for step in spec.steps))
     diagnostics = {
         "engine": spec.engine,
         "steps": len(steps),
         "regime_failures": failures,
-        "max_truncation_leak": leak,
+        "max_truncation_leak": float(leaks.max()),
         "accepted_arrivals": sum(accepted) if spec.engine == "collision" else None,
         "dropped_arrivals": sum(dropped) if spec.engine == "collision" else None,
     }
-    return Trajectory(times, records, state, diagnostics), report
+    return Trajectory(times, {key: series[:-1] for key, series in table.items()}, state, diagnostics), report

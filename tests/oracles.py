@@ -356,9 +356,10 @@ def dense_kraus_pass(rho4: np.ndarray, stay: np.ndarray, jump: np.ndarray, chann
 
 
 def interval_walk(apply: Callable) -> Callable:
-    """A dynamics.stepwise walk that carries the state from each stop to the next by
-    apply(state, stop - previous stop), from 0 and skipping an interval of 0, and reads it at
-    each stop before the end: the per-interval reference of a pumping step."""
+    """The step maker of the per-interval reference of a pumping step, as dynamics.transit_map
+    gives one for atoms: step(times, stops) is the dynamics.run_steps step that carries the state
+    from each stop to the next by apply(state, stop - previous stop), from 0 and skipping an
+    interval of 0, reads it at the first len(times) stops and ends at stops[-1]."""
     def walk(state, stops, end, read):
         rows, previous = [], 0.0
         for i, stop in enumerate((*stops, end)):
@@ -368,7 +369,7 @@ def interval_walk(apply: Callable) -> Callable:
                 rows.append(read(state))
         return rows, state
 
-    return walk
+    return lambda times, stops: (times, lambda state, read: walk(state, stops[:len(times)], stops[-1], read))
 
 
 def split_charges(rho4: np.ndarray, charges: Optional[Sequence[int]] = None) -> ChargeBlocks:

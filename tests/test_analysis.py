@@ -19,7 +19,7 @@ from cavsqueeze.analysis import (
     tmsv_state_vector,
     truncation_leak,
 )
-from cavsqueeze.dynamics import run_steps, squeezed_frame, stepwise
+from cavsqueeze.dynamics import run_steps, squeezed_frame
 from cavsqueeze.gaussian import gaussian_tmsv
 from cavsqueeze.hilbert import (
     DensityMatrix,
@@ -28,8 +28,7 @@ from cavsqueeze.hilbert import (
     expectation,
 )
 from cavsqueeze.model import build_squeeze_operator
-from oracles import (band_by_band_moments, build_displacement_operator, interval_walk, random_low_fock_state,
-                     split_charges)
+from oracles import band_by_band_moments, build_displacement_operator, random_low_fock_state, split_charges
 
 
 FIELDS20 = SpaceDescriptor(1, 20, 20)
@@ -431,10 +430,8 @@ class TestRecorder:
             rho_b = random_low_fock_state(s, 3, 2, seed)
             rho = squeeze.conj().T @ rho_b @ squeeze
             assert truncation_leak(DensityMatrix(s, rho)) <= 1e-12
-            _, records, *_ = run_steps(
-                squeezed_frame(DensityMatrix(s, rho), eps)[0],
-                [stepwise(np.array([0.0]), [0], interval_walk(lambda state, dt: state))],
-            )
+            # with no steps the one row of the table is the entry state's
+            _, records, *_ = run_steps(squeezed_frame(DensityMatrix(s, rho), eps)[0], [])
             want = dense(rho_b)
             assert list(records) == list(want)
             for key, value in want.items():

@@ -7,6 +7,7 @@ import pytest
 import scipy.linalg
 import scipy.stats
 
+import cavsqueeze.dynamics
 from cavsqueeze.analysis import tmsv_state_vector, truncation_leak
 from cavsqueeze.dynamics import (
     TRANSIT_BLOCK,
@@ -17,10 +18,8 @@ from cavsqueeze.dynamics import (
     propagate_state,
     run_collision_ensemble,
     run_collision_model,
-    run_schedule,
     run_steps,
     squeezed_frame,
-    stepwise,
     transit_kraus_pair,
     transit_map,
     write_csv,
@@ -54,7 +53,6 @@ from oracles import (
     dense_frame_entry,
     dense_kraus_pass,
     dense_squeeze_operator,
-    interval_walk,
     lindblad_evolve,
     loop_accepted_counts,
     loop_arrival_times,
@@ -497,13 +495,14 @@ class TestCollisionBlocks:
         stay, jump = transit_kraus_pair(d, p.tau, shape[0 if channel == "b1" else 1])
         times = np.array([0.0, 4.0])
         s = SpaceDescriptor(1, *shape)
-        read = squeezed_frame(s, d.epsilon)[0][1]  # the walk reads its samples through the frame
+        # the walk reads its samples through the frame
+        entry = squeezed_frame(DensityMatrix.from_state_vector(s, basis_state(s, 0, 0, 0)), d.epsilon)[0]
         psi = build_displacement_operator(s, 0.7 - 0.4j, 0.5).matrix @ basis_state(s, 0, 0, 0)
         for rho4 in (np.outer(psi, psi.conj()).reshape(shape * 2),
                      random_low_fock_state(s, min(shape), 3, seed=2).reshape(shape * 2)):
             step, accepted, _ = collision_step(shape, p, 10.0, ArrivalProcess(rate=p.r_a, seed=4), times)
             assert accepted > 2
-            _, _, rho = run_schedule(split_charges(rho4), [step], read)
+            rho = run_steps((split_charges(rho4), *entry[1:]), [step])[2]
             want = rho4
             for _ in range(accepted):
                 want = dense_kraus_pass(want, stay, jump, channel)
@@ -517,22 +516,26 @@ class TestTransitKernel:
     shape = (9, 13)
 
     def walk_and_state(self, channel, shape=shape):
+        """(params, walk, rho, read): walk(rho, counts, end, read) runs the step that transit_map
+        makes to read at counts and end at end, and read is the squeezed frame's on shape."""
         thetas = (1.0, 0.3) if channel == "b1" else (0.3, 1.0)
         p = collision_params(*thetas, r_a=1.0, tau=0.15)
         assert derive_rates(p).channel == channel
-        rho4 = random_low_fock_state(SpaceDescriptor(1, *shape), min(shape), 3, seed=2)
-        rho = split_charges(rho4.reshape(shape * 2))
+        s = SpaceDescriptor(1, *shape)
+        rho = split_charges(random_low_fock_state(s, min(shape), 3, seed=2).reshape(shape * 2))
         assert rho.charges.size > 1
-        return p, transit_map(shape, p), rho
+        step = transit_map(shape, p)
+        walk = lambda state, counts, end, read: step(counts, [*counts, end])[1](state, read)
+        vacuum = DensityMatrix.from_state_vector(s, basis_state(s, 0, 0, 0))
+        return p, walk, rho, squeezed_frame(vacuum, derive_rates(p).epsilon)[0][1]
 
     @pytest.mark.parametrize("shape", [(9, 13), (11, 11)])
     @pytest.mark.parametrize("channel", ["b1", "b2"])
     def test_reading_off_the_held_state_is_the_read_of_the_state(self, channel, shape):
         # counts 0 .. 2 TRANSIT_BLOCK read every power r = 0 .. TRANSIT_BLOCK off three held states;
         # each must be the frame's read of the state the products make, on bands of every charge
-        p, walk, rho = self.walk_and_state(channel, shape)
+        p, walk, rho, read = self.walk_and_state(channel, shape)
         assert {-2, -1, 0, 1, 2} <= set(rho.charges.tolist())
-        read = squeezed_frame(SpaceDescriptor(1, *shape), derive_rates(p).epsilon)[0][1]
         counts = np.arange(2 * TRANSIT_BLOCK + 1)
         rows, _ = walk(rho, counts, counts[-1] + 1, read)
         assert len(rows) == counts.size
@@ -544,7 +547,7 @@ class TestTransitKernel:
 
     @pytest.mark.parametrize("channel", ["b1", "b2"])
     def test_powers_match_per_atom_passes(self, channel):
-        p, walk, rho = self.walk_and_state(channel)
+        p, walk, rho, _ = self.walk_and_state(channel)
         stay, jump = transit_kraus_pair(derive_rates(p), p.tau, self.shape[0 if channel == "b1" else 1])
         want = rho.dense()
         for c in range(2 * TRANSIT_BLOCK + 2):
@@ -556,8 +559,7 @@ class TestTransitKernel:
     def test_state_after_c_atoms_does_not_depend_on_the_stops(self, channel):
         # an ensemble reads every trajectory's counts off one walk, so the state after c atoms
         # must be the same array whichever counts the walk stopped at on the way
-        p, walk, rho = self.walk_and_state(channel)
-        read = squeezed_frame(SpaceDescriptor(1, *self.shape), derive_rates(p).epsilon)[0][1]
+        p, walk, rho, read = self.walk_and_state(channel)
         rng = np.random.default_rng(7)
         for c in (5, TRANSIT_BLOCK, 2 * TRANSIT_BLOCK + 3, 3 * TRANSIT_BLOCK + 9):
             direct = walk(rho, [], c, read)[1]
@@ -698,9 +700,10 @@ class TestRunCollisionModel:
         assert empty.diagnostics == last.diagnostics
         assert np.array_equal(empty.final_state.blocks, last.final_state.blocks)
         eps = derive_rates(p).epsilon
-        reports = [run_steps(squeezed_frame(rho, eps)[0], [collision_step((8, 8), p, duration, proc, times)[0]])[3:]
-                   for times in (np.array([]), np.array([duration]))]
-        assert reports[0] == reports[1]
+        (*_, report, leaks), (*_, want_report, want_leaks) = (
+            run_steps(squeezed_frame(rho, eps)[0], [collision_step((8, 8), p, duration, proc, times)[0]])
+            for times in (np.array([]), np.array([duration])))
+        assert report == want_report and leaks.max() == want_leaks.max()
 
     @pytest.mark.parametrize("channel", ["b1", "b2"])
     def test_dark_state_fixed_point_with_stark(self, channel):
@@ -815,6 +818,32 @@ class TestRunCollisionEnsemble:
             assert ens.diagnostics[key] == sum(s.diagnostics[key] for s in singles)
         assert ens.final_state is None
 
+    @pytest.mark.parametrize("master", [0, 1, 3, 8, 100, 1234])
+    def test_one_trajectory_is_its_run(self, master):
+        # the orbit of one trajectory is its run's walk, with the last level the final state's row:
+        # its records and leak are run_collision_model's to the bit
+        ens = run_collision_ensemble(self.rho, self.p, self.duration, 1, master)
+        single = run_collision_model(self.rho, self.p, self.duration, ArrivalProcess(self.p.r_a, master))
+        assert single.diagnostics["accepted_arrivals"] > TRANSIT_BLOCK
+        np.testing.assert_array_equal(ens.times, single.times)
+        assert list(ens.records) == list(single.records)
+        for key, series in single.records.items():
+            np.testing.assert_array_equal(ens.records[key], series)
+        assert ens.diagnostics["max_truncation_leak"] == single.diagnostics["max_truncation_leak"]
+
+    def test_orbit_reads_each_level_once(self, monkeypatch):
+        # the walk takes the band sums of a held state at a level that is a multiple of
+        # TRANSIT_BLOCK, reads every other level off a held state's powers, and leaves the last
+        # level, the final state, to the driver's one read of it
+        samples = np.linspace(0.0, self.duration, 9)
+        levels = np.unique([_accepted_counts(self.p, self.duration, ArrivalProcess(self.p.r_a, 3 ^ i), samples)[0]
+                            for i in range(2)])
+        assert levels[-1] > TRANSIT_BLOCK
+        calls, band_sums = [], cavsqueeze.dynamics.band_sums
+        monkeypatch.setattr(cavsqueeze.dynamics, "band_sums", lambda rho: calls.append(rho) or band_sums(rho))
+        run_collision_ensemble(self.rho, self.p, self.duration, 2, 3, sample_times=samples)
+        assert len(calls) == 1 + np.count_nonzero(levels[:-1] % TRANSIT_BLOCK == 0)
+
     def test_boundary_start_overflows_like_one_run(self):
         # |5,5> at six levels sits on the boundary layer, and a few atom
         # transits cannot pump it off: the ensemble refuses it with the
@@ -895,22 +924,6 @@ class TestSectorFrame:
         assert truncation_leak(rho) > 1e-3
         assert read(rho_b)[-1] == pytest.approx(truncation_leak(rho), rel=0, abs=1e-13)
 
-    def test_default_vacuum_equals_explicit_vacuum(self, shape, eps):
-        s = SpaceDescriptor(1, *shape)
-        explicit = DensityMatrix.from_state_vector(s, basis_state(s, 0, 0, 0))
-        times = np.linspace(0.0, 2.0, 5)
-        damp = lambda j: lambda rho, dt: rho.damped(j, math.exp(-dt))
-        steps = [stepwise(times, [*times, times[-1]], interval_walk(damp(j))) for j in (1, 2)]
-        _, got, got_state, got_report, _ = run_steps(squeezed_frame(s, eps)[0], steps)
-        _, want, want_state, want_report, _ = run_steps(squeezed_frame(explicit, eps)[0], steps)
-        assert list(got) == list(want)
-        for key, series in want.items():
-            assert np.max(np.abs(got[key] - series)) <= 1e-14, key
-        assert np.array_equal(got_state.charges, [0])
-        assert np.max(np.abs(got_state.blocks - want_state.blocks)) <= 1e-14
-        for key, value in want_report.to_json().items():
-            assert got_report.to_json()[key] == pytest.approx(value, rel=0, abs=1e-14), key
-
 
 class TestChargeBlockEntry:
     # every state enters the frame through its factor F, rho = F F+, on the
@@ -987,9 +1000,6 @@ class TestChargeBlockEntry:
         (want, *_), _ = squeezed_frame(self.given_matrix(s, psi), eps)
         assert np.array_equal(got.charges, want.charges)
         np.testing.assert_allclose(got.blocks, want.blocks, rtol=0, atol=1e-15)
-        if case == "pump_vacuum":  # the vacuum of a SpaceDescriptor is the same vector
-            (default, *_), _ = squeezed_frame(s, eps)
-            assert np.array_equal(default.charges, got.charges) and np.array_equal(default.blocks, got.blocks)
 
     @staticmethod
     def sparse_state(case):

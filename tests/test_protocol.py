@@ -15,8 +15,7 @@ import scipy.linalg
 import cavsqueeze
 from cavsqueeze.analysis import attenuate, band_moments, band_sums, moment_records, preparation_time, tmsv_state_vector
 from cavsqueeze.cli import build_spec, load_run_config
-from cavsqueeze.dynamics import (ArrivalProcess, run_collision_ensemble, run_collision_model, run_steps, squeezed_frame,
-                                 stepwise)
+from cavsqueeze.dynamics import ArrivalProcess, run_collision_ensemble, run_collision_model, run_steps, squeezed_frame
 from cavsqueeze.gaussian import GaussianState, gaussian_frame, gaussian_vacuum
 from cavsqueeze.hilbert import ChargeBlocks, DensityMatrix, SpaceDescriptor, basis_state
 from cavsqueeze.model import (PhysicalParams, b_mode_annihilation, build_squeeze_operator, derive_rates,
@@ -674,8 +673,8 @@ class TestRunProtocolInputs:
 
     @pytest.mark.parametrize("engine", ["fock", "collision"])
     def test_default_vacuum_builds_no_dense_state(self, engine, monkeypatch):
-        # with no initial state the vacuum enters the frame as the sector-0
-        # column S|0,0>: no DensityMatrix and no dense squeeze operator
+        # with no initial state the vacuum enters the frame as from_state_vector's one
+        # column, S|0,0> in sector 0: no eigh of a DensityMatrix and no dense squeeze operator
         built = []
         validate = DensityMatrix.__post_init__
 
@@ -699,14 +698,19 @@ class TestRunProtocolInputs:
     @pytest.mark.parametrize("engine", ["fock", "collision"])
     @pytest.mark.parametrize("shape", [(12, 12), (9, 13)])
     def test_default_vacuum_matches_explicit_vacuum(self, engine, shape):
+        # the default vacuum is from_state_vector's, so the two runs make the same products
         T = 1.0 / derive_rates(clean_params()).gamma
         spec = build_two_step_protocol(clean_params(), engine=engine, truncation=shape, durations=(T, T))
         got, got_report = run_protocol(spec, samples_per_step=5)
         want, want_report = run_protocol(spec, initial=vacuum_density(*shape), samples_per_step=5)
+        assert np.array_equal(got.times, want.times)
+        assert list(got.records) == list(want.records)
         for key, series in want.records.items():
-            assert np.max(np.abs(got.records[key] - series)) <= 1e-14, key
-        for key, value in want_report.to_json().items():
-            assert got_report.to_json()[key] == pytest.approx(value, rel=0, abs=1e-14), key
+            assert np.array_equal(got.records[key], series), key
+        assert np.array_equal(got.final_state.charges, want.final_state.charges)
+        assert np.array_equal(got.final_state.blocks, want.final_state.blocks)
+        assert got_report == want_report
+        assert got.diagnostics == want.diagnostics
 
     def test_given_vacuum_matrix_runs_as_the_vacuum(self):
         # eigh of |0,0><0,0| returns e_0 and eigenvalue 1 exactly, and 0 for every other
@@ -918,11 +922,11 @@ class TestDampingPass:
                 times = np.linspace(0.0, step.duration, 5)
                 mode, rate = (1 if step.channel == "b1" else 2), step.derived.gamma
                 damp = lambda rho, dt, m=mode, g=rate: rho.damped(m, math.exp(-g * dt))
-                steps.append(stepwise(times, [*times, step.duration], interval_walk(damp)))
+                steps.append(interval_walk(damp)(times, [*times, step.duration]))
             times, want, *_ = run_steps(squeezed_frame(initial, spec.epsilon)[0], steps)
             assert np.array_equal(traj.times, times)
             for key, series in want.items():
-                assert np.max(np.abs(traj.records[key] - series)) <= 1e-13, key
+                assert np.max(np.abs(traj.records[key] - series[:-1])) <= 1e-13, key
 
 
 def count_damping_products(monkeypatch):
@@ -970,7 +974,7 @@ class TestClosedFormStep:
             space = SpaceDescriptor(1, *shape)
             for rho4 in many_charge_states(shape):
                 yield space, DensityMatrix(space, rho4.reshape(space.dim, space.dim))
-        yield SpaceDescriptor(1, 25, 25), SpaceDescriptor(1, 25, 25)
+        yield SpaceDescriptor(1, 25, 25), vacuum_density(25, 25)
 
     def test_readings_match_per_interval_reference(self):
         p = clean_params()
@@ -1010,7 +1014,7 @@ class TestClosedFormStep:
         p = clean_params()
         gamma = derive_rates(p).gamma
         spec = build_two_step_protocol(p, truncation=(9, 13), durations=(6.0 / gamma, 5.0 / gamma))
-        for (state, read, _, _), pump in (squeezed_frame(SpaceDescriptor(1, 9, 13), spec.epsilon),
+        for (state, read, _, _), pump in (squeezed_frame(vacuum_density(9, 13), spec.epsilon),
                                           gaussian_frame(gaussian_vacuum(), spec.epsilon)):
             for step in spec.steps:
                 # the clock stops short of the step's end, whose fock row reads the end state
@@ -1029,7 +1033,7 @@ class TestClosedFormStep:
         gamma = derive_rates(p).gamma
         spec = build_two_step_protocol(p, engine=engine, truncation=(12, 12), durations=(3.0 / gamma, 2.0 / gamma))
         traj, _ = run_protocol(spec, samples_per_step=5)
-        entry = squeezed_frame(SpaceDescriptor(1, 12, 12), spec.epsilon)[0][0]
+        entry = squeezed_frame(vacuum_density(12, 12), spec.epsilon)[0][0]
         for row, rho_b in ((0, entry), (-1, traj.final_state)):
             want = moment_records(*band_moments(band_sums(rho_b)), spec.epsilon, spec.epsilon)
             for key in ("n_b1", "n_b2"):
@@ -1054,11 +1058,11 @@ class TestClosedFormStep:
                 times = np.linspace(0.0, step.duration, samples)
                 mode = 1 if step.channel == "b1" else 2
                 damp_dt = lambda rho, dt, m=mode, g=step.derived.gamma: damp(rho, m, math.exp(-g * dt))
-                steps.append(stepwise(times, [*times, step.duration], interval_walk(damp_dt)))
+                steps.append(interval_walk(damp_dt)(times, [*times, step.duration]))
             times, want, want_state, want_report, _ = run_steps(squeezed_frame(initial, spec.epsilon)[0], steps)
             assert np.array_equal(traj.times, times)
             for key, series in want.items():
-                assert np.max(np.abs(traj.records[key] - series)) <= 1e-13, key
+                assert np.max(np.abs(traj.records[key] - series[:-1])) <= 1e-13, key
             assert np.max(np.abs(traj.final_state.blocks - want_state.blocks)) <= 1e-13
             assert report.fidelity == pytest.approx(want_report.fidelity, rel=0, abs=1e-13)
         assert damped == ([1, 2, 1, 2] if r_a else [])

@@ -45,8 +45,6 @@ ALLOWED = {
         "perfbench's tracer wraps it",
     "ChargeBlocks.dense":
         "the dense rho_b of a run's final state, README's way back to the bare modes",
-    "DensityMatrix.from_state_vector":
-        "the public pure-state constructor (the engines enter the vacuum as its basis vector)",
     "_Parser.error":
         "argparse's hook for a bad flag, which it calls itself",
 }
