@@ -185,8 +185,11 @@ def squeezed_frame(rho0: DensityMatrix, epsilon: float) -> tuple:
     (n1 - n2) sector blocks.  Every state enters through its factor F,
     rho = F F+ (one column for a state of from_state_vector), in
     factor_blocks: S F turns on the sectors F occupies, and sector_pairs
-    writes the sector pairs that share a column of F.  No N^2 x N^2 array is
-    made beyond a matrix given as one.  A reading of rho_b is its
+    writes the sector pairs that share a column of F.  S, the damping and
+    the transit kernel are real, so rho_b is held in its entry's dtype:
+    float64 when F has an imaginary part exactly 0 (the vacuum of every
+    run), entered as the view F.real, else complex128.  No N^2 x N^2 array
+    is made beyond a matrix given as one.  A reading of rho_b is its
     band_sums, through one band table per run, the attenuate pair a pump has
     applied since ((1, 1) from read) and its a-frame boundary population
     truncation_leak(S+ rho_b S), the overlap with S P S+ that sector_pairs
@@ -253,7 +256,9 @@ def squeezed_frame(rho0: DensityMatrix, epsilon: float) -> tuple:
     fidelity = lambda rho: float(rho.block(0)[space.n2_trunc - 1, 0, 0].real)
     report = lambda row, rho, final_leak: report_from_records(row, epsilon, fidelity(rho), final_leak)
 
-    return (factor_blocks(rho0.factor.reshape(*space.shape[1:], -1), sectors), read, tabulate, report), pump
+    factor = rho0.factor.reshape(*space.shape[1:], -1)
+    real = np.isrealobj(factor) or not np.any(factor.imag)  # a real F's .imag would be a new array of zeros
+    return (factor_blocks(factor.real if real else factor, sectors), read, tabulate, report), pump
 
 
 def _refuse_overflow(leak: float, t: float) -> None:

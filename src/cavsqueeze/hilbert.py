@@ -188,7 +188,8 @@ class DensityMatrix:
         tr = np.trace(m).real
         if abs(tr - 1.0) > TRACE_TOL:
             raise ValueError(f"density matrix trace {tr!r} is not 1")
-        values, vectors = np.linalg.eigh(m)
+        # a real matrix (imaginary part exactly 0) takes the real eigh, so its factor is real
+        values, vectors = np.linalg.eigh(m if np.any(m.imag) else m.real)
         if values[0] < EIGENVALUE_FLOOR:
             raise ValueError(f"density matrix has negative eigenvalue {values[0]:.3e}")
         positive = values > 0
@@ -237,16 +238,18 @@ class ChargeBlocks:
     and act on every q-block alone; only the charges a state occupies are
     held.  With d = m2 - n2, blocks[i, N2 - 1 + d, n1, n2] is
     rho[n1, n2, n1 + d - q, n2 + d] for q = charges[i], and zero where that
-    column (m1, m2) is off the grid.
+    column (m1, m2) is off the grid.  The blocks are float64 or complex128,
+    and every method keeps their dtype: those maps are real, so a state
+    entered real stays real, at half the flops and memory of complex.
     """
 
     charges: np.ndarray
     blocks: np.ndarray
 
     def block(self, q: int) -> np.ndarray:
-        """The block of charge q, zero when the state holds none."""
+        """The block of charge q, zero (of the blocks' dtype) when the state holds none."""
         hit = np.flatnonzero(self.charges == q)
-        return self.blocks[hit[0]] if hit.size else np.zeros(self.blocks.shape[1:], complex)
+        return self.blocks[hit[0]] if hit.size else np.zeros(self.blocks.shape[1:], self.blocks.dtype)
 
     def shifts(self, mode: int) -> np.ndarray:
         """m_j - n_j of the entries of each block row blocks[i, r], for mode j = 1 or 2: shaped (Q, D)
@@ -259,25 +262,26 @@ class ChargeBlocks:
         m1, m2, on_grid = _charge_columns(self.charges, n1_trunc, n2_trunc)
         n1, n2 = np.indices((n1_trunc, n2_trunc), sparse=True)
         index = tuple(np.broadcast_to(i, self.blocks.shape)[on_grid] for i in (n1, n2, m1, m2))
-        rho4 = np.zeros((n1_trunc, n2_trunc) * 2, dtype=complex)
+        rho4 = np.zeros((n1_trunc, n2_trunc) * 2, self.blocks.dtype)
         rho4[index] = self.blocks[on_grid]
         return rho4
 
     def along(self, mode: int, kernel: np.ndarray) -> "ChargeBlocks":
         """The state after a real kernel acts along the n_j axis of every block row, for mode j = 1
         or 2: row blocks[i, r] takes kernel[i, r] (a leading axis of 1 serves every charge), one
-        (n_j, n_j) matrix applied from the left, as one real product on float views with the
-        mode's axis moved to the rows (a transpose on mode 2, kept).  The pumping maps keep every
-        entry's charge and d, so they act this way: damped, and the collision transits."""
+        (n_j, n_j) matrix applied from the left, as one real product, on a float view of complex
+        blocks, with the mode's axis moved to the rows (a transpose on mode 2, kept); the state
+        keeps the blocks' dtype.  The pumping maps keep every entry's charge and d, so they act
+        this way: damped, and the collision transits."""
         rows = np.ascontiguousarray(self.blocks.swapaxes(2, 1 + mode))
-        return ChargeBlocks(self.charges, (kernel @ rows.view(float)).view(complex).swapaxes(2, 1 + mode))
+        return ChargeBlocks(self.charges, (kernel @ rows.view(float)).view(rows.dtype).swapaxes(2, 1 + mode))
 
     def along_rows(self, mode: int, kernels: np.ndarray, block: np.ndarray, row: np.ndarray) -> np.ndarray:
         """Rows blocks[block[k], row[k]] of along(mode, kernel), for row k's kernel kernels[..., k, :, :]
         and any leading axes of kernels: the product along makes on each of those rows, and on them
-        alone, so each row keeps its bits."""
+        alone, so each row keeps its bits, in the blocks' dtype."""
         rows = np.ascontiguousarray(self.blocks[block, row].swapaxes(1, mode))
-        return np.ascontiguousarray((kernels @ rows.view(float)).view(complex).swapaxes(-2, mode - 3))
+        return np.ascontiguousarray((kernels @ rows.view(float)).view(rows.dtype).swapaxes(-2, mode - 3))
 
     def damped(self, mode: int, eta: float) -> "ChargeBlocks":
         """The state after exact amplitude damping of mode 1 or 2 to transmissivity eta.
@@ -357,23 +361,30 @@ def charge_sectors(n1_trunc: int, n2_trunc: int) -> list:
     return sectors
 
 
-def sector_pairs(sectors: Sequence, pairs: np.ndarray, parts: dict, shape: tuple,
+def sector_pairs(sectors: Sequence, held: np.ndarray, parts: dict, shape: tuple,
                  charges: Optional[np.ndarray] = None) -> ChargeBlocks:
-    """The ChargeBlocks on the field grid shape (N1, N2) holding, for each sector pair (k, k') with
-    pairs[k, k'] true, parts[k] @ parts[k'].conj().T in the rows of sector k and the columns of sector
-    k', in the block of charge k - k' and the parts' dtype, and zero elsewhere: the one writer of sector
-    pairs.  sectors lists each sector's (n1, n2, ...) in the order of charge_sectors, parts[k] one row
-    per state of sector k.  Only pairs of the given sorted charges are written, by default of all."""
+    """The ChargeBlocks on the field grid shape (N1, N2) of F F+ for a factor F given on each sector k
+    as parts[k]: one row per state of sector k, and the columns c of F with held[k, c] true, in order.
+    Each sector pair (k, k') that shares a column writes parts[k] @ parts[k'].conj().T over the
+    columns the two share into the rows of sector k and the columns of sector k', in the block of
+    charge k - k' and the parts' dtype, and the rest is zero: the one writer of sector pairs.  sectors
+    lists each sector's (n1, n2, ...) in the order of charge_sectors.  Only pairs of the given sorted
+    charges are written, by default of all."""
     n2_trunc, span = shape[1], len(sectors) - 1
-    pairs = np.argwhere(pairs)
+    pairs = np.argwhere(np.matmul(held, held.T, dtype=float))  # a BLAS product: numpy's bool one is not
+    columns = [row.tobytes() for row in held]
     pair_charges = pairs[:, 0] - pairs[:, 1]
     charges = np.flatnonzero(np.bincount(pair_charges + span)) - span if charges is None else np.asarray(charges)
     kept = np.isin(pair_charges, charges)
     blocks = np.zeros((charges.size, 2 * n2_trunc - 1, *shape), np.result_type(*parts.values()))
     for (k, k_column), slot in zip(pairs[kept].tolist(), np.searchsorted(charges, pair_charges[kept]).tolist()):
         (n1, n2, *_), (_, m2, *_) = sectors[k], sectors[k_column]
+        left, right = parts[k], parts[k_column]
+        if columns[k] != columns[k_column]:  # the two hold different columns: multiply the shared ones
+            shared = held[k] & held[k_column]
+            left, right = left[:, shared[held[k]]], right[:, shared[held[k_column]]]
         # the entry of row j and column j' has d = m2[j'] - n2[j]
-        blocks[slot][m2 - n2[:, None] + n2_trunc - 1, n1[:, None], n2[:, None]] = parts[k] @ parts[k_column].conj().T
+        blocks[slot][m2 - n2[:, None] + n2_trunc - 1, n1[:, None], n2[:, None]] = left @ right.conj().T
     return ChargeBlocks(charges, blocks)
 
 
@@ -381,21 +392,24 @@ def factor_blocks(factor: np.ndarray, sectors: Sequence, charges: Optional[np.nd
     """The ChargeBlocks of (S F)(S F)+ for the factor F, shaped (N1, N2, r), and an S that keeps n1 - n2,
     given as one (n1, n2, block) per sector as squeeze_sectors gives them: S|n1[j], n2[j]> = sum_i
     block[i, j] |n1[i], n2[i]> for a real block; the (n1, n2) of charge_sectors give S = 1.  No
-    N1 N2 x N1 N2 array is made.  S F turns on each sector F occupies alone, as one real product of
-    the sector's block on a float view of its rows F_k, and stays zero elsewhere.  sector_pairs writes
-    the sector pairs (k, k') that share a column of F, (S_k F_k)(S_k' F_k')^+ into the block of charge
-    k - k', only those of the given charges (by default all).  One column makes every pair of the
-    sectors it occupies; a diagonal state's factor makes the pairs (k, k)."""
+    N1 N2 x N1 N2 array is made, and the blocks have F's dtype: a real F gives real blocks.  S F turns
+    on each sector F occupies alone, and there only on the columns of F nonzero on the sector, as
+    one real product of the sector's block (on a float view of a complex F).  sector_pairs writes the
+    sector pairs (k, k') that share a column of F, (S_k F_k)(S_k' F_k')^+ over the shared columns, into
+    the block of charge k - k', only those of the given charges (by default all).  One column makes
+    every pair of the sectors it occupies; a diagonal state's factor makes the pairs (k, k), each over
+    the sector's own columns."""
     n1_trunc, n2_trunc, rank = factor.shape
-    span = n1_trunc + n2_trunc - 2
-    home = np.subtract.outer(np.arange(n1_trunc), np.arange(n2_trunc)) + n2_trunc - 1  # the index of a state's sector
-    held = np.bincount((home[..., None] * rank + np.arange(rank)).ravel(), (factor != 0).ravel(), (span + 1) * rank)
-    held = held.reshape(span + 1, rank) > 0  # held[k, c]: column c of F is nonzero on sector k
+    row1, row2 = np.indices((n1_trunc, n2_trunc))
+    nonzero = np.zeros((n1_trunc + n2_trunc - 1, n1_trunc, rank), bool)  # F != 0 by sector and n1
+    nonzero[row1 - row2 + n2_trunc - 1, row1] = factor != 0
+    held = nonzero.any(1)  # held[k, c]: column c of F is nonzero on sector k
     turned = {}
     for k in np.flatnonzero(held.any(1)):
         n1, n2, *block = sectors[k]
-        turned[k] = (block[0] @ factor[n1, n2].view(float)).view(complex) if block else factor[n1, n2]
-    return sector_pairs(sectors, held @ held.T, turned, (n1_trunc, n2_trunc), charges)
+        part = factor[n1, n2].compress(held[k], axis=1)
+        turned[k] = (block[0] @ part.view(float)).view(part.dtype) if block else part
+    return sector_pairs(sectors, held, turned, (n1_trunc, n2_trunc), charges)
 
 
 def _embed(atom_block, mode1_block, mode2_block) -> np.ndarray:

@@ -1031,8 +1031,8 @@ class TestChargeBlockEntry:
 
     def test_diagonal_state_enters_on_charge_zero(self):
         # one column per population, each on one basis state, so each sector pairs with itself
-        # alone: the entry holds charge 0 (0.49 MB) where all 97 charges at N = 25 take 47 MB;
-        # measured 7.4 MB, of which S F is 6.25 MB
+        # alone: the entry holds charge 0 (0.25 MB, real) where all 97 complex charges at N = 25
+        # take 47 MB; measured 1.7 MB, where turning all 625 columns on every sector took 7.4 MB
         rho = self.sparse_state("diagonal")
         assert rho.factor.shape == (rho.space.dim, np.count_nonzero(rho.matrix.diagonal()))
         assert np.all(np.count_nonzero(rho.factor, axis=0) == 1)
@@ -1046,15 +1046,16 @@ class TestChargeBlockEntry:
         assert peak < 10e6, peak
 
     @staticmethod
-    def count_products(rho: DensityMatrix, eps: float) -> int:
-        class Counted:  # a sector block of S that counts its products
-            calls = 0
+    def count_products(rho: DensityMatrix, eps: float) -> list:
+        """The shape of the part of F each product of a sector block of S turns, in order."""
+        class Counted:  # a sector block of S that records its products
+            shapes = []
 
             def __init__(self, block):
                 self.block = block
 
             def __matmul__(self, other):
-                Counted.calls += 1
+                Counted.shapes.append(other.shape)
                 return self.block @ other
 
         sectors = squeeze_sectors(rho.space, eps)
@@ -1062,18 +1063,41 @@ class TestChargeBlockEntry:
         factor = rho.factor.reshape(*rho.space.shape[1:], -1)
         got, want = factor_blocks(factor, counted), factor_blocks(factor, sectors)
         assert np.array_equal(got.blocks, want.blocks)
-        return Counted.calls
+        return Counted.shapes
 
     def test_products_only_on_occupied_pairs(self):
         # the vacuum occupies sector 0: one product turns its part of F, where turning every sector
         # makes 49; a full-rank state turns all 11 sectors once
         s = SpaceDescriptor(1, 25, 25)
         vacuum = DensityMatrix.from_state_vector(s, basis_state(s, 0, 0, 0))
-        assert self.count_products(vacuum, math.atanh(0.6)) == 1
+        assert len(self.count_products(vacuum, math.atanh(0.6))) == 1
         s = SpaceDescriptor(1, 6, 6)
         g = np.random.default_rng(6).normal(size=(s.dim, s.dim))
         full = DensityMatrix(s, g @ g.T / np.trace(g @ g.T))
-        assert self.count_products(full, 0.5) == 11
+        assert len(self.count_products(full, 0.5)) == 11
+
+    def test_products_only_on_held_columns(self):
+        # the diagonal state's 625 columns each sit on one basis state, so sector k turns its own
+        # len_k columns of the real F, not all 625
+        rho = self.sparse_state("diagonal")
+        sizes = [n1.size for n1, _, _ in squeeze_sectors(rho.space, 0.5)]
+        assert self.count_products(rho, 0.5) == [(size, size) for size in sizes]
+
+    @pytest.mark.parametrize("phase", [1.0, 1j])
+    def test_pairs_multiply_their_shared_columns(self, phase):
+        # columns on different sectors: sector 1 holds columns 0 and 1, sector 0 column 0 alone,
+        # so the pair (0, 1) multiplies over column 0; the blocks keep F's dtype
+        s, eps = SpaceDescriptor(1, 6, 5), 0.5
+        factor = np.zeros((s.dim, 3), type(phase))
+        for column, (n1, n2, value) in [(0, (0, 0, 1.0)), (0, (1, 0, 0.5)), (1, (1, 0, 0.3 * phase)),
+                                        (1, (0, 2, 1.0)), (1, (3, 1, -0.2)), (2, (2, 0, 0.4))]:
+            factor[s.index(0, n1, n2), column] = value
+        got = factor_blocks(factor.reshape(6, 5, 3), squeeze_sectors(s, eps))
+        turned = dense_squeeze_operator(s, eps) @ factor
+        want = split_charges((turned @ turned.conj().T).reshape(6, 5, 6, 5))
+        assert got.blocks.dtype == factor.dtype
+        assert np.array_equal(got.charges, want.charges)
+        np.testing.assert_allclose(got.blocks, want.blocks, rtol=0, atol=1e-15)
 
     def test_entry_makes_no_dense_copy(self):
         # one N^2 x N^2 complex copy of the N = 25 vacuum is 6.25 MB; a given matrix enters

@@ -139,6 +139,19 @@ def test_density_matrix_validation():
             DensityMatrix(space, np.array([[1.0, 0.0], [0.0, bad]]))
 
 
+def test_real_matrix_gets_a_real_factor():
+    # a matrix whose imaginary part is exactly 0 is factored by the real eigh, whatever its dtype
+    space = SpaceDescriptor(1, 3, 3)
+    g = np.random.default_rng(3).normal(size=(space.dim, 4))
+    m = g @ g.T / np.trace(g @ g.T)
+    for given in (m, m.astype(complex)):
+        rho = DensityMatrix(space, given)
+        assert rho.factor.dtype == float and rho.matrix.dtype == complex
+        np.testing.assert_allclose(rho.factor @ rho.factor.T, m, rtol=0, atol=1e-15)
+    phases = np.exp(1j * np.arange(space.dim))  # diag(phases) m diag(phases)+ is a complex state
+    assert DensityMatrix(space, phases[:, None] * m * phases.conj()).factor.dtype == complex
+
+
 def random_unit_vector(dim, seed):
     rng = np.random.default_rng(seed)
     v = rng.normal(size=dim) + 1j * rng.normal(size=dim)
