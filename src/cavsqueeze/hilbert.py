@@ -372,17 +372,14 @@ def sector_pairs(sectors: Sequence, held: np.ndarray, parts: dict, shape: tuple,
     charges are written, by default of all."""
     n2_trunc, span = shape[1], len(sectors) - 1
     pairs = np.argwhere(np.matmul(held, held.T, dtype=float))  # a BLAS product: numpy's bool one is not
-    columns = [row.tobytes() for row in held]
     pair_charges = pairs[:, 0] - pairs[:, 1]
     charges = np.flatnonzero(np.bincount(pair_charges + span)) - span if charges is None else np.asarray(charges)
     kept = np.isin(pair_charges, charges)
     blocks = np.zeros((charges.size, 2 * n2_trunc - 1, *shape), np.result_type(*parts.values()))
     for (k, k_column), slot in zip(pairs[kept].tolist(), np.searchsorted(charges, pair_charges[kept]).tolist()):
         (n1, n2, *_), (_, m2, *_) = sectors[k], sectors[k_column]
-        left, right = parts[k], parts[k_column]
-        if columns[k] != columns[k_column]:  # the two hold different columns: multiply the shared ones
-            shared = held[k] & held[k_column]
-            left, right = left[:, shared[held[k]]], right[:, shared[held[k_column]]]
+        shared = held[k] & held[k_column]
+        left, right = parts[k][:, shared[held[k]]], parts[k_column][:, shared[held[k_column]]]
         # the entry of row j and column j' has d = m2[j'] - n2[j]
         blocks[slot][m2 - n2[:, None] + n2_trunc - 1, n1[:, None], n2[:, None]] = left @ right.conj().T
     return ChargeBlocks(charges, blocks)
