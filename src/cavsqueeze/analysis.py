@@ -267,9 +267,9 @@ def preparation_time(r: float, gamma: float, n_target: float = 0.1) -> Preparati
     """
     if not np.all((0.0 < r) & (r < 1.0)):
         raise ValueError(f"r must lie strictly between 0 and 1, got {r}")
-    if np.any(gamma <= 0.0):
+    if not np.all(gamma > 0.0):
         raise ValueError(f"gamma must be positive, got {gamma}")
-    if n_target <= 0.0:
+    if not n_target > 0.0:
         raise ValueError(f"n_target must be positive, got {n_target}")
     square = elementwise(math.pow, r, 2.0)
     n_bar = square / (1.0 - square)

@@ -78,8 +78,8 @@ def gaussian_tmsv(epsilon: float) -> GaussianState:
     Cross-correlations are positive in X and negative in P, matching the
     Fock-space construction (X1 - X2 and P1 + P2 are the squeezed pair).
     """
-    if epsilon < 0:
-        raise ValueError("epsilon must be nonnegative")
+    if not 0.0 <= epsilon < math.inf:
+        raise ValueError(f"epsilon must be finite and nonnegative, got {epsilon!r}")
     # the squeezed vacuum covariance S(eps) (I/4) S(eps)^T, with S(eps) S(eps)^T = S(2 eps)
     return _unchecked(GaussianState, mean=np.zeros(4), cov=0.25 * symplectic_squeeze(2.0 * epsilon))
 
@@ -94,6 +94,8 @@ def gaussian_lindblad_evolve(
     those moments as its frame, since mapping bare moments back would lose digits
     as cosh(epsilon)**4; eta = 1 returns s0.  Closed form: no step-size error.
     """
+    if not math.isfinite(epsilon):
+        raise ValueError(f"epsilon must be finite, got {epsilon!r}")
     if not 0.0 <= gamma < math.inf:
         raise ValueError(f"gamma must be finite and nonnegative, got {gamma!r}")
     check_duration(t)

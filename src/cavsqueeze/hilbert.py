@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import InitVar, dataclass, field
 from typing import Optional, Sequence, Union
 
 import numpy as np
@@ -168,18 +168,19 @@ class DensityMatrix:
     tolerance, by one O(dim^3) eigh whose eigenpairs also give F: a column
     sqrt(lambda) v for every eigenvalue lambda > 0, and none for one in
     [EIGENVALUE_FLOOR, 0].  Wherever rho's diagonal is 0 the rows of F are set
-    to exactly 0, as they are for a positive rho.  The matrix is kept as
-    given in .matrix.  A state of from_state_vector is the one column of its
-    vector and forms .matrix = F F+ on its first read only, so the frame
-    entry and the readers of analysis, which take F, never form it.  The
-    matrix and F are left out of repr."""
+    to exactly 0, as they are for a positive rho.  The matrix is an input
+    only: the state keeps F alone (read-only, left out of repr), and the
+    caller's array is neither copied when complex nor frozen.  The frame
+    entry and the readers of analysis all take F."""
 
     space: SpaceDescriptor
-    matrix: np.ndarray = field(repr=False)
+    matrix: InitVar[np.ndarray]
     factor: np.ndarray = field(init=False, repr=False)
 
-    def __post_init__(self):
-        m = _read_only(np.array(self.matrix, dtype=complex), self.space.dim)
+    def __post_init__(self, matrix):
+        m = np.asarray(matrix, dtype=complex)
+        if m.shape != (self.space.dim, self.space.dim):
+            raise ValueError(f"matrix shape {m.shape} does not match space dimension {self.space.dim}")
         if not np.all(np.isfinite(m)):
             raise ValueError("density matrix must be finite")
         herm_defect = np.max(np.abs(m - m.conj().T))
@@ -197,26 +198,14 @@ class DensityMatrix:
         # columns of rounding size may hold entries there, which would add sector pairs rho does not occupy
         factor[m.diagonal() == 0] = 0.0
         factor.setflags(write=False)
-        object.__setattr__(self, "matrix", m)
         object.__setattr__(self, "factor", factor)
-
-    def __getattr__(self, name):
-        # reached only for an attribute the instance lacks: the matrix of a factored state not yet read
-        if name != "matrix":
-            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
-        m = functools.reduce(np.add, map(np.outer, self.factor.T, self.factor.T.conj()))
-        m.setflags(write=False)
-        object.__setattr__(self, "matrix", m)
-        return m
 
     @classmethod
     def from_state_vector(cls, space: SpaceDescriptor, psi: np.ndarray) -> "DensityMatrix":
         """|psi><psi| from a normalized state vector.  Only the vector is
         checked (length, finite, unit norm): the outer product is hermitian
         and positive by construction, so it skips the eigensolve.  The state
-        keeps a read-only copy of the vector as its one-column factor, and the
-        dim x dim matrix np.outer(v, v.conj()) is formed on the first read of
-        .matrix, then kept."""
+        keeps a read-only copy of the vector as its one-column factor."""
         v = np.array(psi, dtype=complex).ravel()
         if v.size != space.dim:
             raise ValueError(f"state vector length {v.size} does not match dimension {space.dim}")

@@ -20,10 +20,12 @@ once per step; the tests' per-interval references damp it by
 ChargeBlocks.damped once per clock interval instead, and dense_damping_pass
 applies the Kraus operators one at a time to the dense state.  The squeezed frame
 enters a state through its factor F, rho = F F+, on the sector pairs that
-share a column of F; dense_frame_entry rotates a dense copy of its matrix
+share a column of F; dense_frame_entry rotates the dense matrix F F+
 instead, and split_charges splits a dense matrix by charge.  The gaussian sweep
 reads its rows in double precision from moments held in the squeezed frame;
 two_step_vacuum_reading evaluates the same closed form in 50-digit decimal.
+A DensityMatrix holds only its factor F; dense forms rho = F F+ for the
+references that take the full matrix.
 """
 
 import decimal
@@ -52,6 +54,11 @@ from cavsqueeze.model import DerivedParams, PhysicalParams, StarkShifts, build_s
 HERMITICITY_TOL = 1e-8
 STEP_BOUND = 0.05
 MAX_STEPS = 10_000_000
+
+
+def dense(rho: DensityMatrix) -> np.ndarray:
+    """The dim x dim complex matrix rho = F F+ of a state held as its factor F."""
+    return (rho.factor @ rho.factor.conj().T).astype(complex, copy=False)
 
 
 def lindblad_evolve(
@@ -165,7 +172,7 @@ def lindblad_evolve(
                 renormalizations += 1
         return rho
 
-    rho = rho0.matrix.copy()
+    rho = dense(rho0)
     rows = []
     min_population = math.inf
     t_cur = t0
@@ -398,12 +405,12 @@ def split_charges(rho4: np.ndarray, charges: Optional[Sequence[int]] = None) -> 
 
 def dense_frame_entry(rho0: DensityMatrix, epsilon: float) -> ChargeBlocks:
     """The ChargeBlocks of S rho0 S+ through the dense matrix: each real
-    sector block of S applied to a float view of the rows of a copy of rho0,
+    sector block of S applied to a float view of the rows of dense(rho0),
     then of the rows of its transpose, and the result split by charge."""
     space = rho0.space
     sectors = squeeze_sectors(space, epsilon)
     # S rho S+ = (S (S rho)^T)^T for the real S
-    rho = rho0.matrix.copy()
+    rho = dense(rho0)
     cuts = [n1 * space.n2_trunc + n2 for n1, n2, _ in sectors]
     for rows in (rho, rho.T):
         for cut, (_, _, block) in zip(cuts, sectors):

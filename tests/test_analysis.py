@@ -28,7 +28,7 @@ from cavsqueeze.hilbert import (
     expectation,
 )
 from cavsqueeze.model import build_squeeze_operator
-from oracles import band_by_band_moments, build_displacement_operator, random_low_fock_state, split_charges
+from oracles import band_by_band_moments, build_displacement_operator, dense, random_low_fock_state, split_charges
 
 
 FIELDS20 = SpaceDescriptor(1, 20, 20)
@@ -289,7 +289,7 @@ class TestFidelity:
         assert fidelity_to_tmsv(rho, 0.5) == pytest.approx(1.0, abs=1e-10)
         # a raw density matrix is refused, not read as a state vector
         with pytest.raises(ValueError, match="DensityMatrix"):
-            fidelity_to_tmsv(rho.matrix, 0.5, FIELDS20)
+            fidelity_to_tmsv(dense(rho), 0.5, FIELDS20)
 
     def test_vacuum_overlap(self):
         vac = basis_state(FIELDS20, 0, 0, 0)
@@ -361,6 +361,15 @@ class TestPreparationTime:
             preparation_time(0.5, 0.0, 0.1)
         with pytest.raises(ValueError):
             preparation_time(0.5, 1.0, -0.1)
+
+    @pytest.mark.parametrize("gamma, n_target, name", [
+        (math.nan, 0.1, "gamma"),
+        (np.array([1.0, math.nan]), 0.1, "gamma"),
+        (1.0, math.nan, "n_target"),
+    ])
+    def test_refuses_nan(self, gamma, n_target, name):
+        with pytest.raises(ValueError, match=f"{name} must be positive, got"):
+            preparation_time(0.5, gamma, n_target)
 
 
 class TestSqueezingReport:

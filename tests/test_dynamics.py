@@ -50,6 +50,7 @@ from cavsqueeze.model import (
 from oracles import (
     bare_state,
     build_displacement_operator,
+    dense,
     dense_frame_entry,
     dense_kraus_pass,
     dense_squeeze_operator,
@@ -60,6 +61,7 @@ from oracles import (
     rk4_reference,
     split_charges,
 )
+from test_acceptance import pump_params as acceptance_params
 
 
 def channel_b1_rates(theta1=0.5, theta2=0.3, gamma=0.0):
@@ -220,6 +222,26 @@ def test_thinning_matches_the_per_arrival_loop(occupancy):
         assert got == want and type(got) is int, seed
         dropped += got
     assert dropped > 0
+
+
+def test_accepted_counts_follow_the_dead_time_law():
+    # under a non-paralyzable dead time tau, P(N(t) >= k) = P(Poisson(r_a (t - (k - 1) tau)) >= k)
+    # for t > (k - 1) tau, else 0: the k-th acceptance needs k arrivals in the time k - 1 dead
+    # spells leave open.  On the acceptance config (r_a tau = 0.1) each sample's mean count over
+    # 2,000 streams lies within 4 exact standard errors of sum_k P(N >= k)
+    p = acceptance_params(0.4)
+    duration = 1.5 / derive_rates(p).gamma
+    samples = np.linspace(0.0, duration, 16)
+    counts = np.array([_accepted_counts(p, duration, ArrivalProcess(p.r_a, s), samples)[0][:-1]
+                       for s in range(2000)])
+    assert not np.any(counts[:, 0])
+    k = np.arange(1, int(duration / p.tau) + 2)[:, None]
+    open_time = samples[1:] - (k - 1) * p.tau
+    tail = np.where(open_time > 0.0, scipy.stats.poisson.sf(k - 1, p.r_a * np.maximum(open_time, 0.0)), 0.0)
+    mean = tail.sum(axis=0)
+    var = ((2 * k - 1) * tail).sum(axis=0) - mean**2
+    z = (counts[:, 1:].mean(axis=0) - mean) / np.sqrt(var / counts.shape[0])
+    assert np.max(np.abs(z)) < 4.0, z
 
 
 class TestPropagateState:
@@ -402,7 +424,7 @@ class TestCollisionStep:
         rho = DensityMatrix.from_state_vector(self.sf, transformed_fock1(self.sf, self.base.epsilon, 1))
         traj = self.run(rho, p, 5.0, seed=1)
         assert traj.diagnostics["accepted_arrivals"] > 0
-        assert np.max(np.abs(bare_state(traj.final_state, derive_rates(p).epsilon) - rho.matrix)) < 1e-12
+        assert np.max(np.abs(bare_state(traj.final_state, derive_rates(p).epsilon) - dense(rho))) < 1e-12
 
     def test_single_collision_extraction(self):
         # one transformed quantum plus a ground atom is an exact two-level
@@ -420,7 +442,7 @@ class TestCollisionStep:
         rho = DensityMatrix.from_state_vector(self.sf, transformed_vacuum(self.sf, self.base.epsilon))
         traj = self.run(rho, p, 60.0 * p.tau, seed=5)
         assert traj.diagnostics["accepted_arrivals"] > 0
-        assert np.max(np.abs(bare_state(traj.final_state, derive_rates(p).epsilon) - rho.matrix)) < 1e-10
+        assert np.max(np.abs(bare_state(traj.final_state, derive_rates(p).epsilon) - dense(rho))) < 1e-10
 
     @pytest.mark.parametrize("channel", ["b1", "b2"])
     def test_dark_state_with_light_shifts(self, channel):
@@ -431,7 +453,7 @@ class TestCollisionStep:
         rho = DensityMatrix.from_state_vector(self.sf, transformed_vacuum(self.sf, self.base.epsilon))
         k = self.run(rho, p, 60.0 * p.tau, seed=5).diagnostics["accepted_arrivals"]
         assert k > 0
-        assert np.max(np.abs(light_shift_transits(p, rho.matrix, k) - rho.matrix)) < 1e-10
+        assert np.max(np.abs(light_shift_transits(p, dense(rho), k) - dense(rho))) < 1e-10
 
 
 class TestTransitKrausPair:
@@ -611,7 +633,7 @@ class TestRunCollisionModel:
         traj = run_collision_model(rho, p, 1.0, proc, sample_times=np.linspace(0.0, 1.0, 5))
         for series in traj.records.values():
             np.testing.assert_allclose(series, series[0], atol=1e-12)
-        assert np.max(np.abs(bare_state(traj.final_state, derive_rates(p).epsilon) - rho.matrix)) < 1e-12
+        assert np.max(np.abs(bare_state(traj.final_state, derive_rates(p).epsilon) - dense(rho))) < 1e-12
         assert traj.diagnostics["accepted_arrivals"] == 0
 
     def test_occupation_decays(self):
@@ -714,7 +736,7 @@ class TestRunCollisionModel:
         duration = 50.0 * p.tau
         traj = run_collision_model(rho, p, duration, ArrivalProcess(rate=p.r_a, seed=8))
         k = traj.diagnostics["accepted_arrivals"]
-        assert np.max(np.abs(light_shift_transits(p, rho.matrix, k) - rho.matrix)) < 1e-9
+        assert np.max(np.abs(light_shift_transits(p, dense(rho), k) - dense(rho))) < 1e-9
 
 
 class TestRunCollisionEnsemble:
@@ -1034,7 +1056,7 @@ class TestChargeBlockEntry:
         # alone: the entry holds charge 0 (0.25 MB, real) where all 97 complex charges at N = 25
         # take 47 MB; measured 1.7 MB, where turning all 625 columns on every sector took 7.4 MB
         rho = self.sparse_state("diagonal")
-        assert rho.factor.shape == (rho.space.dim, np.count_nonzero(rho.matrix.diagonal()))
+        assert rho.factor.shape == (rho.space.dim, np.count_nonzero(dense(rho).diagonal()))
         assert np.all(np.count_nonzero(rho.factor, axis=0) == 1)
         tracemalloc.start()
         try:
@@ -1170,9 +1192,9 @@ class TestLindbladEvolve:
         h = build_selective_hamiltonian(d, None, s)
         rho0 = DensityMatrix.from_state_vector(s, basis_state(s, "g", 1, 1))
         u = scipy.linalg.expm(-1.1j * h.matrix)
-        ref = u @ rho0.matrix @ u.conj().T
+        ref = u @ dense(rho0) @ u.conj().T
         traj = lindblad_evolve(rho0, [], (0.0, 1.1), hamiltonian=h)
-        assert np.max(np.abs(traj.final_state.matrix - ref)) < 1e-7
+        assert np.max(np.abs(dense(traj.final_state) - ref)) < 1e-7
 
     def test_diagnostics_and_positivity(self):
         s = SpaceDescriptor(1, 6, 1)
@@ -1180,7 +1202,7 @@ class TestLindbladEvolve:
         traj = lindblad_evolve(rho0, [(annihilation_op(s, 1), 1.0)], (0.0, 1.0))
         assert traj.diagnostics["steps"] > 0
         assert traj.diagnostics["min_population"] > -1e-8
-        assert abs(np.trace(traj.final_state.matrix).real - 1.0) < 1e-12
+        assert abs(np.trace(dense(traj.final_state)).real - 1.0) < 1e-12
 
     def test_empty_records_without_recorder(self):
         s = SpaceDescriptor(1, 4, 1)

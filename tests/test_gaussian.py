@@ -127,6 +127,11 @@ class TestGaussianTmsv:
         with pytest.raises(ValueError, match="nonnegative"):
             gaussian_tmsv(-0.1)
 
+    @pytest.mark.parametrize("eps", [math.nan, math.inf, -math.inf])
+    def test_rejects_non_finite_epsilon(self, eps):
+        with pytest.raises(ValueError, match="nonnegative"):
+            gaussian_tmsv(eps)
+
     def test_squeezed_and_antisqueezed_variances(self):
         eps = math.atanh(0.6)
         epr = gaussian_epr_variances(gaussian_tmsv(eps))
@@ -196,6 +201,12 @@ class TestGaussianLindbladEvolve:
             gaussian_lindblad_evolve(s, 0.3, 1.0, 3, 1.0)
         with pytest.raises(ValueError, match="which"):
             gaussian_lindblad_evolve(s, 0.3, 1.0, 3, 0.0)
+
+    @pytest.mark.parametrize("eps", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("gamma", [1.0, 0.0])
+    def test_rejects_non_finite_epsilon(self, eps, gamma):
+        with pytest.raises(ValueError, match="epsilon must be finite"):
+            gaussian_lindblad_evolve(gaussian_vacuum(), eps, gamma, 1, 1.0)
 
     @pytest.mark.parametrize("gamma, t, message", [
         (math.nan, 1.0, "gamma must be finite and nonnegative, got nan"),

@@ -1,3 +1,4 @@
+import dataclasses
 import tracemalloc
 
 import numpy as np
@@ -19,7 +20,7 @@ from cavsqueeze.hilbert import (
     factor_blocks,
     number_op,
 )
-from oracles import split_charges
+from oracles import dense, split_charges
 
 
 def test_flat_index_ordering():
@@ -146,7 +147,7 @@ def test_real_matrix_gets_a_real_factor():
     m = g @ g.T / np.trace(g @ g.T)
     for given in (m, m.astype(complex)):
         rho = DensityMatrix(space, given)
-        assert rho.factor.dtype == float and rho.matrix.dtype == complex
+        assert rho.factor.dtype == float
         np.testing.assert_allclose(rho.factor @ rho.factor.T, m, rtol=0, atol=1e-15)
     phases = np.exp(1j * np.arange(space.dim))  # diag(phases) m diag(phases)+ is a complex state
     assert DensityMatrix(space, phases[:, None] * m * phases.conj()).factor.dtype == complex
@@ -164,12 +165,12 @@ def test_from_state_vector_is_the_outer_product(shape):
     for seed in range(3):
         v = random_unit_vector(space.dim, seed)
         rho = DensityMatrix.from_state_vector(space, v)
-        expected = np.outer(v, v.conj())
-        assert rho.matrix.dtype == expected.dtype and rho.matrix.shape == expected.shape
-        assert rho.matrix.tobytes() == expected.tobytes()
-        assert not rho.matrix.flags.writeable
+        # F is the vector as one column, bit for bit, so F F+ is its outer product
+        assert rho.factor.shape == (space.dim, 1) and rho.factor.tobytes() == v.tobytes()
+        assert not rho.factor.flags.writeable
+        np.testing.assert_allclose(dense(rho), np.outer(v, v.conj()), rtol=0, atol=1e-15)
         # the full check's eigenvalue floor, as an oracle the constructor no longer runs
-        assert np.linalg.eigvalsh(rho.matrix).min() >= EIGENVALUE_FLOOR
+        assert np.linalg.eigvalsh(dense(rho)).min() >= EIGENVALUE_FLOOR
 
 
 def test_from_state_vector_checks_the_vector():
@@ -190,28 +191,55 @@ def test_from_state_vector_runs_no_eigensolve(eigensolve_calls):
     assert eigensolve_calls == []
 
 
-def test_from_state_vector_forms_its_matrix_once(monkeypatch):
-    # the state holds a read-only copy of the vector; .matrix is the same
-    # np.outer(v, v.conj()) bit for bit, formed on its first read and kept
+def test_from_state_vector_holds_only_its_factor():
+    # the state holds a read-only copy of the vector as its factor, and never forms the matrix
     space = SpaceDescriptor(1, 5, 5)
     v = random_unit_vector(space.dim, 4)
-    want = np.outer(v, v.conj())
+    want = v.copy()
     rho = DensityMatrix.from_state_vector(space, v)
     assert isinstance(rho, DensityMatrix)
-    assert "matrix" not in vars(rho)
-    assert repr(rho) == f"DensityMatrix(space={space!r})" and "matrix" not in vars(rho)
+    assert set(vars(rho)) == {"space", "factor"}
+    assert repr(rho) == f"DensityMatrix(space={space!r})"
     assert v.flags.writeable  # the caller's array is not frozen, nor shared
     v[0] = 2.0
-    outer, calls = np.outer, []
-    monkeypatch.setattr(np, "outer", lambda *args: calls.append(1) or outer(*args))
-    m = rho.matrix
-    assert m.tobytes() == want.tobytes() and m.dtype == want.dtype and m.shape == want.shape
-    assert not m.flags.writeable
-    assert rho.matrix is m and calls == [1]
+    assert rho.factor.tobytes() == want.tobytes()
+    for name in ("matrix", "vector"):
+        with pytest.raises(AttributeError):
+            getattr(rho, name)
     with pytest.raises(AttributeError):
-        rho.vector
-    with pytest.raises(AttributeError):
-        DensityMatrix(space, want).vector
+        DensityMatrix(space, np.outer(want, want.conj())).vector
+
+
+def test_given_matrix_is_an_input_only():
+    # the state keeps F alone; the caller's array is neither frozen nor changed,
+    # and replace cannot form a matrix to factor again
+    space = SpaceDescriptor(1, 3, 3)
+    rng = np.random.default_rng(5)
+    g = rng.normal(size=(space.dim, 4)) + 1j * rng.normal(size=(space.dim, 4))
+    m = g @ g.conj().T / np.trace(g @ g.conj().T).real
+    for given in (m, m.real / np.trace(m.real), np.diag(np.r_[0.0, np.ones(space.dim - 1)] / (space.dim - 1))):
+        kept = given.copy()
+        rho = DensityMatrix(space, given)
+        assert set(vars(rho)) == {"space", "factor"}
+        assert given.flags.writeable and given.tobytes() == kept.tobytes()
+        with pytest.raises(ValueError, match="matrix"):
+            dataclasses.replace(rho, space=rho.space)
+
+
+def test_given_matrix_retains_only_its_factor():
+    # at N = 25 a full-rank complex rho is 6.25 MB, and so is its F, the one array the state keeps
+    space = SpaceDescriptor(1, 25, 25)
+    rng = np.random.default_rng(6)
+    g = rng.normal(size=(space.dim,) * 2) + 1j * rng.normal(size=(space.dim,) * 2)
+    m = g @ g.conj().T / np.trace(g @ g.conj().T).real
+    tracemalloc.start()
+    try:
+        rho = DensityMatrix(space, m)
+        retained, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert rho.factor.shape == (space.dim, space.dim)
+    assert abs(retained - rho.factor.nbytes) <= 64 * 1024, retained
 
 
 def test_operator_copies_the_callers_array():
@@ -231,7 +259,7 @@ def test_matrices_are_read_only():
         op.matrix[0, 0] = 2.0
     rho = DensityMatrix(space, np.eye(3) / 3)
     with pytest.raises(ValueError):
-        rho.matrix[0, 0] = 0.0
+        rho.factor[0, 0] = 0.0
 
 
 @pytest.mark.parametrize("make", [
